@@ -1,9 +1,10 @@
 """Closed-form outcome distributions for the entangled-sensor measurement.
 
 The probability of each measurement outcome is a combinatorial sum over the
-g coefficients, weighted by exact binomial ratios.  This path never builds a
-2^n state vector and stays exact (up to one float division per term) out to
-participant counts in the thousands; the dense simulator in
+g coefficients, weighted by binomial ratios formed exactly from falling
+factorials.  This path never builds a 2^n state vector and stays exact (up to
+one float division per weight) out to participant counts of 10^4 and beyond;
+the dense simulator in
 :mod:`anonsense.statevec` provides the independent cross-check at small n.
 """
 
@@ -177,6 +178,18 @@ def validate_config(config: ProtocolConfig) -> list[str]:
     return v
 
 
+def weight_row(n: int, m: int, k: int) -> list[float]:
+    """Weights C(n-m, k-l)/C(n, k) for l = 0..m; zero where k-l is outside [0, n-m].
+
+    Each weight is formed as the equal ratio perm(k, l)*perm(n-k, m-l)/perm(n, m):
+    exact integers of m small factors each, divided once, so the float is
+    correctly rounded and identical to the binomial quotient at O(m) cost
+    instead of two n-digit binomials.
+    """
+    denom = math.perm(n, m)
+    return [math.perm(k, l) * math.perm(n - k, m - l) / denom for l in range(m + 1)]
+
+
 def gamma(n: int, fields: FieldVector, k: int, sign: str) -> complex:
     """Transition amplitude gamma for weight index k and the given sign.
 
@@ -184,8 +197,8 @@ def gamma(n: int, fields: FieldVector, k: int, sign: str) -> complex:
     ranging over max(0, k-(n-m)) .. min(k, m).  For even n at k = n/2 the '-'
     amplitude is identically 0 and the '+' amplitude uses the same sum.
 
-    Binomial ratios are formed as exact integers and divided once per term,
-    so the result stays accurate for n up to ~10^4.
+    The binomial ratios come from :func:`weight_row`, exact and correctly
+    rounded at any n.
     """
     m = fields.m
     if not 0 <= k <= n // 2:
@@ -198,10 +211,10 @@ def gamma(n: int, fields: FieldVector, k: int, sign: str) -> complex:
         return 0j
     r = n - m
     g = g_coefficients(fields, PLUS if 2 * k == n else sign)
-    denom = math.comb(n, k)
+    w = weight_row(n, m, k)
     total = 0j
     for l in range(max(0, k - r), min(k, m) + 1):
-        total += (math.comb(r, k - l) / denom) * g.values[l]
+        total += w[l] * g.values[l]
     return total / 2
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import ProtocolConfig
-from .fisher import PhaseParameters, ThetaModel, fisher_matrix
+from .fisher import METHOD_ANALYTIC, PhaseParameters, ThetaModel, _fisher_matrix
 
 GRID_POINTS = 181
 REFINE_TOL = 1e-6
@@ -68,8 +68,13 @@ def log_likelihood(counts: OutcomeCounts, config: ProtocolConfig, params: PhaseP
     """
     model = ThetaModel(config)
     _check_labels(counts, model)
+    return _log_likelihood(counts, model, params.theta)
+
+
+def _log_likelihood(counts: OutcomeCounts, model: ThetaModel, theta) -> float:
+    """:func:`log_likelihood` on an already built model."""
     total = 0.0
-    p = model.probs(params.theta)
+    p = model.probs(theta)
     for x, label in enumerate(model.labels):
         c = counts.counts.get(label, 0)
         if c == 0:
@@ -150,11 +155,11 @@ def mle_estimate(
             break
 
     theta_hat = PhaseParameters(m_est=m, theta=tuple(theta))
-    ll_hat = log_likelihood(counts, config, theta_hat)
+    ll_hat = _log_likelihood(counts, model, theta_hat.theta)
     se = _observed_se(ll_point, theta, flags)
     crb_se: Optional[tuple[float, ...]] = None
     try:
-        res = fisher_matrix(config, theta_hat, N=counts.N)
+        res = _fisher_matrix(model, theta_hat.theta, METHOD_ANALYTIC, counts.N)
         crb_se = tuple(math.sqrt(max(v, 0.0)) for v in res.crb_diag)
     except ArithmeticError:
         flags.append("expected information singular at the estimate")

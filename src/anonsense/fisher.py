@@ -4,8 +4,9 @@ The outcome model is parameterized directly by the phase vector theta (theta
 = omega*t for one sender; theta1 = (omega1+omega2)*t, theta2 = (omega1-omega2)*t
 for two).  :class:`ThetaModel` evaluates outcome probabilities and their
 analytic theta-derivatives for any valid one- or two-sender configuration and
-vectorizes over theta grids, which makes likelihood scans and Fisher matrices
-cheap at any participant count.
+vectorizes over theta grids.  It holds weights only for the weight indices
+the measurement uses, so the work of likelihood scans and Fisher matrices
+follows the number of measured indices, not the participant count.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .combinatorics import FieldVector, MINUS, PLUS
-from .engine import ConfigError, ProtocolConfig, validate_config
+from .engine import ConfigError, ProtocolConfig, validate_config, weight_row
 
 FD_STEP = 1e-5
 ZERO_PROB = 1e-14
@@ -101,7 +102,10 @@ class ThetaModel:
     v*(2 - v) entering the residual outcome never suffer cancellation; this
     keeps Fisher summands (dp)^2/p accurate even where p is tiny.
 
-    All methods broadcast over numpy arrays of theta components.
+    Only weight indices with a measurement switch on are modelled:
+    validate_config forces q[i] = 0 on every other index, so those add nothing
+    to any outcome.  All methods broadcast over numpy arrays of theta
+    components.
     """
 
     def __init__(self, config: ProtocolConfig):
@@ -111,20 +115,15 @@ class ThetaModel:
         self.config = config
         self.m_est = config.m_est
         n, m = config.n, config.m_est
-        kmax = config.kmax
-        # exact binomial ratios C(n-m, i-l)/C(n, i), one float division each
-        self._w = np.zeros((kmax + 1, m + 1))
-        for i in range(kmax + 1):
-            denom = math.comb(n, i)
-            for l in range(max(0, i - (n - m)), min(i, m) + 1):
-                self._w[i, l] = math.comb(n - m, i - l) / denom
-        self._minus_alive = np.ones(kmax + 1)
-        if n % 2 == 0:
-            self._minus_alive[kmax] = 0.0  # the central '-' projector vanishes
+        # weight indices with a switch on; row r of every table is index _rows[r]
+        self._rows = [i for i in range(config.kmax + 1) if config.c_plus[i] or config.c_minus[i]]
+        self._w = np.array([weight_row(n, m, i) for i in self._rows])
+        # the central '-' projector of even n vanishes
+        self._minus_alive = np.array([0.0 if 2 * i == n else 1.0 for i in self._rows])
         self.labels = config.labels()
         self._active = [
-            (i, sign)
-            for i in range(kmax + 1)
+            (r, i, sign)
+            for r, i in enumerate(self._rows)
             for sign in (PLUS, MINUS)
             if config.c(i, sign)
         ]
@@ -174,12 +173,12 @@ class ThetaModel:
         return [[-c1, zero, c1], [zero, zero, zero]]
 
     def _contract(self, stack) -> np.ndarray:
-        """sum_l w[:, l] * stack[l], shape (kmax+1, *grid)."""
+        """sum_l w[:, l] * stack[l], shape (rows, *grid)."""
         arr = np.stack(np.broadcast_arrays(*stack)).astype(float)
         return np.tensordot(self._w, arr, axes=([1], [0]))
 
     def _amplitudes(self, theta):
-        """(v, gamma_minus) with gamma+ = 1 - v; both shaped (kmax+1, *grid)."""
+        """(v, gamma_minus) with gamma+ = 1 - v; both shaped (rows, *grid)."""
         v = self._contract(self._u_stacks(theta))
         gamma_m = 0.5 * self._contract(self._minus_stacks(theta))
         mask = self._minus_alive.reshape((-1,) + (1,) * (gamma_m.ndim - 1))
@@ -204,23 +203,21 @@ class ThetaModel:
         config = self.config
         q = config.q
         rows = []
-        for i, sign in self._active:
-            gam = (1.0 - v[i]) if sign == PLUS else gamma_m[i]
+        for r, i, sign in self._active:
+            gam = (1.0 - v[r]) if sign == PLUS else gamma_m[r]
             rows.append(q[i] * gam ** 2)
         # residual assembled per weight index from stable complements
         residual = 0.0
-        for i in range(config.kmax + 1):
+        for r, i in enumerate(self._rows):
             if q[i] == 0.0:
                 continue
             if config.c_plus[i]:
-                r = v[i] * (2.0 - v[i])
+                rest = v[r] * (2.0 - v[r])
                 if config.c_minus[i]:
-                    r = r - gamma_m[i] ** 2
-            elif config.c_minus[i]:
-                r = (1.0 - gamma_m[i]) * (1.0 + gamma_m[i])
+                    rest = rest - gamma_m[r] ** 2
             else:
-                r = 1.0
-            residual = residual + q[i] * np.maximum(r, 0.0)
+                rest = (1.0 - gamma_m[r]) * (1.0 + gamma_m[r])
+            residual = residual + q[i] * np.maximum(rest, 0.0)
         rows.append(residual)
         return np.stack(np.broadcast_arrays(*rows))
 
@@ -232,11 +229,11 @@ class ThetaModel:
         per_param = []
         for dv, dgamma_m in self._damplitudes(theta):
             rows = []
-            for i, sign in self._active:
+            for r, i, sign in self._active:
                 if sign == PLUS:
-                    gam, dgam = 1.0 - v[i], -dv[i]
+                    gam, dgam = 1.0 - v[r], -dv[r]
                 else:
-                    gam, dgam = gamma_m[i], dgamma_m[i]
+                    gam, dgam = gamma_m[r], dgamma_m[r]
                 rows.append(2.0 * q[i] * gam * dgam)
             rows.append(-sum(rows))
             per_param.append(np.stack(np.broadcast_arrays(*rows)))
@@ -258,8 +255,11 @@ def fisher_matrix(
     """
     if params.m_est != config.m_est:
         raise ValueError(f"params.m_est={params.m_est} != config.m_est={config.m_est}")
-    model = ThetaModel(config)
-    theta = params.theta
+    return _fisher_matrix(ThetaModel(config), params.theta, method, N)
+
+
+def _fisher_matrix(model: ThetaModel, theta, method: str, N: int) -> FisherResult:
+    """:func:`fisher_matrix` on an already built model."""
     p = model.probs(theta)
     if method == METHOD_ANALYTIC:
         dp = model.dprobs(theta)
@@ -267,7 +267,7 @@ def fisher_matrix(
         dp = _fd_dprobs(model, theta)
     else:
         raise ValueError(f"unknown method {method!r}")
-    m = config.m_est
+    m = model.m_est
     J = np.zeros((m, m))
     for x, label in enumerate(model.labels):
         if p[x] < ZERO_PROB:

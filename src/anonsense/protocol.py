@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from .combinatorics import FieldVector
 from .engine import (
@@ -187,6 +186,8 @@ def verify_tracelessness(
         if table_arr.shape[1] <= 1:
             p_value = 1.0  # every subset produced the same single outcome
         else:
+            from scipy import stats  # imported here: it costs most of the package's import time
+
             _, p_value, _, _ = stats.chi2_contingency(table_arr)
         emp = table_arr / table_arr.sum(axis=1, keepdims=True)
         max_tv = 0.0

@@ -63,6 +63,24 @@ def test_single_sender_likelihood_is_unimodal():
         assert changes <= 1
 
 
+def test_mle_builds_one_model(monkeypatch):
+    built = []
+    init = ThetaModel.__init__
+
+    def counting_init(self, config):
+        built.append(config)
+        init(self, config)
+
+    config = ProtocolConfig.for_two_senders(7, a=3, q0=0.33)
+    counts = OutcomeCounts.from_dict({"0+": 400, "0-": 150, "3+": 300, "f": 150})
+    monkeypatch.setattr(ThetaModel, "__init__", counting_init)
+    report = mle_estimate(counts, config)
+    assert len(built) == 1
+    assert report.crb_se is not None  # the Fisher matrix ran on that model
+    monkeypatch.undo()
+    assert report.log_likelihood == log_likelihood(counts, config, report.theta_hat)
+
+
 def test_mle_all_counts_on_plus():
     config = ProtocolConfig.for_single_sender(5)
     report = mle_estimate(OutcomeCounts.from_dict({"0+": 1000}), config)

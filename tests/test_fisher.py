@@ -43,17 +43,50 @@ def test_phases_from_fields():
     assert (th1, th2) == (2.0, -0.5)
 
 
+def all_switches_config(n, m_est):
+    """Every projector on, uniform weights: every weight index is modelled."""
+    rows = n // 2 + 1
+    return ProtocolConfig(n=n, m_est=m_est, t=1.0, q=(1.0 / rows,) * rows, c_plus=(1,) * rows,
+                          c_minus=(1,) * rows, a=n // 2 if m_est == 2 else None)
+
+
 def test_theta_model_matches_engine(rng):
     # the theta-space model must agree with the omega-space closed form
-    for n, a in ((5, 2), (6, 3), (9, 4)):
-        config = ProtocolConfig.for_two_senders(n, a=a, q0=float(rng.uniform(0.15, 0.85)))
+    configs = [ProtocolConfig.for_two_senders(n, a=a, q0=float(rng.uniform(0.15, 0.85)))
+               for n, a in ((5, 2), (6, 3), (9, 4))]
+    # a switched-on row with q = 0 (indices 2 and 4), and every switch on
+    configs.append(ProtocolConfig(n=9, m_est=2, t=1.0, q=(0.4, 0.0, 0.0, 0.6, 0.0),
+                                  c_plus=(1, 0, 0, 1, 1), c_minus=(1, 0, 1, 0, 0), a=3))
+    configs += [all_switches_config(10, 2), all_switches_config(11, 2),
+                all_switches_config(7, 1)]
+    for config in configs:
         model = ThetaModel(config)
-        omegas = tuple(sorted(rng.uniform(0.1, 2.8, 2)))
+        omegas = tuple(sorted(rng.uniform(0.1, 2.8, config.m_est)))
         fields = FieldVector(omegas, t=1.0)
         dist = outcome_distribution(config, fields)
         p = model.probs(phases_from_fields(fields))
         for x, label in enumerate(model.labels):
             assert p[x] == pytest.approx(dist.probs[label], abs=1e-12)
+
+
+def test_theta_model_weights_are_exact_binomial_ratios():
+    # bit-identical to the big-integer quotient, at every modelled index
+    for m in (1, 2):
+        for n in list(range(5, 41)) + [1001]:
+            model = ThetaModel(all_switches_config(n, m))
+            assert model._rows == list(range(n // 2 + 1))
+            for i in model._rows:
+                for l in range(m + 1):
+                    expect = (math.comb(n - m, i - l) / math.comb(n, i)
+                              if 0 <= i - l <= n - m else 0.0)
+                    assert model._w[i, l] == expect
+
+
+def test_theta_model_keeps_only_switched_rows():
+    model = ThetaModel(ProtocolConfig.for_two_senders(1001, a=500, q0=0.33))
+    assert model._rows == [0, 500]
+    assert model._w.shape == (2, 3)
+    assert model._w[1, 1] == math.comb(999, 499) / math.comb(1001, 500)
 
 
 def test_theta_model_broadcasts():
@@ -152,7 +185,8 @@ def test_singular_fisher_at_theta2_zero():
 
 
 def test_closed_form_matches_numeric_inverse():
-    for n in (5, 6, 10, 100):
+    # up to figure 3's n = 10^4, both parities
+    for n in (5, 6, 10, 100, 1000, 10000, 10001):
         a = n // 2
         for q0 in (0.2, 0.33, 0.5):
             for th1 in (0.3, 1.0, 2.0, 3.0):
