@@ -33,14 +33,15 @@ from .estimation import EstimateReport, OutcomeCounts, mle_estimate
 from .sampling import draw_counts, philox
 from .statevec import (
     SenderAssignment,
+    _DenseBasis,
     apply_sender_unitary,
     conditional_distributions,
-    oracle_distribution,
     oracle_limit,
 )
 
 EXACT_TV_TOL = 1e-10
 SAMPLED_P_THRESHOLD = 1e-3
+_TV_BLOCK_ENTRIES = 1 << 20  # bound on the pairwise-distance block held at once
 
 
 @dataclass(frozen=True)
@@ -147,58 +148,63 @@ def verify_tracelessness(
 ) -> TracelessnessReport:
     """Compare outcome distributions across ALL sender subsets.
 
-    exact mode: each subset's distribution comes from the dense simulator and
-    the report carries the maximum pairwise total-variation distance (pass iff
-    it stays within ``tolerance``).
+    Every subset's distribution comes from the dense simulator when n is
+    within its limit.  The sweep builds the config's dense basis (the Dicke
+    initial states and projectors) once and applies one diagonal phase
+    vector per subset, so each subset still enters through its own sender
+    positions.
+
+    exact mode: the report carries the maximum pairwise total-variation
+    distance (pass iff it stays within ``tolerance``).
 
     sampled mode: draws ``rounds`` outcomes per subset and runs a chi-square
     homogeneity test across the subsets' empirical counts (pass iff the
-    p-value is at least 1e-3).  Sampling uses the dense simulator when n is
-    within its limit, otherwise the closed-form distribution (which takes no
-    position input at all).
+    p-value is at least 1e-3).  Above the dense limit every subset draws from
+    the closed-form distribution, which takes no positions at all: there this
+    mode tests the sampler, not anonymity.
     """
     m = fields.m
     if m > max_senders(n):
         raise ValueError(f"m={m} exceeds floor((n+1)/2)={max_senders(n)} for n={n}")
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
     subsets = sender_subsets(n, m)
+    if mode == "sampled" and n > oracle_limit():
+        dist = outcome_distribution(config, fields)  # validates the config
+        if config.n != n:
+            raise ValueError(f"config.n={config.n} != assignment n={n}")
+        dists = [dist] * len(subsets)
+    else:
+        basis = _DenseBasis(config, n)
+        dists = [basis.mixture(SenderAssignment(n, subset, fields)) for subset in subsets]
     if mode == "exact":
-        dists = [
-            oracle_distribution(SenderAssignment(n, subset, fields), config)
-            for subset in subsets
-        ]
         max_tv = _max_pairwise_tv(dists)
         return TracelessnessReport(
             n=n, m=m, fields=fields, mode=mode, n_subsets=len(subsets),
             max_tv_distance=max_tv, tolerance=tolerance, verdict=max_tv <= tolerance,
         )
-    if mode == "sampled":
-        labels = config.labels()
-        table = []
-        for j, subset in enumerate(subsets):
-            if n <= oracle_limit():
-                dist = oracle_distribution(SenderAssignment(n, subset, fields), config)
-            else:
-                dist = outcome_distribution(config, fields)
-            drawn = draw_counts(dist, rounds, philox(seed, j))
-            table.append([drawn[label] for label in labels])
-        table_arr = np.array(table)
-        table_arr = table_arr[:, table_arr.sum(axis=0) > 0]  # drop never-seen outcomes
-        if table_arr.shape[1] <= 1:
-            p_value = 1.0  # every subset produced the same single outcome
-        else:
-            from scipy import stats  # imported here: it costs most of the package's import time
+    labels = config.labels()
+    table = []
+    for j, dist in enumerate(dists):
+        drawn = draw_counts(dist, rounds, philox(seed, j))
+        table.append([drawn[label] for label in labels])
+    table_arr = np.array(table)
+    table_arr = table_arr[:, table_arr.sum(axis=0) > 0]  # drop never-seen outcomes
+    if table_arr.shape[1] <= 1:
+        p_value = 1.0  # every subset produced the same single outcome
+    else:
+        from scipy import stats  # imported here: it costs most of the package's import time
 
-            _, p_value, _, _ = stats.chi2_contingency(table_arr)
-        emp = table_arr / table_arr.sum(axis=1, keepdims=True)
-        max_tv = 0.0
-        for d1, d2 in itertools.combinations(emp, 2):
-            max_tv = max(max_tv, 0.5 * float(np.abs(d1 - d2).sum()))
-        return TracelessnessReport(
-            n=n, m=m, fields=fields, mode=mode, n_subsets=len(subsets),
-            max_tv_distance=max_tv, tolerance=tolerance,
-            verdict=p_value >= SAMPLED_P_THRESHOLD, p_value=float(p_value),
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+        _, p_value, _, _ = stats.chi2_contingency(table_arr)
+    emp = table_arr / table_arr.sum(axis=1, keepdims=True)
+    max_tv = 0.0
+    for d1, d2 in itertools.combinations(emp, 2):
+        max_tv = max(max_tv, 0.5 * float(np.abs(d1 - d2).sum()))
+    return TracelessnessReport(
+        n=n, m=m, fields=fields, mode=mode, n_subsets=len(subsets),
+        max_tv_distance=max_tv, tolerance=tolerance,
+        verdict=p_value >= SAMPLED_P_THRESHOLD, p_value=float(p_value),
+    )
 
 
 def negative_control(
@@ -242,7 +248,25 @@ def _control_distribution(n: int, subset: tuple[int, ...], fields: FieldVector) 
 
 
 def _max_pairwise_tv(dists: list[OutcomeDistribution]) -> float:
-    max_tv = 0.0
-    for d1, d2 in itertools.combinations(dists, 2):
-        max_tv = max(max_tv, d1.tv_distance(d2))
-    return max_tv
+    """Largest total-variation distance over all pairs of distributions.
+
+    Sums |p_a - p_b| label by label in the first distribution's label order,
+    the order ``OutcomeDistribution.tv_distance`` sums in when the
+    distributions share one order (those of one config do), so every pair's
+    distance is the same float.  The S x S distance matrix is accumulated
+    in blocks of rows.
+    """
+    labels = dists[0].labels()
+    label_set = set(labels)
+    if any(set(d.probs) != label_set for d in dists):
+        raise ValueError("label sets differ")
+    probs = np.array([[d.probs[k] for k in labels] for d in dists])
+    step = max(1, _TV_BLOCK_ENTRIES // len(dists))
+    max_sum = 0.0
+    for lo in range(0, len(dists), step):
+        block = probs[lo:lo + step]
+        acc = np.zeros((len(block), len(dists)))
+        for col in range(len(labels)):
+            acc += np.abs(block[:, col, None] - probs[None, :, col])
+        max_sum = max(max_sum, float(acc.max()))
+    return 0.5 * max_sum

@@ -12,6 +12,7 @@ where dense vectors stay cheap.  The cap can be raised via the
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -127,12 +128,83 @@ def apply_sender_unitary(state: np.ndarray, assign: SenderAssignment) -> np.ndar
     n = assign.n
     if state.shape != (1 << n,):
         raise ValueError(f"state has {state.shape[0]} amplitudes, expected 2^{n}")
-    idx = np.arange(1 << n)
-    acc = np.zeros(1 << n)
-    for pos, w in zip(assign.sender_positions, assign.fields.omegas):
-        bit = (idx >> (pos - 1)) & 1
+    return state * _sender_phases(assign)
+
+
+def _sender_phases(assign: SenderAssignment) -> np.ndarray:
+    """The diagonal of U: one phase per basis state.
+
+    The phase depends only on the m sender bits, so it is evaluated once per
+    sign combination (bit j of the combination code is the bit at sender
+    position s_j) and gathered by each basis state's code.  The sum over
+    senders runs in the same order as the per-state formula, so every phase
+    is bitwise equal to it.
+    """
+    combos = np.arange(1 << assign.m)
+    acc = np.zeros(1 << assign.m)
+    for j, w in enumerate(assign.fields.omegas):
+        bit = (combos >> j) & 1
         acc = acc + w * (1.0 - 2.0 * bit)
-    return state * np.exp(-0.5j * assign.fields.t * acc)
+    table = np.exp(-0.5j * assign.fields.t * acc)
+    idx = np.arange(1 << assign.n)
+    code = np.zeros(1 << assign.n, dtype=idx.dtype)
+    for j, pos in enumerate(assign.sender_positions):
+        code |= ((idx >> (pos - 1)) & 1) << j
+    return table[code]
+
+
+class _DenseBasis:
+    """A config's dense vectors, built once and reused for any sender subset.
+
+    Holds the initial states phi_{i',+} with q[i'] > 0 and the projectors
+    phi_{i,sign} whose measurement switch is on.  Only U depends on the
+    sender positions, and U is the diagonal phase vector of the subset.
+    """
+
+    def __init__(self, config: ProtocolConfig, n: int):
+        violations = validate_config(config)
+        if violations:
+            raise ConfigError(violations)
+        if config.n != n:
+            raise ValueError(f"config.n={config.n} != assignment n={n}")
+        _check_limit(n)
+        self.q = config.q
+        self.initial = {
+            ip: phi_state(n, ip, PLUS) for ip in range(config.kmax + 1) if config.q[ip] > 0.0
+        }
+        self.projectors = {
+            f"{i}{sign}": phi_state(n, i, sign)
+            for i in range(config.kmax + 1)
+            for sign in SIGNS
+            if config.c(i, sign)
+        }
+
+    def _evolved(self, assign: SenderAssignment) -> dict[int, np.ndarray]:
+        phase = _sender_phases(assign)
+        return {ip: st * phase for ip, st in self.initial.items()}
+
+    def _outcomes(self, prob) -> OutcomeDistribution:
+        probs: dict[str, float] = {}
+        total = 0.0
+        for label, proj in self.projectors.items():
+            probs[label] = _clamp(float(prob(proj)))
+            total += probs[label]
+        probs["f"] = _clamp(1.0 - total)
+        return OutcomeDistribution(probs=probs)
+
+    def mixture(self, assign: SenderAssignment) -> OutcomeDistribution:
+        """sum_{i'} q[i'] |<phi_{i,sign}| U |phi_{i',+}>|^2 per outcome."""
+        evolved = self._evolved(assign)
+        return self._outcomes(
+            lambda proj: sum(self.q[ip] * abs(np.vdot(proj, st)) ** 2 for ip, st in evolved.items())
+        )
+
+    def conditionals(self, assign: SenderAssignment) -> dict[int, OutcomeDistribution]:
+        """|<phi_{i,sign}| U |phi_{i',+}>|^2 per outcome, for each initial state i'."""
+        return {
+            ip: self._outcomes(lambda proj: abs(np.vdot(proj, st)) ** 2)
+            for ip, st in self._evolved(assign).items()
+        }
 
 
 def oracle_distribution(assign: SenderAssignment, config: ProtocolConfig) -> OutcomeDistribution:
@@ -142,32 +214,7 @@ def oracle_distribution(assign: SenderAssignment, config: ProtocolConfig) -> Out
     sum_{i'} q[i'] |<phi_{i,sign}| U |phi_{i',+}>|^2 over the full mixture,
     with the residual 'f' completing the distribution.
     """
-    violations = validate_config(config)
-    if violations:
-        raise ConfigError(violations)
-    if config.n != assign.n:
-        raise ValueError(f"config.n={config.n} != assignment n={assign.n}")
-    n = config.n
-    _check_limit(n)
-    evolved = {
-        ip: apply_sender_unitary(phi_state(n, ip, PLUS), assign)
-        for ip in range(config.kmax + 1)
-        if config.q[ip] > 0.0
-    }
-    probs: dict[str, float] = {}
-    total = 0.0
-    for i in range(config.kmax + 1):
-        for sign in SIGNS:
-            if not config.c(i, sign):
-                continue
-            proj = phi_state(n, i, sign)
-            p = sum(
-                config.q[ip] * abs(np.vdot(proj, st)) ** 2 for ip, st in evolved.items()
-            )
-            probs[f"{i}{sign}"] = _clamp(float(p))
-            total += probs[f"{i}{sign}"]
-    probs["f"] = _clamp(1.0 - total)
-    return OutcomeDistribution(probs=probs)
+    return _DenseBasis(config, assign.n).mixture(assign)
 
 
 def conditional_distributions(
@@ -178,36 +225,15 @@ def conditional_distributions(
     Used by round-by-round simulation, where the initial state is drawn from
     the mixture weights before each measurement.
     """
-    violations = validate_config(config)
-    if violations:
-        raise ConfigError(violations)
-    if config.n != assign.n:
-        raise ValueError(f"config.n={config.n} != assignment n={assign.n}")
-    n = config.n
-    _check_limit(n)
-    out: dict[int, OutcomeDistribution] = {}
-    for ip in range(config.kmax + 1):
-        if config.q[ip] <= 0.0:
-            continue
-        st = apply_sender_unitary(phi_state(n, ip, PLUS), assign)
-        probs: dict[str, float] = {}
-        total = 0.0
-        for i in range(config.kmax + 1):
-            for sign in SIGNS:
-                if not config.c(i, sign):
-                    continue
-                p = abs(np.vdot(phi_state(n, i, sign), st)) ** 2
-                probs[f"{i}{sign}"] = _clamp(float(p))
-                total += probs[f"{i}{sign}"]
-        probs["f"] = _clamp(1.0 - total)
-        out[ip] = OutcomeDistribution(probs=probs)
-    return out
+    return _DenseBasis(config, assign.n).conditionals(assign)
 
 
+@functools.lru_cache(maxsize=1)
 def _hamming_weights(n: int) -> np.ndarray:
     """Hamming weight of every index 0..2^n-1."""
     idx = np.arange(1 << n, dtype=np.uint32)
     weights = np.zeros(1 << n, dtype=np.int8)
     for j in range(n):
         weights += ((idx >> j) & 1).astype(np.int8)
+    weights.flags.writeable = False  # shared by every caller through the cache
     return weights

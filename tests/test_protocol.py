@@ -2,11 +2,20 @@ import dataclasses
 import itertools
 import math
 
+import numpy as np
 import pytest
 
-from anonsense.combinatorics import FieldVector
+from anonsense import protocol, statevec
+from anonsense.combinatorics import MINUS, PLUS, SIGNS, FieldVector
 from anonsense.configio import dumps_json, transcript_to_dict
-from anonsense.engine import ProtocolConfig, max_senders, outcome_distribution
+from anonsense.engine import (
+    ConfigError,
+    OutcomeDistribution,
+    ProtocolConfig,
+    _clamp,
+    max_senders,
+    outcome_distribution,
+)
 from anonsense.fisher import PhaseParameters, fisher_matrix, omega_crb_diag
 from anonsense.protocol import (
     Transcript,
@@ -17,7 +26,7 @@ from anonsense.protocol import (
     verify_tracelessness,
 )
 from anonsense.sampling import draw_counts, philox
-from anonsense.statevec import SenderAssignment
+from anonsense.statevec import SenderAssignment, oracle_distribution, phi_state
 
 
 def test_run_protocol_zero_field_all_plus():
@@ -101,6 +110,127 @@ def test_exact_tracelessness_sweep(rng):
             assert report.n_subsets == math.comb(n, m)
             assert report.max_tv_distance <= 1e-10
             assert report.verdict
+
+
+def cli_configs(n):
+    """The two designs the verify command sweeps."""
+    return [ProtocolConfig.for_single_sender(n), ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33)]
+
+
+def sweep_distributions(monkeypatch, n, fields, config):
+    """Run the exact sweep and return the per-subset distributions it compared."""
+    seen = []
+    real = protocol._max_pairwise_tv
+    monkeypatch.setattr(protocol, "_max_pairwise_tv", lambda dists: seen.append(dists) or real(dists))
+    verify_tracelessness(n, fields, config, mode="exact")
+    monkeypatch.setattr(protocol, "_max_pairwise_tv", real)
+    return seen[0]
+
+
+def loop_oracle(assign, config):
+    """Dense mixture distribution with every vector built afresh for one subset."""
+    n = config.n
+    idx = np.arange(1 << n)
+    acc = np.zeros(1 << n)
+    for pos, w in zip(assign.sender_positions, assign.fields.omegas):
+        acc = acc + w * (1.0 - 2.0 * ((idx >> (pos - 1)) & 1))
+    phase = np.exp(-0.5j * assign.fields.t * acc)
+    evolved = {
+        ip: phi_state(n, ip, PLUS) * phase for ip in range(config.kmax + 1) if config.q[ip] > 0.0
+    }
+    probs = {}
+    for i in range(config.kmax + 1):
+        for sign in SIGNS:
+            if config.c(i, sign):
+                proj = phi_state(n, i, sign)
+                p = sum(config.q[ip] * abs(np.vdot(proj, st)) ** 2 for ip, st in evolved.items())
+                probs[f"{i}{sign}"] = _clamp(float(p))
+    probs["f"] = _clamp(1.0 - sum(probs.values()))
+    return probs
+
+
+def test_sweep_distributions_equal_per_subset_oracle(rng, monkeypatch):
+    for n in range(5, 11):
+        for config in cli_configs(n):
+            for m in (1, 2):
+                fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, m))), t=1.0)
+                dists = sweep_distributions(monkeypatch, n, fields, config)
+                assert len(dists) == math.comb(n, m)
+                for subset, dist in zip(sender_subsets(n, m), dists):
+                    assign = SenderAssignment(n, subset, fields)
+                    assert dist.probs == oracle_distribution(assign, config).probs
+                    assert dist.probs == loop_oracle(assign, config)
+
+
+def test_sweep_builds_basis_once(monkeypatch):
+    calls = []
+    real = statevec.phi_state
+    monkeypatch.setattr(statevec, "phi_state", lambda *args: calls.append(args) or real(*args))
+    config = ProtocolConfig.for_two_senders(8, a=4, q0=0.33)
+    report = verify_tracelessness(8, FieldVector((0.6, 1.7), 1.0), config, mode="exact")
+    assert report.n_subsets == 28
+    # initial states (0,+) and (4,+); projectors (0,+), (0,-) and (4,+)
+    assert sorted(calls) == sorted([(8, 0, PLUS), (8, 4, PLUS), (8, 0, PLUS), (8, 0, MINUS), (8, 4, PLUS)])
+
+
+def test_sweep_detects_a_phase_on_participant_one(monkeypatch):
+    # an extra phase on participant 1's qubit breaks the permutation symmetry;
+    # the sweep sees it only if every subset gets its own phase vector
+    real = statevec._sender_phases
+    monkeypatch.setattr(
+        statevec, "_sender_phases",
+        lambda assign: real(assign) * np.exp(0.3j * (np.arange(1 << assign.n) & 1)),
+    )
+    config = ProtocolConfig.for_two_senders(6, a=3, q0=0.33)
+    report = verify_tracelessness(6, FieldVector((0.7, 1.6), 1.0), config, mode="exact")
+    assert not report.verdict
+    assert report.max_tv_distance > 1e-3
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("limit", [None, "4"])  # dense path, and the closed form above the cap
+def test_sweep_rejects_bad_inputs(monkeypatch, mode, limit):
+    if limit is not None:
+        monkeypatch.setenv("ANONSENSE_ORACLE_LIMIT", limit)
+    fields = FieldVector((0.7, 1.6), 1.0)
+    with pytest.raises(ValueError, match="config.n"):
+        verify_tracelessness(5, fields, ProtocolConfig.for_two_senders(6, a=3, q0=0.33),
+                             mode=mode, rounds=100)
+    with pytest.raises(ConfigError):
+        verify_tracelessness(5, fields, ProtocolConfig.for_two_senders(5, a=1, q0=0.33),
+                             mode=mode, rounds=100)
+
+
+def loop_max_tv(dists):
+    max_tv = 0.0
+    for d1, d2 in itertools.combinations(dists, 2):
+        max_tv = max(max_tv, d1.tv_distance(d2))
+    return max_tv
+
+
+@pytest.mark.parametrize("block_entries", [1, 7, 1 << 20])
+def test_max_pairwise_tv_equals_pairwise_loop(rng, monkeypatch, block_entries):
+    monkeypatch.setattr(protocol, "_TV_BLOCK_ENTRIES", block_entries)
+    labels = ["0+", "0-", "3+", "f"]
+    for size in (2, 3, 17, 60):
+        dists = [
+            OutcomeDistribution(probs=dict(zip(labels, rng.dirichlet(np.ones(4)).tolist())))
+            for _ in range(size)
+        ]
+        assert protocol._max_pairwise_tv(dists) == loop_max_tv(dists)
+    # distances of a true sweep sit at rounding level, where summation order shows
+    config = ProtocolConfig.for_two_senders(9, a=4, q0=0.33)
+    dists = sweep_distributions(monkeypatch, 9, FieldVector((0.4, 2.1), 1.0), config)
+    assert protocol._max_pairwise_tv(dists) == loop_max_tv(dists)
+    assert loop_max_tv(dists) > 0.0
+
+
+def test_max_pairwise_tv_edge_cases():
+    one = OutcomeDistribution(probs={"0+": 0.25, "f": 0.75})
+    assert protocol._max_pairwise_tv([one]) == 0.0
+    other = OutcomeDistribution(probs={"0-": 0.25, "f": 0.75})
+    with pytest.raises(ValueError, match="label sets differ"):
+        protocol._max_pairwise_tv([one, other])
 
 
 def test_tracelessness_with_more_senders_than_designed(rng):

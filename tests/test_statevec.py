@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from anonsense.combinatorics import MINUS, PLUS, FieldVector
-from anonsense.engine import ProtocolConfig
+from anonsense.engine import ProtocolConfig, max_senders
 from anonsense.statevec import (
     OracleLimitError,
     SenderAssignment,
+    _hamming_weights,
+    _sender_phases,
     apply_sender_unitary,
     conditional_distributions,
     dicke_state,
@@ -48,6 +50,21 @@ def test_dicke_norm_and_support():
 def test_dicke_bitflip_complement(n):
     for k in range(n + 1):
         assert np.allclose(bitflip_all(dicke_state(n, k), n), dicke_state(n, n - k), atol=1e-12)
+
+
+def test_dicke_bitwise_equal_to_popcount_reference():
+    for n in range(1, 11):
+        for k in range(n + 1):
+            expect = np.zeros(1 << n, dtype=np.complex128)
+            expect[[x for x in range(1 << n) if x.bit_count() == k]] = 1.0 / math.sqrt(math.comb(n, k))
+            assert np.array_equal(dicke_state(n, k).view(np.uint64), expect.view(np.uint64))
+
+
+def test_hamming_weights_shared_read_only():
+    weights = _hamming_weights(6)
+    assert _hamming_weights(6) is weights
+    with pytest.raises(ValueError):
+        weights[0] = 1
 
 
 def test_dicke_rejects_out_of_range():
@@ -99,6 +116,27 @@ def test_dicke_split_identity():
                     rebuilt += math.sqrt(math.comb(m, l)) * math.sqrt(math.comb(r, k - l)) * block
                 rebuilt /= math.sqrt(math.comb(n, k))
                 assert np.max(np.abs(rebuilt - dicke_state(n, k))) <= 1e-12
+
+
+def per_state_phases(assign):
+    """The diagonal of U evaluated basis state by basis state: the reference formula."""
+    idx = np.arange(1 << assign.n)
+    acc = np.zeros(1 << assign.n)
+    for pos, w in zip(assign.sender_positions, assign.fields.omegas):
+        bit = (idx >> (pos - 1)) & 1
+        acc = acc + w * (1.0 - 2.0 * bit)
+    return np.exp(-0.5j * assign.fields.t * acc)
+
+
+def test_sender_phases_bitwise_equal_per_state_formula(rng):
+    for n in range(1, 17):
+        for m in range(1, max_senders(n) + 1):
+            for _ in range(3):
+                positions = tuple(rng.permutation(np.arange(1, n + 1))[:m].tolist())
+                fields = FieldVector(tuple(rng.uniform(-3.0, 3.0, m)), t=float(rng.uniform(0.1, 5.0)))
+                assign = SenderAssignment(n, positions, fields)
+                got = _sender_phases(assign)
+                assert np.array_equal(got.view(np.uint64), per_state_phases(assign).view(np.uint64))
 
 
 def test_unitary_identity_for_zero_fields():
