@@ -4,7 +4,10 @@ The likelihood is multinomial over the closed-form outcome model.  The
 maximizer is located by a coarse grid over [0, pi]^m, the protocol's
 operating regime (the distribution is even in each phase, so signs are
 unrecoverable and nonnegative phases lose nothing), followed by
-coordinate-wise golden-section refinement.
+coordinate-wise golden-section refinement.  The grid is one array evaluation
+of :meth:`ThetaModel.probs`; each refinement and observed-information point is
+evaluated on floats by :meth:`ThetaModel.point_probs`, through the same
+probability assembly and bit for bit what the array path gives at that point.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .fisher import METHOD_ANALYTIC, PhaseParameters, ThetaModel, _fisher_matrix
 
 GRID_POINTS = 181
 REFINE_TOL = 1e-6
+REFINE_SWEEPS = 60
 _INVGOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -74,7 +78,7 @@ def log_likelihood(counts: OutcomeCounts, config: ProtocolConfig, params: PhaseP
 def _log_likelihood(counts: OutcomeCounts, model: ThetaModel, theta) -> float:
     """:func:`log_likelihood` on an already built model."""
     total = 0.0
-    p = model.probs(theta)
+    p = model.point_probs(theta)
     for x, label in enumerate(model.labels):
         c = counts.counts.get(label, 0)
         if c == 0:
@@ -94,31 +98,26 @@ def mle_estimate(
     """Maximize the likelihood over [0, pi]^m_est and package the estimate.
 
     Deterministic: the coarse grid scans axes in fixed order and ties break
-    toward the lexicographically smallest phase vector.
+    toward the lexicographically smallest phase vector.  A refinement still
+    moving after ``REFINE_SWEEPS`` sweeps is reported as not converged, with
+    a flag.
     """
     if counts.N < 1:
         raise ValueError("estimation requires at least one observed outcome")
     model = ThetaModel(config)
     _check_labels(counts, model)
     m = config.m_est
-    cvec = np.array([counts.counts.get(label, 0) for label in model.labels], dtype=float)
+    tallies = [counts.counts.get(label, 0) for label in model.labels]
+    observed = [(x, float(c)) for x, c in enumerate(tallies) if c > 0]  # labels order
     flags: list[str] = []
 
-    def ll_grid(*axes):
-        p = model.probs(axes)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -np.inf)
-        terms = [cvec[x] * logs[x] for x in range(len(model.labels)) if cvec[x] > 0]
-        return sum(terms) if terms else np.zeros(np.broadcast(*axes).shape)
-
     def ll_point(theta):
-        val = ll_grid(*[np.asarray(t) for t in theta])
-        return float(val)
+        return _point_log_likelihood(model, observed, theta)
 
     axis = np.linspace(0.0, math.pi, grid_points)
     converged = True
     if m == 1:
-        ll = ll_grid(axis)
+        ll = _grid_log_likelihood(model, observed, (axis,))
         if not np.isfinite(ll).any():
             raise ValueError("likelihood is -inf over the whole domain; counts are "
                              "inconsistent with the configuration")
@@ -129,7 +128,7 @@ def mle_estimate(
             flags.append("flat likelihood along theta_1")
     else:
         t1, t2 = np.meshgrid(axis, axis, indexing="ij")
-        ll = ll_grid(t1, t2)
+        ll = _grid_log_likelihood(model, observed, (t1, t2))
         if not np.isfinite(ll).any():
             raise ValueError("likelihood is -inf over the whole domain; counts are "
                              "inconsistent with the configuration")
@@ -143,7 +142,7 @@ def mle_estimate(
                 flags.append(f"flat likelihood along {name}")
 
     spacing = axis[1] - axis[0]
-    for _ in range(60):
+    for _ in range(REFINE_SWEEPS):
         moved = 0.0
         for j in range(m):
             lo = max(0.0, theta[j] - spacing)
@@ -153,6 +152,9 @@ def mle_estimate(
             theta[j] = new
         if moved < tol:
             break
+    else:
+        converged = False
+        flags.append(f"refinement stopped at the {REFINE_SWEEPS}-sweep cap")
 
     theta_hat = PhaseParameters(m_est=m, theta=tuple(theta))
     ll_hat = _log_likelihood(counts, model, theta_hat.theta)
@@ -208,6 +210,32 @@ def _check_labels(counts: OutcomeCounts, model: ThetaModel):
             f"counts contain labels {sorted(unknown)} outside the configured "
             f"outcome set {model.labels}"
         )
+
+
+def _grid_log_likelihood(model: ThetaModel, observed, axes) -> np.ndarray:
+    """Log-likelihood over broadcast theta grids; -inf where an observed P is 0.
+
+    ``observed`` holds (label index, count) for every nonzero count.
+    """
+    p = model.probs(axes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -np.inf)
+    return sum(c * logs[x] for x, c in observed)
+
+
+def _point_log_likelihood(model: ThetaModel, observed, theta) -> float:
+    """:func:`_grid_log_likelihood` at one phase vector of floats, bit for bit.
+
+    Same probabilities, the same numpy log and the same summation order; only
+    the array set-up of the grid path is skipped.
+    """
+    p = model.point_probs(theta)
+    total = 0.0
+    for x, c in observed:
+        if not p[x] > 0.0:
+            return -math.inf
+        total += c * np.log(p[x])
+    return float(total)
 
 
 def _axis_value(ll_point, theta, j, x):

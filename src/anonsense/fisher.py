@@ -105,7 +105,9 @@ class ThetaModel:
     Only weight indices with a measurement switch on are modelled:
     validate_config forces q[i] = 0 on every other index, so those add nothing
     to any outcome.  All methods broadcast over numpy arrays of theta
-    components.
+    components.  :meth:`point_probs` evaluates one phase vector of floats
+    through the same stacks and the same probability assembly as
+    :meth:`probs`, without the array set-up, for the MLE refinement.
     """
 
     def __init__(self, config: ProtocolConfig):
@@ -194,19 +196,19 @@ class ThetaModel:
             out.append((dv, dgamma_m * mask))
         return out
 
-    def probs(self, theta: Sequence) -> np.ndarray:
-        """Probabilities for every label, stacked along axis 0 (labels order)."""
-        theta = [np.asarray(t, dtype=float) for t in theta]
-        if len(theta) != self.m_est:
-            raise ValueError(f"expected {self.m_est} theta components, got {len(theta)}")
-        v, gamma_m = self._amplitudes(theta)
+    def _assemble(self, v, gamma_m) -> list:
+        """Per-label probabilities from the row amplitudes, in labels order.
+
+        gamma+ = 1 - v[r] and gamma- = gamma_m[r] may be arrays or scalars;
+        :meth:`probs` and :meth:`point_probs` share this one assembly.  The
+        residual is assembled per weight index from stable complements.
+        """
         config = self.config
         q = config.q
         rows = []
         for r, i, sign in self._active:
             gam = (1.0 - v[r]) if sign == PLUS else gamma_m[r]
             rows.append(q[i] * gam ** 2)
-        # residual assembled per weight index from stable complements
         residual = 0.0
         for r, i in enumerate(self._rows):
             if q[i] == 0.0:
@@ -219,7 +221,28 @@ class ThetaModel:
                 rest = (1.0 - gamma_m[r]) * (1.0 + gamma_m[r])
             residual = residual + q[i] * np.maximum(rest, 0.0)
         rows.append(residual)
-        return np.stack(np.broadcast_arrays(*rows))
+        return rows
+
+    def probs(self, theta: Sequence) -> np.ndarray:
+        """Probabilities for every label, stacked along axis 0 (labels order)."""
+        theta = [np.asarray(t, dtype=float) for t in theta]
+        if len(theta) != self.m_est:
+            raise ValueError(f"expected {self.m_est} theta components, got {len(theta)}")
+        return np.stack(np.broadcast_arrays(*self._assemble(*self._amplitudes(theta))))
+
+    def point_probs(self, theta: Sequence[float]) -> list:
+        """:meth:`probs` at one phase vector of floats, as a list in labels order.
+
+        Bit for bit equal to :meth:`probs` on 0-d arrays: the same stacks,
+        the same BLAS contraction and the same assembly, without the array
+        set-up that dominates a single point.
+        """
+        if len(theta) != self.m_est:
+            raise ValueError(f"expected {self.m_est} theta components, got {len(theta)}")
+        shape = (self._w.shape[1], 1)
+        v = np.dot(self._w, np.array(self._u_stacks(theta)).reshape(shape))[:, 0]
+        gamma_m = np.dot(self._w, np.array(self._minus_stacks(theta)).reshape(shape))[:, 0]
+        return self._assemble(v, 0.5 * gamma_m * self._minus_alive)
 
     def dprobs(self, theta: Sequence) -> np.ndarray:
         """Analytic derivatives dP/dtheta_j, shape (labels, m_est, ...)."""

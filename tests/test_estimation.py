@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from anonsense.combinatorics import FieldVector
+from anonsense import estimation
+from anonsense.configio import dumps_json, estimate_to_dict
 from anonsense.engine import ProtocolConfig, outcome_distribution
 from anonsense.estimation import (
+    REFINE_SWEEPS,
     OutcomeCounts,
     field_flags,
     log_likelihood,
@@ -79,6 +82,102 @@ def test_mle_builds_one_model(monkeypatch):
     assert report.crb_se is not None  # the Fisher matrix ran on that model
     monkeypatch.undo()
     assert report.log_likelihood == log_likelihood(counts, config, report.theta_hat)
+
+
+def test_refinement_runs_on_float_points(monkeypatch):
+    # probs (array set-up) runs for the grid and the Fisher matrix only;
+    # every refinement and observed-SE point goes through point_probs
+    probs_shapes, points = [], []
+    probs, point_probs = ThetaModel.probs, ThetaModel.point_probs
+
+    def counting_probs(self, theta):
+        probs_shapes.append(np.shape(theta[0]))
+        return probs(self, theta)
+
+    def counting_point_probs(self, theta):
+        points.append(tuple(theta))
+        return point_probs(self, theta)
+
+    config = ProtocolConfig.for_two_senders(7, a=3, q0=0.33)
+    counts = OutcomeCounts.from_dict({"0+": 400, "0-": 150, "3+": 300, "f": 150})
+    monkeypatch.setattr(ThetaModel, "probs", counting_probs)
+    monkeypatch.setattr(ThetaModel, "point_probs", counting_point_probs)
+    report = mle_estimate(counts, config)
+    assert probs_shapes == [(181, 181), ()]  # the grid, then _fisher_matrix
+    assert len(points) > 100
+    assert report.crb_se is not None
+
+
+def seed_ll_point(model, observed, theta):
+    """The refinement's likelihood point as first written: the grid formula on 0-d arrays."""
+    p = model.probs([np.asarray(t) for t in theta])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -np.inf)
+    return float(sum(c * logs[x] for x, c in observed))
+
+
+def report_bytes(report):
+    return dumps_json(estimate_to_dict(report))
+
+
+def test_mle_degenerate_counts_on_the_point_path(monkeypatch):
+    # all counts on 'f' (m_est 1 and 2) or on '0-' (m_est 2) drive the -inf
+    # and boundary branches of the point path: the estimate sits at theta_1 =
+    # pi without a crash, and every byte equals the seed's 0-d evaluation
+    cases = [(ProtocolConfig.for_single_sender(n), "f") for n in (3, 6, 9)]
+    for n in (5, 6, 9):
+        config = ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33)
+        cases += [(config, "f"), (config, "0-")]
+    for config, label in cases:
+        for N in (1, 50, 100_000):
+            counts = OutcomeCounts.from_dict({label: N})
+            report = mle_estimate(counts, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(estimation, "_point_log_likelihood", seed_ll_point)
+                assert report_bytes(report) == report_bytes(mle_estimate(counts, config))
+            assert report.theta_hat.theta[0] == pytest.approx(math.pi, abs=1e-6)
+            assert math.isfinite(report.log_likelihood)
+            if config.m_est == 2:
+                assert report.flags  # boundary or flat-axis flags, never a crash
+            if label == "0-":
+                assert not report.converged
+                assert "flat likelihood along theta_2" in report.flags
+
+
+def count_sweeps(monkeypatch):
+    calls = []
+    golden = estimation._golden_max
+
+    def counting_golden(*args):
+        calls.append(args[1:])
+        return golden(*args)
+
+    monkeypatch.setattr(estimation, "_golden_max", counting_golden)
+    return calls
+
+
+CAP_FLAG = f"refinement stopped at the {REFINE_SWEEPS}-sweep cap"
+
+
+def test_mle_flags_the_sweep_cap(monkeypatch):
+    # coordinate-wise refinement still moving after the last sweep
+    config = ProtocolConfig.for_two_senders(6, a=2, q0=0.238)
+    counts = OutcomeCounts.from_dict({"0+": 80, "0-": 152, "2+": 491, "f": 277})
+    calls = count_sweeps(monkeypatch)
+    report = mle_estimate(counts, config)
+    assert len(calls) == 2 * REFINE_SWEEPS
+    assert not report.converged
+    assert report.flags == (CAP_FLAG,)
+
+
+def test_mle_converging_refinement_has_no_cap_flag(monkeypatch):
+    config = ProtocolConfig.for_two_senders(7, a=3, q0=0.33)
+    counts = OutcomeCounts.from_dict({"0+": 400, "0-": 150, "3+": 300, "f": 150})
+    calls = count_sweeps(monkeypatch)
+    report = mle_estimate(counts, config)
+    assert len(calls) < 2 * REFINE_SWEEPS
+    assert report.converged
+    assert CAP_FLAG not in report.flags
 
 
 def test_mle_all_counts_on_plus():

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from anonsense.combinatorics import FieldVector
+from anonsense.combinatorics import MINUS, PLUS, FieldVector
 from anonsense.engine import ProtocolConfig, outcome_distribution
+from anonsense.estimation import _point_log_likelihood
 from anonsense.fisher import (
     METHOD_ANALYTIC,
     METHOD_FD,
@@ -99,6 +100,97 @@ def test_theta_model_broadcasts():
     assert np.allclose(grid.sum(axis=0), 1.0, atol=1e-12)
     single = model.probs((t1[3], t2[5]))
     assert np.allclose(grid[:, 3, 5], single, atol=1e-14)
+
+
+def seed_probs(model, theta):
+    """ThetaModel.probs on 0-d arrays as first written: the bitwise reference.
+
+    Restated here, independent of the model's stacks and assembly, so that a
+    change of operation or order anywhere in the shared code shows up.
+    """
+    config = model.config
+    theta = [np.asarray(t, dtype=float) for t in theta]
+    if model.m_est == 1:
+        (t1,) = theta
+        u = 2 * np.sin(t1 / 4) ** 2
+        s = np.sin(t1 / 2)
+        u_stack, minus_stack = [u, u], [-2 * s, 2 * s]
+    else:
+        t1, t2 = theta
+        u1 = 2 * np.sin(t1 / 4) ** 2
+        s1 = np.sin(t1 / 2)
+        u_stack = [u1, 4 * np.sin(t2 / 4) ** 2, u1]
+        minus_stack = [-2 * s1, np.zeros(np.shape(t1)), 2 * s1]
+
+    def contract(stack):  # the BLAS call that tensordot made for one point
+        return np.dot(model._w, np.array(stack, dtype=float).reshape(-1, 1))[:, 0]
+
+    v = contract(u_stack)
+    gamma_m = 0.5 * contract(minus_stack)
+    gamma_m = gamma_m * np.array([0.0 if 2 * i == config.n else 1.0 for i in model._rows])
+    q = config.q
+    rows = []
+    for r, i in enumerate(model._rows):
+        for sign in (PLUS, MINUS):
+            if config.c(i, sign):
+                gam = (1.0 - v[r]) if sign == PLUS else gamma_m[r]
+                rows.append(q[i] * gam ** 2)
+    residual = 0.0
+    for r, i in enumerate(model._rows):
+        if q[i] == 0.0:
+            continue
+        if config.c_plus[i]:
+            rest = v[r] * (2.0 - v[r])
+            if config.c_minus[i]:
+                rest = rest - gamma_m[r] ** 2
+        else:
+            rest = (1.0 - gamma_m[r]) * (1.0 + gamma_m[r])
+        residual = residual + q[i] * np.maximum(rest, 0.0)
+    rows.append(residual)
+    return np.array(rows, dtype=float)
+
+
+def seed_ll_from_probs(p, observed):
+    """The refinement's log-likelihood point as first written: the grid formula on 0-d."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -np.inf)
+    return float(sum(c * logs[x] for x, c in observed))
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def test_point_path_is_bitwise_equal_to_seed_formula(rng):
+    # >= 20 000 random phase vectors plus the corners of [0, pi]^m: the
+    # float point path, probs on 0-d arrays and the restated seed formula
+    # agree in every bit, and so do the likelihood points built on them
+    configs = [ProtocolConfig(n=9, m_est=2, t=1.0, q=(0.4, 0.0, 0.0, 0.6, 0.0),
+                              c_plus=(1, 0, 0, 1, 1), c_minus=(1, 0, 1, 0, 0), a=3)]
+    for n in range(3, 41):
+        configs.append(ProtocolConfig.for_single_sender(n))
+        if n >= 5:
+            configs.append(ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33))
+    # every projector on; at even n the central '-' projector is on but dead
+    configs += [all_switches_config(n, 1) for n in (3, 4, 7, 10, 23, 40)]
+    configs += [all_switches_config(n, 2) for n in (5, 6, 11, 12, 31, 40)]
+    points = 0
+    for config in configs:
+        model = ThetaModel(config)
+        m = config.m_est
+        corners = [(0.0,), (math.pi,)] if m == 1 else [
+            (0.0, 0.0), (0.0, math.pi), (math.pi, 0.0), (math.pi, math.pi)]
+        thetas = corners + [tuple(row) for row in rng.uniform(0.0, math.pi, (230, m)).tolist()]
+        tallies = rng.integers(0, 3, (len(thetas), len(model.labels))) * 37
+        for theta, tally in zip(thetas, tallies):
+            ref = seed_probs(model, theta)
+            assert bits(model.probs([np.asarray(t) for t in theta])) == bits(ref)
+            assert bits(model.point_probs(theta)) == bits(ref)
+            observed = [(x, float(c)) for x, c in enumerate(tally) if c > 0]
+            got = _point_log_likelihood(model, observed, theta)
+            assert bits([got]) == bits([seed_ll_from_probs(ref, observed)])
+            points += 1
+    assert points >= 20_000
 
 
 def test_single_sender_fisher_is_unity():
