@@ -13,11 +13,10 @@ from .combinatorics import (
 )
 from .engine import (
     ConfigError,
-    GammaTable,
     OutcomeDistribution,
     ProtocolConfig,
+    ThetaModel,
     gamma,
-    gamma_table,
     max_senders,
     outcome_distribution,
     validate_config,
@@ -35,7 +34,6 @@ from .fisher import (
     PhaseParameters,
     ScanRow,
     SingularTermError,
-    ThetaModel,
     UnidentifiableDirectionError,
     closed_form_j22,
     dilution,

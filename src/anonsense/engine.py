@@ -1,20 +1,27 @@
 """Closed-form outcome distributions for the entangled-sensor measurement.
 
-The probability of each measurement outcome is a combinatorial sum over the
-g coefficients, weighted by binomial ratios formed exactly from falling
-factorials.  This path never builds a 2^n state vector and stays exact (up to
-one float division per weight) out to participant counts of 10^4 and beyond;
-the dense simulator in
+One kernel, :class:`ThetaModel`, evaluates every closed-form probability:
+each measured outcome (i, sign) has probability q[i] * gamma^2 and the
+residual 'f' takes the rest.  The amplitudes are contractions of binomial
+weight rows (formed exactly from falling factorials, one correctly rounded
+division each) with versine and sine stacks of the sender-bit strings'
+phases, and the residual is assembled from stable complements.  The
+simulator's :func:`outcome_distribution` and the estimator's phase-vector
+methods feed the same kernel, so the distribution that is sampled is the
+one that is fitted.  This path never builds a 2^n state vector and scales to
+participant counts of 10^4 and beyond; the dense simulator in
 :mod:`anonsense.statevec` provides the independent cross-check at small n.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
-from .combinatorics import MINUS, PLUS, SIGNS, FieldVector, g_coefficients
+import numpy as np
+
+from .combinatorics import MINUS, PLUS, SIGNS, FieldVector, effective_phase, hw_bitstrings
 
 PROB_ATOL = 1e-12
 NORM_ATOL = 1e-10
@@ -125,15 +132,6 @@ class OutcomeDistribution:
         return 0.5 * sum(abs(self.probs[k] - other.probs[k]) for k in self.probs)
 
 
-@dataclass(frozen=True)
-class GammaTable:
-    """All transition amplitudes gamma[(k, sign)] for one (n, fields) pair."""
-
-    n: int
-    m: int
-    values: dict[tuple[int, str], complex] = field(compare=False)
-
-
 def max_senders(n: int) -> int:
     """Largest sender count supported by n participants: floor((n+1)/2)."""
     return (n + 1) // 2
@@ -190,15 +188,214 @@ def weight_row(n: int, m: int, k: int) -> list[float]:
     return [math.perm(k, l) * math.perm(n - k, m - l) / denom for l in range(m + 1)]
 
 
+def _stacks(phases, table) -> tuple[list, list]:
+    """Versine and sine stacks of a phase table, one entry per string weight l.
+
+    Row l of ``table`` lists the sender-bit strings f of weight l; its entry
+    (s, j) stands for the string phase phi_f = s * phases[j] (s = +-1;
+    ``phases`` holds floats or equally shaped arrays).  The stacks are
+    u[l] = sum_f 2*sin^2(phi_f/4) and s[l] = sum_f -2*sin(phi_f/2), so that
+    g+[l] = 2*C(m, l) - 2*u[l] and g-[l] = 1j*s[l]: the '+' amplitude comes
+    out as gamma+ = 1 - v without cancellation.  The sines are taken once
+    per entry of ``phases``; the versine is even and the sine odd in phi,
+    so only the sine stack takes the entries' signs.
+    """
+    u = _row_sums(table, [2 * np.sin(p / 4) ** 2 for p in phases], odd=False)
+    s = _row_sums(table, [-2 * np.sin(p / 2) for p in phases], odd=True)
+    return u, s
+
+
+def _row_sums(table, values, odd: bool) -> list:
+    """Each row's values[j] summed left to right from its first entry; an entry
+    with s = -1 enters negated when ``odd``."""
+    sums = []
+    for row in table:
+        sign, j = row[0]
+        total = -values[j] if odd and sign < 0 else values[j]
+        for sign, j in row[1:]:
+            total = total - values[j] if odd and sign < 0 else total + values[j]
+        sums.append(total)
+    return sums
+
+
+def _contract(w: np.ndarray, stack) -> np.ndarray:
+    """sum_l w[:, l] * stack[l] over weight rows w: shape (rows, *grid).
+
+    One BLAS product (rows x L) @ (L x points), for one point as for a grid;
+    a point's column is sliced out, cheaper than a reshape on the hot path.
+    """
+    arr = np.array(stack)
+    out = np.dot(w, arr.reshape(len(arr), -1))
+    return out[:, 0] if arr.ndim == 1 else out.reshape((len(w), *arr.shape[1:]))
+
+
+def _field_table(fields: FieldVector) -> tuple[list[float], list[list[tuple[int, int]]]]:
+    """The phases of all sender-bit strings and their table, row l in rank order."""
+    phases: list[float] = []
+    table = []
+    for l in range(fields.m + 1):
+        row = []
+        for f in hw_bitstrings(fields.m, l):
+            row.append((1, len(phases)))
+            phases.append(effective_phase(fields, f))
+        table.append(row)
+    return phases, table
+
+
+# The phase tables of the estimated phase vector theta, in the form
+# :func:`_stacks` takes with phases = theta.  One sender: [[theta], [-theta]];
+# two: [[theta1], [-theta2, theta2], [-theta1]].
+_THETA_TABLES = {
+    1: (((1, 0),), ((-1, 0),)),
+    2: (((1, 0),), ((-1, 1), (1, 1)), ((-1, 0),)),
+}
+
+
+class ThetaModel:
+    """Outcome probabilities of a configuration: the one closed-form kernel.
+
+    Each active outcome (i, sign) has probability q[i] * gamma^2 and the
+    residual 'f' takes the rest.  gamma+ = 1 - v and gamma- = (w . s)/2 are
+    weight-row contractions of the stacks of a phase table (:func:`_stacks`);
+    the residual is assembled per weight index from the complements
+    1 - gamma+^2 = v*(2 - v), which never cancel, so Fisher summands
+    (dp)^2/p stay accurate where p is tiny.
+
+    ``m`` is the true sender count whose bit strings the tables list (default
+    ``config.m_est``); :func:`outcome_distribution` feeds it their phases.
+    The phase-vector methods need m == m_est and read theta through a fixed
+    table, so the derivatives follow from the table's signs.  :meth:`probs`
+    and :meth:`dprobs` broadcast over arrays of theta components;
+    :meth:`point_probs` takes one phase vector of floats.  Only weight
+    indices with a measurement switch on are modelled: validate_config
+    forces q[i] = 0 on every other index.
+    """
+
+    def __init__(self, config: ProtocolConfig, m: Optional[int] = None):
+        violations = validate_config(config)
+        if violations:
+            raise ConfigError(violations)
+        self.config = config
+        self.m_est = config.m_est
+        self.m = config.m_est if m is None else m
+        n = config.n
+        if self.m > max_senders(n):
+            raise ValueError(f"m={self.m} exceeds floor((n+1)/2)={max_senders(n)} for n={n}")
+        # weight indices with a switch on; row r of every table is index _rows[r]
+        self._rows = [i for i in range(config.kmax + 1) if config.c_plus[i] or config.c_minus[i]]
+        self._w = np.array([weight_row(n, self.m, i) for i in self._rows])
+        # gamma- = (w . s)/2 (halving is exact); the central '-' projector of even n vanishes
+        self._w_minus = self._w * np.array([[0.0 if 2 * i == n else 0.5] for i in self._rows])
+        self.labels = config.labels()
+        self._active = [
+            (r, i, sign)
+            for r, i in enumerate(self._rows)
+            for sign in SIGNS
+            if config.c(i, sign)
+        ]
+
+    def _theta_table(self, theta):
+        """The phase table of theta (see ``_THETA_TABLES``); needs m == m_est."""
+        if len(theta) != self.m_est:
+            raise ValueError(f"expected {self.m_est} theta components, got {len(theta)}")
+        if self.m != self.m_est:
+            raise ValueError(f"phase-vector methods need m = m_est = {self.m_est}, got m={self.m}")
+        return _THETA_TABLES[self.m]
+
+    def _assemble(self, v, gamma_m) -> list:
+        """Per-label probabilities from the row amplitudes, in labels order.
+
+        gamma+ = 1 - v[r] and gamma- = gamma_m[r] may be arrays or scalars.
+        The residual is assembled per weight index from stable complements.
+        """
+        config = self.config
+        q = config.q
+        rows = []
+        for r, i, sign in self._active:
+            gam = (1.0 - v[r]) if sign == PLUS else gamma_m[r]
+            rows.append(q[i] * gam ** 2)
+        residual = 0.0
+        for r, i in enumerate(self._rows):
+            if q[i] == 0.0:
+                continue
+            if config.c_plus[i]:
+                rest = v[r] * (2.0 - v[r])
+                if config.c_minus[i]:
+                    rest = rest - gamma_m[r] ** 2
+            else:
+                rest = (1.0 - gamma_m[r]) * (1.0 + gamma_m[r])
+            residual = residual + q[i] * np.maximum(rest, 0.0)
+        rows.append(residual)
+        return rows
+
+    def _phase_probs(self, phases, table) -> list:
+        """Probabilities for every label, in labels order, from one phase table.
+
+        ``phases`` and ``table`` as :func:`_stacks` takes them; the table
+        lists the bit strings of ``self.m`` senders.
+        """
+        u, s = _stacks(phases, table)
+        # each stack goes once contracted: on a grid its rows are full-size
+        # arrays, and a higher peak makes the allocator trim and re-fault pages
+        v = _contract(self._w, u)
+        del u
+        gamma_m = _contract(self._w_minus, s)
+        del s
+        return self._assemble(v, gamma_m)
+
+    def probs(self, theta: Sequence) -> np.ndarray:
+        """Probabilities for every label, stacked along axis 0 (labels order)."""
+        theta = np.broadcast_arrays(*[np.asarray(t, dtype=float) for t in theta])
+        return np.stack(np.broadcast_arrays(*self._phase_probs(theta, self._theta_table(theta))))
+
+    def point_probs(self, theta: Sequence[float]) -> list:
+        """:meth:`probs` at one phase vector of floats, as a list in labels order.
+
+        Bit for bit equal to :meth:`probs` on 0-d arrays: the same stacks,
+        the same BLAS contraction and the same assembly, without the array
+        set-up that dominates a single point.
+        """
+        return self._phase_probs(theta, self._theta_table(theta))
+
+    def dprobs(self, theta: Sequence) -> np.ndarray:
+        """Analytic derivatives dP/dtheta_j, shape (labels, m_est, ...)."""
+        theta = np.broadcast_arrays(*[np.asarray(t, dtype=float) for t in theta])
+        table = self._theta_table(theta)
+        u, s = _stacks(theta, table)
+        v, gamma_m = _contract(self._w, u), _contract(self._w_minus, s)
+        half_angle = np.asarray(theta) / 2
+        half_sine, cosine = np.sin(half_angle) / 2, np.cos(half_angle)
+        zero = np.zeros(np.shape(theta[0]))
+        q = self.config.q
+        per_param = []
+        for j in range(self.m_est):
+            # an entry (s, j) has d phi/d theta_j = s: the versine is even, so
+            # each adds sin(theta_j/2)/2 to du, and each adds -s*cos(theta_j/2) to ds
+            counts = [sum(k == j for _, k in row) for row in table]
+            nets = [sum(sign for sign, k in row if k == j) for row in table]
+            du = [c * half_sine[j] if c else zero for c in counts]
+            ds = [-net * cosine[j] if net else zero for net in nets]
+            dv, dgamma_m = _contract(self._w, du), _contract(self._w_minus, ds)
+            rows = []
+            for r, i, sign in self._active:
+                if sign == PLUS:
+                    gam, dgam = 1.0 - v[r], -dv[r]
+                else:
+                    gam, dgam = gamma_m[r], dgamma_m[r]
+                rows.append(2.0 * q[i] * gam * dgam)
+            rows.append(-sum(rows))
+            per_param.append(np.stack(np.broadcast_arrays(*rows)))
+        return np.stack(per_param, axis=1)
+
+
 def gamma(n: int, fields: FieldVector, k: int, sign: str) -> complex:
     """Transition amplitude gamma for weight index k and the given sign.
 
     gamma(k, sign) = sum_l C(n-m, k-l) * g[sign][l] / (2 * C(n, k)) with l
-    ranging over max(0, k-(n-m)) .. min(k, m).  For even n at k = n/2 the '-'
-    amplitude is identically 0 and the '+' amplitude uses the same sum.
-
-    The binomial ratios come from :func:`weight_row`, exact and correctly
-    rounded at any n.
+    ranging over max(0, k-(n-m)) .. min(k, m).  Evaluated through the
+    kernel's stacks and weight contraction: gamma+ = 1 - v (real) and
+    gamma- = 1j * (w . s)/2 (imaginary).  For even n at k = n/2 the '-'
+    amplitude is identically 0.
     """
     m = fields.m
     if not 0 <= k <= n // 2:
@@ -209,67 +406,22 @@ def gamma(n: int, fields: FieldVector, k: int, sign: str) -> complex:
         raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
     if 2 * k == n and sign == MINUS:
         return 0j
-    r = n - m
-    g = g_coefficients(fields, PLUS if 2 * k == n else sign)
-    w = weight_row(n, m, k)
-    total = 0j
-    for l in range(max(0, k - r), min(k, m) + 1):
-        total += w[l] * g.values[l]
-    return total / 2
-
-
-def gamma_table(n: int, fields: FieldVector) -> GammaTable:
-    """All gamma values for k = 0..floor(n/2) and both signs."""
-    values = {
-        (k, sign): gamma(n, fields, k, sign)
-        for k in range(n // 2 + 1)
-        for sign in SIGNS
-    }
-    return GammaTable(n=n, m=fields.m, values=values)
+    u, s = _stacks(*_field_table(fields))
+    w = np.array([weight_row(n, m, k)])
+    if sign == PLUS:
+        return complex(1.0 - _contract(w, u)[0])
+    return 1j * float(0.5 * _contract(w, s)[0])
 
 
 def outcome_distribution(config: ProtocolConfig, fields: FieldVector) -> OutcomeDistribution:
     """Closed-form outcome probabilities for a true sender count m = fields.m.
 
     The true m may differ from config.m_est (the distribution is still well
-    defined; only the estimation step assumes they agree).  Each active
-    probability is c * q * |gamma|^2; the residual 'f' absorbs the rest.
+    defined; only the estimation step assumes they agree).  The kernel is
+    :class:`ThetaModel` with the weight rows of the true m, fed the phases of
+    the true senders' bit strings; where m = m_est this is bit for bit
+    ``ThetaModel(config).point_probs(phases_from_fields(fields))``.
     """
-    violations = validate_config(config)
-    if violations:
-        raise ConfigError(violations)
-    n, m = config.n, fields.m
-    if m > max_senders(n):
-        raise ValueError(f"m={m} exceeds floor((n+1)/2)={max_senders(n)} for n={n}")
-    probs: dict[str, float] = {}
-    total = 0.0
-    for i in range(config.kmax + 1):
-        for sign in SIGNS:
-            if not config.c(i, sign):
-                continue
-            gam = gamma(n, fields, i, sign)
-            p = config.q[i] * abs(gam) ** 2
-            if __debug__:
-                # the signed form must be real-nonnegative and agree with |.|^2
-                signed = (1 if sign == PLUS else -1) * config.q[i] * (gam * gam)
-                assert abs(signed.imag) < 1e-12, f"signed probability not real: {signed}"
-                assert signed.real >= -1e-12, f"signed probability negative: {signed}"
-                assert abs(signed.real - p) < 1e-12
-            probs[f"{i}{sign}"] = _clamp(p)
-            total += probs[f"{i}{sign}"]
-    residual = 1.0 - total
-    assert residual >= -PROB_ATOL, f"active probabilities exceed 1 by {-residual}"
-    probs["f"] = _clamp(residual)
-    return OutcomeDistribution(probs=probs)
-
-
-def _clamp(p: float) -> float:
-    if p < 0.0:
-        if p < -PROB_ATOL:
-            raise ValueError(f"probability {p} below -{PROB_ATOL}")
-        return 0.0
-    if p > 1.0:
-        if p > 1.0 + PROB_ATOL:
-            raise ValueError(f"probability {p} above 1+{PROB_ATOL}")
-        return 1.0
-    return p
+    model = ThetaModel(config, fields.m)
+    probs = model._phase_probs(*_field_table(fields))
+    return OutcomeDistribution(probs={label: float(p) for label, p in zip(model.labels, probs)})

@@ -263,8 +263,17 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
 
 
 def _observed_se(ll_point, theta, flags: list[str], step: float = 1e-4) -> tuple[float, ...]:
-    """Standard errors from the observed information (negative Hessian of LL)."""
+    """Standard errors from the observed information (negative Hessian of LL).
+
+    A component within ``step`` of the domain edge 0 or pi is flagged: its
+    differences reach across the edge, where the likelihood folds back on
+    itself, and the curvature they measure is not that of the estimate.
+    """
     m = len(theta)
+    edge = [f"theta_{j + 1}" for j, t in enumerate(theta) if min(t, math.pi - t) < step]
+    if edge:
+        flags.append(f"{' and '.join(edge)} within the difference step {step} of the domain "
+                     f"edge 0 or pi: the observed-information standard errors are unreliable")
     H = np.zeros((m, m))
     f0 = ll_point(theta)
     for i in range(m):

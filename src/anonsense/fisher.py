@@ -2,23 +2,24 @@
 
 The outcome model is parameterized directly by the phase vector theta (theta
 = omega*t for one sender; theta1 = (omega1+omega2)*t, theta2 = (omega1-omega2)*t
-for two).  :class:`ThetaModel` evaluates outcome probabilities and their
-analytic theta-derivatives for any valid one- or two-sender configuration and
-vectorizes over theta grids.  It holds weights only for the weight indices
-the measurement uses, so the work of likelihood scans and Fisher matrices
-follows the number of measured indices, not the participant count.
+for two).  Probabilities and their analytic theta-derivatives come from the
+package's one closed-form kernel, :class:`anonsense.engine.ThetaModel`
+(re-exported here), which vectorizes over theta grids and holds weights only
+for the weight indices the measurement uses, so the work of likelihood scans
+and Fisher matrices follows the number of measured indices, not the
+participant count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .combinatorics import FieldVector, MINUS, PLUS
-from .engine import ConfigError, ProtocolConfig, validate_config, weight_row
+from .combinatorics import FieldVector
+from .engine import ProtocolConfig, ThetaModel
 
 FD_STEP = 1e-5
 ZERO_PROB = 1e-14
@@ -90,177 +91,6 @@ def phases_from_fields(fields: FieldVector) -> tuple[float, ...]:
         w1, w2 = fields.omegas
         return ((w1 + w2) * fields.t, (w1 - w2) * fields.t)
     raise ValueError(f"phase parameterization defined for m in {{1, 2}}, got m={fields.m}")
-
-
-class ThetaModel:
-    """Outcome probabilities of a configuration as functions of the phase vector.
-
-    Probabilities follow the closed form c * q * gamma^2 with gamma expanded
-    in the g coefficients, which for one or two senders depend on theta alone.
-    The '+' amplitudes are evaluated as gamma+ = 1 - v with v built from
-    versine terms 2*sin^2(theta/4), so that the complements 1 - gamma+^2 =
-    v*(2 - v) entering the residual outcome never suffer cancellation; this
-    keeps Fisher summands (dp)^2/p accurate even where p is tiny.
-
-    Only weight indices with a measurement switch on are modelled:
-    validate_config forces q[i] = 0 on every other index, so those add nothing
-    to any outcome.  All methods broadcast over numpy arrays of theta
-    components.  :meth:`point_probs` evaluates one phase vector of floats
-    through the same stacks and the same probability assembly as
-    :meth:`probs`, without the array set-up, for the MLE refinement.
-    """
-
-    def __init__(self, config: ProtocolConfig):
-        violations = validate_config(config)
-        if violations:
-            raise ConfigError(violations)
-        self.config = config
-        self.m_est = config.m_est
-        n, m = config.n, config.m_est
-        # weight indices with a switch on; row r of every table is index _rows[r]
-        self._rows = [i for i in range(config.kmax + 1) if config.c_plus[i] or config.c_minus[i]]
-        self._w = np.array([weight_row(n, m, i) for i in self._rows])
-        # the central '-' projector of even n vanishes
-        self._minus_alive = np.array([0.0 if 2 * i == n else 1.0 for i in self._rows])
-        self.labels = config.labels()
-        self._active = [
-            (r, i, sign)
-            for r, i in enumerate(self._rows)
-            for sign in (PLUS, MINUS)
-            if config.c(i, sign)
-        ]
-
-    # -- coefficient stacks per weight l: versine deficits for '+' amplitudes
-    #    (gamma+ = 1 - sum_l w*u) and imaginary parts of g for '-' amplitudes
-
-    def _u_stacks(self, theta):
-        if self.m_est == 1:
-            (t1,) = theta
-            u = 2 * np.sin(t1 / 4) ** 2
-            return [u, u]
-        t1, t2 = theta
-        u1 = 2 * np.sin(t1 / 4) ** 2
-        u2 = 4 * np.sin(t2 / 4) ** 2
-        return [u1, u2, u1]
-
-    def _du_stacks(self, theta):
-        if self.m_est == 1:
-            (t1,) = theta
-            du = np.sin(t1 / 2) / 2
-            return [[du, du]]
-        t1, t2 = theta
-        du1 = np.sin(t1 / 2) / 2
-        du2 = np.sin(t2 / 2)
-        zero = np.zeros(np.shape(t1))
-        return [[du1, zero, du1], [zero, du2, zero]]
-
-    def _minus_stacks(self, theta):
-        if self.m_est == 1:
-            (t1,) = theta
-            s = np.sin(t1 / 2)
-            return [-2 * s, 2 * s]
-        t1, t2 = theta
-        s1 = np.sin(t1 / 2)
-        zero = np.zeros(np.shape(t1))
-        return [-2 * s1, zero, 2 * s1]
-
-    def _dminus_stacks(self, theta):
-        if self.m_est == 1:
-            (t1,) = theta
-            c = np.cos(t1 / 2)
-            return [[-c, c]]
-        t1, t2 = theta
-        c1 = np.cos(t1 / 2)
-        zero = np.zeros(np.shape(t1))
-        return [[-c1, zero, c1], [zero, zero, zero]]
-
-    def _contract(self, stack) -> np.ndarray:
-        """sum_l w[:, l] * stack[l], shape (rows, *grid)."""
-        arr = np.stack(np.broadcast_arrays(*stack)).astype(float)
-        return np.tensordot(self._w, arr, axes=([1], [0]))
-
-    def _amplitudes(self, theta):
-        """(v, gamma_minus) with gamma+ = 1 - v; both shaped (rows, *grid)."""
-        v = self._contract(self._u_stacks(theta))
-        gamma_m = 0.5 * self._contract(self._minus_stacks(theta))
-        mask = self._minus_alive.reshape((-1,) + (1,) * (gamma_m.ndim - 1))
-        return v, gamma_m * mask
-
-    def _damplitudes(self, theta):
-        """Per-parameter (dv, dgamma_minus) lists."""
-        out = []
-        for du, dgm in zip(self._du_stacks(theta), self._dminus_stacks(theta)):
-            dv = self._contract(du)
-            dgamma_m = 0.5 * self._contract(dgm)
-            mask = self._minus_alive.reshape((-1,) + (1,) * (dgamma_m.ndim - 1))
-            out.append((dv, dgamma_m * mask))
-        return out
-
-    def _assemble(self, v, gamma_m) -> list:
-        """Per-label probabilities from the row amplitudes, in labels order.
-
-        gamma+ = 1 - v[r] and gamma- = gamma_m[r] may be arrays or scalars;
-        :meth:`probs` and :meth:`point_probs` share this one assembly.  The
-        residual is assembled per weight index from stable complements.
-        """
-        config = self.config
-        q = config.q
-        rows = []
-        for r, i, sign in self._active:
-            gam = (1.0 - v[r]) if sign == PLUS else gamma_m[r]
-            rows.append(q[i] * gam ** 2)
-        residual = 0.0
-        for r, i in enumerate(self._rows):
-            if q[i] == 0.0:
-                continue
-            if config.c_plus[i]:
-                rest = v[r] * (2.0 - v[r])
-                if config.c_minus[i]:
-                    rest = rest - gamma_m[r] ** 2
-            else:
-                rest = (1.0 - gamma_m[r]) * (1.0 + gamma_m[r])
-            residual = residual + q[i] * np.maximum(rest, 0.0)
-        rows.append(residual)
-        return rows
-
-    def probs(self, theta: Sequence) -> np.ndarray:
-        """Probabilities for every label, stacked along axis 0 (labels order)."""
-        theta = [np.asarray(t, dtype=float) for t in theta]
-        if len(theta) != self.m_est:
-            raise ValueError(f"expected {self.m_est} theta components, got {len(theta)}")
-        return np.stack(np.broadcast_arrays(*self._assemble(*self._amplitudes(theta))))
-
-    def point_probs(self, theta: Sequence[float]) -> list:
-        """:meth:`probs` at one phase vector of floats, as a list in labels order.
-
-        Bit for bit equal to :meth:`probs` on 0-d arrays: the same stacks,
-        the same BLAS contraction and the same assembly, without the array
-        set-up that dominates a single point.
-        """
-        if len(theta) != self.m_est:
-            raise ValueError(f"expected {self.m_est} theta components, got {len(theta)}")
-        shape = (self._w.shape[1], 1)
-        v = np.dot(self._w, np.array(self._u_stacks(theta)).reshape(shape))[:, 0]
-        gamma_m = np.dot(self._w, np.array(self._minus_stacks(theta)).reshape(shape))[:, 0]
-        return self._assemble(v, 0.5 * gamma_m * self._minus_alive)
-
-    def dprobs(self, theta: Sequence) -> np.ndarray:
-        """Analytic derivatives dP/dtheta_j, shape (labels, m_est, ...)."""
-        theta = [np.asarray(t, dtype=float) for t in theta]
-        v, gamma_m = self._amplitudes(theta)
-        q = self.config.q
-        per_param = []
-        for dv, dgamma_m in self._damplitudes(theta):
-            rows = []
-            for r, i, sign in self._active:
-                if sign == PLUS:
-                    gam, dgam = 1.0 - v[r], -dv[r]
-                else:
-                    gam, dgam = gamma_m[r], dgamma_m[r]
-                rows.append(2.0 * q[i] * gam * dgam)
-            rows.append(-sum(rows))
-            per_param.append(np.stack(np.broadcast_arrays(*rows)))
-        return np.stack(per_param, axis=1)
 
 
 def fisher_matrix(

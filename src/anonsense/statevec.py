@@ -23,8 +23,8 @@ from .combinatorics import MINUS, PLUS, SIGNS, FieldVector
 from .engine import (
     ConfigError,
     OutcomeDistribution,
+    PROB_ATOL,
     ProtocolConfig,
-    _clamp,
     max_senders,
     validate_config,
 )
@@ -187,9 +187,13 @@ class _DenseBasis:
         probs: dict[str, float] = {}
         total = 0.0
         for label, proj in self.projectors.items():
-            probs[label] = _clamp(float(prob(proj)))
-            total += probs[label]
-        probs["f"] = _clamp(1.0 - total)
+            p = float(prob(proj))  # a sum of q * |.|^2, never negative
+            probs[label] = min(p, 1.0)
+            total += p
+        residual = 1.0 - total
+        if residual < -PROB_ATOL:
+            raise ValueError(f"active probabilities exceed 1 by {-residual}")
+        probs["f"] = max(residual, 0.0)
         return OutcomeDistribution(probs=probs)
 
     def mixture(self, assign: SenderAssignment) -> OutcomeDistribution:

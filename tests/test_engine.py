@@ -8,7 +8,6 @@ from anonsense.engine import (
     ConfigError,
     ProtocolConfig,
     gamma,
-    gamma_table,
     max_senders,
     outcome_distribution,
     validate_config,
@@ -74,12 +73,6 @@ def test_gamma_rejects_bad_args():
         gamma(5, fields, 3, PLUS)
     with pytest.raises(ValueError):
         gamma(3, FieldVector((1.0, 2.0, 3.0), 1.0), 1, PLUS)
-
-
-def test_gamma_table_covers_all_indices():
-    table = gamma_table(7, FieldVector((0.5, 1.5), 1.0))
-    assert set(table.values) == {(k, s) for k in range(4) for s in (PLUS, MINUS)}
-    assert table.n == 7 and table.m == 2
 
 
 def test_gamma_large_n_big_integer_path():

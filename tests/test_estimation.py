@@ -180,6 +180,30 @@ def test_mle_converging_refinement_has_no_cap_flag(monkeypatch):
     assert CAP_FLAG not in report.flags
 
 
+EDGE_FLAG = "within the difference step 0.0001 of the domain edge 0 or pi"
+
+
+def test_mle_flags_an_estimate_at_the_domain_edge():
+    # every count on 'f' drives both phases to pi: the observed-information
+    # differences reach across the edge, and the errors they give are far
+    # from the Cramer-Rao values
+    config = ProtocolConfig.for_two_senders(12, a=6, q0=0.33)
+    report = mle_estimate(OutcomeCounts.from_dict({"f": 1000}), config)
+    assert report.theta_hat.theta == pytest.approx((math.pi, math.pi), abs=1e-6)
+    assert report.se_estimate[0] > 100 * report.crb_se[0]
+    edge = [flag for flag in report.flags if EDGE_FLAG in flag]
+    assert edge == [f"theta_1 and theta_2 {EDGE_FLAG}: the observed-information "
+                    f"standard errors are unreliable"]
+    # one component at the edge names only that component
+    single = mle_estimate(OutcomeCounts.from_dict({"0+": 1000}), ProtocolConfig.for_single_sender(5))
+    assert [flag for flag in single.flags if EDGE_FLAG in flag] == [
+        f"theta_1 {EDGE_FLAG}: the observed-information standard errors are unreliable"]
+    # an interior estimate carries no such flag
+    interior = mle_estimate(OutcomeCounts.from_dict({"0+": 400, "0-": 150, "3+": 300, "f": 150}),
+                            ProtocolConfig.for_two_senders(7, a=3, q0=0.33))
+    assert not any(EDGE_FLAG in flag for flag in interior.flags)
+
+
 def test_mle_all_counts_on_plus():
     config = ProtocolConfig.for_single_sender(5)
     report = mle_estimate(OutcomeCounts.from_dict({"0+": 1000}), config)

@@ -1,10 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from anonsense.combinatorics import MINUS, PLUS, FieldVector
-from anonsense.engine import ProtocolConfig, outcome_distribution
+from anonsense.combinatorics import MINUS, PLUS, FieldVector, g_coefficients
+from anonsense.engine import ProtocolConfig, gamma, max_senders, outcome_distribution
 from anonsense.estimation import _point_log_likelihood
 from anonsense.fisher import (
     METHOD_ANALYTIC,
@@ -51,23 +52,91 @@ def all_switches_config(n, m_est):
                           c_minus=(1,) * rows, a=n // 2 if m_est == 2 else None)
 
 
-def test_theta_model_matches_engine(rng):
-    # the theta-space model must agree with the omega-space closed form
-    configs = [ProtocolConfig.for_two_senders(n, a=a, q0=float(rng.uniform(0.15, 0.85)))
-               for n, a in ((5, 2), (6, 3), (9, 4))]
-    # a switched-on row with q = 0 (indices 2 and 4), and every switch on
-    configs.append(ProtocolConfig(n=9, m_est=2, t=1.0, q=(0.4, 0.0, 0.0, 0.6, 0.0),
-                                  c_plus=(1, 0, 0, 1, 1), c_minus=(1, 0, 1, 0, 0), a=3))
-    configs += [all_switches_config(10, 2), all_switches_config(11, 2),
-                all_switches_config(7, 1)]
+comb = functools.lru_cache(maxsize=None)(math.comb)  # n = 10^4 binomials are slow
+
+
+def reference_gamma(n, fields, k, sign):
+    """gamma as first written: complex g coefficients over math.comb ratios."""
+    if 2 * k == n and sign == MINUS:
+        return 0j
+    m = fields.m
+    g = g_coefficients(fields, PLUS if 2 * k == n else sign).values
+    return sum(comb(n - m, k - l) / comb(n, k) * g[l]
+               for l in range(max(0, k - (n - m)), min(k, m) + 1)) / 2
+
+
+def reference_distribution(config, fields):
+    """q * |gamma|^2 per active outcome, and the residual 'f' as 1 - sum."""
+    probs = {}
+    for i in range(config.kmax + 1):
+        for sign in (PLUS, MINUS):
+            if config.c(i, sign):
+                probs[f"{i}{sign}"] = config.q[i] * abs(reference_gamma(config.n, fields, i, sign)) ** 2
+    probs["f"] = 1.0 - sum(probs.values())
+    return probs
+
+
+def explicit_configs():
+    """Explicit q/c configs whose switched-on rows include q = 0 ones."""
+    return [
+        ProtocolConfig(n=9, m_est=2, t=1.0, q=(0.4, 0.0, 0.0, 0.6, 0.0),
+                       c_plus=(1, 0, 0, 1, 1), c_minus=(1, 0, 1, 0, 0), a=3),
+        ProtocolConfig(n=12, m_est=1, t=1.0, q=(0.7, 0.0, 0.0, 0.3, 0.0, 0.0, 0.0),
+                       c_plus=(1, 0, 1, 0, 0, 0, 1), c_minus=(0, 1, 0, 1, 0, 0, 1), a=None),
+    ]
+
+
+def test_kernel_matches_g_coefficient_reference(rng):
+    # the one versine kernel against the complex g-coefficient sums it
+    # replaced, for true sender counts 1..4 on both designs, so also where
+    # the true m differs from m_est
+    for n in list(range(3, 41)) + [1001, 10_000]:
+        configs = [ProtocolConfig.for_single_sender(n)]
+        if n >= 5:
+            configs += [ProtocolConfig.for_two_senders(n, a=n // 2, q0=float(rng.uniform(0.1, 0.9))),
+                        ProtocolConfig.for_two_senders(n, a=2, q0=float(rng.uniform(0.1, 0.9)))]
+        if n in (9, 12):
+            configs += explicit_configs()
+        if n in (6, 7, 12, 40):  # every projector on; the central '-' of even n is live
+            configs += [all_switches_config(n, 1), all_switches_config(n, 2)]
+        # every weight index at small n; ends, middle and a sample at large n
+        ks = range(n // 2 + 1) if n <= 40 else sorted({0, 1, n // 2 - 1, n // 2, *range(2, n // 2, n // 30)})
+        for m in range(1, 5):
+            if m > max_senders(n):
+                continue
+            fields = FieldVector(tuple(sorted(rng.uniform(0.05, 3.0, m))), t=float(rng.uniform(0.3, 1.5)))
+            for k in ks:
+                for sign in (PLUS, MINUS):
+                    assert abs(gamma(n, fields, k, sign) - reference_gamma(n, fields, k, sign)) <= 1e-12
+            for config in configs:
+                dist = outcome_distribution(config, fields)
+                expect = reference_distribution(config, fields)
+                assert list(dist.probs) == list(expect)
+                for label, p in expect.items():
+                    assert dist.probs[label] == pytest.approx(p, abs=1e-12)
+
+
+def test_outcome_distribution_is_the_theta_model_point(rng):
+    # where the true sender count is the designed one, the distribution the
+    # simulator samples is, bit for bit, the point the estimator evaluates
+    configs = [config for config in explicit_configs()]
+    for n in list(range(3, 41)) + [1001, 10_000]:
+        configs.append(ProtocolConfig.for_single_sender(n))
+        if n >= 5:
+            configs += [ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33),
+                        ProtocolConfig.for_two_senders(n, a=2, q0=0.71)]
+    configs += [all_switches_config(n, 1) for n in (3, 4, 7, 10, 40)]
+    configs += [all_switches_config(n, 2) for n in (5, 6, 11, 12, 40)]
     for config in configs:
         model = ThetaModel(config)
-        omegas = tuple(sorted(rng.uniform(0.1, 2.8, config.m_est)))
-        fields = FieldVector(omegas, t=1.0)
-        dist = outcome_distribution(config, fields)
-        p = model.probs(phases_from_fields(fields))
-        for x, label in enumerate(model.labels):
-            assert p[x] == pytest.approx(dist.probs[label], abs=1e-12)
+        for _ in range(5):
+            omegas = tuple(sorted(rng.uniform(0.05, 3.0, config.m_est)))
+            fields = FieldVector(omegas, t=float(rng.uniform(0.3, 1.5)))
+            dist = outcome_distribution(config, fields)
+            assert list(dist.probs) == model.labels
+            assert all(type(p) is float for p in dist.probs.values())
+            point = model.point_probs(phases_from_fields(fields))
+            assert bits(list(dist.probs.values())) == bits(point)
 
 
 def test_theta_model_weights_are_exact_binomial_ratios():

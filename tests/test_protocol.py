@@ -12,7 +12,6 @@ from anonsense.engine import (
     ConfigError,
     OutcomeDistribution,
     ProtocolConfig,
-    _clamp,
     max_senders,
     outcome_distribution,
 )
@@ -144,8 +143,8 @@ def loop_oracle(assign, config):
             if config.c(i, sign):
                 proj = phi_state(n, i, sign)
                 p = sum(config.q[ip] * abs(np.vdot(proj, st)) ** 2 for ip, st in evolved.items())
-                probs[f"{i}{sign}"] = _clamp(float(p))
-    probs["f"] = _clamp(1.0 - sum(probs.values()))
+                probs[f"{i}{sign}"] = min(float(p), 1.0)
+    probs["f"] = max(1.0 - sum(probs.values()), 0.0)
     return probs
 
 
