@@ -142,6 +142,8 @@ def _cmd_verify(args) -> int:
               f"{report.max_tv_distance:.6f} > {report.tolerance}", file=sys.stderr)
         return EXIT_OK
 
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     configs = [ProtocolConfig.for_single_sender(n, t=args.t)]
     if n >= 5:
         configs.append(ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33, t=args.t))

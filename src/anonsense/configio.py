@@ -56,7 +56,7 @@ def _parse_protocol(section) -> ProtocolConfig:
     _reject_unknown(section, {"n", "m_est", "t", "a", "q0", "q", "c"}, path)
     n = _require_int(section, "n", path)
     m_est = _require_int(section, "m_est", path)
-    t = float(section.get("t", 1.0))
+    t = _number(section.get("t", 1.0), float, f"{path}.t")
     if m_est == 1:
         config = ProtocolConfig.for_single_sender(n, t=t)
     elif m_est == 2:
@@ -64,7 +64,8 @@ def _parse_protocol(section) -> ProtocolConfig:
         q0 = section.get("q0")
         if q0 is None and "q" not in section:
             raise RunConfigError(f"{path}.q0: required for m_est=2 (or give a full q vector)")
-        config = ProtocolConfig.for_two_senders(n, a=a, q0=float(q0 if q0 is not None else 0.5), t=t)
+        q0 = 0.5 if q0 is None else _number(q0, float, f"{path}.q0")
+        config = ProtocolConfig.for_two_senders(n, a=a, q0=q0, t=t)
     else:
         raise RunConfigError(f"{path}.m_est: must be 1 or 2, got {m_est}")
     if "q" in section:
@@ -72,7 +73,8 @@ def _parse_protocol(section) -> ProtocolConfig:
         if not isinstance(q, list) or len(q) != config.kmax + 1:
             raise RunConfigError(f"{path}.q: must be a list of {config.kmax + 1} weights")
         config = ProtocolConfig(n=config.n, m_est=config.m_est, t=config.t,
-                                q=tuple(float(x) for x in q),
+                                q=tuple(_number(x, float, f"{path}.q[{i}]")
+                                        for i, x in enumerate(q)),
                                 c_plus=config.c_plus, c_minus=config.c_minus, a=config.a)
     if "c" in section:
         overrides = section["c"]
@@ -87,7 +89,7 @@ def _parse_protocol(section) -> ProtocolConfig:
                 raise RunConfigError(
                     f"{path}.c.{key}: keys must look like '0+' with index <= {config.kmax}"
                 ) from None
-            (c_plus if sign == "+" else c_minus)[i] = int(value)
+            (c_plus if sign == "+" else c_minus)[i] = _number(value, int, f"{path}.c.{key}")
         config = ProtocolConfig(n=config.n, m_est=config.m_est, t=config.t, q=config.q,
                                 c_plus=tuple(c_plus), c_minus=tuple(c_minus), a=config.a)
     violations = validate_config(config)
@@ -103,16 +105,15 @@ def _parse_scenario(section, config: ProtocolConfig) -> SenderAssignment:
     for key in ("sender_positions", "omegas"):
         if key not in section or not isinstance(section[key], list):
             raise RunConfigError(f"{path}.{key}: a list is required")
-    omegas = tuple(float(w) for w in section["omegas"])
+    omegas = tuple(_number(w, float, f"{path}.omegas[{j}]")
+                   for j, w in enumerate(section["omegas"]))
     fields = FieldVector(omegas=omegas, t=config.t)
     for violation in fields.violations():
         raise RunConfigError(f"{path}.omegas: {violation}")
+    positions = tuple(_number(p, int, f"{path}.sender_positions[{j}]")
+                      for j, p in enumerate(section["sender_positions"]))
     try:
-        return SenderAssignment(
-            n=config.n,
-            sender_positions=tuple(int(p) for p in section["sender_positions"]),
-            fields=fields,
-        )
+        return SenderAssignment(n=config.n, sender_positions=positions, fields=fields)
     except ValueError as exc:
         raise RunConfigError(f"{path}: {exc}") from None
 
@@ -124,7 +125,7 @@ def _parse_run(section) -> tuple[int, int]:
     _require_mapping(section, path)
     _reject_unknown(section, {"rounds", "seed"}, path)
     rounds = _require_int(section, "rounds", path)
-    seed = int(section.get("seed", 0))
+    seed = _number(section.get("seed", 0), int, f"{path}.seed")
     if rounds < 1:
         raise RunConfigError(f"{path}.rounds: must be >= 1, got {rounds}")
     return rounds, seed
@@ -164,6 +165,16 @@ def load_counts(doc) -> OutcomeCounts:
 def _require_mapping(obj, path):
     if not isinstance(obj, dict):
         raise RunConfigError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+
+
+def _number(value, kind, path):
+    """``kind(value)`` for a JSON scalar; any other value is an error naming ``path``."""
+    try:
+        if isinstance(value, (list, dict)):
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise RunConfigError(f"{path}: must be a number, got {value!r}") from None
 
 
 def _require_int(section, key, path):

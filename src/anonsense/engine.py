@@ -264,11 +264,11 @@ class ThetaModel:
     ``m`` is the true sender count whose bit strings the tables list (default
     ``config.m_est``); :func:`outcome_distribution` feeds it their phases.
     The phase-vector methods need m == m_est and read theta through a fixed
-    table, so the derivatives follow from the table's signs.  :meth:`probs`
-    and :meth:`dprobs` broadcast over arrays of theta components;
-    :meth:`point_probs` takes one phase vector of floats.  Only weight
-    indices with a measurement switch on are modelled: validate_config
-    forces q[i] = 0 on every other index.
+    table, so the first and second derivatives follow from the table's
+    signs.  :meth:`probs`, :meth:`dprobs` and :meth:`derivatives` broadcast
+    over arrays of theta components; :meth:`point_probs` takes one phase
+    vector of floats.  Only weight indices with a measurement switch on are
+    modelled: validate_config forces q[i] = 0 on every other index.
     """
 
     def __init__(self, config: ProtocolConfig, m: Optional[int] = None):
@@ -358,7 +358,21 @@ class ThetaModel:
         return self._phase_probs(theta, self._theta_table(theta))
 
     def dprobs(self, theta: Sequence) -> np.ndarray:
-        """Analytic derivatives dP/dtheta_j, shape (labels, m_est, ...)."""
+        """Analytic derivatives dP/dtheta_j, shape (labels, m_est, ...): the
+        first-order half of :meth:`derivatives`, which the Fisher matrix and
+        the estimator's scoring steps use."""
+        return self.derivatives(theta)[0]
+
+    def derivatives(self, theta: Sequence, second: bool = False):
+        """dP/dtheta_j, shape (labels, m_est, ...), and d2P/dtheta_i dtheta_j,
+        shape (labels, m_est, m_est, ...), or None unless ``second``.
+
+        A table entry (s, j) depends on theta_j alone: its versine adds
+        sin(theta_j/2)/2 to du_j and cos(theta_j/2)/4 to d2u_jj, its sine
+        -s*cos(theta_j/2) to ds_j and s*sin(theta_j/2)/2 to d2s_jj.  P = q*gam^2
+        gives dP_j = 2q*gam*dgam_j and d2P_ij = 2q*(dgam_i*dgam_j + gam*d2gam_ij),
+        and the residual's derivatives are minus the sum of the active ones.
+        """
         theta = np.broadcast_arrays(*[np.asarray(t, dtype=float) for t in theta])
         table = self._theta_table(theta)
         u, s = _stacks(theta, table)
@@ -366,26 +380,33 @@ class ThetaModel:
         half_angle = np.asarray(theta) / 2
         half_sine, cosine = np.sin(half_angle) / 2, np.cos(half_angle)
         zero = np.zeros(np.shape(theta[0]))
-        q = self.config.q
-        per_param = []
+        q = [self.config.q[i] for _, i, _ in self._active]
+        gam = [1.0 - v[r] if sign == PLUS else gamma_m[r] for r, _, sign in self._active]
+
+        def amplitudes(du, ds):  # gamma+ = 1 - v moves by -dv, gamma- by its own
+            dv, dgamma_m = _contract(self._w, du), _contract(self._w_minus, ds)
+            return [-dv[r] if sign == PLUS else dgamma_m[r] for r, _, sign in self._active]
+
+        def labelled(rows):
+            return np.stack(np.broadcast_arrays(*rows, -sum(rows)))
+
+        dgam, d2gam = [], []
         for j in range(self.m_est):
-            # an entry (s, j) has d phi/d theta_j = s: the versine is even, so
-            # each adds sin(theta_j/2)/2 to du, and each adds -s*cos(theta_j/2) to ds
             counts = [sum(k == j for _, k in row) for row in table]
             nets = [sum(sign for sign, k in row if k == j) for row in table]
-            du = [c * half_sine[j] if c else zero for c in counts]
-            ds = [-net * cosine[j] if net else zero for net in nets]
-            dv, dgamma_m = _contract(self._w, du), _contract(self._w_minus, ds)
-            rows = []
-            for r, i, sign in self._active:
-                if sign == PLUS:
-                    gam, dgam = 1.0 - v[r], -dv[r]
-                else:
-                    gam, dgam = gamma_m[r], dgamma_m[r]
-                rows.append(2.0 * q[i] * gam * dgam)
-            rows.append(-sum(rows))
-            per_param.append(np.stack(np.broadcast_arrays(*rows)))
-        return np.stack(per_param, axis=1)
+            dgam.append(amplitudes([c * half_sine[j] if c else zero for c in counts],
+                                   [-net * cosine[j] if net else zero for net in nets]))
+            if second:
+                d2gam.append(amplitudes([c * cosine[j] / 4 if c else zero for c in counts],
+                                        [net * half_sine[j] if net else zero for net in nets]))
+        dp = np.stack([labelled([2.0 * qx * g * dg for qx, g, dg in zip(q, gam, dgam[j])])
+                       for j in range(self.m_est)], axis=1)
+        if not second:
+            return dp, None
+        return dp, np.stack([np.stack([labelled([
+            2.0 * qx * (di * dj + g * d2 if i == j else di * dj)
+            for qx, g, di, dj, d2 in zip(q, gam, dgam[i], dgam[j], d2gam[j])])
+            for j in range(self.m_est)], axis=1) for i in range(self.m_est)], axis=1)
 
 
 def gamma(n: int, fields: FieldVector, k: int, sign: str) -> complex:

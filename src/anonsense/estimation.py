@@ -3,11 +3,9 @@
 The likelihood is multinomial over the closed-form outcome model.  The
 maximizer is located by a coarse grid over [0, pi]^m, the protocol's
 operating regime (the distribution is even in each phase, so signs are
-unrecoverable and nonnegative phases lose nothing), followed by
-coordinate-wise golden-section refinement.  The grid is one array evaluation
-of :meth:`ThetaModel.probs`; each refinement and observed-information point is
-evaluated on floats by :meth:`ThetaModel.point_probs`, through the same
-probability assembly and bit for bit what the array path gives at that point.
+unrecoverable and nonnegative phases lose nothing), one array evaluation of
+:meth:`ThetaModel.probs`, and refined by projected, damped Fisher scoring on
+the kernel's analytic derivatives, which also give the observed information.
 """
 
 from __future__ import annotations
@@ -19,12 +17,11 @@ from typing import Optional
 import numpy as np
 
 from .engine import ProtocolConfig
-from .fisher import METHOD_ANALYTIC, PhaseParameters, ThetaModel, _fisher_matrix
+from .fisher import METHOD_ANALYTIC, ZERO_PROB, PhaseParameters, ThetaModel, _fisher_matrix
 
 GRID_POINTS = 181
 REFINE_TOL = 1e-6
-REFINE_SWEEPS = 60
-_INVGOLD = (math.sqrt(5.0) - 1.0) / 2.0
+DAMPING = 1e-3
 
 
 @dataclass(frozen=True)
@@ -89,76 +86,39 @@ def _log_likelihood(counts: OutcomeCounts, model: ThetaModel, theta) -> float:
     return total
 
 
-def mle_estimate(
-    counts: OutcomeCounts,
-    config: ProtocolConfig,
-    grid_points: int = GRID_POINTS,
-    tol: float = REFINE_TOL,
-) -> EstimateReport:
+def mle_estimate(counts: OutcomeCounts, config: ProtocolConfig) -> EstimateReport:
     """Maximize the likelihood over [0, pi]^m_est and package the estimate.
 
     Deterministic: the coarse grid scans axes in fixed order and ties break
-    toward the lexicographically smallest phase vector.  A refinement still
-    moving after ``REFINE_SWEEPS`` sweeps is reported as not converged, with
-    a flag.
+    toward the lexicographically smallest phase vector; the refinement
+    (:func:`_refine`) starts at that grid point.
     """
     if counts.N < 1:
         raise ValueError("estimation requires at least one observed outcome")
     model = ThetaModel(config)
     _check_labels(counts, model)
     m = config.m_est
-    tallies = [counts.counts.get(label, 0) for label in model.labels]
-    observed = [(x, float(c)) for x, c in enumerate(tallies) if c > 0]  # labels order
+    tallies = np.array([counts.counts.get(label, 0) for label in model.labels], dtype=float)
+    observed = [(x, c) for x, c in enumerate(tallies.tolist()) if c > 0]  # labels order
     flags: list[str] = []
 
-    def ll_point(theta):
-        return _point_log_likelihood(model, observed, theta)
-
-    axis = np.linspace(0.0, math.pi, grid_points)
+    axis = np.linspace(0.0, math.pi, GRID_POINTS)
+    ll = _grid_log_likelihood(model, observed, np.meshgrid(*[axis] * m, indexing="ij"))
+    if not np.isfinite(ll).any():
+        raise ValueError("likelihood is -inf over the whole domain; counts are "
+                         "inconsistent with the configuration")
+    # row-major argmax: the smallest theta1, then theta2, wins ties
+    theta = [axis[i] for i in np.unravel_index(int(np.argmax(ll)), ll.shape)]
+    finite = np.where(np.isfinite(ll), ll, np.min(ll[np.isfinite(ll)]))
     converged = True
-    if m == 1:
-        ll = _grid_log_likelihood(model, observed, (axis,))
-        if not np.isfinite(ll).any():
-            raise ValueError("likelihood is -inf over the whole domain; counts are "
-                             "inconsistent with the configuration")
-        best = int(np.argmax(ll))
-        theta = [axis[best]]
-        if np.ptp(ll[np.isfinite(ll)]) < 1e-9:
+    for j in range(m):
+        if np.ptp(finite, axis=j).max() < 1e-9:
             converged = False
-            flags.append("flat likelihood along theta_1")
-    else:
-        t1, t2 = np.meshgrid(axis, axis, indexing="ij")
-        ll = _grid_log_likelihood(model, observed, (t1, t2))
-        if not np.isfinite(ll).any():
-            raise ValueError("likelihood is -inf over the whole domain; counts are "
-                             "inconsistent with the configuration")
-        best = int(np.argmax(ll))  # row-major: smallest theta1 then theta2 wins ties
-        i1, i2 = divmod(best, grid_points)
-        theta = [axis[i1], axis[i2]]
-        finite = np.where(np.isfinite(ll), ll, np.min(ll[np.isfinite(ll)]))
-        for ax_index, name in ((0, "theta_1"), (1, "theta_2")):
-            if np.ptp(finite, axis=ax_index).max() < 1e-9:
-                converged = False
-                flags.append(f"flat likelihood along {name}")
+            flags.append(f"flat likelihood along theta_{j + 1}")
 
-    spacing = axis[1] - axis[0]
-    for _ in range(REFINE_SWEEPS):
-        moved = 0.0
-        for j in range(m):
-            lo = max(0.0, theta[j] - spacing)
-            hi = min(math.pi, theta[j] + spacing)
-            new = _golden_max(lambda x: _axis_value(ll_point, theta, j, x), lo, hi, tol)
-            moved = max(moved, abs(new - theta[j]))
-            theta[j] = new
-        if moved < tol:
-            break
-    else:
-        converged = False
-        flags.append(f"refinement stopped at the {REFINE_SWEEPS}-sweep cap")
-
+    theta, ll_hat, info = _refine(counts, model, tallies, theta, axis[1] - axis[0])
     theta_hat = PhaseParameters(m_est=m, theta=tuple(theta))
-    ll_hat = _log_likelihood(counts, model, theta_hat.theta)
-    se = _observed_se(ll_point, theta, flags)
+    se = _observed_se(info, theta, flags)
     crb_se: Optional[tuple[float, ...]] = None
     try:
         res = _fisher_matrix(model, theta_hat.theta, METHOD_ANALYTIC, counts.N)
@@ -223,74 +183,80 @@ def _grid_log_likelihood(model: ThetaModel, observed, axes) -> np.ndarray:
     return sum(c * logs[x] for x, c in observed)
 
 
-def _point_log_likelihood(model: ThetaModel, observed, theta) -> float:
-    """:func:`_grid_log_likelihood` at one phase vector of floats, bit for bit.
+def _refine(counts: OutcomeCounts, model: ThetaModel, tallies, theta, spacing: float):
+    """Projected, damped Fisher scoring (Levenberg-Marquardt) from the grid
+    argmax; returns theta, its log-likelihood and the observed information.
 
-    Same probabilities, the same numpy log and the same summation order; only
-    the array set-up of the grid path is skipped.
+    A step solves (J + lam*diag J) d = score, J being N times the expected
+    information, on the components with J_jj > 0 (a flat axis stays put) that
+    no score holds against the edge 0 or pi; clipped to [0, pi]^m, it is
+    accepted only if the log-likelihood does not drop, else lam grows tenfold.
+    Scoring stops when a step moves less than ``REFINE_TOL``.  A stop where
+    the observed information has a negative eigenvalue is a saddle (theta2 = 0
+    always is a stationary point): one grid spacing along that eigenvector is
+    tried either way, and scoring resumes there if the log-likelihood rises.
     """
-    p = model.point_probs(theta)
-    total = 0.0
-    for x, c in observed:
-        if not p[x] > 0.0:
-            return -math.inf
-        total += c * np.log(p[x])
-    return float(total)
+    ll, lam = _log_likelihood(counts, model, theta), DAMPING
+    while True:
+        p, dp = np.asarray(model.point_probs(theta)), model.dprobs(theta)
+        seen, live = tallies > 0, p >= ZERO_PROB
+        score = (tallies[seen] / p[seen]) @ dp[seen]
+        J = counts.N * (dp[live].T / p[live]) @ dp[live]
+        free = [j for j, t in enumerate(theta) if J[j, j] > 0.0 and not (
+            (t <= 0.0 and score[j] < 0.0) or (t >= math.pi and score[j] > 0.0))]
+        moved = 0.0
+        if free:
+            block, step = J[np.ix_(free, free)], np.zeros(len(theta))
+            step[free] = np.linalg.solve(block + lam * np.diag(np.diag(block)), score[free])
+            probe = _project(theta, step)
+            moved = max(abs(a - b) for a, b in zip(probe, theta))
+            ll_probe = _log_likelihood(counts, model, probe)
+            if ll_probe >= ll:
+                theta, ll, lam = probe, ll_probe, max(lam / 10.0, DAMPING)
+            else:
+                lam *= 10.0
+        if moved >= REFINE_TOL:
+            continue
+        info = _observed_information(model, tallies, theta)
+        if not np.all(np.isfinite(info)):
+            return theta, ll, info
+        eigvals, eigvecs = np.linalg.eigh(info)
+        if eigvals[0] >= 0.0:
+            return theta, ll, info
+        probes = [_project(theta, sign * spacing * eigvecs[:, 0]) for sign in (1.0, -1.0)]
+        ll_probe, probe = max((_log_likelihood(counts, model, point), point) for point in probes)
+        if not ll_probe > ll:
+            return theta, ll, info
+        theta, ll = probe, ll_probe
 
 
-def _axis_value(ll_point, theta, j, x):
-    probe = list(theta)
-    probe[j] = x
-    return ll_point(probe)
+def _project(theta, step) -> list:
+    return [min(max(t + d, 0.0), math.pi) for t, d in zip(theta, step)]
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximization on [lo, hi] to absolute tolerance tol."""
-    a, b = lo, hi
-    c = b - _INVGOLD * (b - a)
-    d = a + _INVGOLD * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVGOLD * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVGOLD * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def _observed_information(model: ThetaModel, tallies, theta) -> np.ndarray:
+    """Negative Hessian of the log-likelihood, sum_x c*(dp dp^T/p^2 - d2p/p),
+    over the observed outcomes, from the kernel's analytic derivatives."""
+    p = np.asarray(model.point_probs(theta))
+    dp, d2p = model.derivatives(theta, second=True)
+    seen = tallies > 0
+    c, p, dp, d2p = tallies[seen], p[seen], dp[seen], d2p[seen]
+    with np.errstate(all="ignore"):  # a non-finite result is flagged by _observed_se
+        return (dp.T * (c / p ** 2)) @ dp - np.tensordot(c / p, d2p, axes=1)
 
 
-def _observed_se(ll_point, theta, flags: list[str], step: float = 1e-4) -> tuple[float, ...]:
-    """Standard errors from the observed information (negative Hessian of LL).
+def _observed_se(info: np.ndarray, theta, flags: list[str]) -> tuple[float, ...]:
+    """Standard errors from the observed information at the estimate.
 
-    A component within ``step`` of the domain edge 0 or pi is flagged: its
-    differences reach across the edge, where the likelihood folds back on
-    itself, and the curvature they measure is not that of the estimate.
+    A component within ``REFINE_TOL`` of the domain edge 0 or pi is flagged:
+    there the likelihood folds back on itself, and near the corner (pi, pi)
+    the information is close to singular, so the errors are unreliable.
     """
     m = len(theta)
-    edge = [f"theta_{j + 1}" for j, t in enumerate(theta) if min(t, math.pi - t) < step]
+    edge = [f"theta_{j + 1}" for j, t in enumerate(theta) if min(t, math.pi - t) < REFINE_TOL]
     if edge:
-        flags.append(f"{' and '.join(edge)} within the difference step {step} of the domain "
-                     f"edge 0 or pi: the observed-information standard errors are unreliable")
-    H = np.zeros((m, m))
-    f0 = ll_point(theta)
-    for i in range(m):
-        ei = [0.0] * m
-        ei[i] = step
-        fp = ll_point([t + d for t, d in zip(theta, ei)])
-        fm = ll_point([t - d for t, d in zip(theta, ei)])
-        H[i, i] = (fp - 2.0 * f0 + fm) / step ** 2
-        for j in range(i + 1, m):
-            ej = [0.0] * m
-            ej[j] = step
-            fpp = ll_point([t + a + b for t, a, b in zip(theta, ei, ej)])
-            fpm = ll_point([t + a - b for t, a, b in zip(theta, ei, ej)])
-            fmp = ll_point([t - a + b for t, a, b in zip(theta, ei, ej)])
-            fmm = ll_point([t - a - b for t, a, b in zip(theta, ei, ej)])
-            H[i, j] = H[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * step ** 2)
-    info = -H
+        flags.append(f"{' and '.join(edge)} within {REFINE_TOL} of the domain edge 0 or pi: "
+                     f"the observed-information standard errors are unreliable")
     if not np.all(np.isfinite(info)):
         flags.append("observed information not finite at the estimate")
         return tuple(math.nan for _ in range(m))

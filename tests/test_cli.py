@@ -138,6 +138,31 @@ def test_simulate_rejects_zero_rounds(tmp_path):
     assert run_cli(["simulate", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("section, key, value, path", [
+    ("protocol", "t", [1], "$.protocol.t"),
+    ("protocol", "t", "abc", "$.protocol.t"),
+    ("protocol", "q0", [0.33], "$.protocol.q0"),
+    ("protocol", "q", [[0.33], 0.0, 0.67], "$.protocol.q[0]"),
+    ("protocol", "c", {"2-": [1]}, "$.protocol.c.2-"),
+    ("scenario", "omegas", [0.75, [1.25]], "$.scenario.omegas[1]"),
+    ("scenario", "sender_positions", [[2], 4], "$.scenario.sender_positions[0]"),
+    ("run", "seed", [42], "$.run.seed"),
+])
+def test_wrong_value_types_report_their_path(tmp_path, capsys, section, key, value, path):
+    doc = json.loads((DATA / "run_n5.json").read_text())
+    doc[section][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run_cli(["simulate", "--config", str(bad)]) == 2
+    assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_rejects_too_few_trials(capsys, trials):
+    assert run_cli(["verify", "--n", "5", "--trials", trials]) == 2
+    assert "--trials" in capsys.readouterr().err
+
+
 def test_counts_label_mismatch_rejected(tmp_path):
     bad = tmp_path / "bad_counts.json"
     bad.write_text('{"counts": {"7+": 10}}')

@@ -6,7 +6,6 @@ import pytest
 
 from anonsense.combinatorics import MINUS, PLUS, FieldVector, g_coefficients
 from anonsense.engine import ProtocolConfig, gamma, max_senders, outcome_distribution
-from anonsense.estimation import _point_log_likelihood
 from anonsense.fisher import (
     METHOD_ANALYTIC,
     METHOD_FD,
@@ -219,13 +218,6 @@ def seed_probs(model, theta):
     return np.array(rows, dtype=float)
 
 
-def seed_ll_from_probs(p, observed):
-    """The refinement's log-likelihood point as first written: the grid formula on 0-d."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -np.inf)
-    return float(sum(c * logs[x] for x, c in observed))
-
-
 def bits(values):
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
@@ -233,7 +225,7 @@ def bits(values):
 def test_point_path_is_bitwise_equal_to_seed_formula(rng):
     # >= 20 000 random phase vectors plus the corners of [0, pi]^m: the
     # float point path, probs on 0-d arrays and the restated seed formula
-    # agree in every bit, and so do the likelihood points built on them
+    # agree in every bit
     configs = [ProtocolConfig(n=9, m_est=2, t=1.0, q=(0.4, 0.0, 0.0, 0.6, 0.0),
                               c_plus=(1, 0, 0, 1, 1), c_minus=(1, 0, 1, 0, 0), a=3)]
     for n in range(3, 41):
@@ -250,14 +242,10 @@ def test_point_path_is_bitwise_equal_to_seed_formula(rng):
         corners = [(0.0,), (math.pi,)] if m == 1 else [
             (0.0, 0.0), (0.0, math.pi), (math.pi, 0.0), (math.pi, math.pi)]
         thetas = corners + [tuple(row) for row in rng.uniform(0.0, math.pi, (230, m)).tolist()]
-        tallies = rng.integers(0, 3, (len(thetas), len(model.labels))) * 37
-        for theta, tally in zip(thetas, tallies):
+        for theta in thetas:
             ref = seed_probs(model, theta)
             assert bits(model.probs([np.asarray(t) for t in theta])) == bits(ref)
             assert bits(model.point_probs(theta)) == bits(ref)
-            observed = [(x, float(c)) for x, c in enumerate(tally) if c > 0]
-            got = _point_log_likelihood(model, observed, theta)
-            assert bits([got]) == bits([seed_ll_from_probs(ref, observed)])
             points += 1
     assert points >= 20_000
 
@@ -310,6 +298,37 @@ def test_derivatives_match_finite_differences(rng):
             fd = (model.probs(tuple(hi)) - model.probs(tuple(lo))) / (2 * step)
             denom = np.maximum(np.abs(fd), 1e-3)
             assert np.max(np.abs(dp[:, j] - fd) / denom) <= 1e-6
+
+
+def test_second_derivatives_match_differences_of_dprobs(rng):
+    # the analytic d2P/dtheta_i dtheta_j against central differences of the
+    # analytic first derivatives, for both designs, the explicit q/c config
+    # and n up to 1000
+    configs = [ProtocolConfig(n=9, m_est=2, t=1.0, q=(0.4, 0.0, 0.0, 0.6, 0.0),
+                              c_plus=(1, 0, 0, 1, 1), c_minus=(1, 0, 1, 0, 0), a=3)]
+    for n in (3, 6, 11, 100, 1000):
+        configs.append(ProtocolConfig.for_single_sender(n))
+    for n in (5, 6, 11, 100, 1000):
+        configs.append(ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33))
+        configs.append(ProtocolConfig.for_two_senders(n, a=2, q0=0.238))
+    configs += [all_switches_config(12, 1), all_switches_config(12, 2)]
+    step = 1e-6
+    for config in configs:
+        model = ThetaModel(config)
+        for _ in range(20):
+            theta = rng.uniform(0.05, math.pi - 0.05, config.m_est)
+            dp, d2p = model.derivatives(tuple(theta), second=True)
+            assert np.array_equal(dp, model.dprobs(tuple(theta)))
+            assert np.array_equal(d2p, np.swapaxes(d2p, 1, 2))
+            for j in range(config.m_est):
+                hi, lo = theta.copy(), theta.copy()
+                hi[j] += step
+                lo[j] -= step
+                fd = (model.dprobs(tuple(hi)) - model.dprobs(tuple(lo))) / (2 * step)
+                denom = np.maximum(np.abs(fd), 1e-3)
+                assert np.max(np.abs(d2p[:, :, j] - fd) / denom) <= 1e-6
+    # without second, no second derivatives are formed
+    assert model.derivatives((1.0, 2.0))[1] is None
 
 
 def test_removable_zero_probability_is_skipped():
