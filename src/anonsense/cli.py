@@ -39,7 +39,7 @@ from .estimation import mle_estimate
 from .fisher import scan_j22
 from .protocol import negative_control, run_protocol, sender_subsets, verify_tracelessness
 from .sampling import philox
-from .statevec import OracleLimitError, SenderAssignment, oracle_distribution
+from .statevec import OracleLimitError
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -156,14 +156,14 @@ def _cmd_verify(args) -> int:
         omegas = tuple(sorted(rng.uniform(0.1, 3.0, size=m).tolist()))
         fields = FieldVector(omegas=omegas, t=args.t)
         for config in configs:
-            report = verify_tracelessness(n, fields, config, mode="exact")
+            report = verify_tracelessness(n, fields, config)
             worst_tv = max(worst_tv, report.max_tv_distance)
             subsets = sender_subsets(n, m)
-            subset = subsets[int(rng.integers(len(subsets)))]
-            assign = SenderAssignment(n, subset, fields)
-            dense = oracle_distribution(assign, config)
+            drawn = int(rng.integers(len(subsets)))
+            subset = subsets[drawn]
+            oracle = report.distributions[drawn]
             closed = outcome_distribution(config, fields)
-            err = max(abs(dense.probs[k] - closed.probs[k]) for k in dense.probs)
+            err = max(abs(oracle.probs[k] - closed.probs[k]) for k in oracle.probs)
             worst_err = max(worst_err, err)
             if (not report.verdict or err > 1e-10) and failing_case is None:
                 failing_case = {

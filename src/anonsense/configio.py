@@ -274,7 +274,7 @@ def transcript_to_dict(transcript: Transcript) -> dict:
 
 
 def tracelessness_to_dict(report: TracelessnessReport) -> dict:
-    out = {
+    return {
         "n": report.n,
         "m": report.m,
         "omegas": list(report.fields.omegas),
@@ -285,9 +285,6 @@ def tracelessness_to_dict(report: TracelessnessReport) -> dict:
         "tolerance": report.tolerance,
         "verdict": "pass" if report.verdict else "fail",
     }
-    if report.p_value is not None:
-        out["p_value"] = report.p_value
-    return out
 
 
 def scan_rows_to_csv(rows: list[ScanRow]) -> str:

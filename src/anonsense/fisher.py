@@ -24,6 +24,10 @@ from .engine import ProtocolConfig, ThetaModel
 FD_STEP = 1e-5
 ZERO_PROB = 1e-14
 ZERO_DERIV = 1e-7
+# a Hessian whose smaller singular values stay below this share of its largest
+# counts as rank 1: within ZERO_PROB of a rank-1 zero they are ~1e-15 of it,
+# at the rank-2 zeros of the designs no less than ~0.04
+RANK_RTOL = 1e-6
 COND_LIMIT = 1e12
 
 METHOD_ANALYTIC = "analytic-derivative"
@@ -101,10 +105,12 @@ def fisher_matrix(
 ) -> FisherResult:
     """Fisher information matrix J and Cramer-Rao diagonal diag(J^-1)/N.
 
-    J[i,j] = sum over outcomes of (dP/dtheta_i)(dP/dtheta_j)/P.  Outcomes with
-    P below 1e-14 are skipped after asserting their derivative also vanishes
-    (removable 0/0 limits); a vanishing probability with non-vanishing
-    derivative raises :class:`SingularTermError`.
+    J[i,j] = sum over outcomes of (dP/dtheta_i)(dP/dtheta_j)/P.  An outcome
+    with P below 1e-14 must have a vanishing derivative too, else
+    :class:`SingularTermError` is raised.  Its summand is then the 0/0 limit
+    2*d2P, which exists where the Hessian d2P has rank <= 1: near such a
+    zero P = (g . d)^2 to leading order, as for every measured outcome
+    q*gamma^2.  A zero of higher rank has no limit and is skipped.
     """
     if params.m_est != config.m_est:
         raise ValueError(f"params.m_est={params.m_est} != config.m_est={config.m_est}")
@@ -122,6 +128,7 @@ def _fisher_matrix(model: ThetaModel, theta, method: str, N: int) -> FisherResul
         raise ValueError(f"unknown method {method!r}")
     m = model.m_est
     J = np.zeros((m, m))
+    d2p = None  # formed only at a zero probability
     for x, label in enumerate(model.labels):
         if p[x] < ZERO_PROB:
             if np.max(np.abs(dp[x])) >= ZERO_DERIV:
@@ -129,6 +136,10 @@ def _fisher_matrix(model: ThetaModel, theta, method: str, N: int) -> FisherResul
                     f"outcome {label!r} has probability {p[x]:.3e} but derivative "
                     f"{np.max(np.abs(dp[x])):.3e}; information diverges"
                 )
+            if d2p is None:
+                d2p = model.derivatives(theta, second=True)[1]
+            if np.linalg.matrix_rank(d2p[x], tol=RANK_RTOL * np.abs(d2p[x]).max()) <= 1:
+                J += 2.0 * d2p[x]
             continue
         J += np.outer(dp[x], dp[x]) / p[x]
     J = 0.5 * (J + J.T)

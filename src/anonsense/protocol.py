@@ -7,16 +7,15 @@ everything any of them (and hence an eavesdropper) ever learns; by
 construction it has no field that could store sender positions.
 
 The verifier checks the anonymity claim exhaustively: it enumerates every
-sender subset, computes each outcome distribution with the dense simulator,
-and reports the largest pairwise total-variation distance.
+sender subset, computes each outcome distribution from that subset's own
+positions, and reports the largest pairwise total-variation distance.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,13 +33,14 @@ from .sampling import draw_counts, philox
 from .statevec import (
     SenderAssignment,
     _DenseBasis,
+    _check_limit,
     apply_sender_unitary,
     conditional_distributions,
+    dicke_sweep,
     oracle_limit,
 )
 
 EXACT_TV_TOL = 1e-10
-SAMPLED_P_THRESHOLD = 1e-3
 _TV_BLOCK_ENTRIES = 1 << 20  # bound on the pairwise-distance block held at once
 
 
@@ -71,7 +71,7 @@ class TracelessnessReport:
     max_tv_distance: float
     tolerance: float
     verdict: bool
-    p_value: Optional[float] = None
+    distributions: list[OutcomeDistribution] = field(compare=False, repr=False)  # not serialized
 
 
 def run_protocol(
@@ -141,69 +141,32 @@ def verify_tracelessness(
     n: int,
     fields: FieldVector,
     config: ProtocolConfig,
-    mode: str = "exact",
-    rounds: int = 100_000,
-    seed: int = 0,
     tolerance: float = EXACT_TV_TOL,
 ) -> TracelessnessReport:
     """Compare outcome distributions across ALL sender subsets.
 
-    Every subset's distribution comes from the dense simulator when n is
-    within its limit.  The sweep builds the config's dense basis (the Dicke
-    initial states and projectors) once and applies one diagonal phase
-    vector per subset, so each subset still enters through its own sender
-    positions.
-
-    exact mode: the report carries the maximum pairwise total-variation
-    distance (pass iff it stays within ``tolerance``).
-
-    sampled mode: draws ``rounds`` outcomes per subset and runs a chi-square
-    homogeneity test across the subsets' empirical counts (pass iff the
-    p-value is at least 1e-3).  Above the dense limit every subset draws from
-    the closed-form distribution, which takes no positions at all: there this
-    mode tests the sampler, not anonymity.
+    Each subset's distribution is computed from its own sender positions: by
+    the dense simulator within its limit (one dense basis per config, one
+    diagonal phase vector per subset), by :func:`dicke_sweep` above it; the
+    report keeps them in :func:`sender_subsets` order.  Pass iff the maximum
+    pairwise total-variation distance is within ``tolerance``.
     """
     m = fields.m
     if m > max_senders(n):
         raise ValueError(f"m={m} exceeds floor((n+1)/2)={max_senders(n)} for n={n}")
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
+    if config.n != n:
+        raise ValueError(f"config.n={config.n} != assignment n={n}")
     subsets = sender_subsets(n, m)
-    if mode == "sampled" and n > oracle_limit():
-        dist = outcome_distribution(config, fields)  # validates the config
-        if config.n != n:
-            raise ValueError(f"config.n={config.n} != assignment n={n}")
-        dists = [dist] * len(subsets)
-    else:
+    if n <= oracle_limit():
         basis = _DenseBasis(config, n)
         dists = [basis.mixture(SenderAssignment(n, subset, fields)) for subset in subsets]
-    if mode == "exact":
-        max_tv = _max_pairwise_tv(dists)
-        return TracelessnessReport(
-            n=n, m=m, fields=fields, mode=mode, n_subsets=len(subsets),
-            max_tv_distance=max_tv, tolerance=tolerance, verdict=max_tv <= tolerance,
-        )
-    labels = config.labels()
-    table = []
-    for j, dist in enumerate(dists):
-        drawn = draw_counts(dist, rounds, philox(seed, j))
-        table.append([drawn[label] for label in labels])
-    table_arr = np.array(table)
-    table_arr = table_arr[:, table_arr.sum(axis=0) > 0]  # drop never-seen outcomes
-    if table_arr.shape[1] <= 1:
-        p_value = 1.0  # every subset produced the same single outcome
     else:
-        from scipy import stats  # imported here: it costs most of the package's import time
-
-        _, p_value, _, _ = stats.chi2_contingency(table_arr)
-    emp = table_arr / table_arr.sum(axis=1, keepdims=True)
-    max_tv = 0.0
-    for d1, d2 in itertools.combinations(emp, 2):
-        max_tv = max(max_tv, 0.5 * float(np.abs(d1 - d2).sum()))
+        dists = dicke_sweep(config, fields, subsets)
+    max_tv = _max_pairwise_tv(dists)
     return TracelessnessReport(
-        n=n, m=m, fields=fields, mode=mode, n_subsets=len(subsets),
-        max_tv_distance=max_tv, tolerance=tolerance,
-        verdict=p_value >= SAMPLED_P_THRESHOLD, p_value=float(p_value),
+        n=n, m=m, fields=fields, mode="exact", n_subsets=len(subsets),
+        max_tv_distance=max_tv, tolerance=tolerance, verdict=max_tv <= tolerance,
+        distributions=dists,
     )
 
 
@@ -225,12 +188,14 @@ def negative_control(
     m = fields.m
     if m > max_senders(n):
         raise ValueError(f"m={m} exceeds floor((n+1)/2)={max_senders(n)} for n={n}")
+    _check_limit(n)  # the control state is a dense 2^n vector
     subsets = sender_subsets(n, m)
     dists = [_control_distribution(n, subset, fields) for subset in subsets]
     max_tv = _max_pairwise_tv(dists)
     return TracelessnessReport(
         n=n, m=m, fields=fields, mode="negative-control", n_subsets=len(subsets),
         max_tv_distance=max_tv, tolerance=tolerance, verdict=max_tv <= tolerance,
+        distributions=dists,
     )
 
 

@@ -5,9 +5,9 @@ Basis indexing: bit j-1 of the index integer is participant j's qubit
 (participant 1 is the least-significant bit), matching the bit-vector
 convention in :mod:`anonsense.combinatorics`.
 
-This path exists purely for verification; it is capped at a qubit count
-where dense vectors stay cheap.  The cap can be raised via the
-``ANONSENSE_ORACLE_LIMIT`` environment variable.
+This path exists purely for verification; its dense vectors are capped at
+a qubit count (``ANONSENSE_ORACLE_LIMIT`` raises it), and :func:`dicke_sweep`
+gives the same per-subset distributions at any n without them.
 """
 
 from __future__ import annotations
@@ -184,17 +184,7 @@ class _DenseBasis:
         return {ip: st * phase for ip, st in self.initial.items()}
 
     def _outcomes(self, prob) -> OutcomeDistribution:
-        probs: dict[str, float] = {}
-        total = 0.0
-        for label, proj in self.projectors.items():
-            p = float(prob(proj))  # a sum of q * |.|^2, never negative
-            probs[label] = min(p, 1.0)
-            total += p
-        residual = 1.0 - total
-        if residual < -PROB_ATOL:
-            raise ValueError(f"active probabilities exceed 1 by {-residual}")
-        probs["f"] = max(residual, 0.0)
-        return OutcomeDistribution(probs=probs)
+        return _with_residual((label, float(prob(proj))) for label, proj in self.projectors.items())
 
     def mixture(self, assign: SenderAssignment) -> OutcomeDistribution:
         """sum_{i'} q[i'] |<phi_{i,sign}| U |phi_{i',+}>|^2 per outcome."""
@@ -209,6 +199,20 @@ class _DenseBasis:
             ip: self._outcomes(lambda proj: abs(np.vdot(proj, st)) ** 2)
             for ip, st in self._evolved(assign).items()
         }
+
+
+def _with_residual(measured) -> OutcomeDistribution:
+    """Measured (label, p) pairs, each a sum of q * |.|^2, and the residual 'f'."""
+    probs: dict[str, float] = {}
+    total = 0.0
+    for label, p in measured:
+        probs[label] = min(p, 1.0)
+        total += p
+    residual = 1.0 - total
+    if residual < -PROB_ATOL:
+        raise ValueError(f"active probabilities exceed 1 by {-residual}")
+    probs["f"] = max(residual, 0.0)
+    return OutcomeDistribution(probs=probs)
 
 
 def oracle_distribution(assign: SenderAssignment, config: ProtocolConfig) -> OutcomeDistribution:
@@ -230,6 +234,40 @@ def conditional_distributions(
     the mixture weights before each measurement.
     """
     return _DenseBasis(config, assign.n).conditionals(assign)
+
+
+def dicke_sweep(config: ProtocolConfig, fields: FieldVector, subsets) -> list[OutcomeDistribution]:
+    """The mixture distribution of each sender subset, exact at any n without 2^n vectors.
+
+    U is diagonal, so <phi_{i,s}|U|phi_{i',+}> = delta_{ii'} (A_i + s*A_{n-i})/2 with
+    A_k = [z^k] prod_j (a_j + b_j z) / C(n, k), a_j and b_j being participant j's
+    phases for bit 0 and bit 1; A_{n-k} is A_k with a and b swapped.  Both products
+    are carried as means, B_k <- ((j-k)*a_j*B_k + k*b_j*B_{k-1})/j, so nothing under-
+    or overflows, truncated at the largest measured index and vectorised over subsets.
+    """
+    violations = validate_config(config)
+    if violations:
+        raise ConfigError(violations)
+    positions = np.array([SenderAssignment(config.n, s, fields).sender_positions for s in subsets])
+    active = [(i, sign) for i in range(config.kmax + 1) for sign in SIGNS if config.c(i, sign)]
+    k = np.arange(active[-1][0] + 1)
+    means = np.broadcast_to(k == 0, (2, len(subsets), len(k))).astype(complex)  # direct, swapped
+    for j in range(1, config.n + 1):
+        a, b = _participant_phases(positions, fields, j)
+        nxt = means * (np.stack([a, b])[:, :, None] * ((j - k) / j))
+        nxt[:, :, 1:] += means[:, :, :-1] * (np.stack([b, a])[:, :, None] * (k[1:] / j))
+        means = nxt
+    direct, swapped = means
+    amplitudes = {PLUS: (direct + swapped) / 2, MINUS: (direct - swapped) / 2}
+    rows = np.array([config.q[i] * np.abs(amplitudes[sign][:, i]) ** 2 for i, sign in active]).T
+    labels = [f"{i}{sign}" for i, sign in active]
+    return [_with_residual(zip(labels, row)) for row in rows.tolist()]
+
+
+def _participant_phases(positions: np.ndarray, fields: FieldVector, j: int):
+    """Participant j's bit-0 and bit-1 phases per subset: exp(-+i*t*omega/2) at a sender, else 1."""
+    half = ((positions == j) * (0.5j * fields.t * np.asarray(fields.omegas))).sum(axis=1)
+    return np.exp(-half), np.exp(half)
 
 
 @functools.lru_cache(maxsize=1)

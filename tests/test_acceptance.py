@@ -111,7 +111,7 @@ def test_criterion_2_exact_tracelessness_and_control():
             for _ in range(20):
                 fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, m).tolist())), t=1.0)
                 for config in configs:
-                    rep = verify_tracelessness(n, fields, config, mode="exact")
+                    rep = verify_tracelessness(n, fields, config)
                     worst = max(worst, rep.max_tv_distance)
                     checked += 1
                     assert rep.max_tv_distance <= 1e-10, (
@@ -142,8 +142,8 @@ def test_criterion_2_exact_tracelessness_and_control():
 def test_criterion_3_single_sender_baseline():
     n, N = 7, 1000
     config = ProtocolConfig.for_single_sender(n)
-    # 181 interior grid points: at the exact endpoints one outcome sits on the
-    # removable 0/0 that the skip rule defines away
+    # 181 interior grid points; at the endpoints one outcome's probability is 0
+    # and its summand a 0/0 limit, checked in test_single_sender_fisher_is_unity
     grid = np.linspace(0.0, math.pi, 183)[1:-1]
     assert len(grid) == 181
     worst_p = worst_j = worst_crb = 0.0
@@ -298,6 +298,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     counts_path.write_text(json.dumps({"counts": {"0+": 120, "0-": 260, "2+": 430, "f": 190}}))
     commands = {
         "verify": ["verify", "--n", "5", "--m", "2", "--trials", "5", "--seed", "3"],
+        "verify-above-cap": ["verify", "--n", "25", "--m", "2", "--trials", "2", "--seed", "3"],
         "scan": ["scan", "--n", "5,9", "--q0", "0.33", "--theta1", "1.0,2.0",
                  "--theta2", "0.5"],
         "simulate": ["simulate", "--config", str(config_path)],

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from anonsense import statevec
 from anonsense.cli import main
+from anonsense.combinatorics import MINUS, PLUS
 from anonsense.configio import (
     RunConfigError,
     dumps_json,
@@ -92,8 +94,28 @@ def test_estimate_consumes_transcript(tmp_path):
     assert report["omega_hat"] == transcript["broadcast"]["omega_hat"]
 
 
-def test_verify_oracle_limit_exit_code(tmp_path):
-    assert run_cli(["verify", "--n", "25", "--out", str(tmp_path / "x.json")]) == 3
+def test_verify_oracle_limit_exit_code(tmp_path, monkeypatch):
+    # the sweep runs at any n; only the dense negative control is capped
+    out = tmp_path / "x.json"
+    assert run_cli(["verify", "--n", "25", "--trials", "2", "--out", str(out)]) == 0
+    doc = json.loads(read(out))
+    assert doc["verdict"] == "pass"
+    assert [rep["n_subsets"] for rep in doc["tracelessness"]] == [300, 300]
+    assert run_cli(["verify", "--negative-control", "--n", "25", "--out", str(out)]) == 3
+    monkeypatch.setenv("ANONSENSE_ORACLE_LIMIT", "4")
+    assert run_cli(["verify", "--negative-control", "--n", "6", "--out", str(out)]) == 3
+
+
+def test_verify_builds_no_second_basis(tmp_path, monkeypatch):
+    # the oracle/analytic cross-check reads the sweep's distributions
+    calls = []
+    real = statevec.phi_state
+    monkeypatch.setattr(statevec, "phi_state", lambda *args: calls.append(args) or real(*args))
+    assert run_cli(["verify", "--n", "8", "--trials", "1", "--out", str(tmp_path / "v.json")]) == 0
+    # single sender: (0,+) initial state and projector; two senders, a = 4:
+    # initial states (0,+) and (4,+), projectors (0,+), (0,-) and (4,+)
+    assert sorted(calls) == sorted([(8, 0, PLUS)] * 2 + [
+        (8, 0, PLUS), (8, 4, PLUS), (8, 0, PLUS), (8, 0, MINUS), (8, 4, PLUS)])
 
 
 def test_verify_negative_control_exit_zero(tmp_path):

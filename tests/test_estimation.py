@@ -122,6 +122,8 @@ def test_mle_degenerate_counts_on_the_point_path():
             report = mle_estimate(counts, config)
             assert report.theta_hat.theta[0] == pytest.approx(math.pi, abs=1e-6)
             assert math.isfinite(report.log_likelihood)
+            if config.m_est == 1:  # the 0/0 summand at pi is its limit: J = 1
+                assert report.crb_se == pytest.approx((1 / math.sqrt(N),), rel=1e-12)
             if config.m_est == 2:
                 assert report.flags  # boundary or flat-axis flags, never a crash
             if label == "0-":

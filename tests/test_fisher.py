@@ -254,7 +254,8 @@ def test_single_sender_fisher_is_unity():
     # unity independent of both the participant count and the phase
     for n in (1, 3, 8, 50):
         config = ProtocolConfig.for_single_sender(n)
-        for theta in np.linspace(0.05, math.pi - 0.05, 25):
+        # at 0 and pi one outcome's probability is 0: its summand is the 0/0 limit
+        for theta in [0.0, math.pi, *np.linspace(0.05, math.pi - 0.05, 25)]:
             res = fisher_matrix(config, PhaseParameters(1, (float(theta),)), N=100)
             assert res.J[0, 0] == pytest.approx(1.0, abs=1e-12)
             assert res.J_inv[0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -332,14 +333,21 @@ def test_second_derivatives_match_differences_of_dprobs(rng):
 
 
 def test_removable_zero_probability_is_skipped():
-    # at theta = pi the (0,+) outcome hits the removable 0/0; the skip rule
-    # drops that summand (no exception), leaving only the ~0 'f' contribution
+    # at theta = pi the (0,+) outcome hits the removable 0/0; its summand
+    # (dp)^2/p enters as its limit 2*d2p, the whole information
     config = ProtocolConfig.for_single_sender(5)
     res = fisher_matrix(config, PhaseParameters(1, (math.pi,)))
-    assert res.J[0, 0] <= 1e-30
-    # one step inside the endpoint the removable point no longer matters
+    assert res.J[0, 0] == 1.0
     res = fisher_matrix(config, PhaseParameters(1, (math.pi - 1e-6,)))
     assert res.J[0, 0] == pytest.approx(1.0, abs=1e-9)
+    # two senders at the corner (pi, pi): (0,+) and (6,+) vanish together,
+    # and the bound is continuous with the points just inside
+    config = ProtocolConfig.for_two_senders(12, a=6, q0=0.33)
+    corner = fisher_matrix(config, PhaseParameters(2, (math.pi, math.pi)), N=1000)
+    for step in (1e-7, 1e-4):
+        inside = fisher_matrix(config, PhaseParameters(2, (math.pi - step,) * 2), N=1000)
+        assert corner.crb_diag == pytest.approx(inside.crb_diag, rel=1e-9)
+    assert [math.sqrt(v) for v in corner.crb_diag] == pytest.approx([0.055048, 0.084386], abs=1e-6)
 
 
 def test_zero_probability_with_real_slope_raises(monkeypatch):

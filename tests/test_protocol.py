@@ -105,7 +105,7 @@ def test_exact_tracelessness_sweep(rng):
             config = (ProtocolConfig.for_two_senders(n, a=2, q0=0.33)
                       if (n >= 5 and m == 2) else ProtocolConfig.for_single_sender(n))
             fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, m))), t=1.0)
-            report = verify_tracelessness(n, fields, config, mode="exact")
+            report = verify_tracelessness(n, fields, config)
             assert report.n_subsets == math.comb(n, m)
             assert report.max_tv_distance <= 1e-10
             assert report.verdict
@@ -117,12 +117,14 @@ def cli_configs(n):
 
 
 def sweep_distributions(monkeypatch, n, fields, config):
-    """Run the exact sweep and return the per-subset distributions it compared."""
+    """Run the exact sweep and return the per-subset distributions it compared,
+    which its report carries."""
     seen = []
     real = protocol._max_pairwise_tv
     monkeypatch.setattr(protocol, "_max_pairwise_tv", lambda dists: seen.append(dists) or real(dists))
-    verify_tracelessness(n, fields, config, mode="exact")
+    report = verify_tracelessness(n, fields, config)
     monkeypatch.setattr(protocol, "_max_pairwise_tv", real)
+    assert report.distributions is seen[0]
     return seen[0]
 
 
@@ -166,7 +168,7 @@ def test_sweep_builds_basis_once(monkeypatch):
     real = statevec.phi_state
     monkeypatch.setattr(statevec, "phi_state", lambda *args: calls.append(args) or real(*args))
     config = ProtocolConfig.for_two_senders(8, a=4, q0=0.33)
-    report = verify_tracelessness(8, FieldVector((0.6, 1.7), 1.0), config, mode="exact")
+    report = verify_tracelessness(8, FieldVector((0.6, 1.7), 1.0), config)
     assert report.n_subsets == 28
     # initial states (0,+) and (4,+); projectors (0,+), (0,-) and (4,+)
     assert sorted(calls) == sorted([(8, 0, PLUS), (8, 4, PLUS), (8, 0, PLUS), (8, 0, MINUS), (8, 4, PLUS)])
@@ -181,23 +183,85 @@ def test_sweep_detects_a_phase_on_participant_one(monkeypatch):
         lambda assign: real(assign) * np.exp(0.3j * (np.arange(1 << assign.n) & 1)),
     )
     config = ProtocolConfig.for_two_senders(6, a=3, q0=0.33)
-    report = verify_tracelessness(6, FieldVector((0.7, 1.6), 1.0), config, mode="exact")
+    report = verify_tracelessness(6, FieldVector((0.7, 1.6), 1.0), config)
     assert not report.verdict
     assert report.max_tv_distance > 1e-3
 
 
-@pytest.mark.parametrize("mode", ["exact", "sampled"])
-@pytest.mark.parametrize("limit", [None, "4"])  # dense path, and the closed form above the cap
-def test_sweep_rejects_bad_inputs(monkeypatch, mode, limit):
+def all_switches_config(n, m_est, zero_row):
+    """Every projector on, so the central '-' of even n too; q = 0 on ``zero_row``."""
+    rows = n // 2 + 1
+    q = [0.0 if i == zero_row else 1.0 / (rows - 1) for i in range(rows)]
+    return ProtocolConfig(n=n, m_est=m_est, t=1.0, q=tuple(q), c_plus=(1,) * rows,
+                          c_minus=(1,) * rows, a=n // 2 if m_est == 2 else None)
+
+
+def test_dicke_sweep_equals_dense_oracle(rng, monkeypatch):
+    # with the dense cap at 4 the sweep runs on Dicke-state products
+    monkeypatch.setenv("ANONSENSE_ORACLE_LIMIT", "4")
+    checked = 0
+    for n in range(5, 13):
+        for config in cli_configs(n) + [all_switches_config(n, 1, 1), all_switches_config(n, 2, 1)]:
+            for m in (1, 2, 3):
+                if m > max_senders(n):
+                    continue
+                fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, m))), t=1.0)
+                report = verify_tracelessness(n, fields, config)
+                assert report.verdict
+                monkeypatch.delenv("ANONSENSE_ORACLE_LIMIT")
+                for subset, dist in zip(sender_subsets(n, m), report.distributions):
+                    dense = oracle_distribution(SenderAssignment(n, subset, fields), config)
+                    assert list(dist.probs) == list(dense.probs)
+                    for label, p in dense.probs.items():
+                        assert abs(dist.probs[label] - p) <= 1e-12
+                    checked += 1
+                monkeypatch.setenv("ANONSENSE_ORACLE_LIMIT", "4")
+    assert checked > 4000
+
+
+@pytest.mark.parametrize("n", [25, 40])
+def test_dicke_sweep_detects_a_phase_on_participant_one(monkeypatch, n):
+    config = ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33)
+    fields = FieldVector((0.7, 1.6), 1.0)
+    clean = verify_tracelessness(n, fields, config)
+    assert clean.verdict
+    assert clean.n_subsets == math.comb(n, 2)
+    real = statevec._participant_phases
+
+    def leaky(positions, fields, j):
+        a, b = real(positions, fields, j)
+        return a, (b * np.exp(0.3j) if j == 1 else b)
+
+    monkeypatch.setattr(statevec, "_participant_phases", leaky)
+    report = verify_tracelessness(n, fields, config)
+    assert not report.verdict
+    assert report.max_tv_distance > 1e-3
+
+
+def test_dicke_sweep_single_sender_at_large_n():
+    # the phases of 1100 participants: the products' raw coefficients (2^-n
+    # scale) would underflow, their means do not
+    n = 1100
+    config = ProtocolConfig.for_single_sender(n)
+    fields = FieldVector((1.3,), 1.0)
+    report = verify_tracelessness(n, fields, config)
+    assert report.verdict
+    assert report.n_subsets == n
+    closed = outcome_distribution(config, fields)
+    for dist in report.distributions:
+        for label, p in closed.probs.items():
+            assert abs(dist.probs[label] - p) <= 1e-12
+
+
+@pytest.mark.parametrize("limit", [None, "4"])  # dense path, and the Dicke products above the cap
+def test_sweep_rejects_bad_inputs(monkeypatch, limit):
     if limit is not None:
         monkeypatch.setenv("ANONSENSE_ORACLE_LIMIT", limit)
     fields = FieldVector((0.7, 1.6), 1.0)
     with pytest.raises(ValueError, match="config.n"):
-        verify_tracelessness(5, fields, ProtocolConfig.for_two_senders(6, a=3, q0=0.33),
-                             mode=mode, rounds=100)
+        verify_tracelessness(5, fields, ProtocolConfig.for_two_senders(6, a=3, q0=0.33))
     with pytest.raises(ConfigError):
-        verify_tracelessness(5, fields, ProtocolConfig.for_two_senders(5, a=1, q0=0.33),
-                             mode=mode, rounds=100)
+        verify_tracelessness(5, fields, ProtocolConfig.for_two_senders(5, a=1, q0=0.33))
 
 
 def loop_max_tv(dists):
@@ -237,27 +301,10 @@ def test_tracelessness_with_more_senders_than_designed(rng):
     # the outcome distribution still cannot depend on the subset
     config = ProtocolConfig.for_two_senders(7, a=3, q0=0.33)
     fields = FieldVector(tuple(sorted(rng.uniform(0.2, 2.5, 3))), t=1.0)
-    report = verify_tracelessness(7, fields, config, mode="exact")
+    report = verify_tracelessness(7, fields, config)
     assert report.m == 3
     assert report.n_subsets == math.comb(7, 3)
     assert report.max_tv_distance <= 1e-10
-
-
-def test_sampled_tracelessness_passes_for_true_protocol():
-    config = ProtocolConfig.for_two_senders(5, a=2, q0=0.33)
-    fields = FieldVector((0.75, 1.25), 1.0)
-    report = verify_tracelessness(5, fields, config, mode="sampled", rounds=20_000, seed=11)
-    assert report.p_value is not None and report.p_value >= 1e-3
-    assert report.verdict
-
-
-def test_sampled_tracelessness_degenerate_distribution():
-    # zero field puts every draw on one outcome; homogeneity is then trivial
-    config = ProtocolConfig.for_single_sender(4)
-    report = verify_tracelessness(4, FieldVector((0.0,), 1.0), config,
-                                  mode="sampled", rounds=1000, seed=0)
-    assert report.p_value == 1.0
-    assert report.verdict
 
 
 def test_sampling_matches_analytic_frequencies():

@@ -1,8 +1,13 @@
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+DATA = ROOT / "tests" / "data"
 
 
 def load_tracer():
@@ -23,3 +28,28 @@ def test_every_traced_target_resolves():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), f"anonsense.{module}.{attr}"
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # numpy is the only dependency: every verb runs with scipy unimportable
+    script = f"""
+import sys
+sys.modules["scipy"] = None
+from anonsense.cli import main
+runs = [
+    ["verify", "--n", "6", "--trials", "1"],
+    ["verify", "--n", "25", "--trials", "1"],
+    ["verify", "--negative-control", "--n", "5"],
+    ["scan", "--n", "5", "--theta1", "2.0", "--theta2", "0.5"],
+    ["simulate", "--config", {str(DATA / "run_n5.json")!r}],
+    ["estimate", "--counts", {str(DATA / "counts_m1.json")!r},
+     "--config", {str(DATA / "run_m1.json")!r}],
+]
+for k, argv in enumerate(runs):
+    assert main(argv + ["--out", {str(tmp_path)!r} + f"/{{k}}.out"]) == 0, argv
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
