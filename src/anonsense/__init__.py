@@ -32,6 +32,7 @@ from .fisher import (
     DivergenceError,
     FisherResult,
     PhaseParameters,
+    ScanGrid,
     ScanRow,
     SingularTermError,
     UnidentifiableDirectionError,

@@ -226,10 +226,9 @@ def _cmd_scan(args) -> int:
             "theta1": _parse_axis(args.theta1),
             "theta2": _parse_axis(args.theta2),
         }
-    rows = scan_j22(axes["n"], axes["q0"], axes["theta1"], axes["theta2"])
-    _emit(scan_rows_to_csv(rows), args.out)
-    divergent = sum(1 for r in rows if r.flag != "ok")
-    print(f"scan: {len(rows)} rows ({divergent} divergent)", file=sys.stderr)
+    grid = scan_j22(axes["n"], axes["q0"], axes["theta1"], axes["theta2"])
+    _emit(scan_rows_to_csv(grid), args.out)
+    print(f"scan: {grid.n_rows} rows ({grid.n_divergent} divergent)", file=sys.stderr)
     return EXIT_OK
 
 
@@ -250,13 +249,13 @@ def _parse_axis(spec: str, integer: bool = False) -> list[float]:
     spec = spec.strip()
     if spec.startswith("log:"):
         lo, hi, count = spec[4:].split(":")
-        values = np.geomspace(float(lo), float(hi), int(count)).tolist()
+        values = np.geomspace(float(lo), float(hi), _axis_count(spec, count)).tolist()
         if integer:
             return sorted(set(int(round(v)) for v in values))
         return values
     if ":" in spec:
         lo, hi, count = spec.split(":")
-        values = np.linspace(float(lo), float(hi), int(count)).tolist()
+        values = np.linspace(float(lo), float(hi), _axis_count(spec, count)).tolist()
         return [int(round(v)) for v in values] if integer else values
     out: list[float] = []
     for token in spec.split(","):
@@ -268,6 +267,12 @@ def _parse_axis(spec: str, integer: bool = False) -> list[float]:
         else:
             out.append(float(token))
     return out
+
+
+def _axis_count(spec: str, count: str) -> int:
+    if int(count) < 1:
+        raise ValueError(f"axis {spec!r}: count must be >= 1, got {int(count)}")
+    return int(count)
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Any, Optional
 from .combinatorics import FieldVector
 from .engine import ProtocolConfig, validate_config
 from .estimation import EstimateReport, OutcomeCounts
-from .fisher import ScanRow
+from .fisher import ScanGrid
 from .protocol import TracelessnessReport, Transcript
 from .statevec import SenderAssignment
 
@@ -287,20 +287,23 @@ def tracelessness_to_dict(report: TracelessnessReport) -> dict:
     }
 
 
-def scan_rows_to_csv(rows: list[ScanRow]) -> str:
-    lines = [SCAN_CSV_HEADER]
-    for row in rows:
-        lines.append(",".join([
-            _format_count(row.n),
-            _format_count(row.a),
-            _format_float(row.q0),
-            _format_float(row.theta1),
-            _format_float(row.theta2),
-            _format_float(row.j22),
-            _format_float(row.log10_j22),
-            row.flag,
-        ]))
-    return "\n".join(lines) + "\n"
+def scan_rows_to_csv(grid: ScanGrid) -> str:
+    """The scan as CSV, one row per cell in :meth:`ScanGrid.rows` order.
+
+    Written column by column: the n, a, q0 prefix once per block and each
+    theta once per axis value; per cell only j22 and math.log10(j22) are
+    formatted, so the bytes equal formatting every :class:`ScanRow`.
+    """
+    lines = [SCAN_CSV_HEADER + "\n"]
+    theta2 = [f",{_format_float(th2)}," for th2 in grid.theta2]
+    for block in grid.blocks:
+        prefix = f"{_format_count(block.n)},{_format_count(block.a)},{_format_float(block.q0)},"
+        for th1, values, flags in zip(grid.theta1, block.j22.tolist(), block.divergent.tolist()):
+            head = prefix + _format_float(th1)
+            lines += [f"{head}{th2}nan,nan,divergent\n" if divergent else
+                      f"{head}{th2}{j22:.17g},{math.log10(j22):.17g},ok\n"
+                      for th2, j22, divergent in zip(theta2, values, flags)]
+    return "".join(lines)
 
 
 def _format_count(x: float) -> str:
@@ -308,10 +311,6 @@ def _format_count(x: float) -> str:
 
 
 def _format_float(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return f"{x:.17g}"
 
 

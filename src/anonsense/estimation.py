@@ -74,16 +74,22 @@ def log_likelihood(counts: OutcomeCounts, config: ProtocolConfig, params: PhaseP
 
 def _log_likelihood(counts: OutcomeCounts, model: ThetaModel, theta) -> float:
     """:func:`log_likelihood` on an already built model."""
-    total = 0.0
+    return _scored(counts, model, theta)[0]
+
+
+def _scored(counts: OutcomeCounts, model: ThetaModel, theta) -> tuple:
+    """(log-likelihood, theta, probabilities) at one phase vector, from one
+    probability evaluation."""
     p = model.point_probs(theta)
+    total = 0.0
     for x, label in enumerate(model.labels):
         c = counts.counts.get(label, 0)
         if c == 0:
             continue
         if p[x] <= 0.0:
-            return -math.inf
+            return -math.inf, theta, p
         total += c * math.log(p[x])
-    return total
+    return total, theta, p
 
 
 def mle_estimate(counts: OutcomeCounts, config: ProtocolConfig) -> EstimateReport:
@@ -196,48 +202,52 @@ def _refine(counts: OutcomeCounts, model: ThetaModel, tallies, theta, spacing: f
     always is a stationary point): one grid spacing along that eigenvector is
     tried either way, and scoring resumes there if the log-likelihood rises.
     """
-    ll, lam = _log_likelihood(counts, model, theta), DAMPING
+    ll, theta, p = _scored(counts, model, theta)
+    score, lam = None, DAMPING
     while True:
-        p, dp = np.asarray(model.point_probs(theta)), model.dprobs(theta)
-        seen, live = tallies > 0, p >= ZERO_PROB
-        score = (tallies[seen] / p[seen]) @ dp[seen]
-        J = counts.N * (dp[live].T / p[live]) @ dp[live]
+        if score is None:  # once per accepted theta; a rejected step keeps them
+            pa, dp = np.asarray(p), model.dprobs(theta)
+            seen, live = tallies > 0, pa >= ZERO_PROB
+            score = (tallies[seen] / pa[seen]) @ dp[seen]
+            J = counts.N * (dp[live].T / pa[live]) @ dp[live]
         free = [j for j, t in enumerate(theta) if J[j, j] > 0.0 and not (
             (t <= 0.0 and score[j] < 0.0) or (t >= math.pi and score[j] > 0.0))]
         moved = 0.0
         if free:
             block, step = J[np.ix_(free, free)], np.zeros(len(theta))
             step[free] = np.linalg.solve(block + lam * np.diag(np.diag(block)), score[free])
-            probe = _project(theta, step)
+            ll_probe, probe, p_probe = _scored(counts, model, _project(theta, step))
             moved = max(abs(a - b) for a, b in zip(probe, theta))
-            ll_probe = _log_likelihood(counts, model, probe)
             if ll_probe >= ll:
-                theta, ll, lam = probe, ll_probe, max(lam / 10.0, DAMPING)
+                ll, theta, p, score = ll_probe, probe, p_probe, None
+                lam = max(lam / 10.0, DAMPING)
             else:
                 lam *= 10.0
         if moved >= REFINE_TOL:
             continue
-        info = _observed_information(model, tallies, theta)
+        info = _observed_information(model, tallies, theta, p)
         if not np.all(np.isfinite(info)):
             return theta, ll, info
         eigvals, eigvecs = np.linalg.eigh(info)
         if eigvals[0] >= 0.0:
             return theta, ll, info
         probes = [_project(theta, sign * spacing * eigvecs[:, 0]) for sign in (1.0, -1.0)]
-        ll_probe, probe = max((_log_likelihood(counts, model, point), point) for point in probes)
+        ll_probe, probe, p_probe = max((_scored(counts, model, point) for point in probes),
+                                       key=lambda scored: scored[:2])
         if not ll_probe > ll:
             return theta, ll, info
-        theta, ll = probe, ll_probe
+        ll, theta, p, score = ll_probe, probe, p_probe, None
 
 
 def _project(theta, step) -> list:
     return [min(max(t + d, 0.0), math.pi) for t, d in zip(theta, step)]
 
 
-def _observed_information(model: ThetaModel, tallies, theta) -> np.ndarray:
+def _observed_information(model: ThetaModel, tallies, theta, p) -> np.ndarray:
     """Negative Hessian of the log-likelihood, sum_x c*(dp dp^T/p^2 - d2p/p),
-    over the observed outcomes, from the kernel's analytic derivatives."""
-    p = np.asarray(model.point_probs(theta))
+    over the observed outcomes, from the kernel's analytic derivatives;
+    ``p`` holds the probabilities at ``theta``."""
+    p = np.asarray(p)
     dp, d2p = model.derivatives(theta, second=True)
     seen = tallies > 0
     c, p, dp, d2p = tallies[seen], p[seen], dp[seen], d2p[seen]

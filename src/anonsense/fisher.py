@@ -47,7 +47,7 @@ class UnidentifiableDirectionError(ArithmeticError):
 
 
 class DivergenceError(ArithmeticError):
-    """A closed-form variance bound diverges (theta2 = 0)."""
+    """A closed-form variance bound is no finite float (theta2 at or near 0)."""
 
 
 @dataclass(frozen=True)
@@ -181,22 +181,13 @@ def closed_form_j22(n: int, a: int, q0: float, theta: tuple[float, float]) -> fl
     """Closed-form (J^-1)[2,2] for the two-sender design.
 
     Equals the numerically inverted Fisher matrix entry for the matching
-    configuration; diverges as theta2 -> 0.
+    configuration; diverges as theta2 -> 0.  Raises :class:`DivergenceError`
+    where the bound is no finite float: its denominator underflows to 0
+    (theta2 = 0, or sin^2(theta2/2) below the smallest float) or the value
+    overflows.
     """
-    if n < 5:
-        raise ValueError(f"two-sender design requires n >= 5, got {n}")
-    if not 2 <= a <= n // 2:
-        raise ValueError(f"a={a} outside [2, floor(n/2)={n // 2}]")
-    if not 0.0 < q0 < 1.0:
-        raise ValueError(f"q0={q0} outside (0, 1)")
-    th1, th2 = theta
-    s2 = math.sin(th2 / 2)
-    if s2 == 0.0:
-        raise DivergenceError("variance bound diverges at theta2 = 0")
-    inv = 1.0 / dilution(n, a) - 1.0
-    s1, c1, c2 = math.sin(th1 / 2), math.cos(th1 / 2), math.cos(th2 / 2)
-    bracket = 2 * inv * (1 - c1 * c2) + s2 ** 2 + inv ** 2 * s1 ** 2 / q0
-    return bracket / ((1 - q0) * s2 ** 2)
+    _check_design(n, a, q0)
+    return _point_j22(1.0 / dilution(n, a) - 1.0, q0, theta)
 
 
 def optimal_a(n: int) -> int:
@@ -207,15 +198,47 @@ def optimal_a(n: int) -> int:
 
 
 def limit_j22(q0: float, theta: tuple[float, float]) -> float:
-    """Large-n limit of the optimized two-sender variance bound."""
+    """Large-n limit of the optimized two-sender variance bound; diverges
+    where :func:`closed_form_j22` does."""
+    _check_q0(q0)
+    return _point_j22(None, q0, theta)
+
+
+def _check_design(n: int, a: int, q0: float):
+    if n < 5:
+        raise ValueError(f"two-sender design requires n >= 5, got {n}")
+    if not 2 <= a <= n // 2:
+        raise ValueError(f"a={a} outside [2, floor(n/2)={n // 2}]")
+    _check_q0(q0)
+
+
+def _check_q0(q0: float):
     if not 0.0 < q0 < 1.0:
         raise ValueError(f"q0={q0} outside (0, 1)")
+
+
+def _j22_terms(inv, q0, s1sq, c1, c2, s2sq):
+    """Numerator and denominator of the bound from the half-angle terms
+    sin^2(theta_j/2) and cos(theta_j/2): finite n for inv = 1/dilution - 1,
+    the large-n limit for inv = None.
+
+    Only + - * / act on the terms, so floats and broadcast arrays (a theta1
+    column against a theta2 row) give the same bits.
+    """
+    cc = c1 * c2
+    if inv is None:
+        return s1sq + q0 * (2 - 2 * cc + s2sq), (1 - q0) * q0 * s2sq
+    return 2 * inv * (1 - cc) + s2sq + inv ** 2 * s1sq / q0, (1 - q0) * s2sq
+
+
+def _point_j22(inv, q0: float, theta: tuple[float, float]) -> float:
     th1, th2 = theta
-    s2 = math.sin(th2 / 2)
-    if s2 == 0.0:
-        raise DivergenceError("variance bound diverges at theta2 = 0")
-    s1, c1, c2 = math.sin(th1 / 2), math.cos(th1 / 2), math.cos(th2 / 2)
-    return (s1 ** 2 + q0 * (2 - 2 * c1 * c2 + s2 ** 2)) / ((1 - q0) * q0 * s2 ** 2)
+    num, den = _j22_terms(inv, q0, math.sin(th1 / 2) ** 2, math.cos(th1 / 2),
+                          math.cos(th2 / 2), math.sin(th2 / 2) ** 2)
+    j22 = num / den if den != 0.0 else math.inf
+    if j22 == math.inf:
+        raise DivergenceError(f"variance bound diverges at theta2 = {th2!r}")
+    return j22
 
 
 @dataclass(frozen=True)
@@ -232,37 +255,97 @@ class ScanRow:
     flag: str
 
 
+@dataclass(frozen=True)
+class ScanBlock:
+    """The bound at one (n, q0) over the theta1 x theta2 plane."""
+
+    n: float  # participant count; math.inf selects the large-n limit
+    a: float
+    q0: float
+    j22: np.ndarray = field(compare=False)  # (len theta1, len theta2); NaN where divergent
+    divergent: np.ndarray = field(compare=False)  # bool, same shape
+
+
+@dataclass(frozen=True)
+class ScanGrid:
+    """A variance-bound scan: the two theta axes and one block per (n, q0)."""
+
+    theta1: tuple[float, ...]
+    theta2: tuple[float, ...]
+    blocks: tuple[ScanBlock, ...]
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.blocks) * len(self.theta1) * len(self.theta2)
+
+    @property
+    def n_divergent(self) -> int:
+        return sum(int(block.divergent.sum()) for block in self.blocks)
+
+    def rows(self) -> list[ScanRow]:
+        """The cells in grid-index order, axes nested as (n, q0, theta1, theta2)."""
+        rows = []
+        for b in self.blocks:
+            for th1, values, flags in zip(self.theta1, b.j22.tolist(), b.divergent.tolist()):
+                for th2, j22, divergent in zip(self.theta2, values, flags):
+                    if divergent:
+                        rows.append(ScanRow(b.n, b.a, b.q0, th1, th2, math.nan, math.nan,
+                                            "divergent"))
+                    else:
+                        rows.append(ScanRow(b.n, b.a, b.q0, th1, th2, j22, math.log10(j22), "ok"))
+        return rows
+
+
 def scan_j22(
     n_values: Iterable[float],
     q0_values: Iterable[float],
     theta1_values: Iterable[float],
     theta2_values: Iterable[float],
-) -> list[ScanRow]:
+) -> ScanGrid:
     """Evaluate the optimized variance bound over a cartesian grid.
 
-    Rows come out in grid-index order with axes nested as
-    (n, q0, theta1, theta2).  Each finite n uses a = floor(n/2); n = inf uses
-    the large-n limit.  Cells where the bound diverges (theta2 = 0) are
-    flagged 'divergent' with NaN values rather than raised.
+    Blocks come out nested as (n, q0).  Each finite n uses a = floor(n/2);
+    n = inf uses the large-n limit.  The n, a and q0 checks of
+    :func:`closed_form_j22` and :func:`limit_j22` run once per block, all
+    before any cell is evaluated.  sin, cos and the squares are taken with
+    :mod:`math` once per axis value, and the cells see only + - * /, so every
+    cell is bit for bit the value :func:`closed_form_j22` or
+    :func:`limit_j22` returns there.  Cells where those raise
+    :class:`DivergenceError` (theta2 = 0, sin^2(theta2/2) or the denominator
+    underflowing to 0, or the bound overflowing) are flagged divergent with
+    NaN values rather than raised.
     """
-    rows = []
+    q0_values = tuple(q0_values)
+    designs = []
     for n_raw in n_values:
-        is_limit = math.isinf(n_raw)
-        n: float = math.inf if is_limit else int(n_raw)
-        a: float = math.inf if is_limit else int(n_raw) // 2
+        if math.isinf(n_raw):
+            for q0 in q0_values:
+                _check_q0(q0)
+                designs.append((math.inf, math.inf, q0, None))
+            continue
+        n, a = int(n_raw), int(n_raw) // 2
         for q0 in q0_values:
-            for th1 in theta1_values:
-                for th2 in theta2_values:
-                    try:
-                        if is_limit:
-                            j22 = limit_j22(q0, (th1, th2))
-                        else:
-                            j22 = closed_form_j22(int(n), int(a), q0, (th1, th2))
-                        row = ScanRow(n, a, q0, th1, th2, j22, math.log10(j22), "ok")
-                    except DivergenceError:
-                        row = ScanRow(n, a, q0, th1, th2, math.nan, math.nan, "divergent")
-                    rows.append(row)
-    return rows
+            _check_design(n, a, q0)
+            designs.append((n, a, q0, 1.0 / dilution(n, a) - 1.0))
+    theta1, theta2 = tuple(theta1_values), tuple(theta2_values)
+    s1sq, c1 = _half_angles(theta1)
+    s2sq, c2 = _half_angles(theta2)
+    blocks = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for n, a, q0, inv in designs:
+            num, den = _j22_terms(inv, q0, s1sq[:, None], c1[:, None], c2, s2sq)
+            j22 = num / den
+            divergent = (den == 0.0) | (j22 == math.inf)
+            j22[divergent] = math.nan
+            blocks.append(ScanBlock(n, a, q0, j22, divergent))
+    return ScanGrid(theta1, theta2, tuple(blocks))
+
+
+def _half_angles(axis: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """sin^2(theta/2) and cos(theta/2) for each axis value, taken with math."""
+    s = [math.sin(th / 2) ** 2 for th in axis]
+    c = [math.cos(th / 2) for th in axis]
+    return np.array(s, dtype=float), np.array(c, dtype=float)
 
 
 def omega_crb_diag(result: FisherResult, t: float) -> tuple[float, ...]:

@@ -207,7 +207,7 @@ def test_criterion_6_limit_and_divergence():
     # scan columns nondecreasing in n at same parity
     n_grid = list(range(5, 201)) + [10 ** 3, 10 ** 3 + 1, 10 ** 4, 10 ** 4 + 1]
     for th2 in (0.5, 0.1, 0.05):
-        rows = scan_j22(n_grid, [0.33], [2.0], [th2])
+        rows = scan_j22(n_grid, [0.33], [2.0], [th2]).rows()
         values = {int(r.n): r.j22 for r in rows}
         for n in range(5, 199):
             assert values[n + 2] >= values[n] - 1e-9
@@ -225,10 +225,10 @@ def test_criterion_7_figure_scans(tmp_path):
     theta_axis = np.linspace(0.0, math.pi, 65).tolist()
     finite_grids = {}
     for fig, n in ((2, 10), (3, 10 ** 4)):
-        rows = scan_j22([n], [0.33], theta_axis, theta_axis)
+        rows = scan_j22([n], [0.33], theta_axis, theta_axis).rows()
         assert len(rows) == 65 * 65
         finite_grids[fig] = rows
-    limit_rows = scan_j22([math.inf], [0.33], theta_axis, theta_axis)
+    limit_rows = scan_j22([math.inf], [0.33], theta_axis, theta_axis).rows()
     # finite-n cells bounded above by the limit cell (monotonicity in n)
     for fig, rows in finite_grids.items():
         for row, lim in zip(rows, limit_rows):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -210,6 +211,42 @@ def test_scan_fig_presets(tmp_path):
                for line in lines[1:])
     assert all(line.endswith("ok") for line in lines[1:])
 
+
+
+# sha256 of `scan --fig N` stdout, pinned when the scan moved to whole axes
+FIG_SHA256 = {
+    2: "d828f980b36d7552277c064fada1104f237d993d1d44ce4df97188610481df1c",
+    3: "51198200f900d4c32cc9073715b744700dbfce287412567cdd06e19a18f1aa74",
+    4: "ee0cc377e1b17d69070c152876834278b1e727359a5a57dc78981bb4aea3ec0f",
+    5: "70fefa4eb690c53781452ce39b14fdcf3c5d5f21cd22cb351e18aff90d495e4c",
+}
+
+
+@pytest.mark.parametrize("fig", sorted(FIG_SHA256))
+def test_scan_fig_bytes_pinned(fig, capsys):
+    assert run_cli(["scan", "--fig", str(fig)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FIG_SHA256[fig]
+
+
+@pytest.mark.parametrize("n", ["5", "inf"])
+@pytest.mark.parametrize("theta2", ["1e-300", "1e-160"])
+def test_scan_flags_underflowing_theta2(n, theta2, capsys):
+    # 1e-300: sin^2(theta2/2) underflows to 0 (was a ZeroDivisionError);
+    # 1e-160: the bound overflows (was printed as inf,inf,ok)
+    assert run_cli(["scan", "--n", n, "--theta1", "2", "--theta2", theta2]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].endswith(",nan,nan,divergent")
+    assert "1 rows (1 divergent)" in captured.err
+
+
+@pytest.mark.parametrize("axis", [["--theta1", "0:1:0"], ["--theta2", "log:0.1:1:0"],
+                                  ["--n", "log:5:10:0"], ["--theta1", "0:1:-2"]])
+def test_scan_rejects_axis_count_below_one(axis, capsys):
+    argv = {"--n": "4", "--theta1": "2", "--theta2": "0.5"}
+    argv.update([axis])
+    assert run_cli(["scan", *[x for kv in argv.items() for x in kv]]) == 2
+    assert "count must be >= 1" in capsys.readouterr().err
 
 def test_scan_single_cell(tmp_path):
     out = tmp_path / "one.csv"

@@ -108,6 +108,27 @@ def test_refinement_runs_on_float_points(monkeypatch):
     assert report.crb_se is not None
 
 
+
+def test_refinement_evaluates_each_theta_once(monkeypatch):
+    # one point_probs call per phase vector the refinement visits: the
+    # log-likelihood, the score and the observed information share it
+    points = []
+    point_probs = ThetaModel.point_probs
+
+    def counting_point_probs(self, theta):
+        points.append(tuple(theta))
+        return point_probs(self, theta)
+
+    monkeypatch.setattr(ThetaModel, "point_probs", counting_point_probs)
+    cases = [(ProtocolConfig.for_two_senders(7, a=3, q0=0.33),
+              {"0+": 400, "0-": 150, "3+": 300, "f": 150}),
+             (ProtocolConfig.for_two_senders(6, a=3, q0=0.33), {"0+": 700, "0-": 300})]
+    for config, counts in cases:
+        points.clear()
+        mle_estimate(OutcomeCounts.from_dict(counts), config)
+        assert len(points) > 2
+        assert len(points) == len(set(points))
+
 def test_mle_degenerate_counts_on_the_point_path():
     # all counts on 'f' (m_est 1 and 2) or on '0-' (m_est 2) drive the -inf
     # and boundary branches of the point path: the estimate sits at theta_1 =
@@ -197,7 +218,8 @@ def test_observed_information_matches_difference_stencil(rng):
             # no counts on a label of structurally zero probability (q[i] = 0)
             tally = rng.integers(1, 1000, len(model.labels)) * (np.array(model.point_probs(theta)) > 0)
             counts = OutcomeCounts.from_dict(dict(zip(model.labels, tally.tolist())))
-            info = estimation._observed_information(model, tally.astype(float), theta)
+            info = estimation._observed_information(model, tally.astype(float), theta,
+                                                   model.point_probs(theta))
             ref = stencil_information(model, counts, theta)
             assert np.max(np.abs(info - ref)) <= 1e-5 * np.max(np.abs(ref))
 

@@ -4,13 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from anonsense.cli import _figure_axes
 from anonsense.combinatorics import MINUS, PLUS, FieldVector, g_coefficients
+from anonsense.configio import scan_rows_to_csv
 from anonsense.engine import ProtocolConfig, gamma, max_senders, outcome_distribution
 from anonsense.fisher import (
     METHOD_ANALYTIC,
     METHOD_FD,
     DivergenceError,
     PhaseParameters,
+    ScanRow,
     SingularTermError,
     ThetaModel,
     UnidentifiableDirectionError,
@@ -471,7 +474,7 @@ def test_limit_diverges_quadratically_in_theta2():
 
 
 def test_scan_grid_order_and_values():
-    rows = scan_j22([5, 7], [0.33], [2.0], [0.5, 0.1])
+    rows = scan_j22([5, 7], [0.33], [2.0], [0.5, 0.1]).rows()
     assert [(r.n, r.theta2) for r in rows] == [(5, 0.5), (5, 0.1), (7, 0.5), (7, 0.1)]
     assert rows[0].j22 == pytest.approx(closed_form_j22(5, 2, 0.33, (2.0, 0.5)), rel=1e-15)
     assert rows[0].a == 2 and rows[2].a == 3
@@ -480,23 +483,108 @@ def test_scan_grid_order_and_values():
 
 
 def test_scan_flags_divergent_rows():
-    rows = scan_j22([6], [0.33], [1.0], [0.0, 0.5])
+    rows = scan_j22([6], [0.33], [1.0], [0.0, 0.5]).rows()
     assert rows[0].flag == "divergent" and math.isnan(rows[0].j22)
     assert rows[1].flag == "ok"
 
 
 def test_scan_monotone_in_n_same_parity():
     for th2 in (0.5, 0.1, 0.05):
-        rows = scan_j22(list(range(5, 200)), [0.33], [2.0], [th2])
+        rows = scan_j22(list(range(5, 200)), [0.33], [2.0], [th2]).rows()
         values = {r.n: r.j22 for r in rows}
         for n in range(5, 198):
             assert values[n + 2] >= values[n] - 1e-9
 
 
 def test_scan_supports_limit_rows():
-    rows = scan_j22([math.inf], [0.33], [2.0], [0.5])
+    rows = scan_j22([math.inf], [0.33], [2.0], [0.5]).rows()
     assert math.isinf(rows[0].n) and rows[0].j22 == pytest.approx(LIMIT_GOLDEN, rel=1e-12)
 
+
+
+def test_bound_diverges_where_sin2_underflows():
+    # sin^2(theta2/2) underflows to 0 at 1e-300; at 1e-160 it is subnormal
+    # and the bound overflows: both raise, neither divides by zero
+    for th2 in (1e-300, 1e-160, 0.0):
+        with pytest.raises(DivergenceError):
+            closed_form_j22(5, 2, 0.33, (2.0, th2))
+        with pytest.raises(DivergenceError):
+            limit_j22(0.33, (2.0, th2))
+    rows = scan_j22([5, math.inf], [0.33], [2.0], [1e-300, 1e-160, 1e-100]).rows()
+    assert [r.flag for r in rows] == ["divergent", "divergent", "ok"] * 2
+    assert all(math.isnan(r.j22) for r in rows if r.flag == "divergent")
+
+
+def test_scan_checks_every_block_before_evaluating():
+    with pytest.raises(ValueError, match="n >= 5, got 4"):
+        scan_j22([5, 4], [0.33], [math.inf], [0.5])
+    with pytest.raises(ValueError, match="q0=0"):
+        scan_j22([math.inf], [0.33, 0.0], [2.0], [0.5])
+
+
+def reference_rows(n_values, q0_values, theta1_values, theta2_values) -> list:
+    """The scan cell by cell from closed_form_j22 / limit_j22, in grid order."""
+    rows = []
+    for n_raw in n_values:
+        n = math.inf if math.isinf(n_raw) else int(n_raw)
+        a = math.inf if math.isinf(n_raw) else int(n_raw) // 2
+        for q0 in q0_values:
+            for th1 in theta1_values:
+                for th2 in theta2_values:
+                    try:
+                        if math.isinf(n):
+                            j22 = limit_j22(q0, (th1, th2))
+                        else:
+                            j22 = closed_form_j22(n, a, q0, (th1, th2))
+                        rows.append(ScanRow(n, a, q0, th1, th2, j22, math.log10(j22), "ok"))
+                    except DivergenceError:
+                        rows.append(ScanRow(n, a, q0, th1, th2, math.nan, math.nan, "divergent"))
+    return rows
+
+
+def row_csv(rows) -> str:
+    """The CSV as formatted row by row before the scan ran on whole axes."""
+    def count(x):
+        return "inf" if math.isinf(x) else str(int(x))
+
+    def number(x):
+        if math.isnan(x):
+            return "nan"
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return f"{x:.17g}"
+
+    lines = ["n,a,q0,theta1,theta2,j22,log10_j22,flag"]
+    for r in rows:
+        lines.append(",".join([count(r.n), count(r.a), number(r.q0), number(r.theta1),
+                               number(r.theta2), number(r.j22), number(r.log10_j22), r.flag]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("axes", [
+    *(_figure_axes(fig) for fig in (2, 3, 4, 5)),
+    {"n": [*range(5, 301), math.inf], "q0": [0.1, 0.33, 0.9],
+     "theta1": [0.0, 1e-9, 0.5, 2.0, math.pi, 4.0, -1.0],
+     "theta2": [0.0, 1e-300, 1e-160, 1e-8, 0.1, 0.5, 2.0, math.pi, 5.0]},
+], ids=["fig2", "fig3", "fig4", "fig5", "n5-300"])
+def test_scan_grid_is_bitwise_the_per_cell_closed_form(axes):
+    # the grid takes the trig once per axis value and runs + - * / on
+    # broadcast arrays; every cell must carry the scalar path's exact bits
+    grid = scan_j22(axes["n"], axes["q0"], axes["theta1"], axes["theta2"])
+    ref = reference_rows(axes["n"], axes["q0"], axes["theta1"], axes["theta2"])
+    rows = grid.rows()
+
+    def bits(values):
+        return np.array(values, dtype=float).view(np.uint64)
+
+    assert len(rows) == grid.n_rows == len(ref)
+    assert [(r.n, r.a, r.q0, r.theta1, r.theta2) for r in rows] == [
+        (r.n, r.a, r.q0, r.theta1, r.theta2) for r in ref]
+    assert np.array_equal(bits([r.j22 for r in rows]), bits([r.j22 for r in ref]))
+    assert np.array_equal(bits([r.log10_j22 for r in rows]), bits([r.log10_j22 for r in ref]))
+    assert [r.flag for r in rows] == [r.flag for r in ref]
+    assert grid.n_divergent == sum(r.flag == "divergent" for r in ref)
+    assert scan_rows_to_csv(grid) == row_csv(ref)
 
 def test_finite_n_bounded_by_limit():
     for th1 in (0.5, 2.0, 3.0):
