@@ -33,7 +33,6 @@ from .fisher import (
     FisherResult,
     PhaseParameters,
     ScanGrid,
-    ScanRow,
     SingularTermError,
     UnidentifiableDirectionError,
     closed_form_j22,

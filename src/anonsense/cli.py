@@ -34,10 +34,16 @@ from .configio import (
     tracelessness_to_dict,
     transcript_to_dict,
 )
-from .engine import ConfigError, ProtocolConfig, max_senders, outcome_distribution
+from .engine import ConfigError, ProtocolConfig, check_senders, outcome_distribution
 from .estimation import mle_estimate
 from .fisher import scan_j22
-from .protocol import negative_control, run_protocol, sender_subsets, verify_tracelessness
+from .protocol import (
+    EXACT_TV_TOL,
+    negative_control,
+    run_protocol,
+    sender_subsets,
+    verify_tracelessness,
+)
 from .sampling import philox
 from .statevec import OracleLimitError
 
@@ -124,8 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_verify(args) -> int:
     seed = 0 if args.seed is None else args.seed
     n, m = args.n, args.m
-    if m > max_senders(n):
-        raise ValueError(f"m={m} exceeds floor((n+1)/2)={max_senders(n)} for n={n}")
+    check_senders(n, m)
     if args.negative_control:
         rng = philox(seed, 0xC0)
         omegas = tuple(sorted(rng.uniform(0.5, 2.5, size=m).tolist()))
@@ -165,7 +170,7 @@ def _cmd_verify(args) -> int:
             closed = outcome_distribution(config, fields)
             err = max(abs(oracle.probs[k] - closed.probs[k]) for k in oracle.probs)
             worst_err = max(worst_err, err)
-            if (not report.verdict or err > 1e-10) and failing_case is None:
+            if (not report.verdict or err > EXACT_TV_TOL) and failing_case is None:
                 failing_case = {
                     "trial": trial,
                     "omegas": list(omegas),
@@ -177,7 +182,7 @@ def _cmd_verify(args) -> int:
                 }
             if trial == args.trials - 1:
                 reports.append(tracelessness_to_dict(report))
-    passed = worst_tv <= 1e-10 and worst_err <= 1e-10
+    passed = worst_tv <= EXACT_TV_TOL and worst_err <= EXACT_TV_TOL
     doc = {
         "command": "verify",
         "n": n,

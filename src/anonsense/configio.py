@@ -141,7 +141,12 @@ def _parse_scan(section) -> Optional[dict]:
     for key in ("n", "q0", "theta1", "theta2"):
         if key not in section or not isinstance(section[key], list) or not section[key]:
             raise RunConfigError(f"{path}.{key}: a nonempty list is required")
-        out[key] = [math.inf if v == "inf" else float(v) for v in section[key]]
+        out[key] = [math.inf if v == "inf" else _number(v, float, f"{path}.{key}[{j}]")
+                    for j, v in enumerate(section[key])]
+    for j, v in enumerate(out["n"]):
+        if v != math.inf and not v.is_integer():
+            raise RunConfigError(f"{path}.n[{j}]: must be an integer or 'inf', "
+                                 f"got {section['n'][j]!r}")
     return out
 
 
@@ -200,44 +205,6 @@ def dumps_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def normalized_run_config(parsed: dict[str, Any]) -> dict:
-    """Re-serialize a parsed run configuration into canonical document form.
-
-    Parsing the result yields the same objects again (idempotent after one
-    normalization pass), which keeps configuration files diffable.
-    """
-    config: ProtocolConfig = parsed["config"]
-    protocol: dict[str, Any] = {
-        "n": config.n,
-        "m_est": config.m_est,
-        "t": config.t,
-        "q": list(config.q),
-        # explicit 0/1 for every switch: overrides replace preset bits, so
-        # omitting a cleared bit would resurrect it on re-parse
-        "c": {
-            f"{i}{sign}": vec[i]
-            for i in range(config.kmax + 1)
-            for sign, vec in (("+", config.c_plus), ("-", config.c_minus))
-        },
-    }
-    if config.a is not None:
-        protocol["a"] = config.a
-    doc: dict[str, Any] = {"protocol": protocol}
-    assignment = parsed.get("assignment")
-    if assignment is not None:
-        doc["scenario"] = {
-            "sender_positions": list(assignment.sender_positions),
-            "omegas": list(assignment.fields.omegas),
-        }
-    doc["run"] = {"rounds": parsed["rounds"], "seed": parsed["seed"]}
-    if parsed.get("scan") is not None:
-        doc["scan"] = {
-            key: ["inf" if math.isinf(v) else v for v in values]
-            for key, values in parsed["scan"].items()
-        }
-    return doc
-
-
 def config_to_dict(config: ProtocolConfig) -> dict:
     return {
         "n": config.n,
@@ -288,11 +255,13 @@ def tracelessness_to_dict(report: TracelessnessReport) -> dict:
 
 
 def scan_rows_to_csv(grid: ScanGrid) -> str:
-    """The scan as CSV, one row per cell in :meth:`ScanGrid.rows` order.
+    """The scan as CSV, one row per cell, axes nested as (n, q0, theta1, theta2).
 
-    Written column by column: the n, a, q0 prefix once per block and each
-    theta once per axis value; per cell only j22 and math.log10(j22) are
-    formatted, so the bytes equal formatting every :class:`ScanRow`.
+    A cell's row is ``n,a,q0,theta1,theta2,j22,log10_j22,flag`` with flag
+    ``ok``, or ``nan,nan,divergent`` in place of the last three where the
+    block marks it divergent.  Written column by column: the n, a, q0 prefix
+    once per block and each theta once per axis value; per cell only j22
+    and math.log10(j22) are formatted.
     """
     lines = [SCAN_CSV_HEADER + "\n"]
     theta2 = [f",{_format_float(th2)}," for th2 in grid.theta2]

@@ -137,6 +137,12 @@ def max_senders(n: int) -> int:
     return (n + 1) // 2
 
 
+def check_senders(n: int, m: int):
+    """Raise ValueError if n participants cannot host m senders."""
+    if m > max_senders(n):
+        raise ValueError(f"m={m} exceeds floor((n+1)/2)={max_senders(n)} for n={n}")
+
+
 def validate_config(config: ProtocolConfig) -> list[str]:
     """Check every configuration invariant; return violations (empty if valid)."""
     v = []
@@ -279,8 +285,7 @@ class ThetaModel:
         self.m_est = config.m_est
         self.m = config.m_est if m is None else m
         n = config.n
-        if self.m > max_senders(n):
-            raise ValueError(f"m={self.m} exceeds floor((n+1)/2)={max_senders(n)} for n={n}")
+        check_senders(n, self.m)
         # weight indices with a switch on; row r of every table is index _rows[r]
         self._rows = [i for i in range(config.kmax + 1) if config.c_plus[i] or config.c_minus[i]]
         self._w = np.array([weight_row(n, self.m, i) for i in self._rows])
@@ -421,8 +426,7 @@ def gamma(n: int, fields: FieldVector, k: int, sign: str) -> complex:
     m = fields.m
     if not 0 <= k <= n // 2:
         raise ValueError(f"k={k} outside [0, floor(n/2)={n // 2}]")
-    if m > max_senders(n):
-        raise ValueError(f"m={m} exceeds floor((n+1)/2)={max_senders(n)} for n={n}")
+    check_senders(n, m)
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
     if 2 * k == n and sign == MINUS:

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import ProtocolConfig
-from .fisher import METHOD_ANALYTIC, ZERO_PROB, PhaseParameters, ThetaModel, _fisher_matrix
+from .fisher import ZERO_PROB, PhaseParameters, ThetaModel, _fisher_matrix
 
 GRID_POINTS = 181
 REFINE_TOL = 1e-6
@@ -69,12 +69,7 @@ def log_likelihood(counts: OutcomeCounts, config: ProtocolConfig, params: PhaseP
     """
     model = ThetaModel(config)
     _check_labels(counts, model)
-    return _log_likelihood(counts, model, params.theta)
-
-
-def _log_likelihood(counts: OutcomeCounts, model: ThetaModel, theta) -> float:
-    """:func:`log_likelihood` on an already built model."""
-    return _scored(counts, model, theta)[0]
+    return _scored(counts, model, params.theta)[0]
 
 
 def _scored(counts: OutcomeCounts, model: ThetaModel, theta) -> tuple:
@@ -127,7 +122,7 @@ def mle_estimate(counts: OutcomeCounts, config: ProtocolConfig) -> EstimateRepor
     se = _observed_se(info, theta, flags)
     crb_se: Optional[tuple[float, ...]] = None
     try:
-        res = _fisher_matrix(model, theta_hat.theta, METHOD_ANALYTIC, counts.N)
+        res = _fisher_matrix(model, theta_hat.theta, counts.N)
         crb_se = tuple(math.sqrt(max(v, 0.0)) for v in res.crb_diag)
     except ArithmeticError:
         flags.append("expected information singular at the estimate")

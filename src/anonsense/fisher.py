@@ -21,7 +21,6 @@ import numpy as np
 from .combinatorics import FieldVector
 from .engine import ProtocolConfig, ThetaModel
 
-FD_STEP = 1e-5
 ZERO_PROB = 1e-14
 ZERO_DERIV = 1e-7
 # a Hessian whose smaller singular values stay below this share of its largest
@@ -29,9 +28,6 @@ ZERO_DERIV = 1e-7
 # at the rank-2 zeros of the designs no less than ~0.04
 RANK_RTOL = 1e-6
 COND_LIMIT = 1e12
-
-METHOD_ANALYTIC = "analytic-derivative"
-METHOD_FD = "finite-difference"
 
 
 class SingularTermError(ArithmeticError):
@@ -80,7 +76,6 @@ class FisherResult:
     J_inv: np.ndarray = field(compare=False)
     crb_diag: tuple[float, ...]
     N: int
-    method: str
 
 
 def phases_from_fields(fields: FieldVector) -> tuple[float, ...]:
@@ -100,7 +95,6 @@ def phases_from_fields(fields: FieldVector) -> tuple[float, ...]:
 def fisher_matrix(
     config: ProtocolConfig,
     params: PhaseParameters,
-    method: str = METHOD_ANALYTIC,
     N: int = 1,
 ) -> FisherResult:
     """Fisher information matrix J and Cramer-Rao diagonal diag(J^-1)/N.
@@ -114,18 +108,13 @@ def fisher_matrix(
     """
     if params.m_est != config.m_est:
         raise ValueError(f"params.m_est={params.m_est} != config.m_est={config.m_est}")
-    return _fisher_matrix(ThetaModel(config), params.theta, method, N)
+    return _fisher_matrix(ThetaModel(config), params.theta, N)
 
 
-def _fisher_matrix(model: ThetaModel, theta, method: str, N: int) -> FisherResult:
+def _fisher_matrix(model: ThetaModel, theta, N: int) -> FisherResult:
     """:func:`fisher_matrix` on an already built model."""
     p = model.probs(theta)
-    if method == METHOD_ANALYTIC:
-        dp = model.dprobs(theta)
-    elif method == METHOD_FD:
-        dp = _fd_dprobs(model, theta)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    dp = model.dprobs(theta)
     m = model.m_est
     J = np.zeros((m, m))
     d2p = None  # formed only at a zero probability
@@ -157,19 +146,7 @@ def _fisher_matrix(model: ThetaModel, theta, method: str, N: int) -> FisherResul
         J_inv=J_inv,
         crb_diag=tuple(float(v) / N for v in np.diag(J_inv)),
         N=N,
-        method=method,
     )
-
-
-def _fd_dprobs(model: ThetaModel, theta, step: float = FD_STEP) -> np.ndarray:
-    cols = []
-    for j in range(model.m_est):
-        hi = list(theta)
-        lo = list(theta)
-        hi[j] = hi[j] + step
-        lo[j] = lo[j] - step
-        cols.append((model.probs(hi) - model.probs(lo)) / (2 * step))
-    return np.stack(cols, axis=1)
 
 
 def dilution(n: int, a: int) -> float:
@@ -184,7 +161,7 @@ def closed_form_j22(n: int, a: int, q0: float, theta: tuple[float, float]) -> fl
     configuration; diverges as theta2 -> 0.  Raises :class:`DivergenceError`
     where the bound is no finite float: its denominator underflows to 0
     (theta2 = 0, or sin^2(theta2/2) below the smallest float) or the value
-    overflows.
+    overflows.  A non-finite phase raises ValueError naming its axis.
     """
     _check_design(n, a, q0)
     return _point_j22(1.0 / dilution(n, a) - 1.0, q0, theta)
@@ -217,6 +194,12 @@ def _check_q0(q0: float):
         raise ValueError(f"q0={q0} outside (0, 1)")
 
 
+def _check_phases(name: str, values):
+    for th in values:
+        if not math.isfinite(th):
+            raise ValueError(f"{name}={th!r} is not a finite phase")
+
+
 def _j22_terms(inv, q0, s1sq, c1, c2, s2sq):
     """Numerator and denominator of the bound from the half-angle terms
     sin^2(theta_j/2) and cos(theta_j/2): finite n for inv = 1/dilution - 1,
@@ -233,26 +216,14 @@ def _j22_terms(inv, q0, s1sq, c1, c2, s2sq):
 
 def _point_j22(inv, q0: float, theta: tuple[float, float]) -> float:
     th1, th2 = theta
+    _check_phases("theta1", (th1,))
+    _check_phases("theta2", (th2,))
     num, den = _j22_terms(inv, q0, math.sin(th1 / 2) ** 2, math.cos(th1 / 2),
                           math.cos(th2 / 2), math.sin(th2 / 2) ** 2)
     j22 = num / den if den != 0.0 else math.inf
     if j22 == math.inf:
         raise DivergenceError(f"variance bound diverges at theta2 = {th2!r}")
     return j22
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    """One evaluated grid cell of the variance-bound scan."""
-
-    n: float  # participant count; math.inf selects the large-n limit
-    a: float
-    q0: float
-    theta1: float
-    theta2: float
-    j22: float
-    log10_j22: float
-    flag: str
 
 
 @dataclass(frozen=True)
@@ -282,19 +253,6 @@ class ScanGrid:
     def n_divergent(self) -> int:
         return sum(int(block.divergent.sum()) for block in self.blocks)
 
-    def rows(self) -> list[ScanRow]:
-        """The cells in grid-index order, axes nested as (n, q0, theta1, theta2)."""
-        rows = []
-        for b in self.blocks:
-            for th1, values, flags in zip(self.theta1, b.j22.tolist(), b.divergent.tolist()):
-                for th2, j22, divergent in zip(self.theta2, values, flags):
-                    if divergent:
-                        rows.append(ScanRow(b.n, b.a, b.q0, th1, th2, math.nan, math.nan,
-                                            "divergent"))
-                    else:
-                        rows.append(ScanRow(b.n, b.a, b.q0, th1, th2, j22, math.log10(j22), "ok"))
-        return rows
-
 
 def scan_j22(
     n_values: Iterable[float],
@@ -306,8 +264,8 @@ def scan_j22(
 
     Blocks come out nested as (n, q0).  Each finite n uses a = floor(n/2);
     n = inf uses the large-n limit.  The n, a and q0 checks of
-    :func:`closed_form_j22` and :func:`limit_j22` run once per block, all
-    before any cell is evaluated.  sin, cos and the squares are taken with
+    :func:`closed_form_j22` and :func:`limit_j22` run once per block, and the
+    finite-phase check once per axis value, all before any cell is evaluated.  sin, cos and the squares are taken with
     :mod:`math` once per axis value, and the cells see only + - * /, so every
     cell is bit for bit the value :func:`closed_form_j22` or
     :func:`limit_j22` returns there.  Cells where those raise
@@ -328,8 +286,8 @@ def scan_j22(
             _check_design(n, a, q0)
             designs.append((n, a, q0, 1.0 / dilution(n, a) - 1.0))
     theta1, theta2 = tuple(theta1_values), tuple(theta2_values)
-    s1sq, c1 = _half_angles(theta1)
-    s2sq, c2 = _half_angles(theta2)
+    s1sq, c1 = _half_angles("theta1", theta1)
+    s2sq, c2 = _half_angles("theta2", theta2)
     blocks = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for n, a, q0, inv in designs:
@@ -341,8 +299,9 @@ def scan_j22(
     return ScanGrid(theta1, theta2, tuple(blocks))
 
 
-def _half_angles(axis: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _half_angles(name: str, axis: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     """sin^2(theta/2) and cos(theta/2) for each axis value, taken with math."""
+    _check_phases(name, axis)
     s = [math.sin(th / 2) ** 2 for th in axis]
     c = [math.cos(th / 2) for th in axis]
     return np.array(s, dtype=float), np.array(c, dtype=float)

@@ -24,7 +24,7 @@ from .engine import (
     ConfigError,
     OutcomeDistribution,
     ProtocolConfig,
-    max_senders,
+    check_senders,
     outcome_distribution,
     validate_config,
 )
@@ -41,6 +41,7 @@ from .statevec import (
 )
 
 EXACT_TV_TOL = 1e-10
+CONTROL_TV_TOL = 0.01  # the leaky control must exceed this distance
 _TV_BLOCK_ENTRIES = 1 << 20  # bound on the pairwise-distance block held at once
 
 
@@ -79,15 +80,13 @@ def run_protocol(
     config: ProtocolConfig,
     rounds: int,
     seed: int,
-    path: str = "auto",
 ) -> Transcript:
     """Simulate one full protocol run and return the transcript.
 
-    ``path`` selects how outcomes are generated: ``"oracle"`` samples the
-    initial-state index per round from the mixture weights and then the
-    outcome from that state's dense-vector distribution; ``"analytic"``
-    samples directly from the closed-form mixture distribution.  ``"auto"``
-    uses the oracle when n is within the dense-vector limit.  Both paths have
+    Within the dense-vector limit (n <= :func:`oracle_limit`) the run samples
+    the initial-state index per round from the mixture weights and then the
+    outcome from that state's dense-vector distribution; above it, it samples
+    directly from the closed-form mixture distribution.  Both paths have
     identical statistics and are reproducible from the seed.
     """
     violations = validate_config(config)
@@ -97,10 +96,8 @@ def run_protocol(
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if config.n != assign.n:
         raise ValueError(f"config.n={config.n} != assignment n={assign.n}")
-    if path == "auto":
-        path = "oracle" if config.n <= oracle_limit() else "analytic"
     rng = philox(seed)
-    if path == "oracle":
+    if config.n <= oracle_limit():
         conditionals = conditional_distributions(assign, config)
         weights = [config.q[i] for i in sorted(conditionals)]
         per_state = rng.multinomial(rounds, np.array(weights) / sum(weights))
@@ -111,11 +108,9 @@ def run_protocol(
                 counts[label] = counts.get(label, 0) + c
         labels = config.labels()
         counts = {label: counts.get(label, 0) for label in labels}
-    elif path == "analytic":
+    else:
         dist = outcome_distribution(config, assign.fields)
         counts = draw_counts(dist, rounds, rng)
-    else:
-        raise ValueError(f"unknown path {path!r}")
     broadcast = mle_estimate(OutcomeCounts(counts=counts, N=rounds), config)
     return Transcript(config=config, rounds=rounds, counts=counts, broadcast=broadcast, seed=seed)
 
@@ -141,7 +136,6 @@ def verify_tracelessness(
     n: int,
     fields: FieldVector,
     config: ProtocolConfig,
-    tolerance: float = EXACT_TV_TOL,
 ) -> TracelessnessReport:
     """Compare outcome distributions across ALL sender subsets.
 
@@ -149,11 +143,10 @@ def verify_tracelessness(
     the dense simulator within its limit (one dense basis per config, one
     diagonal phase vector per subset), by :func:`dicke_sweep` above it; the
     report keeps them in :func:`sender_subsets` order.  Pass iff the maximum
-    pairwise total-variation distance is within ``tolerance``.
+    pairwise total-variation distance is within :data:`EXACT_TV_TOL`.
     """
     m = fields.m
-    if m > max_senders(n):
-        raise ValueError(f"m={m} exceeds floor((n+1)/2)={max_senders(n)} for n={n}")
+    check_senders(n, m)
     if config.n != n:
         raise ValueError(f"config.n={config.n} != assignment n={n}")
     subsets = sender_subsets(n, m)
@@ -165,7 +158,7 @@ def verify_tracelessness(
     max_tv = _max_pairwise_tv(dists)
     return TracelessnessReport(
         n=n, m=m, fields=fields, mode="exact", n_subsets=len(subsets),
-        max_tv_distance=max_tv, tolerance=tolerance, verdict=max_tv <= tolerance,
+        max_tv_distance=max_tv, tolerance=EXACT_TV_TOL, verdict=max_tv <= EXACT_TV_TOL,
         distributions=dists,
     )
 
@@ -174,27 +167,25 @@ def negative_control(
     n: int,
     fields: FieldVector,
     config: ProtocolConfig,
-    tolerance: float = 0.01,
 ) -> TracelessnessReport:
     """Credibility check: a deliberately position-sensitive scheme must FAIL.
 
     The control runs a broken protocol variant: unentangled sensors (each
     qubit prepared in |+>) read out in the X basis at participant 1 only.
     Whether participant 1 hosts a field is then visible directly in the
-    outcome rate, so the verifier must report a distance above ``tolerance``
-    whenever the fields produce any signal at all.  A 'fail' verdict from
-    this control is the expected, healthy result.
+    outcome rate, so the verifier must report a distance above
+    :data:`CONTROL_TV_TOL` whenever the fields produce any signal at all.  A
+    'fail' verdict from this control is the expected, healthy result.
     """
     m = fields.m
-    if m > max_senders(n):
-        raise ValueError(f"m={m} exceeds floor((n+1)/2)={max_senders(n)} for n={n}")
+    check_senders(n, m)
     _check_limit(n)  # the control state is a dense 2^n vector
     subsets = sender_subsets(n, m)
     dists = [_control_distribution(n, subset, fields) for subset in subsets]
     max_tv = _max_pairwise_tv(dists)
     return TracelessnessReport(
         n=n, m=m, fields=fields, mode="negative-control", n_subsets=len(subsets),
-        max_tv_distance=max_tv, tolerance=tolerance, verdict=max_tv <= tolerance,
+        max_tv_distance=max_tv, tolerance=CONTROL_TV_TOL, verdict=max_tv <= CONTROL_TV_TOL,
         distributions=dists,
     )
 

@@ -25,7 +25,7 @@ from .engine import (
     OutcomeDistribution,
     PROB_ATOL,
     ProtocolConfig,
-    max_senders,
+    check_senders,
     validate_config,
 )
 
@@ -80,8 +80,7 @@ class SenderAssignment:
                 raise ValueError(f"sender position {p} outside [1, {self.n}]")
         if self.fields.m != m:
             raise ValueError(f"{self.fields.m} field amplitudes for {m} sender positions")
-        if m > max_senders(self.n):
-            raise ValueError(f"m={m} exceeds floor((n+1)/2)={max_senders(self.n)} for n={self.n}")
+        check_senders(self.n, m)
 
     @property
     def m(self) -> int:

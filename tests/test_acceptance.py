@@ -207,8 +207,8 @@ def test_criterion_6_limit_and_divergence():
     # scan columns nondecreasing in n at same parity
     n_grid = list(range(5, 201)) + [10 ** 3, 10 ** 3 + 1, 10 ** 4, 10 ** 4 + 1]
     for th2 in (0.5, 0.1, 0.05):
-        rows = scan_j22(n_grid, [0.33], [2.0], [th2]).rows()
-        values = {int(r.n): r.j22 for r in rows}
+        grid = scan_j22(n_grid, [0.33], [2.0], [th2])
+        values = {block.n: block.j22[0, 0] for block in grid.blocks}
         for n in range(5, 199):
             assert values[n + 2] >= values[n] - 1e-9
 
@@ -225,22 +225,20 @@ def test_criterion_7_figure_scans(tmp_path):
     theta_axis = np.linspace(0.0, math.pi, 65).tolist()
     finite_grids = {}
     for fig, n in ((2, 10), (3, 10 ** 4)):
-        rows = scan_j22([n], [0.33], theta_axis, theta_axis).rows()
-        assert len(rows) == 65 * 65
-        finite_grids[fig] = rows
-    limit_rows = scan_j22([math.inf], [0.33], theta_axis, theta_axis).rows()
+        (block,) = scan_j22([n], [0.33], theta_axis, theta_axis).blocks
+        assert block.j22.shape == (65, 65)
+        finite_grids[fig] = block
+    (limit,) = scan_j22([math.inf], [0.33], theta_axis, theta_axis).blocks
     # finite-n cells bounded above by the limit cell (monotonicity in n)
-    for fig, rows in finite_grids.items():
-        for row, lim in zip(rows, limit_rows):
-            if row.flag == "ok":
-                assert lim.flag == "ok"
-                assert row.j22 <= lim.j22 + 1e-9, (
-                    f"fig {fig} cell (theta1={row.theta1}, theta2={row.theta2}) "
-                    f"exceeds the limit"
-                )
+    for fig, block in finite_grids.items():
+        ok = ~block.divergent
+        assert not limit.divergent[ok].any()
+        above = [(theta_axis[i], theta_axis[k])
+                 for i, k in np.argwhere(ok & (block.j22 > limit.j22 + 1e-9))]
+        assert not above, f"fig {fig} cells (theta1, theta2) exceed the limit: {above}"
         # the theta2 = 0 column is flagged divergent, nothing else
-        divergent = [r for r in rows if r.flag != "ok"]
-        assert len(divergent) == 65 and all(r.theta2 == 0.0 for r in divergent)
+        assert theta_axis[0] == 0.0
+        assert block.divergent.sum() == 65 and block.divergent[:, 0].all()
     # fig 5 slices and exact n=5 spot value via the CLI
     out = tmp_path / "fig5.csv"
     assert main(["scan", "--fig", "5", "--out", str(out)]) == 0

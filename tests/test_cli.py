@@ -8,13 +8,7 @@ import pytest
 from anonsense import statevec
 from anonsense.cli import main
 from anonsense.combinatorics import MINUS, PLUS
-from anonsense.configio import (
-    RunConfigError,
-    dumps_json,
-    load_counts,
-    normalized_run_config,
-    parse_run_config,
-)
+from anonsense.configio import RunConfigError, load_counts
 
 DATA = Path(__file__).parent / "data"
 GOLDENS = Path(__file__).parent / "goldens"
@@ -240,6 +234,36 @@ def test_scan_flags_underflowing_theta2(n, theta2, capsys):
     assert "1 rows (1 divergent)" in captured.err
 
 
+@pytest.mark.parametrize("axis, value", [("--theta1", "nan"), ("--theta1", "inf"),
+                                         ("--theta2", "0.5,-inf"), ("--theta2", "0.5,nan")])
+def test_scan_rejects_non_finite_phases(axis, value, capsys):
+    # a NaN phase was printed as an ok cell; an infinite one failed in math.sin
+    argv = {"--n": "5", "--theta1": "2", "--theta2": "0.5,0"}
+    argv[axis] = value
+    assert run_cli(["scan", *[x for kv in argv.items() for x in kv]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{axis[2:]}={value.split(',')[-1]} is not a finite phase" in captured.err
+
+
+@pytest.mark.parametrize("axis, values, path", [
+    ("n", [[5]], "$.scan.n[0]"),
+    ("n", [5, 5.7], "$.scan.n[1]"),
+    ("n", ["inf", "nan"], "$.scan.n[1]"),
+    ("q0", [{}], "$.scan.q0[0]"),
+    ("theta1", [None], "$.scan.theta1[0]"),
+    ("theta2", [0.5, "abc"], "$.scan.theta2[1]"),
+])
+def test_scan_axis_entries_report_their_path(tmp_path, capsys, axis, values, path):
+    doc = {"protocol": {"n": 5, "m_est": 1, "t": 1.0},
+           "scan": {"n": [5], "q0": [0.33], "theta1": [2.0], "theta2": [0.5]}}
+    doc["scan"][axis] = values
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run_cli(["scan", "--config", str(bad)]) == 2
+    assert path in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("axis", [["--theta1", "0:1:0"], ["--theta2", "log:0.1:1:0"],
                                   ["--n", "log:5:10:0"], ["--theta1", "0:1:-2"]])
 def test_scan_rejects_axis_count_below_one(axis, capsys):
@@ -276,14 +300,6 @@ def test_scan_from_config_file(tmp_path):
     bad = tmp_path / "noscan.json"
     bad.write_text(json.dumps({"protocol": {"n": 5, "m_est": 1, "t": 1.0}}))
     assert run_cli(["scan", "--config", str(bad)]) == 2
-
-
-def test_run_config_round_trip_idempotent():
-    doc = json.loads((DATA / "run_n5.json").read_text())
-    parsed = parse_run_config(doc)
-    once = normalized_run_config(parsed)
-    twice = normalized_run_config(parse_run_config(once))
-    assert dumps_json(once) == dumps_json(twice)
 
 
 def test_load_counts_from_plain_and_transcript():

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from anonsense import cli, protocol
 from anonsense.combinatorics import MINUS, PLUS, FieldVector
 from anonsense.engine import (
     ConfigError,
     ProtocolConfig,
+    ThetaModel,
     gamma,
     max_senders,
     outcome_distribution,
@@ -216,3 +218,22 @@ def test_outcome_distribution_rejects_invalid_config():
 def test_labels_order_is_canonical():
     config = ProtocolConfig.for_two_senders(9, a=3, q0=0.2)
     assert config.labels() == ["0+", "0-", "3+", "f"]
+
+
+def test_every_entry_point_reports_too_many_senders_alike(capsys):
+    message = "m=3 exceeds floor((n+1)/2)=2 for n=4"
+    fields = FieldVector((0.5, 1.0, 1.5), 1.0)
+    config = ProtocolConfig.for_single_sender(4)
+    calls = [
+        lambda: ThetaModel(config, m=3),
+        lambda: gamma(4, fields, 0, PLUS),
+        lambda: SenderAssignment(4, (1, 2, 3), fields),
+        lambda: protocol.verify_tracelessness(4, fields, config),
+        lambda: protocol.negative_control(4, fields, config),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
+    assert cli.main(["verify", "--n", "4", "--m", "3"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -182,7 +182,7 @@ def stencil_information(model, counts, theta, step=1e-4):
     m = len(theta)
 
     def ll(point):
-        return estimation._log_likelihood(counts, model, point)
+        return estimation._scored(counts, model, point)[0]
 
     H = np.zeros((m, m))
     f0 = ll(theta)

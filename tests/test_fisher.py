@@ -9,11 +9,8 @@ from anonsense.combinatorics import MINUS, PLUS, FieldVector, g_coefficients
 from anonsense.configio import scan_rows_to_csv
 from anonsense.engine import ProtocolConfig, gamma, max_senders, outcome_distribution
 from anonsense.fisher import (
-    METHOD_ANALYTIC,
-    METHOD_FD,
     DivergenceError,
     PhaseParameters,
-    ScanRow,
     SingularTermError,
     ThetaModel,
     UnidentifiableDirectionError,
@@ -276,15 +273,28 @@ def test_two_sender_j11_inverse_is_one_over_q0(rng):
         assert res.J_inv[0, 0] == pytest.approx(1.0 / q0, abs=1e-10)
 
 
-def test_finite_difference_agrees_with_analytic(rng):
+def fd_dprobs(model, theta, step=1e-5):
+    """Central differences of ThetaModel.probs, in place of ThetaModel.dprobs."""
+    cols = []
+    for j in range(model.m_est):
+        hi, lo = list(theta), list(theta)
+        hi[j] += step
+        lo[j] -= step
+        cols.append((model.probs(hi) - model.probs(lo)) / (2 * step))
+    return np.stack(cols, axis=1)
+
+
+def test_finite_difference_agrees_with_analytic(rng, monkeypatch):
     for _ in range(20):
         n = int(rng.integers(5, 30))
         config = ProtocolConfig.for_two_senders(n, a=int(rng.integers(2, n // 2 + 1)),
                                                 q0=float(rng.uniform(0.15, 0.85)))
         theta = (float(rng.uniform(0.3, 2.9)), float(rng.uniform(0.3, 2.9)))
         params = PhaseParameters(2, theta)
-        ja = fisher_matrix(config, params, method=METHOD_ANALYTIC).J
-        jf = fisher_matrix(config, params, method=METHOD_FD).J
+        ja = fisher_matrix(config, params).J
+        with monkeypatch.context() as mp:
+            mp.setattr(ThetaModel, "dprobs", fd_dprobs)
+            jf = fisher_matrix(config, params).J
         assert np.max(np.abs(ja - jf)) / np.max(np.abs(ja)) <= 1e-6
 
 
@@ -474,32 +484,37 @@ def test_limit_diverges_quadratically_in_theta2():
 
 
 def test_scan_grid_order_and_values():
-    rows = scan_j22([5, 7], [0.33], [2.0], [0.5, 0.1]).rows()
-    assert [(r.n, r.theta2) for r in rows] == [(5, 0.5), (5, 0.1), (7, 0.5), (7, 0.1)]
-    assert rows[0].j22 == pytest.approx(closed_form_j22(5, 2, 0.33, (2.0, 0.5)), rel=1e-15)
-    assert rows[0].a == 2 and rows[2].a == 3
-    assert all(r.flag == "ok" for r in rows)
-    assert rows[0].log10_j22 == pytest.approx(math.log10(rows[0].j22), abs=1e-15)
+    grid = scan_j22([5, 7], [0.33], [2.0], [0.5, 0.1])
+    assert grid.theta1 == (2.0,) and grid.theta2 == (0.5, 0.1)
+    assert [(b.n, b.a, b.q0) for b in grid.blocks] == [(5, 2, 0.33), (7, 3, 0.33)]
+    for block in grid.blocks:
+        assert block.j22.shape == (1, 2) and not block.divergent.any()
+        for j, th2 in enumerate(grid.theta2):
+            expect = closed_form_j22(block.n, block.a, 0.33, (2.0, th2))
+            assert block.j22[0, j] == pytest.approx(expect, rel=1e-15)
+    first = scan_rows_to_csv(grid).splitlines()[1].split(",")
+    assert first[-1] == "ok"
+    assert float(first[6]) == pytest.approx(math.log10(float(first[5])), abs=1e-15)
 
 
 def test_scan_flags_divergent_rows():
-    rows = scan_j22([6], [0.33], [1.0], [0.0, 0.5]).rows()
-    assert rows[0].flag == "divergent" and math.isnan(rows[0].j22)
-    assert rows[1].flag == "ok"
+    (block,) = scan_j22([6], [0.33], [1.0], [0.0, 0.5]).blocks
+    assert block.divergent.tolist() == [[True, False]]
+    assert math.isnan(block.j22[0, 0])
+    assert block.j22[0, 1] == closed_form_j22(6, 3, 0.33, (1.0, 0.5))
 
 
 def test_scan_monotone_in_n_same_parity():
     for th2 in (0.5, 0.1, 0.05):
-        rows = scan_j22(list(range(5, 200)), [0.33], [2.0], [th2]).rows()
-        values = {r.n: r.j22 for r in rows}
+        grid = scan_j22(list(range(5, 200)), [0.33], [2.0], [th2])
+        values = {block.n: block.j22[0, 0] for block in grid.blocks}
         for n in range(5, 198):
             assert values[n + 2] >= values[n] - 1e-9
 
 
 def test_scan_supports_limit_rows():
-    rows = scan_j22([math.inf], [0.33], [2.0], [0.5]).rows()
-    assert math.isinf(rows[0].n) and rows[0].j22 == pytest.approx(LIMIT_GOLDEN, rel=1e-12)
-
+    (block,) = scan_j22([math.inf], [0.33], [2.0], [0.5]).blocks
+    assert math.isinf(block.n) and block.j22[0, 0] == pytest.approx(LIMIT_GOLDEN, rel=1e-12)
 
 
 def test_bound_diverges_where_sin2_underflows():
@@ -510,9 +525,10 @@ def test_bound_diverges_where_sin2_underflows():
             closed_form_j22(5, 2, 0.33, (2.0, th2))
         with pytest.raises(DivergenceError):
             limit_j22(0.33, (2.0, th2))
-    rows = scan_j22([5, math.inf], [0.33], [2.0], [1e-300, 1e-160, 1e-100]).rows()
-    assert [r.flag for r in rows] == ["divergent", "divergent", "ok"] * 2
-    assert all(math.isnan(r.j22) for r in rows if r.flag == "divergent")
+    grid = scan_j22([5, math.inf], [0.33], [2.0], [1e-300, 1e-160, 1e-100])
+    for block in grid.blocks:
+        assert block.divergent.tolist() == [[True, True, False]]
+        assert np.isnan(block.j22[block.divergent]).all()
 
 
 def test_scan_checks_every_block_before_evaluating():
@@ -522,27 +538,31 @@ def test_scan_checks_every_block_before_evaluating():
         scan_j22([math.inf], [0.33, 0.0], [2.0], [0.5])
 
 
-def reference_rows(n_values, q0_values, theta1_values, theta2_values) -> list:
-    """The scan cell by cell from closed_form_j22 / limit_j22, in grid order."""
-    rows = []
+def reference_blocks(n_values, q0_values, theta1_values, theta2_values) -> list:
+    """(n, a, q0, j22, divergent) per (n, q0) block, cell by cell from
+    closed_form_j22 / limit_j22; NaN where they raise DivergenceError."""
+    blocks = []
+    shape = (len(theta1_values), len(theta2_values))
     for n_raw in n_values:
         n = math.inf if math.isinf(n_raw) else int(n_raw)
         a = math.inf if math.isinf(n_raw) else int(n_raw) // 2
         for q0 in q0_values:
-            for th1 in theta1_values:
-                for th2 in theta2_values:
+            j22 = np.full(shape, math.nan)
+            divergent = np.zeros(shape, dtype=bool)
+            for i, th1 in enumerate(theta1_values):
+                for k, th2 in enumerate(theta2_values):
                     try:
                         if math.isinf(n):
-                            j22 = limit_j22(q0, (th1, th2))
+                            j22[i, k] = limit_j22(q0, (th1, th2))
                         else:
-                            j22 = closed_form_j22(n, a, q0, (th1, th2))
-                        rows.append(ScanRow(n, a, q0, th1, th2, j22, math.log10(j22), "ok"))
+                            j22[i, k] = closed_form_j22(n, a, q0, (th1, th2))
                     except DivergenceError:
-                        rows.append(ScanRow(n, a, q0, th1, th2, math.nan, math.nan, "divergent"))
-    return rows
+                        divergent[i, k] = True
+            blocks.append((n, a, q0, j22, divergent))
+    return blocks
 
 
-def row_csv(rows) -> str:
+def row_csv(blocks, theta1_values, theta2_values) -> str:
     """The CSV as formatted row by row before the scan ran on whole axes."""
     def count(x):
         return "inf" if math.isinf(x) else str(int(x))
@@ -555,9 +575,14 @@ def row_csv(rows) -> str:
         return f"{x:.17g}"
 
     lines = ["n,a,q0,theta1,theta2,j22,log10_j22,flag"]
-    for r in rows:
-        lines.append(",".join([count(r.n), count(r.a), number(r.q0), number(r.theta1),
-                               number(r.theta2), number(r.j22), number(r.log10_j22), r.flag]))
+    for n, a, q0, j22, divergent in blocks:
+        for i, th1 in enumerate(theta1_values):
+            for k, th2 in enumerate(theta2_values):
+                value = float(j22[i, k])
+                tail = ([number(math.nan)] * 2 + ["divergent"] if divergent[i, k] else
+                        [number(value), number(math.log10(value)), "ok"])
+                lines.append(",".join([count(n), count(a), number(q0), number(th1),
+                                       number(th2), *tail]))
     return "\n".join(lines) + "\n"
 
 
@@ -571,20 +596,21 @@ def test_scan_grid_is_bitwise_the_per_cell_closed_form(axes):
     # the grid takes the trig once per axis value and runs + - * / on
     # broadcast arrays; every cell must carry the scalar path's exact bits
     grid = scan_j22(axes["n"], axes["q0"], axes["theta1"], axes["theta2"])
-    ref = reference_rows(axes["n"], axes["q0"], axes["theta1"], axes["theta2"])
-    rows = grid.rows()
+    ref = reference_blocks(axes["n"], axes["q0"], axes["theta1"], axes["theta2"])
 
     def bits(values):
-        return np.array(values, dtype=float).view(np.uint64)
+        return np.asarray(values, dtype=float).view(np.uint64)
 
-    assert len(rows) == grid.n_rows == len(ref)
-    assert [(r.n, r.a, r.q0, r.theta1, r.theta2) for r in rows] == [
-        (r.n, r.a, r.q0, r.theta1, r.theta2) for r in ref]
-    assert np.array_equal(bits([r.j22 for r in rows]), bits([r.j22 for r in ref]))
-    assert np.array_equal(bits([r.log10_j22 for r in rows]), bits([r.log10_j22 for r in ref]))
-    assert [r.flag for r in rows] == [r.flag for r in ref]
-    assert grid.n_divergent == sum(r.flag == "divergent" for r in ref)
-    assert scan_rows_to_csv(grid) == row_csv(ref)
+    assert grid.theta1 == tuple(axes["theta1"]) and grid.theta2 == tuple(axes["theta2"])
+    assert [(b.n, b.a, b.q0) for b in grid.blocks] == [(n, a, q0) for n, a, q0, _, _ in ref]
+    for block, (_, _, _, j22, divergent) in zip(grid.blocks, ref):
+        assert np.array_equal(block.divergent, divergent)
+        assert np.isnan(block.j22[divergent]).all()
+        assert np.array_equal(bits(block.j22[~divergent]), bits(j22[~divergent]))
+    assert grid.n_rows == sum(j22.size for _, _, _, j22, _ in ref)
+    assert grid.n_divergent == sum(int(d.sum()) for _, _, _, _, d in ref)
+    assert scan_rows_to_csv(grid) == row_csv(ref, axes["theta1"], axes["theta2"])
+
 
 def test_finite_n_bounded_by_limit():
     for th1 in (0.5, 2.0, 3.0):
@@ -607,3 +633,15 @@ def test_fisher_requires_matching_m_est():
     config = ProtocolConfig.for_single_sender(5)
     with pytest.raises(ValueError):
         fisher_matrix(config, PhaseParameters(2, (1.0, 0.5)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_phases_are_rejected_by_axis(bad):
+    for name, theta in (("theta1", (bad, 0.5)), ("theta2", (2.0, bad))):
+        message = f"{name}={bad!r} is not a finite phase"
+        with pytest.raises(ValueError, match=message):
+            closed_form_j22(5, 2, 0.33, theta)
+        with pytest.raises(ValueError, match=message):
+            limit_j22(0.33, theta)
+        with pytest.raises(ValueError, match=message):
+            scan_j22([5, math.inf], [0.33], [2.0, theta[0]], [0.0, theta[1]])

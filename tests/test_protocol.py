@@ -48,18 +48,42 @@ def test_identical_transcripts_across_sender_sets():
     assert len(serialized) == 1
 
 
-def test_oracle_and_analytic_paths_have_same_statistics():
+def test_oracle_and_analytic_paths_have_same_statistics(monkeypatch):
     config = ProtocolConfig.for_two_senders(5, a=2, q0=0.33)
     fields = FieldVector((0.75, 1.25), 1.0)
     assign = SenderAssignment(5, (1, 3), fields)
     n_rounds = 200_000
-    t_oracle = run_protocol(assign, config, rounds=n_rounds, seed=5, path="oracle")
-    t_analytic = run_protocol(assign, config, rounds=n_rounds, seed=5, path="analytic")
+    t_oracle = run_protocol(assign, config, rounds=n_rounds, seed=5)
+    # with the dense cap below n the run samples the closed-form mixture
+    monkeypatch.setenv("ANONSENSE_ORACLE_LIMIT", "4")
+    t_analytic = run_protocol(assign, config, rounds=n_rounds, seed=5)
     dist = outcome_distribution(config, fields)
     for label, p in dist.probs.items():
         sigma = math.sqrt(max(p * (1 - p), 1e-12) * n_rounds)
         assert abs(t_oracle.counts[label] - p * n_rounds) <= 5 * sigma + 1
         assert abs(t_analytic.counts[label] - p * n_rounds) <= 5 * sigma + 1
+
+
+def test_dense_cap_alone_selects_the_path(monkeypatch):
+    monkeypatch.setenv("ANONSENSE_ORACLE_LIMIT", "5")
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(protocol, "conditional_distributions",
+                        spy("oracle", protocol.conditional_distributions))
+    monkeypatch.setattr(protocol, "outcome_distribution",
+                        spy("analytic", protocol.outcome_distribution))
+    fields = FieldVector((0.75, 1.25), 1.0)
+    for n, path in ((5, "oracle"), (6, "analytic")):
+        calls.clear()
+        config = ProtocolConfig.for_two_senders(n, a=2, q0=0.33)
+        run_protocol(SenderAssignment(n, (1, 3), fields), config, rounds=100, seed=1)
+        assert calls == [path]
 
 
 def test_run_protocol_estimates_near_truth():
