@@ -226,10 +226,10 @@ def _cmd_scan(args) -> int:
         if missing:
             raise ValueError(f"scan needs --fig, --config, or explicit axes; missing {missing}")
         axes = {
-            "n": _parse_axis(args.n, integer=True),
-            "q0": _parse_axis(args.q0),
-            "theta1": _parse_axis(args.theta1),
-            "theta2": _parse_axis(args.theta2),
+            "n": _parse_axis("--n", args.n, integer=True),
+            "q0": _parse_axis("--q0", args.q0),
+            "theta1": _parse_axis("--theta1", args.theta1),
+            "theta2": _parse_axis("--theta2", args.theta2),
         }
     grid = scan_j22(axes["n"], axes["q0"], axes["theta1"], axes["theta2"])
     _emit(scan_rows_to_csv(grid), args.out)
@@ -250,18 +250,31 @@ def _figure_axes(fig: int) -> dict:
     return {"n": n_axis, "q0": [0.33], "theta1": [2.0], "theta2": [0.5, 0.1, 0.05]}
 
 
-def _parse_axis(spec: str, integer: bool = False) -> list[float]:
-    spec = spec.strip()
-    if spec.startswith("log:"):
-        lo, hi, count = spec[4:].split(":")
-        values = np.geomspace(float(lo), float(hi), _axis_count(spec, count)).tolist()
-        if integer:
-            return sorted(set(int(round(v)) for v in values))
-        return values
+def _parse_axis(name: str, spec: str, integer: bool = False) -> list[float]:
+    """The values of the axis option ``name``: a comma list, 'lo:hi:count' or
+    'log:lo:hi:count'; a malformed spec is a ValueError naming the option."""
+    try:
+        return _axis_values(spec.strip(), integer)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} {spec!r}: {exc}") from None
+
+
+def _axis_values(spec: str, integer: bool) -> list[float]:
     if ":" in spec:
-        lo, hi, count = spec.split(":")
-        values = np.linspace(float(lo), float(hi), _axis_count(spec, count)).tolist()
-        return [int(round(v)) for v in values] if integer else values
+        log = spec.startswith("log:")
+        bounds = spec[4:].split(":") if log else spec.split(":")
+        if len(bounds) != 3:
+            raise ValueError("a range must look like 'lo:hi:count' or 'log:lo:hi:count'")
+        lo, hi, count = float(bounds[0]), float(bounds[1]), int(bounds[2])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("range bounds must be finite")
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        values = (np.geomspace if log else np.linspace)(lo, hi, count).tolist()
+        if not integer:
+            return values
+        rounded = [int(round(v)) for v in values]
+        return sorted(set(rounded)) if log else rounded
     out: list[float] = []
     for token in spec.split(","):
         token = token.strip()
@@ -272,12 +285,6 @@ def _parse_axis(spec: str, integer: bool = False) -> list[float]:
         else:
             out.append(float(token))
     return out
-
-
-def _axis_count(spec: str, count: str) -> int:
-    if int(count) < 1:
-        raise ValueError(f"axis {spec!r}: count must be >= 1, got {int(count)}")
-    return int(count)
 
 
 # --------------------------------------------------------------------------

@@ -173,9 +173,10 @@ def _require_mapping(obj, path):
 
 
 def _number(value, kind, path):
-    """``kind(value)`` for a JSON scalar; any other value is an error naming ``path``."""
+    """``kind(value)`` for a JSON number or numeric string; any other value (a
+    list, an object or a boolean) is an error naming ``path``."""
     try:
-        if isinstance(value, (list, dict)):
+        if isinstance(value, (list, dict, bool)):
             raise TypeError
         return kind(value)
     except (TypeError, ValueError, OverflowError):

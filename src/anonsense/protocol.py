@@ -34,7 +34,7 @@ from .statevec import (
     SenderAssignment,
     _DenseBasis,
     _check_limit,
-    apply_sender_unitary,
+    _phase_blocks,
     conditional_distributions,
     dicke_sweep,
     oracle_limit,
@@ -140,10 +140,11 @@ def verify_tracelessness(
     """Compare outcome distributions across ALL sender subsets.
 
     Each subset's distribution is computed from its own sender positions: by
-    the dense simulator within its limit (one dense basis per config, one
-    diagonal phase vector per subset), by :func:`dicke_sweep` above it; the
-    report keeps them in :func:`sender_subsets` order.  Pass iff the maximum
-    pairwise total-variation distance is within :data:`EXACT_TV_TOL`.
+    the dense simulator within its limit (one contraction over the initial
+    states' support per config, taken for blocks of subsets), by
+    :func:`dicke_sweep` above it; the report keeps them in
+    :func:`sender_subsets` order.  Pass iff the maximum pairwise
+    total-variation distance is within :data:`EXACT_TV_TOL`.
     """
     m = fields.m
     check_senders(n, m)
@@ -151,8 +152,7 @@ def verify_tracelessness(
         raise ValueError(f"config.n={config.n} != assignment n={n}")
     subsets = sender_subsets(n, m)
     if n <= oracle_limit():
-        basis = _DenseBasis(config, n)
-        dists = [basis.mixture(SenderAssignment(n, subset, fields)) for subset in subsets]
+        dists = _DenseBasis(config, n).mixtures(fields, np.array(subsets))
     else:
         dists = dicke_sweep(config, fields, subsets)
     max_tv = _max_pairwise_tv(dists)
@@ -181,26 +181,20 @@ def negative_control(
     check_senders(n, m)
     _check_limit(n)  # the control state is a dense 2^n vector
     subsets = sender_subsets(n, m)
-    dists = [_control_distribution(n, subset, fields) for subset in subsets]
+    amplitude = 1.0 / math.sqrt(1 << n)  # of |+>^n on every basis state
+    p_minus: list[float] = []
+    for phases in _phase_blocks(fields, np.array(subsets), np.arange(1 << n)):
+        kets = amplitude * phases  # |+>^n evolved by each subset's U
+        # X read out on participant 1, the lowest bit: |x> pairs with |x ^ 1>
+        minus = (kets[:, 0::2] - kets[:, 1::2]) / math.sqrt(2.0)
+        p_minus += np.clip((np.abs(minus) ** 2).sum(axis=1), 0.0, 1.0).tolist()
+    dists = [OutcomeDistribution(probs={"pos1-": p, "pos1+": 1.0 - p}) for p in p_minus]
     max_tv = _max_pairwise_tv(dists)
     return TracelessnessReport(
         n=n, m=m, fields=fields, mode="negative-control", n_subsets=len(subsets),
         max_tv_distance=max_tv, tolerance=CONTROL_TV_TOL, verdict=max_tv <= CONTROL_TV_TOL,
         distributions=dists,
     )
-
-
-def _control_distribution(n: int, subset: tuple[int, ...], fields: FieldVector) -> OutcomeDistribution:
-    """Outcome distribution of the broken (non-anonymous) control scheme."""
-    assign = SenderAssignment(n, subset, fields)
-    plus_all = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=np.complex128)
-    state = apply_sender_unitary(plus_all, assign)
-    idx = np.arange(1 << n)
-    a0 = state[(idx & 1) == 0]
-    a1 = state[(idx & 1) == 1]
-    p_minus = float(np.sum(np.abs((a0 - a1) / math.sqrt(2.0)) ** 2))
-    p_minus = min(max(p_minus, 0.0), 1.0)
-    return OutcomeDistribution(probs={"pos1-": p_minus, "pos1+": 1.0 - p_minus})
 
 
 def _max_pairwise_tv(dists: list[OutcomeDistribution]) -> float:

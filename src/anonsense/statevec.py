@@ -8,11 +8,17 @@ convention in :mod:`anonsense.combinatorics`.
 This path exists purely for verification; its dense vectors are capped at
 a qubit count (``ANONSENSE_ORACLE_LIMIT`` raises it), and :func:`dicke_sweep`
 gives the same per-subset distributions at any n without them.
+
+Every dense evaluation goes through one phase seam, :func:`_subset_phases`
+(U for a block of sender subsets on a set of basis states).  The oracle
+contracts it over the initial states' support only, one block of subsets at
+a time; the full 2^n vectors are built once per configuration.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -30,6 +36,7 @@ from .engine import (
 )
 
 DEFAULT_ORACLE_LIMIT = 20
+_PHASE_BLOCK_ENTRIES = 1 << 15  # bound on the phases of one block of sender subsets
 
 
 class OracleLimitError(RuntimeError):
@@ -131,33 +138,54 @@ def apply_sender_unitary(state: np.ndarray, assign: SenderAssignment) -> np.ndar
 
 
 def _sender_phases(assign: SenderAssignment) -> np.ndarray:
-    """The diagonal of U: one phase per basis state.
+    """The diagonal of U: one phase per basis state, in basis order."""
+    positions = np.array([assign.sender_positions])
+    return _subset_phases(assign.fields, positions, np.arange(1 << assign.n))[0]
+
+
+def _subset_phases(fields: FieldVector, positions: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """U(x) for each subset row of ``positions`` (S x m) and each basis state x in ``states``.
 
     The phase depends only on the m sender bits, so it is evaluated once per
-    sign combination (bit j of the combination code is the bit at sender
-    position s_j) and gathered by each basis state's code.  The sum over
+    sign combination (bit j of the combination code is the bit at the row's
+    j-th sender position) and gathered by each state's code.  The sum over
     senders runs in the same order as the per-state formula, so every phase
     is bitwise equal to it.
     """
-    combos = np.arange(1 << assign.m)
-    acc = np.zeros(1 << assign.m)
-    for j, w in enumerate(assign.fields.omegas):
+    combos = np.arange(1 << fields.m)
+    acc = np.zeros(1 << fields.m)
+    for j, w in enumerate(fields.omegas):
         bit = (combos >> j) & 1
         acc = acc + w * (1.0 - 2.0 * bit)
-    table = np.exp(-0.5j * assign.fields.t * acc)
-    idx = np.arange(1 << assign.n)
-    code = np.zeros(1 << assign.n, dtype=idx.dtype)
-    for j, pos in enumerate(assign.sender_positions):
-        code |= ((idx >> (pos - 1)) & 1) << j
+    table = np.exp(-0.5j * fields.t * acc)
+    code = np.zeros((len(positions), len(states)), dtype=states.dtype)
+    for j in range(positions.shape[1]):
+        code |= ((states >> (positions[:, j, None] - 1)) & 1) << j
     return table[code]
 
 
-class _DenseBasis:
-    """A config's dense vectors, built once and reused for any sender subset.
+def _phase_blocks(fields: FieldVector, positions: np.ndarray, states: np.ndarray):
+    """:func:`_subset_phases` for consecutive blocks of subset rows, in order.
 
-    Holds the initial states phi_{i',+} with q[i'] > 0 and the projectors
-    phi_{i,sign} whose measurement switch is on.  Only U depends on the
-    sender positions, and U is the diagonal phase vector of the subset.
+    A block holds at most :data:`_PHASE_BLOCK_ENTRIES` phases, or one row
+    when a row alone is larger, so the memory held does not grow with the
+    number of subsets.
+    """
+    rows = max(1, _PHASE_BLOCK_ENTRIES // len(states))
+    for lo in range(0, len(positions), rows):
+        yield _subset_phases(fields, positions[lo:lo + rows], states)
+
+
+class _DenseBasis:
+    """A config's dense vectors, contracted once and reused for any sender subset.
+
+    U is diagonal, so <phi_{i,s}|U|phi_{i',+}> = sum_x U(x) w(x), with the
+    weights w(x) = conj(phi_{i,s}(x)) phi_{i',+}(x) formed once per (label,
+    i') pair.  They are kept only on the support of the initial states with
+    q[i'] > 0, and only for the pairs whose states overlap, since every other
+    term is exactly zero.  Only U depends on the sender positions; each
+    subset's phases come from its own positions, basis state by basis state,
+    through :func:`_subset_phases`.
     """
 
     def __init__(self, config: ProtocolConfig, n: int):
@@ -167,36 +195,60 @@ class _DenseBasis:
         if config.n != n:
             raise ValueError(f"config.n={config.n} != assignment n={n}")
         _check_limit(n)
-        self.q = config.q
-        self.initial = {
+        initial = {
             ip: phi_state(n, ip, PLUS) for ip in range(config.kmax + 1) if config.q[ip] > 0.0
         }
-        self.projectors = {
+        projectors = {
             f"{i}{sign}": phi_state(n, i, sign)
             for i in range(config.kmax + 1)
             for sign in SIGNS
             if config.c(i, sign)
         }
+        self.labels = list(projectors)
+        self.order = list(initial)  # the initial-state index i' of each q column
+        self.q = np.array([config.q[ip] for ip in self.order])
+        self.support = np.flatnonzero(np.logical_or.reduce([ket != 0 for ket in initial.values()]))
+        kets = [ket[self.support] for ket in initial.values()]
+        bras = [proj[self.support].conj() for proj in projectors.values()]
+        pairs, weights = [], []  # flat (label, i') index of each overlapping pair
+        for k, (bra, ket) in enumerate(itertools.product(bras, kets)):
+            w = bra * ket
+            if w.any():
+                pairs.append(k)
+                weights.append(w)
+        self.pairs = np.array(pairs, dtype=int)
+        self.weights = np.array(weights).reshape(len(pairs), len(self.support))
 
-    def _evolved(self, assign: SenderAssignment) -> dict[int, np.ndarray]:
-        phase = _sender_phases(assign)
-        return {ip: st * phase for ip, st in self.initial.items()}
+    def amplitudes(self, fields: FieldVector, positions: np.ndarray) -> np.ndarray:
+        """<phi_{i,s}|U|phi_{i',+}> for each subset row of ``positions`` (S x m), label and i'.
 
-    def _outcomes(self, prob) -> OutcomeDistribution:
-        return _with_residual((label, float(prob(proj))) for label, proj in self.projectors.items())
+        The result is S x labels x initial states.  Each amplitude is a
+        pairwise sum over the support of one subset's terms, so a subset's
+        amplitudes are the same bits whichever block it is evaluated in.
+        """
+        out = np.zeros((len(positions), len(self.labels) * len(self.order)), dtype=complex)
+        lo = 0
+        for phases in _phase_blocks(fields, positions, self.support):
+            for pair, w in zip(self.pairs, self.weights):
+                out[lo:lo + len(phases), pair] = (phases * w).sum(axis=-1)
+            lo += len(phases)
+        return out.reshape(len(positions), len(self.labels), len(self.order))
+
+    def mixtures(self, fields: FieldVector, positions: np.ndarray) -> list[OutcomeDistribution]:
+        """sum_{i'} q[i'] |<phi_{i,sign}| U |phi_{i',+}>|^2 per outcome, for each subset row."""
+        probs = (np.abs(self.amplitudes(fields, positions)) ** 2 * self.q).sum(axis=-1)
+        return [_with_residual(zip(self.labels, row)) for row in probs.tolist()]
 
     def mixture(self, assign: SenderAssignment) -> OutcomeDistribution:
-        """sum_{i'} q[i'] |<phi_{i,sign}| U |phi_{i',+}>|^2 per outcome."""
-        evolved = self._evolved(assign)
-        return self._outcomes(
-            lambda proj: sum(self.q[ip] * abs(np.vdot(proj, st)) ** 2 for ip, st in evolved.items())
-        )
+        """The mixture distribution of one sender subset."""
+        return self.mixtures(assign.fields, np.array([assign.sender_positions]))[0]
 
     def conditionals(self, assign: SenderAssignment) -> dict[int, OutcomeDistribution]:
         """|<phi_{i,sign}| U |phi_{i',+}>|^2 per outcome, for each initial state i'."""
+        amps = self.amplitudes(assign.fields, np.array([assign.sender_positions]))[0]
         return {
-            ip: self._outcomes(lambda proj: abs(np.vdot(proj, st)) ** 2)
-            for ip, st in self._evolved(assign).items()
+            ip: _with_residual(zip(self.labels, column))
+            for ip, column in zip(self.order, (np.abs(amps) ** 2).T.tolist())
         }
 
 

@@ -174,6 +174,22 @@ def test_wrong_value_types_report_their_path(tmp_path, capsys, section, key, val
     assert path in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb, section, key, value, path", [
+    ("simulate", "protocol", "t", True, "$.protocol.t"),
+    ("simulate", "scenario", "sender_positions", [True, 3], "$.scenario.sender_positions[0]"),
+    ("scan", "scan", "n", [True], "$.scan.n[0]"),
+])
+def test_json_booleans_report_their_path(tmp_path, capsys, verb, section, key, value, path):
+    # bool is an int subclass: true was read as 1 (t = 1.0, a sender at participant 1)
+    doc = json.loads((DATA / "run_n5.json").read_text())
+    doc["scan"] = {"n": [5], "q0": [0.33], "theta1": [2.0], "theta2": [0.5]}
+    doc[section][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run_cli([verb, "--config", str(bad)]) == 2
+    assert f"{path}: must be a number, got True" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_verify_rejects_too_few_trials(capsys, trials):
     assert run_cli(["verify", "--n", "5", "--trials", trials]) == 2
@@ -271,6 +287,19 @@ def test_scan_rejects_axis_count_below_one(axis, capsys):
     argv.update([axis])
     assert run_cli(["scan", *[x for kv in argv.items() for x in kv]]) == 2
     assert "count must be >= 1" in capsys.readouterr().err
+
+@pytest.mark.parametrize("axis, spec", [("--n", "nan"), ("--theta1", "1:2"),
+                                        ("--n", "log:5:inf:3")])
+def test_scan_axis_errors_name_the_axis(axis, spec, capsys):
+    # the bare int()/unpacking messages did not say which option was wrong,
+    # and an infinite log range raised OverflowError past the exit-code handler
+    argv = {"--n": "5", "--theta1": "1", "--theta2": "1"}
+    argv[axis] = spec
+    assert run_cli(["scan", *[x for kv in argv.items() for x in kv]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {axis} {spec!r}: " in captured.err
+
 
 def test_scan_single_cell(tmp_path):
     out = tmp_path / "one.csv"

@@ -25,7 +25,12 @@ from anonsense.protocol import (
     verify_tracelessness,
 )
 from anonsense.sampling import draw_counts, philox
-from anonsense.statevec import SenderAssignment, oracle_distribution, phi_state
+from anonsense.statevec import (
+    SenderAssignment,
+    apply_sender_unitary,
+    oracle_distribution,
+    phi_state,
+)
 
 
 def test_run_protocol_zero_field_all_plus():
@@ -175,6 +180,8 @@ def loop_oracle(assign, config):
 
 
 def test_sweep_distributions_equal_per_subset_oracle(rng, monkeypatch):
+    # the sweep skips the exactly-zero terms and sums in another order than the
+    # full-vector inner products, so it meets them within the exact-path bound
     for n in range(5, 11):
         for config in cli_configs(n):
             for m in (1, 2):
@@ -184,7 +191,10 @@ def test_sweep_distributions_equal_per_subset_oracle(rng, monkeypatch):
                 for subset, dist in zip(sender_subsets(n, m), dists):
                     assign = SenderAssignment(n, subset, fields)
                     assert dist.probs == oracle_distribution(assign, config).probs
-                    assert dist.probs == loop_oracle(assign, config)
+                    reference = loop_oracle(assign, config)
+                    assert list(dist.probs) == list(reference)
+                    for label, p in reference.items():
+                        assert abs(dist.probs[label] - p) <= 1e-12
 
 
 def test_sweep_builds_basis_once(monkeypatch):
@@ -198,18 +208,51 @@ def test_sweep_builds_basis_once(monkeypatch):
     assert sorted(calls) == sorted([(8, 0, PLUS), (8, 4, PLUS), (8, 0, PLUS), (8, 0, MINUS), (8, 4, PLUS)])
 
 
+def block_rows(subsets):
+    """Rows per block that split ``subsets`` into several blocks, the last of one subset."""
+    return next(rows for rows in range(2, subsets) if (subsets - 1) % rows == 0)
+
+
+def test_blocked_sweep_keeps_every_subsets_bits(rng, monkeypatch):
+    real = statevec._subset_phases
+    entries = []
+
+    def spy(fields, positions, states):
+        entries.append((len(positions), len(states)))
+        return real(fields, positions, states)
+
+    monkeypatch.setattr(statevec, "_subset_phases", spy)
+    for n in range(9, 15):
+        subsets = sender_subsets(n, 2)
+        fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, 2))), t=1.0)
+        for config in cli_configs(n):
+            support = len(statevec._DenseBasis(config, n).support)
+            rows = block_rows(len(subsets))
+            bound = rows * support + support - 1  # floor division leaves ``rows`` rows
+            monkeypatch.setattr(statevec, "_PHASE_BLOCK_ENTRIES", bound)
+            entries.clear()
+            report = verify_tracelessness(n, fields, config)
+            assert [r for r, _ in entries] == [rows] * (len(subsets) // rows) + [1]
+            for k, subset in enumerate(subsets):
+                alone = oracle_distribution(SenderAssignment(n, subset, fields), config)
+                assert report.distributions[k].probs == alone.probs
+            assert all(r * states <= bound for r, states in entries)
+
+
 def test_sweep_detects_a_phase_on_participant_one(monkeypatch):
     # an extra phase on participant 1's qubit breaks the permutation symmetry;
-    # the sweep sees it only if every subset gets its own phase vector
-    real = statevec._sender_phases
+    # the sweep sees it only if every subset gets its own phases; at n = 14
+    # the sweep runs in several blocks
+    real = statevec._subset_phases
     monkeypatch.setattr(
-        statevec, "_sender_phases",
-        lambda assign: real(assign) * np.exp(0.3j * (np.arange(1 << assign.n) & 1)),
+        statevec, "_subset_phases",
+        lambda fields, positions, states: real(fields, positions, states) * np.exp(0.3j * (states & 1)),
     )
-    config = ProtocolConfig.for_two_senders(6, a=3, q0=0.33)
-    report = verify_tracelessness(6, FieldVector((0.7, 1.6), 1.0), config)
-    assert not report.verdict
-    assert report.max_tv_distance > 1e-3
+    for n in (6, 14):
+        config = ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33)
+        report = verify_tracelessness(n, FieldVector((0.7, 1.6), 1.0), config)
+        assert not report.verdict
+        assert report.max_tv_distance > 1e-3
 
 
 def all_switches_config(n, m_est, zero_row):
@@ -347,6 +390,28 @@ def test_negative_control_detects_leak():
     report = negative_control(4, FieldVector((math.pi / 2,), 1.0), config)
     assert report.max_tv_distance > 0.01
     assert not report.verdict  # 'fail' = leak detected = control works
+
+
+def loop_control(n, subset, fields):
+    """The control's X-readout rate on participant 1, with |+>^n built for one subset."""
+    assign = SenderAssignment(n, subset, fields)
+    state = apply_sender_unitary(np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=complex), assign)
+    idx = np.arange(1 << n)
+    minus = (state[(idx & 1) == 0] - state[(idx & 1) == 1]) / math.sqrt(2.0)
+    p_minus = min(max(float(np.sum(np.abs(minus) ** 2)), 0.0), 1.0)
+    return {"pos1-": p_minus, "pos1+": 1.0 - p_minus}
+
+
+@pytest.mark.parametrize("block_entries", [1, 3 << 9, 1 << 15])
+def test_negative_control_equals_per_subset_loop(rng, monkeypatch, block_entries):
+    monkeypatch.setattr(statevec, "_PHASE_BLOCK_ENTRIES", block_entries)
+    for n in (5, 8, 11):
+        config = ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33)
+        for m in (1, 2):
+            fields = FieldVector(tuple(sorted(rng.uniform(0.5, 2.5, m))), t=1.0)
+            report = negative_control(n, fields, config)
+            assert [d.probs for d in report.distributions] == [
+                loop_control(n, subset, fields) for subset in sender_subsets(n, m)]
 
 
 def test_negative_control_silent_at_zero_field():
