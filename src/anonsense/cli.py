@@ -58,8 +58,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ValueError(f"--threads must be >= 1, got {args.threads}")
         return args.handler(args)
     except OracleLimitError as exc:
         print(f"error: oracle limit exceeded: {exc}", file=sys.stderr)
@@ -76,8 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="master seed (overrides any seed in a config file)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker count hint; results are independent of it")
     common.add_argument("--out", type=Path, default=None,
                         help="output file (default: stdout)")
 
@@ -131,12 +127,12 @@ def _cmd_verify(args) -> int:
     seed = 0 if args.seed is None else args.seed
     n, m = args.n, args.m
     check_senders(n, m)
+    if not math.isfinite(args.t):
+        raise ValueError(f"--t must be finite, got {args.t}")
     if args.negative_control:
         rng = philox(seed, 0xC0)
         omegas = tuple(sorted(rng.uniform(0.5, 2.5, size=m).tolist()))
-        fields = FieldVector(omegas=omegas, t=args.t)
-        config = _verify_config(n, args.t)
-        report = negative_control(n, fields, config)
+        report = negative_control(n, FieldVector(omegas=omegas, t=args.t))
         doc = {"command": "verify", "negative_control": tracelessness_to_dict(report),
                "leak_detected": not report.verdict}
         _emit(dumps_json(doc), args.out)
@@ -161,7 +157,7 @@ def _cmd_verify(args) -> int:
         omegas = tuple(sorted(rng.uniform(0.1, 3.0, size=m).tolist()))
         fields = FieldVector(omegas=omegas, t=args.t)
         for config in configs:
-            report = verify_tracelessness(n, fields, config)
+            report = verify_tracelessness(config, fields)
             worst_tv = max(worst_tv, report.max_tv_distance)
             subsets = sender_subsets(n, m)
             drawn = int(rng.integers(len(subsets)))
@@ -201,12 +197,6 @@ def _cmd_verify(args) -> int:
           f"max TV {worst_tv:.3e}, max oracle/analytic error {worst_err:.3e} "
           f"-> {'pass' if passed else 'FAIL'}", file=sys.stderr)
     return EXIT_OK if passed else EXIT_FAIL
-
-
-def _verify_config(n: int, t: float) -> ProtocolConfig:
-    if n >= 5:
-        return ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33, t=t)
-    return ProtocolConfig.for_single_sender(n, t=t)
 
 
 # --------------------------------------------------------------------------

@@ -44,13 +44,13 @@ class FieldVector:
         return len(self.omegas)
 
     def violations(self) -> list[str]:
-        """Return convention violations (non-positive or unordered amplitudes)."""
+        """Return convention violations (non-positive, non-finite or unordered amplitudes)."""
         out = []
-        if self.t <= 0:
-            out.append(f"interaction time must be positive, got {self.t}")
+        if not 0 < self.t < math.inf:
+            out.append(f"interaction time must be positive and finite, got {self.t}")
         for j, w in enumerate(self.omegas):
-            if w <= 0:
-                out.append(f"omegas[{j}] = {w} is not strictly positive")
+            if not 0 < w < math.inf:
+                out.append(f"omegas[{j}] = {w} is not strictly positive and finite")
         for j in range(1, self.m):
             if self.omegas[j] < self.omegas[j - 1]:
                 out.append(f"omegas[{j}] < omegas[{j - 1}]: amplitudes not nondecreasing")

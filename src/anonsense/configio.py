@@ -56,7 +56,7 @@ def _parse_protocol(section) -> ProtocolConfig:
     _reject_unknown(section, {"n", "m_est", "t", "a", "q0", "q", "c"}, path)
     n = _require_int(section, "n", path)
     m_est = _require_int(section, "m_est", path)
-    t = _number(section.get("t", 1.0), float, f"{path}.t")
+    t = _real(section.get("t", 1.0), f"{path}.t")
     if m_est == 1:
         config = ProtocolConfig.for_single_sender(n, t=t)
     elif m_est == 2:
@@ -64,7 +64,7 @@ def _parse_protocol(section) -> ProtocolConfig:
         q0 = section.get("q0")
         if q0 is None and "q" not in section:
             raise RunConfigError(f"{path}.q0: required for m_est=2 (or give a full q vector)")
-        q0 = 0.5 if q0 is None else _number(q0, float, f"{path}.q0")
+        q0 = 0.5 if q0 is None else _real(q0, f"{path}.q0")
         config = ProtocolConfig.for_two_senders(n, a=a, q0=q0, t=t)
     else:
         raise RunConfigError(f"{path}.m_est: must be 1 or 2, got {m_est}")
@@ -73,7 +73,7 @@ def _parse_protocol(section) -> ProtocolConfig:
         if not isinstance(q, list) or len(q) != config.kmax + 1:
             raise RunConfigError(f"{path}.q: must be a list of {config.kmax + 1} weights")
         config = ProtocolConfig(n=config.n, m_est=config.m_est, t=config.t,
-                                q=tuple(_number(x, float, f"{path}.q[{i}]")
+                                q=tuple(_real(x, f"{path}.q[{i}]")
                                         for i, x in enumerate(q)),
                                 c_plus=config.c_plus, c_minus=config.c_minus, a=config.a)
     if "c" in section:
@@ -157,12 +157,9 @@ def load_counts(doc) -> OutcomeCounts:
         raise RunConfigError("$.counts: section is required")
     counts = doc["counts"]
     _require_mapping(counts, "$.counts")
+    parsed = {label: _require_int(counts, label, "$.counts") for label in counts}
     try:
-        parsed = {str(k): int(v) for k, v in counts.items()}
-    except (TypeError, ValueError) as exc:
-        raise RunConfigError(f"$.counts: {exc}") from None
-    try:
-        return OutcomeCounts.from_dict(parsed)
+        return OutcomeCounts(parsed)
     except ValueError as exc:
         raise RunConfigError(f"$.counts: {exc}") from None
 
@@ -181,6 +178,14 @@ def _number(value, kind, path):
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise RunConfigError(f"{path}: must be a number, got {value!r}") from None
+
+
+def _real(value, path) -> float:
+    """:func:`_number` as a float that must be finite; NaN and infinities name ``path``."""
+    x = _number(value, float, path)
+    if not math.isfinite(x):
+        raise RunConfigError(f"{path}: must be finite, got {value!r}")
+    return x
 
 
 def _require_int(section, key, path):

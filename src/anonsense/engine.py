@@ -119,7 +119,7 @@ class OutcomeDistribution:
 
     def __post_init__(self):
         total = sum(self.probs.values())
-        if abs(total - 1.0) > NORM_ATOL:
+        if not abs(total - 1.0) <= NORM_ATOL:  # a NaN total fails too
             raise ValueError(f"distribution not normalized: total={total!r}")
 
     def labels(self) -> list[str]:
@@ -143,6 +143,13 @@ def check_senders(n: int, m: int):
         raise ValueError(f"m={m} exceeds floor((n+1)/2)={max_senders(n)} for n={n}")
 
 
+def check_config(config: ProtocolConfig):
+    """Raise :class:`ConfigError` listing every violation of ``config``'s invariants."""
+    violations = validate_config(config)
+    if violations:
+        raise ConfigError(violations)
+
+
 def validate_config(config: ProtocolConfig) -> list[str]:
     """Check every configuration invariant; return violations (empty if valid)."""
     v = []
@@ -152,15 +159,15 @@ def validate_config(config: ProtocolConfig) -> list[str]:
         return v
     if config.m_est not in (1, 2):
         v.append(f"m_est must be 1 or 2, got {config.m_est}")
-    if config.t <= 0:
-        v.append(f"t must be positive, got {config.t}")
+    if not 0 < config.t < math.inf:
+        v.append(f"t must be positive and finite, got {config.t}")
     for name, vec in (("q", config.q), ("c_plus", config.c_plus), ("c_minus", config.c_minus)):
         if len(vec) != kmax + 1:
             v.append(f"{name} must have floor(n/2)+1 = {kmax + 1} entries, got {len(vec)}")
             return v
     for i, qi in enumerate(config.q):
-        if qi < 0:
-            v.append(f"q[{i}] = {qi} is negative")
+        if not 0 <= qi < math.inf:
+            v.append(f"q[{i}] = {qi} is negative or not finite")
     if abs(sum(config.q) - 1.0) > PROB_ATOL:
         v.append(f"sum(q) = {sum(config.q)!r} != 1")
     for name, vec in (("c_plus", config.c_plus), ("c_minus", config.c_minus)):
@@ -278,9 +285,7 @@ class ThetaModel:
     """
 
     def __init__(self, config: ProtocolConfig, m: Optional[int] = None):
-        violations = validate_config(config)
-        if violations:
-            raise ConfigError(violations)
+        check_config(config)
         self.config = config
         self.m_est = config.m_est
         self.m = config.m_est if m is None else m

@@ -26,22 +26,18 @@ DAMPING = 1e-3
 
 @dataclass(frozen=True)
 class OutcomeCounts:
-    """Observed outcome tallies over a known label set."""
+    """Observed outcome tallies over a known label set; ``N`` is their total."""
 
     counts: dict[str, int]
-    N: int
 
     def __post_init__(self):
         for label, c in self.counts.items():
             if c < 0 or c != int(c):
                 raise ValueError(f"count for {label!r} must be a nonnegative integer, got {c}")
-        total = sum(self.counts.values())
-        if total != self.N:
-            raise ValueError(f"counts sum to {total}, expected N={self.N}")
 
-    @classmethod
-    def from_dict(cls, counts: dict[str, int]) -> "OutcomeCounts":
-        return cls(counts=dict(counts), N=sum(counts.values()))
+    @property
+    def N(self) -> int:
+        return sum(self.counts.values())
 
 
 @dataclass(frozen=True)
@@ -118,7 +114,7 @@ def mle_estimate(counts: OutcomeCounts, config: ProtocolConfig) -> EstimateRepor
             flags.append(f"flat likelihood along theta_{j + 1}")
 
     theta, ll_hat, info = _refine(counts, model, tallies, theta, axis[1] - axis[0])
-    theta_hat = PhaseParameters(m_est=m, theta=tuple(theta))
+    theta_hat = PhaseParameters(tuple(theta))
     se = _observed_se(info, theta, flags)
     crb_se: Optional[tuple[float, ...]] = None
     try:

@@ -57,15 +57,16 @@ class PhaseParameters:
     any reals so symmetry properties can be probed.
     """
 
-    m_est: int
     theta: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "theta", tuple(float(x) for x in self.theta))
         if self.m_est not in (1, 2):
-            raise ValueError(f"m_est must be 1 or 2, got {self.m_est}")
-        if len(self.theta) != self.m_est:
-            raise ValueError(f"expected {self.m_est} phase components, got {len(self.theta)}")
+            raise ValueError(f"expected 1 or 2 phase components, got {self.m_est}")
+
+    @property
+    def m_est(self) -> int:
+        return len(self.theta)
 
 
 @dataclass(frozen=True)

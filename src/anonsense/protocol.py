@@ -21,12 +21,11 @@ import numpy as np
 
 from .combinatorics import FieldVector
 from .engine import (
-    ConfigError,
     OutcomeDistribution,
     ProtocolConfig,
+    check_config,
     check_senders,
     outcome_distribution,
-    validate_config,
 )
 from .estimation import EstimateReport, OutcomeCounts, mle_estimate
 from .sampling import draw_counts, philox
@@ -89,13 +88,10 @@ def run_protocol(
     directly from the closed-form mixture distribution.  Both paths have
     identical statistics and are reproducible from the seed.
     """
-    violations = validate_config(config)
-    if violations:
-        raise ConfigError(violations)
+    check_config(config)
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if config.n != assign.n:
-        raise ValueError(f"config.n={config.n} != assignment n={assign.n}")
+    assign.check_n(config)
     rng = philox(seed)
     if config.n <= oracle_limit():
         conditionals = conditional_distributions(assign, config)
@@ -111,7 +107,7 @@ def run_protocol(
     else:
         dist = outcome_distribution(config, assign.fields)
         counts = draw_counts(dist, rounds, rng)
-    broadcast = mle_estimate(OutcomeCounts(counts=counts, N=rounds), config)
+    broadcast = mle_estimate(OutcomeCounts(counts), config)
     return Transcript(config=config, rounds=rounds, counts=counts, broadcast=broadcast, seed=seed)
 
 
@@ -132,11 +128,7 @@ def sender_subsets(n: int, m: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(1, n + 1), m))
 
 
-def verify_tracelessness(
-    n: int,
-    fields: FieldVector,
-    config: ProtocolConfig,
-) -> TracelessnessReport:
+def verify_tracelessness(config: ProtocolConfig, fields: FieldVector) -> TracelessnessReport:
     """Compare outcome distributions across ALL sender subsets.
 
     Each subset's distribution is computed from its own sender positions: by
@@ -146,13 +138,11 @@ def verify_tracelessness(
     :func:`sender_subsets` order.  Pass iff the maximum pairwise
     total-variation distance is within :data:`EXACT_TV_TOL`.
     """
-    m = fields.m
+    n, m = config.n, fields.m
     check_senders(n, m)
-    if config.n != n:
-        raise ValueError(f"config.n={config.n} != assignment n={n}")
     subsets = sender_subsets(n, m)
     if n <= oracle_limit():
-        dists = _DenseBasis(config, n).mixtures(fields, np.array(subsets))
+        dists = _DenseBasis(config).mixtures(fields, np.array(subsets))
     else:
         dists = dicke_sweep(config, fields, subsets)
     max_tv = _max_pairwise_tv(dists)
@@ -163,11 +153,7 @@ def verify_tracelessness(
     )
 
 
-def negative_control(
-    n: int,
-    fields: FieldVector,
-    config: ProtocolConfig,
-) -> TracelessnessReport:
+def negative_control(n: int, fields: FieldVector) -> TracelessnessReport:
     """Credibility check: a deliberately position-sensitive scheme must FAIL.
 
     The control runs a broken protocol variant: unentangled sensors (each

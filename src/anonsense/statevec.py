@@ -26,14 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import MINUS, PLUS, SIGNS, FieldVector
-from .engine import (
-    ConfigError,
-    OutcomeDistribution,
-    PROB_ATOL,
-    ProtocolConfig,
-    check_senders,
-    validate_config,
-)
+from .engine import OutcomeDistribution, PROB_ATOL, ProtocolConfig, check_config, check_senders
 
 DEFAULT_ORACLE_LIMIT = 20
 _PHASE_BLOCK_ENTRIES = 1 << 15  # bound on the phases of one block of sender subsets
@@ -92,6 +85,11 @@ class SenderAssignment:
     @property
     def m(self) -> int:
         return len(self.sender_positions)
+
+    def check_n(self, config: ProtocolConfig):
+        """Raise ValueError unless ``config`` is for this assignment's participant count."""
+        if config.n != self.n:
+            raise ValueError(f"config.n={config.n} != assignment n={self.n}")
 
 
 def dicke_state(n: int, k: int) -> np.ndarray:
@@ -188,12 +186,9 @@ class _DenseBasis:
     through :func:`_subset_phases`.
     """
 
-    def __init__(self, config: ProtocolConfig, n: int):
-        violations = validate_config(config)
-        if violations:
-            raise ConfigError(violations)
-        if config.n != n:
-            raise ValueError(f"config.n={config.n} != assignment n={n}")
+    def __init__(self, config: ProtocolConfig):
+        check_config(config)
+        n = config.n
         _check_limit(n)
         initial = {
             ip: phi_state(n, ip, PLUS) for ip in range(config.kmax + 1) if config.q[ip] > 0.0
@@ -273,7 +268,8 @@ def oracle_distribution(assign: SenderAssignment, config: ProtocolConfig) -> Out
     sum_{i'} q[i'] |<phi_{i,sign}| U |phi_{i',+}>|^2 over the full mixture,
     with the residual 'f' completing the distribution.
     """
-    return _DenseBasis(config, assign.n).mixture(assign)
+    assign.check_n(config)
+    return _DenseBasis(config).mixture(assign)
 
 
 def conditional_distributions(
@@ -284,7 +280,8 @@ def conditional_distributions(
     Used by round-by-round simulation, where the initial state is drawn from
     the mixture weights before each measurement.
     """
-    return _DenseBasis(config, assign.n).conditionals(assign)
+    assign.check_n(config)
+    return _DenseBasis(config).conditionals(assign)
 
 
 def dicke_sweep(config: ProtocolConfig, fields: FieldVector, subsets) -> list[OutcomeDistribution]:
@@ -296,9 +293,7 @@ def dicke_sweep(config: ProtocolConfig, fields: FieldVector, subsets) -> list[Ou
     are carried as means, B_k <- ((j-k)*a_j*B_k + k*b_j*B_{k-1})/j, so nothing under-
     or overflows, truncated at the largest measured index and vectorised over subsets.
     """
-    violations = validate_config(config)
-    if violations:
-        raise ConfigError(violations)
+    check_config(config)
     positions = np.array([SenderAssignment(config.n, s, fields).sender_positions for s in subsets])
     active = [(i, sign) for i in range(config.kmax + 1) for sign in SIGNS if config.c(i, sign)]
     k = np.arange(active[-1][0] + 1)

@@ -111,7 +111,7 @@ def test_criterion_2_exact_tracelessness_and_control():
             for _ in range(20):
                 fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, m).tolist())), t=1.0)
                 for config in configs:
-                    rep = verify_tracelessness(n, fields, config)
+                    rep = verify_tracelessness(config, fields)
                     worst = max(worst, rep.max_tv_distance)
                     checked += 1
                     assert rep.max_tv_distance <= 1e-10, (
@@ -120,13 +120,13 @@ def test_criterion_2_exact_tracelessness_and_control():
                     )
     # verifier sensitivity: the planted leak must be detected for generic fields
     control_cases = [
-        (4, FieldVector((math.pi / 2,), 1.0), ProtocolConfig.for_single_sender(4)),
-        (5, FieldVector((0.9, 1.7), 1.0), ProtocolConfig.for_two_senders(5, a=2, q0=0.33)),
-        (8, FieldVector((0.6, 2.1), 1.0), ProtocolConfig.for_two_senders(8, a=4, q0=0.33)),
+        (4, FieldVector((math.pi / 2,), 1.0)),
+        (5, FieldVector((0.9, 1.7), 1.0)),
+        (8, FieldVector((0.6, 2.1), 1.0)),
     ]
     detected = []
-    for n, fields, config in control_cases:
-        rep = negative_control(n, fields, config)
+    for n, fields in control_cases:
+        rep = negative_control(n, fields)
         detected.append(rep.max_tv_distance)
         assert rep.max_tv_distance > 0.01, (
             f"negative control failed to detect the leak at n={n}: "
@@ -150,7 +150,7 @@ def test_criterion_3_single_sender_baseline():
     for theta in grid:
         dist = outcome_distribution(config, FieldVector((float(theta),), 1.0))
         worst_p = max(worst_p, abs(dist.probs["0+"] - math.cos(theta / 2) ** 2))
-        res = fisher_matrix(config, PhaseParameters(1, (float(theta),)), N=N)
+        res = fisher_matrix(config, PhaseParameters((float(theta),)), N=N)
         worst_j = max(worst_j, abs(res.J[0, 0] - 1.0))
         worst_crb = max(worst_crb, abs(res.crb_diag[0] - 1.0 / N))
     assert worst_p <= 1e-12
@@ -168,7 +168,7 @@ def test_criterion_4_two_sender_closed_forms():
             config = ProtocolConfig.for_two_senders(n, a=a, q0=q0)
             for th1 in (0.3, 1.0, 2.0, 3.0):
                 for th2 in (0.3, 1.0, 2.0, 3.0):
-                    res = fisher_matrix(config, PhaseParameters(2, (th1, th2)))
+                    res = fisher_matrix(config, PhaseParameters((th1, th2)))
                     err11 = abs(res.J_inv[0, 0] - 1.0 / q0)
                     cf = closed_form_j22(n, a, q0, (th1, th2))
                     err22 = abs(res.J_inv[1, 1] - cf) / cf
@@ -270,7 +270,7 @@ def test_criterion_8_estimator_consistency():
     dist = outcome_distribution(config, fields)
     estimates = []
     for rep in range(reps):
-        counts = OutcomeCounts.from_dict(draw_counts(dist, N, philox(8080, rep)))
+        counts = OutcomeCounts(draw_counts(dist, N, philox(8080, rep)))
         estimates.append(mle_estimate(counts, config).theta_hat.theta[1])
     var = float(np.var(estimates, ddof=1))
     crb = closed_form_j22(n, a, q0, truth) / N
@@ -304,13 +304,12 @@ def test_criterion_9_cli_determinism(tmp_path):
     }
     for verb, args in commands.items():
         outputs = []
-        for attempt, threads in (("a", "1"), ("b", "1"), ("c", "4")):
+        for attempt in "abc":
             out = tmp_path / f"{verb}_{attempt}.out"
-            code = main(args + ["--threads", threads, "--out", str(out)])
+            code = main(args + ["--out", str(out)])
             assert code == 0, f"{verb} exited {code}"
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2], (
-            f"{verb} output not byte-identical across runs/worker counts"
+            f"{verb} output not byte-identical across runs"
         )
-    report(9, "all four CLI verbs byte-identical across repeated seeded runs "
-              "and worker counts")
+    report(9, "all four CLI verbs byte-identical across repeated seeded runs")

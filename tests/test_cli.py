@@ -131,6 +131,15 @@ def test_malformed_counts_reports_location(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
+@pytest.mark.parametrize("value", [True, 2.7, "3"])
+def test_counts_must_be_json_integers(tmp_path, capsys, value):
+    # int() read true as 1 and truncated 2.7 to 2
+    bad = tmp_path / "counts.json"
+    bad.write_text(json.dumps({"counts": {"0+": value, "f": 3}}))
+    assert run_cli(["estimate", "--counts", str(bad), "--config", str(DATA / "run_m1.json")]) == 2
+    assert f"error: $.counts.0+: must be an integer, got {value!r}" in capsys.readouterr().err
+
+
 def test_zero_total_counts_rejected(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text('{"counts": {}}')
@@ -164,6 +173,13 @@ def test_simulate_rejects_zero_rounds(tmp_path):
     ("scenario", "omegas", [0.75, [1.25]], "$.scenario.omegas[1]"),
     ("scenario", "sender_positions", [[2], 4], "$.scenario.sender_positions[0]"),
     ("run", "seed", [42], "$.run.seed"),
+    # non-finite numbers: NaN slipped past every '<= 0' check
+    ("protocol", "t", "nan", "$.protocol.t: must be finite"),
+    ("protocol", "t", math.inf, "$.protocol.t: must be finite"),
+    ("protocol", "q0", "nan", "$.protocol.q0: must be finite"),
+    ("protocol", "q", ["nan", 0, "nan"], "$.protocol.q[0]: must be finite"),
+    ("scenario", "omegas", ["nan", 1.25], "$.scenario.omegas: omegas[0] = nan"),
+    ("scenario", "omegas", [0.75, "inf"], "$.scenario.omegas: omegas[1] = inf"),
 ])
 def test_wrong_value_types_report_their_path(tmp_path, capsys, section, key, value, path):
     doc = json.loads((DATA / "run_n5.json").read_text())
@@ -188,6 +204,16 @@ def test_json_booleans_report_their_path(tmp_path, capsys, verb, section, key, v
     bad.write_text(json.dumps(doc))
     assert run_cli([verb, "--config", str(bad)]) == 2
     assert f"{path}: must be a number, got True" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", ["nan", "inf"])
+@pytest.mark.parametrize("control", [[], ["--negative-control"]])
+def test_verify_rejects_non_finite_time(capsys, t, control):
+    # --t nan passed with TV 0.0 and wrote a NaN token into the report
+    assert run_cli(["verify", "--n", "6", "--t", t, "--trials", "1", *control]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --t must be finite, got {float(t)}\n"
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

@@ -206,6 +206,12 @@ def test_validate_config_reports_each_invariant():
     assert any("sum(q)" in v for v in violations)
     assert any("not 0/1" in v for v in violations)
     assert any("a=1" in v for v in violations)
+    for bad in (math.nan, math.inf):
+        config = ProtocolConfig(n=4, m_est=1, t=bad, q=(bad, 0.0, 1.0),
+                                c_plus=(1, 0, 1), c_minus=(0, 0, 0))
+        violations = validate_config(config)
+        assert any("t must be positive and finite" in v for v in violations)
+        assert any("q[0]" in v and "not finite" in v for v in violations)
 
 
 def test_outcome_distribution_rejects_invalid_config():
@@ -228,8 +234,8 @@ def test_every_entry_point_reports_too_many_senders_alike(capsys):
         lambda: ThetaModel(config, m=3),
         lambda: gamma(4, fields, 0, PLUS),
         lambda: SenderAssignment(4, (1, 2, 3), fields),
-        lambda: protocol.verify_tracelessness(4, fields, config),
-        lambda: protocol.negative_control(4, fields, config),
+        lambda: protocol.verify_tracelessness(config, fields),
+        lambda: protocol.negative_control(4, fields),
     ]
     for call in calls:
         with pytest.raises(ValueError) as excinfo:

@@ -23,32 +23,32 @@ def binomial_mle(k, N):
 
 
 def test_outcome_counts_validation():
-    OutcomeCounts(counts={"0+": 3, "f": 1}, N=4)
+    assert OutcomeCounts({"0+": 3, "f": 1}).N == 4
     with pytest.raises(ValueError):
-        OutcomeCounts(counts={"0+": 3}, N=4)
+        OutcomeCounts({"0+": -1, "f": 5})
     with pytest.raises(ValueError):
-        OutcomeCounts(counts={"0+": -1, "f": 5}, N=4)
-    assert OutcomeCounts.from_dict({"0+": 2, "f": 0}).N == 2
+        OutcomeCounts({"0+": 2.5, "f": 1})
+    assert OutcomeCounts({"0+": 2, "f": 0}).N == 2
 
 
 def test_log_likelihood_trivial_cases():
     config = ProtocolConfig.for_single_sender(6)
-    all_plus = OutcomeCounts.from_dict({"0+": 50})
-    assert log_likelihood(all_plus, config, PhaseParameters(1, (0.0,))) == 0.0
-    empty = OutcomeCounts.from_dict({})
-    assert log_likelihood(empty, config, PhaseParameters(1, (1.2,))) == 0.0
+    all_plus = OutcomeCounts({"0+": 50})
+    assert log_likelihood(all_plus, config, PhaseParameters((0.0,))) == 0.0
+    empty = OutcomeCounts({})
+    assert log_likelihood(empty, config, PhaseParameters((1.2,))) == 0.0
 
 
 def test_log_likelihood_zero_probability_sentinel():
     config = ProtocolConfig.for_single_sender(6)
-    counts = OutcomeCounts.from_dict({"f": 10})
-    assert log_likelihood(counts, config, PhaseParameters(1, (0.0,))) == -math.inf
+    counts = OutcomeCounts({"f": 10})
+    assert log_likelihood(counts, config, PhaseParameters((0.0,))) == -math.inf
 
 
 def test_log_likelihood_rejects_unknown_labels():
     config = ProtocolConfig.for_single_sender(6)
     with pytest.raises(ValueError):
-        log_likelihood(OutcomeCounts.from_dict({"9+": 1}), config, PhaseParameters(1, (1.0,)))
+        log_likelihood(OutcomeCounts({"9+": 1}), config, PhaseParameters((1.0,)))
 
 
 def test_single_sender_likelihood_is_unimodal():
@@ -73,7 +73,7 @@ def test_mle_builds_one_model(monkeypatch):
         init(self, config)
 
     config = ProtocolConfig.for_two_senders(7, a=3, q0=0.33)
-    counts = OutcomeCounts.from_dict({"0+": 400, "0-": 150, "3+": 300, "f": 150})
+    counts = OutcomeCounts({"0+": 400, "0-": 150, "3+": 300, "f": 150})
     monkeypatch.setattr(ThetaModel, "__init__", counting_init)
     report = mle_estimate(counts, config)
     assert len(built) == 1
@@ -98,7 +98,7 @@ def test_refinement_runs_on_float_points(monkeypatch):
         return point_probs(self, theta)
 
     config = ProtocolConfig.for_two_senders(7, a=3, q0=0.33)
-    counts = OutcomeCounts.from_dict({"0+": 400, "0-": 150, "3+": 300, "f": 150})
+    counts = OutcomeCounts({"0+": 400, "0-": 150, "3+": 300, "f": 150})
     monkeypatch.setattr(ThetaModel, "probs", counting_probs)
     monkeypatch.setattr(ThetaModel, "point_probs", counting_point_probs)
     report = mle_estimate(counts, config)
@@ -125,7 +125,7 @@ def test_refinement_evaluates_each_theta_once(monkeypatch):
              (ProtocolConfig.for_two_senders(6, a=3, q0=0.33), {"0+": 700, "0-": 300})]
     for config, counts in cases:
         points.clear()
-        mle_estimate(OutcomeCounts.from_dict(counts), config)
+        mle_estimate(OutcomeCounts(counts), config)
         assert len(points) > 2
         assert len(points) == len(set(points))
 
@@ -139,7 +139,7 @@ def test_mle_degenerate_counts_on_the_point_path():
         cases += [(config, "f"), (config, "0-")]
     for config, label in cases:
         for N in (1, 50, 100_000):
-            counts = OutcomeCounts.from_dict({label: N})
+            counts = OutcomeCounts({label: N})
             report = mle_estimate(counts, config)
             assert report.theta_hat.theta[0] == pytest.approx(math.pi, abs=1e-6)
             assert math.isfinite(report.log_likelihood)
@@ -156,7 +156,7 @@ def test_mle_converges_where_coordinate_search_zigzagged():
     # coordinate-wise golden-section search stopped at its 60-sweep cap on
     # these counts (LL -1193.3562273034631); scoring follows the ridge
     config = ProtocolConfig.for_two_senders(6, a=2, q0=0.238)
-    counts = OutcomeCounts.from_dict({"0+": 80, "0-": 152, "2+": 491, "f": 277})
+    counts = OutcomeCounts({"0+": 80, "0-": 152, "2+": 491, "f": 277})
     report = mle_estimate(counts, config)
     assert report.converged
     assert report.flags == ()
@@ -168,7 +168,7 @@ def test_mle_escapes_the_theta2_saddle():
     # the score vanish: scoring alone stops there, 0.26 nats below the
     # maximum; the observed information's negative eigenvalue leads off it
     config = ProtocolConfig.for_two_senders(14, a=2, q0=0.33)
-    counts = OutcomeCounts.from_dict({"0+": 3428, "0-": 46500, "2+": 10358, "f": 39714})
+    counts = OutcomeCounts({"0+": 3428, "0-": 46500, "2+": 10358, "f": 39714})
     report = mle_estimate(counts, config)
     assert report.theta_hat.theta[1] > 0.2
     assert report.log_likelihood >= -113420.98176207577  # coordinate search's value
@@ -217,7 +217,7 @@ def test_observed_information_matches_difference_stencil(rng):
             theta = rng.uniform(0.05, math.pi - 0.05, config.m_est).tolist()
             # no counts on a label of structurally zero probability (q[i] = 0)
             tally = rng.integers(1, 1000, len(model.labels)) * (np.array(model.point_probs(theta)) > 0)
-            counts = OutcomeCounts.from_dict(dict(zip(model.labels, tally.tolist())))
+            counts = OutcomeCounts(dict(zip(model.labels, tally.tolist())))
             info = estimation._observed_information(model, tally.astype(float), theta,
                                                    model.point_probs(theta))
             ref = stencil_information(model, counts, theta)
@@ -232,7 +232,7 @@ def test_mle_flags_an_estimate_at_the_domain_edge():
     # the log-likelihood's curvature degenerates: the observed information
     # is not positive definite, and no standard error is reported
     config = ProtocolConfig.for_two_senders(12, a=6, q0=0.33)
-    report = mle_estimate(OutcomeCounts.from_dict({"f": 1000}), config)
+    report = mle_estimate(OutcomeCounts({"f": 1000}), config)
     assert report.theta_hat.theta == pytest.approx((math.pi, math.pi), abs=1e-6)
     assert all(math.isnan(se) for se in report.se_estimate)
     assert "observed information not positive definite at the estimate" in report.flags
@@ -240,18 +240,18 @@ def test_mle_flags_an_estimate_at_the_domain_edge():
     assert edge == [f"theta_1 and theta_2 {EDGE_FLAG}: the observed-information "
                     f"standard errors are unreliable"]
     # one component at the edge names only that component
-    single = mle_estimate(OutcomeCounts.from_dict({"0+": 1000}), ProtocolConfig.for_single_sender(5))
+    single = mle_estimate(OutcomeCounts({"0+": 1000}), ProtocolConfig.for_single_sender(5))
     assert [flag for flag in single.flags if EDGE_FLAG in flag] == [
         f"theta_1 {EDGE_FLAG}: the observed-information standard errors are unreliable"]
     # an interior estimate carries no such flag
-    interior = mle_estimate(OutcomeCounts.from_dict({"0+": 400, "0-": 150, "3+": 300, "f": 150}),
+    interior = mle_estimate(OutcomeCounts({"0+": 400, "0-": 150, "3+": 300, "f": 150}),
                             ProtocolConfig.for_two_senders(7, a=3, q0=0.33))
     assert not any(EDGE_FLAG in flag for flag in interior.flags)
 
 
 def test_mle_all_counts_on_plus():
     config = ProtocolConfig.for_single_sender(5)
-    report = mle_estimate(OutcomeCounts.from_dict({"0+": 1000}), config)
+    report = mle_estimate(OutcomeCounts({"0+": 1000}), config)
     assert report.theta_hat.theta[0] == pytest.approx(0.0, abs=1e-6)
     assert report.converged
 
@@ -259,14 +259,14 @@ def test_mle_all_counts_on_plus():
 def test_mle_matches_binomial_closed_form():
     config = ProtocolConfig.for_single_sender(5)
     for k, N in ((500, 1000), (123, 1000), (901, 1000)):
-        counts = OutcomeCounts.from_dict({"0+": k, "f": N - k})
+        counts = OutcomeCounts({"0+": k, "f": N - k})
         report = mle_estimate(counts, config)
         assert report.theta_hat.theta[0] == pytest.approx(binomial_mle(k, N), abs=1e-6)
 
 
 def test_mle_half_split_is_right_angle():
     config = ProtocolConfig.for_single_sender(5)
-    report = mle_estimate(OutcomeCounts.from_dict({"0+": 500, "f": 500}), config)
+    report = mle_estimate(OutcomeCounts({"0+": 500, "f": 500}), config)
     assert report.theta_hat.theta[0] == pytest.approx(math.pi / 2, abs=1e-6)
     assert report.omega_hat[0] == pytest.approx(math.pi / 2, abs=1e-6)
 
@@ -278,7 +278,7 @@ def test_mle_two_sender_recovery_within_five_se():
     # truth as omega pair: theta2 = -0.5 even in sign
     fields = FieldVector(((truth[0] - truth[1]) / 2, (truth[0] + truth[1]) / 2), 1.0)
     dist = outcome_distribution(config, fields)
-    counts = OutcomeCounts.from_dict(draw_counts(dist, N, philox(12345)))
+    counts = OutcomeCounts(draw_counts(dist, N, philox(12345)))
     report = mle_estimate(counts, config)
     se2 = math.sqrt(closed_form_j22(n, a, q0, truth) / N)
     config_res = ProtocolConfig.for_two_senders(n, a=a, q0=q0)
@@ -291,8 +291,8 @@ def test_mle_two_sender_recovery_within_five_se():
 
 def test_mle_equivariant_under_label_order():
     config = ProtocolConfig.for_two_senders(6, a=3, q0=0.4)
-    counts_a = OutcomeCounts.from_dict({"0+": 300, "0-": 200, "3+": 400, "f": 100})
-    counts_b = OutcomeCounts.from_dict({"f": 100, "3+": 400, "0-": 200, "0+": 300})
+    counts_a = OutcomeCounts({"0+": 300, "0-": 200, "3+": 400, "f": 100})
+    counts_b = OutcomeCounts({"f": 100, "3+": 400, "0-": 200, "0+": 300})
     ra = mle_estimate(counts_a, config)
     rb = mle_estimate(counts_b, config)
     assert ra.theta_hat == rb.theta_hat
@@ -300,24 +300,24 @@ def test_mle_equivariant_under_label_order():
 
 def test_likelihood_is_even_in_theta2():
     config = ProtocolConfig.for_two_senders(8, a=4, q0=0.25)
-    counts = OutcomeCounts.from_dict({"0+": 10, "0-": 7, "4+": 20, "f": 13})
+    counts = OutcomeCounts({"0+": 10, "0-": 7, "4+": 20, "f": 13})
     for th1, th2 in ((0.4, 1.1), (2.2, 0.6)):
-        plus = log_likelihood(counts, config, PhaseParameters(2, (th1, th2)))
-        minus = log_likelihood(counts, config, PhaseParameters(2, (th1, -th2)))
+        plus = log_likelihood(counts, config, PhaseParameters((th1, th2)))
+        minus = log_likelihood(counts, config, PhaseParameters((th1, -th2)))
         assert plus == minus  # exact: the model depends on theta2 through cos only
 
 
 def test_mle_rejects_empty_counts():
     config = ProtocolConfig.for_single_sender(5)
     with pytest.raises(ValueError):
-        mle_estimate(OutcomeCounts.from_dict({}), config)
+        mle_estimate(OutcomeCounts({}), config)
 
 
 def test_mle_flags_flat_axis_and_breaks_ties_low():
     # counts only on the i=0 outcomes carry no theta2 information: the
     # likelihood is flat along that axis and the tie resolves to theta2 = 0
     config = ProtocolConfig.for_two_senders(6, a=3, q0=0.4)
-    counts = OutcomeCounts.from_dict({"0+": 400, "0-": 600})
+    counts = OutcomeCounts({"0+": 400, "0-": 600})
     report = mle_estimate(counts, config)
     assert not report.converged
     assert any("theta_2" in flag for flag in report.flags)
@@ -327,11 +327,11 @@ def test_mle_flags_flat_axis_and_breaks_ties_low():
 
 
 def test_recover_omegas():
-    assert recover_omegas(PhaseParameters(1, (2.0,)), t=2.0) == (1.0,)
-    pair = recover_omegas(PhaseParameters(2, (2.0, 0.5)), t=1.0)
+    assert recover_omegas(PhaseParameters((2.0,)), t=2.0) == (1.0,)
+    pair = recover_omegas(PhaseParameters((2.0, 0.5)), t=1.0)
     assert pair == pytest.approx((0.75, 1.25))
     # sign of theta2 cannot matter after sorting
-    assert recover_omegas(PhaseParameters(2, (2.0, -0.5)), t=1.0) == pytest.approx(pair)
+    assert recover_omegas(PhaseParameters((2.0, -0.5)), t=1.0) == pytest.approx(pair)
     assert field_flags((0.0,)) != []
     assert field_flags((0.5, 1.0)) == []
 
@@ -342,7 +342,7 @@ def test_recover_omegas_round_trip(rng):
         t = float(rng.uniform(0.2, 2.0))
         th1 = (omegas[0] + omegas[1]) * t
         th2 = (omegas[1] - omegas[0]) * t  # estimator convention: theta2 >= 0
-        back = recover_omegas(PhaseParameters(2, (th1, th2)), t)
+        back = recover_omegas(PhaseParameters((th1, th2)), t)
         assert back == pytest.approx(omegas, rel=1e-12)
 
 
@@ -355,7 +355,7 @@ def test_estimator_variance_tracks_crb_small():
     dist = outcome_distribution(config, fields)
     estimates = []
     for rep in range(reps):
-        counts = OutcomeCounts.from_dict(draw_counts(dist, N, philox(777, rep)))
+        counts = OutcomeCounts(draw_counts(dist, N, philox(777, rep)))
         estimates.append(mle_estimate(counts, config).theta_hat.theta[1])
     var = float(np.var(estimates, ddof=1))
     crb = closed_form_j22(n, a, q0, truth) / N

@@ -28,14 +28,15 @@ LIMIT_GOLDEN = 77.05161436201963  # frozen evaluation of the large-n formula at 
 
 
 def two_sender_theta(config, theta):
-    return PhaseParameters(m_est=2, theta=theta)
+    return PhaseParameters(theta)
 
 
 def test_phase_parameters_validation():
-    with pytest.raises(ValueError):
-        PhaseParameters(m_est=2, theta=(1.0,))
-    with pytest.raises(ValueError):
-        PhaseParameters(m_est=3, theta=(1.0, 1.0, 1.0))
+    assert PhaseParameters((1.0,)).m_est == 1
+    assert PhaseParameters((1.0, 0.5)).m_est == 2
+    for theta in ((), (1.0, 1.0, 1.0)):
+        with pytest.raises(ValueError, match="1 or 2 phase components"):
+            PhaseParameters(theta)
 
 
 def test_phases_from_fields():
@@ -256,7 +257,7 @@ def test_single_sender_fisher_is_unity():
         config = ProtocolConfig.for_single_sender(n)
         # at 0 and pi one outcome's probability is 0: its summand is the 0/0 limit
         for theta in [0.0, math.pi, *np.linspace(0.05, math.pi - 0.05, 25)]:
-            res = fisher_matrix(config, PhaseParameters(1, (float(theta),)), N=100)
+            res = fisher_matrix(config, PhaseParameters((float(theta),)), N=100)
             assert res.J[0, 0] == pytest.approx(1.0, abs=1e-12)
             assert res.J_inv[0, 0] == pytest.approx(1.0, abs=1e-12)
             assert res.crb_diag[0] == pytest.approx(0.01, abs=1e-12)
@@ -269,7 +270,7 @@ def test_two_sender_j11_inverse_is_one_over_q0(rng):
         a = int(rng.integers(2, n // 2 + 1))
         config = ProtocolConfig.for_two_senders(n, a=a, q0=q0)
         theta = (float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.2, 3.0)))
-        res = fisher_matrix(config, PhaseParameters(2, theta))
+        res = fisher_matrix(config, PhaseParameters(theta))
         assert res.J_inv[0, 0] == pytest.approx(1.0 / q0, abs=1e-10)
 
 
@@ -290,7 +291,7 @@ def test_finite_difference_agrees_with_analytic(rng, monkeypatch):
         config = ProtocolConfig.for_two_senders(n, a=int(rng.integers(2, n // 2 + 1)),
                                                 q0=float(rng.uniform(0.15, 0.85)))
         theta = (float(rng.uniform(0.3, 2.9)), float(rng.uniform(0.3, 2.9)))
-        params = PhaseParameters(2, theta)
+        params = PhaseParameters(theta)
         ja = fisher_matrix(config, params).J
         with monkeypatch.context() as mp:
             mp.setattr(ThetaModel, "dprobs", fd_dprobs)
@@ -349,16 +350,16 @@ def test_removable_zero_probability_is_skipped():
     # at theta = pi the (0,+) outcome hits the removable 0/0; its summand
     # (dp)^2/p enters as its limit 2*d2p, the whole information
     config = ProtocolConfig.for_single_sender(5)
-    res = fisher_matrix(config, PhaseParameters(1, (math.pi,)))
+    res = fisher_matrix(config, PhaseParameters((math.pi,)))
     assert res.J[0, 0] == 1.0
-    res = fisher_matrix(config, PhaseParameters(1, (math.pi - 1e-6,)))
+    res = fisher_matrix(config, PhaseParameters((math.pi - 1e-6,)))
     assert res.J[0, 0] == pytest.approx(1.0, abs=1e-9)
     # two senders at the corner (pi, pi): (0,+) and (6,+) vanish together,
     # and the bound is continuous with the points just inside
     config = ProtocolConfig.for_two_senders(12, a=6, q0=0.33)
-    corner = fisher_matrix(config, PhaseParameters(2, (math.pi, math.pi)), N=1000)
+    corner = fisher_matrix(config, PhaseParameters((math.pi, math.pi)), N=1000)
     for step in (1e-7, 1e-4):
-        inside = fisher_matrix(config, PhaseParameters(2, (math.pi - step,) * 2), N=1000)
+        inside = fisher_matrix(config, PhaseParameters((math.pi - step,) * 2), N=1000)
         assert corner.crb_diag == pytest.approx(inside.crb_diag, rel=1e-9)
     assert [math.sqrt(v) for v in corner.crb_diag] == pytest.approx([0.055048, 0.084386], abs=1e-6)
 
@@ -374,13 +375,13 @@ def test_zero_probability_with_real_slope_raises(monkeypatch):
 
     monkeypatch.setattr(ThetaModel, "dprobs", bad_dprobs)
     with pytest.raises(SingularTermError):
-        fisher_matrix(config, PhaseParameters(1, (math.pi,)))
+        fisher_matrix(config, PhaseParameters((math.pi,)))
 
 
 def test_singular_fisher_at_theta2_zero():
     config = ProtocolConfig.for_two_senders(8, a=4, q0=0.33)
     with pytest.raises(UnidentifiableDirectionError) as err:
-        fisher_matrix(config, PhaseParameters(2, (1.2, 0.0)))
+        fisher_matrix(config, PhaseParameters((1.2, 0.0)))
     null = err.value.null_vector
     assert abs(abs(null[1]) - 1.0) < 1e-8  # theta2 direction is unidentifiable
 
@@ -393,7 +394,7 @@ def test_closed_form_matches_numeric_inverse():
             for th1 in (0.3, 1.0, 2.0, 3.0):
                 for th2 in (0.3, 1.0, 2.0, 3.0):
                     config = ProtocolConfig.for_two_senders(n, a=a, q0=q0)
-                    res = fisher_matrix(config, PhaseParameters(2, (th1, th2)))
+                    res = fisher_matrix(config, PhaseParameters((th1, th2)))
                     cf = closed_form_j22(n, a, q0, (th1, th2))
                     assert abs(res.J_inv[1, 1] - cf) / cf <= 1e-6
 
@@ -622,7 +623,7 @@ def test_finite_n_bounded_by_limit():
 
 def test_omega_crb_transform():
     config = ProtocolConfig.for_two_senders(10, a=5, q0=0.33)
-    res = fisher_matrix(config, PhaseParameters(2, (2.0, 0.5)), N=1000)
+    res = fisher_matrix(config, PhaseParameters((2.0, 0.5)), N=1000)
     var = omega_crb_diag(res, t=2.0)
     expect = np.array([[1, 1], [1, -1]]) / 4.0 @ (res.J_inv / 1000) @ (np.array([[1, 1], [1, -1]]) / 4.0).T
     assert var[0] == pytest.approx(expect[0, 0], rel=1e-12)
@@ -632,7 +633,7 @@ def test_omega_crb_transform():
 def test_fisher_requires_matching_m_est():
     config = ProtocolConfig.for_single_sender(5)
     with pytest.raises(ValueError):
-        fisher_matrix(config, PhaseParameters(2, (1.0, 0.5)))
+        fisher_matrix(config, PhaseParameters((1.0, 0.5)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -99,7 +99,7 @@ def test_run_protocol_estimates_near_truth():
     est = transcript.broadcast
     assert est.crb_se is not None
     # amplitude-space bound from the phase-space Fisher matrix
-    res = fisher_matrix(config, PhaseParameters(2, (2.0, 0.5)), N=transcript.rounds)
+    res = fisher_matrix(config, PhaseParameters((2.0, 0.5)), N=transcript.rounds)
     omega_se = [math.sqrt(v) for v in omega_crb_diag(res, t=1.0)]
     for truth, got, se in zip((0.75, 1.25), est.omega_hat, omega_se):
         assert abs(got - truth) <= 3 * se
@@ -134,7 +134,7 @@ def test_exact_tracelessness_sweep(rng):
             config = (ProtocolConfig.for_two_senders(n, a=2, q0=0.33)
                       if (n >= 5 and m == 2) else ProtocolConfig.for_single_sender(n))
             fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, m))), t=1.0)
-            report = verify_tracelessness(n, fields, config)
+            report = verify_tracelessness(config, fields)
             assert report.n_subsets == math.comb(n, m)
             assert report.max_tv_distance <= 1e-10
             assert report.verdict
@@ -145,13 +145,13 @@ def cli_configs(n):
     return [ProtocolConfig.for_single_sender(n), ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33)]
 
 
-def sweep_distributions(monkeypatch, n, fields, config):
+def sweep_distributions(monkeypatch, config, fields):
     """Run the exact sweep and return the per-subset distributions it compared,
     which its report carries."""
     seen = []
     real = protocol._max_pairwise_tv
     monkeypatch.setattr(protocol, "_max_pairwise_tv", lambda dists: seen.append(dists) or real(dists))
-    report = verify_tracelessness(n, fields, config)
+    report = verify_tracelessness(config, fields)
     monkeypatch.setattr(protocol, "_max_pairwise_tv", real)
     assert report.distributions is seen[0]
     return seen[0]
@@ -186,7 +186,7 @@ def test_sweep_distributions_equal_per_subset_oracle(rng, monkeypatch):
         for config in cli_configs(n):
             for m in (1, 2):
                 fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, m))), t=1.0)
-                dists = sweep_distributions(monkeypatch, n, fields, config)
+                dists = sweep_distributions(monkeypatch, config, fields)
                 assert len(dists) == math.comb(n, m)
                 for subset, dist in zip(sender_subsets(n, m), dists):
                     assign = SenderAssignment(n, subset, fields)
@@ -202,7 +202,7 @@ def test_sweep_builds_basis_once(monkeypatch):
     real = statevec.phi_state
     monkeypatch.setattr(statevec, "phi_state", lambda *args: calls.append(args) or real(*args))
     config = ProtocolConfig.for_two_senders(8, a=4, q0=0.33)
-    report = verify_tracelessness(8, FieldVector((0.6, 1.7), 1.0), config)
+    report = verify_tracelessness(config, FieldVector((0.6, 1.7), 1.0))
     assert report.n_subsets == 28
     # initial states (0,+) and (4,+); projectors (0,+), (0,-) and (4,+)
     assert sorted(calls) == sorted([(8, 0, PLUS), (8, 4, PLUS), (8, 0, PLUS), (8, 0, MINUS), (8, 4, PLUS)])
@@ -226,12 +226,12 @@ def test_blocked_sweep_keeps_every_subsets_bits(rng, monkeypatch):
         subsets = sender_subsets(n, 2)
         fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, 2))), t=1.0)
         for config in cli_configs(n):
-            support = len(statevec._DenseBasis(config, n).support)
+            support = len(statevec._DenseBasis(config).support)
             rows = block_rows(len(subsets))
             bound = rows * support + support - 1  # floor division leaves ``rows`` rows
             monkeypatch.setattr(statevec, "_PHASE_BLOCK_ENTRIES", bound)
             entries.clear()
-            report = verify_tracelessness(n, fields, config)
+            report = verify_tracelessness(config, fields)
             assert [r for r, _ in entries] == [rows] * (len(subsets) // rows) + [1]
             for k, subset in enumerate(subsets):
                 alone = oracle_distribution(SenderAssignment(n, subset, fields), config)
@@ -250,7 +250,7 @@ def test_sweep_detects_a_phase_on_participant_one(monkeypatch):
     )
     for n in (6, 14):
         config = ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33)
-        report = verify_tracelessness(n, FieldVector((0.7, 1.6), 1.0), config)
+        report = verify_tracelessness(config, FieldVector((0.7, 1.6), 1.0))
         assert not report.verdict
         assert report.max_tv_distance > 1e-3
 
@@ -264,8 +264,9 @@ def all_switches_config(n, m_est, zero_row):
 
 
 def test_dicke_sweep_equals_dense_oracle(rng, monkeypatch):
-    # with the dense cap at 4 the sweep runs on Dicke-state products
-    monkeypatch.setenv("ANONSENSE_ORACLE_LIMIT", "4")
+    # with the dense cap at 4 the sweep runs on Dicke-state products; the dense
+    # sweep it is compared with is bitwise oracle_distribution per subset
+    # (test_blocked_sweep_keeps_every_subsets_bits)
     checked = 0
     for n in range(5, 13):
         for config in cli_configs(n) + [all_switches_config(n, 1, 1), all_switches_config(n, 2, 1)]:
@@ -273,16 +274,16 @@ def test_dicke_sweep_equals_dense_oracle(rng, monkeypatch):
                 if m > max_senders(n):
                     continue
                 fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, m))), t=1.0)
-                report = verify_tracelessness(n, fields, config)
+                monkeypatch.setenv("ANONSENSE_ORACLE_LIMIT", "4")
+                report = verify_tracelessness(config, fields)
                 assert report.verdict
                 monkeypatch.delenv("ANONSENSE_ORACLE_LIMIT")
-                for subset, dist in zip(sender_subsets(n, m), report.distributions):
-                    dense = oracle_distribution(SenderAssignment(n, subset, fields), config)
-                    assert list(dist.probs) == list(dense.probs)
-                    for label, p in dense.probs.items():
+                dense = verify_tracelessness(config, fields)
+                for dist, exact in zip(report.distributions, dense.distributions, strict=True):
+                    assert list(dist.probs) == list(exact.probs)
+                    for label, p in exact.probs.items():
                         assert abs(dist.probs[label] - p) <= 1e-12
                     checked += 1
-                monkeypatch.setenv("ANONSENSE_ORACLE_LIMIT", "4")
     assert checked > 4000
 
 
@@ -290,7 +291,7 @@ def test_dicke_sweep_equals_dense_oracle(rng, monkeypatch):
 def test_dicke_sweep_detects_a_phase_on_participant_one(monkeypatch, n):
     config = ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33)
     fields = FieldVector((0.7, 1.6), 1.0)
-    clean = verify_tracelessness(n, fields, config)
+    clean = verify_tracelessness(config, fields)
     assert clean.verdict
     assert clean.n_subsets == math.comb(n, 2)
     real = statevec._participant_phases
@@ -300,7 +301,7 @@ def test_dicke_sweep_detects_a_phase_on_participant_one(monkeypatch, n):
         return a, (b * np.exp(0.3j) if j == 1 else b)
 
     monkeypatch.setattr(statevec, "_participant_phases", leaky)
-    report = verify_tracelessness(n, fields, config)
+    report = verify_tracelessness(config, fields)
     assert not report.verdict
     assert report.max_tv_distance > 1e-3
 
@@ -311,7 +312,7 @@ def test_dicke_sweep_single_sender_at_large_n():
     n = 1100
     config = ProtocolConfig.for_single_sender(n)
     fields = FieldVector((1.3,), 1.0)
-    report = verify_tracelessness(n, fields, config)
+    report = verify_tracelessness(config, fields)
     assert report.verdict
     assert report.n_subsets == n
     closed = outcome_distribution(config, fields)
@@ -325,10 +326,12 @@ def test_sweep_rejects_bad_inputs(monkeypatch, limit):
     if limit is not None:
         monkeypatch.setenv("ANONSENSE_ORACLE_LIMIT", limit)
     fields = FieldVector((0.7, 1.6), 1.0)
-    with pytest.raises(ValueError, match="config.n"):
-        verify_tracelessness(5, fields, ProtocolConfig.for_two_senders(6, a=3, q0=0.33))
     with pytest.raises(ConfigError):
-        verify_tracelessness(5, fields, ProtocolConfig.for_two_senders(5, a=1, q0=0.33))
+        verify_tracelessness(ProtocolConfig.for_two_senders(5, a=1, q0=0.33), fields)
+    # NaN phases made every distribution NaN, and the sweep passed with distance 0
+    with pytest.raises(ValueError, match="not normalized: total=nan"):
+        verify_tracelessness(ProtocolConfig.for_two_senders(5, a=2, q0=0.33),
+                             FieldVector((math.nan, 1.0), 1.0))
 
 
 def loop_max_tv(dists):
@@ -350,7 +353,7 @@ def test_max_pairwise_tv_equals_pairwise_loop(rng, monkeypatch, block_entries):
         assert protocol._max_pairwise_tv(dists) == loop_max_tv(dists)
     # distances of a true sweep sit at rounding level, where summation order shows
     config = ProtocolConfig.for_two_senders(9, a=4, q0=0.33)
-    dists = sweep_distributions(monkeypatch, 9, FieldVector((0.4, 2.1), 1.0), config)
+    dists = sweep_distributions(monkeypatch, config, FieldVector((0.4, 2.1), 1.0))
     assert protocol._max_pairwise_tv(dists) == loop_max_tv(dists)
     assert loop_max_tv(dists) > 0.0
 
@@ -368,7 +371,7 @@ def test_tracelessness_with_more_senders_than_designed(rng):
     # the outcome distribution still cannot depend on the subset
     config = ProtocolConfig.for_two_senders(7, a=3, q0=0.33)
     fields = FieldVector(tuple(sorted(rng.uniform(0.2, 2.5, 3))), t=1.0)
-    report = verify_tracelessness(7, fields, config)
+    report = verify_tracelessness(config, fields)
     assert report.m == 3
     assert report.n_subsets == math.comb(7, 3)
     assert report.max_tv_distance <= 1e-10
@@ -386,8 +389,7 @@ def test_sampling_matches_analytic_frequencies():
 
 
 def test_negative_control_detects_leak():
-    config = ProtocolConfig.for_single_sender(4)
-    report = negative_control(4, FieldVector((math.pi / 2,), 1.0), config)
+    report = negative_control(4, FieldVector((math.pi / 2,), 1.0))
     assert report.max_tv_distance > 0.01
     assert not report.verdict  # 'fail' = leak detected = control works
 
@@ -406,25 +408,22 @@ def loop_control(n, subset, fields):
 def test_negative_control_equals_per_subset_loop(rng, monkeypatch, block_entries):
     monkeypatch.setattr(statevec, "_PHASE_BLOCK_ENTRIES", block_entries)
     for n in (5, 8, 11):
-        config = ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33)
         for m in (1, 2):
             fields = FieldVector(tuple(sorted(rng.uniform(0.5, 2.5, m))), t=1.0)
-            report = negative_control(n, fields, config)
+            report = negative_control(n, fields)
             assert [d.probs for d in report.distributions] == [
                 loop_control(n, subset, fields) for subset in sender_subsets(n, m)]
 
 
 def test_negative_control_silent_at_zero_field():
-    config = ProtocolConfig.for_single_sender(4)
-    report = negative_control(4, FieldVector((0.0,), 1.0), config)
+    report = negative_control(4, FieldVector((0.0,), 1.0))
     assert report.max_tv_distance <= 1e-12
     assert report.verdict
 
 
 def test_negative_control_two_senders(rng):
-    config = ProtocolConfig.for_two_senders(5, a=2, q0=0.33)
     fields = FieldVector(tuple(sorted(rng.uniform(0.5, 2.5, 2))), t=1.0)
-    report = negative_control(5, fields, config)
+    report = negative_control(5, fields)
     assert report.max_tv_distance > 0.01
     assert not report.verdict
 
@@ -441,5 +440,8 @@ def test_run_protocol_validates_inputs():
     with pytest.raises(ValueError):
         run_protocol(assign, config, rounds=0, seed=0)
     other = SenderAssignment(5, (1,), FieldVector((1.0,), 1.0))
-    with pytest.raises(ValueError):
-        run_protocol(other, config, rounds=10, seed=0)
+    for call in (lambda: run_protocol(other, config, rounds=10, seed=0),
+                 lambda: oracle_distribution(other, config),
+                 lambda: statevec.conditional_distributions(other, config)):
+        with pytest.raises(ValueError, match="config.n=4 != assignment n=5"):
+            call()

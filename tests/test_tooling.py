@@ -8,6 +8,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 DATA = ROOT / "tests" / "data"
+README = ROOT / "README.md"
 
 
 def load_tracer():
@@ -53,3 +54,11 @@ for k, argv in enumerate(runs):
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_library_example_runs(capsys):
+    # a signature change that leaves the README's example stale fails here
+    section = README.read_text().split("## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, f"{README}:Library example", "exec"), {})
+    assert capsys.readouterr().out.startswith("(")
