@@ -15,6 +15,7 @@ All outputs are byte-deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -52,6 +53,10 @@ EXIT_FAIL = 2
 EXIT_GUARD = 3
 
 FIG_AXIS_POINTS = 65
+# the ranges verify draws its field amplitudes from, for its trials and for
+# the negative control
+TRIAL_OMEGAS = (0.1, 3.0)
+CONTROL_OMEGAS = (0.5, 2.5)
 
 
 def main(argv=None) -> int:
@@ -70,7 +75,11 @@ def main(argv=None) -> int:
         return EXIT_FAIL
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first :func:`main` call of a process
+    and reused by the later ones; parsing keeps its state in a fresh
+    namespace per call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="master seed (overrides any seed in a config file)")
@@ -129,9 +138,13 @@ def _cmd_verify(args) -> int:
     check_senders(n, m)
     if not math.isfinite(args.t):
         raise ValueError(f"--t must be finite, got {args.t}")
+    lo, hi = CONTROL_OMEGAS if args.negative_control else TRIAL_OMEGAS
+    # the largest fields a draw can reach bound every drawn phase t*sum(omegas)
+    for violation in FieldVector(omegas=(hi,) * m, t=args.t).violations():
+        raise ValueError(f"--t {args.t}: {violation} (verify draws fields up to {hi})")
     if args.negative_control:
         rng = philox(seed, 0xC0)
-        omegas = tuple(sorted(rng.uniform(0.5, 2.5, size=m).tolist()))
+        omegas = tuple(sorted(rng.uniform(lo, hi, size=m).tolist()))
         report = negative_control(n, FieldVector(omegas=omegas, t=args.t))
         doc = {"command": "verify", "negative_control": tracelessness_to_dict(report),
                "leak_detected": not report.verdict}
@@ -154,7 +167,7 @@ def _cmd_verify(args) -> int:
     reports = []
     for trial in range(args.trials):
         rng = philox(seed, trial)
-        omegas = tuple(sorted(rng.uniform(0.1, 3.0, size=m).tolist()))
+        omegas = tuple(sorted(rng.uniform(lo, hi, size=m).tolist()))
         fields = FieldVector(omegas=omegas, t=args.t)
         for config in configs:
             report = verify_tracelessness(config, fields)

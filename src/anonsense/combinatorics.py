@@ -44,13 +44,16 @@ class FieldVector:
         return len(self.omegas)
 
     def violations(self) -> list[str]:
-        """Return convention violations (non-positive, non-finite or unordered amplitudes)."""
+        """Return convention violations (non-positive, non-finite or unordered
+        amplitudes, or finite values whose largest phase t*sum(omegas) overflows)."""
         out = []
         if not 0 < self.t < math.inf:
             out.append(f"interaction time must be positive and finite, got {self.t}")
         for j, w in enumerate(self.omegas):
             if not 0 < w < math.inf:
                 out.append(f"omegas[{j}] = {w} is not strictly positive and finite")
+        if not out and not self.t * sum(self.omegas) < math.inf:
+            out.append(f"phase t*sum(omegas) = {self.t} * {sum(self.omegas)} is not finite")
         for j in range(1, self.m):
             if self.omegas[j] < self.omegas[j - 1]:
                 out.append(f"omegas[{j}] < omegas[{j - 1}]: amplitudes not nondecreasing")

@@ -141,7 +141,9 @@ def _parse_scan(section) -> Optional[dict]:
     for key in ("n", "q0", "theta1", "theta2"):
         if key not in section or not isinstance(section[key], list) or not section[key]:
             raise RunConfigError(f"{path}.{key}: a nonempty list is required")
-        out[key] = [math.inf if v == "inf" else _number(v, float, f"{path}.{key}[{j}]")
+        # only n takes the literal 'inf' (the large-n limit); anything else
+        # non-finite is an error naming its entry
+        out[key] = [math.inf if key == "n" and v == "inf" else _real(v, f"{path}.{key}[{j}]")
                     for j, v in enumerate(section[key])]
     for j, v in enumerate(out["n"]):
         if v != math.inf and not v.is_integer():

@@ -231,12 +231,17 @@ def _row_sums(table, values, odd: bool) -> list:
     return sums
 
 
-def _contract(w: np.ndarray, stack) -> np.ndarray:
+def _contract(w: np.ndarray, stack, shape=None) -> np.ndarray:
     """sum_l w[:, l] * stack[l] over weight rows w: shape (rows, *grid).
 
     One BLAS product (rows x L) @ (L x points), for one point as for a grid;
     a point's column is sliced out, cheaper than a reshape on the hot path.
+    A grid given as axes leaves each row on its own axes' shape; the rows are
+    broadcast to the grid ``shape`` here, where they enter the product, and
+    nowhere earlier.
     """
+    if shape is not None:
+        stack = [np.broadcast_to(row, shape) for row in stack]
     arr = np.array(stack)
     out = np.dot(w, arr.reshape(len(arr), -1))
     return out[:, 0] if arr.ndim == 1 else out.reshape((len(w), *arr.shape[1:]))
@@ -338,25 +343,27 @@ class ThetaModel:
         rows.append(residual)
         return rows
 
-    def _phase_probs(self, phases, table) -> list:
+    def _phase_probs(self, phases, table, shape=None) -> list:
         """Probabilities for every label, in labels order, from one phase table.
 
         ``phases`` and ``table`` as :func:`_stacks` takes them; the table
-        lists the bit strings of ``self.m`` senders.
+        lists the bit strings of ``self.m`` senders.  Array phases may lie on
+        separate axes of a grid of ``shape`` (see :func:`_contract`).
         """
         u, s = _stacks(phases, table)
-        # each stack goes once contracted: on a grid its rows are full-size
-        # arrays, and a higher peak makes the allocator trim and re-fault pages
-        v = _contract(self._w, u)
-        del u
-        gamma_m = _contract(self._w_minus, s)
-        del s
-        return self._assemble(v, gamma_m)
+        return self._assemble(_contract(self._w, u, shape), _contract(self._w_minus, s, shape))
 
     def probs(self, theta: Sequence) -> np.ndarray:
-        """Probabilities for every label, stacked along axis 0 (labels order)."""
-        theta = np.broadcast_arrays(*[np.asarray(t, dtype=float) for t in theta])
-        return np.stack(np.broadcast_arrays(*self._phase_probs(theta, self._theta_table(theta))))
+        """Probabilities for every label, stacked along axis 0 (labels order).
+
+        The components broadcast against each other.  Sparse axes, as
+        ``np.meshgrid(..., sparse=True)`` returns them, keep the sines and
+        row sums on each axis and give the bits of the full grid.
+        """
+        theta = [np.asarray(t, dtype=float) for t in theta]
+        shape = np.broadcast_shapes(*[t.shape for t in theta])
+        rows = self._phase_probs(theta, self._theta_table(theta), shape)
+        return np.stack(np.broadcast_arrays(*rows))
 
     def point_probs(self, theta: Sequence[float]) -> list:
         """:meth:`probs` at one phase vector of floats, as a list in labels order.

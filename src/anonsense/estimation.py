@@ -4,8 +4,11 @@ The likelihood is multinomial over the closed-form outcome model.  The
 maximizer is located by a coarse grid over [0, pi]^m, the protocol's
 operating regime (the distribution is even in each phase, so signs are
 unrecoverable and nonnegative phases lose nothing), one array evaluation of
-:meth:`ThetaModel.probs`, and refined by projected, damped Fisher scoring on
-the kernel's analytic derivatives, which also give the observed information.
+:meth:`ThetaModel.probs`.  The grid enters as its axes: the sines and row
+sums run once per axis value, and the stacks are broadcast to the full grid
+only at the weight contraction.  The grid maximum is refined by projected,
+damped Fisher scoring on the kernel's analytic derivatives, which also give
+the observed information.
 """
 
 from __future__ import annotations
@@ -100,7 +103,8 @@ def mle_estimate(counts: OutcomeCounts, config: ProtocolConfig) -> EstimateRepor
     flags: list[str] = []
 
     axis = np.linspace(0.0, math.pi, GRID_POINTS)
-    ll = _grid_log_likelihood(model, observed, np.meshgrid(*[axis] * m, indexing="ij"))
+    ll = _grid_log_likelihood(model, observed,
+                              np.meshgrid(*[axis] * m, indexing="ij", sparse=True))
     if not np.isfinite(ll).any():
         raise ValueError("likelihood is -inf over the whole domain; counts are "
                          "inconsistent with the configuration")
@@ -170,13 +174,16 @@ def _check_labels(counts: OutcomeCounts, model: ThetaModel):
 
 
 def _grid_log_likelihood(model: ThetaModel, observed, axes) -> np.ndarray:
-    """Log-likelihood over broadcast theta grids; -inf where an observed P is 0.
+    """Log-likelihood over the grid the theta ``axes`` span; -inf where an
+    observed P is 0.
 
-    ``observed`` holds (label index, count) for every nonzero count.
+    ``observed`` holds (label index, count) for every nonzero count.  Every
+    probability is q*gamma^2 or a sum of q*max(rest, 0), never negative, so
+    log 0 = -inf is the only special value.
     """
     p = model.probs(axes)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -np.inf)
+    with np.errstate(divide="ignore"):
+        logs = np.log(p)
     return sum(c * logs[x] for x, c in observed)
 
 

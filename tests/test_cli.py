@@ -3,9 +3,11 @@ import json
 import math
 from pathlib import Path
 
+import warnings
+
 import pytest
 
-from anonsense import statevec
+from anonsense import cli, statevec
 from anonsense.cli import main
 from anonsense.combinatorics import MINUS, PLUS
 from anonsense.configio import RunConfigError, load_counts
@@ -62,6 +64,37 @@ def test_estimate_golden_and_determinism(tmp_path):
     assert run_cli(args + ["--out", str(out2)]) == 0
     assert read(out1) == read(out2)
     assert read(out1) == read(GOLDENS / "estimate_m1.json")
+
+
+# the first call sets options the second leaves at their defaults: --seed,
+# --negative-control and --out
+PARSER_REUSE = [
+    (["verify", "--negative-control", "--n", "5", "--seed", "3"],
+     ["verify", "--n", "5", "--trials", "2"]),
+    (["estimate", "--counts", str(DATA / "counts_m1.json"), "--config", str(DATA / "run_m1.json"),
+      "--seed", "9"],
+     ["simulate", "--config", str(DATA / "run_n5.json")]),
+]
+
+
+@pytest.mark.parametrize("first, second", PARSER_REUSE)
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys, first, second):
+    # main builds its parser once per process; two calls in a row must each
+    # give the bytes of the same call on a freshly built parser
+    def run(argv, out):
+        code = run_cli(argv if out is None else [*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        return code, None if out is None else out.read_bytes(), captured.out, captured.err
+
+    alone = []
+    for argv, out in ((first, tmp_path / "alone.out"), (second, None)):
+        cli._build_parser.cache_clear()
+        alone.append(run(argv, out))
+    cli._build_parser.cache_clear()
+    together = [run(first, tmp_path / "together.out"), run(second, None)]
+    assert cli._build_parser.cache_info().misses == 1
+    assert together == alone
+    assert alone[1][0] == 0 and alone[1][2]
 
 
 # --------------------------------------------------------------------------
@@ -216,6 +249,36 @@ def test_verify_rejects_non_finite_time(capsys, t, control):
     assert captured.err == f"error: --t must be finite, got {float(t)}\n"
 
 
+@pytest.mark.parametrize("n, a", [(5, 2), (50, 25)])
+def test_simulate_rejects_an_overflowing_phase_on_both_paths(tmp_path, capsys, n, a):
+    # t and both omegas are finite but theta1 = t*(w1 + w2) is not: the dense
+    # path (n = 5) exited 0 with omega_hat [0.0, -0.0], the closed form
+    # (n = 50) warned in sin and exited 2 on a NaN total
+    doc = json.loads((DATA / "run_n5.json").read_text())
+    doc["protocol"].update(n=n, a=a, t=1e308)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["simulate", "--config", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: $.scenario.omegas: phase t*sum(omegas) = "
+                            "1e+308 * 2.0 is not finite\n")
+
+
+@pytest.mark.parametrize("argv", [["--n", "30", "--trials", "1"],
+                                  ["--n", "8", "--negative-control"]])
+def test_verify_rejects_a_time_whose_phase_overflows(capsys, argv):
+    # 'max oracle/analytic error 7.341e-01 -> FAIL' instead of rejecting --t
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["verify", "--t", "1e308", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --t 1e+308: phase t*sum(omegas) = ")
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_verify_rejects_too_few_trials(capsys, trials):
     assert run_cli(["verify", "--n", "5", "--trials", trials]) == 2
@@ -295,6 +358,14 @@ def test_scan_rejects_non_finite_phases(axis, value, capsys):
     ("q0", [{}], "$.scan.q0[0]"),
     ("theta1", [None], "$.scan.theta1[0]"),
     ("theta2", [0.5, "abc"], "$.scan.theta2[1]"),
+    # non-finite entries: only n takes the literal "inf"
+    ("n", ["-inf"], "$.scan.n[0]: must be finite"),
+    ("n", [1e999], "$.scan.n[0]: must be finite"),
+    ("q0", ["nan"], "$.scan.q0[0]: must be finite"),
+    ("q0", [0.33, "inf"], "$.scan.q0[1]: must be finite"),
+    ("theta1", ["nan"], "$.scan.theta1[0]: must be finite"),
+    ("theta1", ["-inf"], "$.scan.theta1[0]: must be finite"),
+    ("theta2", ["inf"], "$.scan.theta2[0]: must be finite"),
 ])
 def test_scan_axis_entries_report_their_path(tmp_path, capsys, axis, values, path):
     doc = {"protocol": {"n": 5, "m_est": 1, "t": 1.0},

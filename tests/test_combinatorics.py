@@ -93,6 +93,18 @@ def test_effective_phase_zero_fields():
             assert effective_phase(fields, f) == 0.0
 
 
+def test_field_violations_reject_an_overflowing_phase():
+    # each value finite, but the largest string phase t*(w1 + w2) is inf
+    assert FieldVector((0.75, 1.25), t=1e308).violations() == [
+        "phase t*sum(omegas) = 1e+308 * 2.0 is not finite"]
+    assert FieldVector((1e308, 1.7e308), t=1.0).violations() == [
+        "phase t*sum(omegas) = 1.0 * inf is not finite"]
+    assert FieldVector((0.75, 1.25), t=5e307).violations() == []
+    # a non-finite value is reported once, as itself
+    assert FieldVector((0.75, math.inf), t=1.0).violations() == [
+        "omegas[1] = inf is not strictly positive and finite"]
+
+
 def test_effective_phase_dimension_mismatch():
     fields = FieldVector(omegas=(1.0,), t=1.0)
     with pytest.raises(ValueError):

@@ -102,7 +102,7 @@ def test_refinement_runs_on_float_points(monkeypatch):
     monkeypatch.setattr(ThetaModel, "probs", counting_probs)
     monkeypatch.setattr(ThetaModel, "point_probs", counting_point_probs)
     report = mle_estimate(counts, config)
-    assert probs_shapes == [(181, 181), ()]  # the grid, then _fisher_matrix
+    assert probs_shapes == [(181, 1), ()]  # the grid's axes, then _fisher_matrix
     assert len(points) <= 50
     assert report.converged
     assert report.crb_se is not None

@@ -8,6 +8,7 @@ from anonsense.cli import _figure_axes
 from anonsense.combinatorics import MINUS, PLUS, FieldVector, g_coefficients
 from anonsense.configio import scan_rows_to_csv
 from anonsense.engine import ProtocolConfig, gamma, max_senders, outcome_distribution
+from anonsense.estimation import _grid_log_likelihood
 from anonsense.fisher import (
     DivergenceError,
     PhaseParameters,
@@ -249,6 +250,57 @@ def test_point_path_is_bitwise_equal_to_seed_formula(rng):
             assert bits(model.point_probs(theta)) == bits(ref)
             points += 1
     assert points >= 20_000
+
+
+GRID_CONFIGS = [
+    *[ProtocolConfig.for_single_sender(n) for n in (5, 12)],
+    *[ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33) for n in (7, 12)],
+    *[all_switches_config(n, m) for m in (1, 2) for n in (11, 12)],
+]
+
+
+@pytest.mark.parametrize("config", GRID_CONFIGS)
+def test_sparse_grid_axes_keep_the_full_grid_bits(config):
+    # the grid enters probs as its axes; the stacks broadcast only at the
+    # contraction, so every probability keeps the bits of the full mesh
+    model = ThetaModel(config)
+    axes = [np.linspace(0.0, math.pi, 181)] * config.m_est
+    sparse = np.meshgrid(*axes, indexing="ij", sparse=True)
+    full = np.meshgrid(*axes, indexing="ij")
+    assert [t.shape for t in sparse] == ([(181,)] if config.m_est == 1 else [(181, 1), (1, 181)])
+    assert bits(model.probs(sparse)) == bits(model.probs(full))
+
+
+def where_log_grid(model, observed, axes):
+    """The grid log-likelihood as first written: log of the positive
+    probabilities, -inf put back where P is 0."""
+    p = model.probs(axes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -np.inf)
+    return sum(c * logs[x] for x, c in observed)
+
+
+@pytest.mark.parametrize("config", GRID_CONFIGS)
+def test_grid_log_likelihood_keeps_the_masked_log_bits(config):
+    model = ThetaModel(config)
+    axes = np.meshgrid(*[np.linspace(0.0, math.pi, 181)] * config.m_est,
+                       indexing="ij", sparse=True)
+    everything = [(x, 10 * x + 3) for x in range(len(model.labels))]
+    for observed in (everything, everything[:1]):
+        assert bits(_grid_log_likelihood(model, observed, axes)) == \
+            bits(where_log_grid(model, observed, axes))
+
+
+def test_grid_log_likelihood_is_minus_inf_where_an_observed_label_has_zero_probability():
+    # one sender: the residual 'f' is 2*sin^2(theta/4)*(2 - 2*sin^2(theta/4)),
+    # exactly 0 at theta = 0, the first grid point
+    model = ThetaModel(ProtocolConfig.for_single_sender(5))
+    axis = np.linspace(0.0, math.pi, 181)
+    assert model.labels == ["0+", "f"] and model.probs([axis])[1, 0] == 0.0
+    observed = [(0, 7), (1, 2)]
+    ll = _grid_log_likelihood(model, observed, [axis])
+    assert ll[0] == -math.inf and np.isfinite(ll[1:]).all()
+    assert bits(ll) == bits(where_log_grid(model, observed, [axis]))
 
 
 def test_single_sender_fisher_is_unity():

@@ -31,6 +31,27 @@ def test_every_traced_target_resolves():
         assert callable(owner), f"anonsense.{module}.{attr}"
 
 
+def run_python(script: str) -> subprocess.CompletedProcess:
+    """``script`` in a fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_cli_parser_is_built_on_first_call_not_at_import():
+    # import time is the benchmark's set-up cost; the parser is built by main
+    done = run_python("""
+from anonsense import cli
+assert cli._build_parser.cache_info().currsize == 0
+assert cli.main(["scan", "--n", "5", "--theta1", "2.0", "--theta2", "0.5"]) == 0
+assert cli.main(["scan", "--n", "6", "--theta1", "2.0", "--theta2", "0.5"]) == 0
+info = cli._build_parser.cache_info()
+assert (info.misses, info.hits) == (1, 1), info
+""")
+    assert done.returncode == 0, done.stderr
+
+
 def test_cli_runs_without_scipy(tmp_path):
     # numpy is the only dependency: every verb runs with scipy unimportable
     script = f"""
@@ -49,10 +70,7 @@ runs = [
 for k, argv in enumerate(runs):
     assert main(argv + ["--out", {str(tmp_path)!r} + f"/{{k}}.out"]) == 0, argv
 """
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+    done = run_python(script)
     assert done.returncode == 0, done.stderr
 
 
