@@ -3,10 +3,12 @@
 The likelihood is multinomial over the closed-form outcome model.  The
 maximizer is located by a coarse grid over [0, pi]^m, the protocol's
 operating regime (the distribution is even in each phase, so signs are
-unrecoverable and nonnegative phases lose nothing), one array evaluation of
-:meth:`ThetaModel.probs`.  The grid enters as its axes: the sines and row
-sums run once per axis value, and the stacks are broadcast to the full grid
-only at the weight contraction.  The grid maximum is refined by projected,
+unrecoverable and nonnegative phases lose nothing).  The grid enters
+:meth:`ThetaModel.probs` as its axes, in blocks of theta1 values of at most
+``_GRID_BLOCK_POINTS`` points, so the probabilities held at once are bounded
+whatever the label count; within a block the sines and row sums run once
+per axis value, and the stacks are broadcast to the block's points only at
+the weight contraction.  The grid maximum is refined by projected,
 damped Fisher scoring on the kernel's analytic derivatives, which also give
 the observed information.
 """
@@ -25,6 +27,7 @@ from .fisher import ZERO_PROB, PhaseParameters, ThetaModel, _fisher_matrix
 GRID_POINTS = 181
 REFINE_TOL = 1e-6
 DAMPING = 1e-3
+_GRID_BLOCK_POINTS = 4096  # bound on the grid points of one probability evaluation
 
 
 @dataclass(frozen=True)
@@ -179,12 +182,22 @@ def _grid_log_likelihood(model: ThetaModel, observed, axes) -> np.ndarray:
 
     ``observed`` holds (label index, count) for every nonzero count.  Every
     probability is q*gamma^2 or a sum of q*max(rest, 0), never negative, so
-    log 0 = -inf is the only special value.
+    log 0 = -inf is the only special value.  The grid is evaluated in blocks
+    of theta1 values of at most :data:`_GRID_BLOCK_POINTS` points, or one
+    value.  Every block's columns go through the same matrix product as the
+    whole grid's, so the blocks keep its bits; that needs more than one point
+    per block (one point would be a matrix-vector product), which holds as an
+    m = 2 theta1 value spans 181 points and the m = 1 grid is one block.
     """
-    p = model.probs(axes)
-    with np.errstate(divide="ignore"):
-        logs = np.log(p)
-    return sum(c * logs[x] for x, c in observed)
+    shape = np.broadcast_shapes(*[np.shape(t) for t in axes])
+    ll = np.empty(shape)
+    rows = max(1, _GRID_BLOCK_POINTS // (ll.size // shape[0]))
+    for lo in range(0, shape[0], rows):
+        p = model.probs([axes[0][lo:lo + rows], *axes[1:]])
+        with np.errstate(divide="ignore"):
+            logs = np.log(p, out=p)
+        ll[lo:lo + rows] = sum(c * logs[x] for x, c in observed)
+    return ll
 
 
 def _refine(counts: OutcomeCounts, model: ThetaModel, tallies, theta, spacing: float):

@@ -11,6 +11,7 @@ from anonsense import cli, statevec
 from anonsense.cli import main
 from anonsense.combinatorics import MINUS, PLUS
 from anonsense.configio import RunConfigError, load_counts
+from anonsense.engine import OutcomeDistribution
 
 DATA = Path(__file__).parent / "data"
 GOLDENS = Path(__file__).parent / "goldens"
@@ -277,6 +278,36 @@ def test_verify_rejects_a_time_whose_phase_overflows(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --t 1e+308: phase t*sum(omegas) = ")
+
+
+@pytest.mark.parametrize("t", ["1e8", "1e10"])
+def test_verify_cross_check_allows_the_rounding_of_large_phases(capsys, t):
+    # the oracle and the closed form round the phases t*w differently: at
+    # t = 1e10 they differ by 9.1e-7, which failed against EXACT_TV_TOL
+    assert run_cli(["verify", "--n", "30", "--trials", "2", "--t", t]) == 0
+    assert capsys.readouterr().err.endswith("-> pass\n")
+
+
+def test_verify_rejects_a_time_too_large_to_cross_check(capsys):
+    # at t = 1e300 one ulp of a phase is 1e285: no tolerance below the
+    # control's distance could separate rounding from a real disagreement
+    assert run_cli(["verify", "--n", "30", "--trials", "2", "--t", "1e300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --t 1e+300: phases up to t*m*3.0 = 6e+300 ")
+
+
+def test_verify_cross_check_still_fails_a_planted_disagreement(capsys, monkeypatch):
+    real = cli.outcome_distribution
+
+    def planted(config, fields):  # 1e-9 of the residual moved to the first label
+        probs = real(config, fields).probs
+        first = next(iter(probs))
+        return OutcomeDistribution({**probs, first: probs[first] + 1e-9, "f": probs["f"] - 1e-9})
+
+    monkeypatch.setattr(cli, "outcome_distribution", planted)
+    assert run_cli(["verify", "--n", "30", "--trials", "2", "--t", "1"]) == 2
+    assert capsys.readouterr().err.endswith("-> FAIL\n")
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

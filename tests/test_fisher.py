@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from anonsense.cli import _figure_axes
 from anonsense.combinatorics import MINUS, PLUS, FieldVector, g_coefficients
 from anonsense.configio import scan_rows_to_csv
 from anonsense.engine import ProtocolConfig, gamma, max_senders, outcome_distribution
-from anonsense.estimation import _grid_log_likelihood
+from anonsense import estimation
+from anonsense.estimation import OutcomeCounts, _grid_log_likelihood, mle_estimate
 from anonsense.fisher import (
     DivergenceError,
     PhaseParameters,
@@ -24,6 +26,7 @@ from anonsense.fisher import (
     phases_from_fields,
     scan_j22,
 )
+from anonsense.sampling import draw_counts, philox
 
 LIMIT_GOLDEN = 77.05161436201963  # frozen evaluation of the large-n formula at (0.33, 2, 0.5)
 
@@ -289,6 +292,49 @@ def test_grid_log_likelihood_keeps_the_masked_log_bits(config):
     for observed in (everything, everything[:1]):
         assert bits(_grid_log_likelihood(model, observed, axes)) == \
             bits(where_log_grid(model, observed, axes))
+
+
+@pytest.mark.parametrize("config", GRID_CONFIGS + [all_switches_config(40, 2)])
+def test_blocked_grid_keeps_the_single_block_bits(config, monkeypatch):
+    # every grid column goes through the same matrix product whatever the
+    # block: 22-row blocks (181 = 8 * 22 + 5), uneven 7-row blocks and one
+    # theta1 row per block give the probability and log-likelihood bits of
+    # one evaluation of the whole grid.  A one-point block would be a
+    # matrix-vector product, the point path's bits; for m = 1 a row is one
+    # point, so its smallest block here is 7 points (181 = 25 * 7 + 6)
+    model = ThetaModel(config)
+    axes = np.meshgrid(*[np.linspace(0.0, math.pi, 181)] * config.m_est,
+                       indexing="ij", sparse=True)
+    observed = [(x, 10 * x + 3) for x in range(len(model.labels))]
+    whole = model.probs(axes)
+    monkeypatch.setattr(estimation, "_GRID_BLOCK_POINTS", whole[0].size)
+    reference = bits(_grid_log_likelihood(model, observed, axes))
+    per_row = whole[0].size // 181
+    sizes = [4096, 7 * per_row] + ([per_row] if config.m_est == 2 else [])
+    for points in sizes:
+        monkeypatch.setattr(estimation, "_GRID_BLOCK_POINTS", points)
+        assert bits(_grid_log_likelihood(model, observed, axes)) == reference
+        step = points // per_row
+        for lo in range(0, 181, step):
+            block = model.probs([axes[0][lo:lo + step], *axes[1:]])
+            assert bits(block) == bits(whole[:, lo:lo + step])
+
+
+def test_one_estimate_holds_a_bounded_grid_in_memory():
+    # every switch on at n = 40 models 43 labels; the whole 181^2 grid of
+    # their probabilities alone is 10.7 MiB, and one estimate peaked at 22 MiB
+    # when the grid was evaluated at once
+    config = all_switches_config(40, 2)
+    assert len(config.labels()) == 43
+    dist = outcome_distribution(config, FieldVector((0.4, 1.1), 1.0))
+    counts = OutcomeCounts(draw_counts(dist, 100_000, philox(3)))
+    tracemalloc.start()
+    try:
+        mle_estimate(counts, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
 
 
 def test_grid_log_likelihood_is_minus_inf_where_an_observed_label_has_zero_probability():
