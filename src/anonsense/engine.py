@@ -231,6 +231,11 @@ def _row_sums(table, values, odd: bool) -> list:
     return sums
 
 
+def _nets(row, j: int) -> int:
+    """The net sign of theta_j in a table row: its entries (s, j) summed over s."""
+    return sum(sign for sign, k in row if k == j)
+
+
 def _contract(w: np.ndarray, stack, shape=None) -> np.ndarray:
     """sum_l w[:, l] * stack[l] over weight rows w: shape (rows, *grid).
 
@@ -283,10 +288,12 @@ class ThetaModel:
     ``config.m_est``); :func:`outcome_distribution` feeds it their phases.
     The phase-vector methods need m == m_est and read theta through a fixed
     table, so the first and second derivatives follow from the table's
-    signs.  :meth:`probs`, :meth:`dprobs` and :meth:`derivatives` broadcast
-    over arrays of theta components; :meth:`point_probs` takes one phase
-    vector of floats.  Only weight indices with a measurement switch on are
-    modelled: validate_config forces q[i] = 0 on every other index.
+    signs.  :meth:`probs` broadcasts over arrays of theta components;
+    :meth:`grid_blocks` walks a grid given as its axes block by block, each
+    stack row on the axes it depends on; :meth:`point_probs`,
+    :meth:`dprobs` and :meth:`derivatives` take one phase vector of floats.
+    Only weight indices with a measurement switch on are modelled:
+    validate_config forces q[i] = 0 on every other index.
     """
 
     def __init__(self, config: ProtocolConfig, m: Optional[int] = None):
@@ -374,15 +381,43 @@ class ThetaModel:
         """
         return self._phase_probs(theta, self._theta_table(theta))
 
-    def dprobs(self, theta: Sequence) -> np.ndarray:
-        """Analytic derivatives dP/dtheta_j, shape (labels, m_est, ...): the
-        first-order half of :meth:`derivatives`, which the Fisher matrix and
-        the estimator's scoring steps use."""
+    def grid_blocks(self, theta: Sequence[np.ndarray], rows: int):
+        """Yield (lo, label rows) over the grid the theta axes span, in blocks
+        of ``rows`` values of theta[0] (the rows in labels order).
+
+        The axes are float arrays as ``np.meshgrid(..., sparse=True)``
+        returns them.  The stacks are formed once per grid, on each axis.  On
+        finite axes a sine row whose entries cancel in pairs (-x + x, the
+        middle row of two senders) is exactly +0.0 and spans no axis, so
+        gamma- depends on theta1 alone and is contracted once, on its axis;
+        each block contracts the versine stack alone.  A label row keeps the
+        broadcast shape of the amplitudes it is made of.  Every value has the
+        bits of :meth:`probs` on the whole grid: each grid column enters a
+        matrix product with the same entries, and a column of a product keeps
+        its bits whatever the number of columns, from two up (one column is a
+        matrix-vector product, the point path's).
+        """
+        table = self._theta_table(theta)
+        shape = np.broadcast_shapes(*[t.shape for t in theta])
+        u, s = _stacks(theta, table)
+        if all(np.isfinite(t).all() for t in theta):
+            s = [0.0 if not any(_nets(row, j) for _, j in row) else total
+                 for row, total in zip(table, s)]
+        gamma_m = _contract(self._w_minus, s, np.broadcast_shapes(*[np.shape(t) for t in s]))
+        for lo in range(0, shape[0], rows):
+            v = _contract(self._w, [np.broadcast_to(t, shape)[lo:lo + rows] for t in u])
+            yield lo, self._assemble(v, gamma_m[:, lo:lo + rows])
+
+    def dprobs(self, theta: Sequence[float]) -> np.ndarray:
+        """Analytic derivatives dP/dtheta_j at one phase vector of floats,
+        shape (labels, m_est): the first-order half of :meth:`derivatives`,
+        which the Fisher matrix and the estimator's scoring steps use."""
         return self.derivatives(theta)[0]
 
-    def derivatives(self, theta: Sequence, second: bool = False):
-        """dP/dtheta_j, shape (labels, m_est, ...), and d2P/dtheta_i dtheta_j,
-        shape (labels, m_est, m_est, ...), or None unless ``second``.
+    def derivatives(self, theta: Sequence[float], second: bool = False):
+        """dP/dtheta_j, shape (labels, m_est), and d2P/dtheta_i dtheta_j, shape
+        (labels, m_est, m_est), or None unless ``second``, at one phase vector
+        of floats, as :meth:`point_probs` takes it.
 
         A table entry (s, j) depends on theta_j alone: its versine adds
         sin(theta_j/2)/2 to du_j and cos(theta_j/2)/4 to d2u_jj, its sine
@@ -390,13 +425,11 @@ class ThetaModel:
         gives dP_j = 2q*gam*dgam_j and d2P_ij = 2q*(dgam_i*dgam_j + gam*d2gam_ij),
         and the residual's derivatives are minus the sum of the active ones.
         """
-        theta = np.broadcast_arrays(*[np.asarray(t, dtype=float) for t in theta])
         table = self._theta_table(theta)
         u, s = _stacks(theta, table)
         v, gamma_m = _contract(self._w, u), _contract(self._w_minus, s)
-        half_angle = np.asarray(theta) / 2
+        half_angle = np.array(theta, dtype=float) / 2
         half_sine, cosine = np.sin(half_angle) / 2, np.cos(half_angle)
-        zero = np.zeros(np.shape(theta[0]))
         q = [self.config.q[i] for _, i, _ in self._active]
         gam = [1.0 - v[r] if sign == PLUS else gamma_m[r] for r, _, sign in self._active]
 
@@ -405,25 +438,27 @@ class ThetaModel:
             return [-dv[r] if sign == PLUS else dgamma_m[r] for r, _, sign in self._active]
 
         def labelled(rows):
-            return np.stack(np.broadcast_arrays(*rows, -sum(rows)))
+            return rows + [-sum(rows)]
 
         dgam, d2gam = [], []
         for j in range(self.m_est):
             counts = [sum(k == j for _, k in row) for row in table]
-            nets = [sum(sign for sign, k in row if k == j) for row in table]
-            dgam.append(amplitudes([c * half_sine[j] if c else zero for c in counts],
-                                   [-net * cosine[j] if net else zero for net in nets]))
+            nets = [_nets(row, j) for row in table]
+            dgam.append(amplitudes([c * half_sine[j] if c else 0.0 for c in counts],
+                                   [-net * cosine[j] if net else 0.0 for net in nets]))
             if second:
-                d2gam.append(amplitudes([c * cosine[j] / 4 if c else zero for c in counts],
-                                        [net * half_sine[j] if net else zero for net in nets]))
-        dp = np.stack([labelled([2.0 * qx * g * dg for qx, g, dg in zip(q, gam, dgam[j])])
-                       for j in range(self.m_est)], axis=1)
+                d2gam.append(amplitudes([c * cosine[j] / 4 if c else 0.0 for c in counts],
+                                        [net * half_sine[j] if net else 0.0 for net in nets]))
+        # .T puts the label axis first (d2P is symmetric in i and j) and .copy()
+        # gives the C order the callers' matrix products were written for
+        dp = np.array([labelled([2.0 * qx * g * dg for qx, g, dg in zip(q, gam, dgam[j])])
+                       for j in range(self.m_est)]).T.copy()
         if not second:
             return dp, None
-        return dp, np.stack([np.stack([labelled([
+        return dp, np.array([[labelled([
             2.0 * qx * (di * dj + g * d2 if i == j else di * dj)
             for qx, g, di, dj, d2 in zip(q, gam, dgam[i], dgam[j], d2gam[j])])
-            for j in range(self.m_est)], axis=1) for i in range(self.m_est)], axis=1)
+            for j in range(self.m_est)] for i in range(self.m_est)]).T.copy()
 
 
 def gamma(n: int, fields: FieldVector, k: int, sign: str) -> complex:

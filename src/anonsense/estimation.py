@@ -4,13 +4,16 @@ The likelihood is multinomial over the closed-form outcome model.  The
 maximizer is located by a coarse grid over [0, pi]^m, the protocol's
 operating regime (the distribution is even in each phase, so signs are
 unrecoverable and nonnegative phases lose nothing).  The grid enters
-:meth:`ThetaModel.probs` as its axes, in blocks of theta1 values of at most
-``_GRID_BLOCK_POINTS`` points, so the probabilities held at once are bounded
-whatever the label count; within a block the sines and row sums run once
-per axis value, and the stacks are broadcast to the block's points only at
-the weight contraction.  The grid maximum is refined by projected,
-damped Fisher scoring on the kernel's analytic derivatives, which also give
-the observed information.
+:meth:`ThetaModel.grid_blocks` as its axes.  Per axis, once per grid, run
+the sines and row sums and, for two senders, the gamma- contraction, which
+depends on theta1 alone.  Per block of theta1 values (at most
+``_GRID_BLOCK_POINTS`` points, so the probabilities held at once are
+bounded whatever the label count) run the versine contraction, the
+assembly and, per observed label, the log at the label row's own shape,
+scaled by its count and added into the grid in place.  Per point, the grid
+maximum is refined by projected, damped Fisher scoring on the kernel's
+analytic derivatives, which also give the observed information; the Fisher
+matrix at the estimate takes the probabilities the refinement ends on.
 """
 
 from __future__ import annotations
@@ -32,13 +35,18 @@ _GRID_BLOCK_POINTS = 4096  # bound on the grid points of one probability evaluat
 
 @dataclass(frozen=True)
 class OutcomeCounts:
-    """Observed outcome tallies over a known label set; ``N`` is their total."""
+    """Observed outcome tallies over a known label set; ``N`` is their total.
+
+    A count must be a nonnegative whole number; a boolean, NaN or infinity is
+    an error naming its label, as :func:`anonsense.configio.load_counts`
+    reports it for a counts file.
+    """
 
     counts: dict[str, int]
 
     def __post_init__(self):
         for label, c in self.counts.items():
-            if c < 0 or c != int(c):
+            if isinstance(c, (bool, np.bool_)) or not 0 <= c < math.inf or c != int(c):
                 raise ValueError(f"count for {label!r} must be a nonnegative integer, got {c}")
 
     @property
@@ -120,12 +128,12 @@ def mle_estimate(counts: OutcomeCounts, config: ProtocolConfig) -> EstimateRepor
             converged = False
             flags.append(f"flat likelihood along theta_{j + 1}")
 
-    theta, ll_hat, info = _refine(counts, model, tallies, theta, axis[1] - axis[0])
+    theta, ll_hat, p_hat, info = _refine(counts, model, tallies, theta, axis[1] - axis[0])
     theta_hat = PhaseParameters(tuple(theta))
     se = _observed_se(info, theta, flags)
     crb_se: Optional[tuple[float, ...]] = None
     try:
-        res = _fisher_matrix(model, theta_hat.theta, counts.N)
+        res = _fisher_matrix(model, theta_hat.theta, counts.N, p_hat)
         crb_se = tuple(math.sqrt(max(v, 0.0)) for v in res.crb_diag)
     except ArithmeticError:
         flags.append("expected information singular at the estimate")
@@ -184,25 +192,29 @@ def _grid_log_likelihood(model: ThetaModel, observed, axes) -> np.ndarray:
     probability is q*gamma^2 or a sum of q*max(rest, 0), never negative, so
     log 0 = -inf is the only special value.  The grid is evaluated in blocks
     of theta1 values of at most :data:`_GRID_BLOCK_POINTS` points, or one
-    value.  Every block's columns go through the same matrix product as the
-    whole grid's, so the blocks keep its bits; that needs more than one point
-    per block (one point would be a matrix-vector product), which holds as an
-    m = 2 theta1 value spans 181 points and the m = 1 grid is one block.
+    value (:meth:`ThetaModel.grid_blocks`).  Every block's columns go through
+    the same matrix product as the whole grid's, so the blocks keep its bits;
+    that needs more than one point per block (one point would be a
+    matrix-vector product), which holds as an m = 2 theta1 value spans 181
+    points and the m = 1 grid is one block.  Each observed label's row is
+    logged at its own shape, scaled by its count and added into the block in
+    labels order: the additions of ``sum(c * log P_x)``, in place.
     """
     shape = np.broadcast_shapes(*[np.shape(t) for t in axes])
-    ll = np.empty(shape)
+    ll = np.zeros(shape)
     rows = max(1, _GRID_BLOCK_POINTS // (ll.size // shape[0]))
-    for lo in range(0, shape[0], rows):
-        p = model.probs([axes[0][lo:lo + rows], *axes[1:]])
-        with np.errstate(divide="ignore"):
-            logs = np.log(p, out=p)
-        ll[lo:lo + rows] = sum(c * logs[x] for x, c in observed)
+    with np.errstate(divide="ignore"):
+        for lo, p in model.grid_blocks(axes, rows):
+            block = ll[lo:lo + rows]
+            for x, c in observed:
+                block += np.multiply(np.log(p[x], out=p[x]), c, out=p[x])
     return ll
 
 
 def _refine(counts: OutcomeCounts, model: ThetaModel, tallies, theta, spacing: float):
     """Projected, damped Fisher scoring (Levenberg-Marquardt) from the grid
-    argmax; returns theta, its log-likelihood and the observed information.
+    argmax; returns theta, its log-likelihood, its probabilities and the
+    observed information.
 
     A step solves (J + lam*diag J) d = score, J being N times the expected
     information, on the components with J_jj > 0 (a flat axis stays put) that
@@ -238,15 +250,15 @@ def _refine(counts: OutcomeCounts, model: ThetaModel, tallies, theta, spacing: f
             continue
         info = _observed_information(model, tallies, theta, p)
         if not np.all(np.isfinite(info)):
-            return theta, ll, info
+            return theta, ll, p, info
         eigvals, eigvecs = np.linalg.eigh(info)
         if eigvals[0] >= 0.0:
-            return theta, ll, info
+            return theta, ll, p, info
         probes = [_project(theta, sign * spacing * eigvecs[:, 0]) for sign in (1.0, -1.0)]
         ll_probe, probe, p_probe = max((_scored(counts, model, point) for point in probes),
                                        key=lambda scored: scored[:2])
         if not ll_probe > ll:
-            return theta, ll, info
+            return theta, ll, p, info
         ll, theta, p, score = ll_probe, probe, p_probe, None
 
 

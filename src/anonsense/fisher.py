@@ -4,10 +4,10 @@ The outcome model is parameterized directly by the phase vector theta (theta
 = omega*t for one sender; theta1 = (omega1+omega2)*t, theta2 = (omega1-omega2)*t
 for two).  Probabilities and their analytic theta-derivatives come from the
 package's one closed-form kernel, :class:`anonsense.engine.ThetaModel`
-(re-exported here), which vectorizes over theta grids and holds weights only
-for the weight indices the measurement uses, so the work of likelihood scans
-and Fisher matrices follows the number of measured indices, not the
-participant count.
+(re-exported here), which evaluates theta grids and single phase vectors
+and holds weights only for the weight indices the measurement uses, so the
+work of likelihood scans and Fisher matrices follows the number of measured
+indices, not the participant count.
 """
 
 from __future__ import annotations
@@ -109,12 +109,13 @@ def fisher_matrix(
     """
     if params.m_est != config.m_est:
         raise ValueError(f"params.m_est={params.m_est} != config.m_est={config.m_est}")
-    return _fisher_matrix(ThetaModel(config), params.theta, N)
+    model = ThetaModel(config)
+    return _fisher_matrix(model, params.theta, N, model.point_probs(params.theta))
 
 
-def _fisher_matrix(model: ThetaModel, theta, N: int) -> FisherResult:
-    """:func:`fisher_matrix` on an already built model."""
-    p = model.probs(theta)
+def _fisher_matrix(model: ThetaModel, theta, N: int, p) -> FisherResult:
+    """:func:`fisher_matrix` on an already built model and the probabilities
+    ``p`` at ``theta``, as :meth:`ThetaModel.point_probs` gives them."""
     dp = model.dprobs(theta)
     m = model.m_est
     J = np.zeros((m, m))

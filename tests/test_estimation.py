@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from anonsense.combinatorics import FieldVector
-from anonsense import estimation
+from anonsense import engine, estimation
 from anonsense.engine import ProtocolConfig, outcome_distribution
 from anonsense.estimation import (
     OutcomeCounts,
@@ -29,6 +29,15 @@ def test_outcome_counts_validation():
     with pytest.raises(ValueError):
         OutcomeCounts({"0+": 2.5, "f": 1})
     assert OutcomeCounts({"0+": 2, "f": 0}).N == 2
+    assert OutcomeCounts({"0+": 2.0, "f": np.int64(3)}).N == 5
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, True, False, np.True_])
+def test_outcome_counts_reject_every_non_count_by_label(bad):
+    # an infinity, NaN or boolean is not a tally: one ValueError naming the
+    # label, as a counts file gets from configio.load_counts
+    with pytest.raises(ValueError, match="count for 'f' must be a nonnegative integer"):
+        OutcomeCounts({"0+": 3, "f": bad})
 
 
 def test_log_likelihood_trivial_cases():
@@ -83,11 +92,12 @@ def test_mle_builds_one_model(monkeypatch):
 
 
 def test_refinement_runs_on_float_points(monkeypatch):
-    # probs (array set-up) runs for the grid and the Fisher matrix only; the
+    # probs (array set-up) never runs: the grid walks its axes block by block
+    # and the Fisher matrix takes the probabilities the refinement holds; the
     # scoring iterations evaluate a few float points, far fewer than the
     # hundreds a derivative-free line search needs
-    probs_shapes, points = [], []
-    probs, point_probs = ThetaModel.probs, ThetaModel.point_probs
+    probs_shapes, points, grid_shapes = [], [], []
+    probs, point_probs, contract = ThetaModel.probs, ThetaModel.point_probs, engine._contract
 
     def counting_probs(self, theta):
         probs_shapes.append(np.shape(theta[0]))
@@ -97,17 +107,25 @@ def test_refinement_runs_on_float_points(monkeypatch):
         points.append(tuple(theta))
         return point_probs(self, theta)
 
+    def counting_contract(w, stack, shape=None):
+        out = contract(w, stack, shape)
+        if out.ndim > 1:  # a point's contraction is one column, shape (rows,)
+            grid_shapes.append(out.shape[1:])
+        return out
+
     config = ProtocolConfig.for_two_senders(7, a=3, q0=0.33)
     counts = OutcomeCounts({"0+": 400, "0-": 150, "3+": 300, "f": 150})
     monkeypatch.setattr(ThetaModel, "probs", counting_probs)
     monkeypatch.setattr(ThetaModel, "point_probs", counting_point_probs)
+    monkeypatch.setattr(engine, "_contract", counting_contract)
     report = mle_estimate(counts, config)
-    # the grid's axes in blocks of 4096 // 181 = 22 theta1 rows, then _fisher_matrix
-    assert probs_shapes == [(22, 1)] * 8 + [(5, 1), ()]
+    # gamma- once on the theta1 axis, then the versine stack in blocks of
+    # 4096 // 181 = 22 theta1 rows (181 = 8 * 22 + 5)
+    assert grid_shapes == [(181, 1)] + [(22, 181)] * 8 + [(5, 181)]
+    assert probs_shapes == []
     assert len(points) <= 50
     assert report.converged
     assert report.crb_se is not None
-
 
 
 def test_refinement_evaluates_each_theta_once(monkeypatch):

@@ -9,7 +9,7 @@ from anonsense.cli import _figure_axes
 from anonsense.combinatorics import MINUS, PLUS, FieldVector, g_coefficients
 from anonsense.configio import scan_rows_to_csv
 from anonsense.engine import ProtocolConfig, gamma, max_senders, outcome_distribution
-from anonsense import estimation
+from anonsense import engine, estimation
 from anonsense.estimation import OutcomeCounts, _grid_log_likelihood, mle_estimate
 from anonsense.fisher import (
     DivergenceError,
@@ -255,6 +255,71 @@ def test_point_path_is_bitwise_equal_to_seed_formula(rng):
     assert points >= 20_000
 
 
+def seed_derivatives(model, theta, second=False):
+    """ThetaModel.derivatives in its broadcasting form, over arrays of theta
+    components: the bitwise reference of the float point path."""
+    theta = np.broadcast_arrays(*[np.asarray(t, dtype=float) for t in theta])
+    table = engine._THETA_TABLES[model.m_est]
+    u, s = engine._stacks(theta, table)
+    v, gamma_m = engine._contract(model._w, u), engine._contract(model._w_minus, s)
+    half_angle = np.asarray(theta) / 2
+    half_sine, cosine = np.sin(half_angle) / 2, np.cos(half_angle)
+    zero = np.zeros(np.shape(theta[0]))
+    active = model._active
+    q = [model.config.q[i] for _, i, _ in active]
+    gam = [1.0 - v[r] if sign == PLUS else gamma_m[r] for r, _, sign in active]
+
+    def amplitudes(du, ds):
+        dv, dgamma_m = engine._contract(model._w, du), engine._contract(model._w_minus, ds)
+        return [-dv[r] if sign == PLUS else dgamma_m[r] for r, _, sign in active]
+
+    def labelled(rows):
+        return np.stack(np.broadcast_arrays(*rows, -sum(rows)))
+
+    dgam, d2gam = [], []
+    for j in range(model.m_est):
+        counts = [sum(k == j for _, k in row) for row in table]
+        nets = [sum(sign for sign, k in row if k == j) for row in table]
+        dgam.append(amplitudes([c * half_sine[j] if c else zero for c in counts],
+                               [-net * cosine[j] if net else zero for net in nets]))
+        if second:
+            d2gam.append(amplitudes([c * cosine[j] / 4 if c else zero for c in counts],
+                                    [net * half_sine[j] if net else zero for net in nets]))
+    dp = np.stack([labelled([2.0 * qx * g * dg for qx, g, dg in zip(q, gam, dgam[j])])
+                   for j in range(model.m_est)], axis=1)
+    if not second:
+        return dp, None
+    return dp, np.stack([np.stack([labelled([
+        2.0 * qx * (di * dj + g * d2 if i == j else di * dj)
+        for qx, g, di, dj, d2 in zip(q, gam, dgam[i], dgam[j], d2gam[j])])
+        for j in range(model.m_est)], axis=1) for i in range(model.m_est)], axis=1)
+
+
+def test_point_derivatives_are_bitwise_equal_to_the_broadcasting_ones(rng):
+    # the float point path of derivatives and dprobs against the broadcasting
+    # form it replaced: first and second derivatives, random points plus 0
+    # and pi on every axis, both CLI designs and every switch on
+    configs = []
+    for n in range(5, 41):
+        configs += [ProtocolConfig.for_single_sender(n),
+                    ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33),
+                    all_switches_config(n, 1), all_switches_config(n, 2)]
+    arrays = 0
+    for config in configs:
+        model = ThetaModel(config)
+        m = config.m_est
+        edges = [(0.0,), (math.pi,)] if m == 1 else [
+            (0.0, 0.0), (0.0, math.pi), (math.pi, 0.0), (math.pi, math.pi), (0.0, 1.3), (2.1, math.pi)]
+        for theta in edges + [tuple(row) for row in rng.uniform(0.0, math.pi, (8, m)).tolist()]:
+            dp, d2p = model.derivatives(theta, second=True)
+            ref_dp, ref_d2p = seed_derivatives(model, theta, second=True)
+            assert dp.shape == ref_dp.shape and d2p.shape == ref_d2p.shape
+            assert dp.flags.c_contiguous and d2p.flags.c_contiguous
+            assert bits(dp) == bits(ref_dp) and bits(d2p) == bits(ref_d2p)
+            assert bits(model.dprobs(theta)) == bits(seed_derivatives(model, theta)[0])
+            arrays += 3
+    assert arrays >= 4000
+
 GRID_CONFIGS = [
     *[ProtocolConfig.for_single_sender(n) for n in (5, 12)],
     *[ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33) for n in (7, 12)],
@@ -292,6 +357,59 @@ def test_grid_log_likelihood_keeps_the_masked_log_bits(config):
     for observed in (everything, everything[:1]):
         assert bits(_grid_log_likelihood(model, observed, axes)) == \
             bits(where_log_grid(model, observed, axes))
+
+
+@pytest.mark.parametrize("config", GRID_CONFIGS + [all_switches_config(40, 2)])
+def test_per_label_grid_keeps_the_masked_log_bits(config):
+    # each observed label's row is logged at its own shape (a theta1 column
+    # for the (i,-) labels) and added into the grid in place: the bits of the
+    # stacked grid, with every label observed, with zero counts on most
+    # labels and with the residual alone, which is 0 (log -inf) where every
+    # phase is 0
+    model = ThetaModel(config)
+    axes = np.meshgrid(*[np.linspace(0.0, math.pi, 181)] * config.m_est,
+                       indexing="ij", sparse=True)
+    labels = len(model.labels)
+    for observed in ([(x, 10 * x + 3) for x in range(labels)],
+                     [(x, 7 * x + 1) for x in range(1, labels, 3)],
+                     [(labels - 1, 5)]):
+        ll = _grid_log_likelihood(model, observed, axes)
+        assert bits(ll) == bits(where_log_grid(model, observed, axes))
+    assert ll.flat[0] == -math.inf and np.isfinite(ll.flat[1:]).any()
+
+
+@pytest.mark.parametrize("config", [ProtocolConfig.for_two_senders(12, a=6, q0=0.33),
+                                    all_switches_config(40, 2)])
+def test_grid_contracts_gamma_minus_once_on_the_theta1_axis(config, monkeypatch):
+    # the middle sine row of two senders (-x + x) is 0 on finite axes, so
+    # gamma- is contracted once per grid on the theta1 axis, and each block
+    # of 4096 // 181 = 22 theta1 rows contracts the versine stack alone
+    model = ThetaModel(config)
+    calls, contract = [], engine._contract
+
+    def counting_contract(w, stack, shape=None):
+        out = contract(w, stack, shape)
+        calls.append(("-" if w is model._w_minus else "+", out.shape[1:]))
+        return out
+
+    monkeypatch.setattr(engine, "_contract", counting_contract)
+    axes = np.meshgrid(*[np.linspace(0.0, math.pi, 181)] * 2, indexing="ij", sparse=True)
+    _grid_log_likelihood(model, [(0, 3)], axes)
+    assert calls == [("-", (181, 1))] + [("+", (22, 181))] * 8 + [("+", (5, 181))]
+
+
+def test_an_infinite_theta2_is_nan_for_every_label():
+    # the grid's axis rule holds on finite axes only: at theta2 = inf the
+    # middle sine row is inf - inf, and every label is NaN on every path
+    model = ThetaModel(ProtocolConfig.for_two_senders(7, a=3, q0=0.33))
+    axes = [np.array([[0.5], [1.0]]), np.array([[0.3, math.inf]])]
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(model.point_probs((1.0, math.inf))).all()
+        assert np.isnan(model.probs((1.0, math.inf))).all()
+        whole = model.probs(axes)
+        blocks = [np.stack(np.broadcast_arrays(*rows)) for _, rows in model.grid_blocks(axes, 1)]
+    assert np.isnan(whole[..., 1]).all() and np.isfinite(whole[..., 0]).all()
+    assert np.array_equal(np.concatenate(blocks, axis=1), whole, equal_nan=True)
 
 
 @pytest.mark.parametrize("config", GRID_CONFIGS + [all_switches_config(40, 2)])
