@@ -37,7 +37,7 @@ from .configio import (
 )
 from .engine import ConfigError, ProtocolConfig, check_senders, outcome_distribution
 from .estimation import mle_estimate
-from .fisher import scan_j22
+from .fisher import optimal_a, scan_j22
 from .protocol import (
     CONTROL_TV_TOL,
     EXACT_TV_TOL,
@@ -86,8 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     and reused by the later ones; parsing keeps its state in a fresh
     namespace per call."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="master seed (overrides any seed in a config file)")
     common.add_argument("--out", type=Path, default=None,
                         help="output file (default: stdout)")
 
@@ -101,6 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--m", type=int, default=2, help="true sender count")
     p_verify.add_argument("--trials", type=int, default=20, help="random field draws")
     p_verify.add_argument("--t", type=float, default=1.0, help="interaction time")
+    p_verify.add_argument("--seed", type=int, default=0, help="seed of the field draws")
     p_verify.add_argument("--negative-control", action="store_true",
                           help="run only the deliberately leaky control scheme")
     p_verify.set_defaults(handler=_cmd_verify)
@@ -113,7 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="run-configuration JSON file with a 'scan' axis section")
     p_scan.add_argument("--n", type=str, default=None,
                         help="n axis, e.g. '10' or '5,10,100' or 'log:5:10000:40' or 'inf'")
-    p_scan.add_argument("--q0", type=str, default="0.33", help="q0 axis (comma list)")
+    p_scan.add_argument("--q0", type=str, default=None,
+                        help="q0 axis (comma list; default 0.33)")
     p_scan.add_argument("--theta1", type=str, default=None,
                         help="theta1 axis: comma list or 'lo:hi:count'")
     p_scan.add_argument("--theta2", type=str, default=None,
@@ -123,6 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", parents=[common],
                            help="run the full protocol from a JSON run configuration")
     p_sim.add_argument("--config", type=Path, required=True, help="run-configuration JSON file")
+    p_sim.add_argument("--seed", type=int, help="master seed (overrides the config's $.run.seed)")
     p_sim.set_defaults(handler=_cmd_simulate)
 
     p_est = sub.add_parser("estimate", parents=[common],
@@ -138,7 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
 # verify
 
 def _cmd_verify(args) -> int:
-    seed = 0 if args.seed is None else args.seed
     n, m = args.n, args.m
     check_senders(n, m)
     if not math.isfinite(args.t):
@@ -148,7 +148,7 @@ def _cmd_verify(args) -> int:
     for violation in FieldVector(omegas=(hi,) * m, t=args.t).violations():
         raise ValueError(f"--t {args.t}: {violation} (verify draws fields up to {hi})")
     if args.negative_control:
-        rng = philox(seed, 0xC0)
+        rng = philox(args.seed, 0xC0)
         omegas = tuple(sorted(rng.uniform(lo, hi, size=m).tolist()))
         report = negative_control(n, FieldVector(omegas=omegas, t=args.t))
         doc = {"command": "verify", "negative_control": tracelessness_to_dict(report),
@@ -174,13 +174,13 @@ def _cmd_verify(args) -> int:
                          f"cross-check (its tolerance {cross_tol:.3g} reaches {CONTROL_TV_TOL})")
     configs = [ProtocolConfig.for_single_sender(n, t=args.t)]
     if n >= 5:
-        configs.append(ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33, t=args.t))
+        configs.append(ProtocolConfig.for_two_senders(n, a=optimal_a(n), q0=0.33, t=args.t))
     worst_tv = 0.0
     worst_err = 0.0
     failing_case = None
     reports = []
     for trial in range(args.trials):
-        rng = philox(seed, trial)
+        rng = philox(args.seed, trial)
         omegas = tuple(sorted(rng.uniform(lo, hi, size=m).tolist()))
         fields = FieldVector(omegas=omegas, t=args.t)
         for config in configs:
@@ -211,7 +211,7 @@ def _cmd_verify(args) -> int:
         "n": n,
         "m": m,
         "trials": args.trials,
-        "seed": seed,
+        "seed": args.seed,
         "max_tv_distance": worst_tv,
         "max_oracle_analytic_error": worst_err,
         "tracelessness": reports,
@@ -230,6 +230,11 @@ def _cmd_verify(args) -> int:
 # scan
 
 def _cmd_scan(args) -> int:
+    given = [flag for flag in ("--fig", "--config", "--n", "--q0", "--theta1", "--theta2")
+             if getattr(args, flag[2:]) is not None]
+    if len(given) > 1 and given[0] in ("--fig", "--config"):
+        raise ValueError(f"scan takes its axes from one of --fig, --config or the axis "
+                         f"flags; got {' '.join(given)}")
     if args.fig is not None:
         axes = _figure_axes(args.fig)
     elif args.config is not None:
@@ -244,7 +249,7 @@ def _cmd_scan(args) -> int:
             raise ValueError(f"scan needs --fig, --config, or explicit axes; missing {missing}")
         axes = {
             "n": _parse_axis("--n", args.n, integer=True),
-            "q0": _parse_axis("--q0", args.q0),
+            "q0": _parse_axis("--q0", "0.33" if args.q0 is None else args.q0),
             "theta1": _parse_axis("--theta1", args.theta1),
             "theta2": _parse_axis("--theta2", args.theta2),
         }

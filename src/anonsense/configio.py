@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from typing import Any, Optional
 
 from .combinatorics import FieldVector
@@ -58,13 +59,16 @@ def _parse_protocol(section) -> ProtocolConfig:
     m_est = _require_int(section, "m_est", path)
     t = _real(section.get("t", 1.0), f"{path}.t")
     if m_est == 1:
+        for key in ("a", "q0"):
+            if key in section:
+                raise RunConfigError(f"{path}.{key}: read only when m_est is 2")
         config = ProtocolConfig.for_single_sender(n, t=t)
     elif m_est == 2:
         a = _require_int(section, "a", path)
-        q0 = section.get("q0")
-        if q0 is None and "q" not in section:
+        if "q" not in section and "q0" not in section:
             raise RunConfigError(f"{path}.q0: required for m_est=2 (or give a full q vector)")
-        q0 = 0.5 if q0 is None else _real(q0, f"{path}.q0")
+        # a q vector replaces the design's weights, so any q0 builds the design
+        q0 = 0.5 if "q" in section else _real(section["q0"], f"{path}.q0")
         config = ProtocolConfig.for_two_senders(n, a=a, q0=q0, t=t)
     else:
         raise RunConfigError(f"{path}.m_est: must be 1 or 2, got {m_est}")
@@ -72,10 +76,9 @@ def _parse_protocol(section) -> ProtocolConfig:
         q = section["q"]
         if not isinstance(q, list) or len(q) != config.kmax + 1:
             raise RunConfigError(f"{path}.q: must be a list of {config.kmax + 1} weights")
-        config = ProtocolConfig(n=config.n, m_est=config.m_est, t=config.t,
-                                q=tuple(_real(x, f"{path}.q[{i}]")
-                                        for i, x in enumerate(q)),
-                                c_plus=config.c_plus, c_minus=config.c_minus, a=config.a)
+        config = replace(config, q=tuple(_real(x, f"{path}.q[{i}]") for i, x in enumerate(q)))
+        if "q0" in section:
+            raise RunConfigError(f"{path}.q0: not read when q is given")
     if "c" in section:
         overrides = section["c"]
         _require_mapping(overrides, f"{path}.c")
@@ -90,8 +93,7 @@ def _parse_protocol(section) -> ProtocolConfig:
                     f"{path}.c.{key}: keys must look like '0+' with index <= {config.kmax}"
                 ) from None
             (c_plus if sign == "+" else c_minus)[i] = _number(value, int, f"{path}.c.{key}")
-        config = ProtocolConfig(n=config.n, m_est=config.m_est, t=config.t, q=config.q,
-                                c_plus=tuple(c_plus), c_minus=tuple(c_minus), a=config.a)
+        config = replace(config, c_plus=tuple(c_plus), c_minus=tuple(c_minus))
     violations = validate_config(config)
     if violations:
         raise RunConfigError("; ".join(f"{path}: {v}" for v in violations))

@@ -70,16 +70,17 @@ class ProtocolConfig:
     def c(self, i: int, sign: str) -> int:
         return self.c_plus[i] if sign == PLUS else self.c_minus[i]
 
+    @property
+    def outcomes(self) -> list[tuple[int, str]]:
+        """The measured outcomes (i, sign) in canonical order: by ascending i,
+        (i,+) before (i,-).  Every path that lists outcomes reads this order."""
+        c_plus, c_minus = self.c_plus, self.c_minus
+        return [(i, sign) for i in range(self.kmax + 1) if c_plus[i] or c_minus[i]
+                for sign, c in ((PLUS, c_plus[i]), (MINUS, c_minus[i])) if c]
+
     def labels(self) -> list[str]:
-        """Outcome labels in canonical order: (i,+), (i,-) by ascending i, then 'f'."""
-        out = []
-        for i in range(self.kmax + 1):
-            if self.c_plus[i]:
-                out.append(f"{i}+")
-            if self.c_minus[i]:
-                out.append(f"{i}-")
-        out.append("f")
-        return out
+        """Outcome labels in canonical order: the measured outcomes, then 'f'."""
+        return [f"{i}{sign}" for i, sign in self.outcomes] + ["f"]
 
     @classmethod
     def for_single_sender(cls, n: int, t: float = 1.0) -> "ProtocolConfig":
@@ -178,14 +179,21 @@ def validate_config(config: ProtocolConfig) -> list[str]:
         if config.c_plus[i] == 0 and config.c_minus[i] == 0 and config.q[i] != 0:
             v.append(f"q[{i}] = {config.q[i]} must be 0 when both switches c[{i},+-] are 0")
     if config.m_est == 2:
-        a = config.a
-        if a is None:
+        if config.a is None:
             v.append("two-sender design requires the index a")
         else:
-            if n < 5:
-                v.append(f"two-sender design requires n >= 5, got n={n}")
-            if not 2 <= a <= kmax:
-                v.append(f"a={a} outside [2, floor(n/2)={kmax}]")
+            v += two_sender_violations(n, config.a)
+    return v
+
+
+def two_sender_violations(n: int, a: int) -> list[str]:
+    """The two-sender design's rule: n >= 5 participants and a weight index
+    2 <= a <= floor(n/2); returns the violations (empty if it holds)."""
+    v = []
+    if n < 5:
+        v.append(f"two-sender design requires n >= 5, got {n}")
+    if not 2 <= a <= n // 2:
+        v.append(f"a={a} outside [2, floor(n/2)={n // 2}]")
     return v
 
 
@@ -303,18 +311,15 @@ class ThetaModel:
         self.m = config.m_est if m is None else m
         n = config.n
         check_senders(n, self.m)
+        outcomes = config.outcomes
         # weight indices with a switch on; row r of every table is index _rows[r]
-        self._rows = [i for i in range(config.kmax + 1) if config.c_plus[i] or config.c_minus[i]]
+        row = {i: r for r, i in enumerate(dict.fromkeys(i for i, _ in outcomes))}
+        self._rows = list(row)
         self._w = np.array([weight_row(n, self.m, i) for i in self._rows])
         # gamma- = (w . s)/2 (halving is exact); the central '-' projector of even n vanishes
         self._w_minus = self._w * np.array([[0.0 if 2 * i == n else 0.5] for i in self._rows])
         self.labels = config.labels()
-        self._active = [
-            (r, i, sign)
-            for r, i in enumerate(self._rows)
-            for sign in SIGNS
-            if config.c(i, sign)
-        ]
+        self._active = [(row[i], i, sign) for i, sign in outcomes]
 
     def _theta_table(self, theta):
         """The phase table of theta (see ``_THETA_TABLES``); needs m == m_est."""
@@ -411,7 +416,7 @@ class ThetaModel:
     def dprobs(self, theta: Sequence[float]) -> np.ndarray:
         """Analytic derivatives dP/dtheta_j at one phase vector of floats,
         shape (labels, m_est): the first-order half of :meth:`derivatives`,
-        which the Fisher matrix and the estimator's scoring steps use."""
+        which the estimator's scoring steps use."""
         return self.derivatives(theta)[0]
 
     def derivatives(self, theta: Sequence[float], second: bool = False):

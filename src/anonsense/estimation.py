@@ -13,7 +13,8 @@ assembly and, per observed label, the log at the label row's own shape,
 scaled by its count and added into the grid in place.  Per point, the grid
 maximum is refined by projected, damped Fisher scoring on the kernel's
 analytic derivatives, which also give the observed information; the Fisher
-matrix at the estimate takes the probabilities the refinement ends on.
+matrix at the estimate takes the probabilities and derivatives the
+refinement ends on.
 """
 
 from __future__ import annotations
@@ -128,12 +129,13 @@ def mle_estimate(counts: OutcomeCounts, config: ProtocolConfig) -> EstimateRepor
             converged = False
             flags.append(f"flat likelihood along theta_{j + 1}")
 
-    theta, ll_hat, p_hat, info = _refine(counts, model, tallies, theta, axis[1] - axis[0])
+    theta, ll_hat, p_hat, info, dp, d2p = _refine(counts, model, tallies, theta,
+                                                  axis[1] - axis[0])
     theta_hat = PhaseParameters(tuple(theta))
     se = _observed_se(info, theta, flags)
     crb_se: Optional[tuple[float, ...]] = None
     try:
-        res = _fisher_matrix(model, theta_hat.theta, counts.N, p_hat)
+        res = _fisher_matrix(model.labels, counts.N, p_hat, dp, d2p)
         crb_se = tuple(math.sqrt(max(v, 0.0)) for v in res.crb_diag)
     except ArithmeticError:
         flags.append("expected information singular at the estimate")
@@ -213,8 +215,8 @@ def _grid_log_likelihood(model: ThetaModel, observed, axes) -> np.ndarray:
 
 def _refine(counts: OutcomeCounts, model: ThetaModel, tallies, theta, spacing: float):
     """Projected, damped Fisher scoring (Levenberg-Marquardt) from the grid
-    argmax; returns theta, its log-likelihood, its probabilities and the
-    observed information.
+    argmax; returns theta, its log-likelihood, its probabilities, the observed
+    information and the first and second derivatives it is formed from.
 
     A step solves (J + lam*diag J) d = score, J being N times the expected
     information, on the components with J_jj > 0 (a flat axis stays put) that
@@ -248,17 +250,18 @@ def _refine(counts: OutcomeCounts, model: ThetaModel, tallies, theta, spacing: f
                 lam *= 10.0
         if moved >= REFINE_TOL:
             continue
-        info = _observed_information(model, tallies, theta, p)
+        dp, d2p = model.derivatives(theta, second=True)
+        info = _observed_information(tallies, p, dp, d2p)
         if not np.all(np.isfinite(info)):
-            return theta, ll, p, info
+            return theta, ll, p, info, dp, d2p
         eigvals, eigvecs = np.linalg.eigh(info)
         if eigvals[0] >= 0.0:
-            return theta, ll, p, info
+            return theta, ll, p, info, dp, d2p
         probes = [_project(theta, sign * spacing * eigvecs[:, 0]) for sign in (1.0, -1.0)]
         ll_probe, probe, p_probe = max((_scored(counts, model, point) for point in probes),
                                        key=lambda scored: scored[:2])
         if not ll_probe > ll:
-            return theta, ll, p, info
+            return theta, ll, p, info, dp, d2p
         ll, theta, p, score = ll_probe, probe, p_probe, None
 
 
@@ -266,12 +269,11 @@ def _project(theta, step) -> list:
     return [min(max(t + d, 0.0), math.pi) for t, d in zip(theta, step)]
 
 
-def _observed_information(model: ThetaModel, tallies, theta, p) -> np.ndarray:
+def _observed_information(tallies, p, dp, d2p) -> np.ndarray:
     """Negative Hessian of the log-likelihood, sum_x c*(dp dp^T/p^2 - d2p/p),
-    over the observed outcomes, from the kernel's analytic derivatives;
-    ``p`` holds the probabilities at ``theta``."""
+    over the observed outcomes, from the probabilities ``p`` at one phase
+    vector and the kernel's analytic derivatives ``dp`` and ``d2p`` there."""
     p = np.asarray(p)
-    dp, d2p = model.derivatives(theta, second=True)
     seen = tallies > 0
     c, p, dp, d2p = tallies[seen], p[seen], dp[seen], d2p[seen]
     with np.errstate(all="ignore"):  # a non-finite result is flagged by _observed_se

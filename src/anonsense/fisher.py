@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .combinatorics import FieldVector
-from .engine import ProtocolConfig, ThetaModel
+from .engine import ProtocolConfig, ThetaModel, two_sender_violations
 
 ZERO_PROB = 1e-14
 ZERO_DERIV = 1e-7
@@ -110,25 +110,23 @@ def fisher_matrix(
     if params.m_est != config.m_est:
         raise ValueError(f"params.m_est={params.m_est} != config.m_est={config.m_est}")
     model = ThetaModel(config)
-    return _fisher_matrix(model, params.theta, N, model.point_probs(params.theta))
+    return _fisher_matrix(model.labels, N, model.point_probs(params.theta),
+                          *model.derivatives(params.theta, second=True))
 
 
-def _fisher_matrix(model: ThetaModel, theta, N: int, p) -> FisherResult:
-    """:func:`fisher_matrix` on an already built model and the probabilities
-    ``p`` at ``theta``, as :meth:`ThetaModel.point_probs` gives them."""
-    dp = model.dprobs(theta)
-    m = model.m_est
+def _fisher_matrix(labels, N: int, p, dp, d2p) -> FisherResult:
+    """:func:`fisher_matrix` for the outcome ``labels`` from the probabilities
+    ``p`` at one phase vector and the derivatives ``dp`` and ``d2p`` there, as
+    :meth:`ThetaModel.point_probs` and :meth:`ThetaModel.derivatives` give them."""
+    m = dp.shape[1]
     J = np.zeros((m, m))
-    d2p = None  # formed only at a zero probability
-    for x, label in enumerate(model.labels):
+    for x, label in enumerate(labels):
         if p[x] < ZERO_PROB:
             if np.max(np.abs(dp[x])) >= ZERO_DERIV:
                 raise SingularTermError(
                     f"outcome {label!r} has probability {p[x]:.3e} but derivative "
                     f"{np.max(np.abs(dp[x])):.3e}; information diverges"
                 )
-            if d2p is None:
-                d2p = model.derivatives(theta, second=True)[1]
             if np.linalg.matrix_rank(d2p[x], tol=RANK_RTOL * np.abs(d2p[x]).max()) <= 1:
                 J += 2.0 * d2p[x]
             continue
@@ -165,15 +163,16 @@ def closed_form_j22(n: int, a: int, q0: float, theta: tuple[float, float]) -> fl
     (theta2 = 0, or sin^2(theta2/2) below the smallest float) or the value
     overflows.  A non-finite phase raises ValueError naming its axis.
     """
-    _check_design(n, a, q0)
+    _check_design(n, a)
+    _check_q0(q0)
     return _point_j22(1.0 / dilution(n, a) - 1.0, q0, theta)
 
 
 def optimal_a(n: int) -> int:
     """Weight index minimizing the two-sender variance bound: floor(n/2)."""
-    if n < 5:
-        raise ValueError(f"two-sender design requires n >= 5, got {n}")
-    return n // 2
+    a = n // 2
+    _check_design(n, a)
+    return a
 
 
 def limit_j22(q0: float, theta: tuple[float, float]) -> float:
@@ -183,12 +182,9 @@ def limit_j22(q0: float, theta: tuple[float, float]) -> float:
     return _point_j22(None, q0, theta)
 
 
-def _check_design(n: int, a: int, q0: float):
-    if n < 5:
-        raise ValueError(f"two-sender design requires n >= 5, got {n}")
-    if not 2 <= a <= n // 2:
-        raise ValueError(f"a={a} outside [2, floor(n/2)={n // 2}]")
-    _check_q0(q0)
+def _check_design(n: int, a: int):
+    for violation in two_sender_violations(n, a):
+        raise ValueError(violation)
 
 
 def _check_q0(q0: float):
@@ -264,13 +260,12 @@ def scan_j22(
 ) -> ScanGrid:
     """Evaluate the optimized variance bound over a cartesian grid.
 
-    Blocks come out nested as (n, q0).  Each finite n uses a = floor(n/2);
-    n = inf uses the large-n limit.  The n, a and q0 checks of
-    :func:`closed_form_j22` and :func:`limit_j22` run once per block, and the
-    finite-phase check once per axis value, all before any cell is evaluated.  sin, cos and the squares are taken with
-    :mod:`math` once per axis value, and the cells see only + - * /, so every
-    cell is bit for bit the value :func:`closed_form_j22` or
-    :func:`limit_j22` returns there.  Cells where those raise
+    Blocks come out nested as (n, q0).  Each finite n uses a = :func:`optimal_a`,
+    which checks n; n = inf uses the large-n limit.  The q0 check runs once per
+    block and the finite-phase check once per axis value, all before any cell
+    is evaluated.  sin, cos and the squares are taken with :mod:`math` once per
+    axis value, and the cells see only + - * /, so every cell is bit for bit
+    the value :func:`closed_form_j22` or :func:`limit_j22` returns there.  Cells where those raise
     :class:`DivergenceError` (theta2 = 0, sin^2(theta2/2) or the denominator
     underflowing to 0, or the bound overflowing) are flagged divergent with
     NaN values rather than raised.
@@ -283,9 +278,10 @@ def scan_j22(
                 _check_q0(q0)
                 designs.append((math.inf, math.inf, q0, None))
             continue
-        n, a = int(n_raw), int(n_raw) // 2
+        n = int(n_raw)
+        a = optimal_a(n)
         for q0 in q0_values:
-            _check_design(n, a, q0)
+            _check_q0(q0)
             designs.append((n, a, q0, 1.0 / dilution(n, a) - 1.0))
     theta1, theta2 = tuple(theta1_values), tuple(theta2_values)
     s1sq, c1 = _half_angles("theta1", theta1)

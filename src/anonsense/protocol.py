@@ -102,8 +102,6 @@ def run_protocol(
             drawn = draw_counts(conditionals[i], int(per_state[idx]), rng)
             for label, c in drawn.items():
                 counts[label] = counts.get(label, 0) + c
-        labels = config.labels()
-        counts = {label: counts.get(label, 0) for label in labels}
     else:
         dist = outcome_distribution(config, assign.fields)
         counts = draw_counts(dist, rounds, rng)

@@ -193,18 +193,12 @@ class _DenseBasis:
         initial = {
             ip: phi_state(n, ip, PLUS) for ip in range(config.kmax + 1) if config.q[ip] > 0.0
         }
-        projectors = {
-            f"{i}{sign}": phi_state(n, i, sign)
-            for i in range(config.kmax + 1)
-            for sign in SIGNS
-            if config.c(i, sign)
-        }
-        self.labels = list(projectors)
+        self.labels = config.labels()[:-1]  # the measured ones; _with_residual adds 'f'
         self.order = list(initial)  # the initial-state index i' of each q column
         self.q = np.array([config.q[ip] for ip in self.order])
         self.support = np.flatnonzero(np.logical_or.reduce([ket != 0 for ket in initial.values()]))
         kets = [ket[self.support] for ket in initial.values()]
-        bras = [proj[self.support].conj() for proj in projectors.values()]
+        bras = [phi_state(n, i, sign)[self.support].conj() for i, sign in config.outcomes]
         pairs, weights = [], []  # flat (label, i') index of each overlapping pair
         for k, (bra, ket) in enumerate(itertools.product(bras, kets)):
             w = bra * ket
@@ -233,10 +227,6 @@ class _DenseBasis:
         """sum_{i'} q[i'] |<phi_{i,sign}| U |phi_{i',+}>|^2 per outcome, for each subset row."""
         probs = (np.abs(self.amplitudes(fields, positions)) ** 2 * self.q).sum(axis=-1)
         return [_with_residual(zip(self.labels, row)) for row in probs.tolist()]
-
-    def mixture(self, assign: SenderAssignment) -> OutcomeDistribution:
-        """The mixture distribution of one sender subset."""
-        return self.mixtures(assign.fields, np.array([assign.sender_positions]))[0]
 
     def conditionals(self, assign: SenderAssignment) -> dict[int, OutcomeDistribution]:
         """|<phi_{i,sign}| U |phi_{i',+}>|^2 per outcome, for each initial state i'."""
@@ -269,7 +259,7 @@ def oracle_distribution(assign: SenderAssignment, config: ProtocolConfig) -> Out
     with the residual 'f' completing the distribution.
     """
     assign.check_n(config)
-    return _DenseBasis(config).mixture(assign)
+    return _DenseBasis(config).mixtures(assign.fields, np.array([assign.sender_positions]))[0]
 
 
 def conditional_distributions(
@@ -295,8 +285,8 @@ def dicke_sweep(config: ProtocolConfig, fields: FieldVector, subsets) -> list[Ou
     """
     check_config(config)
     positions = np.array([SenderAssignment(config.n, s, fields).sender_positions for s in subsets])
-    active = [(i, sign) for i in range(config.kmax + 1) for sign in SIGNS if config.c(i, sign)]
-    k = np.arange(active[-1][0] + 1)
+    outcomes = config.outcomes
+    k = np.arange(outcomes[-1][0] + 1)
     means = np.broadcast_to(k == 0, (2, len(subsets), len(k))).astype(complex)  # direct, swapped
     for j in range(1, config.n + 1):
         a, b = _participant_phases(positions, fields, j)
@@ -305,8 +295,8 @@ def dicke_sweep(config: ProtocolConfig, fields: FieldVector, subsets) -> list[Ou
         means = nxt
     direct, swapped = means
     amplitudes = {PLUS: (direct + swapped) / 2, MINUS: (direct - swapped) / 2}
-    rows = np.array([config.q[i] * np.abs(amplitudes[sign][:, i]) ** 2 for i, sign in active]).T
-    labels = [f"{i}{sign}" for i, sign in active]
+    rows = np.array([config.q[i] * np.abs(amplitudes[sign][:, i]) ** 2 for i, sign in outcomes]).T
+    labels = config.labels()[:-1]
     return [_with_residual(zip(labels, row)) for row in rows.tolist()]
 
 

@@ -72,9 +72,8 @@ def test_estimate_golden_and_determinism(tmp_path):
 PARSER_REUSE = [
     (["verify", "--negative-control", "--n", "5", "--seed", "3"],
      ["verify", "--n", "5", "--trials", "2"]),
-    (["estimate", "--counts", str(DATA / "counts_m1.json"), "--config", str(DATA / "run_m1.json"),
-      "--seed", "9"],
-     ["simulate", "--config", str(DATA / "run_n5.json")]),
+    (["simulate", "--config", str(DATA / "run_n5.json"), "--seed", "9"],
+     ["estimate", "--counts", str(DATA / "counts_m1.json"), "--config", str(DATA / "run_m1.json")]),
 ]
 
 
@@ -214,6 +213,9 @@ def test_simulate_rejects_zero_rounds(tmp_path):
     ("protocol", "q", ["nan", 0, "nan"], "$.protocol.q[0]: must be finite"),
     ("scenario", "omegas", ["nan", 1.25], "$.scenario.omegas: omegas[0] = nan"),
     ("scenario", "omegas", [0.75, "inf"], "$.scenario.omegas: omegas[1] = inf"),
+    # keys the protocol section would validate and then drop
+    ("protocol", "m_est", 1, "$.protocol.a: read only when m_est is 2"),
+    ("protocol", "q", [0.33, 0.0, 0.67], "$.protocol.q0: not read when q is given"),
 ])
 def test_wrong_value_types_report_their_path(tmp_path, capsys, section, key, value, path):
     doc = json.loads((DATA / "run_n5.json").read_text())
@@ -222,6 +224,19 @@ def test_wrong_value_types_report_their_path(tmp_path, capsys, section, key, val
     bad.write_text(json.dumps(doc))
     assert run_cli(["simulate", "--config", str(bad)]) == 2
     assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("protocol, path", [
+    ({"n": 5, "m_est": 1, "a": 2, "q0": 0.9}, "$.protocol.a: read only when m_est is 2"),
+    ({"n": 5, "m_est": 1, "q0": 0.9}, "$.protocol.q0: read only when m_est is 2"),
+])
+def test_single_sender_protocol_rejects_the_two_sender_keys(tmp_path, capsys, protocol, path):
+    # both ran the single-sender design with a and q0 dropped
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"protocol": protocol}))
+    assert run_cli(["estimate", "--counts", str(DATA / "counts_m1.json"),
+                    "--config", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {path}\n"
 
 
 @pytest.mark.parametrize("verb, section, key, value, path", [
@@ -427,6 +442,38 @@ def test_scan_axis_errors_name_the_axis(axis, spec, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {axis} {spec!r}: " in captured.err
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["--fig", "5", "--n", "7", "--theta1", "1", "--theta2", "1"], "--fig --n --theta1 --theta2"),
+    (["--fig", "2", "--q0", "0.5"], "--fig --q0"),
+    (["--fig", "2", "--config", "CONFIG"], "--fig --config"),
+    (["--config", "CONFIG", "--n", "9", "--theta1", "2", "--theta2", "2"],
+     "--config --n --theta1 --theta2"),
+])
+def test_scan_takes_its_axes_from_one_source(tmp_path, capsys, argv, flags):
+    # the flags beside --fig or --config were dropped without a word
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps({"protocol": {"n": 5, "m_est": 1},
+                               "scan": {"n": [5], "q0": [0.33], "theta1": [2.0],
+                                        "theta2": [0.5]}}))
+    argv = [str(cfg) if x == "CONFIG" else x for x in argv]
+    assert run_cli(["scan", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: scan takes its axes from one of --fig, --config or the "
+                            f"axis flags; got {flags}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--fig", "2"],
+    ["estimate", "--counts", str(DATA / "counts_m1.json"), "--config", str(DATA / "run_m1.json")],
+])
+def test_seed_is_rejected_where_nothing_reads_it(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv, "--seed", "9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
 
 
 def test_scan_single_cell(tmp_path):

@@ -148,6 +148,30 @@ def test_refinement_evaluates_each_theta_once(monkeypatch):
         assert len(points) > 2
         assert len(points) == len(set(points))
 
+
+def test_estimate_takes_the_derivatives_at_the_estimate_once(monkeypatch):
+    # scoring forms the first derivatives once per accepted theta, the
+    # observed information the first and second at the estimate, and the
+    # Fisher matrix reuses those: no (theta, order) pair is evaluated twice
+    calls = []
+    derivatives = ThetaModel.derivatives
+
+    def counting_derivatives(self, theta, second=False):
+        calls.append((tuple(float(t) for t in theta), second))
+        return derivatives(self, theta, second)
+
+    monkeypatch.setattr(ThetaModel, "derivatives", counting_derivatives)
+    cases = [(ProtocolConfig.for_two_senders(7, a=3, q0=0.33),
+              {"0+": 400, "0-": 150, "3+": 300, "f": 150}),
+             (ProtocolConfig.for_single_sender(5), {"0+": 3, "f": 2})]
+    for config, counts in cases:
+        calls.clear()
+        report = mle_estimate(OutcomeCounts(counts), config)
+        assert report.crb_se is not None
+        assert calls[-1] == (report.theta_hat.theta, True)
+        assert len(calls) == len(set(calls))
+
+
 def test_mle_degenerate_counts_on_the_point_path():
     # all counts on 'f' (m_est 1 and 2) or on '0-' (m_est 2) drive the -inf
     # and boundary branches of the point path: the estimate sits at theta_1 =
@@ -237,8 +261,8 @@ def test_observed_information_matches_difference_stencil(rng):
             # no counts on a label of structurally zero probability (q[i] = 0)
             tally = rng.integers(1, 1000, len(model.labels)) * (np.array(model.point_probs(theta)) > 0)
             counts = OutcomeCounts(dict(zip(model.labels, tally.tolist())))
-            info = estimation._observed_information(model, tally.astype(float), theta,
-                                                   model.point_probs(theta))
+            info = estimation._observed_information(tally.astype(float), model.point_probs(theta),
+                                                   *model.derivatives(theta, second=True))
             ref = stencil_information(model, counts, theta)
             assert np.max(np.abs(info - ref)) <= 1e-5 * np.max(np.abs(ref))
 

@@ -490,15 +490,16 @@ def test_two_sender_j11_inverse_is_one_over_q0(rng):
         assert res.J_inv[0, 0] == pytest.approx(1.0 / q0, abs=1e-10)
 
 
-def fd_dprobs(model, theta, step=1e-5):
-    """Central differences of ThetaModel.probs, in place of ThetaModel.dprobs."""
+def fd_derivatives(model, theta, second=False, step=1e-5):
+    """Central differences of ThetaModel.probs in place of the first
+    derivatives of ThetaModel.derivatives; no second derivatives."""
     cols = []
     for j in range(model.m_est):
         hi, lo = list(theta), list(theta)
         hi[j] += step
         lo[j] -= step
         cols.append((model.probs(hi) - model.probs(lo)) / (2 * step))
-    return np.stack(cols, axis=1)
+    return np.stack(cols, axis=1), None
 
 
 def test_finite_difference_agrees_with_analytic(rng, monkeypatch):
@@ -510,7 +511,7 @@ def test_finite_difference_agrees_with_analytic(rng, monkeypatch):
         params = PhaseParameters(theta)
         ja = fisher_matrix(config, params).J
         with monkeypatch.context() as mp:
-            mp.setattr(ThetaModel, "dprobs", fd_dprobs)
+            mp.setattr(ThetaModel, "derivatives", fd_derivatives)
             jf = fisher_matrix(config, params).J
         assert np.max(np.abs(ja - jf)) / np.max(np.abs(ja)) <= 1e-6
 
@@ -585,11 +586,11 @@ def test_zero_probability_with_real_slope_raises(monkeypatch):
     # so force a bad derivative to prove the guard trips
     config = ProtocolConfig.for_single_sender(5)
 
-    def bad_dprobs(self, theta):
+    def bad_derivatives(self, theta, second=False):
         out = np.ones((len(self.labels), 1))
-        return out
+        return out, None
 
-    monkeypatch.setattr(ThetaModel, "dprobs", bad_dprobs)
+    monkeypatch.setattr(ThetaModel, "derivatives", bad_derivatives)
     with pytest.raises(SingularTermError):
         fisher_matrix(config, PhaseParameters((math.pi,)))
 
