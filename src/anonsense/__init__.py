@@ -19,7 +19,6 @@ from .engine import (
     gamma,
     max_senders,
     outcome_distribution,
-    validate_config,
 )
 from .estimation import (
     EstimateReport,

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
 from typing import Any, Optional
 
 from .combinatorics import FieldVector
-from .engine import ProtocolConfig, validate_config
+from .engine import ConfigError, ProtocolConfig, design_fields
 from .estimation import EstimateReport, OutcomeCounts
 from .fisher import ScanGrid
 from .protocol import TracelessnessReport, Transcript
@@ -62,42 +61,43 @@ def _parse_protocol(section) -> ProtocolConfig:
         for key in ("a", "q0"):
             if key in section:
                 raise RunConfigError(f"{path}.{key}: read only when m_est is 2")
-        config = ProtocolConfig.for_single_sender(n, t=t)
+        fields = design_fields(n)
     elif m_est == 2:
         a = _require_int(section, "a", path)
         if "q" not in section and "q0" not in section:
             raise RunConfigError(f"{path}.q0: required for m_est=2 (or give a full q vector)")
         # a q vector replaces the design's weights, so any q0 builds the design
         q0 = 0.5 if "q" in section else _real(section["q0"], f"{path}.q0")
-        config = ProtocolConfig.for_two_senders(n, a=a, q0=q0, t=t)
+        fields = design_fields(n, a, q0)
     else:
         raise RunConfigError(f"{path}.m_est: must be 1 or 2, got {m_est}")
+    size = len(fields["q"])
     if "q" in section:
         q = section["q"]
-        if not isinstance(q, list) or len(q) != config.kmax + 1:
-            raise RunConfigError(f"{path}.q: must be a list of {config.kmax + 1} weights")
-        config = replace(config, q=tuple(_real(x, f"{path}.q[{i}]") for i, x in enumerate(q)))
+        if not isinstance(q, list) or len(q) != size:
+            raise RunConfigError(f"{path}.q: must be a list of {size} weights")
+        fields["q"] = [_real(x, f"{path}.q[{i}]") for i, x in enumerate(q)]
         if "q0" in section:
             raise RunConfigError(f"{path}.q0: not read when q is given")
     if "c" in section:
         overrides = section["c"]
         _require_mapping(overrides, f"{path}.c")
-        c_plus, c_minus = list(config.c_plus), list(config.c_minus)
         for key, value in overrides.items():
             try:
                 i, sign = int(key[:-1]), key[-1]
-                if sign not in "+-" or not 0 <= i <= config.kmax:
+                if sign not in "+-" or not 0 <= i < size:
                     raise ValueError
             except (ValueError, IndexError):
                 raise RunConfigError(
-                    f"{path}.c.{key}: keys must look like '0+' with index <= {config.kmax}"
+                    f"{path}.c.{key}: keys must look like '0+' with index <= {size - 1}"
                 ) from None
-            (c_plus if sign == "+" else c_minus)[i] = _number(value, int, f"{path}.c.{key}")
-        config = replace(config, c_plus=tuple(c_plus), c_minus=tuple(c_minus))
-    violations = validate_config(config)
-    if violations:
-        raise RunConfigError("; ".join(f"{path}: {v}" for v in violations))
-    return config
+            switches = fields["c_plus" if sign == "+" else "c_minus"]
+            switches[i] = _number(value, int, f"{path}.c.{key}")
+    # one construction checks the final vectors, never the design before its overrides
+    try:
+        return ProtocolConfig(t=t, **fields)
+    except ConfigError as exc:
+        raise RunConfigError("; ".join(f"{path}: {v}" for v in exc.violations)) from None
 
 
 def _parse_scenario(section, config: ProtocolConfig) -> SenderAssignment:
@@ -175,13 +175,17 @@ def _require_mapping(obj, path):
 
 def _number(value, kind, path):
     """``kind(value)`` for a JSON number or numeric string; any other value (a
-    list, an object or a boolean) is an error naming ``path``."""
+    list, an object or a boolean), or a fractional number where ``kind`` is
+    int (which would truncate it), is an error naming ``path``."""
     try:
         if isinstance(value, (list, dict, bool)):
             raise TypeError
-        return kind(value)
+        x = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise RunConfigError(f"{path}: must be a number, got {value!r}") from None
+    if kind is int and isinstance(value, float) and x != value:
+        raise RunConfigError(f"{path}: must be an integer, got {value!r}")
+    return x
 
 
 def _real(value, path) -> float:

@@ -48,6 +48,9 @@ class ProtocolConfig:
     c_plus, c_minus : 0/1 switches selecting which projectors enter the
         measurement; c_plus[i] gates outcome (i,+), c_minus[i] gates (i,-).
     a : second active weight index for the two-sender design (None otherwise).
+
+    Construction (``dataclasses.replace`` too) checks every invariant and
+    raises :class:`ConfigError` listing each violation; nothing checks again.
     """
 
     n: int
@@ -60,6 +63,10 @@ class ProtocolConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "q", tuple(float(x) for x in self.q))
+        # the switches are checked as given: int() would turn 0.7 into a valid 0
+        violations = _violations(self)
+        if violations:
+            raise ConfigError(violations)
         object.__setattr__(self, "c_plus", tuple(int(x) for x in self.c_plus))
         object.__setattr__(self, "c_minus", tuple(int(x) for x in self.c_minus))
 
@@ -85,31 +92,31 @@ class ProtocolConfig:
     @classmethod
     def for_single_sender(cls, n: int, t: float = 1.0) -> "ProtocolConfig":
         """Design for one sender: all weight on i=0, only the (0,+) projector active."""
-        if n < 1:
-            raise ConfigError([f"n must be >= 1, got {n}"])
-        kmax = n // 2
-        q = (1.0,) + (0.0,) * kmax
-        c_plus = (1,) + (0,) * kmax
-        c_minus = (0,) * (kmax + 1)
-        return cls(n=n, m_est=1, t=t, q=q, c_plus=c_plus, c_minus=c_minus, a=None)
+        return cls(t=t, **design_fields(n))
 
     @classmethod
     def for_two_senders(cls, n: int, a: int, q0: float, t: float = 1.0) -> "ProtocolConfig":
         """Design for two senders: weights on i=0 and i=a, projectors (0,+-) and (a,+)."""
-        kmax = n // 2
-        q = [0.0] * (kmax + 1)
-        c_plus = [0] * (kmax + 1)
-        c_minus = [0] * (kmax + 1)
-        # built uniformly even for out-of-range (n, a) so that validate_config
-        # can report the precise violation instead of an opaque constructor error
-        q[0] = q0
-        c_plus[0] = 1
+        return cls(t=t, **design_fields(n, a, q0))
+
+
+def design_fields(n: int, a: Optional[int] = None, q0: float = 1.0) -> dict:
+    """The paper's design as :class:`ProtocolConfig` fields (all but t): weight
+    q0 on i=0 and the (0,+) projector; for two senders (an index ``a``) also
+    weight 1 - q0 on i=a and the (0,-) and (a,+) projectors.  Built even for an
+    out-of-range (n, a), so that the config reports the precise violation."""
+    size = max(n // 2, 0) + 1
+    q = [0.0] * size
+    c_plus = [0] * size
+    c_minus = [0] * size
+    q[0] = q0
+    c_plus[0] = 1
+    if a is not None:
         c_minus[0] = 1
-        if 0 <= a <= kmax:
+        if 0 <= a < size:
             q[a] += 1.0 - q0
             c_plus[a] = 1
-        return cls(n=n, m_est=2, t=t, q=tuple(q), c_plus=tuple(c_plus),
-                   c_minus=tuple(c_minus), a=a)
+    return dict(n=n, m_est=1 if a is None else 2, q=q, c_plus=c_plus, c_minus=c_minus, a=a)
 
 
 @dataclass(frozen=True)
@@ -144,20 +151,12 @@ def check_senders(n: int, m: int):
         raise ValueError(f"m={m} exceeds floor((n+1)/2)={max_senders(n)} for n={n}")
 
 
-def check_config(config: ProtocolConfig):
-    """Raise :class:`ConfigError` listing every violation of ``config``'s invariants."""
-    violations = validate_config(config)
-    if violations:
-        raise ConfigError(violations)
-
-
-def validate_config(config: ProtocolConfig) -> list[str]:
-    """Check every configuration invariant; return violations (empty if valid)."""
-    v = []
+def _violations(config: ProtocolConfig) -> list[str]:
+    """Every violation of a configuration's invariants (empty if it is valid)."""
     n, kmax = config.n, config.kmax
     if n < 1:
-        v.append(f"n must be >= 1, got {n}")
-        return v
+        return [f"n must be >= 1, got {n}"]
+    v = []
     if config.m_est not in (1, 2):
         v.append(f"m_est must be 1 or 2, got {config.m_est}")
     if not 0 < config.t < math.inf:
@@ -300,12 +299,11 @@ class ThetaModel:
     :meth:`grid_blocks` walks a grid given as its axes block by block, each
     stack row on the axes it depends on; :meth:`point_probs`,
     :meth:`dprobs` and :meth:`derivatives` take one phase vector of floats.
-    Only weight indices with a measurement switch on are modelled:
-    validate_config forces q[i] = 0 on every other index.
+    Only weight indices with a measurement switch on are modelled: a
+    :class:`ProtocolConfig` has q[i] = 0 on every other index.
     """
 
     def __init__(self, config: ProtocolConfig, m: Optional[int] = None):
-        check_config(config)
         self.config = config
         self.m_est = config.m_est
         self.m = config.m_est if m is None else m

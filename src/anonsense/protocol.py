@@ -23,7 +23,6 @@ from .combinatorics import FieldVector
 from .engine import (
     OutcomeDistribution,
     ProtocolConfig,
-    check_config,
     check_senders,
     outcome_distribution,
 )
@@ -88,7 +87,6 @@ def run_protocol(
     directly from the closed-form mixture distribution.  Both paths have
     identical statistics and are reproducible from the seed.
     """
-    check_config(config)
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     assign.check_n(config)

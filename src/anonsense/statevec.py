@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import MINUS, PLUS, SIGNS, FieldVector
-from .engine import OutcomeDistribution, PROB_ATOL, ProtocolConfig, check_config, check_senders
+from .engine import OutcomeDistribution, PROB_ATOL, ProtocolConfig, check_senders
 
 DEFAULT_ORACLE_LIMIT = 20
 _PHASE_BLOCK_ENTRIES = 1 << 15  # bound on the phases of one block of sender subsets
@@ -187,7 +187,6 @@ class _DenseBasis:
     """
 
     def __init__(self, config: ProtocolConfig):
-        check_config(config)
         n = config.n
         _check_limit(n)
         initial = {
@@ -283,7 +282,6 @@ def dicke_sweep(config: ProtocolConfig, fields: FieldVector, subsets) -> list[Ou
     are carried as means, B_k <- ((j-k)*a_j*B_k + k*b_j*B_{k-1})/j, so nothing under-
     or overflows, truncated at the largest measured index and vectorised over subsets.
     """
-    check_config(config)
     positions = np.array([SenderAssignment(config.n, s, fields).sender_positions for s in subsets])
     outcomes = config.outcomes
     k = np.arange(outcomes[-1][0] + 1)

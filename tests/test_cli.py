@@ -216,6 +216,11 @@ def test_simulate_rejects_zero_rounds(tmp_path):
     # keys the protocol section would validate and then drop
     ("protocol", "m_est", 1, "$.protocol.a: read only when m_est is 2"),
     ("protocol", "q", [0.33, 0.0, 0.67], "$.protocol.q0: not read when q is given"),
+    # fractional integers ran truncated: positions [1, 3], seed 2, switch 0
+    ("scenario", "sender_positions", [1.9, 3.5],
+     "$.scenario.sender_positions[0]: must be an integer, got 1.9"),
+    ("run", "seed", 2.9, "$.run.seed: must be an integer, got 2.9"),
+    ("protocol", "c", {"1+": 0.5}, "$.protocol.c.1+: must be an integer, got 0.5"),
 ])
 def test_wrong_value_types_report_their_path(tmp_path, capsys, section, key, value, path):
     doc = json.loads((DATA / "run_n5.json").read_text())
@@ -237,6 +242,26 @@ def test_single_sender_protocol_rejects_the_two_sender_keys(tmp_path, capsys, pr
     assert run_cli(["estimate", "--counts", str(DATA / "counts_m1.json"),
                     "--config", str(bad)]) == 2
     assert capsys.readouterr().err == f"error: {path}\n"
+
+
+@pytest.mark.parametrize("protocol, err", [
+    # n >= 1 was reported without its path
+    ({"n": 0, "m_est": 1}, "error: $.protocol: n must be >= 1, got 0\n"),
+    # the design and the file's q and c are checked once, as the final config:
+    # never the design's q before the override (its sum is 0.5 at a = 5), nor
+    # the override's q[2] before c switches index 2 on
+    ({"n": 7, "m_est": 2, "a": 5, "q": [0.5, 0, 0, 0.5]},
+     "error: $.protocol: q[3] = 0.5 must be 0 when both switches c[3,+-] are 0; "
+     "$.protocol: a=5 outside [2, floor(n/2)=3]\n"),
+    ({"n": 7, "m_est": 2, "a": 3, "q": [0.3, 0, 0.2, 0.5], "c": {"2+": 1}},
+     "estimate: N=1000 theta_hat="),
+])
+def test_protocol_section_is_checked_as_one_config(tmp_path, capsys, protocol, err):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"protocol": protocol}))
+    code = run_cli(["estimate", "--counts", str(DATA / "counts_m1.json"), "--config", str(path)])
+    assert code == (2 if err.startswith("error:") else 0)
+    assert capsys.readouterr().err.startswith(err)
 
 
 @pytest.mark.parametrize("verb, section, key, value, path", [

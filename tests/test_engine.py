@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from anonsense.engine import (
     gamma,
     max_senders,
     outcome_distribution,
-    validate_config,
 )
 from anonsense.statevec import SenderAssignment, apply_sender_unitary, oracle_distribution, phi_state
 
@@ -184,39 +184,49 @@ def test_distribution_with_more_senders_than_designed(rng):
 
 
 def test_validate_config_examples():
-    bad_n = ProtocolConfig.for_two_senders(4, a=2, q0=0.5)
-    assert any("n >= 5" in v for v in validate_config(bad_n))
+    with pytest.raises(ConfigError) as err:
+        ProtocolConfig.for_two_senders(4, a=2, q0=0.5)
+    assert any("n >= 5" in v for v in err.value.violations)
 
     # weight on an index whose switches are both off
-    config = ProtocolConfig(n=4, m_est=1, t=1.0, q=(0.5, 0.5, 0.0),
-                            c_plus=(1, 0, 0), c_minus=(0, 0, 0), a=None)
-    violations = validate_config(config)
-    assert any("q[1]" in v for v in violations)
+    with pytest.raises(ConfigError) as err:
+        ProtocolConfig(n=4, m_est=1, t=1.0, q=(0.5, 0.5, 0.0),
+                       c_plus=(1, 0, 0), c_minus=(0, 0, 0), a=None)
+    assert any("q[1]" in v for v in err.value.violations)
 
+    # valid configs construct; a replace is checked like a construction
     good = ProtocolConfig.for_two_senders(9, a=4, q0=0.33)
-    assert validate_config(good) == []
-    assert validate_config(ProtocolConfig.for_single_sender(3)) == []
+    ProtocolConfig.for_single_sender(3)
+    with pytest.raises(ConfigError) as err:
+        replace(good, t=0.0, a=5)
+    assert err.value.violations == ["t must be positive and finite, got 0.0",
+                                    "a=5 outside [2, floor(n/2)=4]"]
 
 
 def test_validate_config_reports_each_invariant():
-    config = ProtocolConfig(n=5, m_est=2, t=-1.0, q=(0.6, 0.2, 0.1),
-                            c_plus=(1, 0, 2), c_minus=(0, 0, 0), a=1)
-    violations = validate_config(config)
-    assert any("t must be positive" in v for v in violations)
-    assert any("sum(q)" in v for v in violations)
-    assert any("not 0/1" in v for v in violations)
-    assert any("a=1" in v for v in violations)
+    cases = [
+        (dict(n=5, m_est=2, t=-1.0, q=(0.6, 0.2, 0.1), c_plus=(1, 0, 2), c_minus=(0, 0, 0), a=1),
+         ["t must be positive", "sum(q)", "not 0/1", "a=1"]),
+        # a fractional switch was truncated to a valid 0 before it was checked
+        (dict(n=5, m_est=1, t=1.0, q=(1.0, 0.0, 0.0), c_plus=(1, 0.7, 0), c_minus=(0, 0, 0)),
+         ["c_plus[1] = 0.7 is not 0/1"]),
+    ]
     for bad in (math.nan, math.inf):
-        config = ProtocolConfig(n=4, m_est=1, t=bad, q=(bad, 0.0, 1.0),
-                                c_plus=(1, 0, 1), c_minus=(0, 0, 0))
-        violations = validate_config(config)
-        assert any("t must be positive and finite" in v for v in violations)
-        assert any("q[0]" in v and "not finite" in v for v in violations)
+        cases.append((dict(n=4, m_est=1, t=bad, q=(bad, 0.0, 1.0), c_plus=(1, 0, 1),
+                           c_minus=(0, 0, 0)),
+                      ["t must be positive and finite",
+                       f"q[0] = {bad} is negative or not finite"]))
+    for fields, expected in cases:
+        with pytest.raises(ConfigError) as err:
+            ProtocolConfig(**fields)
+        violations = err.value.violations
+        for fragment in expected:
+            assert any(fragment in v for v in violations), (fragment, violations)
 
 
 def test_outcome_distribution_rejects_invalid_config():
-    config = ProtocolConfig.for_two_senders(4, a=2, q0=0.5)
     with pytest.raises(ConfigError) as err:
+        config = ProtocolConfig.for_two_senders(4, a=2, q0=0.5)
         outcome_distribution(config, FieldVector((0.5, 1.0), 1.0))
     assert "n >= 5" in str(err.value)
 

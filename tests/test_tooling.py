@@ -1,9 +1,13 @@
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from anonsense.configio import parse_run_config
+from anonsense.engine import ProtocolConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -80,3 +84,12 @@ def test_readme_library_example_runs(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, f"{README}:Library example", "exec"), {})
     assert capsys.readouterr().out.startswith("(")
+
+
+def test_every_shipped_run_config_parses():
+    # a config is checked when it is constructed: no shipped file may fail that
+    paths = sorted(ROOT.glob("configs/*.json")) + sorted(DATA.glob("run_*.json"))
+    assert len(paths) >= 3
+    for path in paths:
+        parsed = parse_run_config(json.loads(path.read_text()), require_scenario=False)
+        assert isinstance(parsed["config"], ProtocolConfig), path
