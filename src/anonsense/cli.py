@@ -141,6 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_verify(args) -> int:
     n, m = args.n, args.m
     check_senders(n, m)
+    _check_seed(args.seed)
     if not math.isfinite(args.t):
         raise ValueError(f"--t must be finite, got {args.t}")
     lo, hi = CONTROL_OMEGAS if args.negative_control else TRIAL_OMEGAS
@@ -189,7 +190,7 @@ def _cmd_verify(args) -> int:
             subsets = sender_subsets(n, m)
             drawn = int(rng.integers(len(subsets)))
             subset = subsets[drawn]
-            oracle = report.distributions[drawn]
+            oracle = report.distribution(drawn)
             closed = outcome_distribution(config, fields)
             err = max(abs(oracle.probs[k] - closed.probs[k]) for k in oracle.probs)
             worst_err = max(worst_err, err)
@@ -315,6 +316,8 @@ def _axis_values(spec: str, integer: bool) -> list[float]:
 def _cmd_simulate(args) -> int:
     doc = _load_json(args.config)
     parsed = parse_run_config(doc, require_scenario=True)
+    if args.seed is not None:
+        _check_seed(args.seed)
     seed = parsed["seed"] if args.seed is None else args.seed
     transcript = run_protocol(parsed["assignment"], parsed["config"],
                               rounds=parsed["rounds"], seed=seed)
@@ -333,6 +336,11 @@ def _cmd_estimate(args) -> int:
     print(f"estimate: N={counts.N} theta_hat={[round(v, 6) for v in report.theta_hat.theta]}",
           file=sys.stderr)
     return EXIT_OK
+
+
+def _check_seed(seed: int):
+    if seed < 0:
+        raise ValueError(f"--seed {seed}: must be >= 0")
 
 
 def _load_json(path: Path) -> dict:

@@ -130,6 +130,8 @@ def _parse_run(section) -> tuple[int, int]:
     seed = _number(section.get("seed", 0), int, f"{path}.seed")
     if rounds < 1:
         raise RunConfigError(f"{path}.rounds: must be >= 1, got {rounds}")
+    if seed < 0:
+        raise RunConfigError(f"{path}.seed: must be >= 0, got {seed}")
     return rounds, seed
 
 

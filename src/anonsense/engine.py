@@ -126,9 +126,12 @@ class OutcomeDistribution:
     probs: dict[str, float]
 
     def __post_init__(self):
-        total = sum(self.probs.values())
-        if not abs(total - 1.0) <= NORM_ATOL:  # a NaN total fails too
-            raise ValueError(f"distribution not normalized: total={total!r}")
+        check_normalized(np.array([list(self.probs.values())], dtype=float))
+
+    @classmethod
+    def from_row(cls, labels: Sequence[str], row: np.ndarray) -> "OutcomeDistribution":
+        """The distribution of one row of probabilities, in ``labels`` order."""
+        return cls(probs=dict(zip(labels, row.tolist())))
 
     def labels(self) -> list[str]:
         return list(self.probs)
@@ -138,6 +141,20 @@ class OutcomeDistribution:
         if set(self.probs) != set(other.probs):
             raise ValueError("label sets differ")
         return 0.5 * sum(abs(self.probs[k] - other.probs[k]) for k in self.probs)
+
+
+def check_normalized(probs: np.ndarray):
+    """Raise ValueError unless each row of ``probs`` (distributions x labels)
+    sums to 1 within NORM_ATOL; a NaN total fails too.
+
+    A row is summed label by label, as ``sum(dist.probs.values())`` adds.
+    """
+    total = np.zeros(len(probs))
+    for column in probs.T:
+        total = total + column
+    off = np.flatnonzero(~(np.abs(total - 1.0) <= NORM_ATOL))
+    if off.size:
+        raise ValueError(f"distribution not normalized: total={float(total[off[0]])!r}")
 
 
 def max_senders(n: int) -> int:

@@ -13,6 +13,7 @@ positions, and reports the largest pairwise total-variation distance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from .combinatorics import FieldVector
 from .engine import (
     OutcomeDistribution,
     ProtocolConfig,
+    check_normalized,
     check_senders,
     outcome_distribution,
 )
@@ -60,7 +62,12 @@ class Transcript:
 
 @dataclass(frozen=True)
 class TracelessnessReport:
-    """Outcome of comparing outcome distributions across sender subsets."""
+    """Outcome of comparing outcome distributions across sender subsets.
+
+    ``probs`` holds one row per subset, in :func:`sender_subsets` order, and
+    one column per label; a subset's :class:`OutcomeDistribution` is built
+    only when it is read.  Neither is serialized.
+    """
 
     n: int
     m: int
@@ -70,7 +77,17 @@ class TracelessnessReport:
     max_tv_distance: float
     tolerance: float
     verdict: bool
-    distributions: list[OutcomeDistribution] = field(compare=False, repr=False)  # not serialized
+    labels: list[str] = field(compare=False, repr=False)
+    probs: np.ndarray = field(compare=False, repr=False)
+
+    def distribution(self, k: int) -> OutcomeDistribution:
+        """The distribution of the k-th subset of :func:`sender_subsets`."""
+        return OutcomeDistribution.from_row(self.labels, self.probs[k])
+
+    @functools.cached_property
+    def distributions(self) -> list[OutcomeDistribution]:
+        """Every subset's distribution, in :func:`sender_subsets` order."""
+        return [self.distribution(k) for k in range(self.n_subsets)]
 
 
 def run_protocol(
@@ -128,24 +145,25 @@ def verify_tracelessness(config: ProtocolConfig, fields: FieldVector) -> Tracele
     """Compare outcome distributions across ALL sender subsets.
 
     Each subset's distribution is computed from its own sender positions: by
-    the dense simulator within its limit (one contraction over the initial
-    states' support per config, taken for blocks of subsets), by
-    :func:`dicke_sweep` above it; the report keeps them in
-    :func:`sender_subsets` order.  Pass iff the maximum pairwise
-    total-variation distance is within :data:`EXACT_TV_TOL`.
+    the dense simulator within its limit (one contraction over each initial
+    state's support per config, taken for blocks of subsets), by
+    :func:`dicke_sweep` above it.  Both hand over one row of probabilities
+    per subset, in :func:`sender_subsets` order, and the report keeps them.
+    Pass iff the maximum pairwise total-variation distance is within
+    :data:`EXACT_TV_TOL`.
     """
     n, m = config.n, fields.m
     check_senders(n, m)
     subsets = sender_subsets(n, m)
     if n <= oracle_limit():
-        dists = _DenseBasis(config).mixtures(fields, np.array(subsets))
+        labels, probs = _DenseBasis(config).mixtures(fields, np.array(subsets))
     else:
-        dists = dicke_sweep(config, fields, subsets)
-    max_tv = _max_pairwise_tv(dists)
+        labels, probs = dicke_sweep(config, fields, subsets)
+    max_tv = _max_pairwise_tv(probs)
     return TracelessnessReport(
         n=n, m=m, fields=fields, mode="exact", n_subsets=len(subsets),
         max_tv_distance=max_tv, tolerance=EXACT_TV_TOL, verdict=max_tv <= EXACT_TV_TOL,
-        distributions=dists,
+        labels=labels, probs=probs,
     )
 
 
@@ -164,41 +182,38 @@ def negative_control(n: int, fields: FieldVector) -> TracelessnessReport:
     _check_limit(n)  # the control state is a dense 2^n vector
     subsets = sender_subsets(n, m)
     amplitude = 1.0 / math.sqrt(1 << n)  # of |+>^n on every basis state
-    p_minus: list[float] = []
+    rates = []
     for phases in _phase_blocks(fields, np.array(subsets), np.arange(1 << n)):
         kets = amplitude * phases  # |+>^n evolved by each subset's U
         # X read out on participant 1, the lowest bit: |x> pairs with |x ^ 1>
         minus = (kets[:, 0::2] - kets[:, 1::2]) / math.sqrt(2.0)
-        p_minus += np.clip((np.abs(minus) ** 2).sum(axis=1), 0.0, 1.0).tolist()
-    dists = [OutcomeDistribution(probs={"pos1-": p, "pos1+": 1.0 - p}) for p in p_minus]
-    max_tv = _max_pairwise_tv(dists)
+        rates.append(np.clip((np.abs(minus) ** 2).sum(axis=1), 0.0, 1.0))
+    p_minus = np.concatenate(rates)
+    probs = np.stack([p_minus, 1.0 - p_minus], axis=1)
+    check_normalized(probs)
+    max_tv = _max_pairwise_tv(probs)
     return TracelessnessReport(
         n=n, m=m, fields=fields, mode="negative-control", n_subsets=len(subsets),
         max_tv_distance=max_tv, tolerance=CONTROL_TV_TOL, verdict=max_tv <= CONTROL_TV_TOL,
-        distributions=dists,
+        labels=["pos1-", "pos1+"], probs=probs,
     )
 
 
-def _max_pairwise_tv(dists: list[OutcomeDistribution]) -> float:
-    """Largest total-variation distance over all pairs of distributions.
+def _max_pairwise_tv(probs: np.ndarray) -> float:
+    """Largest total-variation distance over all pairs of rows of ``probs``
+    (distributions x labels, one label order for all).
 
-    Sums |p_a - p_b| label by label in the first distribution's label order,
-    the order ``OutcomeDistribution.tv_distance`` sums in when the
-    distributions share one order (those of one config do), so every pair's
-    distance is the same float.  The S x S distance matrix is accumulated
-    in blocks of rows.
+    Sums |p_a - p_b| label by label in column order, the order
+    ``OutcomeDistribution.tv_distance`` sums in for distributions of that
+    label order, so every pair's distance is the same float.  The S x S
+    distance matrix is accumulated in blocks of rows.
     """
-    labels = dists[0].labels()
-    label_set = set(labels)
-    if any(set(d.probs) != label_set for d in dists):
-        raise ValueError("label sets differ")
-    probs = np.array([[d.probs[k] for k in labels] for d in dists])
-    step = max(1, _TV_BLOCK_ENTRIES // len(dists))
+    step = max(1, _TV_BLOCK_ENTRIES // len(probs))
     max_sum = 0.0
-    for lo in range(0, len(dists), step):
+    for lo in range(0, len(probs), step):
         block = probs[lo:lo + step]
-        acc = np.zeros((len(block), len(dists)))
-        for col in range(len(labels)):
+        acc = np.zeros((len(block), len(probs)))
+        for col in range(probs.shape[1]):
             acc += np.abs(block[:, col, None] - probs[None, :, col])
         max_sum = max(max_sum, float(acc.max()))
     return 0.5 * max_sum

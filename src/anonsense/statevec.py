@@ -11,14 +11,14 @@ gives the same per-subset distributions at any n without them.
 
 Every dense evaluation goes through one phase seam, :func:`_subset_phases`
 (U for a block of sender subsets on a set of basis states).  The oracle
-contracts it over the initial states' support only, one block of subsets at
-a time; the full 2^n vectors are built once per configuration.
+contracts it over each initial state's own support (the basis states of
+Hamming weight i' or n - i'), one block of subsets at a time, and evaluates
+its vectors there only: it builds no 2^n vector.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -26,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import MINUS, PLUS, SIGNS, FieldVector
-from .engine import OutcomeDistribution, PROB_ATOL, ProtocolConfig, check_senders
+from .engine import (
+    OutcomeDistribution,
+    PROB_ATOL,
+    ProtocolConfig,
+    check_normalized,
+    check_senders,
+)
 
 DEFAULT_ORACLE_LIMIT = 20
 _PHASE_BLOCK_ENTRIES = 1 << 15  # bound on the phases of one block of sender subsets
@@ -114,13 +120,23 @@ def phi_state(n: int, k: int, sign: str) -> np.ndarray:
         raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
     if not 0 <= k <= n // 2:
         raise ValueError(f"k={k} outside [0, floor(n/2)={n // 2}]")
+    _check_limit(n)
+    return _phi_entries(n, k, sign, _hamming_weights(n)).astype(np.complex128)
+
+
+def _phi_entries(n: int, k: int, sign: str, weights: np.ndarray) -> np.ndarray:
+    """The (real) entries of :func:`phi_state` at basis states of Hamming weights ``weights``.
+
+    A Dicke entry is 1/sqrt(C(n, k)); off the centre it is scaled by the
+    reciprocal of sqrt(2), which is how dividing the complex sum of the two
+    Dicke vectors by sqrt(2) rounds.
+    """
+    amp = 1.0 / math.sqrt(math.comb(n, k))
     if 2 * k == n:
-        if sign == MINUS:
-            _check_limit(n)
-            return np.zeros(1 << n, dtype=np.complex128)
-        return dicke_state(n, k)
-    s = 1.0 if sign == PLUS else -1.0
-    return (dicke_state(n, k) + s * dicke_state(n, n - k)) / math.sqrt(2)
+        return np.where(weights == k, amp if sign == PLUS else 0.0, 0.0)
+    amp *= 1.0 / math.sqrt(2)
+    upper = amp if sign == PLUS else -amp
+    return np.where(weights == k, amp, np.where(weights == n - k, upper, 0.0))
 
 
 def apply_sender_unitary(state: np.ndarray, assign: SenderAssignment) -> np.ndarray:
@@ -175,79 +191,91 @@ def _phase_blocks(fields: FieldVector, positions: np.ndarray, states: np.ndarray
 
 
 class _DenseBasis:
-    """A config's dense vectors, contracted once and reused for any sender subset.
+    """A config's initial states, each on its own support, contracted once and
+    reused for any sender subset.
 
     U is diagonal, so <phi_{i,s}|U|phi_{i',+}> = sum_x U(x) w(x), with the
-    weights w(x) = conj(phi_{i,s}(x)) phi_{i',+}(x) formed once per (label,
-    i') pair.  They are kept only on the support of the initial states with
-    q[i'] > 0, and only for the pairs whose states overlap, since every other
-    term is exactly zero.  Only U depends on the sender positions; each
-    subset's phases come from its own positions, basis state by basis state,
-    through :func:`_subset_phases`.
+    real weights w(x) = phi_{i,s}(x) phi_{i',+}(x) formed once per (label,
+    i') pair.  Each initial state with q[i'] > 0 keeps its own support, the
+    basis states of Hamming weight i' or n - i', and its ket and the
+    projectors that overlap it (those with i = i', but the null central '-')
+    are evaluated there only: every other term is exactly zero, and no 2^n
+    vector is built.  Only U depends on the sender positions; each subset's
+    phases come from its own positions, basis state by basis state, through
+    :func:`_subset_phases`.
     """
 
     def __init__(self, config: ProtocolConfig):
         n = config.n
         _check_limit(n)
-        initial = {
-            ip: phi_state(n, ip, PLUS) for ip in range(config.kmax + 1) if config.q[ip] > 0.0
-        }
-        self.labels = config.labels()[:-1]  # the measured ones; _with_residual adds 'f'
-        self.order = list(initial)  # the initial-state index i' of each q column
+        weights = _hamming_weights(n)
+        self.labels = config.labels()
+        self.order = [ip for ip in range(config.kmax + 1) if config.q[ip] > 0.0]  # i' per q column
         self.q = np.array([config.q[ip] for ip in self.order])
-        self.support = np.flatnonzero(np.logical_or.reduce([ket != 0 for ket in initial.values()]))
-        kets = [ket[self.support] for ket in initial.values()]
-        bras = [phi_state(n, i, sign)[self.support].conj() for i, sign in config.outcomes]
-        pairs, weights = [], []  # flat (label, i') index of each overlapping pair
-        for k, (bra, ket) in enumerate(itertools.product(bras, kets)):
-            w = bra * ket
-            if w.any():
-                pairs.append(k)
-                weights.append(w)
-        self.pairs = np.array(pairs, dtype=int)
-        self.weights = np.array(weights).reshape(len(pairs), len(self.support))
+        self.blocks = []  # (support, flat (label, i') index of each pair, pair weights) per i'
+        for col, ip in enumerate(self.order):
+            support = np.flatnonzero((weights == ip) | (weights == n - ip))
+            on_support = weights[support]
+            ket = _phi_entries(n, ip, PLUS, on_support)
+            pairs, pair_weights = [], []
+            for row, (i, sign) in enumerate(config.outcomes):
+                if i != ip:
+                    continue  # phi_{i,s} lives on Hamming weights i and n - i only
+                w = _phi_entries(n, i, sign, on_support) * ket
+                if w.any():
+                    pairs.append(row * len(self.order) + col)
+                    pair_weights.append(w)
+            self.blocks.append((support, pairs, pair_weights))
 
     def amplitudes(self, fields: FieldVector, positions: np.ndarray) -> np.ndarray:
         """<phi_{i,s}|U|phi_{i',+}> for each subset row of ``positions`` (S x m), label and i'.
 
-        The result is S x labels x initial states.  Each amplitude is a
-        pairwise sum over the support of one subset's terms, so a subset's
-        amplitudes are the same bits whichever block it is evaluated in.
+        The result is S x measured labels x initial states.  Each amplitude
+        is a pairwise sum of one subset's terms over its initial state's
+        support, so a subset's amplitudes are the same bits whichever block it
+        is evaluated in.
         """
-        out = np.zeros((len(positions), len(self.labels) * len(self.order)), dtype=complex)
-        lo = 0
-        for phases in _phase_blocks(fields, positions, self.support):
-            for pair, w in zip(self.pairs, self.weights):
-                out[lo:lo + len(phases), pair] = (phases * w).sum(axis=-1)
-            lo += len(phases)
-        return out.reshape(len(positions), len(self.labels), len(self.order))
+        shape = (len(positions), len(self.labels) - 1, len(self.order))  # 'f' has no projector
+        out = np.zeros((shape[0], shape[1] * shape[2]), dtype=complex)
+        for support, pairs, pair_weights in self.blocks:
+            lo = 0
+            for phases in _phase_blocks(fields, positions, support):
+                for pair, w in zip(pairs, pair_weights):
+                    out[lo:lo + len(phases), pair] = (phases * w).sum(axis=-1)
+                lo += len(phases)
+        return out.reshape(shape)
 
-    def mixtures(self, fields: FieldVector, positions: np.ndarray) -> list[OutcomeDistribution]:
-        """sum_{i'} q[i'] |<phi_{i,sign}| U |phi_{i',+}>|^2 per outcome, for each subset row."""
+    def mixtures(self, fields: FieldVector, positions: np.ndarray) -> tuple[list[str], np.ndarray]:
+        """The labels, and sum_{i'} q[i'] |<phi_{i,sign}| U |phi_{i',+}>|^2 per
+        measured outcome with the residual 'f' last, one row per subset row."""
         probs = (np.abs(self.amplitudes(fields, positions)) ** 2 * self.q).sum(axis=-1)
-        return [_with_residual(zip(self.labels, row)) for row in probs.tolist()]
+        return self.labels, _with_residual(probs)
 
     def conditionals(self, assign: SenderAssignment) -> dict[int, OutcomeDistribution]:
         """|<phi_{i,sign}| U |phi_{i',+}>|^2 per outcome, for each initial state i'."""
         amps = self.amplitudes(assign.fields, np.array([assign.sender_positions]))[0]
-        return {
-            ip: _with_residual(zip(self.labels, column))
-            for ip, column in zip(self.order, (np.abs(amps) ** 2).T.tolist())
-        }
+        rows = _with_residual((np.abs(amps) ** 2).T)
+        return {ip: OutcomeDistribution.from_row(self.labels, row)
+                for ip, row in zip(self.order, rows)}
 
 
-def _with_residual(measured) -> OutcomeDistribution:
-    """Measured (label, p) pairs, each a sum of q * |.|^2, and the residual 'f'."""
-    probs: dict[str, float] = {}
-    total = 0.0
-    for label, p in measured:
-        probs[label] = min(p, 1.0)
-        total += p
+def _with_residual(measured: np.ndarray) -> np.ndarray:
+    """Measured probabilities (rows x labels, each a sum of q * |.|^2), each
+    capped at 1, and the residual 'f' as a last column.
+
+    Each row's total adds its labels in column order, so every entry is
+    the float a label-by-label loop over the row gives.
+    """
+    total = np.zeros(len(measured))
+    for column in measured.T:
+        total = total + column
     residual = 1.0 - total
-    if residual < -PROB_ATOL:
-        raise ValueError(f"active probabilities exceed 1 by {-residual}")
-    probs["f"] = max(residual, 0.0)
-    return OutcomeDistribution(probs=probs)
+    over = np.flatnonzero(residual < -PROB_ATOL)
+    if over.size:
+        raise ValueError(f"active probabilities exceed 1 by {-float(residual[over[0]])}")
+    probs = np.concatenate([np.minimum(measured, 1.0), np.maximum(residual, 0.0)[:, None]], axis=1)
+    check_normalized(probs)
+    return probs
 
 
 def oracle_distribution(assign: SenderAssignment, config: ProtocolConfig) -> OutcomeDistribution:
@@ -258,7 +286,8 @@ def oracle_distribution(assign: SenderAssignment, config: ProtocolConfig) -> Out
     with the residual 'f' completing the distribution.
     """
     assign.check_n(config)
-    return _DenseBasis(config).mixtures(assign.fields, np.array([assign.sender_positions]))[0]
+    labels, probs = _DenseBasis(config).mixtures(assign.fields, np.array([assign.sender_positions]))
+    return OutcomeDistribution.from_row(labels, probs[0])
 
 
 def conditional_distributions(
@@ -273,8 +302,12 @@ def conditional_distributions(
     return _DenseBasis(config).conditionals(assign)
 
 
-def dicke_sweep(config: ProtocolConfig, fields: FieldVector, subsets) -> list[OutcomeDistribution]:
-    """The mixture distribution of each sender subset, exact at any n without 2^n vectors.
+def dicke_sweep(
+    config: ProtocolConfig, fields: FieldVector, subsets
+) -> tuple[list[str], np.ndarray]:
+    """The labels and the mixture distribution of each sender subset (one row
+    each, as :meth:`_DenseBasis.mixtures` gives them), exact at any n without
+    2^n vectors.
 
     U is diagonal, so <phi_{i,s}|U|phi_{i',+}> = delta_{ii'} (A_i + s*A_{n-i})/2 with
     A_k = [z^k] prod_j (a_j + b_j z) / C(n, k), a_j and b_j being participant j's
@@ -294,8 +327,7 @@ def dicke_sweep(config: ProtocolConfig, fields: FieldVector, subsets) -> list[Ou
     direct, swapped = means
     amplitudes = {PLUS: (direct + swapped) / 2, MINUS: (direct - swapped) / 2}
     rows = np.array([config.q[i] * np.abs(amplitudes[sign][:, i]) ** 2 for i, sign in outcomes]).T
-    labels = config.labels()[:-1]
-    return [_with_residual(zip(labels, row)) for row in rows.tolist()]
+    return config.labels(), _with_residual(rows)
 
 
 def _participant_phases(positions: np.ndarray, fields: FieldVector, j: int):
@@ -306,10 +338,13 @@ def _participant_phases(positions: np.ndarray, fields: FieldVector, j: int):
 
 @functools.lru_cache(maxsize=1)
 def _hamming_weights(n: int) -> np.ndarray:
-    """Hamming weight of every index 0..2^n-1."""
-    idx = np.arange(1 << n, dtype=np.uint32)
-    weights = np.zeros(1 << n, dtype=np.int8)
-    for j in range(n):
-        weights += ((idx >> j) & 1).astype(np.int8)
+    """Hamming weight of every index 0..2^n-1.
+
+    Built by doubling (index 2^j + x weighs one more than x < 2^j), so no
+    intermediate is wider than the int8 result.
+    """
+    weights = np.zeros(1, dtype=np.int8)
+    for _ in range(n):
+        weights = np.concatenate([weights, weights + 1])
     weights.flags.writeable = False  # shared by every caller through the cache
     return weights

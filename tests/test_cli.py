@@ -137,13 +137,16 @@ def test_verify_oracle_limit_exit_code(tmp_path, monkeypatch):
 def test_verify_builds_no_second_basis(tmp_path, monkeypatch):
     # the oracle/analytic cross-check reads the sweep's distributions
     calls = []
-    real = statevec.phi_state
-    monkeypatch.setattr(statevec, "phi_state", lambda *args: calls.append(args) or real(*args))
+    real = statevec._phi_entries
+    monkeypatch.setattr(statevec, "_phi_entries",
+                        lambda *args: calls.append(args) or real(*args))
     assert run_cli(["verify", "--n", "8", "--trials", "1", "--out", str(tmp_path / "v.json")]) == 0
     # single sender: (0,+) initial state and projector; two senders, a = 4:
     # initial states (0,+) and (4,+), projectors (0,+), (0,-) and (4,+)
-    assert sorted(calls) == sorted([(8, 0, PLUS)] * 2 + [
+    assert sorted(args[:3] for args in calls) == sorted([(8, 0, PLUS)] * 2 + [
         (8, 0, PLUS), (8, 4, PLUS), (8, 0, PLUS), (8, 0, MINUS), (8, 4, PLUS)])
+    # each on its initial state's support, never on all 2^n basis states
+    assert all(len(args[3]) < 1 << 8 for args in calls)
 
 
 def test_verify_negative_control_exit_zero(tmp_path):
@@ -221,6 +224,8 @@ def test_simulate_rejects_zero_rounds(tmp_path):
      "$.scenario.sender_positions[0]: must be an integer, got 1.9"),
     ("run", "seed", 2.9, "$.run.seed: must be an integer, got 2.9"),
     ("protocol", "c", {"1+": 0.5}, "$.protocol.c.1+: must be an integer, got 0.5"),
+    # a negative seed stopped with numpy's bare 'expected non-negative integer'
+    ("run", "seed", -3, "$.run.seed: must be >= 0, got -3"),
 ])
 def test_wrong_value_types_report_their_path(tmp_path, capsys, section, key, value, path):
     doc = json.loads((DATA / "run_n5.json").read_text())
@@ -354,6 +359,16 @@ def test_verify_cross_check_still_fails_a_planted_disagreement(capsys, monkeypat
 def test_verify_rejects_too_few_trials(capsys, trials):
     assert run_cli(["verify", "--n", "5", "--trials", trials]) == 2
     assert "--trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", str(DATA / "run_n5.json"), "--seed", "-3"],
+    ["verify", "--n", "5", "--seed", "-1"],
+    ["verify", "--negative-control", "--seed", "-1"],
+])
+def test_negative_seed_names_its_flag(capsys, argv):
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == f"error: --seed {argv[-1]}: must be >= 0\n"
 
 
 def test_counts_label_mismatch_rejected(tmp_path):

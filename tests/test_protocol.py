@@ -150,11 +150,12 @@ def sweep_distributions(monkeypatch, config, fields):
     which its report carries."""
     seen = []
     real = protocol._max_pairwise_tv
-    monkeypatch.setattr(protocol, "_max_pairwise_tv", lambda dists: seen.append(dists) or real(dists))
+    monkeypatch.setattr(protocol, "_max_pairwise_tv", lambda probs: seen.append(probs) or real(probs))
     report = verify_tracelessness(config, fields)
     monkeypatch.setattr(protocol, "_max_pairwise_tv", real)
-    assert report.distributions is seen[0]
-    return seen[0]
+    assert report.probs is seen[0]
+    assert report.labels == config.labels()
+    return report.distributions
 
 
 def loop_oracle(assign, config):
@@ -199,13 +200,15 @@ def test_sweep_distributions_equal_per_subset_oracle(rng, monkeypatch):
 
 def test_sweep_builds_basis_once(monkeypatch):
     calls = []
-    real = statevec.phi_state
-    monkeypatch.setattr(statevec, "phi_state", lambda *args: calls.append(args) or real(*args))
+    real = statevec._phi_entries
+    monkeypatch.setattr(statevec, "_phi_entries", lambda *args: calls.append(args) or real(*args))
     config = ProtocolConfig.for_two_senders(8, a=4, q0=0.33)
     report = verify_tracelessness(config, FieldVector((0.6, 1.7), 1.0))
     assert report.n_subsets == 28
-    # initial states (0,+) and (4,+); projectors (0,+), (0,-) and (4,+)
-    assert sorted(calls) == sorted([(8, 0, PLUS), (8, 4, PLUS), (8, 0, PLUS), (8, 0, MINUS), (8, 4, PLUS)])
+    # initial states (0,+) and (4,+); projectors (0,+), (0,-) and (4,+), each
+    # evaluated on its initial state's support: 2 and C(8, 4) basis states
+    assert sorted((*args[:3], len(args[3])) for args in calls) == sorted(
+        [(8, 0, PLUS, 2), (8, 4, PLUS, 70), (8, 0, PLUS, 2), (8, 0, MINUS, 2), (8, 4, PLUS, 70)])
 
 
 def block_rows(subsets):
@@ -226,13 +229,15 @@ def test_blocked_sweep_keeps_every_subsets_bits(rng, monkeypatch):
         subsets = sender_subsets(n, 2)
         fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, 2))), t=1.0)
         for config in cli_configs(n):
-            support = len(statevec._DenseBasis(config).support)
+            # the largest initial-state support runs in several blocks
+            support = max(len(s) for s, _, _ in statevec._DenseBasis(config).blocks)
             rows = block_rows(len(subsets))
             bound = rows * support + support - 1  # floor division leaves ``rows`` rows
             monkeypatch.setattr(statevec, "_PHASE_BLOCK_ENTRIES", bound)
             entries.clear()
             report = verify_tracelessness(config, fields)
-            assert [r for r, _ in entries] == [rows] * (len(subsets) // rows) + [1]
+            assert [r for r, states in entries if states == support] == (
+                [rows] * (len(subsets) // rows) + [1])
             for k, subset in enumerate(subsets):
                 alone = oracle_distribution(SenderAssignment(n, subset, fields), config)
                 assert report.distributions[k].probs == alone.probs
@@ -346,24 +351,24 @@ def test_max_pairwise_tv_equals_pairwise_loop(rng, monkeypatch, block_entries):
     monkeypatch.setattr(protocol, "_TV_BLOCK_ENTRIES", block_entries)
     labels = ["0+", "0-", "3+", "f"]
     for size in (2, 3, 17, 60):
-        dists = [
-            OutcomeDistribution(probs=dict(zip(labels, rng.dirichlet(np.ones(4)).tolist())))
-            for _ in range(size)
-        ]
-        assert protocol._max_pairwise_tv(dists) == loop_max_tv(dists)
+        probs = rng.dirichlet(np.ones(4), size=size)
+        dists = [OutcomeDistribution(probs=dict(zip(labels, row.tolist()))) for row in probs]
+        assert protocol._max_pairwise_tv(probs) == loop_max_tv(dists)
     # distances of a true sweep sit at rounding level, where summation order shows
     config = ProtocolConfig.for_two_senders(9, a=4, q0=0.33)
-    dists = sweep_distributions(monkeypatch, config, FieldVector((0.4, 2.1), 1.0))
-    assert protocol._max_pairwise_tv(dists) == loop_max_tv(dists)
-    assert loop_max_tv(dists) > 0.0
+    report = verify_tracelessness(config, FieldVector((0.4, 2.1), 1.0))
+    assert protocol._max_pairwise_tv(report.probs) == loop_max_tv(report.distributions)
+    assert report.max_tv_distance == loop_max_tv(report.distributions) > 0.0
 
 
 def test_max_pairwise_tv_edge_cases():
+    assert protocol._max_pairwise_tv(np.array([[0.25, 0.75]])) == 0.0
+    assert protocol._max_pairwise_tv(np.array([[0.25, 0.75], [0.75, 0.25]])) == 0.5
+    # the distributions a report hands out compare only on one label set
     one = OutcomeDistribution(probs={"0+": 0.25, "f": 0.75})
-    assert protocol._max_pairwise_tv([one]) == 0.0
     other = OutcomeDistribution(probs={"0-": 0.25, "f": 0.75})
     with pytest.raises(ValueError, match="label sets differ"):
-        protocol._max_pairwise_tv([one, other])
+        one.tv_distance(other)
 
 
 def test_tracelessness_with_more_senders_than_designed(rng):

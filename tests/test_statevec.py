@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from anonsense.combinatorics import MINUS, PLUS, FieldVector
-from anonsense.engine import ProtocolConfig, max_senders
+from anonsense import statevec
+from anonsense.combinatorics import MINUS, PLUS, SIGNS, FieldVector
+from anonsense.engine import PROB_ATOL, OutcomeDistribution, ProtocolConfig, max_senders
 from anonsense.statevec import (
     OracleLimitError,
     SenderAssignment,
@@ -79,6 +81,23 @@ def test_phi_ghz():
     expect = np.zeros(16)
     expect[0] = expect[15] = 1 / math.sqrt(2)
     assert np.allclose(v, expect)
+
+
+def dicke_phi(n, k, sign):
+    """(|D_k> + sign |D_{n-k}>)/sqrt(2) summed from the two Dicke vectors: the reference formula."""
+    if 2 * k == n:
+        return dicke_state(n, k) if sign == PLUS else np.zeros(1 << n, dtype=np.complex128)
+    s = 1.0 if sign == PLUS else -1.0
+    return (dicke_state(n, k) + s * dicke_state(n, n - k)) / math.sqrt(2)
+
+
+def test_phi_bitwise_equal_to_dicke_sum():
+    for n in range(1, 15):
+        for k in range(n // 2 + 1):
+            for sign in SIGNS:
+                got, expect = phi_state(n, k, sign), dicke_phi(n, k, sign)
+                assert got.dtype == expect.dtype
+                assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
 
 
 def test_phi_central_minus_is_null():
@@ -277,3 +296,105 @@ def test_conditional_distributions_mix_to_oracle():
     for label in mixture.probs:
         mixed = sum(config.q[i] * conditionals[i].probs[label] for i in conditionals)
         assert mixed == pytest.approx(mixture.probs[label], abs=1e-12)
+
+
+def all_switches_config(n):
+    """Two senders, every projector on (the central '-' of even n too); q = 0 on row 1."""
+    rows = n // 2 + 1
+    q = [0.0 if i == 1 else 1.0 / (rows - 1) for i in range(rows)]
+    return ProtocolConfig(n=n, m_est=2, t=1.0, q=tuple(q), c_plus=(1,) * rows,
+                          c_minus=(1,) * rows, a=n // 2)
+
+
+def reference_weights(config):
+    """(support, conj(bra) ket) per label and i' with q[i'] > 0, from full reference vectors;
+    the support holds the basis states of Hamming weight i' or n - i'."""
+    n = config.n
+    weights = np.array([x.bit_count() for x in range(1 << n)])
+    out = []
+    for i, sign in config.outcomes:
+        row = []
+        for ip in range(config.kmax + 1):
+            if config.q[ip] > 0.0:
+                support = np.flatnonzero((weights == ip) | (weights == n - ip))
+                row.append((support, dicke_phi(n, i, sign)[support].conj()
+                            * dicke_phi(n, ip, PLUS)[support]))
+        out.append(row)
+    return out
+
+
+def reference_amplitudes(assign, pair_weights):
+    """<phi_{i,s}|U|phi_{i',+}> per label and i': one sum of U(x) conj(bra) ket over the support."""
+    phases = per_state_phases(assign)
+    return np.array([[(phases[support] * w).sum() for support, w in row] for row in pair_weights])
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])  # one row per block, several, all rows in one
+def test_amplitudes_bitwise_equal_to_a_sum_over_each_support(rng, monkeypatch, rows):
+    for n in range(5, 12):
+        for config in (ProtocolConfig.for_single_sender(n),
+                       ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33),
+                       all_switches_config(n)):
+            basis = statevec._DenseBasis(config)
+            support = max(len(states) for states, _, _ in basis.blocks)
+            entries = 1 << 30 if rows is None else rows * support
+            monkeypatch.setattr(statevec, "_PHASE_BLOCK_ENTRIES", entries)
+            fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, 2))), t=1.0)
+            subsets = list(itertools.combinations(range(1, n + 1), 2))
+            # a pair overlaps when i = i', but for the null central '-'
+            overlap = np.array([[i == ip and not (sign == MINUS and 2 * i == n)
+                                 for ip in basis.order] for i, sign in config.outcomes])
+            got = basis.amplitudes(fields, np.array(subsets))
+            pair_weights = reference_weights(config)
+            for subset, amps in zip(subsets, got):
+                expect = reference_amplitudes(SenderAssignment(n, subset, fields), pair_weights)
+                assert np.array_equal(amps[overlap].view(np.uint64),
+                                      expect[overlap].view(np.uint64))
+                assert not amps[~overlap].any() and not expect[~overlap].any()
+
+
+def with_residual(measured):
+    """The residual 'f' after a label-by-label loop over one row: the reference formula."""
+    probs = {}
+    total = 0.0
+    for label, p in measured:
+        probs[label] = min(p, 1.0)
+        total += p
+    residual = 1.0 - total
+    if residual < -PROB_ATOL:
+        raise ValueError(f"active probabilities exceed 1 by {-residual}")
+    probs["f"] = max(residual, 0.0)
+    return OutcomeDistribution(probs=probs)
+
+
+def test_vectorized_residual_bitwise_equal_to_row_loop(rng):
+    # 12 labels, as many as numpy's pairwise row sums would regroup
+    labels = [f"{i}{sign}" for i in range(6) for sign in SIGNS]
+    for size in (1, 2, 17):
+        measured = rng.dirichlet(np.ones(13), size=size)[:, :12]
+        # rows summing to just above 1 and a label just above 1, within PROB_ATOL
+        measured[0] *= (1.0 + 5e-13) / measured[0].sum()
+        if size > 1:
+            measured[1] = [1.0 + 5e-13] + [0.0] * 11
+        got = statevec._with_residual(measured)
+        for row, measured_row in zip(got, measured.tolist()):
+            expect = list(with_residual(zip(labels, measured_row)).probs.values())
+            assert row.view(np.uint64).tolist() == np.array(expect).view(np.uint64).tolist()
+    over = np.array([[0.5, 0.25], [0.75, 0.5]])
+    with pytest.raises(ValueError, match=r"^active probabilities exceed 1 by 0.25$"):
+        statevec._with_residual(over)
+    with pytest.raises(ValueError, match="not normalized: total=nan"):
+        statevec._with_residual(np.array([[0.5, 0.25], [math.nan, 0.5]]))
+
+
+def test_dense_basis_builds_no_full_vector():
+    # one 2^18 complex vector is 4 MiB; the basis holds C(18, 9) weights per pair
+    statevec._hamming_weights.cache_clear()
+    tracemalloc.start()
+    try:
+        basis = statevec._DenseBasis(ProtocolConfig.for_two_senders(18, a=9, q0=0.33))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(states) for states, _, _ in basis.blocks] == [2, math.comb(18, 9)]
+    assert peak < 16 * 2 ** 18 // 2
