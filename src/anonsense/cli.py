@@ -4,7 +4,9 @@ Four verbs:
 
 * ``verify``    -- exhaustive anonymity check plus closed-form-vs-dense
                    cross-validation (or the negative control).
-* ``scan``      -- CSV grids of the two-sender variance bound (figure data).
+* ``scan``      -- CSV grids of the two-sender variance bound (figure data),
+                   over the axes of the --n/--q0/--theta1/--theta2 flags or of
+                   a --fig preset, which is written as the flags it equals.
 * ``simulate``  -- full protocol run from a JSON run configuration.
 * ``estimate``  -- maximum-likelihood estimation from an outcome-counts file.
 
@@ -53,7 +55,19 @@ EXIT_OK = 0
 EXIT_FAIL = 2
 EXIT_GUARD = 3
 
-FIG_AXIS_POINTS = 65
+# the paper's weight on i = 0 for two senders: verify's design and the q0
+# axis of every scan that does not name one
+Q0 = 0.33
+_FIG_THETA = f"0:{math.pi!r}:65"
+# each --fig preset as the axis flags it equals
+FIG_FLAGS = {
+    2: {"n": "10", "theta1": _FIG_THETA, "theta2": _FIG_THETA},
+    3: {"n": "10000", "theta1": _FIG_THETA, "theta2": _FIG_THETA},
+    4: {"n": "inf", "theta1": _FIG_THETA, "theta2": _FIG_THETA},
+    5: {"n": "log:5:10000:40", "theta1": "2.0", "theta2": "0.5,0.1,0.05"},  # bound against n
+}
+AXES = ("n", "q0", "theta1", "theta2")
+VERIFY_TRIALS = 20  # field draws of a verify sweep
 # the ranges verify draws its field amplitudes from, for its trials and for
 # the negative control
 TRIAL_OMEGAS = (0.1, 3.0)
@@ -97,7 +111,9 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="exhaustive anonymity and cross-validation checks")
     p_verify.add_argument("--n", type=int, default=5, help="participant count")
     p_verify.add_argument("--m", type=int, default=2, help="true sender count")
-    p_verify.add_argument("--trials", type=int, default=20, help="random field draws")
+    p_verify.add_argument("--trials", type=int, default=None,
+                          help=f"random field draws (default {VERIFY_TRIALS}; "
+                               f"not read by --negative-control)")
     p_verify.add_argument("--t", type=float, default=1.0, help="interaction time")
     p_verify.add_argument("--seed", type=int, default=0, help="seed of the field draws")
     p_verify.add_argument("--negative-control", action="store_true",
@@ -106,14 +122,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", parents=[common],
                             help="grid scan of the two-sender variance bound (CSV)")
-    p_scan.add_argument("--fig", type=int, choices=(2, 3, 4, 5), default=None,
+    p_scan.add_argument("--fig", type=int, choices=sorted(FIG_FLAGS), default=None,
                         help="preset grid reproducing one of the figures")
-    p_scan.add_argument("--config", type=Path, default=None,
-                        help="run-configuration JSON file with a 'scan' axis section")
     p_scan.add_argument("--n", type=str, default=None,
                         help="n axis, e.g. '10' or '5,10,100' or 'log:5:10000:40' or 'inf'")
     p_scan.add_argument("--q0", type=str, default=None,
-                        help="q0 axis (comma list; default 0.33)")
+                        help=f"q0 axis (comma list; default {Q0})")
     p_scan.add_argument("--theta1", type=str, default=None,
                         help="theta1 axis: comma list or 'lo:hi:count'")
     p_scan.add_argument("--theta2", type=str, default=None,
@@ -149,6 +163,9 @@ def _cmd_verify(args) -> int:
     for violation in FieldVector(omegas=(hi,) * m, t=args.t).violations():
         raise ValueError(f"--t {args.t}: {violation} (verify draws fields up to {hi})")
     if args.negative_control:
+        if args.trials is not None:
+            raise ValueError(f"--trials {args.trials}: not read by --negative-control, "
+                             f"which makes one draw")
         rng = philox(args.seed, 0xC0)
         omegas = tuple(sorted(rng.uniform(lo, hi, size=m).tolist()))
         report = negative_control(n, FieldVector(omegas=omegas, t=args.t))
@@ -162,8 +179,9 @@ def _cmd_verify(args) -> int:
               f"{report.max_tv_distance:.6f} > {report.tolerance}", file=sys.stderr)
         return EXIT_OK
 
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    trials = VERIFY_TRIALS if args.trials is None else args.trials
+    if trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {trials}")
     # the oracle forms each sender's phase on its own, the closed form their
     # sums t*(w1 +- w2): the rounding of the largest phase alone moves a
     # probability by a fraction of that phase's ulp
@@ -175,12 +193,12 @@ def _cmd_verify(args) -> int:
                          f"cross-check (its tolerance {cross_tol:.3g} reaches {CONTROL_TV_TOL})")
     configs = [ProtocolConfig.for_single_sender(n, t=args.t)]
     if n >= 5:
-        configs.append(ProtocolConfig.for_two_senders(n, a=optimal_a(n), q0=0.33, t=args.t))
+        configs.append(ProtocolConfig.for_two_senders(n, a=optimal_a(n), q0=Q0, t=args.t))
     worst_tv = 0.0
     worst_err = 0.0
     failing_case = None
     reports = []
-    for trial in range(args.trials):
+    for trial in range(trials):
         rng = philox(args.seed, trial)
         omegas = tuple(sorted(rng.uniform(lo, hi, size=m).tolist()))
         fields = FieldVector(omegas=omegas, t=args.t)
@@ -204,14 +222,14 @@ def _cmd_verify(args) -> int:
                     "max_tv_distance": report.max_tv_distance,
                     "oracle_analytic_error": err,
                 }
-            if trial == args.trials - 1:
+            if trial == trials - 1:
                 reports.append(tracelessness_to_dict(report))
     passed = worst_tv <= EXACT_TV_TOL and worst_err <= cross_tol
     doc = {
         "command": "verify",
         "n": n,
         "m": m,
-        "trials": args.trials,
+        "trials": trials,
         "seed": args.seed,
         "max_tv_distance": worst_tv,
         "max_oracle_analytic_error": worst_err,
@@ -221,7 +239,7 @@ def _cmd_verify(args) -> int:
     if failing_case is not None:
         doc["failing_case"] = failing_case
     _emit(dumps_json(doc), args.out)
-    print(f"verify n={n} m={m} trials={args.trials}: "
+    print(f"verify n={n} m={m} trials={trials}: "
           f"max TV {worst_tv:.3e}, max oracle/analytic error {worst_err:.3e} "
           f"-> {'pass' if passed else 'FAIL'}", file=sys.stderr)
     return EXIT_OK if passed else EXIT_FAIL
@@ -231,29 +249,17 @@ def _cmd_verify(args) -> int:
 # scan
 
 def _cmd_scan(args) -> int:
-    given = [flag for flag in ("--fig", "--config", "--n", "--q0", "--theta1", "--theta2")
-             if getattr(args, flag[2:]) is not None]
-    if len(given) > 1 and given[0] in ("--fig", "--config"):
-        raise ValueError(f"scan takes its axes from one of --fig, --config or the axis "
-                         f"flags; got {' '.join(given)}")
+    specs = {name: getattr(args, name) for name in AXES if getattr(args, name) is not None}
     if args.fig is not None:
+        if specs:
+            raise ValueError(f"scan takes its axes from --fig or from the axis flags, not both; "
+                             f"got --fig {' '.join(f'--{name}' for name in specs)}")
         axes = _figure_axes(args.fig)
-    elif args.config is not None:
-        parsed = parse_run_config(_load_json(args.config), require_scenario=False)
-        if parsed["scan"] is None:
-            raise RunConfigError(f"{args.config}: $.scan: section is required for scan")
-        axes = parsed["scan"]
     else:
-        missing = [name for name in ("n", "theta1", "theta2")
-                   if getattr(args, name) is None]
+        missing = [name for name in ("n", "theta1", "theta2") if name not in specs]
         if missing:
-            raise ValueError(f"scan needs --fig, --config, or explicit axes; missing {missing}")
-        axes = {
-            "n": _parse_axis("--n", args.n, integer=True),
-            "q0": _parse_axis("--q0", "0.33" if args.q0 is None else args.q0),
-            "theta1": _parse_axis("--theta1", args.theta1),
-            "theta2": _parse_axis("--theta2", args.theta2),
-        }
+            raise ValueError(f"scan needs --fig or explicit axes; missing {missing}")
+        axes = _axes(specs)
     grid = scan_j22(axes["n"], axes["q0"], axes["theta1"], axes["theta2"])
     _emit(scan_rows_to_csv(grid), args.out)
     print(f"scan: {grid.n_rows} rows ({grid.n_divergent} divergent)", file=sys.stderr)
@@ -261,16 +267,15 @@ def _cmd_scan(args) -> int:
 
 
 def _figure_axes(fig: int) -> dict:
-    theta_axis = np.linspace(0.0, math.pi, FIG_AXIS_POINTS).tolist()
-    if fig == 2:
-        return {"n": [10], "q0": [0.33], "theta1": theta_axis, "theta2": theta_axis}
-    if fig == 3:
-        return {"n": [10_000], "q0": [0.33], "theta1": theta_axis, "theta2": theta_axis}
-    if fig == 4:
-        return {"n": [math.inf], "q0": [0.33], "theta1": theta_axis, "theta2": theta_axis}
-    # fig 5: bound against n for a few theta2 slices
-    n_axis = sorted(set(int(round(v)) for v in np.geomspace(5, 10_000, 40)))
-    return {"n": n_axis, "q0": [0.33], "theta1": [2.0], "theta2": [0.5, 0.1, 0.05]}
+    """The axes of ``scan --fig fig``: those of its flags, :data:`FIG_FLAGS`."""
+    return _axes(FIG_FLAGS[fig])
+
+
+def _axes(specs: dict) -> dict:
+    """Each axis of :data:`AXES` parsed from its flag's spec; q0 is :data:`Q0`
+    where ``specs`` gives none."""
+    specs = {"q0": repr(Q0), **specs}
+    return {name: _parse_axis(f"--{name}", specs[name], integer=name == "n") for name in AXES}
 
 
 def _parse_axis(name: str, spec: str, integer: bool = False) -> list[float]:

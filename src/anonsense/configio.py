@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Optional
+from typing import Any
 
 from .combinatorics import FieldVector
 from .engine import ConfigError, ProtocolConfig, design_fields
@@ -32,10 +32,11 @@ def parse_run_config(doc: dict, require_scenario: bool = True) -> dict[str, Any]
     """Validate a run-configuration document and build the value objects.
 
     Returns a dict with keys ``config`` (ProtocolConfig), ``assignment``
-    (SenderAssignment or None), ``rounds``, ``seed``, and ``scan`` (axis dict
-    or None).  Unknown keys anywhere are rejected with the offending path.
+    (SenderAssignment or None), ``rounds`` and ``seed``.  Unknown keys
+    anywhere are rejected with the offending path; ``scan`` takes its axes
+    from its flags, so a ``scan`` section is one of them.
     """
-    _reject_unknown(doc, {"protocol", "scenario", "run", "scan"}, "$")
+    _reject_unknown(doc, {"protocol", "scenario", "run"}, "$")
     if "protocol" not in doc:
         raise RunConfigError("$.protocol: section is required")
     config = _parse_protocol(doc["protocol"])
@@ -45,9 +46,7 @@ def parse_run_config(doc: dict, require_scenario: bool = True) -> dict[str, Any]
     elif require_scenario:
         raise RunConfigError("$.scenario: section is required for simulation")
     rounds, seed = _parse_run(doc.get("run"))
-    scan = _parse_scan(doc.get("scan"))
-    return {"config": config, "assignment": assignment, "rounds": rounds,
-            "seed": seed, "scan": scan}
+    return {"config": config, "assignment": assignment, "rounds": rounds, "seed": seed}
 
 
 def _parse_protocol(section) -> ProtocolConfig:
@@ -133,27 +132,6 @@ def _parse_run(section) -> tuple[int, int]:
     if seed < 0:
         raise RunConfigError(f"{path}.seed: must be >= 0, got {seed}")
     return rounds, seed
-
-
-def _parse_scan(section) -> Optional[dict]:
-    if section is None:
-        return None
-    path = "$.scan"
-    _require_mapping(section, path)
-    _reject_unknown(section, {"n", "q0", "theta1", "theta2"}, path)
-    out = {}
-    for key in ("n", "q0", "theta1", "theta2"):
-        if key not in section or not isinstance(section[key], list) or not section[key]:
-            raise RunConfigError(f"{path}.{key}: a nonempty list is required")
-        # only n takes the literal 'inf' (the large-n limit); anything else
-        # non-finite is an error naming its entry
-        out[key] = [math.inf if key == "n" and v == "inf" else _real(v, f"{path}.{key}[{j}]")
-                    for j, v in enumerate(section[key])]
-    for j, v in enumerate(out["n"]):
-        if v != math.inf and not v.is_integer():
-            raise RunConfigError(f"{path}.n[{j}]: must be an integer or 'inf', "
-                                 f"got {section['n'][j]!r}")
-    return out
 
 
 def load_counts(doc) -> OutcomeCounts:

@@ -74,9 +74,6 @@ class ProtocolConfig:
     def kmax(self) -> int:
         return self.n // 2
 
-    def c(self, i: int, sign: str) -> int:
-        return self.c_plus[i] if sign == PLUS else self.c_minus[i]
-
     @property
     def outcomes(self) -> list[tuple[int, str]]:
         """The measured outcomes (i, sign) in canonical order: by ascending i,

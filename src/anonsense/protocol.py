@@ -184,10 +184,13 @@ def negative_control(n: int, fields: FieldVector) -> TracelessnessReport:
     amplitude = 1.0 / math.sqrt(1 << n)  # of |+>^n on every basis state
     rates = []
     for phases in _phase_blocks(fields, np.array(subsets), np.arange(1 << n)):
-        kets = amplitude * phases  # |+>^n evolved by each subset's U
+        phases *= amplitude  # now |+>^n evolved by each subset's U
         # X read out on participant 1, the lowest bit: |x> pairs with |x ^ 1>
-        minus = (kets[:, 0::2] - kets[:, 1::2]) / math.sqrt(2.0)
-        rates.append(np.clip((np.abs(minus) ** 2).sum(axis=1), 0.0, 1.0))
+        minus = phases[:, 0::2] - phases[:, 1::2]
+        minus /= math.sqrt(2.0)
+        rate = np.abs(minus)
+        np.square(rate, out=rate)
+        rates.append(np.clip(rate.sum(axis=1), 0.0, 1.0))
     p_minus = np.concatenate(rates)
     probs = np.stack([p_minus, 1.0 - p_minus], axis=1)
     check_normalized(probs)

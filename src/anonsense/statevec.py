@@ -166,16 +166,24 @@ def _subset_phases(fields: FieldVector, positions: np.ndarray, states: np.ndarra
     senders runs in the same order as the per-state formula, so every phase
     is bitwise equal to it.
     """
+    code = np.zeros((len(positions), len(states)), dtype=states.dtype)
+    for j in range(positions.shape[1]):
+        code |= ((states >> (positions[:, j, None] - 1)) & 1) << j
+    return _phase_table(fields)[code]
+
+
+@functools.lru_cache(maxsize=8)
+def _phase_table(fields: FieldVector) -> np.ndarray:
+    """U for each of the 2^m sign combinations of :func:`_subset_phases`, built
+    once per field vector for all the blocks and supports of a sweep."""
     combos = np.arange(1 << fields.m)
     acc = np.zeros(1 << fields.m)
     for j, w in enumerate(fields.omegas):
         bit = (combos >> j) & 1
         acc = acc + w * (1.0 - 2.0 * bit)
     table = np.exp(-0.5j * fields.t * acc)
-    code = np.zeros((len(positions), len(states)), dtype=states.dtype)
-    for j in range(positions.shape[1]):
-        code |= ((states >> (positions[:, j, None] - 1)) & 1) << j
-    return table[code]
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
 
 
 def _phase_blocks(fields: FieldVector, positions: np.ndarray, states: np.ndarray):
@@ -225,7 +233,8 @@ class _DenseBasis:
                 if w.any():
                     pairs.append(row * len(self.order) + col)
                     pair_weights.append(w)
-            self.blocks.append((support, pairs, pair_weights))
+            if pairs:  # a support no measured projector overlaps has only zero amplitudes
+                self.blocks.append((support, pairs, pair_weights))
 
     def amplitudes(self, fields: FieldVector, positions: np.ndarray) -> np.ndarray:
         """<phi_{i,s}|U|phi_{i',+}> for each subset row of ``positions`` (S x m), label and i'.
@@ -240,8 +249,11 @@ class _DenseBasis:
         for support, pairs, pair_weights in self.blocks:
             lo = 0
             for phases in _phase_blocks(fields, positions, support):
-                for pair, w in zip(pairs, pair_weights):
-                    out[lo:lo + len(phases), pair] = (phases * w).sum(axis=-1)
+                rows = slice(lo, lo + len(phases))
+                for pair, w in zip(pairs[:-1], pair_weights[:-1]):
+                    out[rows, pair] = (phases * w).sum(axis=-1)
+                phases *= pair_weights[-1]  # the last pair takes the block in place
+                out[rows, pairs[-1]] = phases.sum(axis=-1)
                 lo += len(phases)
         return out.reshape(shape)
 

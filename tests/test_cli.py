@@ -149,6 +149,15 @@ def test_verify_builds_no_second_basis(tmp_path, monkeypatch):
     assert all(len(args[3]) < 1 << 8 for args in calls)
 
 
+def test_negative_control_rejects_trials(capsys):
+    # the control makes one draw, so a --trials beside it was dropped without a word
+    assert run_cli(["verify", "--negative-control", "--trials", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --trials 5: not read by --negative-control, "
+                            "which makes one draw\n")
+
+
 def test_verify_negative_control_exit_zero(tmp_path):
     out = tmp_path / "nc.json"
     assert run_cli(["verify", "--negative-control", "--out", str(out)]) == 0
@@ -190,6 +199,20 @@ def test_unknown_config_keys_rejected(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert run_cli(["simulate", "--config", str(bad)]) == 2
     assert "$.protocol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["simulate", "estimate"])
+def test_a_scan_section_is_an_unknown_key(tmp_path, capsys, verb):
+    # scan takes its axes from its flags; no verb reads a config's scan section
+    doc = json.loads((DATA / "run_n5.json").read_text())
+    doc["scan"] = {"n": [5], "q0": [0.33], "theta1": [2.0], "theta2": [0.5]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = {"simulate": ["simulate"],
+            "estimate": ["estimate", "--counts", str(DATA / "counts_m1.json")]}[verb]
+    assert run_cli([*argv, "--config", str(bad)]) == 2
+    assert capsys.readouterr().err == ("error: $: unknown keys ['scan']; "
+                                       "allowed: ['protocol', 'run', 'scenario']\n")
 
 
 def test_simulate_rejects_zero_rounds(tmp_path):
@@ -272,12 +295,10 @@ def test_protocol_section_is_checked_as_one_config(tmp_path, capsys, protocol, e
 @pytest.mark.parametrize("verb, section, key, value, path", [
     ("simulate", "protocol", "t", True, "$.protocol.t"),
     ("simulate", "scenario", "sender_positions", [True, 3], "$.scenario.sender_positions[0]"),
-    ("scan", "scan", "n", [True], "$.scan.n[0]"),
 ])
 def test_json_booleans_report_their_path(tmp_path, capsys, verb, section, key, value, path):
     # bool is an int subclass: true was read as 1 (t = 1.0, a sender at participant 1)
     doc = json.loads((DATA / "run_n5.json").read_text())
-    doc["scan"] = {"n": [5], "q0": [0.33], "theta1": [2.0], "theta2": [0.5]}
     doc[section][key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -437,30 +458,12 @@ def test_scan_rejects_non_finite_phases(axis, value, capsys):
     assert f"{axis[2:]}={value.split(',')[-1]} is not a finite phase" in captured.err
 
 
-@pytest.mark.parametrize("axis, values, path", [
-    ("n", [[5]], "$.scan.n[0]"),
-    ("n", [5, 5.7], "$.scan.n[1]"),
-    ("n", ["inf", "nan"], "$.scan.n[1]"),
-    ("q0", [{}], "$.scan.q0[0]"),
-    ("theta1", [None], "$.scan.theta1[0]"),
-    ("theta2", [0.5, "abc"], "$.scan.theta2[1]"),
-    # non-finite entries: only n takes the literal "inf"
-    ("n", ["-inf"], "$.scan.n[0]: must be finite"),
-    ("n", [1e999], "$.scan.n[0]: must be finite"),
-    ("q0", ["nan"], "$.scan.q0[0]: must be finite"),
-    ("q0", [0.33, "inf"], "$.scan.q0[1]: must be finite"),
-    ("theta1", ["nan"], "$.scan.theta1[0]: must be finite"),
-    ("theta1", ["-inf"], "$.scan.theta1[0]: must be finite"),
-    ("theta2", ["inf"], "$.scan.theta2[0]: must be finite"),
-])
-def test_scan_axis_entries_report_their_path(tmp_path, capsys, axis, values, path):
-    doc = {"protocol": {"n": 5, "m_est": 1, "t": 1.0},
-           "scan": {"n": [5], "q0": [0.33], "theta1": [2.0], "theta2": [0.5]}}
-    doc["scan"][axis] = values
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    assert run_cli(["scan", "--config", str(bad)]) == 2
-    assert path in capsys.readouterr().err
+@pytest.mark.parametrize("q0, bad", [("nan", "nan"), ("0.33,inf", "inf")])
+def test_scan_rejects_a_non_finite_q0(q0, bad, capsys):
+    assert run_cli(["scan", "--n", "5", "--q0", q0, "--theta1", "2", "--theta2", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: q0={bad} outside (0, 1)\n"
 
 
 @pytest.mark.parametrize("axis", [["--theta1", "0:1:0"], ["--theta2", "log:0.1:1:0"],
@@ -472,7 +475,9 @@ def test_scan_rejects_axis_count_below_one(axis, capsys):
     assert "count must be >= 1" in capsys.readouterr().err
 
 @pytest.mark.parametrize("axis, spec", [("--n", "nan"), ("--theta1", "1:2"),
-                                        ("--n", "log:5:inf:3")])
+                                        ("--n", "log:5:inf:3"), ("--n", "5,5.7"),
+                                        ("--n", "inf,nan"), ("--n", "1e999"),
+                                        ("--theta2", "0.5,abc")])
 def test_scan_axis_errors_name_the_axis(axis, spec, capsys):
     # the bare int()/unpacking messages did not say which option was wrong,
     # and an infinite log range raised OverflowError past the exit-code handler
@@ -487,22 +492,14 @@ def test_scan_axis_errors_name_the_axis(axis, spec, capsys):
 @pytest.mark.parametrize("argv, flags", [
     (["--fig", "5", "--n", "7", "--theta1", "1", "--theta2", "1"], "--fig --n --theta1 --theta2"),
     (["--fig", "2", "--q0", "0.5"], "--fig --q0"),
-    (["--fig", "2", "--config", "CONFIG"], "--fig --config"),
-    (["--config", "CONFIG", "--n", "9", "--theta1", "2", "--theta2", "2"],
-     "--config --n --theta1 --theta2"),
 ])
-def test_scan_takes_its_axes_from_one_source(tmp_path, capsys, argv, flags):
-    # the flags beside --fig or --config were dropped without a word
-    cfg = tmp_path / "scan.json"
-    cfg.write_text(json.dumps({"protocol": {"n": 5, "m_est": 1},
-                               "scan": {"n": [5], "q0": [0.33], "theta1": [2.0],
-                                        "theta2": [0.5]}}))
-    argv = [str(cfg) if x == "CONFIG" else x for x in argv]
+def test_scan_takes_its_axes_from_one_source(capsys, argv, flags):
+    # the flags beside --fig were dropped without a word
     assert run_cli(["scan", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: scan takes its axes from one of --fig, --config or the "
-                            f"axis flags; got {flags}\n")
+    assert captured.err == (f"error: scan takes its axes from --fig or from the axis flags, "
+                            f"not both; got {flags}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -528,22 +525,14 @@ def test_scan_requires_axes_or_fig(capsys):
     assert run_cli(["scan"]) == 2
 
 
-def test_scan_from_config_file(tmp_path):
-    doc = {
-        "protocol": {"n": 5, "m_est": 1, "t": 1.0},
-        "scan": {"n": [5, 10, "inf"], "q0": [0.33], "theta1": [2.0], "theta2": [0.5]},
-    }
-    cfg = tmp_path / "scan.json"
-    cfg.write_text(json.dumps(doc))
+def test_scan_n_axis_mixes_finite_n_and_the_limit(tmp_path):
     out = tmp_path / "scan.csv"
-    assert run_cli(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+    assert run_cli(["scan", "--n", "5,10,inf", "--q0", "0.33", "--theta1", "2.0",
+                    "--theta2", "0.5", "--out", str(out)]) == 0
     lines = read(out).strip().splitlines()
     assert len(lines) == 4
+    assert [line.split(",")[0] for line in lines[1:]] == ["5", "10", "inf"]
     assert lines[3].startswith("inf,inf,")
-    # a scan section with no axes is rejected
-    bad = tmp_path / "noscan.json"
-    bad.write_text(json.dumps({"protocol": {"n": 5, "m_est": 1, "t": 1.0}}))
-    assert run_cli(["scan", "--config", str(bad)]) == 2
 
 
 def test_load_counts_from_plain_and_transcript():

@@ -74,7 +74,7 @@ def reference_distribution(config, fields):
     probs = {}
     for i in range(config.kmax + 1):
         for sign in (PLUS, MINUS):
-            if config.c(i, sign):
+            if (config.c_plus if sign == PLUS else config.c_minus)[i]:
                 probs[f"{i}{sign}"] = config.q[i] * abs(reference_gamma(config.n, fields, i, sign)) ** 2
     probs["f"] = 1.0 - sum(probs.values())
     return probs
@@ -205,7 +205,7 @@ def seed_probs(model, theta):
     rows = []
     for r, i in enumerate(model._rows):
         for sign in (PLUS, MINUS):
-            if config.c(i, sign):
+            if (config.c_plus if sign == PLUS else config.c_minus)[i]:
                 gam = (1.0 - v[r]) if sign == PLUS else gamma_m[r]
                 rows.append(q[i] * gam ** 2)
     residual = 0.0

@@ -172,7 +172,7 @@ def loop_oracle(assign, config):
     probs = {}
     for i in range(config.kmax + 1):
         for sign in SIGNS:
-            if config.c(i, sign):
+            if (config.c_plus if sign == PLUS else config.c_minus)[i]:
                 proj = phi_state(n, i, sign)
                 p = sum(config.q[ip] * abs(np.vdot(proj, st)) ** 2 for ip, st in evolved.items())
                 probs[f"{i}{sign}"] = min(float(p), 1.0)

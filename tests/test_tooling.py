@@ -2,10 +2,13 @@ import importlib
 import importlib.util
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+from anonsense import cli
 from anonsense.configio import parse_run_config
 from anonsense.engine import ProtocolConfig
 
@@ -93,3 +96,53 @@ def test_every_shipped_run_config_parses():
     for path in paths:
         parsed = parse_run_config(json.loads(path.read_text()), require_scenario=False)
         assert isinstance(parsed["config"], ProtocolConfig), path
+
+
+def readme_section(title: str) -> str:
+    return README.read_text().split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def table_rows(section: str, header: str) -> dict[str, str]:
+    """The rows of the markdown table under ``header`` in ``section``: first cell -> second."""
+    lines = section.split(header + "\n", 1)[1].splitlines()[1:]  # past the |---| rule
+    rows = {}
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        first, second = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[first.strip("`")] = second
+    return rows
+
+
+def verb_parsers() -> dict:
+    actions = cli._build_parser()._subparsers._group_actions
+    return dict(next(a for a in actions if a.choices).choices)
+
+
+def test_readme_flag_table_lists_each_verbs_flags():
+    # every verb takes --out, which the table states once above it
+    table = table_rows(readme_section("Command line"), "| verb | flags |")
+    parsers = verb_parsers()
+    assert sorted(table) == sorted(parsers)
+    for verb, sub in parsers.items():
+        defined = {flag for action in sub._actions for flag in action.option_strings
+                   if flag.startswith("--") and flag != "--help"}
+        assert set(re.findall(r"--[a-z][a-z0-9-]*", table[verb])) | {"--out"} == defined, verb
+
+
+def test_readme_command_lines_parse():
+    section = readme_section("Command line")
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("anonsense ")]
+    assert len(commands) >= 8
+    for argv in commands:
+        cli._build_parser().parse_args(argv[1:])  # argparse exits 2 on a stale flag
+    # each preset row spells the axes of its --fig
+    presets = table_rows(section, "| preset | flags |")
+    assert sorted(presets) == [f"--fig {fig}" for fig in sorted(cli.FIG_FLAGS)]
+    for preset, flags in presets.items():
+        args = cli._build_parser().parse_args(["scan", *shlex.split(flags.strip("`"))])
+        specs = {name: getattr(args, name) for name in cli.AXES
+                 if getattr(args, name) is not None}
+        assert cli._axes(specs) == cli._figure_axes(int(preset.split()[1])), preset
