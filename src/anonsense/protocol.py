@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,9 +31,8 @@ from .estimation import EstimateReport, OutcomeCounts, mle_estimate
 from .sampling import draw_counts, philox
 from .statevec import (
     SenderAssignment,
-    _DenseBasis,
     _check_limit,
-    _phase_blocks,
+    _participant_phases,
     conditional_distributions,
     dicke_sweep,
     oracle_limit,
@@ -144,21 +142,16 @@ def sender_subsets(n: int, m: int) -> list[tuple[int, ...]]:
 def verify_tracelessness(config: ProtocolConfig, fields: FieldVector) -> TracelessnessReport:
     """Compare outcome distributions across ALL sender subsets.
 
-    Each subset's distribution is computed from its own sender positions: by
-    the dense simulator within its limit (one contraction over each initial
-    state's support per config, taken for blocks of subsets), by
-    :func:`dicke_sweep` above it.  Both hand over one row of probabilities
-    per subset, in :func:`sender_subsets` order, and the report keeps them.
-    Pass iff the maximum pairwise total-variation distance is within
+    Each subset's distribution is computed from its own sender positions by
+    :func:`dicke_sweep`, at every n, and comes as one row of probabilities
+    per subset, in :func:`sender_subsets` order; the report keeps them.  Pass
+    iff the maximum pairwise total-variation distance is within
     :data:`EXACT_TV_TOL`.
     """
     n, m = config.n, fields.m
     check_senders(n, m)
     subsets = sender_subsets(n, m)
-    if n <= oracle_limit():
-        labels, probs = _DenseBasis(config).mixtures(fields, np.array(subsets))
-    else:
-        labels, probs = dicke_sweep(config, fields, subsets)
+    labels, probs = dicke_sweep(config, fields, subsets)
     max_tv = _max_pairwise_tv(probs)
     return TracelessnessReport(
         n=n, m=m, fields=fields, mode="exact", n_subsets=len(subsets),
@@ -176,22 +169,17 @@ def negative_control(n: int, fields: FieldVector) -> TracelessnessReport:
     outcome rate, so the verifier must report a distance above
     :data:`CONTROL_TV_TOL` whenever the fields produce any signal at all.  A
     'fail' verdict from this control is the expected, healthy result.
+
+    The evolved probe stays a product state, each qubit (a_j|0> + b_j|1>)/sqrt(2)
+    with participant j's bit-0 and bit-1 phases, so a subset's rate of '-' on
+    participant 1 is |a_1 - b_1|^2 / 4.
     """
     m = fields.m
     check_senders(n, m)
-    _check_limit(n)  # the control state is a dense 2^n vector
+    _check_limit(n)  # verify --negative-control keeps its exit code 3 above the dense cap
     subsets = sender_subsets(n, m)
-    amplitude = 1.0 / math.sqrt(1 << n)  # of |+>^n on every basis state
-    rates = []
-    for phases in _phase_blocks(fields, np.array(subsets), np.arange(1 << n)):
-        phases *= amplitude  # now |+>^n evolved by each subset's U
-        # X read out on participant 1, the lowest bit: |x> pairs with |x ^ 1>
-        minus = phases[:, 0::2] - phases[:, 1::2]
-        minus /= math.sqrt(2.0)
-        rate = np.abs(minus)
-        np.square(rate, out=rate)
-        rates.append(np.clip(rate.sum(axis=1), 0.0, 1.0))
-    p_minus = np.concatenate(rates)
+    a, b = _participant_phases(np.array(subsets), fields, n)
+    p_minus = np.clip(np.abs(a[0] - b[0]) ** 2 / 4, 0.0, 1.0)
     probs = np.stack([p_minus, 1.0 - p_minus], axis=1)
     check_normalized(probs)
     max_tv = _max_pairwise_tv(probs)

@@ -5,9 +5,10 @@ Basis indexing: bit j-1 of the index integer is participant j's qubit
 (participant 1 is the least-significant bit), matching the bit-vector
 convention in :mod:`anonsense.combinatorics`.
 
-This path exists purely for verification; its dense vectors are capped at
-a qubit count (``ANONSENSE_ORACLE_LIMIT`` raises it), and :func:`dicke_sweep`
-gives the same per-subset distributions at any n without them.
+The dense vectors are capped at a qubit count (``ANONSENSE_ORACLE_LIMIT``
+raises it).  They serve the oracle path of round-by-round simulation and
+:func:`oracle_distribution`, and the tests hold the anonymity sweep to them;
+that sweep, :func:`dicke_sweep`, runs at every n on Dicke-state means.
 
 Every dense evaluation goes through one phase seam, :func:`_subset_phases`
 (U for a block of sender subsets on a set of basis states).  The oracle
@@ -35,7 +36,7 @@ from .engine import (
 )
 
 DEFAULT_ORACLE_LIMIT = 20
-_PHASE_BLOCK_ENTRIES = 1 << 15  # bound on the phases of one block of sender subsets
+_PHASE_BLOCK_ENTRIES = 1 << 15  # bound on the phases of one block of subset rows (one row at least)
 
 
 class OracleLimitError(RuntimeError):
@@ -186,18 +187,6 @@ def _phase_table(fields: FieldVector) -> np.ndarray:
     return table
 
 
-def _phase_blocks(fields: FieldVector, positions: np.ndarray, states: np.ndarray):
-    """:func:`_subset_phases` for consecutive blocks of subset rows, in order.
-
-    A block holds at most :data:`_PHASE_BLOCK_ENTRIES` phases, or one row
-    when a row alone is larger, so the memory held does not grow with the
-    number of subsets.
-    """
-    rows = max(1, _PHASE_BLOCK_ENTRIES // len(states))
-    for lo in range(0, len(positions), rows):
-        yield _subset_phases(fields, positions[lo:lo + rows], states)
-
-
 class _DenseBasis:
     """A config's initial states, each on its own support, contracted once and
     reused for any sender subset.
@@ -247,14 +236,13 @@ class _DenseBasis:
         shape = (len(positions), len(self.labels) - 1, len(self.order))  # 'f' has no projector
         out = np.zeros((shape[0], shape[1] * shape[2]), dtype=complex)
         for support, pairs, pair_weights in self.blocks:
-            lo = 0
-            for phases in _phase_blocks(fields, positions, support):
-                rows = slice(lo, lo + len(phases))
+            step = max(1, _PHASE_BLOCK_ENTRIES // len(support))  # subset rows per block
+            for lo in range(0, len(positions), step):
+                phases = _subset_phases(fields, positions[lo:lo + step], support)
                 for pair, w in zip(pairs[:-1], pair_weights[:-1]):
-                    out[rows, pair] = (phases * w).sum(axis=-1)
+                    out[lo:lo + step, pair] = (phases * w).sum(axis=-1)
                 phases *= pair_weights[-1]  # the last pair takes the block in place
-                out[rows, pairs[-1]] = phases.sum(axis=-1)
-                lo += len(phases)
+                out[lo:lo + step, pairs[-1]] = phases.sum(axis=-1)
         return out.reshape(shape)
 
     def mixtures(self, fields: FieldVector, positions: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -325,16 +313,21 @@ def dicke_sweep(
     A_k = [z^k] prod_j (a_j + b_j z) / C(n, k), a_j and b_j being participant j's
     phases for bit 0 and bit 1; A_{n-k} is A_k with a and b swapped.  Both products
     are carried as means, B_k <- ((j-k)*a_j*B_k + k*b_j*B_{k-1})/j, so nothing under-
-    or overflows, truncated at the largest measured index and vectorised over subsets.
+    or overflows, truncated at the largest measured index i_max.  The direct and
+    swapped means of all S subsets are one (2, S, i_max + 1) array, and every
+    participant's phases are formed at once, each subset's from its own positions.
     """
-    positions = np.array([SenderAssignment(config.n, s, fields).sender_positions for s in subsets])
-    outcomes = config.outcomes
-    k = np.arange(outcomes[-1][0] + 1)
-    means = np.broadcast_to(k == 0, (2, len(subsets), len(k))).astype(complex)  # direct, swapped
-    for j in range(1, config.n + 1):
-        a, b = _participant_phases(positions, fields, j)
-        nxt = means * (np.stack([a, b])[:, :, None] * ((j - k) / j))
-        nxt[:, :, 1:] += means[:, :, :-1] * (np.stack([b, a])[:, :, None] * (k[1:] / j))
+    n, outcomes = config.n, config.outcomes
+    a, b = _participant_phases(_sender_rows(n, fields, subsets), fields, n)
+    k, j = np.arange(outcomes[-1][0] + 1), np.arange(1, n + 1)[:, None]
+    stay = np.stack([a, b], axis=1)[..., None]  # participant j's factor of B_k, direct and swapped
+    shift = stay[:, ::-1]  # and of B_{k-1}
+    means = np.broadcast_to(k == 0, (2, len(subsets), len(k))).astype(complex)
+    for phase, weight, shift_phase, shift_weight in zip(stay, (j - k) / j, shift, k[1:] / j):
+        # each factor stays a temporary: numpy multiplies a large one in place with the
+        # operands swapped, and a complex product may round apart in the two orders
+        nxt = means * (phase * weight)
+        nxt[:, :, 1:] += means[:, :, :-1] * (shift_phase * shift_weight)
         means = nxt
     direct, swapped = means
     amplitudes = {PLUS: (direct + swapped) / 2, MINUS: (direct - swapped) / 2}
@@ -342,10 +335,29 @@ def dicke_sweep(
     return config.labels(), _with_residual(rows)
 
 
-def _participant_phases(positions: np.ndarray, fields: FieldVector, j: int):
-    """Participant j's bit-0 and bit-1 phases per subset: exp(-+i*t*omega/2) at a sender, else 1."""
-    half = ((positions == j) * (0.5j * fields.t * np.asarray(fields.omegas))).sum(axis=1)
-    return np.exp(-half), np.exp(half)
+def _sender_rows(n: int, fields: FieldVector, subsets) -> np.ndarray:
+    """``subsets`` as S x m sender positions, each row checked as :class:`SenderAssignment`
+    checks one subset; the first rejected row is built as one, to raise its own error."""
+    try:
+        positions = np.array(subsets, dtype=int)
+        ordered = np.sort(positions, axis=1)
+        bad = ~((ordered[:, 1:] > ordered[:, :-1]).all(axis=1) & (ordered[:, 0] >= 1)
+                & (ordered[:, -1] <= n)) | (positions.shape[1] != fields.m)
+    except (ValueError, IndexError):  # subsets of several sizes, or of none
+        bad = np.ones(len(subsets), dtype=bool)
+    for row in np.flatnonzero(bad):
+        SenderAssignment(n, subsets[row], fields)
+    check_senders(n, fields.m)
+    return positions
+
+
+def _participant_phases(positions: np.ndarray, fields: FieldVector, n: int) -> np.ndarray:
+    """Participants 1..n's bit-0 and bit-1 phases (2 x n x S) for the subset rows
+    of ``positions`` (S x m): exp(-+i*t*omega/2) at a sender, else 1."""
+    phases = np.ones((2, n, len(positions)), dtype=complex)
+    half = 0.5j * fields.t * np.asarray(fields.omegas)[:, None]
+    phases[:, positions.T - 1, np.arange(len(positions))] = np.exp([-half, half])
+    return phases
 
 
 @functools.lru_cache(maxsize=1)

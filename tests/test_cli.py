@@ -7,9 +7,8 @@ import warnings
 
 import pytest
 
-from anonsense import cli, statevec
+from anonsense import cli, protocol, statevec
 from anonsense.cli import main
-from anonsense.combinatorics import MINUS, PLUS
 from anonsense.configio import RunConfigError, load_counts
 from anonsense.engine import OutcomeDistribution
 
@@ -135,18 +134,21 @@ def test_verify_oracle_limit_exit_code(tmp_path, monkeypatch):
 
 
 def test_verify_builds_no_second_basis(tmp_path, monkeypatch):
-    # the oracle/analytic cross-check reads the sweep's distributions
-    calls = []
-    real = statevec._phi_entries
-    monkeypatch.setattr(statevec, "_phi_entries",
-                        lambda *args: calls.append(args) or real(*args))
-    assert run_cli(["verify", "--n", "8", "--trials", "1", "--out", str(tmp_path / "v.json")]) == 0
-    # single sender: (0,+) initial state and projector; two senders, a = 4:
-    # initial states (0,+) and (4,+), projectors (0,+), (0,-) and (4,+)
-    assert sorted(args[:3] for args in calls) == sorted([(8, 0, PLUS)] * 2 + [
-        (8, 0, PLUS), (8, 4, PLUS), (8, 0, PLUS), (8, 0, MINUS), (8, 4, PLUS)])
-    # each on its initial state's support, never on all 2^n basis states
-    assert all(len(args[3]) < 1 << 8 for args in calls)
+    # the oracle/analytic cross-check reads the sweep's distributions, and the
+    # sweep runs on Dicke-state means at every n: no dense basis is built
+    bases, sweeps = [], []
+    monkeypatch.setattr(statevec, "_DenseBasis", lambda *args: bases.append(args))
+    real = protocol.dicke_sweep
+
+    def spy(config, fields, subsets):
+        sweeps.append((config.m_est, len(subsets)))
+        return real(config, fields, subsets)
+
+    monkeypatch.setattr(protocol, "dicke_sweep", spy)
+    assert run_cli(["verify", "--n", "8", "--trials", "2", "--out", str(tmp_path / "v.json")]) == 0
+    # two trials, each sweeping the 28 two-sender subsets once per design
+    assert sweeps == [(1, 28), (2, 28)] * 2
+    assert bases == []
 
 
 def test_negative_control_rejects_trials(capsys):

@@ -145,17 +145,11 @@ def cli_configs(n):
     return [ProtocolConfig.for_single_sender(n), ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33)]
 
 
-def sweep_distributions(monkeypatch, config, fields):
-    """Run the exact sweep and return the per-subset distributions it compared,
-    which its report carries."""
-    seen = []
-    real = protocol._max_pairwise_tv
-    monkeypatch.setattr(protocol, "_max_pairwise_tv", lambda probs: seen.append(probs) or real(probs))
-    report = verify_tracelessness(config, fields)
-    monkeypatch.setattr(protocol, "_max_pairwise_tv", real)
-    assert report.probs is seen[0]
-    assert report.labels == config.labels()
-    return report.distributions
+def dense_distributions(config, fields, subsets):
+    """The dense sweep's per-subset distributions, in ``subsets`` order."""
+    labels, probs = statevec._DenseBasis(config).mixtures(fields, np.array(subsets))
+    assert labels == config.labels()
+    return [OutcomeDistribution.from_row(labels, row) for row in probs]
 
 
 def loop_oracle(assign, config):
@@ -180,14 +174,15 @@ def loop_oracle(assign, config):
     return probs
 
 
-def test_sweep_distributions_equal_per_subset_oracle(rng, monkeypatch):
-    # the sweep skips the exactly-zero terms and sums in another order than the
-    # full-vector inner products, so it meets them within the exact-path bound
+def test_sweep_distributions_equal_per_subset_oracle(rng):
+    # the dense sweep skips the exactly-zero terms and sums in another order
+    # than the full-vector inner products, so it meets them within the
+    # exact-path bound
     for n in range(5, 11):
         for config in cli_configs(n):
             for m in (1, 2):
                 fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, m))), t=1.0)
-                dists = sweep_distributions(monkeypatch, config, fields)
+                dists = dense_distributions(config, fields, sender_subsets(n, m))
                 assert len(dists) == math.comb(n, m)
                 for subset, dist in zip(sender_subsets(n, m), dists):
                     assign = SenderAssignment(n, subset, fields)
@@ -203,8 +198,8 @@ def test_sweep_builds_basis_once(monkeypatch):
     real = statevec._phi_entries
     monkeypatch.setattr(statevec, "_phi_entries", lambda *args: calls.append(args) or real(*args))
     config = ProtocolConfig.for_two_senders(8, a=4, q0=0.33)
-    report = verify_tracelessness(config, FieldVector((0.6, 1.7), 1.0))
-    assert report.n_subsets == 28
+    dists = dense_distributions(config, FieldVector((0.6, 1.7), 1.0), sender_subsets(8, 2))
+    assert len(dists) == 28
     # initial states (0,+) and (4,+); projectors (0,+), (0,-) and (4,+), each
     # evaluated on its initial state's support: 2 and C(8, 4) basis states
     assert sorted((*args[:3], len(args[3])) for args in calls) == sorted(
@@ -235,19 +230,19 @@ def test_blocked_sweep_keeps_every_subsets_bits(rng, monkeypatch):
             bound = rows * support + support - 1  # floor division leaves ``rows`` rows
             monkeypatch.setattr(statevec, "_PHASE_BLOCK_ENTRIES", bound)
             entries.clear()
-            report = verify_tracelessness(config, fields)
+            dists = dense_distributions(config, fields, subsets)
             assert [r for r, states in entries if states == support] == (
                 [rows] * (len(subsets) // rows) + [1])
             for k, subset in enumerate(subsets):
                 alone = oracle_distribution(SenderAssignment(n, subset, fields), config)
-                assert report.distributions[k].probs == alone.probs
+                assert dists[k].probs == alone.probs
             assert all(r * states <= bound for r, states in entries)
 
 
 def test_sweep_detects_a_phase_on_participant_one(monkeypatch):
     # an extra phase on participant 1's qubit breaks the permutation symmetry;
-    # the sweep sees it only if every subset gets its own phases; at n = 14
-    # the sweep runs in several blocks
+    # the dense sweep sees it only if every subset gets its own phases; at
+    # n = 14 it runs in several blocks
     real = statevec._subset_phases
     monkeypatch.setattr(
         statevec, "_subset_phases",
@@ -255,9 +250,11 @@ def test_sweep_detects_a_phase_on_participant_one(monkeypatch):
     )
     for n in (6, 14):
         config = ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33)
-        report = verify_tracelessness(config, FieldVector((0.7, 1.6), 1.0))
-        assert not report.verdict
-        assert report.max_tv_distance > 1e-3
+        _, probs = statevec._DenseBasis(config).mixtures(FieldVector((0.7, 1.6), 1.0),
+                                                         np.array(sender_subsets(n, 2)))
+        max_tv = protocol._max_pairwise_tv(probs)
+        assert not max_tv <= protocol.EXACT_TV_TOL
+        assert max_tv > 1e-3
 
 
 def all_switches_config(n, m_est, zero_row):
@@ -268,9 +265,9 @@ def all_switches_config(n, m_est, zero_row):
                           c_minus=(1,) * rows, a=n // 2 if m_est == 2 else None)
 
 
-def test_dicke_sweep_equals_dense_oracle(rng, monkeypatch):
-    # with the dense cap at 4 the sweep runs on Dicke-state products; the dense
-    # sweep it is compared with is bitwise oracle_distribution per subset
+def test_dicke_sweep_equals_dense_oracle(rng):
+    # verify runs on Dicke-state products; the dense sweep it is compared with
+    # is bitwise oracle_distribution per subset
     # (test_blocked_sweep_keeps_every_subsets_bits)
     checked = 0
     for n in range(5, 13):
@@ -279,12 +276,10 @@ def test_dicke_sweep_equals_dense_oracle(rng, monkeypatch):
                 if m > max_senders(n):
                     continue
                 fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, m))), t=1.0)
-                monkeypatch.setenv("ANONSENSE_ORACLE_LIMIT", "4")
                 report = verify_tracelessness(config, fields)
                 assert report.verdict
-                monkeypatch.delenv("ANONSENSE_ORACLE_LIMIT")
-                dense = verify_tracelessness(config, fields)
-                for dist, exact in zip(report.distributions, dense.distributions, strict=True):
+                dense = dense_distributions(config, fields, sender_subsets(n, m))
+                for dist, exact in zip(report.distributions, dense, strict=True):
                     assert list(dist.probs) == list(exact.probs)
                     for label, p in exact.probs.items():
                         assert abs(dist.probs[label] - p) <= 1e-12
@@ -292,7 +287,64 @@ def test_dicke_sweep_equals_dense_oracle(rng, monkeypatch):
     assert checked > 4000
 
 
-@pytest.mark.parametrize("n", [25, 40])
+def reference_dicke_sweep(config, fields, subsets):
+    """The Dicke-mean sweep with one SenderAssignment per subset and each
+    participant's phases formed in a step of their own."""
+    positions = np.array([SenderAssignment(config.n, s, fields).sender_positions for s in subsets])
+    outcomes = config.outcomes
+    k = np.arange(outcomes[-1][0] + 1)
+    means = np.broadcast_to(k == 0, (2, len(subsets), len(k))).astype(complex)  # direct, swapped
+    for j in range(1, config.n + 1):
+        half = ((positions == j) * (0.5j * fields.t * np.asarray(fields.omegas))).sum(axis=1)
+        a, b = np.exp(-half), np.exp(half)
+        nxt = means * (np.stack([a, b])[:, :, None] * ((j - k) / j))
+        nxt[:, :, 1:] += means[:, :, :-1] * (np.stack([b, a])[:, :, None] * (k[1:] / j))
+        means = nxt
+    direct, swapped = means
+    amplitudes = {PLUS: (direct + swapped) / 2, MINUS: (direct - swapped) / 2}
+    rows = np.array([config.q[i] * np.abs(amplitudes[sign][:, i]) ** 2 for i, sign in outcomes]).T
+    return config.labels(), statevec._with_residual(rows)
+
+
+def test_dicke_sweep_bitwise_equal_to_reference(rng):
+    checked = 0
+    for n in [*range(1, 15), 25, 40]:
+        configs = [ProtocolConfig.for_single_sender(n)]
+        if n >= 2:
+            configs.append(all_switches_config(n, 1, 1))
+        if n >= 5:
+            configs += [ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33),
+                        all_switches_config(n, 2, 1)]
+        for config in configs:
+            for m in range(1, min(3, max_senders(n)) + 1):
+                fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, m))), t=1.0)
+                subsets = sender_subsets(n, m)
+                labels, probs = statevec.dicke_sweep(config, fields, subsets)
+                ref_labels, ref_probs = reference_dicke_sweep(config, fields, subsets)
+                assert labels == ref_labels
+                assert probs.shape == ref_probs.shape
+                assert (probs == ref_probs).all()
+                checked += 1
+    assert checked == 155
+
+
+def test_dicke_sweep_rejects_subsets_as_sender_assignment_does():
+    config = ProtocolConfig.for_two_senders(6, a=3, q0=0.33)
+    fields = FieldVector((0.7, 1.6), 1.0)
+    for bad in [(2, 2), (0, 3), (3, 7), (1, 2, 3), (1,)]:
+        with pytest.raises(ValueError) as expected:
+            SenderAssignment(6, bad, fields)
+        with pytest.raises(ValueError) as got:
+            statevec.dicke_sweep(config, fields, [(1, 2), bad, (4, 6)])
+        assert str(got.value) == str(expected.value)
+    # the first rejected subset speaks, whichever check it fails
+    with pytest.raises(ValueError, match=r"^sender position 9 outside \[1, 6\]$"):
+        statevec.dicke_sweep(config, fields, [(1, 2), (1, 9), (5, 5)])
+    with pytest.raises(ValueError, match=r"^m=4 exceeds floor\(\(n\+1\)/2\)=3 for n=6$"):
+        statevec.dicke_sweep(config, FieldVector((0.1, 0.2, 0.3, 0.4), 1.0), [(1, 2, 3, 4)])
+
+
+@pytest.mark.parametrize("n", [6, 14, 25, 40])
 def test_dicke_sweep_detects_a_phase_on_participant_one(monkeypatch, n):
     config = ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33)
     fields = FieldVector((0.7, 1.6), 1.0)
@@ -301,9 +353,10 @@ def test_dicke_sweep_detects_a_phase_on_participant_one(monkeypatch, n):
     assert clean.n_subsets == math.comb(n, 2)
     real = statevec._participant_phases
 
-    def leaky(positions, fields, j):
-        a, b = real(positions, fields, j)
-        return a, (b * np.exp(0.3j) if j == 1 else b)
+    def leaky(positions, fields, n):
+        phases = real(positions, fields, n)
+        phases[1, 0] *= np.exp(0.3j)  # participant 1's bit-1 phase
+        return phases
 
     monkeypatch.setattr(statevec, "_participant_phases", leaky)
     report = verify_tracelessness(config, fields)
@@ -326,7 +379,7 @@ def test_dicke_sweep_single_sender_at_large_n():
             assert abs(dist.probs[label] - p) <= 1e-12
 
 
-@pytest.mark.parametrize("limit", [None, "4"])  # dense path, and the Dicke products above the cap
+@pytest.mark.parametrize("limit", [None, "4"])  # the sweep runs alike on either side of the dense cap
 def test_sweep_rejects_bad_inputs(monkeypatch, limit):
     if limit is not None:
         monkeypatch.setenv("ANONSENSE_ORACLE_LIMIT", limit)
@@ -411,13 +464,19 @@ def loop_control(n, subset, fields):
 
 @pytest.mark.parametrize("block_entries", [1, 3 << 9, 1 << 15])
 def test_negative_control_equals_per_subset_loop(rng, monkeypatch, block_entries):
+    # the closed form |a_1 - b_1|^2 / 4 of the product state meets the sum over
+    # 2^n amplitudes within rounding, whatever block size the dense sweep uses
     monkeypatch.setattr(statevec, "_PHASE_BLOCK_ENTRIES", block_entries)
     for n in (5, 8, 11):
         for m in (1, 2):
             fields = FieldVector(tuple(sorted(rng.uniform(0.5, 2.5, m))), t=1.0)
             report = negative_control(n, fields)
-            assert [d.probs for d in report.distributions] == [
-                loop_control(n, subset, fields) for subset in sender_subsets(n, m)]
+            loops = [loop_control(n, subset, fields) for subset in sender_subsets(n, m)]
+            assert len(report.distributions) == len(loops)
+            for dist, loop in zip(report.distributions, loops):
+                assert list(dist.probs) == list(loop)
+                for label, p in loop.items():
+                    assert abs(dist.probs[label] - p) <= 1e-15
 
 
 def test_negative_control_silent_at_zero_field():

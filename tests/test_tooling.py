@@ -81,6 +81,23 @@ for k, argv in enumerate(runs):
     assert done.returncode == 0, done.stderr
 
 
+def test_verify_takes_one_path_at_every_n(tmp_path, monkeypatch):
+    # the dense cap picks no anonymity path: verify writes the same bytes with
+    # the cap at its default and below n
+    outs = []
+    for limit in (None, "4"):
+        if limit is None:
+            monkeypatch.delenv("ANONSENSE_ORACLE_LIMIT", raising=False)
+        else:
+            monkeypatch.setenv("ANONSENSE_ORACLE_LIMIT", limit)
+        out = tmp_path / f"verify_{limit}.json"
+        assert cli.main(["verify", "--n", "8", "--trials", "2", "--seed", "3",
+                         "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["verdict"] == "pass"
+
+
 def test_readme_library_example_runs(capsys):
     # a signature change that leaves the README's example stale fails here
     section = README.read_text().split("## Library example\n", 1)[1]
