@@ -49,7 +49,7 @@ from .protocol import (
     verify_tracelessness,
 )
 from .sampling import philox
-from .statevec import OracleLimitError
+from .statevec import OracleLimitError, dicke_means
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -194,6 +194,8 @@ def _cmd_verify(args) -> int:
     configs = [ProtocolConfig.for_single_sender(n, t=args.t)]
     if n >= 5:
         configs.append(ProtocolConfig.for_two_senders(n, a=optimal_a(n), q0=Q0, t=args.t))
+    subsets = sender_subsets(n, m)
+    imax = max(config.outcomes[-1][0] for config in configs)  # the largest measured index
     worst_tv = 0.0
     worst_err = 0.0
     failing_case = None
@@ -202,10 +204,10 @@ def _cmd_verify(args) -> int:
         rng = philox(args.seed, trial)
         omegas = tuple(sorted(rng.uniform(lo, hi, size=m).tolist()))
         fields = FieldVector(omegas=omegas, t=args.t)
+        means = dicke_means(n, fields, subsets, imax)  # one pass for both designs
         for config in configs:
-            report = verify_tracelessness(config, fields)
+            report = verify_tracelessness(config, fields, means)
             worst_tv = max(worst_tv, report.max_tv_distance)
-            subsets = sender_subsets(n, m)
             drawn = int(rng.integers(len(subsets)))
             subset = subsets[drawn]
             oracle = report.distribution(drawn)

@@ -117,15 +117,17 @@ def mle_estimate(counts: OutcomeCounts, config: ProtocolConfig) -> EstimateRepor
     axis = np.linspace(0.0, math.pi, GRID_POINTS)
     ll = _grid_log_likelihood(model, observed,
                               np.meshgrid(*[axis] * m, indexing="ij", sparse=True))
-    if not np.isfinite(ll).any():
+    finite = np.isfinite(ll)
+    if not finite.any():
         raise ValueError("likelihood is -inf over the whole domain; counts are "
                          "inconsistent with the configuration")
     # row-major argmax: the smallest theta1, then theta2, wins ties
     theta = [axis[i] for i in np.unravel_index(int(np.argmax(ll)), ll.shape)]
-    finite = np.where(np.isfinite(ll), ll, np.min(ll[np.isfinite(ll)]))
+    # -inf cells take the smallest finite value, so they add no spread
+    spread = ll if finite.all() else np.where(finite, ll, np.min(ll[finite]))
     converged = True
     for j in range(m):
-        if np.ptp(finite, axis=j).max() < 1e-9:
+        if np.ptp(spread, axis=j).max() < 1e-9:
             converged = False
             flags.append(f"flat likelihood along theta_{j + 1}")
 

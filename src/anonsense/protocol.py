@@ -40,7 +40,7 @@ from .statevec import (
 
 EXACT_TV_TOL = 1e-10
 CONTROL_TV_TOL = 0.01  # the leaky control must exceed this distance
-_TV_BLOCK_ENTRIES = 1 << 20  # bound on the pairwise-distance block held at once
+_TV_MAX_LABELS = 5  # labels up to which the TV takes projections: 16 of them per row at most
 
 
 @dataclass(frozen=True)
@@ -139,19 +139,23 @@ def sender_subsets(n: int, m: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(1, n + 1), m))
 
 
-def verify_tracelessness(config: ProtocolConfig, fields: FieldVector) -> TracelessnessReport:
+def verify_tracelessness(
+    config: ProtocolConfig, fields: FieldVector, means: np.ndarray | None = None
+) -> TracelessnessReport:
     """Compare outcome distributions across ALL sender subsets.
 
     Each subset's distribution is computed from its own sender positions by
     :func:`dicke_sweep`, at every n, and comes as one row of probabilities
     per subset, in :func:`sender_subsets` order; the report keeps them.  Pass
     iff the maximum pairwise total-variation distance is within
-    :data:`EXACT_TV_TOL`.
+    :data:`EXACT_TV_TOL`.  ``means``, when given, is the
+    :func:`~anonsense.statevec.dicke_means` pass of these fields over those
+    subsets that the designs of one trial share.
     """
     n, m = config.n, fields.m
     check_senders(n, m)
     subsets = sender_subsets(n, m)
-    labels, probs = dicke_sweep(config, fields, subsets)
+    labels, probs = dicke_sweep(config, fields, subsets, means)
     max_tv = _max_pairwise_tv(probs)
     return TracelessnessReport(
         n=n, m=m, fields=fields, mode="exact", n_subsets=len(subsets),
@@ -192,19 +196,22 @@ def negative_control(n: int, fields: FieldVector) -> TracelessnessReport:
 
 def _max_pairwise_tv(probs: np.ndarray) -> float:
     """Largest total-variation distance over all pairs of rows of ``probs``
-    (distributions x labels, one label order for all).
+    (distributions x labels, one label order for all): half their L1 diameter.
 
-    Sums |p_a - p_b| label by label in column order, the order
-    ``OutcomeDistribution.tv_distance`` sums in for distributions of that
-    label order, so every pair's distance is the same float.  The S x S
-    distance matrix is accumulated in blocks of rows.
+    The L1 distance of two rows is the largest s.(p_a - p_b) over sign vectors
+    s in {-1, +1}^L, and s and -s give the same pairs, so the diameter is the
+    widest spread max_a s.p_a - min_a s.p_a over the 2^(L-1) sign vectors with
+    s_1 = +1 (the isometric embedding of l1^L in l_inf).  Each projection adds
+    the labels in column order; it meets the pairwise sums within a few ulps
+    of 1.0.  The sign vectors double with each label, so above
+    :data:`_TV_MAX_LABELS` labels the rows are compared pair by pair instead,
+    one row against the rows after it at a time.
     """
-    step = max(1, _TV_BLOCK_ENTRIES // len(probs))
-    max_sum = 0.0
-    for lo in range(0, len(probs), step):
-        block = probs[lo:lo + step]
-        acc = np.zeros((len(block), len(probs)))
-        for col in range(probs.shape[1]):
-            acc += np.abs(block[:, col, None] - probs[None, :, col])
-        max_sum = max(max_sum, float(acc.max()))
-    return 0.5 * max_sum
+    if probs.shape[1] > _TV_MAX_LABELS:
+        return 0.5 * max(float(np.abs(probs[k] - probs[k:]).sum(axis=1).max())
+                         for k in range(len(probs)))
+    projections = probs[:, :1]
+    for column in probs[:, 1:].T:
+        projections = np.concatenate([projections + column[:, None],
+                                      projections - column[:, None]], axis=1)
+    return 0.5 * float((projections.max(axis=0) - projections.min(axis=0)).max())

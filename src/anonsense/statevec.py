@@ -303,36 +303,78 @@ def conditional_distributions(
 
 
 def dicke_sweep(
-    config: ProtocolConfig, fields: FieldVector, subsets
+    config: ProtocolConfig, fields: FieldVector, subsets, means: np.ndarray | None = None
 ) -> tuple[list[str], np.ndarray]:
     """The labels and the mixture distribution of each sender subset (one row
     each, as :meth:`_DenseBasis.mixtures` gives them), exact at any n without
     2^n vectors.
 
     U is diagonal, so <phi_{i,s}|U|phi_{i',+}> = delta_{ii'} (A_i + s*A_{n-i})/2 with
-    A_k = [z^k] prod_j (a_j + b_j z) / C(n, k), a_j and b_j being participant j's
-    phases for bit 0 and bit 1; A_{n-k} is A_k with a and b swapped.  Both products
-    are carried as means, B_k <- ((j-k)*a_j*B_k + k*b_j*B_{k-1})/j, so nothing under-
-    or overflows, truncated at the largest measured index i_max.  The direct and
-    swapped means of all S subsets are one (2, S, i_max + 1) array, and every
-    participant's phases are formed at once, each subset's from its own positions.
+    the direct and swapped Dicke means of :func:`dicke_means`.  Designs that sweep
+    the same fields over the same subsets share one pass: ``means``, when given, is
+    that pass, taken at least up to this config's largest measured index.
     """
-    n, outcomes = config.n, config.outcomes
-    a, b = _participant_phases(_sender_rows(n, fields, subsets), fields, n)
-    k, j = np.arange(outcomes[-1][0] + 1), np.arange(1, n + 1)[:, None]
-    stay = np.stack([a, b], axis=1)[..., None]  # participant j's factor of B_k, direct and swapped
+    imax = config.outcomes[-1][0]
+    if means is None:
+        means = dicke_means(config.n, fields, subsets, imax)
+    elif means.shape[1] != len(subsets) or means.shape[2] <= imax:
+        raise ValueError(f"means of shape {means.shape} do not cover {len(subsets)} subsets "
+                         f"up to index {imax}")
+    direct, swapped = means[:, :, [i for i, _ in config.outcomes]]
+    amplitudes = {PLUS: (direct + swapped) / 2, MINUS: (direct - swapped) / 2}
+    rows = np.array([config.q[i] * np.abs(amplitudes[sign][:, col]) ** 2
+                     for col, (i, sign) in enumerate(config.outcomes)]).T
+    return config.labels(), _with_residual(rows)
+
+
+def dicke_means(n: int, fields: FieldVector, subsets, imax: int) -> np.ndarray:
+    """The direct and swapped Dicke means A_0..A_imax of each sender subset, as one
+    (2, S, imax + 1) array.
+
+    A_k = [z^k] prod_j (a_j + b_j z) / C(n, k), a_j and b_j being participant j's
+    phases for bit 0 and bit 1, each subset's formed from its own positions; the
+    swapped mean, A_{n-k} of the product, is A_k with a and b swapped.  A
+    participant whose two phases are exactly 1 is field-free, and r of them give
+    the factor (1 + z)^r, whose means are 1 for k <= r and 0 above.  The other
+    participants then fold in, in position order, as participants r+1, ..., n:
+    B_k <- ((j-k)*a_j*B_k + k*b_j*B_{k-1})/j, on means, so nothing under- or
+    overflows.  An honest subset folds in its m senders only.  Subsets with the
+    same r run as one array.
+    """
+    phases = _participant_phases(_sender_rows(n, fields, subsets), fields, n)
+    free = (phases == 1).all(axis=0)  # n x S
+    free_count = free.sum(axis=0)
+    groups = []  # (subset rows, r, each folded participant's phases: n - r x 2 x rows)
+    for r in np.flatnonzero(np.bincount(free_count)):  # each count that occurs, ascending
+        rows = np.flatnonzero(free_count == r)
+        _, folded = np.nonzero(~free[:, rows].T)  # each row's folded positions, ascending
+        folded = folded.reshape(len(rows), n - r).T
+        groups.append((rows, r, phases[:, folded, rows].transpose(1, 0, 2)))
+    del phases, free  # the folded phases are all the recurrence reads
+    k = np.arange(imax + 1)
+    if len(groups) == 1:
+        return _fold_means(groups[0][1], groups[0][2], n, k)
+    means = np.empty((2, len(subsets), len(k)), dtype=complex)
+    for rows, r, folded_phases in groups:
+        means[:, rows] = _fold_means(r, folded_phases, n, k)
+    return means
+
+
+def _fold_means(r: int, folded_phases: np.ndarray, n: int, k: np.ndarray) -> np.ndarray:
+    """The means B_k (2 x rows x k) after r field-free participants and then the
+    participants of ``folded_phases`` (each a 2 x rows array of bit-0 and bit-1
+    phases), folded in one recurrence step each as participants r+1, ..., n."""
+    means = np.broadcast_to(k <= r, (2, folded_phases.shape[2], len(k))).astype(complex)
+    stay = folded_phases[..., None]  # a participant's factor of B_k, direct and swapped
+    j = np.arange(r + 1, n + 1)[:, None]
     shift = stay[:, ::-1]  # and of B_{k-1}
-    means = np.broadcast_to(k == 0, (2, len(subsets), len(k))).astype(complex)
     for phase, weight, shift_phase, shift_weight in zip(stay, (j - k) / j, shift, k[1:] / j):
         # each factor stays a temporary: numpy multiplies a large one in place with the
         # operands swapped, and a complex product may round apart in the two orders
         nxt = means * (phase * weight)
         nxt[:, :, 1:] += means[:, :, :-1] * (shift_phase * shift_weight)
         means = nxt
-    direct, swapped = means
-    amplitudes = {PLUS: (direct + swapped) / 2, MINUS: (direct - swapped) / 2}
-    rows = np.array([config.q[i] * np.abs(amplitudes[sign][:, i]) ** 2 for i, sign in outcomes]).T
-    return config.labels(), _with_residual(rows)
+    return means
 
 
 def _sender_rows(n: int, fields: FieldVector, subsets) -> np.ndarray:

@@ -135,19 +135,27 @@ def test_verify_oracle_limit_exit_code(tmp_path, monkeypatch):
 
 def test_verify_builds_no_second_basis(tmp_path, monkeypatch):
     # the oracle/analytic cross-check reads the sweep's distributions, and the
-    # sweep runs on Dicke-state means at every n: no dense basis is built
-    bases, sweeps = [], []
+    # sweep runs on Dicke-state means at every n: no dense basis is built, and
+    # both designs of a trial read their rows from one means pass
+    bases, passes, sweeps = [], [], []
     monkeypatch.setattr(statevec, "_DenseBasis", lambda *args: bases.append(args))
-    real = protocol.dicke_sweep
+    real_means, real_sweep = cli.dicke_means, protocol.dicke_sweep
 
-    def spy(config, fields, subsets):
-        sweeps.append((config.m_est, len(subsets)))
-        return real(config, fields, subsets)
+    def means_spy(n, fields, subsets, imax):
+        passes.append((n, len(subsets), imax))
+        return real_means(n, fields, subsets, imax)
 
-    monkeypatch.setattr(protocol, "dicke_sweep", spy)
+    def sweep_spy(config, fields, subsets, means=None):
+        sweeps.append((config.m_est, len(subsets), means is not None))
+        return real_sweep(config, fields, subsets, means)
+
+    monkeypatch.setattr(cli, "dicke_means", means_spy)
+    monkeypatch.setattr(protocol, "dicke_sweep", sweep_spy)
     assert run_cli(["verify", "--n", "8", "--trials", "2", "--out", str(tmp_path / "v.json")]) == 0
-    # two trials, each sweeping the 28 two-sender subsets once per design
-    assert sweeps == [(1, 28), (2, 28)] * 2
+    # two trials, each one pass up to the two-sender design's largest index
+    # a = 4, read by both designs for the 28 two-sender subsets
+    assert passes == [(8, 28, 4)] * 2
+    assert sweeps == [(1, 28, True), (2, 28, True)] * 2
     assert bases == []
 
 
