@@ -2,7 +2,7 @@
 
 Four verbs:
 
-* ``verify``    -- exhaustive anonymity check plus closed-form-vs-dense
+* ``verify``    -- exhaustive anonymity check plus closed-form-vs-sweep
                    cross-validation (or the negative control).
 * ``scan``      -- CSV grids of the two-sender variance bound (figure data),
                    over the axes of the --n/--q0/--theta1/--theta2 flags or of
@@ -226,6 +226,7 @@ def _cmd_verify(args) -> int:
                 }
             if trial == trials - 1:
                 reports.append(tracelessness_to_dict(report))
+        del means  # freed before the next trial forms its pass
     passed = worst_tv <= EXACT_TV_TOL and worst_err <= cross_tol
     doc = {
         "command": "verify",

@@ -5,12 +5,12 @@ each measured outcome (i, sign) has probability q[i] * gamma^2 and the
 residual 'f' takes the rest.  The amplitudes are contractions of binomial
 weight rows (formed exactly from falling factorials, one correctly rounded
 division each) with versine and sine stacks of the sender-bit strings'
-phases, and the residual is assembled from stable complements.  The
-simulator's :func:`outcome_distribution` and the estimator's phase-vector
-methods feed the same kernel, so the distribution that is sampled is the
-one that is fitted.  This path never builds a 2^n state vector and scales to
-participant counts of 10^4 and beyond; the dense simulator in
-:mod:`anonsense.statevec` provides the independent cross-check at small n.
+phases, and the residual is assembled from stable complements.
+:func:`outcome_distribution` and the estimator's phase-vector methods feed
+the same kernel, so the closed form is the one that is fitted; simulation
+samples the exact Dicke-mean conditionals of :mod:`anonsense.statevec`,
+whose mixture is this distribution.  This path never builds a 2^n state
+vector and scales to participant counts of 10^4 and beyond.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from .engine import (
     ProtocolConfig,
     check_normalized,
     check_senders,
-    outcome_distribution,
 )
 from .estimation import EstimateReport, OutcomeCounts, mle_estimate
 from .sampling import draw_counts, philox
@@ -35,7 +34,6 @@ from .statevec import (
     _participant_phases,
     conditional_distributions,
     dicke_sweep,
-    oracle_limit,
 )
 
 EXACT_TV_TOL = 1e-10
@@ -96,28 +94,23 @@ def run_protocol(
 ) -> Transcript:
     """Simulate one full protocol run and return the transcript.
 
-    Within the dense-vector limit (n <= :func:`oracle_limit`) the run samples
-    the initial-state index per round from the mixture weights and then the
-    outcome from that state's dense-vector distribution; above it, it samples
-    directly from the closed-form mixture distribution.  Both paths have
-    identical statistics and are reproducible from the seed.
+    Each round's initial-state index is drawn from the mixture weights, and
+    its outcome from that state's conditional distribution
+    (:func:`~anonsense.statevec.conditional_distributions`, exact at every n);
+    the run is reproducible from the seed.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     assign.check_n(config)
     rng = philox(seed)
-    if config.n <= oracle_limit():
-        conditionals = conditional_distributions(assign, config)
-        weights = [config.q[i] for i in sorted(conditionals)]
-        per_state = rng.multinomial(rounds, np.array(weights) / sum(weights))
-        counts: dict[str, int] = {}
-        for idx, i in enumerate(sorted(conditionals)):
-            drawn = draw_counts(conditionals[i], int(per_state[idx]), rng)
-            for label, c in drawn.items():
-                counts[label] = counts.get(label, 0) + c
-    else:
-        dist = outcome_distribution(config, assign.fields)
-        counts = draw_counts(dist, rounds, rng)
+    conditionals = conditional_distributions(assign, config)
+    weights = [config.q[i] for i in sorted(conditionals)]
+    per_state = rng.multinomial(rounds, np.array(weights) / sum(weights))
+    counts: dict[str, int] = {}
+    for idx, i in enumerate(sorted(conditionals)):
+        drawn = draw_counts(conditionals[i], int(per_state[idx]), rng)
+        for label, c in drawn.items():
+            counts[label] = counts.get(label, 0) + c
     broadcast = mle_estimate(OutcomeCounts(counts), config)
     return Transcript(config=config, rounds=rounds, counts=counts, broadcast=broadcast, seed=seed)
 

@@ -1,20 +1,21 @@
-"""Brute-force dense state-vector path: the ground truth for small n.
+"""Exact per-subset outcome probabilities, and the dense state vectors.
 
-States are dense complex vectors over the n-qubit computational basis.
 Basis indexing: bit j-1 of the index integer is participant j's qubit
 (participant 1 is the least-significant bit), matching the bit-vector
 convention in :mod:`anonsense.combinatorics`.
 
-The dense vectors are capped at a qubit count (``ANONSENSE_ORACLE_LIMIT``
-raises it).  They serve the oracle path of round-by-round simulation and
-:func:`oracle_distribution`, and the tests hold the anonymity sweep to them;
-that sweep, :func:`dicke_sweep`, runs at every n on Dicke-state means.
+U is diagonal, so only equal Dicke weights couple, and every amplitude the
+protocol needs is (A_i + s*A_{n-i})/2 with the Dicke means of
+:func:`dicke_means`, taken at a subset's own sender positions.  These means
+give the anonymity sweep (:func:`dicke_sweep`), one subset's distribution
+(:func:`oracle_distribution`) and its per-initial-state conditionals
+(:func:`conditional_distributions`, which simulation samples), at every n and
+without 2^n vectors.
 
-Every dense evaluation goes through one phase seam, :func:`_subset_phases`
-(U for a block of sender subsets on a set of basis states).  The oracle
-contracts it over each initial state's own support (the basis states of
-Hamming weight i' or n - i'), one block of subsets at a time, and evaluates
-its vectors there only: it builds no 2^n vector.
+The dense vectors (:func:`dicke_state`, :func:`phi_state`,
+:func:`apply_sender_unitary`) are capped at a qubit count
+(``ANONSENSE_ORACLE_LIMIT`` raises it); no verb builds one, and the tests hold
+the Dicke means to them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .engine import (
 )
 
 DEFAULT_ORACLE_LIMIT = 20
-_PHASE_BLOCK_ENTRIES = 1 << 15  # bound on the phases of one block of subset rows (one row at least)
 
 
 class OracleLimitError(RuntimeError):
@@ -144,119 +144,17 @@ def apply_sender_unitary(state: np.ndarray, assign: SenderAssignment) -> np.ndar
     """Apply the diagonal time-evolution phases of the sender fields.
 
     Basis state |x> picks up exp(-i t/2 * sum_j omega_j * (-1)^{x_{s_j}}),
-    where x_{s_j} is the bit of x at sender position s_j.
+    where x_{s_j} is the bit of x at sender position s_j; the sum runs over the
+    senders in order, basis state by basis state.
     """
     n = assign.n
     if state.shape != (1 << n,):
         raise ValueError(f"state has {state.shape[0]} amplitudes, expected 2^{n}")
-    return state * _sender_phases(assign)
-
-
-def _sender_phases(assign: SenderAssignment) -> np.ndarray:
-    """The diagonal of U: one phase per basis state, in basis order."""
-    positions = np.array([assign.sender_positions])
-    return _subset_phases(assign.fields, positions, np.arange(1 << assign.n))[0]
-
-
-def _subset_phases(fields: FieldVector, positions: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """U(x) for each subset row of ``positions`` (S x m) and each basis state x in ``states``.
-
-    The phase depends only on the m sender bits, so it is evaluated once per
-    sign combination (bit j of the combination code is the bit at the row's
-    j-th sender position) and gathered by each state's code.  The sum over
-    senders runs in the same order as the per-state formula, so every phase
-    is bitwise equal to it.
-    """
-    code = np.zeros((len(positions), len(states)), dtype=states.dtype)
-    for j in range(positions.shape[1]):
-        code |= ((states >> (positions[:, j, None] - 1)) & 1) << j
-    return _phase_table(fields)[code]
-
-
-@functools.lru_cache(maxsize=8)
-def _phase_table(fields: FieldVector) -> np.ndarray:
-    """U for each of the 2^m sign combinations of :func:`_subset_phases`, built
-    once per field vector for all the blocks and supports of a sweep."""
-    combos = np.arange(1 << fields.m)
-    acc = np.zeros(1 << fields.m)
-    for j, w in enumerate(fields.omegas):
-        bit = (combos >> j) & 1
-        acc = acc + w * (1.0 - 2.0 * bit)
-    table = np.exp(-0.5j * fields.t * acc)
-    table.flags.writeable = False  # shared by every caller through the cache
-    return table
-
-
-class _DenseBasis:
-    """A config's initial states, each on its own support, contracted once and
-    reused for any sender subset.
-
-    U is diagonal, so <phi_{i,s}|U|phi_{i',+}> = sum_x U(x) w(x), with the
-    real weights w(x) = phi_{i,s}(x) phi_{i',+}(x) formed once per (label,
-    i') pair.  Each initial state with q[i'] > 0 keeps its own support, the
-    basis states of Hamming weight i' or n - i', and its ket and the
-    projectors that overlap it (those with i = i', but the null central '-')
-    are evaluated there only: every other term is exactly zero, and no 2^n
-    vector is built.  Only U depends on the sender positions; each subset's
-    phases come from its own positions, basis state by basis state, through
-    :func:`_subset_phases`.
-    """
-
-    def __init__(self, config: ProtocolConfig):
-        n = config.n
-        _check_limit(n)
-        weights = _hamming_weights(n)
-        self.labels = config.labels()
-        self.order = [ip for ip in range(config.kmax + 1) if config.q[ip] > 0.0]  # i' per q column
-        self.q = np.array([config.q[ip] for ip in self.order])
-        self.blocks = []  # (support, flat (label, i') index of each pair, pair weights) per i'
-        for col, ip in enumerate(self.order):
-            support = np.flatnonzero((weights == ip) | (weights == n - ip))
-            on_support = weights[support]
-            ket = _phi_entries(n, ip, PLUS, on_support)
-            pairs, pair_weights = [], []
-            for row, (i, sign) in enumerate(config.outcomes):
-                if i != ip:
-                    continue  # phi_{i,s} lives on Hamming weights i and n - i only
-                w = _phi_entries(n, i, sign, on_support) * ket
-                if w.any():
-                    pairs.append(row * len(self.order) + col)
-                    pair_weights.append(w)
-            if pairs:  # a support no measured projector overlaps has only zero amplitudes
-                self.blocks.append((support, pairs, pair_weights))
-
-    def amplitudes(self, fields: FieldVector, positions: np.ndarray) -> np.ndarray:
-        """<phi_{i,s}|U|phi_{i',+}> for each subset row of ``positions`` (S x m), label and i'.
-
-        The result is S x measured labels x initial states.  Each amplitude
-        is a pairwise sum of one subset's terms over its initial state's
-        support, so a subset's amplitudes are the same bits whichever block it
-        is evaluated in.
-        """
-        shape = (len(positions), len(self.labels) - 1, len(self.order))  # 'f' has no projector
-        out = np.zeros((shape[0], shape[1] * shape[2]), dtype=complex)
-        for support, pairs, pair_weights in self.blocks:
-            step = max(1, _PHASE_BLOCK_ENTRIES // len(support))  # subset rows per block
-            for lo in range(0, len(positions), step):
-                phases = _subset_phases(fields, positions[lo:lo + step], support)
-                for pair, w in zip(pairs[:-1], pair_weights[:-1]):
-                    out[lo:lo + step, pair] = (phases * w).sum(axis=-1)
-                phases *= pair_weights[-1]  # the last pair takes the block in place
-                out[lo:lo + step, pairs[-1]] = phases.sum(axis=-1)
-        return out.reshape(shape)
-
-    def mixtures(self, fields: FieldVector, positions: np.ndarray) -> tuple[list[str], np.ndarray]:
-        """The labels, and sum_{i'} q[i'] |<phi_{i,sign}| U |phi_{i',+}>|^2 per
-        measured outcome with the residual 'f' last, one row per subset row."""
-        probs = (np.abs(self.amplitudes(fields, positions)) ** 2 * self.q).sum(axis=-1)
-        return self.labels, _with_residual(probs)
-
-    def conditionals(self, assign: SenderAssignment) -> dict[int, OutcomeDistribution]:
-        """|<phi_{i,sign}| U |phi_{i',+}>|^2 per outcome, for each initial state i'."""
-        amps = self.amplitudes(assign.fields, np.array([assign.sender_positions]))[0]
-        rows = _with_residual((np.abs(amps) ** 2).T)
-        return {ip: OutcomeDistribution.from_row(self.labels, row)
-                for ip, row in zip(self.order, rows)}
+    states = np.arange(1 << n)
+    acc = np.zeros(1 << n)
+    for pos, w in zip(assign.sender_positions, assign.fields.omegas):
+        acc = acc + w * (1.0 - 2.0 * ((states >> (pos - 1)) & 1))
+    return state * np.exp(-0.5j * assign.fields.t * acc)
 
 
 def _with_residual(measured: np.ndarray) -> np.ndarray:
@@ -279,14 +177,14 @@ def _with_residual(measured: np.ndarray) -> np.ndarray:
 
 
 def oracle_distribution(assign: SenderAssignment, config: ProtocolConfig) -> OutcomeDistribution:
-    """Outcome probabilities by direct inner products on dense vectors.
-
-    Independent of the closed-form engine: probabilities are computed as
-    sum_{i'} q[i'] |<phi_{i,sign}| U |phi_{i',+}>|^2 over the full mixture,
-    with the residual 'f' completing the distribution.
+    """Outcome probabilities of one sender subset: :func:`dicke_sweep` on that
+    subset alone, sum_{i'} q[i'] |<phi_{i,sign}| U |phi_{i',+}>|^2 per measured
+    outcome with the residual 'f' completing the distribution.  It keeps the
+    dense cap of :func:`oracle_limit`.
     """
     assign.check_n(config)
-    labels, probs = _DenseBasis(config).mixtures(assign.fields, np.array([assign.sender_positions]))
+    _check_limit(config.n)
+    labels, probs = dicke_sweep(config, assign.fields, [assign.sender_positions])
     return OutcomeDistribution.from_row(labels, probs[0])
 
 
@@ -296,18 +194,28 @@ def conditional_distributions(
     """Outcome distribution conditioned on each initial-state index with q > 0.
 
     Used by round-by-round simulation, where the initial state is drawn from
-    the mixture weights before each measurement.
+    the mixture weights before each measurement.  U is diagonal, so
+    <phi_{i,s}|U|phi_{i',+}> = delta_{ii'} (A_i + s*A_{n-i})/2 with the Dicke
+    means of the one sender subset (:func:`dicke_means`): initial state i'
+    reaches the outcomes with i = i' only, and 'f' takes the rest.
     """
     assign.check_n(config)
-    return _DenseBasis(config).conditionals(assign)
+    outcomes, labels = config.outcomes, config.labels()
+    index = np.array([i for i, _ in outcomes])
+    sign = np.array([1.0 if s == PLUS else -1.0 for _, s in outcomes])
+    means = dicke_means(config.n, assign.fields, [assign.sender_positions], outcomes[-1][0])
+    direct, swapped = means[:, 0, index]
+    probs = np.abs((direct + sign * swapped) / 2) ** 2
+    initial = np.flatnonzero(config.q)  # the weights are nonnegative
+    rows = _with_residual(np.where(index == initial[:, None], probs, 0.0))
+    return {ip: OutcomeDistribution.from_row(labels, row) for ip, row in zip(initial.tolist(), rows)}
 
 
 def dicke_sweep(
     config: ProtocolConfig, fields: FieldVector, subsets, means: np.ndarray | None = None
 ) -> tuple[list[str], np.ndarray]:
     """The labels and the mixture distribution of each sender subset (one row
-    each, as :meth:`_DenseBasis.mixtures` gives them), exact at any n without
-    2^n vectors.
+    each), exact at any n without 2^n vectors.
 
     U is diagonal, so <phi_{i,s}|U|phi_{i',+}> = delta_{ii'} (A_i + s*A_{n-i})/2 with
     the direct and swapped Dicke means of :func:`dicke_means`.  Designs that sweep

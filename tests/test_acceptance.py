@@ -29,7 +29,8 @@ from anonsense.fisher import (
 )
 from anonsense.protocol import negative_control, verify_tracelessness
 from anonsense.sampling import draw_counts, philox
-from anonsense.statevec import SenderAssignment, oracle_distribution
+from anonsense.statevec import SenderAssignment
+from reference import oracle_distribution
 
 
 def report(criterion: int, message: str):

@@ -1,13 +1,14 @@
 import hashlib
 import json
 import math
+import weakref
 from pathlib import Path
 
 import warnings
 
 import pytest
 
-from anonsense import cli, protocol, statevec
+from anonsense import cli, protocol
 from anonsense.cli import main
 from anonsense.configio import RunConfigError, load_counts
 from anonsense.engine import OutcomeDistribution
@@ -135,10 +136,9 @@ def test_verify_oracle_limit_exit_code(tmp_path, monkeypatch):
 
 def test_verify_builds_no_second_basis(tmp_path, monkeypatch):
     # the oracle/analytic cross-check reads the sweep's distributions, and the
-    # sweep runs on Dicke-state means at every n: no dense basis is built, and
-    # both designs of a trial read their rows from one means pass
-    bases, passes, sweeps = [], [], []
-    monkeypatch.setattr(statevec, "_DenseBasis", lambda *args: bases.append(args))
+    # sweep runs on Dicke-state means at every n: both designs of a trial read
+    # their rows from one means pass
+    passes, sweeps = [], []
     real_means, real_sweep = cli.dicke_means, protocol.dicke_sweep
 
     def means_spy(n, fields, subsets, imax):
@@ -156,7 +156,23 @@ def test_verify_builds_no_second_basis(tmp_path, monkeypatch):
     # a = 4, read by both designs for the 28 two-sender subsets
     assert passes == [(8, 28, 4)] * 2
     assert sweeps == [(1, 28, True), (2, 28, True)] * 2
-    assert bases == []
+
+
+def test_verify_frees_each_means_pass_before_the_next(tmp_path, monkeypatch):
+    # at n = 200 one pass is tens of MB: a trial's pass still bound while the
+    # next one forms would raise the peak by that much
+    passes = []
+    real_means = cli.dicke_means
+
+    def means_spy(*args):
+        assert [ref() for ref in passes] == [None] * len(passes)
+        means = real_means(*args)
+        passes.append(weakref.ref(means))
+        return means
+
+    monkeypatch.setattr(cli, "dicke_means", means_spy)
+    assert run_cli(["verify", "--n", "8", "--trials", "3", "--out", str(tmp_path / "v.json")]) == 0
+    assert len(passes) == 3
 
 
 def test_negative_control_rejects_trials(capsys):

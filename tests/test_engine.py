@@ -14,7 +14,8 @@ from anonsense.engine import (
     max_senders,
     outcome_distribution,
 )
-from anonsense.statevec import SenderAssignment, apply_sender_unitary, oracle_distribution, phi_state
+from anonsense.statevec import SenderAssignment, apply_sender_unitary, phi_state
+from reference import oracle_distribution
 
 # golden n=5 two-sender distribution at omegas=(0.75, 1.25), t=1, a=2, q0=0.33,
 # frozen from the hand-expanded probability formulas (theta1=2, theta2=-0.5)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import reference
 
 from anonsense import protocol, statevec
 from anonsense.combinatorics import MINUS, PLUS, SIGNS, FieldVector
@@ -15,7 +16,8 @@ from anonsense.engine import (
     max_senders,
     outcome_distribution,
 )
-from anonsense.fisher import PhaseParameters, fisher_matrix, omega_crb_diag
+from anonsense.estimation import OutcomeCounts, log_likelihood
+from anonsense.fisher import PhaseParameters, fisher_matrix, omega_crb_diag, optimal_a, phases_from_fields
 from anonsense.protocol import (
     Transcript,
     eavesdropper_view,
@@ -25,12 +27,8 @@ from anonsense.protocol import (
     verify_tracelessness,
 )
 from anonsense.sampling import draw_counts, philox
-from anonsense.statevec import (
-    SenderAssignment,
-    apply_sender_unitary,
-    oracle_distribution,
-    phi_state,
-)
+from anonsense.statevec import SenderAssignment, apply_sender_unitary, phi_state
+from reference import oracle_distribution
 
 
 def test_run_protocol_zero_field_all_plus():
@@ -53,42 +51,48 @@ def test_identical_transcripts_across_sender_sets():
     assert len(serialized) == 1
 
 
-def test_oracle_and_analytic_paths_have_same_statistics(monkeypatch):
-    config = ProtocolConfig.for_two_senders(5, a=2, q0=0.33)
+def test_oracle_and_analytic_paths_have_same_statistics():
+    # the per-initial-state draws meet the closed-form mixture's statistics,
+    # on either side of the dense cap
     fields = FieldVector((0.75, 1.25), 1.0)
-    assign = SenderAssignment(5, (1, 3), fields)
     n_rounds = 200_000
-    t_oracle = run_protocol(assign, config, rounds=n_rounds, seed=5)
-    # with the dense cap below n the run samples the closed-form mixture
-    monkeypatch.setenv("ANONSENSE_ORACLE_LIMIT", "4")
-    t_analytic = run_protocol(assign, config, rounds=n_rounds, seed=5)
-    dist = outcome_distribution(config, fields)
-    for label, p in dist.probs.items():
-        sigma = math.sqrt(max(p * (1 - p), 1e-12) * n_rounds)
-        assert abs(t_oracle.counts[label] - p * n_rounds) <= 5 * sigma + 1
-        assert abs(t_analytic.counts[label] - p * n_rounds) <= 5 * sigma + 1
-
-
-def test_dense_cap_alone_selects_the_path(monkeypatch):
-    monkeypatch.setenv("ANONSENSE_ORACLE_LIMIT", "5")
-    calls = []
-
-    def spy(name, fn):
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(protocol, "conditional_distributions",
-                        spy("oracle", protocol.conditional_distributions))
-    monkeypatch.setattr(protocol, "outcome_distribution",
-                        spy("analytic", protocol.outcome_distribution))
-    fields = FieldVector((0.75, 1.25), 1.0)
-    for n, path in ((5, "oracle"), (6, "analytic")):
-        calls.clear()
+    for n in (5, 25):
         config = ProtocolConfig.for_two_senders(n, a=2, q0=0.33)
-        run_protocol(SenderAssignment(n, (1, 3), fields), config, rounds=100, seed=1)
-        assert calls == [path]
+        transcript = run_protocol(SenderAssignment(n, (1, 3), fields), config,
+                                  rounds=n_rounds, seed=5)
+        dist = outcome_distribution(config, fields)
+        for label, p in dist.probs.items():
+            sigma = math.sqrt(max(p * (1 - p), 1e-12) * n_rounds)
+            assert abs(transcript.counts[label] - p * n_rounds) <= 5 * sigma + 1
+
+
+def test_dense_cap_selects_no_path(monkeypatch):
+    # simulate writes the same bytes with the cap at its default and below n
+    config = ProtocolConfig.for_two_senders(6, a=3, q0=0.33)
+    assign = SenderAssignment(6, (1, 3), FieldVector((0.75, 1.25), 1.0))
+    docs = []
+    for limit in (None, "4"):
+        if limit is None:
+            monkeypatch.delenv("ANONSENSE_ORACLE_LIMIT", raising=False)
+        else:
+            monkeypatch.setenv("ANONSENSE_ORACLE_LIMIT", limit)
+        docs.append(dumps_json(transcript_to_dict(run_protocol(assign, config, rounds=5000, seed=1))))
+    assert docs[0] == docs[1]
+
+
+def test_run_protocol_at_ten_thousand_participants():
+    # the north star's n: each initial state's conditional from the Dicke means
+    n, rounds = 10_000, 20_000
+    config = ProtocolConfig.for_two_senders(n, a=optimal_a(n), q0=0.33)
+    fields = FieldVector((0.75, 1.25), 1.0)
+    transcript = run_protocol(SenderAssignment(n, (17, 9001), fields), config,
+                              rounds=rounds, seed=3)
+    counts = transcript.counts
+    assert sum(counts.values()) == rounds
+    assert list(counts) == config.labels()
+    ll_hat = log_likelihood(OutcomeCounts(counts), config, transcript.broadcast.theta_hat)
+    truth = PhaseParameters(phases_from_fields(fields))
+    assert ll_hat >= log_likelihood(OutcomeCounts(counts), config, truth)
 
 
 def test_run_protocol_estimates_near_truth():
@@ -147,7 +151,7 @@ def cli_configs(n):
 
 def dense_distributions(config, fields, subsets):
     """The dense sweep's per-subset distributions, in ``subsets`` order."""
-    labels, probs = statevec._DenseBasis(config).mixtures(fields, np.array(subsets))
+    labels, probs = reference._DenseBasis(config).mixtures(fields, np.array(subsets))
     assert labels == config.labels()
     return [OutcomeDistribution.from_row(labels, row) for row in probs]
 
@@ -212,23 +216,23 @@ def block_rows(subsets):
 
 
 def test_blocked_sweep_keeps_every_subsets_bits(rng, monkeypatch):
-    real = statevec._subset_phases
+    real = reference._subset_phases
     entries = []
 
     def spy(fields, positions, states):
         entries.append((len(positions), len(states)))
         return real(fields, positions, states)
 
-    monkeypatch.setattr(statevec, "_subset_phases", spy)
+    monkeypatch.setattr(reference, "_subset_phases", spy)
     for n in range(9, 15):
         subsets = sender_subsets(n, 2)
         fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, 2))), t=1.0)
         for config in cli_configs(n):
             # the largest initial-state support runs in several blocks
-            support = max(len(s) for s, _, _ in statevec._DenseBasis(config).blocks)
+            support = max(len(s) for s, _, _ in reference._DenseBasis(config).blocks)
             rows = block_rows(len(subsets))
             bound = rows * support + support - 1  # floor division leaves ``rows`` rows
-            monkeypatch.setattr(statevec, "_PHASE_BLOCK_ENTRIES", bound)
+            monkeypatch.setattr(reference, "_PHASE_BLOCK_ENTRIES", bound)
             entries.clear()
             dists = dense_distributions(config, fields, subsets)
             assert [r for r, states in entries if states == support] == (
@@ -243,15 +247,15 @@ def test_sweep_detects_a_phase_on_participant_one(monkeypatch):
     # an extra phase on participant 1's qubit breaks the permutation symmetry;
     # the dense sweep sees it only if every subset gets its own phases; at
     # n = 14 it runs in several blocks
-    real = statevec._subset_phases
+    real = reference._subset_phases
     monkeypatch.setattr(
-        statevec, "_subset_phases",
+        reference, "_subset_phases",
         lambda fields, positions, states: real(fields, positions, states) * np.exp(0.3j * (states & 1)),
     )
     for n in (6, 14):
         config = ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33)
-        _, probs = statevec._DenseBasis(config).mixtures(FieldVector((0.7, 1.6), 1.0),
-                                                         np.array(sender_subsets(n, 2)))
+        _, probs = reference._DenseBasis(config).mixtures(FieldVector((0.7, 1.6), 1.0),
+                                                          np.array(sender_subsets(n, 2)))
         max_tv = protocol._max_pairwise_tv(probs)
         assert not max_tv <= protocol.EXACT_TV_TOL
         assert max_tv > 1e-3
@@ -267,7 +271,7 @@ def all_switches_config(n, m_est, zero_row):
 
 def test_dicke_sweep_equals_dense_oracle(rng):
     # verify runs on Dicke-state products; the dense sweep it is compared with
-    # is bitwise oracle_distribution per subset
+    # is bitwise the dense reference's oracle_distribution per subset
     # (test_blocked_sweep_keeps_every_subsets_bits)
     checked = 0
     for n in range(5, 13):
@@ -574,21 +578,38 @@ def loop_control(n, subset, fields):
     return {"pos1-": p_minus, "pos1+": 1.0 - p_minus}
 
 
+def blocked_control(n, subsets, fields, block_entries):
+    """:func:`loop_control` for every subset, with U from the reference phase
+    seam in blocks of subset rows of at most ``block_entries`` phases."""
+    states = np.arange(1 << n)
+    positions = np.array(subsets)
+    step = max(1, block_entries // len(states))  # subset rows per block
+    rates = []
+    for lo in range(0, len(positions), step):
+        amps = reference._subset_phases(fields, positions[lo:lo + step], states) / math.sqrt(1 << n)
+        minus = (amps[:, 0::2] - amps[:, 1::2]) / math.sqrt(2.0)
+        rates.extend(np.clip(np.sum(np.abs(minus) ** 2, axis=1), 0.0, 1.0))
+    return [{"pos1-": float(p), "pos1+": 1.0 - float(p)} for p in rates]
+
+
 @pytest.mark.parametrize("block_entries", [1, 3 << 9, 1 << 15])
-def test_negative_control_equals_per_subset_loop(rng, monkeypatch, block_entries):
+def test_negative_control_equals_per_subset_loop(rng, block_entries):
     # the closed form |a_1 - b_1|^2 / 4 of the product state meets the sum over
-    # 2^n amplitudes within rounding, whatever block size the dense sweep uses
-    monkeypatch.setattr(statevec, "_PHASE_BLOCK_ENTRIES", block_entries)
+    # 2^n amplitudes within rounding, built one subset at a time and in blocks
+    # of subset rows of any size
     for n in (5, 8, 11):
         for m in (1, 2):
             fields = FieldVector(tuple(sorted(rng.uniform(0.5, 2.5, m))), t=1.0)
+            subsets = sender_subsets(n, m)
             report = negative_control(n, fields)
-            loops = [loop_control(n, subset, fields) for subset in sender_subsets(n, m)]
-            assert len(report.distributions) == len(loops)
-            for dist, loop in zip(report.distributions, loops):
-                assert list(dist.probs) == list(loop)
+            loops = [loop_control(n, subset, fields) for subset in subsets]
+            blocked = blocked_control(n, subsets, fields, block_entries)
+            assert len(report.distributions) == len(loops) == len(blocked)
+            for dist, loop, block in zip(report.distributions, loops, blocked):
+                assert list(dist.probs) == list(loop) == list(block)
                 for label, p in loop.items():
                     assert abs(dist.probs[label] - p) <= 1e-15
+                    assert abs(dist.probs[label] - block[label]) <= 1e-15
 
 
 def test_negative_control_silent_at_zero_field():
@@ -617,7 +638,7 @@ def test_run_protocol_validates_inputs():
         run_protocol(assign, config, rounds=0, seed=0)
     other = SenderAssignment(5, (1,), FieldVector((1.0,), 1.0))
     for call in (lambda: run_protocol(other, config, rounds=10, seed=0),
-                 lambda: oracle_distribution(other, config),
+                 lambda: statevec.oracle_distribution(other, config),
                  lambda: statevec.conditional_distributions(other, config)):
         with pytest.raises(ValueError, match="config.n=4 != assignment n=5"):
             call()

@@ -4,21 +4,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import reference
 
 from anonsense import statevec
 from anonsense.combinatorics import MINUS, PLUS, SIGNS, FieldVector
-from anonsense.engine import PROB_ATOL, OutcomeDistribution, ProtocolConfig, max_senders
+from anonsense.engine import PROB_ATOL, OutcomeDistribution, ProtocolConfig, max_senders, outcome_distribution
 from anonsense.statevec import (
     OracleLimitError,
     SenderAssignment,
     _hamming_weights,
-    _sender_phases,
     apply_sender_unitary,
     conditional_distributions,
     dicke_state,
     oracle_distribution,
     phi_state,
 )
+from reference import _sender_phases
 
 
 def bitflip_all(state, n):
@@ -156,6 +157,16 @@ def test_sender_phases_bitwise_equal_per_state_formula(rng):
                 assign = SenderAssignment(n, positions, fields)
                 got = _sender_phases(assign)
                 assert np.array_equal(got.view(np.uint64), per_state_phases(assign).view(np.uint64))
+
+
+def test_unitary_bitwise_equal_per_state_formula(rng):
+    for n in range(1, 13):
+        for m in range(1, max_senders(n) + 1):
+            positions = tuple(rng.permutation(np.arange(1, n + 1))[:m].tolist())
+            fields = FieldVector(tuple(rng.uniform(-3.0, 3.0, m)), t=float(rng.uniform(0.1, 5.0)))
+            assign = SenderAssignment(n, positions, fields)
+            got = apply_sender_unitary(np.ones(1 << n, dtype=complex), assign)
+            assert np.array_equal(got.view(np.uint64), per_state_phases(assign).view(np.uint64))
 
 
 def test_unitary_identity_for_zero_fields():
@@ -298,6 +309,36 @@ def test_conditional_distributions_mix_to_oracle():
         assert mixed == pytest.approx(mixture.probs[label], abs=1e-12)
 
 
+def test_conditional_distributions_equal_dense_reference(rng):
+    # each initial state's conditional from the Dicke means of the one subset
+    for n in range(2, 15):
+        configs = [ProtocolConfig.for_single_sender(n)]
+        if n >= 5:
+            configs += [ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33), all_switches_config(n)]
+        for config in configs:
+            for m in range(1, min(3, max_senders(n)) + 1):
+                positions = tuple(sorted(rng.choice(np.arange(1, n + 1), m, replace=False).tolist()))
+                fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, m))), t=1.0)
+                assign = SenderAssignment(n, positions, fields)
+                got = conditional_distributions(assign, config)
+                dense = reference.conditional_distributions(assign, config)
+                assert list(got) == list(dense)
+                for ip, dist in dense.items():
+                    assert list(got[ip].probs) == list(dist.probs)
+                    for label, p in dist.probs.items():
+                        assert abs(got[ip].probs[label] - p) <= 1e-12
+
+
+def test_conditional_distributions_mix_to_closed_form_at_large_n():
+    fields = FieldVector(omegas=(0.75, 1.25), t=1.0)
+    for n in (300, 3000, 10_000):
+        config = ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33)
+        conditionals = conditional_distributions(SenderAssignment(n, (2, n - 7), fields), config)
+        for label, p in outcome_distribution(config, fields).probs.items():
+            mixed = sum(config.q[i] * conditionals[i].probs[label] for i in conditionals)
+            assert abs(mixed - p) <= 1e-12
+
+
 def all_switches_config(n):
     """Two senders, every projector on (the central '-' of even n too); q = 0 on row 1."""
     rows = n // 2 + 1
@@ -335,10 +376,10 @@ def test_amplitudes_bitwise_equal_to_a_sum_over_each_support(rng, monkeypatch, r
         for config in (ProtocolConfig.for_single_sender(n),
                        ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33),
                        all_switches_config(n)):
-            basis = statevec._DenseBasis(config)
+            basis = reference._DenseBasis(config)
             support = max(len(states) for states, _, _ in basis.blocks)
             entries = 1 << 30 if rows is None else rows * support
-            monkeypatch.setattr(statevec, "_PHASE_BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(reference, "_PHASE_BLOCK_ENTRIES", entries)
             fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, 2))), t=1.0)
             subsets = list(itertools.combinations(range(1, n + 1), 2))
             # a pair overlaps when i = i', but for the null central '-'
@@ -392,7 +433,7 @@ def test_dense_basis_builds_no_full_vector():
     statevec._hamming_weights.cache_clear()
     tracemalloc.start()
     try:
-        basis = statevec._DenseBasis(ProtocolConfig.for_two_senders(18, a=9, q0=0.33))
+        basis = reference._DenseBasis(ProtocolConfig.for_two_senders(18, a=9, q0=0.33))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -81,6 +81,26 @@ for k, argv in enumerate(runs):
     assert done.returncode == 0, done.stderr
 
 
+def test_no_verb_builds_a_dense_vector(tmp_path, monkeypatch):
+    # the dense vectors are the tests' reference: every verb runs without them
+    from anonsense import statevec
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a verb built a 2^n vector")
+
+    for name in ("dicke_state", "phi_state", "apply_sender_unitary", "_hamming_weights"):
+        monkeypatch.setattr(statevec, name, refuse)
+    runs = [
+        ["simulate", "--config", str(DATA / "run_n5.json")],
+        ["estimate", "--counts", str(DATA / "counts_m1.json"), "--config", str(DATA / "run_m1.json")],
+        ["scan", "--n", "5", "--theta1", "2.0", "--theta2", "0.5"],
+        ["verify", "--n", "8"],
+        ["verify", "--negative-control", "--n", "5"],
+    ]
+    for k, argv in enumerate(runs):
+        assert cli.main(argv + ["--out", str(tmp_path / f"{k}.out")]) == 0, argv
+
+
 def test_verify_takes_one_path_at_every_n(tmp_path, monkeypatch):
     # the dense cap picks no anonymity path: verify writes the same bytes with
     # the cap at its default and below n
