@@ -195,7 +195,7 @@ def _cmd_verify(args) -> int:
     if n >= 5:
         configs.append(ProtocolConfig.for_two_senders(n, a=optimal_a(n), q0=Q0, t=args.t))
     subsets = sender_subsets(n, m)
-    imax = max(config.outcomes[-1][0] for config in configs)  # the largest measured index
+    indices = sorted({i for config in configs for i, _ in config.outcomes})  # either design measures
     worst_tv = 0.0
     worst_err = 0.0
     failing_case = None
@@ -204,9 +204,10 @@ def _cmd_verify(args) -> int:
         rng = philox(args.seed, trial)
         omegas = tuple(sorted(rng.uniform(lo, hi, size=m).tolist()))
         fields = FieldVector(omegas=omegas, t=args.t)
-        means = dicke_means(n, fields, subsets, imax)  # one pass for both designs
+        means = dicke_means(n, fields, subsets, indices)  # one pass for both designs
         for config in configs:
-            report = verify_tracelessness(config, fields, means)
+            own = means[:, :, [indices.index(i) for i, _ in config.outcomes]]
+            report = verify_tracelessness(config, fields, own)
             worst_tv = max(worst_tv, report.max_tv_distance)
             drawn = int(rng.integers(len(subsets)))
             subset = subsets[drawn]

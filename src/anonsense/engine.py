@@ -15,6 +15,7 @@ vector and scales to participant counts of 10^4 and beyond.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -74,17 +75,21 @@ class ProtocolConfig:
     def kmax(self) -> int:
         return self.n // 2
 
-    @property
-    def outcomes(self) -> list[tuple[int, str]]:
-        """The measured outcomes (i, sign) in canonical order: by ascending i,
-        (i,+) before (i,-).  Every path that lists outcomes reads this order."""
+    @functools.cached_property
+    def outcomes(self) -> tuple[tuple[int, str], ...]:
+        """The measured outcomes (i, sign) in canonical order, by ascending i and (i,+)
+        before (i,-), which every path that lists outcomes reads; a tuple built once."""
         c_plus, c_minus = self.c_plus, self.c_minus
-        return [(i, sign) for i in range(self.kmax + 1) if c_plus[i] or c_minus[i]
-                for sign, c in ((PLUS, c_plus[i]), (MINUS, c_minus[i])) if c]
+        return tuple((i, sign) for i in range(self.kmax + 1) if c_plus[i] or c_minus[i]
+                     for sign, c in ((PLUS, c_plus[i]), (MINUS, c_minus[i])) if c)
+
+    @functools.cached_property
+    def _labels(self) -> tuple[str, ...]:
+        return tuple(f"{i}{sign}" for i, sign in self.outcomes) + ("f",)
 
     def labels(self) -> list[str]:
-        """Outcome labels in canonical order: the measured outcomes, then 'f'."""
-        return [f"{i}{sign}" for i, sign in self.outcomes] + ["f"]
+        """Outcome labels in canonical order: the measured outcomes, then 'f' (a copy)."""
+        return list(self._labels)
 
     @classmethod
     def for_single_sender(cls, n: int, t: float = 1.0) -> "ProtocolConfig":
@@ -210,8 +215,9 @@ def two_sender_violations(n: int, a: int) -> list[str]:
     return v
 
 
-def weight_row(n: int, m: int, k: int) -> list[float]:
+def weight_row(n: int, m: int, k: int, hypergeometric: bool = False) -> list[float]:
     """Weights C(n-m, k-l)/C(n, k) for l = 0..m; zero where k-l is outside [0, n-m].
+    With ``hypergeometric``, each is times C(m, l): C(m, l)*C(n-m, k-l)/C(n, k).
 
     Each weight is formed as the equal ratio perm(k, l)*perm(n-k, m-l)/perm(n, m):
     exact integers of m small factors each, divided once, so the float is
@@ -219,7 +225,8 @@ def weight_row(n: int, m: int, k: int) -> list[float]:
     instead of two n-digit binomials.
     """
     denom = math.perm(n, m)
-    return [math.perm(k, l) * math.perm(n - k, m - l) / denom for l in range(m + 1)]
+    return [(math.comb(m, l) if hypergeometric else 1) * math.perm(k, l) * math.perm(n - k, m - l)
+            / denom for l in range(m + 1)]
 
 
 def _stacks(phases, table) -> tuple[list, list]:

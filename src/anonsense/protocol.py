@@ -141,9 +141,9 @@ def verify_tracelessness(
     :func:`dicke_sweep`, at every n, and comes as one row of probabilities
     per subset, in :func:`sender_subsets` order; the report keeps them.  Pass
     iff the maximum pairwise total-variation distance is within
-    :data:`EXACT_TV_TOL`.  ``means``, when given, is the
-    :func:`~anonsense.statevec.dicke_means` pass of these fields over those
-    subsets that the designs of one trial share.
+    :data:`EXACT_TV_TOL`.  ``means``, when given, holds this config's outcome
+    columns of the :func:`~anonsense.statevec.dicke_means` pass of these fields
+    over those subsets that the designs of one trial share.
     """
     n, m = config.n, fields.m
     check_senders(n, m)

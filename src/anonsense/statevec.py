@@ -5,14 +5,12 @@ Basis indexing: bit j-1 of the index integer is participant j's qubit
 convention in :mod:`anonsense.combinatorics`.
 
 U is diagonal, so only equal Dicke weights couple, and every amplitude the
-protocol needs is (A_i + s*A_{n-i})/2 with the Dicke means of
-:func:`dicke_means`, taken at a subset's own sender positions.  These means
-give the anonymity sweep (:func:`dicke_sweep`), one subset's distribution
+protocol needs is (A_i + s*A_{n-i})/2 with the Dicke means A_i of a subset's own
+sender positions (:func:`dicke_means`), formed at the measured indices i only.
+They give the anonymity sweep (:func:`dicke_sweep`), one subset's distribution
 (:func:`oracle_distribution`) and its per-initial-state conditionals
 (:func:`conditional_distributions`, which simulation samples), at every n and
-without 2^n vectors.
-
-The dense vectors (:func:`dicke_state`, :func:`phi_state`,
+without 2^n vectors.  The dense vectors (:func:`dicke_state`, :func:`phi_state`,
 :func:`apply_sender_unitary`) are capped at a qubit count
 (``ANONSENSE_ORACLE_LIMIT`` raises it); no verb builds one, and the tests hold
 the Dicke means to them.
@@ -27,13 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import MINUS, PLUS, SIGNS, FieldVector
+from .combinatorics import PLUS, SIGNS, FieldVector
 from .engine import (
     OutcomeDistribution,
     PROB_ATOL,
     ProtocolConfig,
     check_normalized,
     check_senders,
+    weight_row,
 )
 
 DEFAULT_ORACLE_LIMIT = 20
@@ -178,10 +177,7 @@ def _with_residual(measured: np.ndarray) -> np.ndarray:
 
 def oracle_distribution(assign: SenderAssignment, config: ProtocolConfig) -> OutcomeDistribution:
     """Outcome probabilities of one sender subset: :func:`dicke_sweep` on that
-    subset alone, sum_{i'} q[i'] |<phi_{i,sign}| U |phi_{i',+}>|^2 per measured
-    outcome with the residual 'f' completing the distribution.  It keeps the
-    dense cap of :func:`oracle_limit`.
-    """
+    subset alone.  It keeps the dense cap of :func:`oracle_limit`."""
     assign.check_n(config)
     _check_limit(config.n)
     labels, probs = dicke_sweep(config, assign.fields, [assign.sender_positions])
@@ -191,92 +187,87 @@ def oracle_distribution(assign: SenderAssignment, config: ProtocolConfig) -> Out
 def conditional_distributions(
     assign: SenderAssignment, config: ProtocolConfig
 ) -> dict[int, OutcomeDistribution]:
-    """Outcome distribution conditioned on each initial-state index with q > 0.
-
-    Used by round-by-round simulation, where the initial state is drawn from
-    the mixture weights before each measurement.  U is diagonal, so
-    <phi_{i,s}|U|phi_{i',+}> = delta_{ii'} (A_i + s*A_{n-i})/2 with the Dicke
-    means of the one sender subset (:func:`dicke_means`): initial state i'
-    reaches the outcomes with i = i' only, and 'f' takes the rest.
+    """Outcome distribution conditioned on each initial-state index i' with q > 0,
+    which round-by-round simulation samples.  U is diagonal, so
+    <phi_{i,s}|U|phi_{i',+}> = delta_{ii'} (A_i + s*A_{n-i})/2 (:func:`dicke_means`
+    of the one sender subset): state i' reaches the outcomes with i = i' only,
+    and 'f' takes the rest.
     """
     assign.check_n(config)
-    outcomes, labels = config.outcomes, config.labels()
-    index = np.array([i for i, _ in outcomes])
-    sign = np.array([1.0 if s == PLUS else -1.0 for _, s in outcomes])
-    means = dicke_means(config.n, assign.fields, [assign.sender_positions], outcomes[-1][0])
-    direct, swapped = means[:, 0, index]
-    probs = np.abs((direct + sign * swapped) / 2) ** 2
+    index, labels = np.array([i for i, _ in config.outcomes]), config.labels()
+    means = dicke_means(config.n, assign.fields, [assign.sender_positions], index)
     initial = np.flatnonzero(config.q)  # the weights are nonnegative
-    rows = _with_residual(np.where(index == initial[:, None], probs, 0.0))
+    rows = _with_residual(np.where(index == initial[:, None], _outcome_probs(config, means)[0], 0.0))
     return {ip: OutcomeDistribution.from_row(labels, row) for ip, row in zip(initial.tolist(), rows)}
 
 
 def dicke_sweep(
     config: ProtocolConfig, fields: FieldVector, subsets, means: np.ndarray | None = None
 ) -> tuple[list[str], np.ndarray]:
-    """The labels and the mixture distribution of each sender subset (one row
-    each), exact at any n without 2^n vectors.
-
-    U is diagonal, so <phi_{i,s}|U|phi_{i',+}> = delta_{ii'} (A_i + s*A_{n-i})/2 with
-    the direct and swapped Dicke means of :func:`dicke_means`.  Designs that sweep
-    the same fields over the same subsets share one pass: ``means``, when given, is
-    that pass, taken at least up to this config's largest measured index.
+    """The labels and each sender subset's distribution (one row each): q[i]
+    |(A_i + s*A_{n-i})/2|^2 per measured outcome (i, s), with :func:`dicke_means`,
+    and the residual 'f'.  Designs that sweep the same fields over the same subsets
+    share one pass: ``means``, when given, is its columns at this config's outcomes.
     """
-    imax = config.outcomes[-1][0]
+    outcomes = config.outcomes
     if means is None:
-        means = dicke_means(config.n, fields, subsets, imax)
-    elif means.shape[1] != len(subsets) or means.shape[2] <= imax:
+        means = dicke_means(config.n, fields, subsets, [i for i, _ in outcomes])
+    elif means.shape[1:] != (len(subsets), len(outcomes)):
         raise ValueError(f"means of shape {means.shape} do not cover {len(subsets)} subsets "
-                         f"up to index {imax}")
-    direct, swapped = means[:, :, [i for i, _ in config.outcomes]]
-    amplitudes = {PLUS: (direct + swapped) / 2, MINUS: (direct - swapped) / 2}
-    rows = np.array([config.q[i] * np.abs(amplitudes[sign][:, col]) ** 2
-                     for col, (i, sign) in enumerate(config.outcomes)]).T
-    return config.labels(), _with_residual(rows)
+                         f"at {len(outcomes)} outcomes")
+    return config.labels(), _with_residual(np.array([config.q[i] for i, _ in outcomes])
+                                           * _outcome_probs(config, means))
 
 
-def dicke_means(n: int, fields: FieldVector, subsets, imax: int) -> np.ndarray:
-    """The direct and swapped Dicke means A_0..A_imax of each sender subset, as one
-    (2, S, imax + 1) array.
+def _outcome_probs(config: ProtocolConfig, means: np.ndarray) -> np.ndarray:
+    """|(A_i + s*A_{n-i})/2|^2 per subset and outcome (i, s), from ``means`` at the outcomes."""
+    sign = np.array([1.0 if s == PLUS else -1.0 for _, s in config.outcomes])
+    direct, swapped = means
+    return np.abs((direct + sign * swapped) / 2) ** 2
 
-    A_k = [z^k] prod_j (a_j + b_j z) / C(n, k), a_j and b_j being participant j's
-    phases for bit 0 and bit 1, each subset's formed from its own positions; the
-    swapped mean, A_{n-k} of the product, is A_k with a and b swapped.  A
-    participant whose two phases are exactly 1 is field-free, and r of them give
-    the factor (1 + z)^r, whose means are 1 for k <= r and 0 above.  The other
-    participants then fold in, in position order, as participants r+1, ..., n:
-    B_k <- ((j-k)*a_j*B_k + k*b_j*B_{k-1})/j, on means, so nothing under- or
-    overflows.  An honest subset folds in its m senders only.  Subsets with the
-    same r run as one array.
+
+def dicke_means(n: int, fields: FieldVector, subsets, indices) -> np.ndarray:
+    """The direct and swapped Dicke means A_i of each of S sender subsets at the
+    ``indices`` i in [0, n], in any order and with repeats: (2, S, len(indices)).
+    A_i = [z^i] prod_j (a_j + b_j z) / C(n, i), a_j and b_j being participant j's
+    bit-0 and bit-1 phases, from the subset's own positions; the swapped mean,
+    A_{n-i} of the product, swaps a and b.  A participant whose two phases are
+    exactly 1 is field-free, a factor 1 + z.  The c others fold in alone, in
+    position order, into their means P_0..P_c (:func:`_fold_means`), and the n - c
+    free factors spread them: A_i = sum_l C(c, l)*C(n-c, i-l)/C(n, i) * P_l, with
+    the kernel's exact weights (:func:`~anonsense.engine.weight_row`).  An honest
+    subset folds in its m senders only; subsets with the same c run as one array.
     """
     phases = _participant_phases(_sender_rows(n, fields, subsets), fields, n)
-    free = (phases == 1).all(axis=0)  # n x S
-    free_count = free.sum(axis=0)
-    groups = []  # (subset rows, r, each folded participant's phases: n - r x 2 x rows)
-    for r in np.flatnonzero(np.bincount(free_count)):  # each count that occurs, ascending
-        rows = np.flatnonzero(free_count == r)
-        _, folded = np.nonzero(~free[:, rows].T)  # each row's folded positions, ascending
-        folded = folded.reshape(len(rows), n - r).T
-        groups.append((rows, r, phases[:, folded, rows].transpose(1, 0, 2)))
-    del phases, free  # the folded phases are all the recurrence reads
-    k = np.arange(imax + 1)
-    if len(groups) == 1:
-        return _fold_means(groups[0][1], groups[0][2], n, k)
-    means = np.empty((2, len(subsets), len(k)), dtype=complex)
-    for rows, r, folded_phases in groups:
-        means[:, rows] = _fold_means(r, folded_phases, n, k)
+    folded = ~(phases == 1).all(axis=0)  # n x S: the participants that are not field-free
+    counts = folded.sum(axis=0)
+    if not len(indices) or min(indices) < 0 or max(indices) > n:
+        raise ValueError(f"Dicke indices {list(indices)} are not one or more in [0, {n}]")
+    means = np.empty((2, len(subsets), len(indices)), dtype=complex)
+    for c in np.flatnonzero(np.bincount(counts)):  # each count that occurs
+        rows = np.flatnonzero(counts == c)
+        _, positions = np.nonzero(folded[:, rows].T)  # each row's folded positions, ascending
+        own = _fold_means(phases[:, positions.reshape(len(rows), c).T, rows].transpose(1, 0, 2))
+        row = {i: weight_row(n, c, i, hypergeometric=True) for i in set(indices)}
+        weights = np.array([row[i] for i in indices]).T  # l x columns
+        # summed over l elementwise, not by BLAS, so each column's bits are its own
+        means[:, rows] = sum(own[:, :, l:l + 1] * weight for l, weight in enumerate(weights))
     return means
 
 
-def _fold_means(r: int, folded_phases: np.ndarray, n: int, k: np.ndarray) -> np.ndarray:
-    """The means B_k (2 x rows x k) after r field-free participants and then the
-    participants of ``folded_phases`` (each a 2 x rows array of bit-0 and bit-1
-    phases), folded in one recurrence step each as participants r+1, ..., n."""
-    means = np.broadcast_to(k <= r, (2, folded_phases.shape[2], len(k))).astype(complex)
-    stay = folded_phases[..., None]  # a participant's factor of B_k, direct and swapped
-    j = np.arange(r + 1, n + 1)[:, None]
-    shift = stay[:, ::-1]  # and of B_{k-1}
-    for phase, weight, shift_phase, shift_weight in zip(stay, (j - k) / j, shift, k[1:] / j):
+def _fold_means(folded_phases: np.ndarray) -> np.ndarray:
+    """The means B_0..B_c (2 x rows x c + 1) of the c participants of ``folded_phases``
+    (each a 2 x rows array of bit-0 and bit-1 phases), B_l <- ((j-l)*a_j*B_l +
+    l*b_j*B_{l-1})/j for j = 1..c, on means, so nothing under- or overflows."""
+    c = len(folded_phases)
+    l = np.arange(c + 1)
+    means = np.zeros((2, folded_phases.shape[2], c + 1), dtype=complex)
+    # participant 1 leaves B = (a_1, b_1, 0, ...) exactly
+    means[:, :, :2] = np.stack([folded_phases[0], folded_phases[0, ::-1]], axis=-1) if c else 1
+    stay = folded_phases[1:, :, :, None]  # a participant's factor of B_l, direct and swapped
+    j = np.arange(2, c + 1)[:, None]
+    shift = stay[:, ::-1]  # and of B_{l-1}
+    for phase, weight, shift_phase, shift_weight in zip(stay, (j - l) / j, shift, l[1:] / j):
         # each factor stays a temporary: numpy multiplies a large one in place with the
         # operands swapped, and a complex product may round apart in the two orders
         nxt = means * (phase * weight)

@@ -141,9 +141,9 @@ def test_verify_builds_no_second_basis(tmp_path, monkeypatch):
     passes, sweeps = [], []
     real_means, real_sweep = cli.dicke_means, protocol.dicke_sweep
 
-    def means_spy(n, fields, subsets, imax):
-        passes.append((n, len(subsets), imax))
-        return real_means(n, fields, subsets, imax)
+    def means_spy(n, fields, subsets, indices):
+        passes.append((n, len(subsets), indices))
+        return real_means(n, fields, subsets, indices)
 
     def sweep_spy(config, fields, subsets, means=None):
         sweeps.append((config.m_est, len(subsets), means is not None))
@@ -152,9 +152,9 @@ def test_verify_builds_no_second_basis(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "dicke_means", means_spy)
     monkeypatch.setattr(protocol, "dicke_sweep", sweep_spy)
     assert run_cli(["verify", "--n", "8", "--trials", "2", "--out", str(tmp_path / "v.json")]) == 0
-    # two trials, each one pass up to the two-sender design's largest index
-    # a = 4, read by both designs for the 28 two-sender subsets
-    assert passes == [(8, 28, 4)] * 2
+    # two trials, each one pass at the indices either design measures (0, and
+    # a = 4 of the two-sender design), read by both for the 28 two-sender subsets
+    assert passes == [(8, 28, [0, 4])] * 2
     assert sweeps == [(1, 28, True), (2, 28, True)] * 2
 
 

@@ -237,6 +237,23 @@ def test_labels_order_is_canonical():
     assert config.labels() == ["0+", "0-", "3+", "f"]
 
 
+def test_outcomes_and_labels_are_built_once_per_config():
+    config = ProtocolConfig.for_two_senders(9, a=3, q0=0.2)
+    assert config.outcomes is config.outcomes
+    assert config.outcomes == ((0, PLUS), (0, MINUS), (3, PLUS))
+    labels = config.labels()
+    labels[0] = "edited"
+    labels.append("g")
+    # each call hands out its own list: an edit to one leaves the config as it was
+    assert config.labels() == ["0+", "0-", "3+", "f"]
+    # what is built once is no field: equality, hashing and replace see the fields only
+    fresh = ProtocolConfig.for_two_senders(9, a=3, q0=0.2)
+    assert fresh == config and hash(fresh) == hash(config)
+    single = replace(config, c_minus=(0,) * 5)
+    assert single.outcomes == ((0, PLUS), (3, PLUS))
+    assert single.labels() == ["0+", "3+", "f"]
+
+
 def test_every_entry_point_reports_too_many_senders_alike(capsys):
     message = "m=3 exceeds floor((n+1)/2)=2 for n=4"
     fields = FieldVector((0.5, 1.0, 1.5), 1.0)

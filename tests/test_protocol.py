@@ -291,27 +291,34 @@ def test_dicke_sweep_equals_dense_oracle(rng):
     assert checked > 4000
 
 
-def reference_dicke_sweep(config, fields, subsets, leak=None):
+# the widest real type of the platform (x86 long double), in which the
+# reference's own rounding stays far below the sweep's
+EXTENDED = np.longdouble if np.finfo(np.longdouble).eps < np.finfo(float).eps else float
+
+
+def reference_dicke_sweep(config, fields, subsets, leak=None, real=float):
     """The Dicke-mean sweep with one SenderAssignment per subset and each
     participant's phases formed in a step of their own, participant by
     participant; ``leak(j, phases)`` may change participant j's bit-0 and
-    bit-1 phases (2 x S) before they fold in."""
+    bit-1 phases (2 x S) before they fold in.  The phases are the sweep's
+    doubles; the means and the measured probabilities are formed in ``real``
+    (EXTENDED costs about 6x the time of doubles) and rounded once to doubles,
+    and 'f' adds those as the sweep adds its own."""
     positions = np.array([SenderAssignment(config.n, s, fields).sender_positions for s in subsets])
     outcomes = config.outcomes
-    k = np.arange(outcomes[-1][0] + 1)
-    means = np.broadcast_to(k == 0, (2, len(subsets), len(k))).astype(complex)  # direct, swapped
+    k = np.arange(outcomes[-1][0] + 1, dtype=real)
+    means = np.broadcast_to(k == 0, (2, len(subsets), len(k))).astype(np.result_type(real, 1j))
     for j in range(1, config.n + 1):
         half = ((positions == j) * (0.5j * fields.t * np.asarray(fields.omegas))).sum(axis=1)
-        a, b = np.exp(-half), np.exp(half)
-        if leak is not None:
-            a, b = leak(j, np.stack([a, b]))
+        phases = np.stack([np.exp(-half), np.exp(half)])
+        a, b = (phases if leak is None else leak(j, phases)).astype(means.dtype)
         nxt = means * (np.stack([a, b])[:, :, None] * ((j - k) / j))
         nxt[:, :, 1:] += means[:, :, :-1] * (np.stack([b, a])[:, :, None] * (k[1:] / j))
         means = nxt
     direct, swapped = means
     amplitudes = {PLUS: (direct + swapped) / 2, MINUS: (direct - swapped) / 2}
     rows = np.array([config.q[i] * np.abs(amplitudes[sign][:, i]) ** 2 for i, sign in outcomes]).T
-    return config.labels(), statevec._with_residual(rows)
+    return config.labels(), statevec._with_residual(rows.astype(float))
 
 
 def leak_into_phases(monkeypatch, leak):
@@ -328,9 +335,10 @@ def leak_into_phases(monkeypatch, leak):
     monkeypatch.setattr(statevec, "_participant_phases", leaky)
 
 
-# the sweep folds the field-free participants in closed form and the others
-# after them; the reference folds every participant in position order, so the
-# two round apart by a few ulps of 1.0, most on the residual of many labels
+# the sweep folds the participants that are not field-free alone and spreads
+# their means over the field-free ones; the reference folds every participant in
+# position order, so the two round apart, within a few ulps of 1.0 on the
+# residual of many labels and far less on the measured labels
 SWEEP_ATOL = 4 * math.ulp(1.0)
 
 
@@ -348,9 +356,9 @@ def sweep_verdict(probs):
     return protocol._max_pairwise_tv(probs) <= protocol.EXACT_TV_TOL
 
 
-def assert_sweep_matches_reference(config, fields, subsets, leak=None):
+def assert_sweep_matches_reference(config, fields, subsets, leak=None, real=float):
     labels, probs = statevec.dicke_sweep(config, fields, subsets)
-    ref_labels, ref_probs = reference_dicke_sweep(config, fields, subsets, leak)
+    ref_labels, ref_probs = reference_dicke_sweep(config, fields, subsets, leak, real)
     assert labels == ref_labels
     assert probs.shape == ref_probs.shape
     assert np.abs(probs - ref_probs).max() <= SWEEP_ATOL
@@ -358,7 +366,8 @@ def assert_sweep_matches_reference(config, fields, subsets, leak=None):
 
 
 def test_dicke_sweep_bitwise_equal_to_reference(rng):
-    # within SWEEP_ATOL of the reference, no longer bit for bit
+    # within SWEEP_ATOL of the reference, no longer bit for bit; the reference
+    # runs in EXTENDED, so the gap is the sweep's own rounding
     checked = 0
     for n in [*range(1, 15), 25, 40, 60, 100]:
         configs = [ProtocolConfig.for_single_sender(n)]
@@ -370,7 +379,7 @@ def test_dicke_sweep_bitwise_equal_to_reference(rng):
         for config in configs:
             for m in range(1, min(3 if n <= 40 else 2, max_senders(n)) + 1):
                 fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, m))), t=1.0)
-                assert_sweep_matches_reference(config, fields, sender_subsets(n, m))
+                assert_sweep_matches_reference(config, fields, sender_subsets(n, m), real=EXTENDED)
                 checked += 1
     assert checked == 155 + 16
 
@@ -395,11 +404,11 @@ def test_dicke_sweep_folds_every_participant_that_is_not_field_free(rng, monkeyp
     fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, 2))), t=1.0)
     subsets = sender_subsets(n, 2)
     config = ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33)
-    clean = statevec.dicke_means(n, fields, subsets, n // 2)
+    clean = statevec.dicke_means(n, fields, subsets, range(n // 2 + 1))
     leak_into_phases(monkeypatch, leak(n))
     assert_sweep_matches_reference(config, fields, subsets, leak(n))
     # a participant taken for field-free would leave the means bit for bit as they were
-    assert (statevec.dicke_means(n, fields, subsets, n // 2) != clean).any()
+    assert (statevec.dicke_means(n, fields, subsets, range(n // 2 + 1)) != clean).any()
 
 
 @pytest.mark.parametrize("n", [14, 60, 100])
@@ -421,13 +430,43 @@ def test_single_sender_rows_are_the_same_bits_from_the_shared_pass(rng):
         fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, 2))), t=1.0)
         subsets = sender_subsets(n, 2)
         single, double = cli_configs(n)
-        means = statevec.dicke_means(n, fields, subsets, double.outcomes[-1][0])
-        assert means.shape == (2, len(subsets), n // 2 + 1)
-        _, shared = statevec.dicke_sweep(single, fields, subsets, means)
+        indices = [0, double.a]  # the indices either design measures, as verify passes them
+        means = statevec.dicke_means(n, fields, subsets, indices)
+        assert means.shape == (2, len(subsets), 2)
+        _, shared = statevec.dicke_sweep(single, fields, subsets, means[:, :, :1])
         _, own = statevec.dicke_sweep(single, fields, subsets)
         assert (shared == own).all()
         with pytest.raises(ValueError, match="do not cover"):
-            statevec.dicke_sweep(double, fields, subsets, means[:, :, :-1])
+            statevec.dicke_sweep(double, fields, subsets, means)
+
+
+def test_dicke_means_of_field_free_participants_are_exactly_one():
+    # with every phase exactly 1 no participant folds in (c = 0), and each mean
+    # is its one weight C(n, i)/C(n, i)
+    for n, m in ((1, 1), (2, 1), (7, 2), (60, 2), (1000, 1)):
+        subsets = sender_subsets(n, m)
+        means = statevec.dicke_means(n, FieldVector((0.0,) * m, 1.0), subsets, range(n + 1))
+        assert means.shape == (2, len(subsets), n + 1)
+        assert (means == 1).all()
+
+
+def test_dicke_means_columns_follow_the_indices(rng):
+    # each column is formed on its own: a repeated or unsorted index gives the
+    # bits of that index in a pass over every index, and of a pass over it alone
+    for n, m in ((6, 2), (9, 3), (40, 2)):
+        fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, m))), t=1.0)
+        subsets = sender_subsets(n, m)
+        every = statevec.dicke_means(n, fields, subsets, range(n + 1))
+        indices = [n // 2, 0, n, n // 2, 1, 0]
+        means = statevec.dicke_means(n, fields, subsets, indices)
+        assert means.shape == (2, len(subsets), len(indices))
+        assert (means == every[:, :, indices]).all()
+        for column, i in enumerate(indices):
+            alone = statevec.dicke_means(n, fields, subsets, [i])
+            assert (alone[:, :, 0] == means[:, :, column]).all()
+    for bad in ([], [-1], [0, 7]):
+        with pytest.raises(ValueError, match=r"are not one or more in \[0, 6\]$"):
+            statevec.dicke_means(6, FieldVector((0.7, 1.6), 1.0), sender_subsets(6, 2), bad)
 
 
 def test_dicke_sweep_rejects_subsets_as_sender_assignment_does():
