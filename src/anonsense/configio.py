@@ -1,8 +1,8 @@
 """Run-configuration files and deterministic JSON/CSV emission.
 
 Reports are serialized with sorted keys and plain ``repr`` floats, and CSV
-floats are printed with 17 significant digits, so identical inputs always
-produce byte-identical outputs.
+floats are printed with 17 significant digits (:mod:`anonsense.scancsv`), so
+identical inputs always produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ from .estimation import EstimateReport, OutcomeCounts
 from .fisher import ScanGrid
 from .protocol import TracelessnessReport, Transcript
 from .statevec import SenderAssignment
-
-SCAN_CSV_HEADER = "n,a,q0,theta1,theta2,j22,log10_j22,flag"
-
 
 class RunConfigError(ValueError):
     """A run-configuration document failed validation; message carries the path."""
@@ -249,32 +246,17 @@ def tracelessness_to_dict(report: TracelessnessReport) -> dict:
 
 
 def scan_rows_to_csv(grid: ScanGrid) -> str:
-    """The scan as CSV, one row per cell, axes nested as (n, q0, theta1, theta2).
+    """The scan as CSV, one row per cell: :func:`anonsense.scancsv.scan_csv`.
 
-    A cell's row is ``n,a,q0,theta1,theta2,j22,log10_j22,flag`` with flag
-    ``ok``, or ``nan,nan,divergent`` in place of the last three where the
-    block marks it divergent.  Written column by column: the n, a, q0 prefix
-    once per block and each theta once per axis value; per cell only j22
-    and math.log10(j22) are formatted.
+    The writer is imported on its first use, so the verbs that never write a
+    scan do not compile it.  That matters only to perfbench's ``peak_rss_mb``,
+    whose children compile the package from source where
+    PYTHONDONTWRITEBYTECODE is set; once that metric leaves the compile out
+    (ROADMAP item 1b), this import belongs at the top of the module.
     """
-    lines = [SCAN_CSV_HEADER + "\n"]
-    theta2 = [f",{_format_float(th2)}," for th2 in grid.theta2]
-    for block in grid.blocks:
-        prefix = f"{_format_count(block.n)},{_format_count(block.a)},{_format_float(block.q0)},"
-        for th1, values, flags in zip(grid.theta1, block.j22.tolist(), block.divergent.tolist()):
-            head = prefix + _format_float(th1)
-            lines += [f"{head}{th2}nan,nan,divergent\n" if divergent else
-                      f"{head}{th2}{j22:.17g},{math.log10(j22):.17g},ok\n"
-                      for th2, j22, divergent in zip(theta2, values, flags)]
-    return "".join(lines)
+    from .scancsv import scan_csv
 
-
-def _format_count(x: float) -> str:
-    return "inf" if math.isinf(x) else str(int(x))
-
-
-def _format_float(x: float) -> str:
-    return f"{x:.17g}"
+    return scan_csv(grid)
 
 
 def _jsonable_float(x: float):

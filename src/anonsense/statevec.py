@@ -235,8 +235,9 @@ def dicke_means(n: int, fields: FieldVector, subsets, indices) -> np.ndarray:
     exactly 1 is field-free, a factor 1 + z.  The c others fold in alone, in
     position order, into their means P_0..P_c (:func:`_fold_means`), and the n - c
     free factors spread them: A_i = sum_l C(c, l)*C(n-c, i-l)/C(n, i) * P_l, with
-    the kernel's exact weights (:func:`~anonsense.engine.weight_row`).  An honest
-    subset folds in its m senders only; subsets with the same c run as one array.
+    the kernel's exact weights (:func:`~anonsense.engine.weight_row`).  A_i reads
+    P_l for l <= i only, so the fold stops at the largest index.  An honest subset
+    folds in its m senders only; subsets with the same c run as one array.
     """
     phases = _participant_phases(_sender_rows(n, fields, subsets), fields, n)
     folded = ~(phases == 1).all(axis=0)  # n x S: the participants that are not field-free
@@ -247,23 +248,27 @@ def dicke_means(n: int, fields: FieldVector, subsets, indices) -> np.ndarray:
     for c in np.flatnonzero(np.bincount(counts)):  # each count that occurs
         rows = np.flatnonzero(counts == c)
         _, positions = np.nonzero(folded[:, rows].T)  # each row's folded positions, ascending
-        own = _fold_means(phases[:, positions.reshape(len(rows), c).T, rows].transpose(1, 0, 2))
+        top = min(c, max(indices))
+        participants = phases[:, positions.reshape(len(rows), c).T, rows].transpose(1, 0, 2)
+        own = _fold_means(participants, top)
         row = {i: weight_row(n, c, i, hypergeometric=True) for i in set(indices)}
-        weights = np.array([row[i] for i in indices]).T  # l x columns
+        weights = np.array([row[i] for i in indices]).T[:top + 1]  # l x columns; 0 for l > i
         # summed over l elementwise, not by BLAS, so each column's bits are its own
         means[:, rows] = sum(own[:, :, l:l + 1] * weight for l, weight in enumerate(weights))
     return means
 
 
-def _fold_means(folded_phases: np.ndarray) -> np.ndarray:
-    """The means B_0..B_c (2 x rows x c + 1) of the c participants of ``folded_phases``
-    (each a 2 x rows array of bit-0 and bit-1 phases), B_l <- ((j-l)*a_j*B_l +
-    l*b_j*B_{l-1})/j for j = 1..c, on means, so nothing under- or overflows."""
+def _fold_means(folded_phases: np.ndarray, top: int) -> np.ndarray:
+    """The means B_0..B_top (2 x rows x top + 1, top <= c) of the c participants of
+    ``folded_phases`` (each a 2 x rows array of bit-0 and bit-1 phases), B_l <-
+    ((j-l)*a_j*B_l + l*b_j*B_{l-1})/j for j = 1..c, on means, so nothing under- or
+    overflows.  B_l reads no higher mean, so each has the bits of the fold to c."""
     c = len(folded_phases)
-    l = np.arange(c + 1)
-    means = np.zeros((2, folded_phases.shape[2], c + 1), dtype=complex)
+    l = np.arange(top + 1)
+    means = np.zeros((2, folded_phases.shape[2], top + 1), dtype=complex)
     # participant 1 leaves B = (a_1, b_1, 0, ...) exactly
-    means[:, :, :2] = np.stack([folded_phases[0], folded_phases[0, ::-1]], axis=-1) if c else 1
+    means[:, :, :2] = (np.stack([folded_phases[0], folded_phases[0, ::-1]], axis=-1)[:, :, :top + 1]
+                       if c else 1)
     stay = folded_phases[1:, :, :, None]  # a participant's factor of B_l, direct and swapped
     j = np.arange(2, c + 1)[:, None]
     shift = stay[:, ::-1]  # and of B_{l-1}

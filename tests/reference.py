@@ -8,6 +8,9 @@ i' or n - i', and every other term is exactly zero.  Every dense evaluation
 goes through one phase seam, :func:`_subset_phases` (U for a block of sender
 subsets on a set of basis states).  It is capped as the dense vectors are
 (``ANONSENSE_ORACLE_LIMIT``).
+
+It also keeps the Dicke-mean fold as it ran before it stopped at the largest
+measured index (:func:`uncapped_fold_means`).
 """
 
 from __future__ import annotations
@@ -147,3 +150,20 @@ def conditional_distributions(
     the outcome distribution of each initial-state index with q > 0."""
     assign.check_n(config)
     return _DenseBasis(config).conditionals(assign)
+
+
+def uncapped_fold_means(folded_phases: np.ndarray, top: int) -> np.ndarray:
+    """:func:`anonsense.statevec._fold_means` folding every mean B_0..B_c, whatever
+    ``top``: B_l <- ((j-l)*a_j*B_l + l*b_j*B_{l-1})/j for j = 1..c."""
+    c = len(folded_phases)
+    l = np.arange(c + 1)
+    means = np.zeros((2, folded_phases.shape[2], c + 1), dtype=complex)
+    means[:, :, :2] = np.stack([folded_phases[0], folded_phases[0, ::-1]], axis=-1) if c else 1
+    stay = folded_phases[1:, :, :, None]
+    j = np.arange(2, c + 1)[:, None]
+    shift = stay[:, ::-1]
+    for phase, weight, shift_phase, shift_weight in zip(stay, (j - l) / j, shift, l[1:] / j):
+        nxt = means * (phase * weight)
+        nxt[:, :, 1:] += means[:, :, :-1] * (shift_phase * shift_weight)
+        means = nxt
+    return means

@@ -14,6 +14,8 @@ from anonsense.estimation import OutcomeCounts, _grid_log_likelihood, mle_estima
 from anonsense.fisher import (
     DivergenceError,
     PhaseParameters,
+    ScanBlock,
+    ScanGrid,
     SingularTermError,
     ThetaModel,
     UnidentifiableDirectionError,
@@ -828,6 +830,36 @@ def test_scan_grid_is_bitwise_the_per_cell_closed_form(axes):
     assert grid.n_rows == sum(j22.size for _, _, _, j22, _ in ref)
     assert grid.n_divergent == sum(int(d.sum()) for _, _, _, _, d in ref)
     assert scan_rows_to_csv(grid) == row_csv(ref, axes["theta1"], axes["theta2"])
+
+
+def hand_built_grid(j22, divergent) -> ScanGrid:
+    """One n = 5 block over two theta1 and three theta2 values holding ``j22``."""
+    block = ScanBlock(5, 2, 0.33, np.array(j22, dtype=float), np.array(divergent, dtype=bool))
+    return ScanGrid((0.5, 2.0), (0.1, 1e-7, 3.0), (block,))
+
+
+@pytest.mark.parametrize("j22", [
+    # 1e-300, 1e17 and 1e300 print in scientific notation, log10(1.0) = 0 as
+    # '0', and 5e-05 sits below the fixed range while its log10 is inside it
+    [[1e-300, 5e-05, 1.0], [1e17, 1e300, math.nan]],
+    # a NaN or infinite bound that is not flagged prints as itself twice
+    [[math.nan, 2.0, math.inf], [0.5, 99999999999999984.0, 7.0]],
+])
+def test_scan_csv_formats_values_outside_fixed_notation_as_the_row_reference(j22):
+    grid = hand_built_grid(j22, [[False, False, False], [False, False, math.isnan(j22[1][2])]])
+    ref = [(b.n, b.a, b.q0, b.j22, b.divergent) for b in grid.blocks]
+    assert scan_rows_to_csv(grid) == row_csv(ref, grid.theta1, grid.theta2)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -2.5, -math.inf])
+def test_scan_csv_raises_as_the_row_reference_on_a_bound_without_a_log(bad):
+    grid = hand_built_grid([[2.0, 3.0, 4.0], [5.0, bad, 6.0]], np.zeros((2, 3), dtype=bool))
+    ref = [(b.n, b.a, b.q0, b.j22, b.divergent) for b in grid.blocks]
+    with pytest.raises(ValueError) as expected:
+        row_csv(ref, grid.theta1, grid.theta2)
+    with pytest.raises(ValueError) as raised:
+        scan_rows_to_csv(grid)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_finite_n_bounded_by_limit():

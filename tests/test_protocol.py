@@ -411,6 +411,21 @@ def test_dicke_sweep_folds_every_participant_that_is_not_field_free(rng, monkeyp
     assert (statevec.dicke_means(n, fields, subsets, range(n // 2 + 1)) != clean).any()
 
 
+@pytest.mark.parametrize("n", [40, 100])
+@pytest.mark.parametrize("leak", [nudge_one_free_participant, distinct_phases])
+def test_dicke_means_fold_stops_at_the_largest_index_with_the_same_bits(rng, monkeypatch, n, leak):
+    # A_i reads the folded means P_l for l <= i only, so the fold stops at the
+    # largest index, half of c = n where every participant carries a phase
+    fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, 2))), t=1.0)
+    subsets = sender_subsets(n, 2)
+    indices = [0, n // 2]  # the two-sender design's measured indices
+    leak_into_phases(monkeypatch, leak(n))
+    capped = statevec.dicke_means(n, fields, subsets, indices)
+    monkeypatch.setattr(statevec, "_fold_means", reference.uncapped_fold_means)
+    uncapped = statevec.dicke_means(n, fields, subsets, indices)
+    assert np.array_equal(capped.view(np.uint64), uncapped.view(np.uint64))
+
+
 @pytest.mark.parametrize("n", [14, 60, 100])
 def test_a_subsets_row_has_the_same_bits_alone_as_among_all(rng, n):
     # the sweep's bits hang on its expression form: at n = 100 its arrays pass
