@@ -59,7 +59,6 @@ from .statevec import (
     apply_sender_unitary,
     dicke_state,
     oracle_distribution,
-    oracle_limit,
     phi_state,
 )
 

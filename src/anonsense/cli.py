@@ -10,7 +10,7 @@ Four verbs:
 * ``simulate``  -- full protocol run from a JSON run configuration.
 * ``estimate``  -- maximum-likelihood estimation from an outcome-counts file.
 
-Exit codes: 0 success, 2 validation/assertion failure, 3 resource guard.
+Exit codes: 0 success, 2 validation/assertion failure.
 All outputs are byte-deterministic for a fixed seed.
 """
 
@@ -49,11 +49,10 @@ from .protocol import (
     verify_tracelessness,
 )
 from .sampling import philox
-from .statevec import OracleLimitError, dicke_means
+from .statevec import dicke_means
 
 EXIT_OK = 0
 EXIT_FAIL = 2
-EXIT_GUARD = 3
 
 # the paper's weight on i = 0 for two senders: verify's design and the q0
 # axis of every scan that does not name one
@@ -83,9 +82,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except OracleLimitError as exc:
-        print(f"error: oracle limit exceeded: {exc}", file=sys.stderr)
-        return EXIT_GUARD
     except (RunConfigError, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

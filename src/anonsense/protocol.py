@@ -30,7 +30,6 @@ from .estimation import EstimateReport, OutcomeCounts, mle_estimate
 from .sampling import draw_counts, philox
 from .statevec import (
     SenderAssignment,
-    _check_limit,
     _participant_phases,
     conditional_distributions,
     dicke_sweep,
@@ -169,14 +168,16 @@ def negative_control(n: int, fields: FieldVector) -> TracelessnessReport:
 
     The evolved probe stays a product state, each qubit (a_j|0> + b_j|1>)/sqrt(2)
     with participant j's bit-0 and bit-1 phases, so a subset's rate of '-' on
-    participant 1 is |a_1 - b_1|^2 / 4.
+    participant 1 is |a_1 - b_1|^2 / 4: read from the rows of the phase seam
+    (:func:`~anonsense.statevec._participant_phases`) that list participant 1, in
+    their first column, and 0 on the rows that do not, where a_1 = b_1 = 1.  It
+    runs at every n.
     """
     m = fields.m
     check_senders(n, m)
-    _check_limit(n)  # verify --negative-control keeps its exit code 3 above the dense cap
     subsets = sender_subsets(n, m)
-    a, b = _participant_phases(np.array(subsets), fields, n)
-    p_minus = np.clip(np.abs(a[0] - b[0]) ** 2 / 4, 0.0, 1.0)
+    listed, (a, b) = _participant_phases(n, fields, subsets)
+    p_minus = np.where(listed[:, 0] == 1, np.clip(np.abs(a[0] - b[0]) ** 2 / 4, 0.0, 1.0), 0.0)
     probs = np.stack([p_minus, 1.0 - p_minus], axis=1)
     check_normalized(probs)
     max_tv = _max_pairwise_tv(probs)

@@ -11,16 +11,14 @@ They give the anonymity sweep (:func:`dicke_sweep`), one subset's distribution
 (:func:`oracle_distribution`) and its per-initial-state conditionals
 (:func:`conditional_distributions`, which simulation samples), at every n and
 without 2^n vectors.  The dense vectors (:func:`dicke_state`, :func:`phi_state`,
-:func:`apply_sender_unitary`) are capped at a qubit count
-(``ANONSENSE_ORACLE_LIMIT`` raises it); no verb builds one, and the tests hold
-the Dicke means to them.
+:func:`apply_sender_unitary`) are capped at :data:`DENSE_LIMIT` qubits; no verb
+builds one, and the tests hold the Dicke means to them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,31 +33,16 @@ from .engine import (
     weight_row,
 )
 
-DEFAULT_ORACLE_LIMIT = 20
+DENSE_LIMIT = 20  # qubits: a dense vector holds 2^n amplitudes
 
 
 class OracleLimitError(RuntimeError):
-    """Raised when a dense computation would exceed the qubit cap."""
-
-
-def oracle_limit() -> int:
-    """Current qubit cap for dense vectors (env ANONSENSE_ORACLE_LIMIT overrides)."""
-    raw = os.environ.get("ANONSENSE_ORACLE_LIMIT")
-    if raw is None:
-        return DEFAULT_ORACLE_LIMIT
-    limit = int(raw)
-    if limit < 1:
-        raise ValueError(f"ANONSENSE_ORACLE_LIMIT must be >= 1, got {limit}")
-    return limit
+    """Raised when a dense vector would exceed :data:`DENSE_LIMIT` qubits."""
 
 
 def _check_limit(n: int):
-    limit = oracle_limit()
-    if n > limit:
-        raise OracleLimitError(
-            f"n={n} exceeds the dense-vector limit {limit} "
-            f"(set ANONSENSE_ORACLE_LIMIT to raise it)"
-        )
+    if n > DENSE_LIMIT:
+        raise OracleLimitError(f"n={n} exceeds the dense-vector limit {DENSE_LIMIT}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
 
@@ -177,9 +160,8 @@ def _with_residual(measured: np.ndarray) -> np.ndarray:
 
 def oracle_distribution(assign: SenderAssignment, config: ProtocolConfig) -> OutcomeDistribution:
     """Outcome probabilities of one sender subset: :func:`dicke_sweep` on that
-    subset alone.  It keeps the dense cap of :func:`oracle_limit`."""
+    subset alone, at every n."""
     assign.check_n(config)
-    _check_limit(config.n)
     labels, probs = dicke_sweep(config, assign.fields, [assign.sender_positions])
     return OutcomeDistribution.from_row(labels, probs[0])
 
@@ -232,24 +214,26 @@ def dicke_means(n: int, fields: FieldVector, subsets, indices) -> np.ndarray:
     A_i = [z^i] prod_j (a_j + b_j z) / C(n, i), a_j and b_j being participant j's
     bit-0 and bit-1 phases, from the subset's own positions; the swapped mean,
     A_{n-i} of the product, swaps a and b.  A participant whose two phases are
-    exactly 1 is field-free, a factor 1 + z.  The c others fold in alone, in
-    position order, into their means P_0..P_c (:func:`_fold_means`), and the n - c
-    free factors spread them: A_i = sum_l C(c, l)*C(n-c, i-l)/C(n, i) * P_l, with
-    the kernel's exact weights (:func:`~anonsense.engine.weight_row`).  A_i reads
-    P_l for l <= i only, so the fold stops at the largest index.  An honest subset
-    folds in its m senders only; subsets with the same c run as one array.
+    exactly 1 is field-free, a factor 1 + z: each one the phase seam does not list
+    (:func:`_participant_phases`), and each listed one whose phases are exactly 1.
+    The c others fold in alone, in position order, into their means P_0..P_c
+    (:func:`_fold_means`), and the n - c free factors spread them:
+    A_i = sum_l C(c, l)*C(n-c, i-l)/C(n, i) * P_l, with the kernel's exact weights
+    (:func:`~anonsense.engine.weight_row`).  A_i reads P_l for l <= i only, so the
+    fold stops at the largest index.  An honest subset folds in its m senders
+    only; subsets with the same c run as one array.
     """
-    phases = _participant_phases(_sender_rows(n, fields, subsets), fields, n)
-    folded = ~(phases == 1).all(axis=0)  # n x S: the participants that are not field-free
+    _, phases = _participant_phases(n, fields, subsets)
+    folded = ~(phases == 1).all(axis=0)  # listed x S: the listed ones that are not field-free
     counts = folded.sum(axis=0)
     if not len(indices) or min(indices) < 0 or max(indices) > n:
         raise ValueError(f"Dicke indices {list(indices)} are not one or more in [0, {n}]")
     means = np.empty((2, len(subsets), len(indices)), dtype=complex)
     for c in np.flatnonzero(np.bincount(counts)):  # each count that occurs
         rows = np.flatnonzero(counts == c)
-        _, positions = np.nonzero(folded[:, rows].T)  # each row's folded positions, ascending
+        _, columns = np.nonzero(folded[:, rows].T)  # each row's folded columns, in position order
         top = min(c, max(indices))
-        participants = phases[:, positions.reshape(len(rows), c).T, rows].transpose(1, 0, 2)
+        participants = phases[:, columns.reshape(len(rows), c).T, rows].transpose(1, 0, 2)
         own = _fold_means(participants, top)
         row = {i: weight_row(n, c, i, hypergeometric=True) for i in set(indices)}
         weights = np.array([row[i] for i in indices]).T[:top + 1]  # l x columns; 0 for l > i
@@ -281,29 +265,27 @@ def _fold_means(folded_phases: np.ndarray, top: int) -> np.ndarray:
     return means
 
 
-def _sender_rows(n: int, fields: FieldVector, subsets) -> np.ndarray:
-    """``subsets`` as S x m sender positions, each row checked as :class:`SenderAssignment`
-    checks one subset; the first rejected row is built as one, to raise its own error."""
+def _participant_phases(n: int, fields: FieldVector, subsets) -> tuple[np.ndarray, np.ndarray]:
+    """The phase seam: the participants each of the S rows of ``subsets`` lists, in
+    ascending position order (S x m), and their bit-0 and bit-1 phases
+    exp(-+i*t*omega/2) (2 x m x S).  Every participant a row does not list has
+    phases exactly 1.  Each row is checked as :class:`SenderAssignment` checks one
+    subset; the first rejected row is built as one, to raise its own error."""
     try:
         positions = np.array(subsets, dtype=int)
-        ordered = np.sort(positions, axis=1)
-        bad = ~((ordered[:, 1:] > ordered[:, :-1]).all(axis=1) & (ordered[:, 0] >= 1)
-                & (ordered[:, -1] <= n)) | (positions.shape[1] != fields.m)
+        order = positions.argsort(axis=1)
+        listed = positions[np.arange(len(positions))[:, None], order]
+        bad = ~((listed[:, 1:] > listed[:, :-1]).all(axis=1) & (listed[:, 0] >= 1)
+                & (listed[:, -1] <= n)) | (positions.shape[1] != fields.m)
     except (ValueError, IndexError):  # subsets of several sizes, or of none
+        if not len(subsets):
+            raise ValueError("no sender subsets") from None
         bad = np.ones(len(subsets), dtype=bool)
     for row in np.flatnonzero(bad):
         SenderAssignment(n, subsets[row], fields)
     check_senders(n, fields.m)
-    return positions
-
-
-def _participant_phases(positions: np.ndarray, fields: FieldVector, n: int) -> np.ndarray:
-    """Participants 1..n's bit-0 and bit-1 phases (2 x n x S) for the subset rows
-    of ``positions`` (S x m): exp(-+i*t*omega/2) at a sender, else 1."""
-    phases = np.ones((2, n, len(positions)), dtype=complex)
-    half = 0.5j * fields.t * np.asarray(fields.omegas)[:, None]
-    phases[:, positions.T - 1, np.arange(len(positions))] = np.exp([-half, half])
-    return phases
+    half = 0.5j * fields.t * np.asarray(fields.omegas)  # one exp per field, gathered by each row
+    return listed, np.exp([-half, half])[:, order.T]
 
 
 @functools.lru_cache(maxsize=1)

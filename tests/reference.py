@@ -7,7 +7,7 @@ each initial state keeps its own support, the basis states of Hamming weight
 i' or n - i', and every other term is exactly zero.  Every dense evaluation
 goes through one phase seam, :func:`_subset_phases` (U for a block of sender
 subsets on a set of basis states).  It is capped as the dense vectors are
-(``ANONSENSE_ORACLE_LIMIT``).
+(:data:`anonsense.statevec.DENSE_LIMIT`).
 
 It also keeps the Dicke-mean fold as it ran before it stopped at the largest
 measured index (:func:`uncapped_fold_means`).

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,15 +68,13 @@ def test_oracle_and_analytic_paths_have_same_statistics():
 
 
 def test_dense_cap_selects_no_path(monkeypatch):
-    # simulate writes the same bytes with the cap at its default and below n
+    # simulate writes the same bytes with the cap at its value and with a cap
+    # that refuses every dense vector
     config = ProtocolConfig.for_two_senders(6, a=3, q0=0.33)
     assign = SenderAssignment(6, (1, 3), FieldVector((0.75, 1.25), 1.0))
     docs = []
-    for limit in (None, "4"):
-        if limit is None:
-            monkeypatch.delenv("ANONSENSE_ORACLE_LIMIT", raising=False)
-        else:
-            monkeypatch.setenv("ANONSENSE_ORACLE_LIMIT", limit)
+    for limit in (statevec.DENSE_LIMIT, 0):
+        monkeypatch.setattr(statevec, "DENSE_LIMIT", limit)
         docs.append(dumps_json(transcript_to_dict(run_protocol(assign, config, rounds=5000, seed=1))))
     assert docs[0] == docs[1]
 
@@ -321,16 +320,24 @@ def reference_dicke_sweep(config, fields, subsets, leak=None, real=float):
     return config.labels(), statevec._with_residual(rows.astype(float))
 
 
+def list_every_participant(n, listed, phases):
+    """The phase seam's rows with all n participants listed, in position order:
+    each participant a row did not list gets phases exactly 1."""
+    every = np.ones((2, n, len(listed)), dtype=complex)
+    every[:, listed.T - 1, np.arange(len(listed))] = phases
+    return np.broadcast_to(np.arange(1, n + 1), (len(listed), n)), every
+
+
 def leak_into_phases(monkeypatch, leak):
     """Pass every participant j's phases through ``leak(j, phases)``, as
     :func:`reference_dicke_sweep` does, at the sweep's phase seam."""
     real = statevec._participant_phases
 
-    def leaky(positions, fields, n):
-        phases = real(positions, fields, n)
+    def leaky(n, fields, subsets):
+        listed, phases = list_every_participant(n, *real(n, fields, subsets))
         for j in range(1, n + 1):
             phases[:, j - 1] = leak(j, phases[:, j - 1])
-        return phases
+        return listed, phases
 
     monkeypatch.setattr(statevec, "_participant_phases", leaky)
 
@@ -465,6 +472,36 @@ def test_dicke_means_of_field_free_participants_are_exactly_one():
         assert (means == 1).all()
 
 
+def test_phase_seam_lists_each_row_in_position_order(monkeypatch):
+    # an unsorted row folds its senders in position order, and a listed
+    # participant whose phases are exactly 1 is field-free
+    listed, phases = statevec._participant_phases(12, FieldVector((0.7, 1.6), 1.0), [(5, 2)])
+    assert listed.tolist() == [[2, 5]] and phases.shape == (2, 2, 1)
+    unsorted = statevec.dicke_means(12, FieldVector((0.7, 1.6), 1.0), [(5, 2)], range(13))
+    ordered = statevec.dicke_means(12, FieldVector((1.6, 0.7), 1.0), [(2, 5)], range(13))
+    assert np.array_equal(unsorted.view(np.uint64), ordered.view(np.uint64))
+    n, fields = 40, FieldVector((0.7, 1.6), 1.0)
+    sparse = statevec.dicke_means(n, fields, sender_subsets(n, 2), range(n + 1))
+    real = statevec._participant_phases
+    monkeypatch.setattr(statevec, "_participant_phases",
+                        lambda n, fields, subsets: list_every_participant(n, *real(n, fields, subsets)))
+    every = statevec.dicke_means(n, fields, sender_subsets(n, 2), range(n + 1))
+    assert np.array_equal(sparse.view(np.uint64), every.view(np.uint64))
+
+
+def test_dicke_means_hold_no_array_as_wide_as_the_participants():
+    # the phase seam lists each subset's senders only: 2 x m x S phases, where a
+    # dense 2 x n x S array would take 430 MB here
+    n, subsets = 300, sender_subsets(300, 2)
+    tracemalloc.start()
+    try:
+        statevec.dicke_means(n, FieldVector((0.7, 1.6), 1.0), subsets, [0, n // 2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
 def test_dicke_means_columns_follow_the_indices(rng):
     # each column is formed on its own: a repeated or unsorted index gives the
     # bits of that index in a pass over every index, and of a pass over it alone
@@ -498,9 +535,11 @@ def test_dicke_sweep_rejects_subsets_as_sender_assignment_does():
         statevec.dicke_sweep(config, fields, [(1, 2), (1, 9), (5, 5)])
     with pytest.raises(ValueError, match=r"^m=4 exceeds floor\(\(n\+1\)/2\)=3 for n=6$"):
         statevec.dicke_sweep(config, FieldVector((0.1, 0.2, 0.3, 0.4), 1.0), [(1, 2, 3, 4)])
+    with pytest.raises(ValueError, match="^no sender subsets$"):
+        statevec.dicke_sweep(config, fields, [])
 
 
-@pytest.mark.parametrize("n", [6, 14, 25, 40])
+@pytest.mark.parametrize("n", [6, 14, 25, 40, 1000])
 def test_dicke_sweep_detects_a_phase_on_participant_one(monkeypatch, n):
     config = ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33)
     fields = FieldVector((0.7, 1.6), 1.0)
@@ -509,10 +548,16 @@ def test_dicke_sweep_detects_a_phase_on_participant_one(monkeypatch, n):
     assert clean.n_subsets == math.comb(n, 2)
     real = statevec._participant_phases
 
-    def leaky(positions, fields, n):
-        phases = real(positions, fields, n)
-        phases[1, 0] *= np.exp(0.3j)  # participant 1's bit-1 phase
-        return phases
+    def leaky(n, fields, subsets):
+        # participant 1 listed first on every row; a row that listed it already
+        # keeps its width with its own column field-free (phases exactly 1)
+        listed, phases = real(n, fields, subsets)
+        own = listed[:, 0] == 1
+        first = np.where(own, phases[:, 0], 1)
+        first[1] *= np.exp(0.3j)  # participant 1's bit-1 phase
+        phases[:, 0, own] = 1
+        return (np.concatenate([np.ones((len(listed), 1), dtype=int), listed], axis=1),
+                np.concatenate([first[:, None], phases], axis=1))
 
     monkeypatch.setattr(statevec, "_participant_phases", leaky)
     report = verify_tracelessness(config, fields)
@@ -535,10 +580,7 @@ def test_dicke_sweep_single_sender_at_large_n():
             assert abs(dist.probs[label] - p) <= 1e-12
 
 
-@pytest.mark.parametrize("limit", [None, "4"])  # the sweep runs alike on either side of the dense cap
-def test_sweep_rejects_bad_inputs(monkeypatch, limit):
-    if limit is not None:
-        monkeypatch.setenv("ANONSENSE_ORACLE_LIMIT", limit)
+def test_sweep_rejects_bad_inputs():
     fields = FieldVector((0.7, 1.6), 1.0)
     with pytest.raises(ConfigError):
         verify_tracelessness(ProtocolConfig.for_two_senders(5, a=1, q0=0.33), fields)

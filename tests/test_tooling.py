@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from anonsense import cli
+from anonsense import cli, statevec
 from anonsense.configio import parse_run_config
 from anonsense.engine import ProtocolConfig
 
@@ -83,8 +83,6 @@ for k, argv in enumerate(runs):
 
 def test_no_verb_builds_a_dense_vector(tmp_path, monkeypatch):
     # the dense vectors are the tests' reference: every verb runs without them
-    from anonsense import statevec
-
     def refuse(*args, **kwargs):
         raise AssertionError("a verb built a 2^n vector")
 
@@ -103,13 +101,10 @@ def test_no_verb_builds_a_dense_vector(tmp_path, monkeypatch):
 
 def test_verify_takes_one_path_at_every_n(tmp_path, monkeypatch):
     # the dense cap picks no anonymity path: verify writes the same bytes with
-    # the cap at its default and below n
+    # the cap at its value and with a cap that refuses every dense vector
     outs = []
-    for limit in (None, "4"):
-        if limit is None:
-            monkeypatch.delenv("ANONSENSE_ORACLE_LIMIT", raising=False)
-        else:
-            monkeypatch.setenv("ANONSENSE_ORACLE_LIMIT", limit)
+    for limit in (statevec.DENSE_LIMIT, 0):
+        monkeypatch.setattr(statevec, "DENSE_LIMIT", limit)
         out = tmp_path / f"verify_{limit}.json"
         assert cli.main(["verify", "--n", "8", "--trials", "2", "--seed", "3",
                          "--out", str(out)]) == 0
