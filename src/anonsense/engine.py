@@ -432,6 +432,19 @@ class ThetaModel:
             v = _contract(self._w, [np.broadcast_to(t, shape)[lo:lo + rows] for t in u])
             yield lo, self._assemble(v, gamma_m[:, lo:lo + rows])
 
+    def labels_free_of(self, j: int) -> list[int]:
+        """Indices of the measured labels whose probability does not depend on
+        theta_j: the label's weight row is zero on every table row that
+        reads theta_j.  A versine row reads each of its entries; a sine row
+        reads only theta with a nonzero net sign, as :meth:`grid_blocks`
+        drops the rest, so every '-' label of two senders is free of theta2."""
+        table = _THETA_TABLES[self.m_est]
+        reads = {PLUS: [any(k == j for _, k in row) for row in table],
+                 MINUS: [_nets(row, j) != 0 for row in table]}
+        weights = {PLUS: self._w, MINUS: self._w_minus}
+        return [x for x, (r, _, sign) in enumerate(self._active)
+                if not any(w for w, read in zip(weights[sign][r], reads[sign]) if read)]
+
     def dprobs(self, theta: Sequence[float]) -> np.ndarray:
         """Analytic derivatives dP/dtheta_j at one phase vector of floats,
         shape (labels, m_est): the first-order half of :meth:`derivatives`,

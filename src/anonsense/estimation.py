@@ -15,6 +15,21 @@ maximum is refined by projected, damped Fisher scoring on the kernel's
 analytic derivatives, which also give the observed information; the Fisher
 matrix at the estimate takes the probabilities and derivatives the
 refinement ends on.
+
+For two senders only the theta1 rows that can hold the grid maximum are
+evaluated.  The labels A whose probability is free of theta2 (every '-'
+label and, from the weight rows, (0,+)) come from one pass over the theta1
+axis; the others share the mass S = 1 - sum_A p, so by Gibbs' inequality a
+row's log-likelihood is at most sum_A c log p + sum_B c log(c S / C_B).
+Rows are evaluated in descending order of that bound, two or more per
+product, until the next bound falls below the best value less a margin of
+1e-6 * (N + 1), which covers the rounding of bound and value; the rows left
+out are then below the maximum.  Each row is evaluated on the same
+contractions as in the whole grid, so it keeps its bits, and the argmax
+over the rows evaluated, in ascending theta1 order, is the whole grid's.
+Their spread bounds the grid's from below, so it can certify only that no
+axis is flat.  Where it cannot, where no label is free of theta2, no value
+found is finite or every row would be evaluated, the whole grid is.
 """
 
 from __future__ import annotations
@@ -25,13 +40,14 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import ProtocolConfig
+from .engine import NORM_ATOL, ProtocolConfig
 from .fisher import ZERO_PROB, PhaseParameters, ThetaModel, _fisher_matrix
 
 GRID_POINTS = 181
 REFINE_TOL = 1e-6
 DAMPING = 1e-3
 _GRID_BLOCK_POINTS = 4096  # bound on the grid points of one probability evaluation
+_BOUND_MARGIN = 1e-6  # per observation: the rounding of a row bound and of a grid value
 
 
 @dataclass(frozen=True)
@@ -112,24 +128,18 @@ def mle_estimate(counts: OutcomeCounts, config: ProtocolConfig) -> EstimateRepor
     m = config.m_est
     tallies = np.array([counts.counts.get(label, 0) for label in model.labels], dtype=float)
     observed = [(x, c) for x, c in enumerate(tallies.tolist()) if c > 0]  # labels order
-    flags: list[str] = []
 
     axis = np.linspace(0.0, math.pi, GRID_POINTS)
-    ll = _grid_log_likelihood(model, observed,
-                              np.meshgrid(*[axis] * m, indexing="ij", sparse=True))
-    finite = np.isfinite(ll)
-    if not finite.any():
+    start = _bounded_start(model, observed, axis, counts.N) if m == 2 else None
+    if start is None:  # the whole grid: one sender, or a start the bound cannot certify
+        ll = _grid_log_likelihood(model, observed,
+                                  np.meshgrid(*[axis] * m, indexing="ij", sparse=True))
+        start = _grid_start(ll, [axis] * m)
+    if start is None:
         raise ValueError("likelihood is -inf over the whole domain; counts are "
                          "inconsistent with the configuration")
-    # row-major argmax: the smallest theta1, then theta2, wins ties
-    theta = [axis[i] for i in np.unravel_index(int(np.argmax(ll)), ll.shape)]
-    # -inf cells take the smallest finite value, so they add no spread
-    spread = ll if finite.all() else np.where(finite, ll, np.min(ll[finite]))
-    converged = True
-    for j in range(m):
-        if np.ptp(spread, axis=j).max() < 1e-9:
-            converged = False
-            flags.append(f"flat likelihood along theta_{j + 1}")
+    theta, flags = start
+    converged = not flags
 
     theta, ll_hat, p_hat, info, dp, d2p = _refine(counts, model, tallies, theta,
                                                   axis[1] - axis[0])
@@ -200,9 +210,11 @@ def _grid_log_likelihood(model: ThetaModel, observed, axes) -> np.ndarray:
     the same matrix product as the whole grid's, so the blocks keep its bits;
     that needs more than one point per block (one point would be a
     matrix-vector product), which holds as an m = 2 theta1 value spans 181
-    points and the m = 1 grid is one block.  Each observed label's row is
-    logged at its own shape, scaled by its count and added into the block in
-    labels order: the additions of ``sum(c * log P_x)``, in place.
+    points and the m = 1 grid is one block, and more than one theta1 value
+    for gamma-, which holds for the rows :func:`_bounded_start` gathers.
+    Each observed label's row is logged at its own shape, scaled by its count
+    and added into the block in labels order: the additions of
+    ``sum(c * log P_x)``, in place.
     """
     shape = np.broadcast_shapes(*[np.shape(t) for t in axes])
     ll = np.zeros(shape)
@@ -213,6 +225,73 @@ def _grid_log_likelihood(model: ThetaModel, observed, axes) -> np.ndarray:
             for x, c in observed:
                 block += np.multiply(np.log(p[x], out=p[x]), c, out=p[x])
     return ll
+
+
+def _grid_start(ll: np.ndarray, axes) -> Optional[tuple[list, list[str]]]:
+    """The row-major argmax of the grid values ``ll`` over ``axes`` (the
+    smallest theta1, then theta2, wins ties) and a flag per axis along which
+    the finite values spread less than 1e-9; None if no value is finite."""
+    finite = np.isfinite(ll)
+    if not finite.any():
+        return None
+    theta = [axis[i] for axis, i in zip(axes, np.unravel_index(int(np.argmax(ll)), ll.shape))]
+    # -inf cells take the smallest finite value, so they add no spread
+    spread = ll if finite.all() else np.where(finite, ll, np.min(ll[finite]))
+    return theta, [f"flat likelihood along theta_{j + 1}" for j in range(ll.ndim)
+                   if np.ptp(spread, axis=j).max() < 1e-9]
+
+
+def _row_bounds(model: ThetaModel, observed, axis) -> Optional[np.ndarray]:
+    """An upper bound on each theta1 row's log-likelihood over theta2, or None
+    where no observed label's probability is free of theta2.
+
+    The labels A free of theta2 give their terms exactly; the other observed
+    labels B share the mass S = 1 - sum_A p + NORM_ATOL at most, and by
+    Gibbs' inequality sum_B c log p <= sum_B c log(c S / C_B), C_B = sum_B c.
+    """
+    free = model.labels_free_of(1)
+    in_free = set(free)
+    exact = [(x, c) for x, c in observed if x in in_free]
+    if not exact:
+        return None
+    rest = np.array([c for x, c in observed if x not in in_free])
+    _, p = next(model.grid_blocks([axis[:, None], np.zeros((1, 1))], len(axis)))
+    bound = np.zeros(len(axis))
+    with np.errstate(divide="ignore"):
+        for x, c in exact:
+            bound += c * np.log(p[x][:, 0])
+        if rest.size:
+            mass = 1.0 - sum(p[x][:, 0] for x in free) + NORM_ATOL
+            bound += rest @ np.log(rest / rest.sum()) + rest.sum() * np.log(mass)
+    return bound
+
+
+def _bounded_start(model: ThetaModel, observed, axis, N: int):
+    """:func:`_grid_start` of the two-sender grid from the theta1 rows that
+    can hold its maximum, or None where the whole grid must be evaluated.
+
+    Rows are evaluated in descending order of :func:`_row_bounds`, each
+    product taking two rows at least and twice those done so far at most, until
+    the next bound is below the best value less ``_BOUND_MARGIN * (N + 1)``.
+    The spread of the rows evaluated is a lower bound of the grid's, so it
+    certifies only a start without flat-axis flags; else this is None.
+    """
+    bound = _row_bounds(model, observed, axis)
+    if bound is None:
+        return None
+    order = np.argsort(-bound, kind="stable")
+    floor, done, lls = -math.inf, 0, []
+    while done < len(order) and bound[order[done]] >= floor:
+        take = max(2, min(2 * done or 2, int(np.count_nonzero(bound[order[done:]] >= floor))))
+        if done + take >= len(order):
+            return None  # every row left: the whole grid costs no more
+        rows = order[done:done + take]
+        lls.append(_grid_log_likelihood(model, observed, (axis[rows, None], axis[None, :])))
+        floor = max(floor, float(lls[-1].max()) - _BOUND_MARGIN * (N + 1))
+        done += take
+    rows = np.argsort(order[:done])
+    start = _grid_start(np.concatenate(lls)[rows], [axis[order[:done]][rows], axis])
+    return start if start is not None and not start[1] else None
 
 
 def _refine(counts: OutcomeCounts, model: ThetaModel, tallies, theta, spacing: float):

@@ -10,7 +10,8 @@ subsets on a set of basis states).  It is capped as the dense vectors are
 (:data:`anonsense.statevec.DENSE_LIMIT`).
 
 It also keeps the Dicke-mean fold as it ran before it stopped at the largest
-measured index (:func:`uncapped_fold_means`).
+measured index (:func:`uncapped_fold_means`), and the two-sender MLE start as
+it was formed on the whole grid (:func:`full_grid_start`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import functools
 
 import numpy as np
 
-from anonsense import statevec
+from anonsense import estimation, statevec
 from anonsense.combinatorics import PLUS, FieldVector
 from anonsense.engine import OutcomeDistribution, ProtocolConfig
 from anonsense.statevec import SenderAssignment, _check_limit, _with_residual
@@ -167,3 +168,21 @@ def uncapped_fold_means(folded_phases: np.ndarray, top: int) -> np.ndarray:
         nxt[:, :, 1:] += means[:, :, :-1] * (shift_phase * shift_weight)
         means = nxt
     return means
+
+
+def full_grid_start(model, observed, axis, N):
+    """The start of :func:`anonsense.estimation.mle_estimate` for two senders
+    from the log-likelihood at all 181^2 grid points: the row-major argmax,
+    and a flag per axis along which the finite values (-inf cells taking the
+    smallest of them) spread less than 1e-9.  Takes and returns what
+    ``estimation._bounded_start`` does, but never declines to."""
+    ll = estimation._grid_log_likelihood(model, observed,
+                                         np.meshgrid(axis, axis, indexing="ij", sparse=True))
+    finite = np.isfinite(ll)
+    if not finite.any():
+        raise ValueError("likelihood is -inf over the whole domain; counts are "
+                         "inconsistent with the configuration")
+    theta = [axis[i] for i in np.unravel_index(int(np.argmax(ll)), ll.shape)]
+    spread = ll if finite.all() else np.where(finite, ll, np.min(ll[finite]))
+    return theta, [f"flat likelihood along theta_{j + 1}" for j in range(2)
+                   if np.ptp(spread, axis=j).max() < 1e-9]

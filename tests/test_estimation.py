@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from anonsense.combinatorics import FieldVector
 from anonsense import engine, estimation
 from anonsense.engine import ProtocolConfig, outcome_distribution
@@ -15,6 +16,7 @@ from anonsense.estimation import (
 )
 from anonsense.fisher import PhaseParameters, ThetaModel, closed_form_j22
 from anonsense.sampling import draw_counts, philox
+from test_fisher import all_switches_config
 
 
 def binomial_mle(k, N):
@@ -119,13 +121,144 @@ def test_refinement_runs_on_float_points(monkeypatch):
     monkeypatch.setattr(ThetaModel, "point_probs", counting_point_probs)
     monkeypatch.setattr(engine, "_contract", counting_contract)
     report = mle_estimate(counts, config)
-    # gamma- once on the theta1 axis, then the versine stack in blocks of
-    # 4096 // 181 = 22 theta1 rows (181 = 8 * 22 + 5)
-    assert grid_shapes == [(181, 1)] + [(22, 181)] * 8 + [(5, 181)]
+    # the row bounds from gamma- and the versine stack on the (181, 1) grid,
+    # then gamma- and the versine stack on the two best-bounded theta1 rows
+    # alone: the next bound is below their maximum
+    assert grid_shapes == [(181, 1), (181, 1), (2, 1), (2, 181)]
     assert probs_shapes == []
     assert len(points) <= 50
     assert report.converged
     assert report.crb_se is not None
+
+
+def full_grid_estimate(counts, config, monkeypatch):
+    """mle_estimate with the start formed on the whole grid, as the reference does."""
+    with monkeypatch.context() as patch:
+        patch.setattr(estimation, "_bounded_start", reference.full_grid_start)
+        return mle_estimate(counts, config)
+
+
+def estimate_or_error(estimate, counts, config, *args):
+    try:
+        return repr(estimate(counts, config, *args))
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+# explicit weights and switches: the (0,+) projector off, so the labels free
+# of theta2 are '-' labels only; i = 0 off altogether; every projector on
+EXPLICIT_CONFIGS = [
+    ProtocolConfig(n=9, m_est=2, t=1.0, q=(0.4, 0.0, 0.0, 0.6, 0.0),
+                   c_plus=(1, 0, 0, 1, 1), c_minus=(1, 0, 1, 0, 0), a=3),
+    ProtocolConfig(n=9, m_est=2, t=1.0, q=(0.3, 0.0, 0.0, 0.7, 0.0),
+                   c_plus=(0, 0, 0, 1, 1), c_minus=(1, 0, 1, 1, 0), a=3),
+    ProtocolConfig(n=10, m_est=2, t=0.7, q=(0.0, 0.0, 0.4, 0.0, 0.0, 0.6),
+                   c_plus=(0, 0, 1, 0, 0, 1), c_minus=(0, 0, 1, 0, 1, 0), a=5),
+    all_switches_config(40, 2),
+]
+DESIGN_CONFIGS = [ProtocolConfig.for_two_senders(n, a=a, q0=q0)
+                  for n in (5, 6, 7, 9, 12, 40, 300, 3000) for a in sorted({2, n // 2})
+                  for q0 in (0.05, 0.33, 0.9)]
+
+
+@pytest.mark.parametrize("config", DESIGN_CONFIGS + EXPLICIT_CONFIGS,
+                         ids=[f"n{c.n}-a{c.a}-q0={c.q[0]}" for c in DESIGN_CONFIGS]
+                         + [f"explicit{k}" for k in range(len(EXPLICIT_CONFIGS))])
+def test_bounded_start_gives_the_full_grid_estimate(config, monkeypatch):
+    # the start from the theta1 rows that can hold the grid maximum leaves
+    # every report byte for byte as the whole grid's start does: drawn counts
+    # at every N, and all counts on 'f', on (0,+) and (0,-), or on one label
+    labels = config.labels()
+    truth = philox(config.n, len(labels)).uniform(0.05, 1.5, 2).tolist()
+    dist = outcome_distribution(config, FieldVector(tuple(truth), config.t))
+    for N in (1, 7, 50, 1000, 100_000):
+        cases = [draw_counts(dist, N, philox(N, config.n)), {"f": N}]
+        if N in (7, 100_000):
+            cases.append({"0+": N // 3, "0-": N - N // 3})
+            cases += [{label: N} for label in labels[:-1]]
+        for tally in cases:
+            counts = OutcomeCounts(tally)
+            assert (estimate_or_error(mle_estimate, counts, config)
+                    == estimate_or_error(full_grid_estimate, counts, config, monkeypatch))
+
+
+def test_row_bounds_hold_every_rows_maximum(rng):
+    # Gibbs' inequality with NORM_ATOL on the mass of the labels that depend
+    # on theta2: no theta1 row of the exact grid exceeds its bound
+    axis = np.linspace(0.0, math.pi, estimation.GRID_POINTS)
+    grid = np.meshgrid(axis, axis, indexing="ij", sparse=True)
+    for _ in range(40):
+        n = int(rng.integers(5, 41))
+        a = int(rng.integers(2, n // 2 + 1))
+        on = rng.random(n // 2 + 1) < 0.5
+        on[[0, a]] = rng.random(2) < 0.8
+        if not on.any():
+            on[a] = True
+        c_plus = (on & (rng.random(len(on)) < 0.7)).astype(int)
+        c_minus = (on & ~c_plus.astype(bool)) | (on & (rng.random(len(on)) < 0.5))
+        q = rng.random(len(on)) * on * (rng.random(len(on)) < 0.9)
+        if not q.any():
+            q[np.flatnonzero(on)[0]] = 1.0
+        config = ProtocolConfig(n=n, m_est=2, t=1.0, q=tuple(q / q.sum()), c_plus=tuple(c_plus),
+                                c_minus=tuple(c_minus.astype(int)), a=a)
+        model = ThetaModel(config)
+        for N in (1, 40, 100_000):
+            if rng.random() < 0.5:
+                p = np.clip(model.point_probs(rng.uniform(0.0, math.pi, 2).tolist()), 0.0, None)
+                tally = rng.multinomial(N, p / p.sum())
+            else:
+                tally = rng.integers(0, N + 1, len(model.labels)) * (rng.random(len(model.labels)) < 0.6)
+            observed = [(x, float(c)) for x, c in enumerate(tally) if c > 0]
+            bound = estimation._row_bounds(model, observed, axis)
+            if bound is None:
+                assert not set(model.labels_free_of(1)) & {x for x, _ in observed}
+                continue
+            ll = estimation._grid_log_likelihood(model, observed, grid)
+            assert np.all(ll.max(axis=1) <= bound)
+
+
+def test_bounded_start_evaluates_a_few_rows(monkeypatch):
+    # theta1 rows of the grid evaluated, counted as the versine contractions
+    # over the 181-point theta2 axis: at most 4 of 181 for counts drawn at
+    # N = 10^5; counts that leave theta2 flat take the whole grid
+    rows, contract = [], engine._contract
+
+    def counting_contract(w, stack, shape=None):
+        out = contract(w, stack, shape)
+        if out.ndim > 2 and out.shape[2] == estimation.GRID_POINTS:
+            rows.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(engine, "_contract", counting_contract)
+    config = ProtocolConfig.for_two_senders(7, a=3, q0=0.33)
+    dist = outcome_distribution(config, FieldVector((0.75, 1.25), 1.0))
+    for seed in range(5):
+        rows.clear()
+        mle_estimate(OutcomeCounts(draw_counts(dist, 100_000, philox(7, seed))), config)
+        assert 2 <= sum(rows) <= 4
+    rows.clear()
+    mle_estimate(OutcomeCounts({"0+": 400, "0-": 600}), ProtocolConfig.for_two_senders(6, a=3, q0=0.4))
+    assert rows == [2] + [22] * 8 + [5]  # two rows certify no start: theta2 is flat
+
+
+def test_bounded_start_breaks_ties_toward_the_smallest_theta1(monkeypatch):
+    # theta1 rows 40 and 100 share the maximum; row 100 has the larger bound
+    # and is evaluated first, yet the start is row 40's, as on the whole grid
+    axis = np.linspace(0.0, math.pi, estimation.GRID_POINTS)
+    rows = np.arange(len(axis))
+    grid = -10.0 * np.minimum(abs(rows - 40), abs(rows - 100))[:, None] - np.outer(rows > 40, rows)
+    bound = grid.max(axis=1) + 0.5 * (rows == 100)
+    evaluated = []
+
+    def fake_grid(model, observed, axes):
+        evaluated.append(np.searchsorted(axis, axes[0].ravel()).tolist())
+        return grid[evaluated[-1]]
+
+    monkeypatch.setattr(estimation, "_row_bounds", lambda model, observed, axis: bound)
+    monkeypatch.setattr(estimation, "_grid_log_likelihood", fake_grid)
+    assert estimation._bounded_start(None, [], axis, 1) == ([axis[40], 0.0], [])
+    assert evaluated == [[100, 40]]
+    assert np.argmax(grid) == 40 * len(axis)  # the whole grid's row-major argmax
 
 
 def test_refinement_evaluates_each_theta_once(monkeypatch):
