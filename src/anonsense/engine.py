@@ -316,10 +316,10 @@ class ThetaModel:
     ``config.m_est``); :func:`outcome_distribution` feeds it their phases.
     The phase-vector methods need m == m_est and read theta through a fixed
     table, so the first and second derivatives follow from the table's
-    signs.  :meth:`probs` broadcasts over arrays of theta components;
-    :meth:`grid_blocks` walks a grid given as its axes block by block, each
-    stack row on the axes it depends on; :meth:`point_probs`,
-    :meth:`dprobs` and :meth:`derivatives` take one phase vector of floats.
+    signs.  :meth:`label_rows` evaluates a grid given as its axes, each
+    stack row on the axes it depends on, and :meth:`probs` stacks its rows;
+    :meth:`point_probs`, :meth:`dprobs` and :meth:`derivatives` take one
+    phase vector of floats.
     Only weight indices with a measurement switch on are modelled: a
     :class:`ProtocolConfig` has q[i] = 0 on every other index.
     """
@@ -374,26 +374,17 @@ class ThetaModel:
         rows.append(residual)
         return rows
 
-    def _phase_probs(self, phases, table, shape=None) -> list:
-        """Probabilities for every label, in labels order, from one phase table.
-
-        ``phases`` and ``table`` as :func:`_stacks` takes them; the table
-        lists the bit strings of ``self.m`` senders.  Array phases may lie on
-        separate axes of a grid of ``shape`` (see :func:`_contract`).
-        """
+    def _phase_probs(self, phases, table) -> list:
+        """Probabilities for every label, in labels order, from one phase table
+        of floats, as :func:`_stacks` takes it; the table lists the bit
+        strings of ``self.m`` senders."""
         u, s = _stacks(phases, table)
-        return self._assemble(_contract(self._w, u, shape), _contract(self._w_minus, s, shape))
+        return self._assemble(_contract(self._w, u), _contract(self._w_minus, s))
 
     def probs(self, theta: Sequence) -> np.ndarray:
-        """Probabilities for every label, stacked along axis 0 (labels order).
-
-        The components broadcast against each other.  Sparse axes, as
-        ``np.meshgrid(..., sparse=True)`` returns them, keep the sines and
-        row sums on each axis and give the bits of the full grid.
-        """
-        theta = [np.asarray(t, dtype=float) for t in theta]
-        shape = np.broadcast_shapes(*[t.shape for t in theta])
-        rows = self._phase_probs(theta, self._theta_table(theta), shape)
+        """:meth:`label_rows` stacked along axis 0 (labels order), each row
+        broadcast to the grid; the components may be floats or arrays."""
+        rows = self.label_rows([np.asarray(t, dtype=float) for t in theta])
         return np.stack(np.broadcast_arrays(*rows))
 
     def point_probs(self, theta: Sequence[float]) -> list:
@@ -405,38 +396,35 @@ class ThetaModel:
         """
         return self._phase_probs(theta, self._theta_table(theta))
 
-    def grid_blocks(self, theta: Sequence[np.ndarray], rows: int):
-        """Yield (lo, label rows) over the grid the theta axes span, in blocks
-        of ``rows`` values of theta[0] (the rows in labels order).
+    def label_rows(self, theta: Sequence[np.ndarray]) -> list:
+        """Probabilities for every label over the grid the theta components
+        span, in labels order.
 
-        The axes are float arrays as ``np.meshgrid(..., sparse=True)``
-        returns them.  The stacks are formed once per grid, on each axis.  On
-        finite axes a sine row whose entries cancel in pairs (-x + x, the
-        middle row of two senders) is exactly +0.0 and spans no axis, so
-        gamma- depends on theta1 alone and is contracted once, on its axis;
-        each block contracts the versine stack alone.  A label row keeps the
-        broadcast shape of the amplitudes it is made of.  Every value has the
-        bits of :meth:`probs` on the whole grid: each grid column enters a
-        matrix product with the same entries, and a column of a product keeps
-        its bits whatever the number of columns, from two up (one column is a
-        matrix-vector product, the point path's).
+        The components are float arrays that broadcast against each other,
+        such as the axes ``np.meshgrid(..., sparse=True)`` returns; the
+        stacks are formed on each axis.  On finite axes a sine row whose
+        entries cancel in pairs (-x + x, the middle row of two senders) is
+        exactly +0.0 and spans no axis, so gamma- is contracted on the
+        theta1 axis alone.  A label row keeps the broadcast shape of the
+        amplitudes it is made of.  Each grid column enters a matrix product
+        with the same entries whatever the grid, and a column of a product
+        keeps its bits whatever the number of columns, from two up (one
+        column is a matrix-vector product, the point path's).
         """
         table = self._theta_table(theta)
-        shape = np.broadcast_shapes(*[t.shape for t in theta])
         u, s = _stacks(theta, table)
         if all(np.isfinite(t).all() for t in theta):
             s = [0.0 if not any(_nets(row, j) for _, j in row) else total
                  for row, total in zip(table, s)]
         gamma_m = _contract(self._w_minus, s, np.broadcast_shapes(*[np.shape(t) for t in s]))
-        for lo in range(0, shape[0], rows):
-            v = _contract(self._w, [np.broadcast_to(t, shape)[lo:lo + rows] for t in u])
-            yield lo, self._assemble(v, gamma_m[:, lo:lo + rows])
+        v = _contract(self._w, u, np.broadcast_shapes(*[np.shape(t) for t in theta]))
+        return self._assemble(v, gamma_m)
 
     def labels_free_of(self, j: int) -> list[int]:
         """Indices of the measured labels whose probability does not depend on
         theta_j: the label's weight row is zero on every table row that
         reads theta_j.  A versine row reads each of its entries; a sine row
-        reads only theta with a nonzero net sign, as :meth:`grid_blocks`
+        reads only theta with a nonzero net sign, as :meth:`label_rows`
         drops the rest, so every '-' label of two senders is free of theta2."""
         table = _THETA_TABLES[self.m_est]
         reads = {PLUS: [any(k == j for _, k in row) for row in table],

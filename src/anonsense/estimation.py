@@ -1,35 +1,26 @@
 """Maximum-likelihood phase estimation from observed outcome counts.
 
-The likelihood is multinomial over the closed-form outcome model.  The
-maximizer is located by a coarse grid over [0, pi]^m, the protocol's
+The likelihood is multinomial over the closed-form outcome model.  Its
+maximizer is located on a coarse grid over [0, pi]^m, the protocol's
 operating regime (the distribution is even in each phase, so signs are
-unrecoverable and nonnegative phases lose nothing).  The grid enters
-:meth:`ThetaModel.grid_blocks` as its axes.  Per axis, once per grid, run
-the sines and row sums and, for two senders, the gamma- contraction, which
-depends on theta1 alone.  Per block of theta1 values (at most
-``_GRID_BLOCK_POINTS`` points, so the probabilities held at once are
-bounded whatever the label count) run the versine contraction, the
-assembly and, per observed label, the log at the label row's own shape,
-scaled by its count and added into the grid in place.  Per point, the grid
-maximum is refined by projected, damped Fisher scoring on the kernel's
-analytic derivatives, which also give the observed information; the Fisher
-matrix at the estimate takes the probabilities and derivatives the
-refinement ends on.
+unrecoverable and nonnegative phases lose nothing), then refined per point
+by projected, damped Fisher scoring on the kernel's analytic derivatives,
+which also give the observed information; the Fisher matrix at the estimate
+takes the probabilities and derivatives the refinement ends on.
 
-For two senders only the theta1 rows that can hold the grid maximum are
-evaluated.  The labels A whose probability is free of theta2 (every '-'
-label and, from the weight rows, (0,+)) come from one pass over the theta1
-axis; the others share the mass S = 1 - sum_A p, so by Gibbs' inequality a
-row's log-likelihood is at most sum_A c log p + sum_B c log(c S / C_B).
-Rows are evaluated in descending order of that bound, two or more per
-product, until the next bound falls below the best value less a margin of
-1e-6 * (N + 1), which covers the rounding of bound and value; the rows left
-out are then below the maximum.  Each row is evaluated on the same
-contractions as in the whole grid, so it keeps its bits, and the argmax
-over the rows evaluated, in ascending theta1 order, is the whole grid's.
-Their spread bounds the grid's from below, so it can certify only that no
-axis is flat.  Where it cannot, where no label is free of theta2, no value
-found is finite or every row would be evaluated, the whole grid is.
+The grid start is one loop over theta1 rows (:func:`_grid_start`), each
+product a set of rows over the whole theta2 axis, evaluated by one
+:meth:`ThetaModel.label_rows` call.  For two senders the labels A whose
+probability is free of theta2 (every '-' label and, from the weight rows,
+(0,+)) bound each row: the others share the mass S = 1 - sum_A p, so by
+Gibbs' inequality a row's log-likelihood is at most
+sum_A c log p + sum_B c log(c S / C_B).  Rows go in descending bound order
+until the next bound falls below the best value less a margin of
+1e-6 * (N + 1), which covers the rounding of bound and value; without a
+bound every row goes, in axis order.  A row keeps its bits in any product of
+two rows or more, so the argmax over the rows evaluated, in ascending theta1
+order, is the whole grid's.  Their spread can certify only that no axis is
+flat; where it cannot, the loop goes on to every row.
 """
 
 from __future__ import annotations
@@ -125,16 +116,11 @@ def mle_estimate(counts: OutcomeCounts, config: ProtocolConfig) -> EstimateRepor
         raise ValueError("estimation requires at least one observed outcome")
     model = ThetaModel(config)
     _check_labels(counts, model)
-    m = config.m_est
     tallies = np.array([counts.counts.get(label, 0) for label in model.labels], dtype=float)
     observed = [(x, c) for x, c in enumerate(tallies.tolist()) if c > 0]  # labels order
 
     axis = np.linspace(0.0, math.pi, GRID_POINTS)
-    start = _bounded_start(model, observed, axis, counts.N) if m == 2 else None
-    if start is None:  # the whole grid: one sender, or a start the bound cannot certify
-        ll = _grid_log_likelihood(model, observed,
-                                  np.meshgrid(*[axis] * m, indexing="ij", sparse=True))
-        start = _grid_start(ll, [axis] * m)
+    start = _grid_start(model, observed, axis, counts.N)
     if start is None:
         raise ValueError("likelihood is -inf over the whole domain; counts are "
                          "inconsistent with the configuration")
@@ -204,41 +190,17 @@ def _grid_log_likelihood(model: ThetaModel, observed, axes) -> np.ndarray:
 
     ``observed`` holds (label index, count) for every nonzero count.  Every
     probability is q*gamma^2 or a sum of q*max(rest, 0), never negative, so
-    log 0 = -inf is the only special value.  The grid is evaluated in blocks
-    of theta1 values of at most :data:`_GRID_BLOCK_POINTS` points, or one
-    value (:meth:`ThetaModel.grid_blocks`).  Every block's columns go through
-    the same matrix product as the whole grid's, so the blocks keep its bits;
-    that needs more than one point per block (one point would be a
-    matrix-vector product), which holds as an m = 2 theta1 value spans 181
-    points and the m = 1 grid is one block, and more than one theta1 value
-    for gamma-, which holds for the rows :func:`_bounded_start` gathers.
-    Each observed label's row is logged at its own shape, scaled by its count
-    and added into the block in labels order: the additions of
+    log 0 = -inf is the only special value.  Each observed label's row
+    (:meth:`ThetaModel.label_rows`) is logged at its own shape, scaled by its
+    count and added into the grid in labels order: the additions of
     ``sum(c * log P_x)``, in place.
     """
-    shape = np.broadcast_shapes(*[np.shape(t) for t in axes])
-    ll = np.zeros(shape)
-    rows = max(1, _GRID_BLOCK_POINTS // (ll.size // shape[0]))
+    p = model.label_rows(axes)
+    ll = np.zeros(np.broadcast_shapes(*[np.shape(t) for t in axes]))
     with np.errstate(divide="ignore"):
-        for lo, p in model.grid_blocks(axes, rows):
-            block = ll[lo:lo + rows]
-            for x, c in observed:
-                block += np.multiply(np.log(p[x], out=p[x]), c, out=p[x])
+        for x, c in observed:
+            ll += np.multiply(np.log(p[x], out=p[x]), c, out=p[x])
     return ll
-
-
-def _grid_start(ll: np.ndarray, axes) -> Optional[tuple[list, list[str]]]:
-    """The row-major argmax of the grid values ``ll`` over ``axes`` (the
-    smallest theta1, then theta2, wins ties) and a flag per axis along which
-    the finite values spread less than 1e-9; None if no value is finite."""
-    finite = np.isfinite(ll)
-    if not finite.any():
-        return None
-    theta = [axis[i] for axis, i in zip(axes, np.unravel_index(int(np.argmax(ll)), ll.shape))]
-    # -inf cells take the smallest finite value, so they add no spread
-    spread = ll if finite.all() else np.where(finite, ll, np.min(ll[finite]))
-    return theta, [f"flat likelihood along theta_{j + 1}" for j in range(ll.ndim)
-                   if np.ptp(spread, axis=j).max() < 1e-9]
 
 
 def _row_bounds(model: ThetaModel, observed, axis) -> Optional[np.ndarray]:
@@ -255,7 +217,7 @@ def _row_bounds(model: ThetaModel, observed, axis) -> Optional[np.ndarray]:
     if not exact:
         return None
     rest = np.array([c for x, c in observed if x not in in_free])
-    _, p = next(model.grid_blocks([axis[:, None], np.zeros((1, 1))], len(axis)))
+    p = model.label_rows([axis[:, None], np.zeros((1, 1))])
     bound = np.zeros(len(axis))
     with np.errstate(divide="ignore"):
         for x, c in exact:
@@ -266,32 +228,60 @@ def _row_bounds(model: ThetaModel, observed, axis) -> Optional[np.ndarray]:
     return bound
 
 
-def _bounded_start(model: ThetaModel, observed, axis, N: int):
-    """:func:`_grid_start` of the two-sender grid from the theta1 rows that
-    can hold its maximum, or None where the whole grid must be evaluated.
+def _grid_start(model: ThetaModel, observed, axis, N: int) -> Optional[tuple[list, list[str]]]:
+    """The start of the refinement on the grid ``axis``^m: the row-major
+    argmax of the log-likelihood (the smallest theta1, then theta2, wins
+    ties) and a flag per axis along which its finite values spread less than
+    1e-9; None if no value is finite.
 
-    Rows are evaluated in descending order of :func:`_row_bounds`, each
-    product taking two rows at least and twice those done so far at most, until
-    the next bound is below the best value less ``_BOUND_MARGIN * (N + 1)``.
-    The spread of the rows evaluated is a lower bound of the grid's, so it
-    certifies only a start without flat-axis flags; else this is None.
+    Each product is a set of theta1 rows over the whole theta2 axis, two at
+    least (never a lone row, not even the last) and ``_GRID_BLOCK_POINTS``
+    points at most (a cap of two rows ends on three), and no row is
+    evaluated twice.  With :func:`_row_bounds`, rows go in descending bound
+    order, each product taking at most twice the rows done so far, until the
+    next bound is below the best value less ``_BOUND_MARGIN * (N + 1)``;
+    without, every row goes in axis order.  The rows evaluated certify only a start without flags
+    (their spread is a lower bound of the grid's); else the loop goes on to
+    every row.
     """
-    bound = _row_bounds(model, observed, axis)
-    if bound is None:
-        return None
-    order = np.argsort(-bound, kind="stable")
-    floor, done, lls = -math.inf, 0, []
-    while done < len(order) and bound[order[done]] >= floor:
-        take = max(2, min(2 * done or 2, int(np.count_nonzero(bound[order[done:]] >= floor))))
-        if done + take >= len(order):
-            return None  # every row left: the whole grid costs no more
+    m = model.m_est
+    cap = max(2, _GRID_BLOCK_POINTS // len(axis) ** (m - 1))
+    bound = _row_bounds(model, observed, axis) if m == 2 else None
+    order = np.arange(len(axis)) if bound is None else np.argsort(-bound, kind="stable")
+    ll = np.empty((len(axis),) * m)
+    floor, done = -math.inf, 0
+    while done < len(order):
+        if bound is not None and bound[order[done]] < floor:  # no row left can hold the maximum
+            seen = np.sort(order[:done])
+            start = _argmax_start(ll[seen], [axis[seen], axis])
+            if not start[1]:
+                return start
+            bound = None  # flags the rows evaluated cannot certify: every row goes
+        left = len(order) - done
+        take = min(cap, left if bound is None else max(2, min(
+            2 * done or 2, int(np.count_nonzero(bound[order[done:]] >= floor)))))
+        if left - take == 1:  # one row less, or one more, leaves no lone row
+            take += -1 if take == cap > 2 else 1
         rows = order[done:done + take]
-        lls.append(_grid_log_likelihood(model, observed, (axis[rows, None], axis[None, :])))
-        floor = max(floor, float(lls[-1].max()) - _BOUND_MARGIN * (N + 1))
+        product = _grid_log_likelihood(
+            model, observed, np.meshgrid(axis[rows], *[axis] * (m - 1), indexing="ij", sparse=True))
+        ll[rows] = product
+        floor = max(floor, float(product.max()) - _BOUND_MARGIN * (N + 1))
         done += take
-    rows = np.argsort(order[:done])
-    start = _grid_start(np.concatenate(lls)[rows], [axis[order[:done]][rows], axis])
-    return start if start is not None and not start[1] else None
+    return _argmax_start(ll, [axis] * m)
+
+
+def _argmax_start(ll: np.ndarray, axes) -> Optional[tuple[list, list[str]]]:
+    """:func:`_grid_start` from the grid values ``ll`` over ``axes``, the
+    theta1 rows in ascending order; None if no value is finite."""
+    finite = np.isfinite(ll)
+    if not finite.any():
+        return None
+    theta = [axis[i] for axis, i in zip(axes, np.unravel_index(int(np.argmax(ll)), ll.shape))]
+    # -inf cells take the smallest finite value, so they add no spread
+    spread = ll if finite.all() else np.where(finite, ll, np.min(ll[finite]))
+    return theta, [f"flat likelihood along theta_{j + 1}" for j in range(ll.ndim)
+                   if np.ptp(spread, axis=j).max() < 1e-9]
 
 
 def _refine(counts: OutcomeCounts, model: ThetaModel, tallies, theta, spacing: float):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,11 +143,12 @@ def verify_tracelessness(
     iff the maximum pairwise total-variation distance is within
     :data:`EXACT_TV_TOL`.  ``means``, when given, holds this config's outcome
     columns of the :func:`~anonsense.statevec.dicke_means` pass of these fields
-    over those subsets that the designs of one trial share.
+    over those subsets that the designs of one trial share; then only their
+    count is read, and the subsets are not listed again.
     """
     n, m = config.n, fields.m
     check_senders(n, m)
-    subsets = sender_subsets(n, m)
+    subsets = sender_subsets(n, m) if means is None else range(math.comb(n, m))
     labels, probs = dicke_sweep(config, fields, subsets, means)
     max_tv = _max_pairwise_tv(probs)
     return TracelessnessReport(
@@ -171,10 +173,14 @@ def negative_control(n: int, fields: FieldVector) -> TracelessnessReport:
     participant 1 is |a_1 - b_1|^2 / 4: read from the rows of the phase seam
     (:func:`~anonsense.statevec._participant_phases`) that list participant 1, in
     their first column, and 0 on the rows that do not, where a_1 = b_1 = 1.  It
-    runs at every n.
+    runs at every n with two sender subsets or more, the fewest that have a
+    pair to tell apart.
     """
     m = fields.m
     check_senders(n, m)
+    if math.comb(n, m) < 2:
+        raise ValueError(f"the negative control needs at least two sender subsets to tell "
+                         f"apart; n={n} and m={m} have C({n}, {m}) = {math.comb(n, m)}")
     subsets = sender_subsets(n, m)
     listed, (a, b) = _participant_phases(n, fields, subsets)
     p_minus = np.where(listed[:, 0] == 1, np.clip(np.abs(a[0] - b[0]) ** 2 / 4, 0.0, 1.0), 0.0)

@@ -175,7 +175,7 @@ def full_grid_start(model, observed, axis, N):
     from the log-likelihood at all 181^2 grid points: the row-major argmax,
     and a flag per axis along which the finite values (-inf cells taking the
     smallest of them) spread less than 1e-9.  Takes and returns what
-    ``estimation._bounded_start`` does, but never declines to."""
+    ``estimation._grid_start`` does, and raises where no value is finite."""
     ll = estimation._grid_log_likelihood(model, observed,
                                          np.meshgrid(axis, axis, indexing="ij", sparse=True))
     finite = np.isfinite(ll)

@@ -177,6 +177,33 @@ def test_verify_frees_each_means_pass_before_the_next(tmp_path, monkeypatch):
     assert len(passes) == 3
 
 
+def test_verify_lists_the_sender_subsets_once_per_run(tmp_path, monkeypatch):
+    # both designs of every trial read the one list the run builds: at
+    # n = 1000 each listing is 499 500 tuples
+    listings = []
+    real_subsets = protocol.sender_subsets
+
+    def subsets_spy(n, m):
+        listings.append((n, m))
+        return real_subsets(n, m)
+
+    monkeypatch.setattr(cli, "sender_subsets", subsets_spy)
+    monkeypatch.setattr(protocol, "sender_subsets", subsets_spy)
+    assert run_cli(["verify", "--n", "8", "--trials", "3", "--out", str(tmp_path / "v.json")]) == 0
+    assert listings == [(8, 2)]
+
+
+def test_negative_control_needs_two_sender_subsets(capsys):
+    # with C(1, 1) = 1 subset there is no pair to tell apart, so the control
+    # cannot detect a leak: an error before any output, not a failed detection
+    assert run_cli(["verify", "--negative-control", "--n", "1", "--m", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the negative control needs at least two sender subsets "
+                            "to tell apart; n=1 and m=1 have C(1, 1) = 1\n")
+    assert run_cli(["verify", "--negative-control", "--n", "2", "--m", "1"]) == 0
+
+
 def test_negative_control_rejects_trials(capsys):
     # the control makes one draw, so a --trials beside it was dropped without a word
     assert run_cli(["verify", "--negative-control", "--trials", "5"]) == 2

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -134,7 +135,7 @@ def test_refinement_runs_on_float_points(monkeypatch):
 def full_grid_estimate(counts, config, monkeypatch):
     """mle_estimate with the start formed on the whole grid, as the reference does."""
     with monkeypatch.context() as patch:
-        patch.setattr(estimation, "_bounded_start", reference.full_grid_start)
+        patch.setattr(estimation, "_grid_start", reference.full_grid_start)
         return mle_estimate(counts, config)
 
 
@@ -167,7 +168,15 @@ DESIGN_CONFIGS = [ProtocolConfig.for_two_senders(n, a=a, q0=q0)
 def test_bounded_start_gives_the_full_grid_estimate(config, monkeypatch):
     # the start from the theta1 rows that can hold the grid maximum leaves
     # every report byte for byte as the whole grid's start does: drawn counts
-    # at every N, and all counts on 'f', on (0,+) and (0,-), or on one label
+    # at every N, and all counts on 'f', on (0,+) and (0,-), or on one label;
+    # and no theta1 row is evaluated twice, also where the loop goes on past
+    # its stop to every row
+    evaluated, grid = [], estimation._grid_log_likelihood
+
+    def recording_grid(model, observed, axes):
+        evaluated.extend(axes[0].ravel().tolist())
+        return grid(model, observed, axes)
+
     labels = config.labels()
     truth = philox(config.n, len(labels)).uniform(0.05, 1.5, 2).tolist()
     dist = outcome_distribution(config, FieldVector(tuple(truth), config.t))
@@ -178,8 +187,12 @@ def test_bounded_start_gives_the_full_grid_estimate(config, monkeypatch):
             cases += [{label: N} for label in labels[:-1]]
         for tally in cases:
             counts = OutcomeCounts(tally)
-            assert (estimate_or_error(mle_estimate, counts, config)
-                    == estimate_or_error(full_grid_estimate, counts, config, monkeypatch))
+            evaluated.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(estimation, "_grid_log_likelihood", recording_grid)
+                ours = estimate_or_error(mle_estimate, counts, config)
+            assert len(set(evaluated)) == len(evaluated)
+            assert ours == estimate_or_error(full_grid_estimate, counts, config, monkeypatch)
 
 
 def test_row_bounds_hold_every_rows_maximum(rng):
@@ -220,7 +233,8 @@ def test_row_bounds_hold_every_rows_maximum(rng):
 def test_bounded_start_evaluates_a_few_rows(monkeypatch):
     # theta1 rows of the grid evaluated, counted as the versine contractions
     # over the 181-point theta2 axis: at most 4 of 181 for counts drawn at
-    # N = 10^5; counts that leave theta2 flat take the whole grid
+    # N = 10^5; counts that leave theta2 flat go on from the two rows the
+    # stop leaves to the 179 others, 22 at a time, each row once
     rows, contract = [], engine._contract
 
     def counting_contract(w, stack, shape=None):
@@ -238,7 +252,8 @@ def test_bounded_start_evaluates_a_few_rows(monkeypatch):
         assert 2 <= sum(rows) <= 4
     rows.clear()
     mle_estimate(OutcomeCounts({"0+": 400, "0-": 600}), ProtocolConfig.for_two_senders(6, a=3, q0=0.4))
-    assert rows == [2] + [22] * 8 + [5]  # two rows certify no start: theta2 is flat
+    assert rows == [2] + [22] * 8 + [3]  # two rows certify no start: theta2 is flat
+    assert sum(rows) == estimation.GRID_POINTS
 
 
 def test_bounded_start_breaks_ties_toward_the_smallest_theta1(monkeypatch):
@@ -256,7 +271,8 @@ def test_bounded_start_breaks_ties_toward_the_smallest_theta1(monkeypatch):
 
     monkeypatch.setattr(estimation, "_row_bounds", lambda model, observed, axis: bound)
     monkeypatch.setattr(estimation, "_grid_log_likelihood", fake_grid)
-    assert estimation._bounded_start(None, [], axis, 1) == ([axis[40], 0.0], [])
+    two_senders = types.SimpleNamespace(m_est=2)
+    assert estimation._grid_start(two_senders, [], axis, 1) == ([axis[40], 0.0], [])
     assert evaluated == [[100, 40]]
     assert np.argmax(grid) == 40 * len(axis)  # the whole grid's row-major argmax
 

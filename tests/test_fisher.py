@@ -384,8 +384,9 @@ def test_per_label_grid_keeps_the_masked_log_bits(config):
                                     all_switches_config(40, 2)])
 def test_grid_contracts_gamma_minus_once_on_the_theta1_axis(config, monkeypatch):
     # the middle sine row of two senders (-x + x) is 0 on finite axes, so
-    # gamma- is contracted once per grid on the theta1 axis, and each block
-    # of 4096 // 181 = 22 theta1 rows contracts the versine stack alone
+    # gamma- is contracted once per product, on its theta1 rows alone, and
+    # the versine stack over the product's grid: for the whole grid and for
+    # one product of 23 theta1 rows gathered in descending order
     model = ThetaModel(config)
     calls, contract = [], engine._contract
 
@@ -395,49 +396,69 @@ def test_grid_contracts_gamma_minus_once_on_the_theta1_axis(config, monkeypatch)
         return out
 
     monkeypatch.setattr(engine, "_contract", counting_contract)
-    axes = np.meshgrid(*[np.linspace(0.0, math.pi, 181)] * 2, indexing="ij", sparse=True)
-    _grid_log_likelihood(model, [(0, 3)], axes)
-    assert calls == [("-", (181, 1))] + [("+", (22, 181))] * 8 + [("+", (5, 181))]
+    axis = np.linspace(0.0, math.pi, 181)
+    _grid_log_likelihood(model, [(0, 3)], np.meshgrid(axis, axis, indexing="ij", sparse=True))
+    assert calls == [("-", (181, 1)), ("+", (181, 181))]
+    calls.clear()
+    rows = axis[np.arange(0, 181, 8)[::-1]]
+    _grid_log_likelihood(model, [(0, 3)], np.meshgrid(rows, axis, indexing="ij", sparse=True))
+    assert calls == [("-", (23, 1)), ("+", (23, 181))]
 
 
 def test_an_infinite_theta2_is_nan_for_every_label():
     # the grid's axis rule holds on finite axes only: at theta2 = inf the
-    # middle sine row is inf - inf, and every label is NaN on every path
+    # middle sine row is inf - inf, and every label is NaN on every path,
+    # the label rows of a product of theta1 rows in any order among them
     model = ThetaModel(ProtocolConfig.for_two_senders(7, a=3, q0=0.33))
     axes = [np.array([[0.5], [1.0]]), np.array([[0.3, math.inf]])]
     with np.errstate(invalid="ignore"):
         assert np.isnan(model.point_probs((1.0, math.inf))).all()
         assert np.isnan(model.probs((1.0, math.inf))).all()
         whole = model.probs(axes)
-        blocks = [np.stack(np.broadcast_arrays(*rows)) for _, rows in model.grid_blocks(axes, 1)]
+        reversed_rows = model.label_rows([axes[0][::-1], axes[1]])
     assert np.isnan(whole[..., 1]).all() and np.isfinite(whole[..., 0]).all()
-    assert np.array_equal(np.concatenate(blocks, axis=1), whole, equal_nan=True)
+    assert np.array_equal(np.stack(np.broadcast_arrays(*reversed_rows)), whole[:, ::-1],
+                          equal_nan=True)
 
 
 @pytest.mark.parametrize("config", GRID_CONFIGS + [all_switches_config(40, 2)])
 def test_blocked_grid_keeps_the_single_block_bits(config, monkeypatch):
     # every grid column goes through the same matrix product whatever the
-    # block: 22-row blocks (181 = 8 * 22 + 5), uneven 7-row blocks and one
-    # theta1 row per block give the probability and log-likelihood bits of
-    # one evaluation of the whole grid.  A one-point block would be a
-    # matrix-vector product, the point path's bits; for m = 1 a row is one
-    # point, so its smallest block here is 7 points (181 = 25 * 7 + 6)
+    # product of theta1 rows it is in: the estimator's loop, over every row
+    # in axis order at a cap of 22 rows (181 = 8 * 22 + 5), 7 rows
+    # (25 * 7 + 6) or 2 rows (89 * 2 + 3: a lone last row would be a
+    # matrix-vector product, the point path's, so the last product takes
+    # three), gives the probability and log-likelihood bits of one
+    # evaluation of the whole grid, and its start
     model = ThetaModel(config)
-    axes = np.meshgrid(*[np.linspace(0.0, math.pi, 181)] * config.m_est,
-                       indexing="ij", sparse=True)
+    axis = np.linspace(0.0, math.pi, 181)
+    axes = np.meshgrid(*[axis] * config.m_est, indexing="ij", sparse=True)
     observed = [(x, 10 * x + 3) for x in range(len(model.labels))]
     whole = model.probs(axes)
-    monkeypatch.setattr(estimation, "_GRID_BLOCK_POINTS", whole[0].size)
-    reference = bits(_grid_log_likelihood(model, observed, axes))
-    per_row = whole[0].size // 181
-    sizes = [4096, 7 * per_row] + ([per_row] if config.m_est == 2 else [])
-    for points in sizes:
-        monkeypatch.setattr(estimation, "_GRID_BLOCK_POINTS", points)
-        assert bits(_grid_log_likelihood(model, observed, axes)) == reference
-        step = points // per_row
-        for lo in range(0, 181, step):
-            block = model.probs([axes[0][lo:lo + step], *axes[1:]])
-            assert bits(block) == bits(whole[:, lo:lo + step])
+    whole_ll = _grid_log_likelihood(model, observed, axes)
+    products, grid = [], estimation._grid_log_likelihood
+
+    def checked_grid(model, observed, product):
+        rows = np.searchsorted(axis, product[0].ravel())
+        products.append(len(rows))
+        assert bits(model.probs(product)) == bits(whole[:, rows])
+        ll = grid(model, observed, product)
+        assert bits(ll) == bits(whole_ll[rows])
+        return ll
+
+    monkeypatch.setattr(estimation, "_row_bounds", lambda model, observed, axis: None)
+    monkeypatch.setattr(estimation, "_grid_log_likelihood", checked_grid)
+    for cap in (22, 7, 2):
+        products.clear()
+        monkeypatch.setattr(estimation, "_GRID_BLOCK_POINTS", cap * whole[0].size // 181)
+        start = estimation._grid_start(model, observed, axis, 1)
+        last = 181 % cap + (cap if cap == 2 else 0)
+        assert products == [cap] * ((181 - last) // cap) + [last]
+        if not np.isfinite(whole_ll).any():  # a label observed that no phase can give
+            assert start is None
+        else:
+            argmax = np.unravel_index(int(np.argmax(whole_ll)), whole_ll.shape)
+            assert start[0] == [axis[i] for i in argmax]
 
 
 def test_one_estimate_holds_a_bounded_grid_in_memory():
