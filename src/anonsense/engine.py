@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -270,12 +272,13 @@ def _contract(w: np.ndarray, stack, shape=None) -> np.ndarray:
     One BLAS product (rows x L) @ (L x points), for one point as for a grid;
     a point's column is sliced out, cheaper than a reshape on the hot path.
     A grid given as axes leaves each row on its own axes' shape; the rows are
-    broadcast to the grid ``shape`` here, where they enter the product, and
-    nowhere earlier.
+    broadcast to the grid ``shape`` here, each filled into one (L, *shape)
+    array where it enters the product, and nowhere earlier.
     """
+    arr = np.array(stack) if shape is None else np.empty((len(stack), *shape))
     if shape is not None:
-        stack = [np.broadcast_to(row, shape) for row in stack]
-    arr = np.array(stack)
+        for l, row in enumerate(stack):
+            arr[l] = row
     out = np.dot(w, arr.reshape(len(arr), -1))
     return out[:, 0] if arr.ndim == 1 else out.reshape((len(w), *arr.shape[1:]))
 
@@ -300,6 +303,12 @@ _THETA_TABLES = {
     1: (((1, 0),), ((-1, 0),)),
     2: (((1, 0),), ((-1, 1), (1, 1)), ((-1, 0),)),
 }
+# Their facts, formed once: per component j, the entries reading theta_j in each
+# row and their net sign; per row, whether its sine is live (not -x + x = 0).
+_THETA_FACTS = {m: ([([sum(k == j for _, k in row) for row in table], [_nets(row, j) for row in table])
+                     for j in range(m)], [any(_nets(row, j) for _, j in row) for row in table])
+                for m, table in _THETA_TABLES.items()}
+_HELD_POINTS = 16  # phase vectors whose columns a model keeps; scoring asks a few points back
 
 
 class ThetaModel:
@@ -319,7 +328,9 @@ class ThetaModel:
     signs.  :meth:`label_rows` evaluates a grid given as its axes, each
     stack row on the axes it depends on, and :meth:`probs` stacks its rows;
     :meth:`point_probs`, :meth:`dprobs` and :meth:`derivatives` take one
-    phase vector of floats.
+    phase vector of floats.  The point path pays only for its contractions:
+    table facts at import, label and residual terms here, float columns, and
+    one stacks pass per phase vector, whose columns :meth:`derivatives` reuses.
     Only weight indices with a measurement switch on are modelled: a
     :class:`ProtocolConfig` has q[i] = 0 on every other index.
     """
@@ -339,6 +350,11 @@ class ThetaModel:
         self._w_minus = self._w * np.array([[0.0 if 2 * i == n else 0.5] for i in self._rows])
         self.labels = config.labels()
         self._active = [(row[i], i, sign) for i, sign in outcomes]
+        q = config.q
+        self._terms = [(r, sign == PLUS, q[i]) for r, i, sign in self._active]
+        self._residual_terms = [(r, q[i], config.c_plus[i], config.c_minus[i])
+                                for r, i in enumerate(self._rows) if q[i]]
+        self._held: dict = {}
 
     def _theta_table(self, theta):
         """The phase table of theta (see ``_THETA_TABLES``); needs m == m_est."""
@@ -351,35 +367,39 @@ class ThetaModel:
     def _assemble(self, v, gamma_m) -> list:
         """Per-label probabilities from the row amplitudes, in labels order.
 
-        gamma+ = 1 - v[r] and gamma- = gamma_m[r] may be arrays or scalars.
+        gamma+ = 1 - v[r] and gamma- = gamma_m[r] may be arrays or floats.
         The residual is assembled per weight index from stable complements.
         """
-        config = self.config
-        q = config.q
         rows = []
-        for r, i, sign in self._active:
-            gam = (1.0 - v[r]) if sign == PLUS else gamma_m[r]
-            rows.append(q[i] * gam ** 2)
+        for r, plus, q in self._terms:
+            gam = (1.0 - v[r]) if plus else gamma_m[r]
+            rows.append(q * gam ** 2)
         residual = 0.0
-        for r, i in enumerate(self._rows):
-            if q[i] == 0.0:
-                continue
-            if config.c_plus[i]:
+        for r, q, c_plus, c_minus in self._residual_terms:
+            if c_plus:
                 rest = v[r] * (2.0 - v[r])
-                if config.c_minus[i]:
+                if c_minus:
                     rest = rest - gamma_m[r] ** 2
             else:
                 rest = (1.0 - gamma_m[r]) * (1.0 + gamma_m[r])
-            residual = residual + q[i] * np.maximum(rest, 0.0)
+            residual = residual + q * np.maximum(rest, 0.0)
         rows.append(residual)
         return rows
 
-    def _phase_probs(self, phases, table) -> list:
-        """Probabilities for every label, in labels order, from one phase table
-        of floats, as :func:`_stacks` takes it; the table lists the bit
-        strings of ``self.m`` senders."""
+    def _columns(self, phases, table) -> tuple[list, list]:
+        """v and gamma- at one phase table of floats (:func:`_stacks`), as float lists."""
         u, s = _stacks(phases, table)
-        return self._assemble(_contract(self._w, u), _contract(self._w_minus, s))
+        return _contract(self._w, u).tolist(), _contract(self._w_minus, s).tolist()
+
+    def _theta_columns(self, theta) -> list:
+        """[v, gamma-, first-order amplitudes or None] at the phase vector theta,
+        kept by its bits (-0.0 is not 0.0) for the last ``_HELD_POINTS`` vectors."""
+        key = struct.pack(f"{len(theta)}d", *theta)
+        if key not in self._held:
+            self._held[key] = [*self._columns(theta, self._theta_table(theta)), None]
+            if len(self._held) > _HELD_POINTS:
+                del self._held[next(iter(self._held))]
+        return self._held[key]
 
     def probs(self, theta: Sequence) -> np.ndarray:
         """:meth:`label_rows` stacked along axis 0 (labels order), each row
@@ -394,7 +414,7 @@ class ThetaModel:
         the same BLAS contraction and the same assembly, without the array
         set-up that dominates a single point.
         """
-        return self._phase_probs(theta, self._theta_table(theta))
+        return self._assemble(*self._theta_columns(theta)[:2])
 
     def label_rows(self, theta: Sequence[np.ndarray]) -> list:
         """Probabilities for every label over the grid the theta components
@@ -411,13 +431,11 @@ class ThetaModel:
         keeps its bits whatever the number of columns, from two up (one
         column is a matrix-vector product, the point path's).
         """
-        table = self._theta_table(theta)
-        u, s = _stacks(theta, table)
+        u, s = _stacks(theta, self._theta_table(theta))
         if all(np.isfinite(t).all() for t in theta):
-            s = [0.0 if not any(_nets(row, j) for _, j in row) else total
-                 for row, total in zip(table, s)]
-        gamma_m = _contract(self._w_minus, s, np.broadcast_shapes(*[np.shape(t) for t in s]))
-        v = _contract(self._w, u, np.broadcast_shapes(*[np.shape(t) for t in theta]))
+            s = [total if live else 0.0 for live, total in zip(_THETA_FACTS[self.m][1], s)]
+        gamma_m = _contract(self._w_minus, s, np.broadcast(*s).shape)
+        v = _contract(self._w, u, np.broadcast(*theta).shape)
         return self._assemble(v, gamma_m)
 
     def labels_free_of(self, j: int) -> list[int]:
@@ -426,10 +444,8 @@ class ThetaModel:
         reads theta_j.  A versine row reads each of its entries; a sine row
         reads only theta with a nonzero net sign, as :meth:`label_rows`
         drops the rest, so every '-' label of two senders is free of theta2."""
-        table = _THETA_TABLES[self.m_est]
-        reads = {PLUS: [any(k == j for _, k in row) for row in table],
-                 MINUS: [_nets(row, j) != 0 for row in table]}
-        weights = {PLUS: self._w, MINUS: self._w_minus}
+        reads = dict(zip((PLUS, MINUS), _THETA_FACTS[self.m_est][0][j]))  # counts, net signs
+        weights = {PLUS: self._w.tolist(), MINUS: self._w_minus.tolist()}
         return [x for x, (r, _, sign) in enumerate(self._active)
                 if not any(w for w, read in zip(weights[sign][r], reads[sign]) if read)]
 
@@ -450,30 +466,27 @@ class ThetaModel:
         gives dP_j = 2q*gam*dgam_j and d2P_ij = 2q*(dgam_i*dgam_j + gam*d2gam_ij),
         and the residual's derivatives are minus the sum of the active ones.
         """
-        table = self._theta_table(theta)
-        u, s = _stacks(theta, table)
-        v, gamma_m = _contract(self._w, u), _contract(self._w_minus, s)
+        v, gamma_m, dgam = held = self._theta_columns(theta)
         half_angle = np.array(theta, dtype=float) / 2
-        half_sine, cosine = np.sin(half_angle) / 2, np.cos(half_angle)
-        q = [self.config.q[i] for _, i, _ in self._active]
-        gam = [1.0 - v[r] if sign == PLUS else gamma_m[r] for r, _, sign in self._active]
+        half_sine, cosine = (np.sin(half_angle) / 2).tolist(), np.cos(half_angle).tolist()
+        q = [qx for _, _, qx in self._terms]
+        gam = [1.0 - v[r] if plus else gamma_m[r] for r, plus, _ in self._terms]
 
         def amplitudes(du, ds):  # gamma+ = 1 - v moves by -dv, gamma- by its own
-            dv, dgamma_m = _contract(self._w, du), _contract(self._w_minus, ds)
-            return [-dv[r] if sign == PLUS else dgamma_m[r] for r, _, sign in self._active]
+            dv, dgamma_m = _contract(self._w, du).tolist(), _contract(self._w_minus, ds).tolist()
+            return [-dv[r] if plus else dgamma_m[r] for r, plus, _ in self._terms]
 
-        def labelled(rows):
-            return rows + [-sum(rows)]
+        def labelled(rows):  # summed from 0 left to right: sum() compensates floats on 3.12+
+            return rows + [-functools.reduce(operator.add, rows, 0)]
 
-        dgam, d2gam = [], []
-        for j in range(self.m_est):
-            counts = [sum(k == j for _, k in row) for row in table]
-            nets = [_nets(row, j) for row in table]
-            dgam.append(amplitudes([c * half_sine[j] if c else 0.0 for c in counts],
-                                   [-net * cosine[j] if net else 0.0 for net in nets]))
-            if second:
-                d2gam.append(amplitudes([c * cosine[j] / 4 if c else 0.0 for c in counts],
-                                        [net * half_sine[j] if net else 0.0 for net in nets]))
+        facts = list(enumerate(_THETA_FACTS[self.m_est][0]))
+        if dgam is None:  # the first-order amplitudes, formed once per phase vector held
+            dgam = held[2] = [amplitudes([c * half_sine[j] if c else 0.0 for c in counts],
+                                         [-net * cosine[j] if net else 0.0 for net in nets])
+                              for j, (counts, nets) in facts]
+        d2gam = [amplitudes([c * cosine[j] / 4 if c else 0.0 for c in counts],
+                            [net * half_sine[j] if net else 0.0 for net in nets])
+                 for j, (counts, nets) in facts] if second else []
         # .T puts the label axis first (d2P is symmetric in i and j) and .copy()
         # gives the C order the callers' matrix products were written for
         dp = np.array([labelled([2.0 * qx * g * dg for qx, g, dg in zip(q, gam, dgam[j])])
@@ -520,5 +533,5 @@ def outcome_distribution(config: ProtocolConfig, fields: FieldVector) -> Outcome
     ``ThetaModel(config).point_probs(phases_from_fields(fields))``.
     """
     model = ThetaModel(config, fields.m)
-    probs = model._phase_probs(*_field_table(fields))
+    probs = model._assemble(*model._columns(*_field_table(fields)))
     return OutcomeDistribution(probs={label: float(p) for label, p in zip(model.labels, probs)})

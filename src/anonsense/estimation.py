@@ -39,6 +39,8 @@ REFINE_TOL = 1e-6
 DAMPING = 1e-3
 _GRID_BLOCK_POINTS = 4096  # bound on the grid points of one probability evaluation
 _BOUND_MARGIN = 1e-6  # per observation: the rounding of a row bound and of a grid value
+_AXIS = np.linspace(0.0, math.pi, GRID_POINTS)  # the grid's axis on every component
+_AXIS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -94,14 +96,14 @@ def _scored(counts: OutcomeCounts, model: ThetaModel, theta) -> tuple:
     """(log-likelihood, theta, probabilities) at one phase vector, from one
     probability evaluation."""
     p = model.point_probs(theta)
-    total = 0.0
-    for x, label in enumerate(model.labels):
-        c = counts.counts.get(label, 0)
+    tally, total = counts.counts, 0.0
+    for label, px in zip(model.labels, p):
+        c = tally.get(label, 0)
         if c == 0:
             continue
-        if p[x] <= 0.0:
+        if px <= 0.0:
             return -math.inf, theta, p
-        total += c * math.log(p[x])
+        total += c * math.log(px)
     return total, theta, p
 
 
@@ -119,16 +121,14 @@ def mle_estimate(counts: OutcomeCounts, config: ProtocolConfig) -> EstimateRepor
     tallies = np.array([counts.counts.get(label, 0) for label in model.labels], dtype=float)
     observed = [(x, c) for x, c in enumerate(tallies.tolist()) if c > 0]  # labels order
 
-    axis = np.linspace(0.0, math.pi, GRID_POINTS)
-    start = _grid_start(model, observed, axis, counts.N)
+    start = _grid_start(model, observed, _AXIS, counts.N)
     if start is None:
         raise ValueError("likelihood is -inf over the whole domain; counts are "
                          "inconsistent with the configuration")
     theta, flags = start
     converged = not flags
 
-    theta, ll_hat, p_hat, info, dp, d2p = _refine(counts, model, tallies, theta,
-                                                  axis[1] - axis[0])
+    theta, ll_hat, p_hat, info, dp, d2p = _refine(counts, model, tallies, theta, _AXIS[1] - _AXIS[0])
     theta_hat = PhaseParameters(tuple(theta))
     se = _observed_se(info, theta, flags)
     crb_se: Optional[tuple[float, ...]] = None
@@ -196,7 +196,7 @@ def _grid_log_likelihood(model: ThetaModel, observed, axes) -> np.ndarray:
     ``sum(c * log P_x)``, in place.
     """
     p = model.label_rows(axes)
-    ll = np.zeros(np.broadcast_shapes(*[np.shape(t) for t in axes]))
+    ll = np.zeros(np.broadcast(*axes).shape)
     with np.errstate(divide="ignore"):
         for x, c in observed:
             ll += np.multiply(np.log(p[x], out=p[x]), c, out=p[x])
@@ -264,7 +264,7 @@ def _grid_start(model: ThetaModel, observed, axis, N: int) -> Optional[tuple[lis
             take += -1 if take == cap > 2 else 1
         rows = order[done:done + take]
         product = _grid_log_likelihood(
-            model, observed, np.meshgrid(axis[rows], *[axis] * (m - 1), indexing="ij", sparse=True))
+            model, observed, np.ix_(axis[rows], *[axis] * (m - 1)))
         ll[rows] = product
         floor = max(floor, float(product.max()) - _BOUND_MARGIN * (N + 1))
         done += take
@@ -277,11 +277,11 @@ def _argmax_start(ll: np.ndarray, axes) -> Optional[tuple[list, list[str]]]:
     finite = np.isfinite(ll)
     if not finite.any():
         return None
-    theta = [axis[i] for axis, i in zip(axes, np.unravel_index(int(np.argmax(ll)), ll.shape))]
+    theta = [axis[i] for axis, i in zip(axes, np.unravel_index(int(ll.argmax()), ll.shape))]
     # -inf cells take the smallest finite value, so they add no spread
     spread = ll if finite.all() else np.where(finite, ll, np.min(ll[finite]))
     return theta, [f"flat likelihood along theta_{j + 1}" for j in range(ll.ndim)
-                   if np.ptp(spread, axis=j).max() < 1e-9]
+                   if (spread.max(axis=j) - spread.min(axis=j)).max() < 1e-9]
 
 
 def _refine(counts: OutcomeCounts, model: ThetaModel, tallies, theta, spacing: float):
@@ -300,18 +300,23 @@ def _refine(counts: OutcomeCounts, model: ThetaModel, tallies, theta, spacing: f
     """
     ll, theta, p = _scored(counts, model, theta)
     score, lam = None, DAMPING
+    seen, N = _rows(tallies > 0), counts.N
+    observed = tallies[seen]
     while True:
         if score is None:  # once per accepted theta; a rejected step keeps them
             pa, dp = np.asarray(p), model.dprobs(theta)
-            seen, live = tallies > 0, pa >= ZERO_PROB
-            score = (tallies[seen] / pa[seen]) @ dp[seen]
-            J = counts.N * (dp[live].T / pa[live]) @ dp[live]
+            live = _rows(pa >= ZERO_PROB)
+            score = (observed / pa[seen]) @ dp[seen]
+            J = N * (dp[live].T / pa[live]) @ dp[live]
         free = [j for j, t in enumerate(theta) if J[j, j] > 0.0 and not (
             (t <= 0.0 and score[j] < 0.0) or (t >= math.pi and score[j] > 0.0))]
         moved = 0.0
         if free:
-            block, step = J[np.ix_(free, free)], np.zeros(len(theta))
-            step[free] = np.linalg.solve(block + lam * np.diag(np.diag(block)), score[free])
+            if len(free) == len(theta):
+                step = np.linalg.solve(J + np.diag(lam * J.diagonal()), score)
+            else:
+                block, step = J[np.ix_(free, free)], np.zeros(len(theta))
+                step[free] = np.linalg.solve(block + np.diag(lam * block.diagonal()), score[free])
             ll_probe, probe, p_probe = _scored(counts, model, _project(theta, step))
             moved = max(abs(a - b) for a, b in zip(probe, theta))
             if ll_probe >= ll:
@@ -323,7 +328,7 @@ def _refine(counts: OutcomeCounts, model: ThetaModel, tallies, theta, spacing: f
             continue
         dp, d2p = model.derivatives(theta, second=True)
         info = _observed_information(tallies, p, dp, d2p)
-        if not np.all(np.isfinite(info)):
+        if not np.isfinite(info).all():
             return theta, ll, p, info, dp, d2p
         eigvals, eigvecs = np.linalg.eigh(info)
         if eigvals[0] >= 0.0:
@@ -336,8 +341,13 @@ def _refine(counts: OutcomeCounts, model: ThetaModel, tallies, theta, spacing: f
         ll, theta, p, score = ll_probe, probe, p_probe, None
 
 
+def _rows(mask: np.ndarray):
+    """``mask`` as an index: the slice of all rows (a view, not a copy) where it holds every row."""
+    return slice(None) if mask.all() else mask
+
+
 def _project(theta, step) -> list:
-    return [min(max(t + d, 0.0), math.pi) for t, d in zip(theta, step)]
+    return [min(max(t + d, 0.0), math.pi) for t, d in zip(theta, step.tolist())]
 
 
 def _observed_information(tallies, p, dp, d2p) -> np.ndarray:
@@ -345,10 +355,12 @@ def _observed_information(tallies, p, dp, d2p) -> np.ndarray:
     over the observed outcomes, from the probabilities ``p`` at one phase
     vector and the kernel's analytic derivatives ``dp`` and ``d2p`` there."""
     p = np.asarray(p)
-    seen = tallies > 0
+    seen = _rows(tallies > 0)
     c, p, dp, d2p = tallies[seen], p[seen], dp[seen], d2p[seen]
     with np.errstate(all="ignore"):  # a non-finite result is flagged by _observed_se
-        return (dp.T * (c / p ** 2)) @ dp - np.tensordot(c / p, d2p, axes=1)
+        # the product np.tensordot(c / p, d2p, axes=1) makes, without its set-up
+        return (dp.T * (c / p ** 2)) @ dp - np.dot(
+            (c / p).reshape(1, -1), d2p.reshape(len(c), -1)).reshape(d2p.shape[1:])
 
 
 def _observed_se(info: np.ndarray, theta, flags: list[str]) -> tuple[float, ...]:
@@ -363,7 +375,7 @@ def _observed_se(info: np.ndarray, theta, flags: list[str]) -> tuple[float, ...]
     if edge:
         flags.append(f"{' and '.join(edge)} within {REFINE_TOL} of the domain edge 0 or pi: "
                      f"the observed-information standard errors are unreliable")
-    if not np.all(np.isfinite(info)):
+    if not np.isfinite(info).all():
         flags.append("observed information not finite at the estimate")
         return tuple(math.nan for _ in range(m))
     try:
@@ -371,7 +383,7 @@ def _observed_se(info: np.ndarray, theta, flags: list[str]) -> tuple[float, ...]
         if eigvals.min() <= 0.0:
             flags.append("observed information not positive definite at the estimate")
             return tuple(math.nan for _ in range(m))
-        return tuple(math.sqrt(v) for v in np.diag(np.linalg.inv(info)))
+        return tuple(math.sqrt(v) for v in np.linalg.inv(info).diagonal())
     except np.linalg.LinAlgError:
         flags.append("observed information inversion failed")
         return tuple(math.nan for _ in range(m))

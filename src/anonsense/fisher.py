@@ -130,7 +130,7 @@ def _fisher_matrix(labels, N: int, p, dp, d2p) -> FisherResult:
             if np.linalg.matrix_rank(d2p[x], tol=RANK_RTOL * np.abs(d2p[x]).max()) <= 1:
                 J += 2.0 * d2p[x]
             continue
-        J += np.outer(dp[x], dp[x]) / p[x]
+        J += dp[x][:, None] * dp[x] / p[x]
     J = 0.5 * (J + J.T)
     eigvals, eigvecs = np.linalg.eigh(J)
     if eigvals[-1] <= 0.0 or eigvals[0] <= 0.0 or eigvals[-1] > COND_LIMIT * eigvals[0]:
@@ -140,11 +140,11 @@ def _fisher_matrix(labels, N: int, p, dp, d2p) -> FisherResult:
             null_vector=eigvecs[:, 0],
         )
     J_inv = np.linalg.inv(J)
-    assert np.max(np.abs(J @ J_inv - np.eye(m))) < 1e-8
+    assert np.abs(J @ J_inv - np.eye(m)).max() < 1e-8
     return FisherResult(
         J=J,
         J_inv=J_inv,
-        crb_diag=tuple(float(v) / N for v in np.diag(J_inv)),
+        crb_diag=tuple(float(v) / N for v in J_inv.diagonal()),
         N=N,
     )
 

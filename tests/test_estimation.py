@@ -321,6 +321,38 @@ def test_estimate_takes_the_derivatives_at_the_estimate_once(monkeypatch):
         assert len(calls) == len(set(calls))
 
 
+def test_estimate_forms_the_stacks_once_per_theta(monkeypatch):
+    # the scoring steps' and the estimate's derivatives reuse the amplitude
+    # columns of the point_probs call at their theta: the point path forms
+    # its stacks once per distinct phase vector (keyed by its bits)
+    passes, points = [], set()
+    stacks, point_probs = engine._stacks, ThetaModel.point_probs
+
+    def counting_stacks(phases, table):
+        if not isinstance(phases[0], np.ndarray):  # the grid passes its axes
+            passes.append(tuple(phases))
+        return stacks(phases, table)
+
+    def counting_point_probs(self, theta):
+        points.add(np.array(theta, dtype=float).tobytes())
+        return point_probs(self, theta)
+
+    monkeypatch.setattr(engine, "_stacks", counting_stacks)
+    monkeypatch.setattr(ThetaModel, "point_probs", counting_point_probs)
+    drawn = ProtocolConfig.for_two_senders(12, a=6, q0=0.33)
+    dist = outcome_distribution(drawn, FieldVector((0.6, 1.4), 1.0))
+    cases = [(ProtocolConfig.for_two_senders(7, a=3, q0=0.33),
+              {"0+": 400, "0-": 150, "3+": 300, "f": 150}),
+             (ProtocolConfig.for_two_senders(6, a=3, q0=0.33), {"0+": 700, "0-": 300}),
+             (drawn, draw_counts(dist, 100_000, philox(12, 0)))]
+    for config, counts in cases:
+        passes.clear()
+        points.clear()
+        mle_estimate(OutcomeCounts(counts), config)
+        assert len(points) > 2
+        assert len(passes) == len(points)
+
+
 def test_mle_degenerate_counts_on_the_point_path():
     # all counts on 'f' (m_est 1 and 2) or on '0-' (m_est 2) drive the -inf
     # and boundary branches of the point path: the estimate sits at theta_1 =

@@ -322,6 +322,64 @@ def test_point_derivatives_are_bitwise_equal_to_the_broadcasting_ones(rng):
             arrays += 3
     assert arrays >= 4000
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_no_theta_table_fact_is_derived_after_import(m, monkeypatch):
+    # the versine counts, net signs and live sine rows of the theta tables
+    # are module constants: building a model, a point, its derivatives, a
+    # grid, the labels free of a component and a distribution of another
+    # sender count derive none of them again
+    calls = []
+    nets = engine._nets
+
+    def counting_nets(row, j):
+        calls.append((row, j))
+        return nets(row, j)
+
+    monkeypatch.setattr(engine, "_nets", counting_nets)
+    config = ProtocolConfig.for_single_sender(7) if m == 1 else ProtocolConfig.for_two_senders(7, a=3, q0=0.33)
+    model = ThetaModel(config)
+    theta = [1.1, 0.4][:m]
+    model.point_probs(theta)
+    model.derivatives(theta, second=True)
+    model.label_rows(np.meshgrid(*[np.linspace(0.0, math.pi, 5)] * m, indexing="ij", sparse=True))
+    for j in range(m):
+        model.labels_free_of(j)
+    outcome_distribution(config, FieldVector((0.7, 1.2)[:3 - m], 1.0))
+    assert calls == []
+
+
+@pytest.mark.parametrize("config", [ProtocolConfig.for_single_sender(9),
+                                    ProtocolConfig.for_two_senders(9, a=4, q0=0.33),
+                                    all_switches_config(12, 1), all_switches_config(12, 2)])
+def test_derivatives_reuse_the_held_columns_bit_for_bit(config, monkeypatch):
+    # derivatives at a phase vector point_probs has evaluated, another one
+    # evaluated since, reuse its amplitude columns and equal a fresh model's
+    # in every bit; the columns are kept by the vector's bits, so -0.0 forms
+    # its own stacks where 0.0 was evaluated
+    m = config.m_est
+    theta_a, theta_b = [1.3, 0.6][:m], [2.2, 0.1][:m]
+    zero, minus_zero = [0.0, 0.9][:m], [-0.0, 0.9][:m]
+    passes, stacks = [], engine._stacks
+
+    def counting_stacks(phases, table):
+        passes.append(tuple(phases))
+        return stacks(phases, table)
+
+    monkeypatch.setattr(engine, "_stacks", counting_stacks)
+    model = ThetaModel(config)
+    model.point_probs(theta_a)
+    model.point_probs(theta_b)
+    dp, d2p = model.derivatives(theta_a, second=True)
+    assert len(passes) == 2
+    model.point_probs(zero)
+    held_dp, held_d2p = model.derivatives(minus_zero, second=True)
+    assert len(passes) == 4 and math.copysign(1.0, passes[-1][0]) == -1.0
+    for theta, (first, second) in ((theta_a, (dp, d2p)), (minus_zero, (held_dp, held_d2p))):
+        ref_dp, ref_d2p = ThetaModel(config).derivatives(theta, second=True)
+        assert bits(first) == bits(ref_dp) and bits(second) == bits(ref_d2p)
+        assert bits(model.dprobs(theta)) == bits(ref_dp)
+
+
 GRID_CONFIGS = [
     *[ProtocolConfig.for_single_sender(n) for n in (5, 12)],
     *[ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33) for n in (7, 12)],
