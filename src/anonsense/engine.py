@@ -303,11 +303,12 @@ _THETA_TABLES = {
     1: (((1, 0),), ((-1, 0),)),
     2: (((1, 0),), ((-1, 1), (1, 1)), ((-1, 0),)),
 }
-# Their facts, formed once: per component j, the entries reading theta_j in each
-# row and their net sign; per row, whether its sine is live (not -x + x = 0).
-_THETA_FACTS = {m: ([([sum(k == j for _, k in row) for row in table], [_nets(row, j) for row in table])
-                     for j in range(m)], [any(_nets(row, j) for _, j in row) for row in table])
-                for m, table in _THETA_TABLES.items()}
+# Their facts, formed once: per component j, each row's count of entries reading
+# theta_j and their net sign; per row, whether its sine is live (not -x + x = 0).
+_VERSINE_COUNTS = {m: [[sum(k == j for _, k in row) for row in t] for j in range(m)]
+                   for m, t in _THETA_TABLES.items()}
+_NET_SIGNS = {m: [[_nets(row, j) for row in t] for j in range(m)] for m, t in _THETA_TABLES.items()}
+_LIVE_SINE = {m: [any(_nets(row, j) for _, j in row) for row in t] for m, t in _THETA_TABLES.items()}
 _HELD_POINTS = 16  # phase vectors whose columns a model keeps; scoring asks a few points back
 
 
@@ -433,7 +434,7 @@ class ThetaModel:
         """
         u, s = _stacks(theta, self._theta_table(theta))
         if all(np.isfinite(t).all() for t in theta):
-            s = [total if live else 0.0 for live, total in zip(_THETA_FACTS[self.m][1], s)]
+            s = [total if live else 0.0 for live, total in zip(_LIVE_SINE[self.m], s)]
         gamma_m = _contract(self._w_minus, s, np.broadcast(*s).shape)
         v = _contract(self._w, u, np.broadcast(*theta).shape)
         return self._assemble(v, gamma_m)
@@ -444,7 +445,7 @@ class ThetaModel:
         reads theta_j.  A versine row reads each of its entries; a sine row
         reads only theta with a nonzero net sign, as :meth:`label_rows`
         drops the rest, so every '-' label of two senders is free of theta2."""
-        reads = dict(zip((PLUS, MINUS), _THETA_FACTS[self.m_est][0][j]))  # counts, net signs
+        reads = {PLUS: _VERSINE_COUNTS[self.m_est][j], MINUS: _NET_SIGNS[self.m_est][j]}
         weights = {PLUS: self._w.tolist(), MINUS: self._w_minus.tolist()}
         return [x for x, (r, _, sign) in enumerate(self._active)
                 if not any(w for w, read in zip(weights[sign][r], reads[sign]) if read)]
@@ -479,7 +480,7 @@ class ThetaModel:
         def labelled(rows):  # summed from 0 left to right: sum() compensates floats on 3.12+
             return rows + [-functools.reduce(operator.add, rows, 0)]
 
-        facts = list(enumerate(_THETA_FACTS[self.m_est][0]))
+        facts = list(enumerate(zip(_VERSINE_COUNTS[self.m_est], _NET_SIGNS[self.m_est])))
         if dgam is None:  # the first-order amplitudes, formed once per phase vector held
             dgam = held[2] = [amplitudes([c * half_sine[j] if c else 0.0 for c in counts],
                                          [-net * cosine[j] if net else 0.0 for net in nets])

@@ -96,14 +96,14 @@ def _scored(counts: OutcomeCounts, model: ThetaModel, theta) -> tuple:
     """(log-likelihood, theta, probabilities) at one phase vector, from one
     probability evaluation."""
     p = model.point_probs(theta)
-    tally, total = counts.counts, 0.0
-    for label, px in zip(model.labels, p):
-        c = tally.get(label, 0)
+    total = 0.0
+    for x, label in enumerate(model.labels):
+        c = counts.counts.get(label, 0)
         if c == 0:
             continue
-        if px <= 0.0:
+        if p[x] <= 0.0:
             return -math.inf, theta, p
-        total += c * math.log(px)
+        total += c * math.log(p[x])
     return total, theta, p
 
 
@@ -264,7 +264,7 @@ def _grid_start(model: ThetaModel, observed, axis, N: int) -> Optional[tuple[lis
             take += -1 if take == cap > 2 else 1
         rows = order[done:done + take]
         product = _grid_log_likelihood(
-            model, observed, np.ix_(axis[rows], *[axis] * (m - 1)))
+            model, observed, np.meshgrid(axis[rows], *[axis] * (m - 1), indexing="ij", sparse=True))
         ll[rows] = product
         floor = max(floor, float(product.max()) - _BOUND_MARGIN * (N + 1))
         done += take
@@ -281,7 +281,7 @@ def _argmax_start(ll: np.ndarray, axes) -> Optional[tuple[list, list[str]]]:
     # -inf cells take the smallest finite value, so they add no spread
     spread = ll if finite.all() else np.where(finite, ll, np.min(ll[finite]))
     return theta, [f"flat likelihood along theta_{j + 1}" for j in range(ll.ndim)
-                   if (spread.max(axis=j) - spread.min(axis=j)).max() < 1e-9]
+                   if np.ptp(spread, axis=j).max() < 1e-9]
 
 
 def _refine(counts: OutcomeCounts, model: ThetaModel, tallies, theta, spacing: float):
@@ -312,11 +312,9 @@ def _refine(counts: OutcomeCounts, model: ThetaModel, tallies, theta, spacing: f
             (t <= 0.0 and score[j] < 0.0) or (t >= math.pi and score[j] > 0.0))]
         moved = 0.0
         if free:
-            if len(free) == len(theta):
-                step = np.linalg.solve(J + np.diag(lam * J.diagonal()), score)
-            else:
-                block, step = J[np.ix_(free, free)], np.zeros(len(theta))
-                step[free] = np.linalg.solve(block + np.diag(lam * block.diagonal()), score[free])
+            at = slice(None) if len(free) == len(theta) else free  # every component: views of J
+            block, step = J[at][:, at], np.zeros(len(theta))
+            step[at] = np.linalg.solve(block + np.diag(lam * block.diagonal()), score[at])
             ll_probe, probe, p_probe = _scored(counts, model, _project(theta, step))
             moved = max(abs(a - b) for a, b in zip(probe, theta))
             if ll_probe >= ll:
@@ -347,7 +345,7 @@ def _rows(mask: np.ndarray):
 
 
 def _project(theta, step) -> list:
-    return [min(max(t + d, 0.0), math.pi) for t, d in zip(theta, step.tolist())]
+    return [min(max(t + d, 0.0), math.pi) for t, d in zip(theta, step)]
 
 
 def _observed_information(tallies, p, dp, d2p) -> np.ndarray:
