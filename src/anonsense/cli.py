@@ -37,7 +37,7 @@ from .configio import (
     tracelessness_to_dict,
     transcript_to_dict,
 )
-from .engine import ConfigError, ProtocolConfig, check_senders, outcome_distribution
+from .engine import ProtocolConfig, check_senders, outcome_distribution
 from .estimation import mle_estimate
 from .fisher import optimal_a, scan_j22
 from .protocol import (
@@ -82,10 +82,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (RunConfigError, ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # RunConfigError and ConfigError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -473,8 +473,11 @@ class ThetaModel:
         q = [qx for _, _, qx in self._terms]
         gam = [1.0 - v[r] if plus else gamma_m[r] for r, plus, _ in self._terms]
 
-        def amplitudes(du, ds):  # gamma+ = 1 - v moves by -dv, gamma- by its own
-            dv, dgamma_m = _contract(self._w, du).tolist(), _contract(self._w_minus, ds).tolist()
+        def amplitudes(du, ds, nets):  # gamma+ = 1 - v moves by -dv, gamma- by its own
+            dv = _contract(self._w, du).tolist()
+            # no sine reads a component of net sign 0 (theta2 of two senders): its
+            # gamma- contraction is of zeros, exactly +0.0, and is not made
+            dgamma_m = _contract(self._w_minus, ds).tolist() if any(nets) else [0.0] * len(dv)
             return [-dv[r] if plus else dgamma_m[r] for r, plus, _ in self._terms]
 
         def labelled(rows):  # summed from 0 left to right: sum() compensates floats on 3.12+
@@ -483,10 +486,10 @@ class ThetaModel:
         facts = list(enumerate(zip(_VERSINE_COUNTS[self.m_est], _NET_SIGNS[self.m_est])))
         if dgam is None:  # the first-order amplitudes, formed once per phase vector held
             dgam = held[2] = [amplitudes([c * half_sine[j] if c else 0.0 for c in counts],
-                                         [-net * cosine[j] if net else 0.0 for net in nets])
+                                         [-net * cosine[j] if net else 0.0 for net in nets], nets)
                               for j, (counts, nets) in facts]
         d2gam = [amplitudes([c * cosine[j] / 4 if c else 0.0 for c in counts],
-                            [net * half_sine[j] if net else 0.0 for net in nets])
+                            [net * half_sine[j] if net else 0.0 for net in nets], nets)
                  for j, (counts, nets) in facts] if second else []
         # .T puts the label axis first (d2P is symmetric in i and j) and .copy()
         # gives the C order the callers' matrix products were written for

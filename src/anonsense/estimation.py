@@ -128,9 +128,10 @@ def mle_estimate(counts: OutcomeCounts, config: ProtocolConfig) -> EstimateRepor
     theta, flags = start
     converged = not flags
 
-    theta, ll_hat, p_hat, info, dp, d2p = _refine(counts, model, tallies, theta, _AXIS[1] - _AXIS[0])
+    theta, ll_hat, p_hat, info, eigvals, dp, d2p = _refine(counts, model, tallies, theta,
+                                                           _AXIS[1] - _AXIS[0])
     theta_hat = PhaseParameters(tuple(theta))
-    se = _observed_se(info, theta, flags)
+    se = _observed_se(info, eigvals, theta, flags)
     crb_se: Optional[tuple[float, ...]] = None
     try:
         res = _fisher_matrix(model.labels, counts.N, p_hat, dp, d2p)
@@ -287,7 +288,8 @@ def _argmax_start(ll: np.ndarray, axes) -> Optional[tuple[list, list[str]]]:
 def _refine(counts: OutcomeCounts, model: ThetaModel, tallies, theta, spacing: float):
     """Projected, damped Fisher scoring (Levenberg-Marquardt) from the grid
     argmax; returns theta, its log-likelihood, its probabilities, the observed
-    information and the first and second derivatives it is formed from.
+    information, its ascending eigenvalues (None where it is not finite), and
+    the first and second derivatives it is formed from.
 
     A step solves (J + lam*diag J) d = score, J being N times the expected
     information, on the components with J_jj > 0 (a flat axis stays put) that
@@ -327,15 +329,15 @@ def _refine(counts: OutcomeCounts, model: ThetaModel, tallies, theta, spacing: f
         dp, d2p = model.derivatives(theta, second=True)
         info = _observed_information(tallies, p, dp, d2p)
         if not np.isfinite(info).all():
-            return theta, ll, p, info, dp, d2p
+            return theta, ll, p, info, None, dp, d2p
         eigvals, eigvecs = np.linalg.eigh(info)
         if eigvals[0] >= 0.0:
-            return theta, ll, p, info, dp, d2p
+            return theta, ll, p, info, eigvals, dp, d2p
         probes = [_project(theta, sign * spacing * eigvecs[:, 0]) for sign in (1.0, -1.0)]
         ll_probe, probe, p_probe = max((_scored(counts, model, point) for point in probes),
                                        key=lambda scored: scored[:2])
         if not ll_probe > ll:
-            return theta, ll, p, info, dp, d2p
+            return theta, ll, p, info, eigvals, dp, d2p
         ll, theta, p, score = ll_probe, probe, p_probe, None
 
 
@@ -361,8 +363,10 @@ def _observed_information(tallies, p, dp, d2p) -> np.ndarray:
             (c / p).reshape(1, -1), d2p.reshape(len(c), -1)).reshape(d2p.shape[1:])
 
 
-def _observed_se(info: np.ndarray, theta, flags: list[str]) -> tuple[float, ...]:
-    """Standard errors from the observed information at the estimate.
+def _observed_se(info: np.ndarray, eigvals: Optional[np.ndarray], theta,
+                 flags: list[str]) -> tuple[float, ...]:
+    """Standard errors from the observed information at the estimate, given its
+    ascending eigenvalues, or None where it is not finite (:func:`_refine`).
 
     A component within ``REFINE_TOL`` of the domain edge 0 or pi is flagged:
     there the likelihood folds back on itself, and near the corner (pi, pi)
@@ -373,14 +377,13 @@ def _observed_se(info: np.ndarray, theta, flags: list[str]) -> tuple[float, ...]
     if edge:
         flags.append(f"{' and '.join(edge)} within {REFINE_TOL} of the domain edge 0 or pi: "
                      f"the observed-information standard errors are unreliable")
-    if not np.isfinite(info).all():
+    if eigvals is None:
         flags.append("observed information not finite at the estimate")
         return tuple(math.nan for _ in range(m))
+    if eigvals[0] <= 0.0:
+        flags.append("observed information not positive definite at the estimate")
+        return tuple(math.nan for _ in range(m))
     try:
-        eigvals = np.linalg.eigvalsh(info)
-        if eigvals.min() <= 0.0:
-            flags.append("observed information not positive definite at the estimate")
-            return tuple(math.nan for _ in range(m))
         return tuple(math.sqrt(v) for v in np.linalg.inv(info).diagonal())
     except np.linalg.LinAlgError:
         flags.append("observed information inversion failed")

@@ -213,33 +213,24 @@ def dicke_means(n: int, fields: FieldVector, subsets, indices) -> np.ndarray:
     ``indices`` i in [0, n], in any order and with repeats: (2, S, len(indices)).
     A_i = [z^i] prod_j (a_j + b_j z) / C(n, i), a_j and b_j being participant j's
     bit-0 and bit-1 phases, from the subset's own positions; the swapped mean,
-    A_{n-i} of the product, swaps a and b.  A participant whose two phases are
-    exactly 1 is field-free, a factor 1 + z: each one the phase seam does not list
-    (:func:`_participant_phases`), and each listed one whose phases are exactly 1.
-    The c others fold in alone, in position order, into their means P_0..P_c
-    (:func:`_fold_means`), and the n - c free factors spread them:
-    A_i = sum_l C(c, l)*C(n-c, i-l)/C(n, i) * P_l, with the kernel's exact weights
-    (:func:`~anonsense.engine.weight_row`).  A_i reads P_l for l <= i only, so the
-    fold stops at the largest index.  An honest subset folds in its m senders
-    only; subsets with the same c run as one array.
+    A_{n-i} of the product, swaps a and b.  The c participants the phase seam
+    lists (:func:`_participant_phases`; an honest subset's m senders) fold in
+    alone, in position order, into their means P_0..P_c (:func:`_fold_means`).
+    The n - c it does not list have phases exactly 1, factors 1 + z, which spread
+    them: A_i = sum_l C(c, l)*C(n-c, i-l)/C(n, i) * P_l, with the kernel's exact
+    weights (:func:`~anonsense.engine.weight_row`).  A_i reads P_l for l <= i
+    only, so the fold stops at the largest index.
     """
     _, phases = _participant_phases(n, fields, subsets)
-    folded = ~(phases == 1).all(axis=0)  # listed x S: the listed ones that are not field-free
-    counts = folded.sum(axis=0)
     if not len(indices) or min(indices) < 0 or max(indices) > n:
         raise ValueError(f"Dicke indices {list(indices)} are not one or more in [0, {n}]")
-    means = np.empty((2, len(subsets), len(indices)), dtype=complex)
-    for c in np.flatnonzero(np.bincount(counts)):  # each count that occurs
-        rows = np.flatnonzero(counts == c)
-        _, columns = np.nonzero(folded[:, rows].T)  # each row's folded columns, in position order
-        top = min(c, max(indices))
-        participants = phases[:, columns.reshape(len(rows), c).T, rows].transpose(1, 0, 2)
-        own = _fold_means(participants, top)
-        row = {i: weight_row(n, c, i, hypergeometric=True) for i in set(indices)}
-        weights = np.array([row[i] for i in indices]).T[:top + 1]  # l x columns; 0 for l > i
-        # summed over l elementwise, not by BLAS, so each column's bits are its own
-        means[:, rows] = sum(own[:, :, l:l + 1] * weight for l, weight in enumerate(weights))
-    return means
+    c = phases.shape[1]
+    top = min(c, max(indices))
+    own = _fold_means(phases.transpose(1, 0, 2), top)
+    row = {i: weight_row(n, c, i, hypergeometric=True) for i in set(indices)}
+    weights = np.array([row[i] for i in indices]).T[:top + 1]  # l x columns; 0 for l > i
+    # summed over l elementwise, not by BLAS, so each column's bits are its own
+    return sum(own[:, :, l:l + 1] * weight for l, weight in enumerate(weights))
 
 
 def _fold_means(folded_phases: np.ndarray, top: int) -> np.ndarray:
@@ -251,8 +242,7 @@ def _fold_means(folded_phases: np.ndarray, top: int) -> np.ndarray:
     l = np.arange(top + 1)
     means = np.zeros((2, folded_phases.shape[2], top + 1), dtype=complex)
     # participant 1 leaves B = (a_1, b_1, 0, ...) exactly
-    means[:, :, :2] = (np.stack([folded_phases[0], folded_phases[0, ::-1]], axis=-1)[:, :, :top + 1]
-                       if c else 1)
+    means[:, :, :2] = np.stack([folded_phases[0], folded_phases[0, ::-1]], axis=-1)[:, :, :top + 1]
     stay = folded_phases[1:, :, :, None]  # a participant's factor of B_l, direct and swapped
     j = np.arange(2, c + 1)[:, None]
     shift = stay[:, ::-1]  # and of B_{l-1}

@@ -8,8 +8,9 @@ import warnings
 
 import pytest
 
-from anonsense import cli, protocol
+from anonsense import cli, protocol, statevec
 from anonsense.cli import main
+from anonsense.combinatorics import FieldVector
 from anonsense.configio import RunConfigError, load_counts
 from anonsense.engine import OutcomeDistribution
 
@@ -134,6 +135,16 @@ def test_verify_and_negative_control_run_above_the_dense_cap(tmp_path):
     doc = json.loads(read(out))
     assert doc["leak_detected"] is True
     assert doc["negative_control"]["n_subsets"] == 300
+
+
+def test_verify_at_field_free_phases(tmp_path):
+    # at t = 5e-324 every phase t*omega/2 underflows to 0: the senders the
+    # phase seam lists have phases exactly 1, and no subset differs from another
+    _, phases = statevec._participant_phases(7, FieldVector((0.75, 1.25), 5e-324), [(2, 4)])
+    assert (phases == 1).all()
+    out = tmp_path / "verify.json"
+    assert run_cli(["verify", "--n", "7", "--trials", "2", "--t", "5e-324", "--out", str(out)]) == 0
+    assert json.loads(read(out))["max_tv_distance"] == 0.0
 
 
 def test_verify_builds_no_second_basis(tmp_path, monkeypatch):

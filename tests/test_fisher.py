@@ -380,6 +380,26 @@ def test_derivatives_reuse_the_held_columns_bit_for_bit(config, monkeypatch):
         assert bits(model.dprobs(theta)) == bits(ref_dp)
 
 
+@pytest.mark.parametrize("m, contractions", [(1, (6, 4)), (2, (8, 5))])
+def test_derivatives_contract_no_sine_of_a_component_it_does_not_read(m, contractions, monkeypatch):
+    # at a fresh phase vector: v and gamma-, then per component a versine and a
+    # sine contraction per order; no sine row reads theta2 of two senders (its
+    # net signs are 0), so its gamma- contractions, of zeros, are not made
+    calls, contract = [], engine._contract
+
+    def counting_contract(w, stack, shape=None):
+        calls.append(len(w))
+        return contract(w, stack, shape)
+
+    monkeypatch.setattr(engine, "_contract", counting_contract)
+    config = ProtocolConfig.for_single_sender(7) if m == 1 else ProtocolConfig.for_two_senders(7, a=3, q0=0.33)
+    model = ThetaModel(config)
+    model.derivatives([1.1, 0.4][:m], second=True)
+    second = len(calls)
+    model.dprobs([2.2, 0.1][:m])
+    assert (second, len(calls) - second) == contractions
+
+
 GRID_CONFIGS = [
     *[ProtocolConfig.for_single_sender(n) for n in (5, 12)],
     *[ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33) for n in (7, 12)],

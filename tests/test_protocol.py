@@ -342,8 +342,8 @@ def leak_into_phases(monkeypatch, leak):
     monkeypatch.setattr(statevec, "_participant_phases", leaky)
 
 
-# the sweep folds the participants that are not field-free alone and spreads
-# their means over the field-free ones; the reference folds every participant in
+# the sweep folds the participants the phase seam lists alone and spreads their
+# means over the unlisted ones; the reference folds every participant in
 # position order, so the two round apart, within a few ulps of 1.0 on the
 # residual of many labels and far less on the measured labels
 SWEEP_ATOL = 4 * math.ulp(1.0)
@@ -462,31 +462,24 @@ def test_single_sender_rows_are_the_same_bits_from_the_shared_pass(rng):
             statevec.dicke_sweep(double, fields, subsets, means)
 
 
-def test_dicke_means_of_field_free_participants_are_exactly_one():
-    # with every phase exactly 1 no participant folds in (c = 0), and each mean
-    # is its one weight C(n, i)/C(n, i)
+def test_dicke_means_of_zero_fields_have_the_same_bits_on_every_subset():
+    # with every phase exactly 1 the listed senders fold in like any others:
+    # each mean is within 1 ulp of 1, and no subset's bits differ from another's
     for n, m in ((1, 1), (2, 1), (7, 2), (60, 2), (1000, 1)):
         subsets = sender_subsets(n, m)
         means = statevec.dicke_means(n, FieldVector((0.0,) * m, 1.0), subsets, range(n + 1))
         assert means.shape == (2, len(subsets), n + 1)
-        assert (means == 1).all()
+        assert np.abs(means - 1).max() <= math.ulp(1.0)
+        assert (means == means[:, :1]).all()
 
 
-def test_phase_seam_lists_each_row_in_position_order(monkeypatch):
-    # an unsorted row folds its senders in position order, and a listed
-    # participant whose phases are exactly 1 is field-free
+def test_phase_seam_lists_each_row_in_position_order():
+    # an unsorted row folds its senders in position order
     listed, phases = statevec._participant_phases(12, FieldVector((0.7, 1.6), 1.0), [(5, 2)])
     assert listed.tolist() == [[2, 5]] and phases.shape == (2, 2, 1)
     unsorted = statevec.dicke_means(12, FieldVector((0.7, 1.6), 1.0), [(5, 2)], range(13))
     ordered = statevec.dicke_means(12, FieldVector((1.6, 0.7), 1.0), [(2, 5)], range(13))
     assert np.array_equal(unsorted.view(np.uint64), ordered.view(np.uint64))
-    n, fields = 40, FieldVector((0.7, 1.6), 1.0)
-    sparse = statevec.dicke_means(n, fields, sender_subsets(n, 2), range(n + 1))
-    real = statevec._participant_phases
-    monkeypatch.setattr(statevec, "_participant_phases",
-                        lambda n, fields, subsets: list_every_participant(n, *real(n, fields, subsets)))
-    every = statevec.dicke_means(n, fields, sender_subsets(n, 2), range(n + 1))
-    assert np.array_equal(sparse.view(np.uint64), every.view(np.uint64))
 
 
 def test_dicke_means_hold_no_array_as_wide_as_the_participants():
@@ -563,6 +556,19 @@ def test_dicke_sweep_detects_a_phase_on_participant_one(monkeypatch, n):
     report = verify_tracelessness(config, fields)
     assert not report.verdict
     assert report.max_tv_distance > 1e-3
+
+
+@pytest.mark.parametrize("n", [6, 40])
+def test_dicke_means_fold_once_per_call_under_a_leaky_seam(monkeypatch, n):
+    # one fold per dicke_means call, for the clean seam and for the leaky one of
+    # test_dicke_sweep_detects_a_phase_on_participant_one, whose rows that list
+    # participant 1 already carry a column of phases exactly 1
+    calls = []
+    means, fold = statevec.dicke_means, statevec._fold_means
+    monkeypatch.setattr(statevec, "dicke_means", lambda *args: calls.append("means") or means(*args))
+    monkeypatch.setattr(statevec, "_fold_means", lambda *args: calls.append("fold") or fold(*args))
+    test_dicke_sweep_detects_a_phase_on_participant_one(monkeypatch, n)
+    assert calls == ["means", "fold"] * 2
 
 
 def test_dicke_sweep_single_sender_at_large_n():
