@@ -251,7 +251,7 @@ def _cmd_scan(args) -> int:
         if specs:
             raise ValueError(f"scan takes its axes from --fig or from the axis flags, not both; "
                              f"got --fig {' '.join(f'--{name}' for name in specs)}")
-        axes = _figure_axes(args.fig)
+        axes = _axes(FIG_FLAGS[args.fig])
     else:
         missing = [name for name in ("n", "theta1", "theta2") if name not in specs]
         if missing:
@@ -261,11 +261,6 @@ def _cmd_scan(args) -> int:
     _emit(scan_rows_to_csv(grid), args.out)
     print(f"scan: {grid.n_rows} rows ({grid.n_divergent} divergent)", file=sys.stderr)
     return EXIT_OK
-
-
-def _figure_axes(fig: int) -> dict:
-    """The axes of ``scan --fig fig``: those of its flags, :data:`FIG_FLAGS`."""
-    return _axes(FIG_FLAGS[fig])
 
 
 def _axes(specs: dict) -> dict:

@@ -273,16 +273,14 @@ def scan_j22(
     q0_values = tuple(q0_values)
     designs = []
     for n_raw in n_values:
-        if math.isinf(n_raw):
-            for q0 in q0_values:
-                _check_q0(q0)
-                designs.append((math.inf, math.inf, q0, None))
-            continue
-        n = int(n_raw)
-        a = optimal_a(n)
+        n, a, inv = math.inf, math.inf, None  # the large-n limit
+        if not math.isinf(n_raw):
+            n = int(n_raw)
+            a = optimal_a(n)
+            inv = 1.0 / dilution(n, a) - 1.0
         for q0 in q0_values:
             _check_q0(q0)
-            designs.append((n, a, q0, 1.0 / dilution(n, a) - 1.0))
+            designs.append((n, a, q0, inv))
     theta1, theta2 = tuple(theta1_values), tuple(theta2_values)
     s1sq, c1 = _half_angles("theta1", theta1)
     s2sq, c2 = _half_angles("theta2", theta2)

@@ -28,8 +28,9 @@ def scan_csv(grid: ScanGrid) -> str:
     The n, a, q0, theta1 head is formatted once per theta1 row and theta2
     once per axis value; per cell j22 and math.log10(j22) are formatted by
     :func:`_format_values` in one pass over a chunk of about
-    :data:`_CSV_CHUNK_ROWS` rows.  Each chunk is one NUL-padded byte matrix
-    with a fixed column for each field, and its NULs drop as it becomes text.
+    :data:`_CSV_CHUNK_ROWS` rows, whole theta1 lines in order across block
+    ends.  Each chunk is one NUL-padded byte matrix with a fixed column for
+    each field, and its NULs drop as it becomes text.
     """
     parts = [SCAN_CSV_HEADER + "\n"]
     if not grid.n_rows:
@@ -38,9 +39,13 @@ def scan_csv(grid: ScanGrid) -> str:
     theta2 = _padded([f",{_format_float(th2)}," for th2 in grid.theta2])
     prefixes = [f"{_format_count(block.n)},{_format_count(block.a)},{_format_float(block.q0)},"
                 for block in grid.blocks]
-    for chunk in _line_chunks(grid, max(1, _CSV_CHUNK_ROWS // len(grid.theta2))):
-        heads = _padded([prefixes[k] + theta1[i] for k, lo, hi in chunk for i in range(lo, hi)])
-        runs = [(grid.blocks[k], lo, hi) for k, lo, hi in chunk]
+    rows, lines = len(theta1), max(1, _CSV_CHUNK_ROWS // len(grid.theta2))
+    total = len(grid.blocks) * rows
+    for start in range(0, total, lines):
+        end = min(start + lines, total)
+        heads = _padded([prefixes[line // rows] + theta1[line % rows] for line in range(start, end)])
+        runs = [(grid.blocks[k], max(start - k * rows, 0), min(end - k * rows, rows))
+                for k in range(start // rows, (end - 1) // rows + 1)]
         j22 = np.concatenate([np.asarray(b.j22[lo:hi], dtype=float) for b, lo, hi in runs])
         divergent = np.concatenate([np.asarray(b.divergent[lo:hi], dtype=bool)
                                     for b, lo, hi in runs])
@@ -51,24 +56,6 @@ def scan_csv(grid: ScanGrid) -> str:
 _CSV_CHUNK_ROWS = 2048  # rows formatted as one byte matrix, which bounds the writer's memory
 _OK_TAIL = b",ok\n"
 _DIVERGENT_TAIL = b"nan,nan,divergent\n"  # in place of ",j22,log10_j22,ok\n"
-
-
-def _line_chunks(grid: ScanGrid, lines: int):
-    """The (block, theta1 index) lines of ``grid`` in order, ``lines`` to a
-    chunk, each chunk a list of (block index, first index, end index) runs."""
-    chunk, room = [], lines
-    for k in range(len(grid.blocks)):
-        lo = 0
-        while lo < len(grid.theta1):
-            hi = min(len(grid.theta1), lo + room)
-            chunk.append((k, lo, hi))
-            room -= hi - lo
-            lo = hi
-            if not room:
-                yield chunk
-                chunk, room = [], lines
-    if chunk:
-        yield chunk
 
 
 def _padded(texts: list[str]) -> np.ndarray:

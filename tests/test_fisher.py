@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from anonsense.cli import _figure_axes
+from anonsense.cli import FIG_FLAGS, _axes
 from anonsense.combinatorics import MINUS, PLUS, FieldVector, g_coefficients
 from anonsense.configio import scan_rows_to_csv
 from anonsense.engine import ProtocolConfig, gamma, max_senders, outcome_distribution
-from anonsense import engine, estimation
+from anonsense import engine, estimation, scancsv
 from anonsense.estimation import OutcomeCounts, _grid_log_likelihood, mle_estimate
 from anonsense.fisher import (
     DivergenceError,
@@ -906,7 +906,7 @@ def row_csv(blocks, theta1_values, theta2_values) -> str:
 
 
 @pytest.mark.parametrize("axes", [
-    *(_figure_axes(fig) for fig in (2, 3, 4, 5)),
+    *(_axes(FIG_FLAGS[fig]) for fig in (2, 3, 4, 5)),
     {"n": [*range(5, 301), math.inf], "q0": [0.1, 0.33, 0.9],
      "theta1": [0.0, 1e-9, 0.5, 2.0, math.pi, 4.0, -1.0],
      "theta2": [0.0, 1e-300, 1e-160, 1e-8, 0.1, 0.5, 2.0, math.pi, 5.0]},
@@ -928,6 +928,25 @@ def test_scan_grid_is_bitwise_the_per_cell_closed_form(axes):
         assert np.array_equal(bits(block.j22[~divergent]), bits(j22[~divergent]))
     assert grid.n_rows == sum(j22.size for _, _, _, j22, _ in ref)
     assert grid.n_divergent == sum(int(d.sum()) for _, _, _, _, d in ref)
+    assert scan_rows_to_csv(grid) == row_csv(ref, axes["theta1"], axes["theta2"])
+
+
+@pytest.mark.parametrize("axes", [
+    {"n": [5, 6, math.inf], "q0": [0.2, 0.5], "theta1": [0.0, 0.5, 2.0, math.pi, 4.0],
+     "theta2": [0.0, 1e-8, 0.1, 2.0]},
+    _axes(FIG_FLAGS[5]),  # 40 blocks of one theta1 line each
+], ids=["6x5lines", "fig5"])
+@pytest.mark.parametrize("chunk", ["1", "rows-1", "rows", "rows+1", "2rows", "whole"])
+def test_scan_csv_chunks_end_anywhere_with_the_row_references_text(monkeypatch, axes, chunk):
+    # a chunk's lines run on across block ends; a chunk may end on one, just
+    # before or after it, or hold a single line or the whole scan
+    rows, columns = len(axes["theta1"]), len(axes["theta2"])
+    lines = {"1": 1, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1, "2rows": 2 * rows,
+             "whole": len(axes["n"]) * len(axes["q0"]) * rows}[chunk]
+    # the most rows that still give that many lines (rows - 1 = 0 gives one)
+    monkeypatch.setattr(scancsv, "_CSV_CHUNK_ROWS", lines * columns + columns - 1)
+    grid = scan_j22(axes["n"], axes["q0"], axes["theta1"], axes["theta2"])
+    ref = reference_blocks(axes["n"], axes["q0"], axes["theta1"], axes["theta2"])
     assert scan_rows_to_csv(grid) == row_csv(ref, axes["theta1"], axes["theta2"])
 
 

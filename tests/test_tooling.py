@@ -177,4 +177,4 @@ def test_readme_command_lines_parse():
         args = cli._build_parser().parse_args(["scan", *shlex.split(flags.strip("`"))])
         specs = {name: getattr(args, name) for name in cli.AXES
                  if getattr(args, name) is not None}
-        assert cli._axes(specs) == cli._figure_axes(int(preset.split()[1])), preset
+        assert cli._axes(specs) == cli._axes(cli.FIG_FLAGS[int(preset.split()[1])]), preset
