@@ -21,6 +21,7 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -164,7 +165,7 @@ def _cmd_verify(args) -> int:
         report = negative_control(n, FieldVector(omegas=omegas, t=args.t))
         doc = {"command": "verify", "negative_control": tracelessness_to_dict(report),
                "leak_detected": not report.verdict}
-        _emit(dumps_json(doc), args.out)
+        _emit([dumps_json(doc).encode()], args.out)
         if report.verdict:
             print("negative control FAILED to detect the planted leak", file=sys.stderr)
             return EXIT_FAIL
@@ -235,7 +236,7 @@ def _cmd_verify(args) -> int:
     }
     if failing_case is not None:
         doc["failing_case"] = failing_case
-    _emit(dumps_json(doc), args.out)
+    _emit([dumps_json(doc).encode()], args.out)
     print(f"verify n={n} m={m} trials={trials}: "
           f"max TV {worst_tv:.3e}, max oracle/analytic error {worst_err:.3e} "
           f"-> {'pass' if passed else 'FAIL'}", file=sys.stderr)
@@ -318,7 +319,7 @@ def _cmd_simulate(args) -> int:
     seed = parsed["seed"] if args.seed is None else args.seed
     transcript = run_protocol(parsed["assignment"], parsed["config"],
                               rounds=parsed["rounds"], seed=seed)
-    _emit(dumps_json(transcript_to_dict(transcript)), args.out)
+    _emit([dumps_json(transcript_to_dict(transcript)).encode()], args.out)
     est = transcript.broadcast
     print(f"simulate: N={transcript.rounds} seed={seed} "
           f"omega_hat={[round(w, 6) for w in est.omega_hat]}", file=sys.stderr)
@@ -329,7 +330,7 @@ def _cmd_estimate(args) -> int:
     counts = load_counts(_load_json(args.counts))
     parsed = parse_run_config(_load_json(args.config), require_scenario=False)
     report = mle_estimate(counts, parsed["config"])
-    _emit(dumps_json(estimate_to_dict(report)), args.out)
+    _emit([dumps_json(estimate_to_dict(report)).encode()], args.out)
     print(f"estimate: N={counts.N} theta_hat={[round(v, 6) for v in report.theta_hat.theta]}",
           file=sys.stderr)
     return EXIT_OK
@@ -353,11 +354,16 @@ def _load_json(path: Path) -> dict:
         ) from None
 
 
-def _emit(text: str, out: Path | None):
+def _emit(chunks: Iterable[bytes], out: Path | None):
+    """Write each ASCII chunk of ``chunks`` as it comes: to ``out``, opened
+    binary, or to stdout as text."""
     if out is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk.decode("ascii"))
     else:
-        out.write_text(text)
+        with out.open("wb") as file:
+            for chunk in chunks:
+                file.write(chunk)
 
 
 if __name__ == "__main__":

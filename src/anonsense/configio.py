@@ -1,14 +1,17 @@
 """Run-configuration files and deterministic JSON/CSV emission.
 
-Reports are serialized with sorted keys and plain ``repr`` floats, and CSV
-floats are printed with 17 significant digits (:mod:`anonsense.scancsv`), so
-identical inputs always produce byte-identical outputs.
+Reports are serialized with sorted keys and plain ``repr`` floats, as
+``json.dumps(obj, indent=2, sort_keys=True)`` writes them, and CSV floats are
+printed with 17 significant digits (:mod:`anonsense.scancsv`), so identical
+inputs always produce byte-identical outputs.  A scan's CSV comes in ASCII
+chunks, to be written one at a time.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .combinatorics import FieldVector
@@ -193,7 +196,58 @@ def _reject_unknown(obj, allowed, path):
 # writing
 
 def dumps_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    The stdlib formats an indented document in pure Python, item by item;
+    this writer recurses only into dicts and lists (and tuples), writes a list
+    of plain ints and finite floats as one join over their reprs, and escapes
+    strings with the stdlib's C encoder.  It raises TypeError where
+    ``json.dumps`` does, for a value it cannot write.  Two differences: a dict
+    key that is not a str raises TypeError (``json.dumps`` writes an int,
+    float, bool or None key as a string), and a document that contains itself
+    recurses until RecursionError (``json.dumps`` raises ValueError).
+    """
+    return _json_text(obj, "\n") + "\n"
+
+
+_PLAIN_NUMBERS = {int, float}
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(obj, newline: str) -> str:
+    """``obj`` as indented JSON; ``newline`` is a line break and the indent
+    of the line ``obj`` starts on."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _FLOAT_WORDS.get(text, text)
+    inner = newline + "  "
+    separator = "," + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) <= _PLAIN_NUMBERS:
+            items = separator.join(map(repr, obj))
+            if "n" not in items:  # no nan or inf, which JSON spells otherwise
+                return "[" + inner + items + newline + "]"
+        items = separator.join([_json_text(item, inner) for item in obj])
+        return "[" + inner + items + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = separator.join([encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+                                for key, value in sorted(obj.items())])
+        return "{" + inner + items + newline + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def config_to_dict(config: ProtocolConfig) -> dict:
@@ -245,8 +299,9 @@ def tracelessness_to_dict(report: TracelessnessReport) -> dict:
     }
 
 
-def scan_rows_to_csv(grid: ScanGrid) -> str:
-    """The scan as CSV, one row per cell: :func:`anonsense.scancsv.scan_csv`.
+def scan_rows_to_csv(grid: ScanGrid) -> Iterator[bytes]:
+    """The scan as CSV, one row per cell: :func:`anonsense.scancsv.scan_csv`,
+    whose ASCII chunks are formed one at a time as they are iterated.
 
     The writer is imported on its first use, so the verbs that never write a
     scan do not compile it.  That matters only to perfbench's ``peak_rss_mb``,

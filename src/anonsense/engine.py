@@ -16,6 +16,7 @@ vector and scales to participant counts of 10^4 and beyond.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import struct
@@ -65,13 +66,13 @@ class ProtocolConfig:
     a: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "q", tuple(float(x) for x in self.q))
+        object.__setattr__(self, "q", tuple(map(float, self.q)))
         # the switches are checked as given: int() would turn 0.7 into a valid 0
         violations = _violations(self)
         if violations:
             raise ConfigError(violations)
-        object.__setattr__(self, "c_plus", tuple(int(x) for x in self.c_plus))
-        object.__setattr__(self, "c_minus", tuple(int(x) for x in self.c_minus))
+        object.__setattr__(self, "c_plus", tuple(map(int, self.c_plus)))
+        object.__setattr__(self, "c_minus", tuple(map(int, self.c_minus)))
 
     @property
     def kmax(self) -> int:
@@ -186,18 +187,23 @@ def _violations(config: ProtocolConfig) -> list[str]:
         if len(vec) != kmax + 1:
             v.append(f"{name} must have floor(n/2)+1 = {kmax + 1} entries, got {len(vec)}")
             return v
-    for i, qi in enumerate(config.q):
-        if not 0 <= qi < math.inf:
-            v.append(f"q[{i}] = {qi} is negative or not finite")
-    if abs(sum(config.q) - 1.0) > PROB_ATOL:
-        v.append(f"sum(q) = {sum(config.q)!r} != 1")
+    # each per-entry walk runs only when a pass over the whole vector finds a fault
+    q, total = config.q, sum(config.q)
+    # a finite sum has no NaN or infinite term, so min() is then defined
+    if not (math.isfinite(total) and min(q) >= 0):
+        for i, qi in enumerate(q):
+            if not 0 <= qi < math.inf:
+                v.append(f"q[{i}] = {qi} is negative or not finite")
+    if abs(total - 1.0) > PROB_ATOL:
+        v.append(f"sum(q) = {total!r} != 1")
     for name, vec in (("c_plus", config.c_plus), ("c_minus", config.c_minus)):
-        for i, ci in enumerate(vec):
-            if ci not in (0, 1):
-                v.append(f"{name}[{i}] = {ci} is not 0/1")
-    for i in range(kmax + 1):
-        if config.c_plus[i] == 0 and config.c_minus[i] == 0 and config.q[i] != 0:
-            v.append(f"q[{i}] = {config.q[i]} must be 0 when both switches c[{i},+-] are 0")
+        if not all(ci in (0, 1) for ci in vec):
+            for i, ci in enumerate(vec):
+                if ci not in (0, 1):
+                    v.append(f"{name}[{i}] = {ci} is not 0/1")
+    for i in itertools.compress(range(kmax + 1), q):  # the nonzero weights
+        if config.c_plus[i] == 0 and config.c_minus[i] == 0:
+            v.append(f"q[{i}] = {q[i]} must be 0 when both switches c[{i},+-] are 0")
     if config.m_est == 2:
         if config.a is None:
             v.append("two-sender design requires the index a")

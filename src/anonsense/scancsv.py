@@ -1,26 +1,29 @@
-"""The CSV of a variance-bound scan, written in one vectorized pass per chunk of rows.
+"""The CSV of a variance-bound scan, formed in one vectorized pass per chunk of rows.
 
-Every float is printed as ``format(x, '.17g')`` prints it.  The cells' j22 and
-log10(j22) are formatted exactly by integer digit generation instead of one
-CPython dtoa call each; the few values that pass does not cover go through
-``format`` itself.  :func:`anonsense.configio.scan_rows_to_csv` imports this
-module on its first use.
+The CSV is handed out chunk by chunk as ASCII bytes, so a writer holds one
+chunk at a time, never the whole scan.  Every float is printed as
+``format(x, '.17g')`` prints it.  The cells' j22 and log10(j22) are formatted
+exactly by integer digit generation instead of one CPython dtoa call each; the
+few values that pass does not cover go through ``format`` itself.
+:func:`anonsense.configio.scan_rows_to_csv` imports this module on its first use.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
 from .fisher import ScanGrid
 
-SCAN_CSV_HEADER = "n,a,q0,theta1,theta2,j22,log10_j22,flag"
+SCAN_CSV_HEADER = b"n,a,q0,theta1,theta2,j22,log10_j22,flag\n"
 
 
-def scan_csv(grid: ScanGrid) -> str:
-    """The scan as CSV, one row per cell, axes nested as (n, q0, theta1, theta2).
+def scan_csv(grid: ScanGrid) -> Iterator[bytes]:
+    """The scan as CSV, one row per cell, axes nested as (n, q0, theta1, theta2),
+    in ASCII chunks: the header line, then the rows of each chunk.
 
     A cell's row is ``n,a,q0,theta1,theta2,j22,log10_j22,flag`` with flag
     ``ok``, or ``nan,nan,divergent`` in place of the last three where the
@@ -30,11 +33,12 @@ def scan_csv(grid: ScanGrid) -> str:
     :func:`_format_values` in one pass over a chunk of about
     :data:`_CSV_CHUNK_ROWS` rows, whole theta1 lines in order across block
     ends.  Each chunk is one NUL-padded byte matrix with a fixed column for
-    each field, and its NULs drop as it becomes text.
+    each field, and its NULs drop as it becomes text.  The chunks are formed
+    one at a time, as they are asked for.
     """
-    parts = [SCAN_CSV_HEADER + "\n"]
+    yield SCAN_CSV_HEADER
     if not grid.n_rows:
-        return parts[0]
+        return
     theta1 = [_format_float(th1) for th1 in grid.theta1]
     theta2 = _padded([f",{_format_float(th2)}," for th2 in grid.theta2])
     prefixes = [f"{_format_count(block.n)},{_format_count(block.a)},{_format_float(block.q0)},"
@@ -49,11 +53,12 @@ def scan_csv(grid: ScanGrid) -> str:
         j22 = np.concatenate([np.asarray(b.j22[lo:hi], dtype=float) for b, lo, hi in runs])
         divergent = np.concatenate([np.asarray(b.divergent[lo:hi], dtype=bool)
                                     for b, lo, hi in runs])
-        parts.append(_chunk_csv(heads, theta2, j22, divergent))
-    return "".join(parts)
+        yield _chunk_csv(heads, theta2, j22, divergent)
 
 
-_CSV_CHUNK_ROWS = 2048  # rows formatted as one byte matrix, which bounds the writer's memory
+# rows formatted as one byte matrix, which bounds the writer's memory; a 65 x
+# 65 figure grid is one chunk
+_CSV_CHUNK_ROWS = 8192
 _OK_TAIL = b",ok\n"
 _DIVERGENT_TAIL = b"nan,nan,divergent\n"  # in place of ",j22,log10_j22,ok\n"
 
@@ -64,8 +69,8 @@ def _padded(texts: list[str]) -> np.ndarray:
 
 
 def _chunk_csv(heads: np.ndarray, theta2: np.ndarray, j22: np.ndarray,
-               divergent: np.ndarray) -> str:
-    """The rows of one chunk: ``heads`` (lines x bytes) for each
+               divergent: np.ndarray) -> bytes:
+    """The ASCII rows of one chunk: ``heads`` (lines x bytes) for each
     theta1 line, ``theta2`` (columns x bytes) for each column, and the cells'
     j22 and divergent flags (lines x columns)."""
     lines, columns = j22.shape
@@ -95,8 +100,7 @@ def _chunk_csv(heads: np.ndarray, theta2: np.ndarray, j22: np.ndarray,
         rows[divergent, starts[2]:starts[2] + len(_DIVERGENT_TAIL)] = np.frombuffer(
             _DIVERGENT_TAIL, dtype=np.uint8)
     del values, rows
-    text = text.translate(None, b"\0")
-    return text.decode("ascii")
+    return text.translate(None, b"\0")
 
 
 def _format_count(x: float) -> str:

@@ -225,6 +225,34 @@ def test_validate_config_reports_each_invariant():
             assert any(fragment in v for v in violations), (fragment, violations)
 
 
+@pytest.mark.parametrize("q, c_plus, c_minus, expected", [
+    ((-0.5, 0.25, 0.5, 2.0, 0.25), (1, 2, 0, 0.5, 0), (0, -1, 0, 1, 0), [
+        "q[0] = -0.5 is negative or not finite",
+        "sum(q) = 2.5 != 1",
+        "c_plus[1] = 2 is not 0/1",
+        "c_plus[3] = 0.5 is not 0/1",
+        "c_minus[1] = -1 is not 0/1",
+        "q[2] = 0.5 must be 0 when both switches c[2,+-] are 0",
+        "q[4] = 0.25 must be 0 when both switches c[4,+-] are 0"]),
+    ((math.nan, 0.25, -0.0, math.inf, -1.0), (1, 0, 0, 1, 0), (3, 0, 0, 0, 0), [
+        "q[0] = nan is negative or not finite",
+        "q[3] = inf is negative or not finite",
+        "q[4] = -1.0 is negative or not finite",
+        "c_minus[0] = 3 is not 0/1",
+        "q[1] = 0.25 must be 0 when both switches c[1,+-] are 0",
+        "q[4] = -1.0 must be 0 when both switches c[4,+-] are 0"]),
+    ((0.25, 0.0, 0.5, -0.0, 0.25), (1, 0, 0, 0, 0), (7, 0, 0, 0, 0.5), [
+        "c_minus[0] = 7 is not 0/1",
+        "c_minus[4] = 0.5 is not 0/1",
+        "q[2] = 0.5 must be 0 when both switches c[2,+-] are 0"]),
+])
+def test_config_violations_are_listed_entry_by_entry_in_order(q, c_plus, c_minus, expected):
+    # a fault anywhere in a vector lists every bad entry of it, in index order
+    with pytest.raises(ConfigError) as err:
+        ProtocolConfig(n=9, m_est=1, t=1.0, q=q, c_plus=c_plus, c_minus=c_minus)
+    assert err.value.violations == expected
+
+
 def test_outcome_distribution_rejects_invalid_config():
     with pytest.raises(ConfigError) as err:
         config = ProtocolConfig.for_two_senders(4, a=2, q0=0.5)

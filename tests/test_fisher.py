@@ -1,11 +1,12 @@
 import functools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from anonsense.cli import FIG_FLAGS, _axes
+from anonsense.cli import FIG_FLAGS, _axes, main
 from anonsense.combinatorics import MINUS, PLUS, FieldVector, g_coefficients
 from anonsense.configio import scan_rows_to_csv
 from anonsense.engine import ProtocolConfig, gamma, max_senders, outcome_distribution
@@ -811,7 +812,7 @@ def test_scan_grid_order_and_values():
         for j, th2 in enumerate(grid.theta2):
             expect = closed_form_j22(block.n, block.a, 0.33, (2.0, th2))
             assert block.j22[0, j] == pytest.approx(expect, rel=1e-15)
-    first = scan_rows_to_csv(grid).splitlines()[1].split(",")
+    first = scan_text(grid).splitlines()[1].split(",")
     assert first[-1] == "ok"
     assert float(first[6]) == pytest.approx(math.log10(float(first[5])), abs=1e-15)
 
@@ -855,6 +856,11 @@ def test_scan_checks_every_block_before_evaluating():
         scan_j22([5, 4], [0.33], [math.inf], [0.5])
     with pytest.raises(ValueError, match="q0=0"):
         scan_j22([math.inf], [0.33, 0.0], [2.0], [0.5])
+
+
+def scan_text(grid: ScanGrid) -> str:
+    """The scan's CSV chunks joined as one text."""
+    return b"".join(scan_rows_to_csv(grid)).decode("ascii")
 
 
 def reference_blocks(n_values, q0_values, theta1_values, theta2_values) -> list:
@@ -928,7 +934,7 @@ def test_scan_grid_is_bitwise_the_per_cell_closed_form(axes):
         assert np.array_equal(bits(block.j22[~divergent]), bits(j22[~divergent]))
     assert grid.n_rows == sum(j22.size for _, _, _, j22, _ in ref)
     assert grid.n_divergent == sum(int(d.sum()) for _, _, _, _, d in ref)
-    assert scan_rows_to_csv(grid) == row_csv(ref, axes["theta1"], axes["theta2"])
+    assert scan_text(grid) == row_csv(ref, axes["theta1"], axes["theta2"])
 
 
 @pytest.mark.parametrize("axes", [
@@ -947,7 +953,50 @@ def test_scan_csv_chunks_end_anywhere_with_the_row_references_text(monkeypatch, 
     monkeypatch.setattr(scancsv, "_CSV_CHUNK_ROWS", lines * columns + columns - 1)
     grid = scan_j22(axes["n"], axes["q0"], axes["theta1"], axes["theta2"])
     ref = reference_blocks(axes["n"], axes["q0"], axes["theta1"], axes["theta2"])
-    assert scan_rows_to_csv(grid) == row_csv(ref, axes["theta1"], axes["theta2"])
+    assert scan_text(grid) == row_csv(ref, axes["theta1"], axes["theta2"])
+
+
+def test_scan_writes_each_chunk_to_out_as_it_is_formed(monkeypatch, tmp_path, capsys):
+    specs = {"n": "5,6,inf", "q0": "0.2,0.5", "theta1": "0:4:5", "theta2": "0,1e-8,0.1,2"}
+    argv = ["scan", *(arg for name, spec in specs.items() for arg in (f"--{name}", spec))]
+    axes = _axes(specs)
+    monkeypatch.setattr(scancsv, "_CSV_CHUNK_ROWS", 12)  # 3 lines each: 10 chunks of 30 lines
+    out = tmp_path / "scan.csv"
+    writes = []
+    open_path = Path.open
+
+    class Spy:
+        """``out`` opened for the scan, recording the size of each write."""
+
+        def __init__(self, file):
+            self.file = file
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+        def write(self, data):
+            writes.append(len(data))
+            return self.file.write(data)
+
+    def spy_open(path, mode="r", *args, **kwargs):
+        file = open_path(path, mode, *args, **kwargs)
+        return Spy(file) if path == out else file
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "open", spy_open)
+        assert main(argv + ["--out", str(out)]) == 0
+    text = out.read_text()
+    ref = reference_blocks(axes["n"], axes["q0"], axes["theta1"], axes["theta2"])
+    assert text == row_csv(ref, axes["theta1"], axes["theta2"])
+    # the header, then one write per chunk of 3 lines of 4 rows, none longer
+    widest = max(len(line) + 1 for line in text.splitlines())
+    assert len(writes) == 1 + 10 and writes[0] == text.index("\n") + 1
+    assert max(writes[1:]) <= 12 * widest
+    assert main(argv) == 0
+    assert capsys.readouterr().out == text
 
 
 def hand_built_grid(j22, divergent) -> ScanGrid:
@@ -966,7 +1015,7 @@ def hand_built_grid(j22, divergent) -> ScanGrid:
 def test_scan_csv_formats_values_outside_fixed_notation_as_the_row_reference(j22):
     grid = hand_built_grid(j22, [[False, False, False], [False, False, math.isnan(j22[1][2])]])
     ref = [(b.n, b.a, b.q0, b.j22, b.divergent) for b in grid.blocks]
-    assert scan_rows_to_csv(grid) == row_csv(ref, grid.theta1, grid.theta2)
+    assert scan_text(grid) == row_csv(ref, grid.theta1, grid.theta2)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.0, -2.5, -math.inf])
@@ -975,8 +1024,8 @@ def test_scan_csv_raises_as_the_row_reference_on_a_bound_without_a_log(bad):
     ref = [(b.n, b.a, b.q0, b.j22, b.divergent) for b in grid.blocks]
     with pytest.raises(ValueError) as expected:
         row_csv(ref, grid.theta1, grid.theta2)
-    with pytest.raises(ValueError) as raised:
-        scan_rows_to_csv(grid)
+    with pytest.raises(ValueError) as raised:  # raised as the chunks are formed
+        scan_text(grid)
     assert str(raised.value) == str(expected.value)
 
 
