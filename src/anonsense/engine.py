@@ -2,15 +2,18 @@
 
 One kernel, :class:`ThetaModel`, evaluates every closed-form probability:
 each measured outcome (i, sign) has probability q[i] * gamma^2 and the
-residual 'f' takes the rest.  The amplitudes are contractions of binomial
-weight rows (formed exactly from falling factorials, one correctly rounded
-division each) with versine and sine stacks of the sender-bit strings'
-phases, and the residual is assembled from stable complements.
-:func:`outcome_distribution` and the estimator's phase-vector methods feed
-the same kernel, so the closed form is the one that is fitted; simulation
-samples the exact Dicke-mean conditionals of :mod:`anonsense.statevec`,
-whose mixture is this distribution.  This path never builds a 2^n state
-vector and scales to participant counts of 10^4 and beyond.
+residual 'f' takes the rest, assembled from stable complements.  For the
+estimated phase vector theta of one or two senders the amplitudes take
+three numbers per weight index, 1 - B_i, B_i (:func:`dilution`) and
+D_i = 1 - 2i/n; for any true sender count, :func:`outcome_distribution`
+contracts binomial weight rows (formed exactly from falling factorials, one
+correctly rounded division each) with versine and sine stacks of the
+sender-bit strings' phases, and at the designed count that contraction is
+the cross-check of the form.  The estimator fits this closed form;
+simulation samples the exact Dicke-mean conditionals of
+:mod:`anonsense.statevec`, whose mixture is this distribution.  This path
+never builds a 2^n state vector and scales to participant counts of 10^4
+and beyond.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import functools
 import itertools
 import math
 import operator
-import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -238,108 +240,81 @@ def weight_row(n: int, m: int, k: int, hypergeometric: bool = False) -> list[flo
 
 
 def _stacks(phases, table) -> tuple[list, list]:
-    """Versine and sine stacks of a phase table, one entry per string weight l.
+    """Versine and sine stacks of the sender-bit strings' phases, one entry per
+    string weight l: row l of ``table`` lists the indices into ``phases`` of
+    the strings of weight l.
 
-    Row l of ``table`` lists the sender-bit strings f of weight l; its entry
-    (s, j) stands for the string phase phi_f = s * phases[j] (s = +-1;
-    ``phases`` holds floats or equally shaped arrays).  The stacks are
-    u[l] = sum_f 2*sin^2(phi_f/4) and s[l] = sum_f -2*sin(phi_f/2), so that
-    g+[l] = 2*C(m, l) - 2*u[l] and g-[l] = 1j*s[l]: the '+' amplitude comes
-    out as gamma+ = 1 - v without cancellation.  The sines are taken once
-    per entry of ``phases``; the versine is even and the sine odd in phi,
-    so only the sine stack takes the entries' signs.
+    The stacks are u[l] = sum_f 2*sin^2(phi_f/4) and s[l] = sum_f -2*sin(phi_f/2),
+    so that g+[l] = 2*C(m, l) - 2*u[l] and g-[l] = 1j*s[l]: the '+' amplitude
+    comes out as gamma+ = 1 - v without cancellation.
     """
-    u = _row_sums(table, [2 * np.sin(p / 4) ** 2 for p in phases], odd=False)
-    s = _row_sums(table, [-2 * np.sin(p / 2) for p in phases], odd=True)
-    return u, s
+    return (_row_sums(table, [2 * np.sin(p / 4) ** 2 for p in phases]),
+            _row_sums(table, [-2 * np.sin(p / 2) for p in phases]))
 
 
-def _row_sums(table, values, odd: bool) -> list:
-    """Each row's values[j] summed left to right from its first entry; an entry
-    with s = -1 enters negated when ``odd``."""
-    sums = []
-    for row in table:
-        sign, j = row[0]
-        total = -values[j] if odd and sign < 0 else values[j]
-        for sign, j in row[1:]:
-            total = total - values[j] if odd and sign < 0 else total + values[j]
-        sums.append(total)
-    return sums
+def _row_sums(table, values) -> list:
+    """Each row's values summed left to right from its first entry."""
+    return [functools.reduce(operator.add, [values[j] for j in row]) for row in table]
 
 
-def _nets(row, j: int) -> int:
-    """The net sign of theta_j in a table row: its entries (s, j) summed over s."""
-    return sum(sign for sign, k in row if k == j)
+def _contract(w: np.ndarray, stack) -> np.ndarray:
+    """sum_l w[:, l] * stack[l] over weight rows w, for one point's stack of
+    floats: one BLAS product (rows x L) @ (L x 1), its column sliced out."""
+    return np.dot(w, np.array(stack).reshape(-1, 1))[:, 0]
 
 
-def _contract(w: np.ndarray, stack, shape=None) -> np.ndarray:
-    """sum_l w[:, l] * stack[l] over weight rows w: shape (rows, *grid).
-
-    One BLAS product (rows x L) @ (L x points), for one point as for a grid;
-    a point's column is sliced out, cheaper than a reshape on the hot path.
-    A grid given as axes leaves each row on its own axes' shape; the rows are
-    broadcast to the grid ``shape`` here, each filled into one (L, *shape)
-    array where it enters the product, and nowhere earlier.
-    """
-    arr = np.array(stack) if shape is None else np.empty((len(stack), *shape))
-    if shape is not None:
-        for l, row in enumerate(stack):
-            arr[l] = row
-    out = np.dot(w, arr.reshape(len(arr), -1))
-    return out[:, 0] if arr.ndim == 1 else out.reshape((len(w), *arr.shape[1:]))
-
-
-def _field_table(fields: FieldVector) -> tuple[list[float], list[list[tuple[int, int]]]]:
+def _field_table(fields: FieldVector) -> tuple[list[float], list[list[int]]]:
     """The phases of all sender-bit strings and their table, row l in rank order."""
     phases: list[float] = []
     table = []
     for l in range(fields.m + 1):
         row = []
         for f in hw_bitstrings(fields.m, l):
-            row.append((1, len(phases)))
+            row.append(len(phases))
             phases.append(effective_phase(fields, f))
         table.append(row)
     return phases, table
 
 
-# The phase tables of the estimated phase vector theta, in the form
-# :func:`_stacks` takes with phases = theta.  One sender: [[theta], [-theta]];
-# two: [[theta1], [-theta2, theta2], [-theta1]].
-_THETA_TABLES = {
-    1: (((1, 0),), ((-1, 0),)),
-    2: (((1, 0),), ((-1, 1), (1, 1)), ((-1, 0),)),
-}
-# Their facts, formed once: per component j, each row's count of entries reading
-# theta_j and their net sign; per row, whether its sine is live (not -x + x = 0).
-_VERSINE_COUNTS = {m: [[sum(k == j for _, k in row) for row in t] for j in range(m)]
-                   for m, t in _THETA_TABLES.items()}
-_NET_SIGNS = {m: [[_nets(row, j) for row in t] for j in range(m)] for m, t in _THETA_TABLES.items()}
-_LIVE_SINE = {m: [any(_nets(row, j) for _, j in row) for row in t] for m, t in _THETA_TABLES.items()}
-_HELD_POINTS = 16  # phase vectors whose columns a model keeps; scoring asks a few points back
+def dilution(n: int, a: int) -> float:
+    """B_a = 2a(n-a)/(n(n-1)): the chance that a uniform weight-a string of n
+    bits splits a pair of sender positions.  It is the two-sender model's
+    mixing ratio (:class:`ThetaModel`) and sets the variance bound; one
+    correctly rounded division of exact integers."""
+    return 2 * a * (n - a) / (n * (n - 1))
 
 
 class ThetaModel:
     """Outcome probabilities of a configuration: the one closed-form kernel.
 
     Each active outcome (i, sign) has probability q[i] * gamma^2 and the
-    residual 'f' takes the rest.  gamma+ = 1 - v and gamma- = (w . s)/2 are
-    weight-row contractions of the stacks of a phase table (:func:`_stacks`);
-    the residual is assembled per weight index from the complements
-    1 - gamma+^2 = v*(2 - v), which never cancel, so Fisher summands
-    (dp)^2/p stay accurate where p is tiny.
+    residual 'f' takes the rest, assembled per weight index from the
+    complements 1 - gamma+^2 = v*(2 - v), which never cancel, so Fisher
+    summands (dp)^2/p stay accurate where p is tiny.
 
-    ``m`` is the true sender count whose bit strings the tables list (default
-    ``config.m_est``); :func:`outcome_distribution` feeds it their phases.
-    The phase-vector methods need m == m_est and read theta through a fixed
-    table, so the first and second derivatives follow from the table's
-    signs.  :meth:`label_rows` evaluates a grid given as its axes, each
-    stack row on the axes it depends on, and :meth:`probs` stacks its rows;
-    :meth:`point_probs`, :meth:`dprobs` and :meth:`derivatives` take one
-    phase vector of floats.  The point path pays only for its contractions:
-    table facts at import, label and residual terms here, float columns, and
-    one stacks pass per phase vector, whose columns :meth:`derivatives` reuses.
-    Only weight indices with a measurement switch on are modelled: a
-    :class:`ProtocolConfig` has q[i] = 0 on every other index.
+    The phase-vector methods read theta through three numbers per modelled
+    weight index i, 1 - B_i, B_i = :func:`dilution` (n, i) (0 for one sender)
+    and D_i = 1 - 2i/n:
+
+        gamma+ = 1 - v,  v = (1 - B_i)*vers(theta1/2) + B_i*vers(theta2/2),
+        gamma- = D_i*sin(theta1/2),
+
+    so P(i,+) = q_i*[(1 - B_i)*cos(theta1/2) + B_i*cos(theta2/2)]^2 and
+    P(i,-) = q_i*D_i^2*sin^2(theta1/2).  This is the weight contraction of
+    the m_est sender-bit strings' stacks folded by hand: the weights
+    w_l = C(n-m, i-l)/C(n, i) are hypergeometric, w0 + 2*w1 + w2 = 1, so
+    B_i = 2*w1 and D_i = w0 - w2 (one sender: w0 + w1 = 1, D_i = w0 - w1).
+    theta2 enters through cos(theta2/2) alone.  :meth:`point_probs`,
+    :meth:`derivatives` and :meth:`dprobs` take one phase vector of floats;
+    :meth:`label_rows` a grid given as broadcasting axes, each label row on
+    the axes it reads, and :meth:`probs` stacks its rows.
+
+    ``m`` is the true sender count (default ``config.m_est``): the weight
+    rows ``_w`` are those of its bit strings, which :func:`outcome_distribution`
+    contracts with their phases' stacks (:meth:`_columns`), for any m.  The
+    phase-vector methods need m == m_est.  Only weight indices with a
+    measurement switch on are modelled: a :class:`ProtocolConfig` has
+    q[i] = 0 on every other index.
     """
 
     def __init__(self, config: ProtocolConfig, m: Optional[int] = None):
@@ -355,21 +330,38 @@ class ThetaModel:
         self._w = np.array([weight_row(n, self.m, i) for i in self._rows])
         # gamma- = (w . s)/2 (halving is exact); the central '-' projector of even n vanishes
         self._w_minus = self._w * np.array([[0.0 if 2 * i == n else 0.5] for i in self._rows])
+        # 1 - B, B and D per row, each one correctly rounded division of exact
+        # integers; one sender splits no pair (and n(n - 1) is 0 at n = 1)
+        pairs = n * (n - 1)
+        self._coef = [((pairs - 2 * i * (n - i)) / pairs if self.m_est == 2 else 1.0,
+                       dilution(n, i) if self.m_est == 2 else 0.0, (n - 2 * i) / n)
+                      for i in self._rows]
         self.labels = config.labels()
-        self._active = [(row[i], i, sign) for i, sign in outcomes]
         q = config.q
-        self._terms = [(r, sign == PLUS, q[i]) for r, i, sign in self._active]
+        self._terms = [(row[i], sign == PLUS, q[i]) for i, sign in outcomes]
+        # per label: its amplitude's place in [gamma+ of each row, gamma- of each row],
+        # 2q, whether it is a '-' label, and its coefficient on each theta_j
+        # (gamma+ = 1 - v reads theta1 by -(1 - B) and theta2 by -B, gamma- theta1 by D)
+        self._gather = np.array([r if plus else len(self._rows) + r for r, plus, _ in self._terms])
+        self._two_q = np.array([2.0 * qx for _, _, qx in self._terms])
+        self._minus = np.array([not plus for _, plus, _ in self._terms], dtype=int)
+        self._reads = np.array([(-self._coef[r][0], -self._coef[r][1]) if plus else (self._coef[r][2], 0.0)
+                                for r, plus, _ in self._terms])[:, :self.m_est]
         self._residual_terms = [(r, q[i], config.c_plus[i], config.c_minus[i])
                                 for r, i in enumerate(self._rows) if q[i]]
-        self._held: dict = {}
 
-    def _theta_table(self, theta):
-        """The phase table of theta (see ``_THETA_TABLES``); needs m == m_est."""
-        if len(theta) != self.m_est:
-            raise ValueError(f"expected {self.m_est} theta components, got {len(theta)}")
-        if self.m != self.m_est:
-            raise ValueError(f"phase-vector methods need m = m_est = {self.m_est}, got m={self.m}")
-        return _THETA_TABLES[self.m]
+    def _amplitudes(self, theta, sin) -> tuple[list, list]:
+        """v and gamma- of each row at theta, with ``sin`` = math.sin on one
+        phase vector of floats or numpy.sin on array components that
+        broadcast.  A row with B = 0 forms no theta2 term, so on a grid it
+        keeps the theta1 axis' shape, as every gamma- does."""
+        if not len(theta) == self.m == self.m_est:
+            raise ValueError(f"phase-vector methods need m = m_est = {self.m_est} theta "
+                             f"components, got {len(theta)} (m={self.m})")
+        vers = [2 * sin(t / 4) ** 2 for t in theta]
+        sine = sin(theta[0] / 2)
+        return ([a * vers[0] + b * vers[1] if b else a * vers[0] for a, b, _ in self._coef],
+                [d * sine for _, _, d in self._coef])
 
     def _assemble(self, v, gamma_m) -> list:
         """Per-label probabilities from the row amplitudes, in labels order.
@@ -394,19 +386,10 @@ class ThetaModel:
         return rows
 
     def _columns(self, phases, table) -> tuple[list, list]:
-        """v and gamma- at one phase table of floats (:func:`_stacks`), as float lists."""
+        """v and gamma- of the weight rows of m at one phase table of floats
+        (:func:`_stacks`), as float lists."""
         u, s = _stacks(phases, table)
         return _contract(self._w, u).tolist(), _contract(self._w_minus, s).tolist()
-
-    def _theta_columns(self, theta) -> list:
-        """[v, gamma-, first-order amplitudes or None] at the phase vector theta,
-        kept by its bits (-0.0 is not 0.0) for the last ``_HELD_POINTS`` vectors."""
-        key = struct.pack(f"{len(theta)}d", *theta)
-        if key not in self._held:
-            self._held[key] = [*self._columns(theta, self._theta_table(theta)), None]
-            if len(self._held) > _HELD_POINTS:
-                del self._held[next(iter(self._held))]
-        return self._held[key]
 
     def probs(self, theta: Sequence) -> np.ndarray:
         """:meth:`label_rows` stacked along axis 0 (labels order), each row
@@ -415,46 +398,29 @@ class ThetaModel:
         return np.stack(np.broadcast_arrays(*rows))
 
     def point_probs(self, theta: Sequence[float]) -> list:
-        """:meth:`probs` at one phase vector of floats, as a list in labels order.
-
-        Bit for bit equal to :meth:`probs` on 0-d arrays: the same stacks,
-        the same BLAS contraction and the same assembly, without the array
-        set-up that dominates a single point.
-        """
-        return self._assemble(*self._theta_columns(theta)[:2])
+        """The probabilities at one phase vector of floats, as a list in labels order."""
+        return self._assemble(*self._amplitudes(theta, math.sin))
 
     def label_rows(self, theta: Sequence[np.ndarray]) -> list:
         """Probabilities for every label over the grid the theta components
         span, in labels order.
 
         The components are float arrays that broadcast against each other,
-        such as the axes ``np.meshgrid(..., sparse=True)`` returns; the
-        stacks are formed on each axis.  On finite axes a sine row whose
-        entries cancel in pairs (-x + x, the middle row of two senders) is
-        exactly +0.0 and spans no axis, so gamma- is contracted on the
-        theta1 axis alone.  A label row keeps the broadcast shape of the
-        amplitudes it is made of.  Each grid column enters a matrix product
-        with the same entries whatever the grid, and a column of a product
-        keeps its bits whatever the number of columns, from two up (one
-        column is a matrix-vector product, the point path's).
+        such as the axes ``np.meshgrid(..., sparse=True)`` returns.  A label
+        row keeps the broadcast shape of the amplitudes it is made of: the
+        '-' labels and the '+' labels of B = 0 span the theta1 axis alone.
+        Every cell is formed elementwise, so its bits do not depend on the
+        grid it is part of.
         """
-        u, s = _stacks(theta, self._theta_table(theta))
-        if all(np.isfinite(t).all() for t in theta):
-            s = [total if live else 0.0 for live, total in zip(_LIVE_SINE[self.m], s)]
-        gamma_m = _contract(self._w_minus, s, np.broadcast(*s).shape)
-        v = _contract(self._w, u, np.broadcast(*theta).shape)
-        return self._assemble(v, gamma_m)
+        return self._assemble(*self._amplitudes(theta, np.sin))
 
     def labels_free_of(self, j: int) -> list[int]:
         """Indices of the measured labels whose probability does not depend on
-        theta_j: the label's weight row is zero on every table row that
-        reads theta_j.  A versine row reads each of its entries; a sine row
-        reads only theta with a nonzero net sign, as :meth:`label_rows`
-        drops the rest, so every '-' label of two senders is free of theta2."""
-        reads = {PLUS: _VERSINE_COUNTS[self.m_est][j], MINUS: _NET_SIGNS[self.m_est][j]}
-        weights = {PLUS: self._w.tolist(), MINUS: self._w_minus.tolist()}
-        return [x for x, (r, _, sign) in enumerate(self._active)
-                if not any(w for w, read in zip(weights[sign][r], reads[sign]) if read)]
+        theta_j.  A '+' label reads theta1 through 1 - B and theta2 through B;
+        a '-' label reads theta1 alone, through D.  So every '-' label and
+        (0,+) (B_0 = 0) are free of theta2, and the central '-' label of even
+        n (D = 0) is free of theta1."""
+        return np.flatnonzero(self._reads[:, j] == 0.0).tolist()
 
     def dprobs(self, theta: Sequence[float]) -> np.ndarray:
         """Analytic derivatives dP/dtheta_j at one phase vector of floats,
@@ -467,46 +433,36 @@ class ThetaModel:
         (labels, m_est, m_est), or None unless ``second``, at one phase vector
         of floats, as :meth:`point_probs` takes it.
 
-        A table entry (s, j) depends on theta_j alone: its versine adds
-        sin(theta_j/2)/2 to du_j and cos(theta_j/2)/4 to d2u_jj, its sine
-        -s*cos(theta_j/2) to ds_j and s*sin(theta_j/2)/2 to d2s_jj.  P = q*gam^2
-        gives dP_j = 2q*gam*dgam_j and d2P_ij = 2q*(dgam_i*dgam_j + gam*d2gam_ij),
-        and the residual's derivatives are minus the sum of the active ones.
+        The chain rule of the form: a label's amplitude reads theta_j through
+        its coefficient (``_reads``) times vers(theta_j/2) ('+') or
+        sin(theta1/2) ('-'), whose derivatives are sin(theta_j/2)/2 and
+        cos(theta_j/2)/4, or cos(theta1/2)/2 and -sin(theta1/2)/4; no
+        amplitude mixes two components.  P = q*gam^2 gives dP_j = 2q*gam*dgam_j
+        and d2P_ij = 2q*(dgam_i*dgam_j + gam*d2gam_ij), and the residual's
+        derivatives are minus the sum of the active ones.
         """
-        v, gamma_m, dgam = held = self._theta_columns(theta)
-        half_angle = np.array(theta, dtype=float) / 2
-        half_sine, cosine = (np.sin(half_angle) / 2).tolist(), np.cos(half_angle).tolist()
-        q = [qx for _, _, qx in self._terms]
-        gam = [1.0 - v[r] if plus else gamma_m[r] for r, plus, _ in self._terms]
-
-        def amplitudes(du, ds, nets):  # gamma+ = 1 - v moves by -dv, gamma- by its own
-            dv = _contract(self._w, du).tolist()
-            # no sine reads a component of net sign 0 (theta2 of two senders): its
-            # gamma- contraction is of zeros, exactly +0.0, and is not made
-            dgamma_m = _contract(self._w_minus, ds).tolist() if any(nets) else [0.0] * len(dv)
-            return [-dv[r] if plus else dgamma_m[r] for r, plus, _ in self._terms]
-
-        def labelled(rows):  # summed from 0 left to right: sum() compensates floats on 3.12+
-            return rows + [-functools.reduce(operator.add, rows, 0)]
-
-        facts = list(enumerate(zip(_VERSINE_COUNTS[self.m_est], _NET_SIGNS[self.m_est])))
-        if dgam is None:  # the first-order amplitudes, formed once per phase vector held
-            dgam = held[2] = [amplitudes([c * half_sine[j] if c else 0.0 for c in counts],
-                                         [-net * cosine[j] if net else 0.0 for net in nets], nets)
-                              for j, (counts, nets) in facts]
-        d2gam = [amplitudes([c * cosine[j] / 4 if c else 0.0 for c in counts],
-                            [net * half_sine[j] if net else 0.0 for net in nets], nets)
-                 for j, (counts, nets) in facts] if second else []
-        # .T puts the label axis first (d2P is symmetric in i and j) and .copy()
-        # gives the C order the callers' matrix products were written for
-        dp = np.array([labelled([2.0 * qx * g * dg for qx, g, dg in zip(q, gam, dgam[j])])
-                       for j in range(self.m_est)]).T.copy()
+        v, gamma_m = self._amplitudes(theta, math.sin)
+        gam = np.array([1.0 - x for x in v] + gamma_m)[self._gather]
+        sines = [math.sin(t / 2) for t in theta]
+        cosines = [math.cos(t / 2) for t in theta]
+        m = len(theta)
+        # by sign ('+' row 0, '-' row 1), the slope and curvature of what each label reads
+        dgam = self._reads * np.array([[s / 2 for s in sines], [cosines[0] / 2] * m])[self._minus]
+        scale = self._two_q * gam
+        dp = _with_residual(scale[:, None] * dgam)
         if not second:
             return dp, None
-        return dp, np.array([[labelled([
-            2.0 * qx * (di * dj + g * d2 if i == j else di * dj)
-            for qx, g, di, dj, d2 in zip(q, gam, dgam[i], dgam[j], d2gam[j])])
-            for j in range(self.m_est)] for i in range(self.m_est)]).T.copy()
+        curvature = np.array([[c / 4 for c in cosines], [-sines[0] / 4] * m])[self._minus]
+        # dgam_i * dgam_j before the scale, so that d2P is exactly symmetric
+        d2p = self._two_q[:, None, None] * (dgam[:, :, None] * dgam[:, None, :])
+        diagonal = np.arange(m)
+        d2p[:, diagonal, diagonal] += scale[:, None] * self._reads * curvature
+        return dp, _with_residual(d2p)
+
+
+def _with_residual(active: np.ndarray) -> np.ndarray:
+    """The active labels' derivatives and, last, the residual's: minus their sum."""
+    return np.concatenate([active, -active.sum(axis=0, keepdims=True)])
 
 
 def gamma(n: int, fields: FieldVector, k: int, sign: str) -> complex:
@@ -538,9 +494,10 @@ def outcome_distribution(config: ProtocolConfig, fields: FieldVector) -> Outcome
 
     The true m may differ from config.m_est (the distribution is still well
     defined; only the estimation step assumes they agree).  The kernel is
-    :class:`ThetaModel` with the weight rows of the true m, fed the phases of
-    the true senders' bit strings; where m = m_est this is bit for bit
-    ``ThetaModel(config).point_probs(phases_from_fields(fields))``.
+    :class:`ThetaModel` with the weight rows of the true m, contracted with
+    the stacks of the true senders' bit-string phases.  Where m = m_est this
+    is ``ThetaModel(config).point_probs(phases_from_fields(fields))`` to
+    rounding: an independent evaluation of the same form.
     """
     model = ThetaModel(config, fields.m)
     probs = model._assemble(*model._columns(*_field_table(fields)))

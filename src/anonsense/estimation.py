@@ -11,16 +11,17 @@ takes the probabilities and derivatives the refinement ends on.
 The grid start is one loop over theta1 rows (:func:`_grid_start`), each
 product a set of rows over the whole theta2 axis, evaluated by one
 :meth:`ThetaModel.label_rows` call.  For two senders the labels A whose
-probability is free of theta2 (every '-' label and, from the weight rows,
-(0,+)) bound each row: the others share the mass S = 1 - sum_A p, so by
-Gibbs' inequality a row's log-likelihood is at most
+probability is free of theta2 (every '-' label, and (0,+) since B_0 = 0)
+bound each row: the others share the mass S = 1 - sum_A p, so by Gibbs'
+inequality a row's log-likelihood is at most
 sum_A c log p + sum_B c log(c S / C_B).  Rows go in descending bound order
 until the next bound falls below the best value less a margin of
 1e-6 * (N + 1), which covers the rounding of bound and value; without a
-bound every row goes, in axis order.  A row keeps its bits in any product of
-two rows or more, so the argmax over the rows evaluated, in ascending theta1
-order, is the whole grid's.  Their spread can certify only that no axis is
-flat; where it cannot, the loop goes on to every row.
+bound every row goes, in axis order.  The kernel forms every cell
+elementwise, so a row keeps its bits in any product, and the argmax over
+the rows evaluated, in ascending theta1 order, is the whole grid's.  Their
+spread can certify only that no axis is flat; where it cannot, the loop
+goes on to every row.
 """
 
 from __future__ import annotations
@@ -235,18 +236,17 @@ def _grid_start(model: ThetaModel, observed, axis, N: int) -> Optional[tuple[lis
     ties) and a flag per axis along which its finite values spread less than
     1e-9; None if no value is finite.
 
-    Each product is a set of theta1 rows over the whole theta2 axis, two at
-    least (never a lone row, not even the last) and ``_GRID_BLOCK_POINTS``
-    points at most (a cap of two rows ends on three), and no row is
+    Each product is a set of theta1 rows over the whole theta2 axis, of
+    ``_GRID_BLOCK_POINTS`` points at most (one row at least), and no row is
     evaluated twice.  With :func:`_row_bounds`, rows go in descending bound
-    order, each product taking at most twice the rows done so far, until the
-    next bound is below the best value less ``_BOUND_MARGIN * (N + 1)``;
-    without, every row goes in axis order.  The rows evaluated certify only a start without flags
-    (their spread is a lower bound of the grid's); else the loop goes on to
-    every row.
+    order, each product taking at most twice the rows done so far (two
+    first), until the next bound is below the best value less
+    ``_BOUND_MARGIN * (N + 1)``; without, every row goes in axis order.  The
+    rows evaluated certify only a start without flags (their spread is a
+    lower bound of the grid's); else the loop goes on to every row.
     """
     m = model.m_est
-    cap = max(2, _GRID_BLOCK_POINTS // len(axis) ** (m - 1))
+    cap = max(1, _GRID_BLOCK_POINTS // len(axis) ** (m - 1))
     bound = _row_bounds(model, observed, axis) if m == 2 else None
     order = np.arange(len(axis)) if bound is None else np.argsort(-bound, kind="stable")
     ll = np.empty((len(axis),) * m)
@@ -258,11 +258,8 @@ def _grid_start(model: ThetaModel, observed, axis, N: int) -> Optional[tuple[lis
             if not start[1]:
                 return start
             bound = None  # flags the rows evaluated cannot certify: every row goes
-        left = len(order) - done
-        take = min(cap, left if bound is None else max(2, min(
-            2 * done or 2, int(np.count_nonzero(bound[order[done:]] >= floor)))))
-        if left - take == 1:  # one row less, or one more, leaves no lone row
-            take += -1 if take == cap > 2 else 1
+        take = min(cap, len(order) - done if bound is None else min(
+            2 * done or 2, int(np.count_nonzero(bound[order[done:]] >= floor))))
         rows = order[done:done + take]
         product = _grid_log_likelihood(
             model, observed, np.meshgrid(axis[rows], *[axis] * (m - 1), indexing="ij", sparse=True))

@@ -4,10 +4,11 @@ The outcome model is parameterized directly by the phase vector theta (theta
 = omega*t for one sender; theta1 = (omega1+omega2)*t, theta2 = (omega1-omega2)*t
 for two).  Probabilities and their analytic theta-derivatives come from the
 package's one closed-form kernel, :class:`anonsense.engine.ThetaModel`
-(re-exported here), which evaluates theta grids and single phase vectors
-and holds weights only for the weight indices the measurement uses, so the
-work of likelihood scans and Fisher matrices follows the number of measured
-indices, not the participant count.
+(re-exported here, as is :func:`anonsense.engine.dilution`).  It reads theta
+through three numbers per measured weight index, 1 - B_i, B_i and D_i, so
+the work of likelihood scans and Fisher matrices follows the number of
+measured indices, not the participant count.  The variance bound below
+depends on the design through B_a = dilution(n, a) alone.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .combinatorics import FieldVector
-from .engine import ProtocolConfig, ThetaModel, two_sender_violations
+from .engine import ProtocolConfig, ThetaModel, dilution, two_sender_violations
 
 ZERO_PROB = 1e-14
 ZERO_DERIV = 1e-7
@@ -147,11 +148,6 @@ def _fisher_matrix(labels, N: int, p, dp, d2p) -> FisherResult:
         crb_diag=tuple(float(v) / N for v in J_inv.diagonal()),
         N=N,
     )
-
-
-def dilution(n: int, a: int) -> float:
-    """Mixing ratio 2a(n-a)/(n(n-1)) controlling the two-sender variance bound."""
-    return 2 * a * (n - a) / (n * (n - 1))
 
 
 def closed_form_j22(n: int, a: int, q0: float, theta: tuple[float, float]) -> float:

@@ -10,15 +10,19 @@ subsets on a set of basis states).  It is capped as the dense vectors are
 (:data:`anonsense.statevec.DENSE_LIMIT`).
 
 It also keeps the Dicke-mean fold as it ran before it stopped at the largest
-measured index (:func:`uncapped_fold_means`), and the two-sender MLE start as
-it was formed on the whole grid (:func:`full_grid_start`).
+measured index (:func:`uncapped_fold_means`), the two-sender MLE start as it
+was formed on the whole grid (:func:`full_grid_start`), and the two-sender
+likelihood's global maximum found without that grid
+(:func:`global_max_log_likelihood`).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
+from numpy.polynomial import polynomial as poly
 
 from anonsense import estimation, statevec
 from anonsense.combinatorics import PLUS, FieldVector
@@ -186,3 +190,71 @@ def full_grid_start(model, observed, axis, N):
     spread = ll if finite.all() else np.where(finite, ll, np.min(ll[finite]))
     return theta, [f"flat likelihood along theta_{j + 1}" for j in range(2)
                    if np.ptp(spread, axis=j).max() < 1e-9]
+
+
+def global_max_log_likelihood(counts: dict, config: ProtocolConfig, points: int = 65):
+    """The maximum of the two-sender log-likelihood over [0, pi]^2, and a phase
+    vector that reaches it, found without the estimator's grid or refinement.
+
+    At a fixed theta1 every probability is a polynomial in y2 = cos(theta2/2),
+    which runs over [0, 1]: with the binomial weights
+    w_l = C(n-2, i-l)/C(n, i), a measured amplitude is
+    gamma+ = (w0 + w2)*cos(theta1/2) + 2*w1*y2 or gamma- = (w2 - w0)*sin(theta1/2),
+    its probability q_i*gamma^2, and the residual 'f' is 1 minus their sum.
+    The profile over y2 is stationary where sum_x c_x P_x'/P_x = 0, at the
+    real roots of sum_x c_x P_x' prod_{y != x} P_y, of degree at most 2L - 1
+    for the L observed labels that move with y2 (a measured label's P'/P
+    enters as 2*gamma'/gamma, which keeps the degree lower).  The profile
+    is the largest log-likelihood at those roots in [0, 1] and at the ends.
+    Over theta1 it is scanned at ``points`` values, and each local maximum of
+    the scan is refined by golden-section search to 1e-8.
+    """
+    n = config.n
+    labels = config.labels()
+    tallies = np.array([counts.get(label, 0) for label in labels], dtype=float)
+    weights = {i: [math.comb(n - 2, i - l) / math.comb(n, i) if 0 <= i - l <= n - 2 else 0.0
+                   for l in range(3)] for i, _ in config.outcomes}
+
+    def profile(theta1):
+        y1, s1 = math.cos(theta1 / 2), math.sin(theta1 / 2)
+        amplitudes = [np.array([(w[0] + w[2]) * y1, 2 * w[1]]) if sign == PLUS
+                      else np.array([(w[2] - w[0]) * s1, 0.0])
+                      for (i, sign), w in ((out, weights[out[0]]) for out in config.outcomes)]
+        probs = [config.q[i] * poly.polymul(g, g) for (i, _), g in zip(config.outcomes, amplitudes)]
+        probs.append(poly.polysub([1.0], functools.reduce(poly.polyadd, probs)))
+        # P'/P of each observed label that moves with y2, as (numerator, denominator)
+        moving = [(c * 2 * g[1:], g) for c, g in zip(tallies, amplitudes) if c and g[1]]
+        if tallies[-1] and np.any(probs[-1][1:]):
+            moving.append((tallies[-1] * poly.polyder(probs[-1]), probs[-1]))
+        stationary = np.zeros(1)
+        for k, (num, _) in enumerate(moving):
+            term = functools.reduce(poly.polymul, [den for j, (_, den) in enumerate(moving) if j != k], num)
+            stationary = poly.polyadd(stationary, term)
+        roots = np.roots(np.trim_zeros(stationary, "b")[::-1]).real if stationary.any() else []
+        y2 = np.array([0.0, 1.0, *[r for r in roots if 0.0 < r < 1.0]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ll = sum(c * np.log(np.maximum(poly.polyval(y2, p), 0.0))
+                     for c, p in zip(tallies, probs) if c)
+        best = int(np.argmax(ll))
+        return float(ll[best]), float(y2[best])
+
+    def refined(lo, hi):  # golden-section search for the profile's maximum on [lo, hi]
+        ratio = (math.sqrt(5.0) - 1.0) / 2.0
+        a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        fa, fb = profile(a)[0], profile(b)[0]
+        while hi - lo > 1e-8:
+            if fa >= fb:
+                hi, b, fb = b, a, fa
+                a = hi - ratio * (hi - lo)
+                fa = profile(a)[0]
+            else:
+                lo, a, fa = a, b, fb
+                b = lo + ratio * (hi - lo)
+                fb = profile(b)[0]
+        return max((profile(t), t) for t in (lo, a, b, hi))
+
+    axis = np.linspace(0.0, math.pi, points)
+    scan = [profile(t)[0] for t in axis]
+    peaks = [k for k in range(points) if scan[k] >= max(scan[max(k - 1, 0):k + 2])]
+    (ll, y2), theta1 = max(refined(axis[max(k - 1, 0)], axis[min(k + 1, points - 1)]) for k in peaks)
+    return ll, (theta1, 2.0 * math.acos(y2))

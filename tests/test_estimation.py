@@ -1,12 +1,15 @@
+import json
 import math
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reference
 from anonsense.combinatorics import FieldVector
-from anonsense import engine, estimation
+from anonsense import estimation
+from anonsense.configio import load_counts, parse_run_config
 from anonsense.engine import ProtocolConfig, outcome_distribution
 from anonsense.estimation import (
     OutcomeCounts,
@@ -18,6 +21,8 @@ from anonsense.estimation import (
 from anonsense.fisher import PhaseParameters, ThetaModel, closed_form_j22
 from anonsense.sampling import draw_counts, philox
 from test_fisher import all_switches_config
+
+DATA = Path(__file__).parent / "data"
 
 
 def binomial_mle(k, N):
@@ -100,7 +105,7 @@ def test_refinement_runs_on_float_points(monkeypatch):
     # scoring iterations evaluate a few float points, far fewer than the
     # hundreds a derivative-free line search needs
     probs_shapes, points, grid_shapes = [], [], []
-    probs, point_probs, contract = ThetaModel.probs, ThetaModel.point_probs, engine._contract
+    probs, point_probs, grid = ThetaModel.probs, ThetaModel.point_probs, estimation._grid_log_likelihood
 
     def counting_probs(self, theta):
         probs_shapes.append(np.shape(theta[0]))
@@ -110,22 +115,19 @@ def test_refinement_runs_on_float_points(monkeypatch):
         points.append(tuple(theta))
         return point_probs(self, theta)
 
-    def counting_contract(w, stack, shape=None):
-        out = contract(w, stack, shape)
-        if out.ndim > 1:  # a point's contraction is one column, shape (rows,)
-            grid_shapes.append(out.shape[1:])
-        return out
+    def counting_grid(model, observed, axes):
+        grid_shapes.append(np.broadcast(*axes).shape)
+        return grid(model, observed, axes)
 
     config = ProtocolConfig.for_two_senders(7, a=3, q0=0.33)
     counts = OutcomeCounts({"0+": 400, "0-": 150, "3+": 300, "f": 150})
     monkeypatch.setattr(ThetaModel, "probs", counting_probs)
     monkeypatch.setattr(ThetaModel, "point_probs", counting_point_probs)
-    monkeypatch.setattr(engine, "_contract", counting_contract)
+    monkeypatch.setattr(estimation, "_grid_log_likelihood", counting_grid)
     report = mle_estimate(counts, config)
-    # the row bounds from gamma- and the versine stack on the (181, 1) grid,
-    # then gamma- and the versine stack on the two best-bounded theta1 rows
-    # alone: the next bound is below their maximum
-    assert grid_shapes == [(181, 1), (181, 1), (2, 1), (2, 181)]
+    # the grid evaluates the two best-bounded theta1 rows alone: the next
+    # bound is below their maximum
+    assert grid_shapes == [(2, 181)]
     assert probs_shapes == []
     assert len(points) <= 50
     assert report.converged
@@ -231,19 +233,18 @@ def test_row_bounds_hold_every_rows_maximum(rng):
 
 
 def test_bounded_start_evaluates_a_few_rows(monkeypatch):
-    # theta1 rows of the grid evaluated, counted as the versine contractions
+    # theta1 rows of the grid evaluated, counted per grid log-likelihood
     # over the 181-point theta2 axis: at most 4 of 181 for counts drawn at
     # N = 10^5; counts that leave theta2 flat go on from the two rows the
     # stop leaves to the 179 others, 22 at a time, each row once
-    rows, contract = [], engine._contract
+    rows, grid = [], estimation._grid_log_likelihood
 
-    def counting_contract(w, stack, shape=None):
-        out = contract(w, stack, shape)
-        if out.ndim > 2 and out.shape[2] == estimation.GRID_POINTS:
-            rows.append(out.shape[1])
-        return out
+    def counting_grid(model, observed, axes):
+        assert axes[1].size == estimation.GRID_POINTS
+        rows.append(axes[0].size)
+        return grid(model, observed, axes)
 
-    monkeypatch.setattr(engine, "_contract", counting_contract)
+    monkeypatch.setattr(estimation, "_grid_log_likelihood", counting_grid)
     config = ProtocolConfig.for_two_senders(7, a=3, q0=0.33)
     dist = outcome_distribution(config, FieldVector((0.75, 1.25), 1.0))
     for seed in range(5):
@@ -298,6 +299,32 @@ def test_refinement_evaluates_each_theta_once(monkeypatch):
         assert len(points) == len(set(points))
 
 
+def test_estimate_reaches_the_global_maximum():
+    # the grid start and the refinement reach the likelihood's global maximum
+    # over [0, pi]^2, found without the 181^2 grid: on the n = 7 misfit counts,
+    # on 60 count sets drawn at n = 10, 12 and 40 with N from 10^2 to 10^5,
+    # and on counts that leave theta2 flat, where only the likelihood is
+    # defined and the two maxima may sit at different theta2
+    cases = []
+    for counts_file, run_file in (("counts_misfit_m2.json", "run_n7.json"),
+                                  ("counts_flat_m2.json", "run_n5.json")):
+        counts = load_counts(json.loads((DATA / counts_file).read_text()))
+        config = parse_run_config(json.loads((DATA / run_file).read_text()), require_scenario=False)
+        cases.append((counts.counts, config["config"]))
+    for n in (10, 12, 40):
+        config = ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33)
+        for k in range(20):
+            draws = philox(n, k)
+            fields = FieldVector(tuple(sorted(draws.uniform(0.05, 1.5, 2))), 1.0)
+            N = int(10 ** draws.uniform(2, 5))
+            cases.append((draw_counts(outcome_distribution(config, fields), N, draws), config))
+    assert len(cases) == 62
+    for counts, config in cases:
+        ll, _ = reference.global_max_log_likelihood(counts, config)
+        report = mle_estimate(OutcomeCounts(counts), config)
+        assert abs(report.log_likelihood - ll) <= 1e-9 * abs(ll)
+
+
 def test_estimate_takes_the_derivatives_at_the_estimate_once(monkeypatch):
     # scoring forms the first derivatives once per accepted theta, the
     # observed information the first and second at the estimate, and the
@@ -319,38 +346,6 @@ def test_estimate_takes_the_derivatives_at_the_estimate_once(monkeypatch):
         assert report.crb_se is not None
         assert calls[-1] == (report.theta_hat.theta, True)
         assert len(calls) == len(set(calls))
-
-
-def test_estimate_forms_the_stacks_once_per_theta(monkeypatch):
-    # the scoring steps' and the estimate's derivatives reuse the amplitude
-    # columns of the point_probs call at their theta: the point path forms
-    # its stacks once per distinct phase vector (keyed by its bits)
-    passes, points = [], set()
-    stacks, point_probs = engine._stacks, ThetaModel.point_probs
-
-    def counting_stacks(phases, table):
-        if not isinstance(phases[0], np.ndarray):  # the grid passes its axes
-            passes.append(tuple(phases))
-        return stacks(phases, table)
-
-    def counting_point_probs(self, theta):
-        points.add(np.array(theta, dtype=float).tobytes())
-        return point_probs(self, theta)
-
-    monkeypatch.setattr(engine, "_stacks", counting_stacks)
-    monkeypatch.setattr(ThetaModel, "point_probs", counting_point_probs)
-    drawn = ProtocolConfig.for_two_senders(12, a=6, q0=0.33)
-    dist = outcome_distribution(drawn, FieldVector((0.6, 1.4), 1.0))
-    cases = [(ProtocolConfig.for_two_senders(7, a=3, q0=0.33),
-              {"0+": 400, "0-": 150, "3+": 300, "f": 150}),
-             (ProtocolConfig.for_two_senders(6, a=3, q0=0.33), {"0+": 700, "0-": 300}),
-             (drawn, draw_counts(dist, 100_000, philox(12, 0)))]
-    for config, counts in cases:
-        passes.clear()
-        points.clear()
-        mle_estimate(OutcomeCounts(counts), config)
-        assert len(points) > 2
-        assert len(passes) == len(points)
 
 
 def test_mle_degenerate_counts_on_the_point_path():
