@@ -148,6 +148,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify(args) -> int:
     n, m = args.n, args.m
+    if m < 1:
+        raise ValueError(f"--m must be >= 1, got {m}")
     check_senders(n, m)
     _check_seed(args.seed)
     if not math.isfinite(args.t):
@@ -294,8 +296,7 @@ def _axis_values(spec: str, integer: bool) -> list[float]:
         values = (np.geomspace if log else np.linspace)(lo, hi, count).tolist()
         if not integer:
             return values
-        rounded = [int(round(v)) for v in values]
-        return sorted(set(rounded)) if log else rounded
+        return sorted({int(round(v)) for v in values})  # a repeated n would scan its design twice
     out: list[float] = []
     for token in spec.split(","):
         token = token.strip()

@@ -3,13 +3,14 @@
 One kernel, :class:`ThetaModel`, evaluates every closed-form probability:
 each measured outcome (i, sign) has probability q[i] * gamma^2 and the
 residual 'f' takes the rest, assembled from stable complements.  For the
-estimated phase vector theta of one or two senders the amplitudes take
-three numbers per weight index, 1 - B_i, B_i (:func:`dilution`) and
-D_i = 1 - 2i/n; for any true sender count, :func:`outcome_distribution`
-contracts binomial weight rows (formed exactly from falling factorials, one
-correctly rounded division each) with versine and sine stacks of the
-sender-bit strings' phases, and at the designed count that contraction is
-the cross-check of the form.  The estimator fits this closed form;
+estimated phase vector theta of the designed one or two senders the
+amplitudes take three numbers per weight index, 1 - B_i, B_i
+(:func:`dilution`) and D_i = 1 - 2i/n.  For any true sender count,
+:func:`_string_amplitudes`, which :func:`outcome_distribution` and
+:func:`gamma` share, contracts binomial weight rows (exact falling
+factorials, one correctly rounded division each) with versine and sine
+stacks of the sender-bit strings' phases: at the designed count, the
+cross-check of the form.  The estimator fits this closed form;
 simulation samples the exact Dicke-mean conditionals of
 :mod:`anonsense.statevec`, whose mixture is this distribution.  This path
 never builds a 2^n state vector and scales to participant counts of 10^4
@@ -239,43 +240,6 @@ def weight_row(n: int, m: int, k: int, hypergeometric: bool = False) -> list[flo
             / denom for l in range(m + 1)]
 
 
-def _stacks(phases, table) -> tuple[list, list]:
-    """Versine and sine stacks of the sender-bit strings' phases, one entry per
-    string weight l: row l of ``table`` lists the indices into ``phases`` of
-    the strings of weight l.
-
-    The stacks are u[l] = sum_f 2*sin^2(phi_f/4) and s[l] = sum_f -2*sin(phi_f/2),
-    so that g+[l] = 2*C(m, l) - 2*u[l] and g-[l] = 1j*s[l]: the '+' amplitude
-    comes out as gamma+ = 1 - v without cancellation.
-    """
-    return (_row_sums(table, [2 * np.sin(p / 4) ** 2 for p in phases]),
-            _row_sums(table, [-2 * np.sin(p / 2) for p in phases]))
-
-
-def _row_sums(table, values) -> list:
-    """Each row's values summed left to right from its first entry."""
-    return [functools.reduce(operator.add, [values[j] for j in row]) for row in table]
-
-
-def _contract(w: np.ndarray, stack) -> np.ndarray:
-    """sum_l w[:, l] * stack[l] over weight rows w, for one point's stack of
-    floats: one BLAS product (rows x L) @ (L x 1), its column sliced out."""
-    return np.dot(w, np.array(stack).reshape(-1, 1))[:, 0]
-
-
-def _field_table(fields: FieldVector) -> tuple[list[float], list[list[int]]]:
-    """The phases of all sender-bit strings and their table, row l in rank order."""
-    phases: list[float] = []
-    table = []
-    for l in range(fields.m + 1):
-        row = []
-        for f in hw_bitstrings(fields.m, l):
-            row.append(len(phases))
-            phases.append(effective_phase(fields, f))
-        table.append(row)
-    return phases, table
-
-
 def dilution(n: int, a: int) -> float:
     """B_a = 2a(n-a)/(n(n-1)): the chance that a uniform weight-a string of n
     bits splits a pair of sender positions.  It is the two-sender model's
@@ -309,27 +273,19 @@ class ThetaModel:
     :meth:`label_rows` a grid given as broadcasting axes, each label row on
     the axes it reads, and :meth:`probs` stacks its rows.
 
-    ``m`` is the true sender count (default ``config.m_est``): the weight
-    rows ``_w`` are those of its bit strings, which :func:`outcome_distribution`
-    contracts with their phases' stacks (:meth:`_columns`), for any m.  The
-    phase-vector methods need m == m_est.  Only weight indices with a
-    measurement switch on are modelled: a :class:`ProtocolConfig` has
-    q[i] = 0 on every other index.
+    The model is that of the designed sender count m_est alone.  Only weight
+    indices with a measurement switch on are modelled: a
+    :class:`ProtocolConfig` has q[i] = 0 on every other index.
     """
 
-    def __init__(self, config: ProtocolConfig, m: Optional[int] = None):
+    def __init__(self, config: ProtocolConfig):
         self.config = config
         self.m_est = config.m_est
-        self.m = config.m_est if m is None else m
         n = config.n
-        check_senders(n, self.m)
         outcomes = config.outcomes
         # weight indices with a switch on; row r of every table is index _rows[r]
         row = {i: r for r, i in enumerate(dict.fromkeys(i for i, _ in outcomes))}
         self._rows = list(row)
-        self._w = np.array([weight_row(n, self.m, i) for i in self._rows])
-        # gamma- = (w . s)/2 (halving is exact); the central '-' projector of even n vanishes
-        self._w_minus = self._w * np.array([[0.0 if 2 * i == n else 0.5] for i in self._rows])
         # 1 - B, B and D per row, each one correctly rounded division of exact
         # integers; one sender splits no pair (and n(n - 1) is 0 at n = 1)
         pairs = n * (n - 1)
@@ -355,9 +311,9 @@ class ThetaModel:
         phase vector of floats or numpy.sin on array components that
         broadcast.  A row with B = 0 forms no theta2 term, so on a grid it
         keeps the theta1 axis' shape, as every gamma- does."""
-        if not len(theta) == self.m == self.m_est:
-            raise ValueError(f"phase-vector methods need m = m_est = {self.m_est} theta "
-                             f"components, got {len(theta)} (m={self.m})")
+        if len(theta) != self.m_est:
+            raise ValueError(f"phase-vector methods need m_est = {self.m_est} theta "
+                             f"components, got {len(theta)}")
         vers = [2 * sin(t / 4) ** 2 for t in theta]
         sine = sin(theta[0] / 2)
         return ([a * vers[0] + b * vers[1] if b else a * vers[0] for a, b, _ in self._coef],
@@ -384,12 +340,6 @@ class ThetaModel:
             residual = residual + q * np.maximum(rest, 0.0)
         rows.append(residual)
         return rows
-
-    def _columns(self, phases, table) -> tuple[list, list]:
-        """v and gamma- of the weight rows of m at one phase table of floats
-        (:func:`_stacks`), as float lists."""
-        u, s = _stacks(phases, table)
-        return _contract(self._w, u).tolist(), _contract(self._w_minus, s).tolist()
 
     def probs(self, theta: Sequence) -> np.ndarray:
         """:meth:`label_rows` stacked along axis 0 (labels order), each row
@@ -465,40 +415,54 @@ def _with_residual(active: np.ndarray) -> np.ndarray:
     return np.concatenate([active, -active.sum(axis=0, keepdims=True)])
 
 
+def _string_amplitudes(n: int, fields: FieldVector, rows: Sequence[int]) -> tuple[list, list]:
+    """v and gamma- (gamma+ = 1 - v) at weight indices ``rows`` for the fields
+    of any true sender count m, as float lists.  The sender-bit strings of
+    weight l, in rank order, sum left to right to the stacks u[l] = sum_f
+    2*sin^2(phi_f/4) and s[l] = sum_f -2*sin(phi_f/2) (g+[l] = 2*C(m, l) -
+    2*u[l], g-[l] = 1j*s[l]), each contracted with the :func:`weight_row` rows
+    w in one BLAS product: v = w . u and gamma- = (w/2) . s, the halving exact
+    and 0 on the central '-' projector of even n."""
+    m = fields.m
+    u, s = [], []
+    for l in range(m + 1):
+        phases = [effective_phase(fields, f) for f in hw_bitstrings(m, l)]
+        u.append(functools.reduce(operator.add, [2 * np.sin(p / 4) ** 2 for p in phases]))
+        s.append(functools.reduce(operator.add, [-2 * np.sin(p / 2) for p in phases]))
+    w = np.array([weight_row(n, m, i) for i in rows])
+    w_minus = w * np.array([[0.0 if 2 * i == n else 0.5] for i in rows])
+    return (np.dot(w, np.array(u).reshape(-1, 1))[:, 0].tolist(),
+            np.dot(w_minus, np.array(s).reshape(-1, 1))[:, 0].tolist())
+
+
 def gamma(n: int, fields: FieldVector, k: int, sign: str) -> complex:
     """Transition amplitude gamma for weight index k and the given sign.
 
     gamma(k, sign) = sum_l C(n-m, k-l) * g[sign][l] / (2 * C(n, k)) with l
-    ranging over max(0, k-(n-m)) .. min(k, m).  Evaluated through the
-    kernel's stacks and weight contraction: gamma+ = 1 - v (real) and
-    gamma- = 1j * (w . s)/2 (imaginary).  For even n at k = n/2 the '-'
-    amplitude is identically 0.
+    ranging over max(0, k-(n-m)) .. min(k, m), through
+    :func:`_string_amplitudes`; for even n at k = n/2 the '-' amplitude is 0.
     """
-    m = fields.m
     if not 0 <= k <= n // 2:
         raise ValueError(f"k={k} outside [0, floor(n/2)={n // 2}]")
-    check_senders(n, m)
+    check_senders(n, fields.m)
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
     if 2 * k == n and sign == MINUS:
         return 0j
-    u, s = _stacks(*_field_table(fields))
-    w = np.array([weight_row(n, m, k)])
-    if sign == PLUS:
-        return complex(1.0 - _contract(w, u)[0])
-    return 1j * float(0.5 * _contract(w, s)[0])
+    (v,), (gamma_m,) = _string_amplitudes(n, fields, [k])
+    return complex(1.0 - v) if sign == PLUS else 1j * gamma_m
 
 
 def outcome_distribution(config: ProtocolConfig, fields: FieldVector) -> OutcomeDistribution:
     """Closed-form outcome probabilities for a true sender count m = fields.m.
 
     The true m may differ from config.m_est (the distribution is still well
-    defined; only the estimation step assumes they agree).  The kernel is
-    :class:`ThetaModel` with the weight rows of the true m, contracted with
-    the stacks of the true senders' bit-string phases.  Where m = m_est this
-    is ``ThetaModel(config).point_probs(phases_from_fields(fields))`` to
-    rounding: an independent evaluation of the same form.
+    defined; only the estimation step assumes they agree): the true fields'
+    :func:`_string_amplitudes`, assembled by :class:`ThetaModel`.  Where
+    m = m_est this is ``ThetaModel(config).point_probs(phases_from_fields(fields))``
+    to rounding: an independent evaluation of the same form.
     """
-    model = ThetaModel(config, fields.m)
-    probs = model._assemble(*model._columns(*_field_table(fields)))
+    check_senders(config.n, fields.m)
+    model = ThetaModel(config)
+    probs = model._assemble(*_string_amplitudes(config.n, fields, model._rows))
     return OutcomeDistribution(probs={label: float(p) for label, p in zip(model.labels, probs)})

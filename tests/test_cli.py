@@ -448,6 +448,25 @@ def test_verify_rejects_too_few_trials(capsys, trials):
     assert "--trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m", ["0", "-1"])
+@pytest.mark.parametrize("control", [[], ["--negative-control"]])
+def test_verify_rejects_fewer_than_one_sender(capsys, m, control):
+    # 'error: at least one field amplitude is required' named no flag
+    assert run_cli(["verify", "--n", "5", "--m", m, *control]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --m must be >= 1, got {m}\n"
+
+
+@pytest.mark.parametrize("m", ["1", "3"])
+def test_verify_passes_for_a_true_sender_count_off_the_design(tmp_path, m):
+    # a true m other than 2 differs from m_est on at least one design, so the
+    # closed form's cross-check runs on the any-m string contraction
+    out = tmp_path / "verify.json"
+    assert run_cli(["verify", "--n", "9", "--m", m, "--trials", "2", "--out", str(out)]) == 0
+    assert json.loads(read(out))["verdict"] == "pass"
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--config", str(DATA / "run_n5.json"), "--seed", "-3"],
     ["verify", "--n", "5", "--seed", "-1"],
@@ -599,6 +618,15 @@ def test_scan_n_axis_mixes_finite_n_and_the_limit(tmp_path):
     assert len(lines) == 4
     assert [line.split(",")[0] for line in lines[1:]] == ["5", "10", "inf"]
     assert lines[3].startswith("inf,inf,")
+
+
+@pytest.mark.parametrize("spec", ["5:6:5", "log:5:6:5"])
+def test_scan_n_range_keeps_each_n_once(tmp_path, spec):
+    # the linear range rounded 5, 5.25, 5.5, 5.75, 6 to n = 5, 5, 6, 6, 6 and
+    # wrote a row for each: five rows for two designs
+    out = tmp_path / "scan.csv"
+    assert run_cli(["scan", "--n", spec, "--theta1", "1", "--theta2", "1", "--out", str(out)]) == 0
+    assert [line.split(",")[0] for line in read(out).splitlines()[1:]] == ["5", "6"]
 
 
 def test_load_counts_from_plain_and_transcript():

@@ -9,7 +9,6 @@ from anonsense.combinatorics import MINUS, PLUS, FieldVector
 from anonsense.engine import (
     ConfigError,
     ProtocolConfig,
-    ThetaModel,
     gamma,
     max_senders,
     outcome_distribution,
@@ -287,7 +286,7 @@ def test_every_entry_point_reports_too_many_senders_alike(capsys):
     fields = FieldVector((0.5, 1.0, 1.5), 1.0)
     config = ProtocolConfig.for_single_sender(4)
     calls = [
-        lambda: ThetaModel(config, m=3),
+        lambda: outcome_distribution(config, fields),
         lambda: gamma(4, fields, 0, PLUS),
         lambda: SenderAssignment(4, (1, 2, 3), fields),
         lambda: protocol.verify_tracelessness(config, fields),

@@ -9,7 +9,7 @@ import pytest
 from anonsense.cli import FIG_FLAGS, _axes, main
 from anonsense.combinatorics import MINUS, PLUS, FieldVector, g_coefficients
 from anonsense.configio import scan_rows_to_csv
-from anonsense.engine import ProtocolConfig, gamma, max_senders, outcome_distribution
+from anonsense.engine import ProtocolConfig, gamma, max_senders, outcome_distribution, weight_row
 from anonsense import estimation, scancsv
 from anonsense.estimation import OutcomeCounts, _grid_log_likelihood, mle_estimate
 from anonsense.fisher import (
@@ -154,17 +154,29 @@ def test_theta_model_weights_are_exact_binomial_ratios():
             model = ThetaModel(all_switches_config(n, m))
             assert model._rows == list(range(n // 2 + 1))
             for i in model._rows:
+                row = weight_row(n, m, i)
                 for l in range(m + 1):
                     expect = (math.comb(n - m, i - l) / math.comb(n, i)
                               if 0 <= i - l <= n - m else 0.0)
-                    assert model._w[i, l] == expect
+                    assert row[l] == expect
+
+
+def test_hypergeometric_weights_are_exact_quotients():
+    # C(m, l)*C(n-m, i-l)/C(n, i), the Dicke means' weights, bit-identical to
+    # the big-integer quotient at every index i and string weight l
+    for m in range(1, 5):
+        for n in list(range(5, 41)) + [1001]:
+            for i in range(n + 1):
+                row = weight_row(n, m, i, hypergeometric=True)
+                assert row == [math.comb(m, l) * math.comb(n - m, i - l) / math.comb(n, i)
+                               if 0 <= i - l <= n - m else 0.0 for l in range(m + 1)]
 
 
 def test_theta_model_keeps_only_switched_rows():
     model = ThetaModel(ProtocolConfig.for_two_senders(1001, a=500, q0=0.33))
     assert model._rows == [0, 500]
-    assert model._w.shape == (2, 3)
-    assert model._w[1, 1] == math.comb(999, 499) / math.comb(1001, 500)
+    assert [len(weight_row(1001, model.m_est, i)) for i in model._rows] == [3, 3]
+    assert weight_row(1001, model.m_est, 500)[1] == math.comb(999, 499) / math.comb(1001, 500)
 
 
 def test_theta_model_broadcasts():
@@ -226,8 +238,10 @@ def seed_probs(model, theta):
         u_stack = [u1, 4 * np.sin(t2 / 4) ** 2, u1]
         minus_stack = [-2 * s1, np.zeros(np.shape(t1)), 2 * s1]
 
+    w = np.array([weight_row(config.n, model.m_est, i) for i in model._rows])
+
     def contract(stack):  # the BLAS call that tensordot made for one point
-        return np.dot(model._w, np.array(stack, dtype=float).reshape(-1, 1))[:, 0]
+        return np.dot(w, np.array(stack, dtype=float).reshape(-1, 1))[:, 0]
 
     v = contract(u_stack)
     gamma_m = 0.5 * contract(minus_stack)
@@ -310,12 +324,15 @@ def seed_derivatives(model, theta, second=False):
     def contract(w, stack):
         return [sum(w[r, l] * stack[l] for l in range(len(stack))) for r in range(len(w))]
 
-    v, gamma_m = contract(model._w, u), contract(model._w_minus, s)
+    n = model.config.n
+    w = np.array([weight_row(n, model.m_est, i) for i in model._rows])
+    w_minus = w * np.array([[0.0 if 2 * i == n else 0.5] for i in model._rows])
+    v, gamma_m = contract(w, u), contract(w_minus, s)
     q = [qx for _, _, qx in active]
     gam = [1.0 - v[r] if plus else gamma_m[r] for r, plus, _ in active]
 
     def amplitudes(du, ds):
-        dv, dgamma_m = contract(model._w, du), contract(model._w_minus, ds)
+        dv, dgamma_m = contract(w, du), contract(w_minus, ds)
         return [-dv[r] if plus else dgamma_m[r] for r, plus, _ in active]
 
     def labelled(rows):
