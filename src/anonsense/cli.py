@@ -291,6 +291,8 @@ def _axis_values(spec: str, integer: bool) -> list[float]:
         lo, hi, count = float(bounds[0]), float(bounds[1]), int(bounds[2])
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("range bounds must be finite")
+        if log and not (lo > 0 and hi > 0):
+            raise ValueError("a log range needs bounds above 0")
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         values = (np.geomspace if log else np.linspace)(lo, hi, count).tolist()

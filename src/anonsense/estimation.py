@@ -27,6 +27,7 @@ goes on to every row.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,17 +49,18 @@ _AXIS.flags.writeable = False
 class OutcomeCounts:
     """Observed outcome tallies over a known label set; ``N`` is their total.
 
-    A count must be a nonnegative whole number; a boolean, NaN or infinity is
-    an error naming its label, as :func:`anonsense.configio.load_counts`
-    reports it for a counts file.
+    A count must be a nonnegative whole number; a boolean, NaN, infinity or
+    non-number is an error naming its label, as
+    :func:`anonsense.configio.load_counts` reports it for a counts file.
     """
 
     counts: dict[str, int]
 
     def __post_init__(self):
         for label, c in self.counts.items():
-            if isinstance(c, (bool, np.bool_)) or not 0 <= c < math.inf or c != int(c):
-                raise ValueError(f"count for {label!r} must be a nonnegative integer, got {c}")
+            if (isinstance(c, bool) or not isinstance(c, numbers.Real)
+                    or not 0 <= c < math.inf or c != int(c)):
+                raise ValueError(f"count for {label!r} must be a nonnegative integer, got {c!r}")
 
     @property
     def N(self) -> int:

@@ -221,31 +221,23 @@ def _point_j22(inv, q0: float, theta: tuple[float, float]) -> float:
 
 
 @dataclass(frozen=True)
-class ScanBlock:
-    """The bound at one (n, q0) over the theta1 x theta2 plane."""
-
-    n: float  # participant count; math.inf selects the large-n limit
-    a: float
-    q0: float
-    j22: np.ndarray = field(compare=False)  # (len theta1, len theta2); NaN where divergent
-    divergent: np.ndarray = field(compare=False)  # bool, same shape
-
-
-@dataclass(frozen=True)
 class ScanGrid:
-    """A variance-bound scan: the two theta axes and one block per (n, q0)."""
+    """A variance-bound scan: the two theta axes, the (n, a, q0) of each block,
+    and the bound of every cell, shaped (blocks, theta1, theta2), NaN where it
+    diverges.  n = math.inf (and its a) selects the large-n limit."""
 
     theta1: tuple[float, ...]
     theta2: tuple[float, ...]
-    blocks: tuple[ScanBlock, ...]
+    designs: tuple[tuple[float, float, float], ...]
+    j22: np.ndarray = field(compare=False)
 
     @property
     def n_rows(self) -> int:
-        return len(self.blocks) * len(self.theta1) * len(self.theta2)
+        return self.j22.size
 
     @property
     def n_divergent(self) -> int:
-        return sum(int(block.divergent.sum()) for block in self.blocks)
+        return int(np.isnan(self.j22).sum())
 
 
 def scan_j22(
@@ -263,8 +255,9 @@ def scan_j22(
     axis value, and the cells see only + - * /, so every cell is bit for bit
     the value :func:`closed_form_j22` or :func:`limit_j22` returns there.  Cells where those raise
     :class:`DivergenceError` (theta2 = 0, sin^2(theta2/2) or the denominator
-    underflowing to 0, or the bound overflowing) are flagged divergent with
-    NaN values rather than raised.
+    underflowing to 0, or the bound overflowing) hold NaN rather than raise;
+    no other cell is NaN, as the numerator is finite and the denominator
+    nonnegative.
     """
     q0_values = tuple(q0_values)
     designs = []
@@ -280,15 +273,13 @@ def scan_j22(
     theta1, theta2 = tuple(theta1_values), tuple(theta2_values)
     s1sq, c1 = _half_angles("theta1", theta1)
     s2sq, c2 = _half_angles("theta2", theta2)
-    blocks = []
+    j22 = np.empty((len(designs), len(theta1), len(theta2)))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for n, a, q0, inv in designs:
+        for (_, _, q0, inv), block in zip(designs, j22):
             num, den = _j22_terms(inv, q0, s1sq[:, None], c1[:, None], c2, s2sq)
-            j22 = num / den
-            divergent = (den == 0.0) | (j22 == math.inf)
-            j22[divergent] = math.nan
-            blocks.append(ScanBlock(n, a, q0, j22, divergent))
-    return ScanGrid(theta1, theta2, tuple(blocks))
+            np.divide(num, den, out=block)
+            block[(den == 0.0) | (block == math.inf)] = math.nan
+    return ScanGrid(theta1, theta2, tuple(design[:3] for design in designs), j22)
 
 
 def _half_angles(name: str, axis: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:

@@ -27,33 +27,28 @@ def scan_csv(grid: ScanGrid) -> Iterator[bytes]:
 
     A cell's row is ``n,a,q0,theta1,theta2,j22,log10_j22,flag`` with flag
     ``ok``, or ``nan,nan,divergent`` in place of the last three where the
-    block marks it divergent.  Every float reads as ``format(x, '.17g')``.
+    cell's j22 is NaN.  Every float reads as ``format(x, '.17g')``.
     The n, a, q0, theta1 head is formatted once per theta1 row and theta2
     once per axis value; per cell j22 and math.log10(j22) are formatted by
     :func:`_format_values` in one pass over a chunk of about
-    :data:`_CSV_CHUNK_ROWS` rows, whole theta1 lines in order across block
-    ends.  Each chunk is one NUL-padded byte matrix with a fixed column for
-    each field, and its NULs drop as it becomes text.  The chunks are formed
-    one at a time, as they are asked for.
+    :data:`_CSV_CHUNK_ROWS` rows, whole theta1 lines of ``grid.j22`` in order
+    across block ends.  Each chunk is one NUL-padded byte matrix with a fixed
+    column for each field, and its NULs drop as it becomes text.  The chunks
+    are formed one at a time, as they are asked for.
     """
     yield SCAN_CSV_HEADER
     if not grid.n_rows:
         return
     theta1 = [_format_float(th1) for th1 in grid.theta1]
     theta2 = _padded([f",{_format_float(th2)}," for th2 in grid.theta2])
-    prefixes = [f"{_format_count(block.n)},{_format_count(block.a)},{_format_float(block.q0)},"
-                for block in grid.blocks]
+    prefixes = [f"{_format_count(n)},{_format_count(a)},{_format_float(q0)},"
+                for n, a, q0 in grid.designs]
+    j22 = grid.j22.reshape(-1, len(grid.theta2))
     rows, lines = len(theta1), max(1, _CSV_CHUNK_ROWS // len(grid.theta2))
-    total = len(grid.blocks) * rows
-    for start in range(0, total, lines):
-        end = min(start + lines, total)
+    for start in range(0, len(j22), lines):
+        end = min(start + lines, len(j22))
         heads = _padded([prefixes[line // rows] + theta1[line % rows] for line in range(start, end)])
-        runs = [(grid.blocks[k], max(start - k * rows, 0), min(end - k * rows, rows))
-                for k in range(start // rows, (end - 1) // rows + 1)]
-        j22 = np.concatenate([np.asarray(b.j22[lo:hi], dtype=float) for b, lo, hi in runs])
-        divergent = np.concatenate([np.asarray(b.divergent[lo:hi], dtype=bool)
-                                    for b, lo, hi in runs])
-        yield _chunk_csv(heads, theta2, j22, divergent)
+        yield _chunk_csv(heads, theta2, j22[start:end])
 
 
 # rows formatted as one byte matrix, which bounds the writer's memory; a 65 x
@@ -68,15 +63,14 @@ def _padded(texts: list[str]) -> np.ndarray:
     return np.array(texts, dtype=bytes).view(np.uint8).reshape(len(texts), -1)
 
 
-def _chunk_csv(heads: np.ndarray, theta2: np.ndarray, j22: np.ndarray,
-               divergent: np.ndarray) -> bytes:
+def _chunk_csv(heads: np.ndarray, theta2: np.ndarray, j22: np.ndarray) -> bytes:
     """The ASCII rows of one chunk: ``heads`` (lines x bytes) for each
     theta1 line, ``theta2`` (columns x bytes) for each column, and the cells'
-    j22 and divergent flags (lines x columns)."""
+    j22 (lines x columns), NaN where divergent."""
     lines, columns = j22.shape
     cells = lines * columns
-    divergent = np.flatnonzero(divergent)
     j22 = j22.ravel()
+    divergent = np.flatnonzero(np.isnan(j22))
     if divergent.size:  # their rows print no number; 2.0 keeps the pass on its fast path
         j22 = j22.copy()
         j22[divergent] = 2.0

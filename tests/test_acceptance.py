@@ -209,7 +209,7 @@ def test_criterion_6_limit_and_divergence():
     n_grid = list(range(5, 201)) + [10 ** 3, 10 ** 3 + 1, 10 ** 4, 10 ** 4 + 1]
     for th2 in (0.5, 0.1, 0.05):
         grid = scan_j22(n_grid, [0.33], [2.0], [th2])
-        values = {block.n: block.j22[0, 0] for block in grid.blocks}
+        values = {n: block[0, 0] for (n, _, _), block in zip(grid.designs, grid.j22)}
         for n in range(5, 199):
             assert values[n + 2] >= values[n] - 1e-9
 
@@ -226,20 +226,21 @@ def test_criterion_7_figure_scans(tmp_path):
     theta_axis = np.linspace(0.0, math.pi, 65).tolist()
     finite_grids = {}
     for fig, n in ((2, 10), (3, 10 ** 4)):
-        (block,) = scan_j22([n], [0.33], theta_axis, theta_axis).blocks
-        assert block.j22.shape == (65, 65)
+        (block,) = scan_j22([n], [0.33], theta_axis, theta_axis).j22
+        assert block.shape == (65, 65)
         finite_grids[fig] = block
-    (limit,) = scan_j22([math.inf], [0.33], theta_axis, theta_axis).blocks
+    (limit,) = scan_j22([math.inf], [0.33], theta_axis, theta_axis).j22
     # finite-n cells bounded above by the limit cell (monotonicity in n)
     for fig, block in finite_grids.items():
-        ok = ~block.divergent
-        assert not limit.divergent[ok].any()
+        divergent = np.isnan(block)
+        ok = ~divergent
+        assert not np.isnan(limit[ok]).any()
         above = [(theta_axis[i], theta_axis[k])
-                 for i, k in np.argwhere(ok & (block.j22 > limit.j22 + 1e-9))]
+                 for i, k in np.argwhere(ok & (block > limit + 1e-9))]
         assert not above, f"fig {fig} cells (theta1, theta2) exceed the limit: {above}"
         # the theta2 = 0 column is flagged divergent, nothing else
         assert theta_axis[0] == 0.0
-        assert block.divergent.sum() == 65 and block.divergent[:, 0].all()
+        assert divergent.sum() == 65 and divergent[:, 0].all()
     # fig 5 slices and exact n=5 spot value via the CLI
     out = tmp_path / "fig5.csv"
     assert main(["scan", "--fig", "5", "--out", str(out)]) == 0

@@ -562,10 +562,12 @@ def test_scan_rejects_axis_count_below_one(axis, capsys):
 @pytest.mark.parametrize("axis, spec", [("--n", "nan"), ("--theta1", "1:2"),
                                         ("--n", "log:5:inf:3"), ("--n", "5,5.7"),
                                         ("--n", "inf,nan"), ("--n", "1e999"),
-                                        ("--theta2", "0.5,abc")])
+                                        ("--theta2", "0.5,abc"), ("--n", "log:-5:10:3"),
+                                        ("--theta1", "log:-1:1:3"), ("--theta2", "log:0:1:3")])
 def test_scan_axis_errors_name_the_axis(axis, spec, capsys):
     # the bare int()/unpacking messages did not say which option was wrong,
-    # and an infinite log range raised OverflowError past the exit-code handler
+    # an infinite log range raised OverflowError past the exit-code handler,
+    # and a log range through a bound <= 0 warned from numpy's log10
     argv = {"--n": "5", "--theta1": "1", "--theta2": "1"}
     argv[axis] = spec
     assert run_cli(["scan", *[x for kv in argv.items() for x in kv]]) == 2

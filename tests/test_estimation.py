@@ -40,10 +40,11 @@ def test_outcome_counts_validation():
     assert OutcomeCounts({"0+": 2.0, "f": np.int64(3)}).N == 5
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, True, False, np.True_])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, True, False, np.True_,
+                                 "3", None, [1]])
 def test_outcome_counts_reject_every_non_count_by_label(bad):
-    # an infinity, NaN or boolean is not a tally: one ValueError naming the
-    # label, as a counts file gets from configio.load_counts
+    # an infinity, NaN, boolean or non-number is not a tally: one ValueError
+    # naming the label, as a counts file gets from configio.load_counts
     with pytest.raises(ValueError, match="count for 'f' must be a nonnegative integer"):
         OutcomeCounts({"0+": 3, "f": bad})
 

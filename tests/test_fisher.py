@@ -15,7 +15,6 @@ from anonsense.estimation import OutcomeCounts, _grid_log_likelihood, mle_estima
 from anonsense.fisher import (
     DivergenceError,
     PhaseParameters,
-    ScanBlock,
     ScanGrid,
     SingularTermError,
     ThetaModel,
@@ -742,35 +741,35 @@ def test_limit_diverges_quadratically_in_theta2():
 def test_scan_grid_order_and_values():
     grid = scan_j22([5, 7], [0.33], [2.0], [0.5, 0.1])
     assert grid.theta1 == (2.0,) and grid.theta2 == (0.5, 0.1)
-    assert [(b.n, b.a, b.q0) for b in grid.blocks] == [(5, 2, 0.33), (7, 3, 0.33)]
-    for block in grid.blocks:
-        assert block.j22.shape == (1, 2) and not block.divergent.any()
+    assert grid.designs == ((5, 2, 0.33), (7, 3, 0.33))
+    assert grid.j22.shape == (2, 1, 2) and not np.isnan(grid.j22).any()
+    for (n, a, _), block in zip(grid.designs, grid.j22):
         for j, th2 in enumerate(grid.theta2):
-            expect = closed_form_j22(block.n, block.a, 0.33, (2.0, th2))
-            assert block.j22[0, j] == pytest.approx(expect, rel=1e-15)
+            expect = closed_form_j22(n, a, 0.33, (2.0, th2))
+            assert block[0, j] == pytest.approx(expect, rel=1e-15)
     first = scan_text(grid).splitlines()[1].split(",")
     assert first[-1] == "ok"
     assert float(first[6]) == pytest.approx(math.log10(float(first[5])), abs=1e-15)
 
 
 def test_scan_flags_divergent_rows():
-    (block,) = scan_j22([6], [0.33], [1.0], [0.0, 0.5]).blocks
-    assert block.divergent.tolist() == [[True, False]]
-    assert math.isnan(block.j22[0, 0])
-    assert block.j22[0, 1] == closed_form_j22(6, 3, 0.33, (1.0, 0.5))
+    (block,) = scan_j22([6], [0.33], [1.0], [0.0, 0.5]).j22
+    assert np.isnan(block).tolist() == [[True, False]]
+    assert block[0, 1] == closed_form_j22(6, 3, 0.33, (1.0, 0.5))
 
 
 def test_scan_monotone_in_n_same_parity():
     for th2 in (0.5, 0.1, 0.05):
         grid = scan_j22(list(range(5, 200)), [0.33], [2.0], [th2])
-        values = {block.n: block.j22[0, 0] for block in grid.blocks}
+        values = {n: block[0, 0] for (n, _, _), block in zip(grid.designs, grid.j22)}
         for n in range(5, 198):
             assert values[n + 2] >= values[n] - 1e-9
 
 
 def test_scan_supports_limit_rows():
-    (block,) = scan_j22([math.inf], [0.33], [2.0], [0.5]).blocks
-    assert math.isinf(block.n) and block.j22[0, 0] == pytest.approx(LIMIT_GOLDEN, rel=1e-12)
+    grid = scan_j22([math.inf], [0.33], [2.0], [0.5])
+    ((n, _, _),) = grid.designs
+    assert math.isinf(n) and grid.j22[0, 0, 0] == pytest.approx(LIMIT_GOLDEN, rel=1e-12)
 
 
 def test_bound_diverges_where_sin2_underflows():
@@ -782,9 +781,8 @@ def test_bound_diverges_where_sin2_underflows():
         with pytest.raises(DivergenceError):
             limit_j22(0.33, (2.0, th2))
     grid = scan_j22([5, math.inf], [0.33], [2.0], [1e-300, 1e-160, 1e-100])
-    for block in grid.blocks:
-        assert block.divergent.tolist() == [[True, True, False]]
-        assert np.isnan(block.j22[block.divergent]).all()
+    for block in grid.j22:
+        assert np.isnan(block).tolist() == [[True, True, False]]
 
 
 def test_scan_checks_every_block_before_evaluating():
@@ -852,7 +850,11 @@ def row_csv(blocks, theta1_values, theta2_values) -> str:
     {"n": [*range(5, 301), math.inf], "q0": [0.1, 0.33, 0.9],
      "theta1": [0.0, 1e-9, 0.5, 2.0, math.pi, 4.0, -1.0],
      "theta2": [0.0, 1e-300, 1e-160, 1e-8, 0.1, 0.5, 2.0, math.pi, 5.0]},
-], ids=["fig2", "fig3", "fig4", "fig5", "n5-300"])
+    # underflow and overflow, not only theta2 = 0, make cells divergent here
+    {"n": [5, 6, 1000, 10 ** 6, 10 ** 12, math.inf], "q0": [1e-300, 1e-20, 0.5, 0.999999, 1 - 2 ** -53],
+     "theta1": [0.0, 5e-324, 1e-160, 1.0, math.pi, 1e8, -3.0],
+     "theta2": [0.0, 5e-324, 1e-310, 1e-160, 1e-8, 0.5, math.pi, 1e300, -2.0]},
+], ids=["fig2", "fig3", "fig4", "fig5", "n5-300", "extreme"])
 def test_scan_grid_is_bitwise_the_per_cell_closed_form(axes):
     # the grid takes the trig once per axis value and runs + - * / on
     # broadcast arrays; every cell must carry the scalar path's exact bits
@@ -863,11 +865,11 @@ def test_scan_grid_is_bitwise_the_per_cell_closed_form(axes):
         return np.asarray(values, dtype=float).view(np.uint64)
 
     assert grid.theta1 == tuple(axes["theta1"]) and grid.theta2 == tuple(axes["theta2"])
-    assert [(b.n, b.a, b.q0) for b in grid.blocks] == [(n, a, q0) for n, a, q0, _, _ in ref]
-    for block, (_, _, _, j22, divergent) in zip(grid.blocks, ref):
-        assert np.array_equal(block.divergent, divergent)
-        assert np.isnan(block.j22[divergent]).all()
-        assert np.array_equal(bits(block.j22[~divergent]), bits(j22[~divergent]))
+    assert list(grid.designs) == [(n, a, q0) for n, a, q0, _, _ in ref]
+    assert grid.j22.shape == (len(ref), len(grid.theta1), len(grid.theta2))
+    for block, (_, _, _, j22, divergent) in zip(grid.j22, ref):
+        assert np.array_equal(np.isnan(block), divergent)
+        assert np.array_equal(bits(block[~divergent]), bits(j22[~divergent]))
     assert grid.n_rows == sum(j22.size for _, _, _, j22, _ in ref)
     assert grid.n_divergent == sum(int(d.sum()) for _, _, _, _, d in ref)
     assert scan_text(grid) == row_csv(ref, axes["theta1"], axes["theta2"])
@@ -935,31 +937,33 @@ def test_scan_writes_each_chunk_to_out_as_it_is_formed(monkeypatch, tmp_path, ca
     assert capsys.readouterr().out == text
 
 
-def hand_built_grid(j22, divergent) -> ScanGrid:
+def hand_built_grid(j22) -> ScanGrid:
     """One n = 5 block over two theta1 and three theta2 values holding ``j22``."""
-    block = ScanBlock(5, 2, 0.33, np.array(j22, dtype=float), np.array(divergent, dtype=bool))
-    return ScanGrid((0.5, 2.0), (0.1, 1e-7, 3.0), (block,))
+    return ScanGrid((0.5, 2.0), (0.1, 1e-7, 3.0), ((5, 2, 0.33),), np.array(j22, dtype=float)[None])
+
+
+def grid_blocks(grid: ScanGrid) -> list:
+    """(n, a, q0, j22, divergent) per block of ``grid``, as :func:`reference_blocks` gives them."""
+    return [(*design, block, np.isnan(block)) for design, block in zip(grid.designs, grid.j22)]
 
 
 @pytest.mark.parametrize("j22", [
     # 1e-300, 1e17 and 1e300 print in scientific notation, log10(1.0) = 0 as
     # '0', and 5e-05 sits below the fixed range while its log10 is inside it
     [[1e-300, 5e-05, 1.0], [1e17, 1e300, math.nan]],
-    # a NaN or infinite bound that is not flagged prints as itself twice
-    [[math.nan, 2.0, math.inf], [0.5, 99999999999999984.0, 7.0]],
+    # an infinite bound (no NaN, so not divergent) prints as itself twice
+    [[0.25, 2.0, math.inf], [0.5, 99999999999999984.0, 7.0]],
 ])
 def test_scan_csv_formats_values_outside_fixed_notation_as_the_row_reference(j22):
-    grid = hand_built_grid(j22, [[False, False, False], [False, False, math.isnan(j22[1][2])]])
-    ref = [(b.n, b.a, b.q0, b.j22, b.divergent) for b in grid.blocks]
-    assert scan_text(grid) == row_csv(ref, grid.theta1, grid.theta2)
+    grid = hand_built_grid(j22)
+    assert scan_text(grid) == row_csv(grid_blocks(grid), grid.theta1, grid.theta2)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.0, -2.5, -math.inf])
 def test_scan_csv_raises_as_the_row_reference_on_a_bound_without_a_log(bad):
-    grid = hand_built_grid([[2.0, 3.0, 4.0], [5.0, bad, 6.0]], np.zeros((2, 3), dtype=bool))
-    ref = [(b.n, b.a, b.q0, b.j22, b.divergent) for b in grid.blocks]
+    grid = hand_built_grid([[2.0, 3.0, 4.0], [5.0, bad, 6.0]])
     with pytest.raises(ValueError) as expected:
-        row_csv(ref, grid.theta1, grid.theta2)
+        row_csv(grid_blocks(grid), grid.theta1, grid.theta2)
     with pytest.raises(ValueError) as raised:  # raised as the chunks are formed
         scan_text(grid)
     assert str(raised.value) == str(expected.value)
