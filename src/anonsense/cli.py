@@ -169,7 +169,8 @@ def _cmd_verify(args) -> int:
                "leak_detected": not report.verdict}
         _emit([dumps_json(doc).encode()], args.out)
         if report.verdict:
-            print("negative control FAILED to detect the planted leak", file=sys.stderr)
+            print(f"negative control FAILED to detect the planted leak: max TV distance "
+                  f"{report.max_tv_distance:.6f} <= {report.tolerance}", file=sys.stderr)
             return EXIT_FAIL
         print(f"negative control detected leakage: max TV distance "
               f"{report.max_tv_distance:.6f} > {report.tolerance}", file=sys.stderr)
@@ -207,9 +208,9 @@ def _cmd_verify(args) -> int:
             worst_tv = max(worst_tv, report.max_tv_distance)
             drawn = int(rng.integers(len(subsets)))
             subset = subsets[drawn]
-            oracle = report.distribution(drawn)
-            closed = outcome_distribution(config, fields)
-            err = max(abs(oracle.probs[k] - closed.probs[k]) for k in oracle.probs)
+            closed = outcome_distribution(config, fields)  # in report.labels order
+            err = max(abs(a - b) for a, b in zip(report.probs[drawn].tolist(),
+                                                 closed.probs.values(), strict=True))
             worst_err = max(worst_err, err)
             if (not report.verdict or err > cross_tol) and failing_case is None:
                 failing_case = {

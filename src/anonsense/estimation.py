@@ -1,12 +1,14 @@
 """Maximum-likelihood phase estimation from observed outcome counts.
 
-The likelihood is multinomial over the closed-form outcome model.  Its
-maximizer is located on a coarse grid over [0, pi]^m, the protocol's
-operating regime (the distribution is even in each phase, so signs are
-unrecoverable and nonnegative phases lose nothing), then refined per point
-by projected, damped Fisher scoring on the kernel's analytic derivatives,
-which also give the observed information; the Fisher matrix at the estimate
-takes the probabilities and derivatives the refinement ends on.
+The likelihood is multinomial over the closed-form outcome model; every step
+reads the counts in one form, a (label index, count) pair per observed label
+in labels order (:func:`_observed`).  Its maximizer is located on a coarse
+grid over [0, pi]^m, the protocol's operating regime (the distribution is
+even in each phase, so signs are unrecoverable and nonnegative phases lose
+nothing), then refined per point by projected, damped Fisher scoring on the
+kernel's analytic derivatives, which also give the observed information; the
+Fisher matrix at the estimate takes the probabilities and derivatives the
+refinement ends on.
 
 The grid start is one loop over theta1 rows (:func:`_grid_start`), each
 product a set of rows over the whole theta2 axis, evaluated by one
@@ -91,19 +93,26 @@ def log_likelihood(counts: OutcomeCounts, config: ProtocolConfig, params: PhaseP
     Returns -inf when an observed label has model probability 0.
     """
     model = ThetaModel(config)
-    _check_labels(counts, model)
-    return _scored(counts, model, params.theta)[0]
+    return _scored(model, _observed(counts, model), params.theta)[0]
 
 
-def _scored(counts: OutcomeCounts, model: ThetaModel, theta) -> tuple:
+def _observed(counts: OutcomeCounts, model: ThetaModel) -> list[tuple[int, float]]:
+    """(label index, count as a float) for every nonzero count, in labels
+    order: the one form of the counts the estimator reads."""
+    unknown = set(counts.counts) - set(model.labels)
+    if unknown:
+        raise ValueError(f"counts contain labels {sorted(unknown)} outside the configured "
+                         f"outcome set {model.labels}")
+    return [(x, float(c)) for x, c in
+            enumerate(counts.counts.get(label, 0) for label in model.labels) if c > 0]
+
+
+def _scored(model: ThetaModel, observed, theta) -> tuple:
     """(log-likelihood, theta, probabilities) at one phase vector, from one
     probability evaluation."""
     p = model.point_probs(theta)
     total = 0.0
-    for x, label in enumerate(model.labels):
-        c = counts.counts.get(label, 0)
-        if c == 0:
-            continue
+    for x, c in observed:
         if p[x] <= 0.0:
             return -math.inf, theta, p
         total += c * math.log(p[x])
@@ -120,10 +129,7 @@ def mle_estimate(counts: OutcomeCounts, config: ProtocolConfig) -> EstimateRepor
     if counts.N < 1:
         raise ValueError("estimation requires at least one observed outcome")
     model = ThetaModel(config)
-    _check_labels(counts, model)
-    tallies = np.array([counts.counts.get(label, 0) for label in model.labels], dtype=float)
-    observed = [(x, c) for x, c in enumerate(tallies.tolist()) if c > 0]  # labels order
-
+    observed = _observed(counts, model)
     start = _grid_start(model, observed, _AXIS, counts.N)
     if start is None:
         raise ValueError("likelihood is -inf over the whole domain; counts are "
@@ -131,7 +137,7 @@ def mle_estimate(counts: OutcomeCounts, config: ProtocolConfig) -> EstimateRepor
     theta, flags = start
     converged = not flags
 
-    theta, ll_hat, p_hat, info, eigvals, dp, d2p = _refine(counts, model, tallies, theta,
+    theta, ll_hat, p_hat, info, eigvals, dp, d2p = _refine(model, observed, counts.N, theta,
                                                            _AXIS[1] - _AXIS[0])
     theta_hat = PhaseParameters(tuple(theta))
     se = _observed_se(info, eigvals, theta, flags)
@@ -179,20 +185,11 @@ def field_flags(omegas: tuple[float, ...]) -> list[str]:
     return out
 
 
-def _check_labels(counts: OutcomeCounts, model: ThetaModel):
-    unknown = set(counts.counts) - set(model.labels)
-    if unknown:
-        raise ValueError(
-            f"counts contain labels {sorted(unknown)} outside the configured "
-            f"outcome set {model.labels}"
-        )
-
-
 def _grid_log_likelihood(model: ThetaModel, observed, axes) -> np.ndarray:
     """Log-likelihood over the grid the theta ``axes`` span; -inf where an
     observed P is 0.
 
-    ``observed`` holds (label index, count) for every nonzero count.  Every
+    ``observed`` is :func:`_observed`'s (label index, count) list.  Every
     probability is q*gamma^2 or a sum of q*max(rest, 0), never negative, so
     log 0 = -inf is the only special value.  Each observed label's row
     (:meth:`ThetaModel.label_rows`) is logged at its own shape, scaled by its
@@ -284,7 +281,7 @@ def _argmax_start(ll: np.ndarray, axes) -> Optional[tuple[list, list[str]]]:
                    if np.ptp(spread, axis=j).max() < 1e-9]
 
 
-def _refine(counts: OutcomeCounts, model: ThetaModel, tallies, theta, spacing: float):
+def _refine(model: ThetaModel, observed, N: int, theta, spacing: float):
     """Projected, damped Fisher scoring (Levenberg-Marquardt) from the grid
     argmax; returns theta, its log-likelihood, its probabilities, the observed
     information, its ascending eigenvalues (None where it is not finite), and
@@ -299,15 +296,16 @@ def _refine(counts: OutcomeCounts, model: ThetaModel, tallies, theta, spacing: f
     always is a stationary point): one grid spacing along that eigenvector is
     tried either way, and scoring resumes there if the log-likelihood rises.
     """
-    ll, theta, p = _scored(counts, model, theta)
+    ll, theta, p = _scored(model, observed, theta)
     score, lam = None, DAMPING
-    seen, N = _rows(tallies > 0), counts.N
-    observed = tallies[seen]
+    c = np.array([count for _, count in observed])
+    # every label observed: the slice of all rows, a view, not a copy
+    seen = slice(None) if len(c) == len(model.labels) else np.array([x for x, _ in observed])
     while True:
         if score is None:  # once per accepted theta; a rejected step keeps them
             pa, dp = np.asarray(p), model.dprobs(theta)
             live = _rows(pa >= ZERO_PROB)
-            score = (observed / pa[seen]) @ dp[seen]
+            score = (c / pa[seen]) @ dp[seen]
             J = N * (dp[live].T / pa[live]) @ dp[live]
         free = [j for j, t in enumerate(theta) if J[j, j] > 0.0 and not (
             (t <= 0.0 and score[j] < 0.0) or (t >= math.pi and score[j] > 0.0))]
@@ -316,7 +314,7 @@ def _refine(counts: OutcomeCounts, model: ThetaModel, tallies, theta, spacing: f
             at = slice(None) if len(free) == len(theta) else free  # every component: views of J
             block, step = J[at][:, at], np.zeros(len(theta))
             step[at] = np.linalg.solve(block + np.diag(lam * block.diagonal()), score[at])
-            ll_probe, probe, p_probe = _scored(counts, model, _project(theta, step))
+            ll_probe, probe, p_probe = _scored(model, observed, _project(theta, step))
             moved = max(abs(a - b) for a, b in zip(probe, theta))
             if ll_probe >= ll:
                 ll, theta, p, score = ll_probe, probe, p_probe, None
@@ -326,14 +324,14 @@ def _refine(counts: OutcomeCounts, model: ThetaModel, tallies, theta, spacing: f
         if moved >= REFINE_TOL:
             continue
         dp, d2p = model.derivatives(theta, second=True)
-        info = _observed_information(tallies, p, dp, d2p)
+        info = _observed_information(seen, c, p, dp, d2p)
         if not np.isfinite(info).all():
             return theta, ll, p, info, None, dp, d2p
         eigvals, eigvecs = np.linalg.eigh(info)
         if eigvals[0] >= 0.0:
             return theta, ll, p, info, eigvals, dp, d2p
         probes = [_project(theta, sign * spacing * eigvecs[:, 0]) for sign in (1.0, -1.0)]
-        ll_probe, probe, p_probe = max((_scored(counts, model, point) for point in probes),
+        ll_probe, probe, p_probe = max((_scored(model, observed, point) for point in probes),
                                        key=lambda scored: scored[:2])
         if not ll_probe > ll:
             return theta, ll, p, info, eigvals, dp, d2p
@@ -349,13 +347,11 @@ def _project(theta, step) -> list:
     return [min(max(t + d, 0.0), math.pi) for t, d in zip(theta, step)]
 
 
-def _observed_information(tallies, p, dp, d2p) -> np.ndarray:
+def _observed_information(seen, c, p, dp, d2p) -> np.ndarray:
     """Negative Hessian of the log-likelihood, sum_x c*(dp dp^T/p^2 - d2p/p),
-    over the observed outcomes, from the probabilities ``p`` at one phase
-    vector and the kernel's analytic derivatives ``dp`` and ``d2p`` there."""
-    p = np.asarray(p)
-    seen = _rows(tallies > 0)
-    c, p, dp, d2p = tallies[seen], p[seen], dp[seen], d2p[seen]
+    over the observed rows ``seen`` with counts ``c``, from the probabilities
+    ``p`` at one phase vector and the kernel's analytic derivatives there."""
+    p, dp, d2p = np.asarray(p)[seen], dp[seen], d2p[seen]
     with np.errstate(all="ignore"):  # a non-finite result is flagged by _observed_se
         # the product np.tensordot(c / p, d2p, axes=1) makes, without its set-up
         return (dp.T * (c / p ** 2)) @ dp - np.dot(

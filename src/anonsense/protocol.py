@@ -164,9 +164,12 @@ def negative_control(n: int, fields: FieldVector) -> TracelessnessReport:
     The control runs a broken protocol variant: unentangled sensors (each
     qubit prepared in |+>) read out in the X basis at participant 1 only.
     Whether participant 1 hosts a field is then visible directly in the
-    outcome rate, so the verifier must report a distance above
-    :data:`CONTROL_TV_TOL` whenever the fields produce any signal at all.  A
-    'fail' verdict from this control is the expected, healthy result.
+    outcome rate: a field omega there plants a distance sin^2(t*omega/2)
+    between the subsets that list participant 1 and the others.  The leak
+    is detected where that is above the line :data:`CONTROL_TV_TOL` (0.01):
+    at t = 1, every field ``verify`` draws for the control (0.5 to 2.5)
+    plants at least sin^2(0.25), about 0.061; a shorter time may plant
+    less.  A 'fail' verdict from this control is the expected, healthy result.
 
     The evolved probe stays a product state, each qubit (a_j|0> + b_j|1>)/sqrt(2)
     with participant j's bit-0 and bit-1 phases, so a subset's rate of '-' on

@@ -233,6 +233,21 @@ def test_verify_negative_control_exit_zero(tmp_path):
     assert doc["negative_control"]["max_tv_distance"] > 0.01
 
 
+def test_negative_control_reports_an_undetected_leak(tmp_path, capsys):
+    # at t = 0.05 the field of 0.87 on participant 1 plants a distance of
+    # sin^2(0.05 * 0.87 / 2) = 0.00047, below the line of 0.01: the failure
+    # names the distance and the line, as a detection does
+    out = tmp_path / "nc.json"
+    assert run_cli(["verify", "--negative-control", "--n", "5", "--t", "0.05",
+                    "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("negative control FAILED to detect the planted leak: "
+                                       "max TV distance 0.000469 <= 0.01\n")
+    doc = json.loads(read(out))
+    assert doc["leak_detected"] is False
+    assert doc["negative_control"]["max_tv_distance"] == pytest.approx(
+        math.sin(0.05 * doc["negative_control"]["omegas"][0] / 2) ** 2, rel=1e-12)
+
+
 def test_malformed_counts_reports_location(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"counts": {"0+": 5,}}')

@@ -63,10 +63,14 @@ def test_log_likelihood_zero_probability_sentinel():
     assert log_likelihood(counts, config, PhaseParameters((0.0,))) == -math.inf
 
 
-def test_log_likelihood_rejects_unknown_labels():
+@pytest.mark.parametrize("estimator", [
+    lambda counts, config: log_likelihood(counts, config, PhaseParameters((1.0,))),
+    mle_estimate,
+], ids=["log_likelihood", "mle_estimate"])
+def test_estimators_reject_unknown_labels(estimator):
     config = ProtocolConfig.for_single_sender(6)
-    with pytest.raises(ValueError):
-        log_likelihood(OutcomeCounts({"9+": 1}), config, PhaseParameters((1.0,)))
+    with pytest.raises(ValueError, match="outside the configured outcome set"):
+        estimator(OutcomeCounts({"9+": 1}), config)
 
 
 def test_single_sender_likelihood_is_unimodal():
@@ -396,13 +400,13 @@ def test_mle_escapes_the_theta2_saddle():
     assert report.flags == ()
 
 
-def stencil_information(model, counts, theta, step=1e-4):
+def stencil_information(model, observed, theta, step=1e-4):
     """The observed information as first computed: a 9-point difference
     stencil of the log-likelihood with step 1e-4."""
     m = len(theta)
 
     def ll(point):
-        return estimation._scored(counts, model, point)[0]
+        return estimation._scored(model, observed, point)[0]
 
     H = np.zeros((m, m))
     f0 = ll(theta)
@@ -437,10 +441,12 @@ def test_observed_information_matches_difference_stencil(rng):
             theta = rng.uniform(0.05, math.pi - 0.05, config.m_est).tolist()
             # no counts on a label of structurally zero probability (q[i] = 0)
             tally = rng.integers(1, 1000, len(model.labels)) * (np.array(model.point_probs(theta)) > 0)
-            counts = OutcomeCounts(dict(zip(model.labels, tally.tolist())))
-            info = estimation._observed_information(tally.astype(float), model.point_probs(theta),
+            observed = estimation._observed(OutcomeCounts(dict(zip(model.labels, tally.tolist()))),
+                                            model)
+            seen, c = (np.array(column) for column in zip(*observed))
+            info = estimation._observed_information(seen, c, model.point_probs(theta),
                                                    *model.derivatives(theta, second=True))
-            ref = stencil_information(model, counts, theta)
+            ref = stencil_information(model, observed, theta)
             assert np.max(np.abs(info - ref)) <= 1e-5 * np.max(np.abs(ref))
 
 
