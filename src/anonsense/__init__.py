@@ -2,14 +2,10 @@
 
 from .combinatorics import (
     FieldVector,
-    GCoefficients,
-    HwBitstring,
     MINUS,
     PLUS,
-    effective_phase,
     g_coefficients,
-    hw_bitstrings,
-    sign_vector,
+    string_phases,
 )
 from .engine import (
     ConfigError,

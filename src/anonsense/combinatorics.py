@@ -1,12 +1,11 @@
-"""Exact bit-string and phase-coefficient machinery for multi-sender interference.
+"""The senders' fields and the phases of their bit strings.
 
-Everything in this module is a pure function of its inputs.  Binomial
-coefficients are kept as exact Python integers throughout; floats appear
-only in phases and in the complex h/g coefficient values.
-
-Bit ordering convention (used package-wide): ``bits[0]`` is the
-least-significant bit of the integer value, and the j-th entry of a bit
-vector pairs with the j-th field amplitude ``omegas[j]``.
+Every closed-form amplitude of the multi-sender interference is a sum over
+the senders' bit strings, and each sum reads only the strings' phases:
+:func:`string_phases` forms them all in one pass and fixes the package's bit
+convention.  :func:`h_coefficient` and :func:`g_coefficients` sum them as
+the paper writes h_l and g_l.  Everything here is a pure function of its
+inputs.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 PLUS = "+"
 MINUS = "-"
@@ -60,90 +58,43 @@ class FieldVector:
         return out
 
 
-@dataclass(frozen=True)
-class HwBitstring:
-    """The p-th smallest m-bit integer of Hamming weight l, with its bit vector."""
+def string_phases(fields: FieldVector) -> list[list[float]]:
+    """The phase of every m-bit sender string, grouped by Hamming weight.
 
-    m: int
-    l: int
-    p: int
-    bits: tuple[int, ...]
-
-    @property
-    def value(self) -> int:
-        return sum(b << i for i, b in enumerate(self.bits))
-
-
-@dataclass(frozen=True)
-class GCoefficients:
-    """Complex coefficients g[l] for l = 0..m at a fixed sign.
-
-    Invariants: ``g[m-l] == conj(g[l])``; every entry is real for sign '+'
-    and purely imaginary for sign '-'; for even m the central '-' entry is 0.
+    Group l (l = 0..m) holds the C(m, l) strings of weight l in increasing
+    integer order.  Bit convention (package-wide): bit j of the integer x,
+    the least-significant first, pairs with ``omegas[j]``; a 0 bit adds
+    ``+omegas[j]`` and a 1 bit ``-omegas[j]``, so x has the phase
+    t * sum_j omegas[j] * (1 - 2 * bit_j(x)).  Complementing every bit
+    negates a phase exactly: group m - l is group l negated and reversed.
     """
-
-    m: int
-    sign: str
-    values: tuple[complex, ...]
-
-
-def hw_bitstrings(m: int, l: int) -> list[HwBitstring]:
-    """Enumerate all m-bit strings of Hamming weight l in increasing integer order.
-
-    Parameters
-    ----------
-    m : positive bit-string length (m = 0 is rejected).
-    l : weight, 0 <= l <= m.
-
-    Returns
-    -------
-    List of exactly C(m, l) entries; entry at index p-1 has rank p.
-    """
-    if m < 1:
-        raise ValueError(f"bit-string length must be >= 1, got m={m}")
-    if not 0 <= l <= m:
-        raise ValueError(f"weight l={l} outside [0, {m}]")
-    out = []
-    p = 0
-    for x in range(1 << m):
-        if x.bit_count() == l:
-            p += 1
-            out.append(HwBitstring(m=m, l=l, p=p, bits=tuple((x >> i) & 1 for i in range(m))))
-    assert len(out) == math.comb(m, l)
-    return out
-
-
-def sign_vector(bits: Iterable[int]) -> tuple[int, ...]:
-    """Map a 0/1 vector entrywise to (+1, -1) via r -> 1 - 2r."""
-    return tuple(1 - 2 * int(b) for b in bits)
-
-
-def effective_phase(fields: FieldVector, f: HwBitstring) -> float:
-    """Phase t * (omegas . sign_vector(f.bits)) accumulated by configuration f."""
-    if fields.m != f.m:
-        raise ValueError(f"field count {fields.m} != bit-string length {f.m}")
-    return fields.t * sum(w * s for w, s in zip(fields.omegas, sign_vector(f.bits)))
+    groups: list[list[float]] = [[] for _ in range(fields.m + 1)]
+    for x in range(1 << fields.m):
+        groups[x.bit_count()].append(
+            fields.t * sum(w * (1 - 2 * ((x >> j) & 1)) for j, w in enumerate(fields.omegas)))
+    return groups
 
 
 def h_coefficient(fields: FieldVector, l: int) -> complex:
-    """Sum of exp(-i*theta/2) over the effective phases of all weight-l strings.
+    """Sum of exp(-i*theta/2) over the phases of all weight-l strings, 0 <= l <= m.
 
     Internal intermediate of :func:`g_coefficients`, exposed so its conjugation
     symmetry h(l)* == h(m-l) can be checked directly.
     """
-    return sum(
-        cmath.exp(-0.5j * effective_phase(fields, f)) for f in hw_bitstrings(fields.m, l)
-    )
+    if not 0 <= l <= fields.m:
+        raise ValueError(f"weight l={l} outside [0, {fields.m}]")
+    return sum(cmath.exp(-0.5j * p) for p in string_phases(fields)[l])
 
 
-def g_coefficients(fields: FieldVector, sign: str) -> GCoefficients:
-    """Coefficients g[l] = h[l] + h[l]* (sign '+') or h[l] - h[l]* (sign '-')."""
+def g_coefficients(fields: FieldVector, sign: str) -> tuple[complex, ...]:
+    """Coefficients g[l], l = 0..m: h[l] + h[l]* (sign '+') or h[l] - h[l]* (sign '-').
+
+    Invariants: ``g[m-l] == conj(g[l])``; every entry is real for sign '+'
+    and purely imaginary for sign '-'; for even m the central '-' entry is 0.
+    """
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
-    m = fields.m
-    hs = [h_coefficient(fields, l) for l in range(m + 1)]
+    hs = [h_coefficient(fields, l) for l in range(fields.m + 1)]
     if sign == PLUS:
-        values = tuple(h + h.conjugate() for h in hs)
-    else:
-        values = tuple(h - h.conjugate() for h in hs)
-    return GCoefficients(m=m, sign=sign, values=values)
+        return tuple(h + h.conjugate() for h in hs)
+    return tuple(h - h.conjugate() for h in hs)

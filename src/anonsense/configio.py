@@ -19,6 +19,7 @@ from .engine import ConfigError, ProtocolConfig, design_fields
 from .estimation import EstimateReport, OutcomeCounts
 from .fisher import ScanGrid
 from .protocol import TracelessnessReport, Transcript
+from .sampling import MAX_ROUNDS
 from .statevec import SenderAssignment
 
 class RunConfigError(ValueError):
@@ -127,8 +128,8 @@ def _parse_run(section) -> tuple[int, int]:
     _reject_unknown(section, {"rounds", "seed"}, path)
     rounds = _require_int(section, "rounds", path)
     seed = _number(section.get("seed", 0), int, f"{path}.seed")
-    if rounds < 1:
-        raise RunConfigError(f"{path}.rounds: must be >= 1, got {rounds}")
+    if not 1 <= rounds <= MAX_ROUNDS:
+        raise RunConfigError(f"{path}.rounds: must be in [1, {MAX_ROUNDS}], got {rounds}")
     if seed < 0:
         raise RunConfigError(f"{path}.seed: must be >= 0, got {seed}")
     return rounds, seed

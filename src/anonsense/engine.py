@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .combinatorics import MINUS, PLUS, SIGNS, FieldVector, effective_phase, hw_bitstrings
+from .combinatorics import MINUS, PLUS, SIGNS, FieldVector, string_phases
 
 PROB_ATOL = 1e-12
 NORM_ATOL = 1e-10
@@ -417,19 +417,17 @@ def _with_residual(active: np.ndarray) -> np.ndarray:
 
 def _string_amplitudes(n: int, fields: FieldVector, rows: Sequence[int]) -> tuple[list, list]:
     """v and gamma- (gamma+ = 1 - v) at weight indices ``rows`` for the fields
-    of any true sender count m, as float lists.  The sender-bit strings of
-    weight l, in rank order, sum left to right to the stacks u[l] = sum_f
-    2*sin^2(phi_f/4) and s[l] = sum_f -2*sin(phi_f/2) (g+[l] = 2*C(m, l) -
-    2*u[l], g-[l] = 1j*s[l]), each contracted with the :func:`weight_row` rows
-    w in one BLAS product: v = w . u and gamma- = (w/2) . s, the halving exact
-    and 0 on the central '-' projector of even n."""
-    m = fields.m
+    of any true sender count m, as float lists.  The weight-l group of
+    :func:`string_phases`, in integer order, sums left to right to the stacks
+    u[l] = sum_f 2*sin^2(phi_f/4) and s[l] = sum_f -2*sin(phi_f/2) (g+[l] =
+    2*C(m, l) - 2*u[l], g-[l] = 1j*s[l]), each contracted with the
+    :func:`weight_row` rows w in one BLAS product: v = w . u and gamma- =
+    (w/2) . s, the halving exact and 0 on the central '-' projector of even n."""
     u, s = [], []
-    for l in range(m + 1):
-        phases = [effective_phase(fields, f) for f in hw_bitstrings(m, l)]
+    for phases in string_phases(fields):
         u.append(functools.reduce(operator.add, [2 * np.sin(p / 4) ** 2 for p in phases]))
         s.append(functools.reduce(operator.add, [-2 * np.sin(p / 2) for p in phases]))
-    w = np.array([weight_row(n, m, i) for i in rows])
+    w = np.array([weight_row(n, fields.m, i) for i in rows])
     w_minus = w * np.array([[0.0 if 2 * i == n else 0.5] for i in rows])
     return (np.dot(w, np.array(u).reshape(-1, 1))[:, 0].tolist(),
             np.dot(w_minus, np.array(s).reshape(-1, 1))[:, 0].tolist())

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,7 +52,8 @@ _AXIS.flags.writeable = False
 class OutcomeCounts:
     """Observed outcome tallies over a known label set; ``N`` is their total.
 
-    A count must be a nonnegative whole number; a boolean, NaN, infinity or
+    A count must be a nonnegative whole number that a float can hold, as the
+    estimator reads it; a boolean, NaN, infinity, larger number or
     non-number is an error naming its label, as
     :func:`anonsense.configio.load_counts` reports it for a counts file.
     """
@@ -61,8 +63,9 @@ class OutcomeCounts:
     def __post_init__(self):
         for label, c in self.counts.items():
             if (isinstance(c, bool) or not isinstance(c, numbers.Real)
-                    or not 0 <= c < math.inf or c != int(c)):
-                raise ValueError(f"count for {label!r} must be a nonnegative integer, got {c!r}")
+                    or not 0 <= c <= sys.float_info.max or c != int(c)):
+                raise ValueError(f"count for {label!r} must be a nonnegative integer "
+                                 f"that a float can hold, got {c!r}")
 
     @property
     def N(self) -> int:

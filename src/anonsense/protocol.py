@@ -28,7 +28,7 @@ from .engine import (
     check_senders,
 )
 from .estimation import EstimateReport, OutcomeCounts, mle_estimate
-from .sampling import draw_counts, philox
+from .sampling import MAX_ROUNDS, draw_counts, philox
 from .statevec import (
     SenderAssignment,
     _participant_phases,
@@ -99,8 +99,8 @@ def run_protocol(
     (:func:`~anonsense.statevec.conditional_distributions`, exact at every n);
     the run is reproducible from the seed.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if not 1 <= rounds <= MAX_ROUNDS:
+        raise ValueError(f"rounds must be in [1, {MAX_ROUNDS}], got {rounds}")
     assign.check_n(config)
     rng = philox(seed)
     conditionals = conditional_distributions(assign, config)

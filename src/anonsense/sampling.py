@@ -12,6 +12,8 @@ import numpy as np
 
 from .engine import OutcomeDistribution
 
+MAX_ROUNDS = 2**63 - 1  # numpy's multinomial takes its count as a 64-bit integer
+
 
 def philox(seed: int, *stream: int) -> np.random.Generator:
     """Generator keyed deterministically by a master seed and a stream index."""

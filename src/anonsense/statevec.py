@@ -1,8 +1,8 @@
 """Exact per-subset outcome probabilities, and the dense state vectors.
 
 Basis indexing: bit j-1 of the index integer is participant j's qubit
-(participant 1 is the least-significant bit), matching the bit-vector
-convention in :mod:`anonsense.combinatorics`.
+(participant 1 is the least-significant bit), matching the bit
+convention of :func:`anonsense.combinatorics.string_phases`.
 
 U is diagonal, so only equal Dicke weights couple, and every amplitude the
 protocol needs is (A_i + s*A_{n-i})/2 with the Dicke means A_i of a subset's own

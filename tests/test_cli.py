@@ -266,6 +266,20 @@ def test_counts_must_be_json_integers(tmp_path, capsys, value):
     assert f"error: $.counts.0+: must be an integer, got {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("counts, err", [
+    ({"0+": -1, "f": 3}, "$.counts: count for '0+' must be a nonnegative integer"),
+    ([5, 3], "$.counts: expected a JSON object, got list"),
+    # a count no float holds raised OverflowError in the estimator (exit 1)
+    ({"0+": 10**400, "f": 3}, "$.counts: count for '0+' must be a nonnegative integer "
+                              "that a float can hold"),
+])
+def test_counts_errors_report_their_path(tmp_path, capsys, counts, err):
+    bad = tmp_path / "counts.json"
+    bad.write_text(json.dumps({"counts": counts}))
+    assert run_cli(["estimate", "--counts", str(bad), "--config", str(DATA / "run_m1.json")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {err}")
+
+
 def test_zero_total_counts_rejected(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text('{"counts": {}}')
@@ -294,6 +308,22 @@ def test_a_scan_section_is_an_unknown_key(tmp_path, capsys, verb):
     assert run_cli([*argv, "--config", str(bad)]) == 2
     assert capsys.readouterr().err == ("error: $: unknown keys ['scan']; "
                                        "allowed: ['protocol', 'run', 'scenario']\n")
+
+
+@pytest.mark.parametrize("verb, section, err", [
+    ("simulate", "protocol", "$.protocol: section is required"),
+    ("estimate", "protocol", "$.protocol: section is required"),
+    ("simulate", "scenario", "$.scenario: section is required for simulation"),
+])
+def test_a_missing_section_reports_its_path(tmp_path, capsys, verb, section, err):
+    doc = json.loads((DATA / "run_n5.json").read_text())
+    del doc[section]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = {"simulate": ["simulate"],
+            "estimate": ["estimate", "--counts", str(DATA / "counts_m1.json")]}[verb]
+    assert run_cli([*argv, "--config", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
 
 
 def test_simulate_rejects_zero_rounds(tmp_path):
@@ -330,6 +360,14 @@ def test_simulate_rejects_zero_rounds(tmp_path):
     ("protocol", "c", {"1+": 0.5}, "$.protocol.c.1+: must be an integer, got 0.5"),
     # a negative seed stopped with numpy's bare 'expected non-negative integer'
     ("run", "seed", -3, "$.run.seed: must be >= 0, got -3"),
+    # numpy's multinomial raised OverflowError past a 64-bit count (exit 1)
+    ("run", "rounds", 2**63, "$.run.rounds"),
+    ("protocol", "m_est", 3, "$.protocol.m_est: must be 1 or 2, got 3"),
+    ("protocol", "q", [0.5, 0.5], "$.protocol.q: must be a list of 3 weights"),
+    ("protocol", "c", {"x+": 1}, "$.protocol.c.x+: keys must look like '0+' with index <= 2"),
+    ("protocol", "c", {"3-": 1}, "$.protocol.c.3-: keys must look like '0+' with index <= 2"),
+    ("scenario", "sender_positions", "2,4", "$.scenario.sender_positions: a list is required"),
+    ("scenario", "sender_positions", [2, 6], "$.scenario: sender position 6 outside [1, 5]"),
 ])
 def test_wrong_value_types_report_their_path(tmp_path, capsys, section, key, value, path):
     doc = json.loads((DATA / "run_n5.json").read_text())
@@ -364,6 +402,9 @@ def test_single_sender_protocol_rejects_the_two_sender_keys(tmp_path, capsys, pr
      "$.protocol: a=5 outside [2, floor(n/2)=3]\n"),
     ({"n": 7, "m_est": 2, "a": 3, "q": [0.3, 0, 0.2, 0.5], "c": {"2+": 1}},
      "estimate: N=1000 theta_hat="),
+    ({"m_est": 1}, "error: $.protocol.n: required\n"),
+    ({"n": 5, "m_est": 2, "a": 2},
+     "error: $.protocol.q0: required for m_est=2 (or give a full q vector)\n"),
 ])
 def test_protocol_section_is_checked_as_one_config(tmp_path, capsys, protocol, err):
     path = tmp_path / "run.json"

@@ -7,90 +7,70 @@ from anonsense.combinatorics import (
     MINUS,
     PLUS,
     FieldVector,
-    effective_phase,
     g_coefficients,
     h_coefficient,
-    hw_bitstrings,
-    sign_vector,
+    string_phases,
 )
 
 
+# with omegas (1, 2, 4, 8) and t = 1, string x has phase 15 - 2x: bit j of x,
+# the least-significant first, flips the sign of omegas[j]
+POWERS = FieldVector(omegas=(1.0, 2.0, 4.0, 8.0), t=1.0)
+
+
 def test_hw_bitstrings_4_2_exact_order():
-    values = [f.value for f in hw_bitstrings(4, 2)]
-    assert values == [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
-    ranks = [f.p for f in hw_bitstrings(4, 2)]
-    assert ranks == [1, 2, 3, 4, 5, 6]
+    assert string_phases(POWERS)[2] == [
+        15 - 2 * x for x in (0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100)]
 
 
 def test_hw_bitstrings_weight_zero():
-    (only,) = hw_bitstrings(3, 0)
-    assert only.value == 0
-    assert only.bits == (0, 0, 0)
+    # the one weight-0 string has every sign +1: phase t*sum(omegas)
+    assert string_phases(FieldVector(omegas=(0.3, 0.9, 2.2), t=1.3))[0] == [1.3 * (0.3 + 0.9 + 2.2)]
 
 
 @pytest.mark.parametrize("m,l", [(0, 0), (3, -1), (3, 4)])
 def test_hw_bitstrings_rejects_bad_args(m, l):
+    # no weight-l strings outside [0, m]: h_coefficient would otherwise index
+    # a group from the end
     with pytest.raises(ValueError):
-        hw_bitstrings(m, l)
+        h_coefficient(FieldVector(omegas=(1.0,) * m, t=1.0), l)
 
 
 def test_bits_are_lsb_first():
-    # (0110)_2 = 6 has bit vector (0, 1, 1, 0): entry 0 is the least-significant bit
-    f = hw_bitstrings(4, 2)[2]
-    assert f.value == 6
-    assert f.bits == (0, 1, 1, 0)
+    # (0110)_2 = 6 has bits (0, 1, 1, 0), entry 0 the least significant:
+    # phase 1 - 2 - 4 + 8, third of weight 2
+    assert string_phases(POWERS)[2][2] == 1.0 - 2.0 - 4.0 + 8.0 == 15 - 2 * 6
 
 
 @given(st.integers(min_value=1, max_value=6))
 def test_complementarity_of_bitstrings(m):
-    # f(m,l,p) + f(m,m-l,C(m,l)+1-p) = all-ones, for every l and p
+    # power-of-two fields make each phase name its string: x = (2^m - 1 - phase) / 2;
+    # group l lists the weight-l strings in increasing order, and the p-th
+    # string of group m - l from the end is the complement of the p-th of group l
     ones = (1 << m) - 1
-    for l in range(m + 1):
-        lows = hw_bitstrings(m, l)
-        highs = hw_bitstrings(m, m - l)
-        for f in lows:
-            partner = highs[math.comb(m, l) - f.p]
-            assert f.value + partner.value == ones
-            assert all(a + b == 1 for a, b in zip(f.bits, partner.bits))
+    groups = string_phases(FieldVector(omegas=tuple(2.0 ** j for j in range(m)), t=1.0))
+    strings = [[int(ones - p) // 2 for p in group] for group in groups]
+    for l, xs in enumerate(strings):
+        assert xs == sorted(x for x in range(ones + 1) if x.bit_count() == l)
+        assert [ones - x for x in xs] == strings[m - l][::-1]
 
 
 @given(st.integers(min_value=1, max_value=12))
 def test_enumeration_is_complete(m):
-    total = sum(len(hw_bitstrings(m, l)) for l in range(m + 1))
-    assert total == 2 ** m
-
-
-def test_sign_vector_examples():
-    assert sign_vector((0, 0)) == (1, 1)
-    assert sign_vector((1, 0, 1)) == (-1, 1, -1)
-
-
-@given(st.integers(min_value=1, max_value=6))
-def test_complementary_sign_vectors_cancel(m):
-    for l in range(m + 1):
-        lows = hw_bitstrings(m, l)
-        highs = hw_bitstrings(m, m - l)
-        for f in lows:
-            partner = highs[math.comb(m, l) - f.p]
-            paired = [a + b for a, b in zip(sign_vector(f.bits), sign_vector(partner.bits))]
-            assert paired == [0] * m
+    groups = string_phases(FieldVector(omegas=(1.0,) * m, t=1.0))
+    assert [len(g) for g in groups] == [math.comb(m, l) for l in range(m + 1)]
+    assert sum(map(len, groups)) == 2 ** m
 
 
 def test_effective_phase_two_sender_parameterization():
-    fields = FieldVector(omegas=(0.75, 1.25), t=2.0)
-    f00, f01 = hw_bitstrings(2, 0)[0], hw_bitstrings(2, 1)[2 - 1]
-    # weight 0: both signs +1 -> t*(w1+w2)
-    assert effective_phase(fields, f00) == pytest.approx(2.0 * 2.0, abs=1e-15)
-    # (10)_2 has bit vector (0,1): signs (+1,-1) -> t*(w1-w2)
-    assert f01.value == 0b10
-    assert effective_phase(fields, f01) == pytest.approx(2.0 * -0.5, abs=1e-15)
+    # weight 0: t*(w1 + w2); (01)_2 and (10)_2: t*(w2 - w1) and t*(w1 - w2)
+    assert string_phases(FieldVector(omegas=(0.75, 1.25), t=2.0)) == [
+        [2.0 * 2.0], [2.0 * 0.5, 2.0 * -0.5], [2.0 * -2.0]]
 
 
 def test_effective_phase_zero_fields():
-    fields = FieldVector(omegas=(0.0, 0.0, 0.0), t=1.7)
-    for l in range(4):
-        for f in hw_bitstrings(3, l):
-            assert effective_phase(fields, f) == 0.0
+    groups = string_phases(FieldVector(omegas=(0.0, 0.0, 0.0), t=1.7))
+    assert groups == [[0.0] * math.comb(3, l) for l in range(4)]
 
 
 def test_field_violations_reject_an_overflowing_phase():
@@ -105,21 +85,13 @@ def test_field_violations_reject_an_overflowing_phase():
         "omegas[1] = inf is not strictly positive and finite"]
 
 
-def test_effective_phase_dimension_mismatch():
-    fields = FieldVector(omegas=(1.0,), t=1.0)
-    with pytest.raises(ValueError):
-        effective_phase(fields, hw_bitstrings(2, 1)[0])
-
-
 def test_complementary_phases_cancel():
-    fields = FieldVector(omegas=(0.3, 0.9, 2.2), t=1.3)
-    m = 3
-    for l in range(m + 1):
-        lows = hw_bitstrings(m, l)
-        highs = hw_bitstrings(m, m - l)
-        for f in lows:
-            partner = highs[math.comb(m, l) - f.p]
-            assert abs(effective_phase(fields, f) + effective_phase(fields, partner)) <= 1e-12
+    # complementing every bit negates each term, so each phase negates exactly
+    for fields in (FieldVector(omegas=(0.3, 0.9, 2.2), t=1.3),
+                   FieldVector(omegas=(0.1, 0.7, 1.9, 2.4, 3.0), t=1e3)):
+        groups = string_phases(fields)
+        for l, group in enumerate(groups):
+            assert groups[fields.m - l][::-1] == [-p for p in group]
 
 
 def test_g_single_sender_plus_is_cosine():
@@ -127,8 +99,8 @@ def test_g_single_sender_plus_is_cosine():
     fields = FieldVector(omegas=(theta,), t=1.0)
     g = g_coefficients(fields, PLUS)
     # h(0) = exp(-i theta/2), h(1) = exp(+i theta/2) by hand expansion
-    assert g.values[0] == pytest.approx(2 * math.cos(theta / 2), abs=1e-14)
-    assert g.values[1] == pytest.approx(2 * math.cos(theta / 2), abs=1e-14)
+    assert g[0] == pytest.approx(2 * math.cos(theta / 2), abs=1e-14)
+    assert g[1] == pytest.approx(2 * math.cos(theta / 2), abs=1e-14)
 
 
 def test_g_two_sender_minus_middle_cancels():
@@ -137,9 +109,9 @@ def test_g_two_sender_minus_middle_cancels():
     fields = FieldVector(omegas=(w1, w2), t=t)
     g = g_coefficients(fields, MINUS)
     # the two weight-1 phases are +-theta2 and their sines cancel
-    assert g.values[0] == pytest.approx(-2j * math.sin(theta1 / 2), abs=1e-14)
-    assert g.values[1] == pytest.approx(0.0, abs=1e-14)
-    assert g.values[2] == pytest.approx(2j * math.sin(theta1 / 2), abs=1e-14)
+    assert g[0] == pytest.approx(-2j * math.sin(theta1 / 2), abs=1e-14)
+    assert g[1] == pytest.approx(0.0, abs=1e-14)
+    assert g[2] == pytest.approx(2j * math.sin(theta1 / 2), abs=1e-14)
 
 
 def test_g_zero_fields():
@@ -147,8 +119,8 @@ def test_g_zero_fields():
     gp = g_coefficients(fields, PLUS)
     gm = g_coefficients(fields, MINUS)
     for l in range(4):
-        assert gp.values[l] == pytest.approx(2 * math.comb(3, l), abs=1e-14)
-        assert gm.values[l] == 0
+        assert gp[l] == pytest.approx(2 * math.comb(3, l), abs=1e-14)
+        assert gm[l] == 0
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
@@ -167,9 +139,9 @@ def test_even_m_central_entries(m, rng):
     h_mid = h_coefficient(fields, m // 2)
     assert abs(h_mid.imag) <= 1e-12
     gm = g_coefficients(fields, MINUS)
-    assert abs(gm.values[m // 2]) <= 1e-12
+    assert abs(gm[m // 2]) <= 1e-12
     gp = g_coefficients(fields, PLUS)
-    assert abs(gp.values[m // 2] - 2 * h_mid) <= 1e-12
+    assert abs(gp[m // 2] - 2 * h_mid) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
@@ -177,23 +149,23 @@ def test_even_m_central_entries(m, rng):
 def test_g_invariants(m, sign, rng):
     fields = FieldVector(omegas=tuple(sorted(rng.uniform(0.1, 3.0, m))), t=0.9)
     g = g_coefficients(fields, sign)
-    assert len(g.values) == m + 1
+    assert len(g) == m + 1
     for l in range(m + 1):
         # reflection in l conjugates
-        assert abs(g.values[m - l] - g.values[l].conjugate()) <= 1e-12
+        assert abs(g[m - l] - g[l].conjugate()) <= 1e-12
         if sign == PLUS:
-            assert abs(g.values[l].imag) <= 1e-12
+            assert abs(g[l].imag) <= 1e-12
         else:
-            assert abs(g.values[l].real) <= 1e-12
+            assert abs(g[l].real) <= 1e-12
 
 
 def test_g_matches_explicit_trig_sums():
-    # g is +-2 sum over cos/ i sin of the half effective phases
+    # g is +-2 sum over cos/ i sin of the half string phases
     fields = FieldVector(omegas=(0.4, 1.1, 2.3), t=1.4)
     m = 3
     for l in range(m + 1):
-        phases = [effective_phase(fields, f) for f in hw_bitstrings(m, l)]
+        phases = string_phases(fields)[l]
         plus = sum(2 * math.cos(p / 2) for p in phases)
         minus = sum(-2j * math.sin(p / 2) for p in phases)
-        assert abs(g_coefficients(fields, PLUS).values[l] - plus) <= 1e-12
-        assert abs(g_coefficients(fields, MINUS).values[l] - minus) <= 1e-12
+        assert abs(g_coefficients(fields, PLUS)[l] - plus) <= 1e-12
+        assert abs(g_coefficients(fields, MINUS)[l] - minus) <= 1e-12

@@ -38,13 +38,15 @@ def test_outcome_counts_validation():
         OutcomeCounts({"0+": 2.5, "f": 1})
     assert OutcomeCounts({"0+": 2, "f": 0}).N == 2
     assert OutcomeCounts({"0+": 2.0, "f": np.int64(3)}).N == 5
+    assert OutcomeCounts({"0+": 10**23, "f": 3}).N == 10**23 + 3
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, True, False, np.True_,
-                                 "3", None, [1]])
+                                 "3", None, [1], pytest.param(10**400, id="10**400")])
 def test_outcome_counts_reject_every_non_count_by_label(bad):
-    # an infinity, NaN, boolean or non-number is not a tally: one ValueError
-    # naming the label, as a counts file gets from configio.load_counts
+    # an infinity, NaN, boolean, non-number or count no float holds is not a
+    # tally: one ValueError naming the label, as a counts file gets from
+    # configio.load_counts
     with pytest.raises(ValueError, match="count for 'f' must be a nonnegative integer"):
         OutcomeCounts({"0+": 3, "f": bad})
 

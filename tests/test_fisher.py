@@ -66,7 +66,7 @@ def reference_gamma(n, fields, k, sign):
     if 2 * k == n and sign == MINUS:
         return 0j
     m = fields.m
-    g = g_coefficients(fields, PLUS if 2 * k == n else sign).values
+    g = g_coefficients(fields, PLUS if 2 * k == n else sign)
     return sum(comb(n - m, k - l) / comb(n, k) * g[l]
                for l in range(max(0, k - (n - m)), min(k, m) + 1)) / 2
 
