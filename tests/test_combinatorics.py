@@ -94,6 +94,18 @@ def test_complementary_phases_cancel():
             assert groups[fields.m - l][::-1] == [-p for p in group]
 
 
+@given(st.integers(min_value=1, max_value=6))
+def test_complementary_sign_vectors_cancel(m):
+    # a field on sender j alone gives each string its sign 1 - 2*bit_j as its
+    # phase; complementary strings then have opposite signs on every sender
+    for j in range(m):
+        unit = tuple(1.0 if k == j else 0.0 for k in range(m))
+        groups = string_phases(FieldVector(omegas=unit, t=1.0))
+        for l, group in enumerate(groups):
+            assert set(group) <= {1.0, -1.0}
+            assert [a + b for a, b in zip(group, groups[m - l][::-1])] == [0.0] * len(group)
+
+
 def test_g_single_sender_plus_is_cosine():
     theta = 0.8
     fields = FieldVector(omegas=(theta,), t=1.0)
