@@ -46,6 +46,7 @@ from .protocol import (
     negative_control,
     run_protocol,
     sender_subsets,
+    verify_designs,
     verify_tracelessness,
 )
 from .sampling import draw_counts, philox

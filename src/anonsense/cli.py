@@ -47,10 +47,9 @@ from .protocol import (
     negative_control,
     run_protocol,
     sender_subsets,
-    verify_tracelessness,
+    verify_designs,
 )
 from .sampling import philox
-from .statevec import dicke_means
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -148,6 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify(args) -> int:
     n, m = args.n, args.m
+    if n < 1:
+        raise ValueError(f"--n must be >= 1, got {n}")
     if m < 1:
         raise ValueError(f"--m must be >= 1, got {m}")
     check_senders(n, m)
@@ -192,7 +193,6 @@ def _cmd_verify(args) -> int:
     if n >= 5:
         configs.append(ProtocolConfig.for_two_senders(n, a=optimal_a(n), q0=Q0, t=args.t))
     subsets = sender_subsets(n, m)
-    indices = sorted({i for config in configs for i, _ in config.outcomes})  # either design measures
     worst_tv = 0.0
     worst_err = 0.0
     failing_case = None
@@ -201,10 +201,7 @@ def _cmd_verify(args) -> int:
         rng = philox(args.seed, trial)
         omegas = tuple(sorted(rng.uniform(lo, hi, size=m).tolist()))
         fields = FieldVector(omegas=omegas, t=args.t)
-        means = dicke_means(n, fields, subsets, indices)  # one pass for both designs
-        for config in configs:
-            own = means[:, :, [indices.index(i) for i, _ in config.outcomes]]
-            report = verify_tracelessness(config, fields, own)
+        for config, report in zip(configs, verify_designs(configs, fields, subsets)):
             worst_tv = max(worst_tv, report.max_tv_distance)
             drawn = int(rng.integers(len(subsets)))
             subset = subsets[drawn]
@@ -224,7 +221,6 @@ def _cmd_verify(args) -> int:
                 }
             if trial == trials - 1:
                 reports.append(tracelessness_to_dict(report))
-        del means  # freed before the next trial forms its pass
     passed = worst_tv <= EXACT_TV_TOL and worst_err <= cross_tol
     doc = {
         "command": "verify",

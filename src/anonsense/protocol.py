@@ -6,9 +6,9 @@ counts, estimates the phases, and broadcasts the result.  A transcript holds
 everything any of them (and hence an eavesdropper) ever learns; by
 construction it has no field that could store sender positions.
 
-The verifier checks the anonymity claim exhaustively: it enumerates every
-sender subset, computes each outcome distribution from that subset's own
-positions, and reports the largest pairwise total-variation distance.
+The verifier checks the anonymity claim: from the own positions of each sender
+subset it is given (every one, for :func:`verify_tracelessness`) it computes the
+outcome distribution, and reports the largest pairwise total-variation distance.
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ class Transcript:
 class TracelessnessReport:
     """Outcome of comparing outcome distributions across sender subsets.
 
-    ``probs`` holds one row per subset, in :func:`sender_subsets` order, and
-    one column per label; a subset's :class:`OutcomeDistribution` is built
-    only when it is read.  Neither is serialized.
+    ``probs`` holds one row per subset, in the order they were swept, and one
+    column per label; a subset's :class:`OutcomeDistribution` is built only
+    when it is read.  Neither is serialized.
     """
 
     n: int
@@ -77,12 +77,12 @@ class TracelessnessReport:
     probs: np.ndarray = field(compare=False, repr=False)
 
     def distribution(self, k: int) -> OutcomeDistribution:
-        """The distribution of the k-th subset of :func:`sender_subsets`."""
+        """The distribution of the k-th subset swept."""
         return OutcomeDistribution.from_row(self.labels, self.probs[k])
 
     @functools.cached_property
     def distributions(self) -> list[OutcomeDistribution]:
-        """Every subset's distribution, in :func:`sender_subsets` order."""
+        """Every subset's distribution, in the order the subsets were swept."""
         return [self.distribution(k) for k in range(self.n_subsets)]
 
 
@@ -132,30 +132,30 @@ def sender_subsets(n: int, m: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(1, n + 1), m))
 
 
-def verify_tracelessness(
-    config: ProtocolConfig, fields: FieldVector, means: np.ndarray | None = None
-) -> TracelessnessReport:
-    """Compare outcome distributions across ALL sender subsets.
+def verify_tracelessness(config: ProtocolConfig, fields: FieldVector) -> TracelessnessReport:
+    """Compare outcome distributions across ALL sender subsets, in
+    :func:`sender_subsets` order: :func:`verify_designs` of this one design."""
+    check_senders(config.n, fields.m)
+    return verify_designs([config], fields, sender_subsets(config.n, fields.m))[0]
+
+
+def verify_designs(
+    configs: list[ProtocolConfig], fields: FieldVector, subsets
+) -> list[TracelessnessReport]:
+    """One report per design, of the distributions the sender ``subsets`` give.
 
     Each subset's distribution is computed from its own sender positions by
-    :func:`dicke_sweep`, at every n, and comes as one row of probabilities
-    per subset, in :func:`sender_subsets` order; the report keeps them.  Pass
-    iff the maximum pairwise total-variation distance is within
-    :data:`EXACT_TV_TOL`.  ``means``, when given, holds this config's outcome
-    columns of the :func:`~anonsense.statevec.dicke_means` pass of these fields
-    over those subsets that the designs of one trial share; then only their
-    count is read, and the subsets are not listed again.
+    :func:`dicke_sweep`, at every n, and comes as one row of probabilities per
+    subset, in the order of ``subsets``; the report keeps them.  The designs
+    share that one sweep.  A design passes iff the maximum pairwise
+    total-variation distance is within :data:`EXACT_TV_TOL`.
     """
-    n, m = config.n, fields.m
-    check_senders(n, m)
-    subsets = sender_subsets(n, m) if means is None else range(math.comb(n, m))
-    labels, probs = dicke_sweep(config, fields, subsets, means)
-    max_tv = _max_pairwise_tv(probs)
-    return TracelessnessReport(
-        n=n, m=m, fields=fields, mode="exact", n_subsets=len(subsets),
+    sweeps = dicke_sweep(configs, fields, subsets)
+    return [TracelessnessReport(
+        n=config.n, m=fields.m, fields=fields, mode="exact", n_subsets=len(subsets),
         max_tv_distance=max_tv, tolerance=EXACT_TV_TOL, verdict=max_tv <= EXACT_TV_TOL,
-        labels=labels, probs=probs,
-    )
+        labels=config.labels(), probs=probs,
+    ) for config, probs, max_tv in zip(configs, sweeps, map(_max_pairwise_tv, sweeps))]
 
 
 def negative_control(n: int, fields: FieldVector) -> TracelessnessReport:

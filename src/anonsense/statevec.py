@@ -162,8 +162,8 @@ def oracle_distribution(assign: SenderAssignment, config: ProtocolConfig) -> Out
     """Outcome probabilities of one sender subset: :func:`dicke_sweep` on that
     subset alone, at every n."""
     assign.check_n(config)
-    labels, probs = dicke_sweep(config, assign.fields, [assign.sender_positions])
-    return OutcomeDistribution.from_row(labels, probs[0])
+    (probs,) = dicke_sweep([config], assign.fields, [assign.sender_positions])
+    return OutcomeDistribution.from_row(config.labels(), probs[0])
 
 
 def conditional_distributions(
@@ -183,22 +183,22 @@ def conditional_distributions(
     return {ip: OutcomeDistribution.from_row(labels, row) for ip, row in zip(initial.tolist(), rows)}
 
 
-def dicke_sweep(
-    config: ProtocolConfig, fields: FieldVector, subsets, means: np.ndarray | None = None
-) -> tuple[list[str], np.ndarray]:
-    """The labels and each sender subset's distribution (one row each): q[i]
-    |(A_i + s*A_{n-i})/2|^2 per measured outcome (i, s), with :func:`dicke_means`,
-    and the residual 'f'.  Designs that sweep the same fields over the same subsets
-    share one pass: ``means``, when given, is its columns at this config's outcomes.
+def dicke_sweep(configs: list[ProtocolConfig], fields: FieldVector, subsets) -> list[np.ndarray]:
+    """Each design's distribution of each sender subset (one row each, in the
+    order of ``config.labels()``): q[i] |(A_i + s*A_{n-i})/2|^2 per measured
+    outcome (i, s), and the residual 'f'.  The designs, all of one n, share one
+    :func:`dicke_means` pass at the indices any of them measures; each gathers
+    its own columns from it.
     """
-    outcomes = config.outcomes
-    if means is None:
-        means = dicke_means(config.n, fields, subsets, [i for i, _ in outcomes])
-    elif means.shape[1:] != (len(subsets), len(outcomes)):
-        raise ValueError(f"means of shape {means.shape} do not cover {len(subsets)} subsets "
-                         f"at {len(outcomes)} outcomes")
-    return config.labels(), _with_residual(np.array([config.q[i] for i, _ in outcomes])
-                                           * _outcome_probs(config, means))
+    if not configs or any(config.n != configs[0].n for config in configs):
+        raise ValueError(f"designs of n {[config.n for config in configs]} are not one or "
+                         f"more of one n")
+    indices = sorted({i for config in configs for i, _ in config.outcomes})
+    means = dicke_means(configs[0].n, fields, subsets, indices)
+    columns = [[indices.index(i) for i, _ in config.outcomes] for config in configs]
+    return [_with_residual(np.array([config.q[i] for i, _ in config.outcomes])
+                           * _outcome_probs(config, means[:, :, own]))
+            for config, own in zip(configs, columns)]
 
 
 def _outcome_probs(config: ProtocolConfig, means: np.ndarray) -> np.ndarray:

@@ -152,30 +152,30 @@ def test_verify_builds_no_second_basis(tmp_path, monkeypatch):
     # sweep runs on Dicke-state means at every n: both designs of a trial read
     # their rows from one means pass
     passes, sweeps = [], []
-    real_means, real_sweep = cli.dicke_means, protocol.dicke_sweep
+    real_means, real_sweep = statevec.dicke_means, protocol.dicke_sweep
 
     def means_spy(n, fields, subsets, indices):
         passes.append((n, len(subsets), indices))
         return real_means(n, fields, subsets, indices)
 
-    def sweep_spy(config, fields, subsets, means=None):
-        sweeps.append((config.m_est, len(subsets), means is not None))
-        return real_sweep(config, fields, subsets, means)
+    def sweep_spy(configs, fields, subsets):
+        sweeps.append(([config.m_est for config in configs], len(subsets)))
+        return real_sweep(configs, fields, subsets)
 
-    monkeypatch.setattr(cli, "dicke_means", means_spy)
+    monkeypatch.setattr(statevec, "dicke_means", means_spy)
     monkeypatch.setattr(protocol, "dicke_sweep", sweep_spy)
     assert run_cli(["verify", "--n", "8", "--trials", "2", "--out", str(tmp_path / "v.json")]) == 0
     # two trials, each one pass at the indices either design measures (0, and
     # a = 4 of the two-sender design), read by both for the 28 two-sender subsets
     assert passes == [(8, 28, [0, 4])] * 2
-    assert sweeps == [(1, 28, True), (2, 28, True)] * 2
+    assert sweeps == [([1, 2], 28)] * 2
 
 
 def test_verify_frees_each_means_pass_before_the_next(tmp_path, monkeypatch):
     # at n = 200 one pass is tens of MB: a trial's pass still bound while the
     # next one forms would raise the peak by that much
     passes = []
-    real_means = cli.dicke_means
+    real_means = statevec.dicke_means
 
     def means_spy(*args):
         assert [ref() for ref in passes] == [None] * len(passes)
@@ -183,7 +183,7 @@ def test_verify_frees_each_means_pass_before_the_next(tmp_path, monkeypatch):
         passes.append(weakref.ref(means))
         return means
 
-    monkeypatch.setattr(cli, "dicke_means", means_spy)
+    monkeypatch.setattr(statevec, "dicke_means", means_spy)
     assert run_cli(["verify", "--n", "8", "--trials", "3", "--out", str(tmp_path / "v.json")]) == 0
     assert len(passes) == 3
 
@@ -512,6 +512,16 @@ def test_verify_rejects_fewer_than_one_sender(capsys, m, control):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --m must be >= 1, got {m}\n"
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("control", [[], ["--negative-control"]])
+def test_verify_rejects_fewer_than_one_participant(capsys, n, control):
+    # 'm=1 exceeds floor((n+1)/2)=0 for n=0' blamed the sender count
+    assert run_cli(["verify", "--n", n, *control]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --n must be >= 1, got {n}\n"
 
 
 @pytest.mark.parametrize("m", ["1", "3"])

@@ -364,9 +364,9 @@ def sweep_verdict(probs):
 
 
 def assert_sweep_matches_reference(config, fields, subsets, leak=None, real=float):
-    labels, probs = statevec.dicke_sweep(config, fields, subsets)
+    (probs,) = statevec.dicke_sweep([config], fields, subsets)
     ref_labels, ref_probs = reference_dicke_sweep(config, fields, subsets, leak, real)
-    assert labels == ref_labels
+    assert config.labels() == ref_labels
     assert probs.shape == ref_probs.shape
     assert np.abs(probs - ref_probs).max() <= SWEEP_ATOL
     assert sweep_verdict(probs) == sweep_verdict(ref_probs)
@@ -443,25 +443,36 @@ def test_a_subsets_row_has_the_same_bits_alone_as_among_all(rng, n):
     subsets = sender_subsets(n, 2)
     drawn = range(len(subsets)) if n <= 14 else rng.choice(len(subsets), 40, replace=False)
     for config in cli_configs(n):
-        _, probs = statevec.dicke_sweep(config, fields, subsets)
+        (probs,) = statevec.dicke_sweep([config], fields, subsets)
         for k in drawn:
-            _, alone = statevec.dicke_sweep(config, fields, [subsets[k]])
+            (alone,) = statevec.dicke_sweep([config], fields, [subsets[k]])
             assert (alone[0] == probs[k]).all()
 
 
 def test_single_sender_rows_are_the_same_bits_from_the_shared_pass(rng):
-    for n in (5, 14, 60):
+    # both designs of one sweep gather their columns from one pass at the
+    # indices either measures; at n = 100 its arrays pass numpy's 256 KiB
+    # threshold for reusing temporaries in place
+    for n in (5, 14, 60, 100):
         fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, 2))), t=1.0)
         subsets = sender_subsets(n, 2)
-        single, double = cli_configs(n)
-        indices = [0, double.a]  # the indices either design measures, as verify passes them
-        means = statevec.dicke_means(n, fields, subsets, indices)
-        assert means.shape == (2, len(subsets), 2)
-        _, shared = statevec.dicke_sweep(single, fields, subsets, means[:, :, :1])
-        _, own = statevec.dicke_sweep(single, fields, subsets)
-        assert (shared == own).all()
-        with pytest.raises(ValueError, match="do not cover"):
-            statevec.dicke_sweep(double, fields, subsets, means)
+        designs = cli_configs(n)
+        shared = statevec.dicke_sweep(designs, fields, subsets)
+        assert len(shared) == 2
+        for config, rows in zip(designs, shared):
+            (own,) = statevec.dicke_sweep([config], fields, subsets)
+            assert rows.shape == own.shape == (len(subsets), len(config.labels()))
+            assert np.array_equal(rows.view(np.uint64), own.view(np.uint64))
+
+
+def test_dicke_sweep_takes_one_or_more_designs_of_one_n():
+    fields = FieldVector((0.7, 1.6), 1.0)
+    with pytest.raises(ValueError, match=r"^designs of n \[\] are not one or more of one n$"):
+        statevec.dicke_sweep([], fields, sender_subsets(6, 2))
+    with pytest.raises(ValueError, match=r"^designs of n \[6, 7\] are not one or more of one n$"):
+        statevec.dicke_sweep([ProtocolConfig.for_single_sender(6),
+                              ProtocolConfig.for_two_senders(7, a=3, q0=0.33)],
+                             fields, sender_subsets(6, 2))
 
 
 def test_dicke_means_of_zero_fields_have_the_same_bits_on_every_subset():
@@ -523,15 +534,15 @@ def test_dicke_sweep_rejects_subsets_as_sender_assignment_does():
         with pytest.raises(ValueError) as expected:
             SenderAssignment(6, bad, fields)
         with pytest.raises(ValueError) as got:
-            statevec.dicke_sweep(config, fields, [(1, 2), bad, (4, 6)])
+            statevec.dicke_sweep([config], fields, [(1, 2), bad, (4, 6)])
         assert str(got.value) == str(expected.value)
     # the first rejected subset speaks, whichever check it fails
     with pytest.raises(ValueError, match=r"^sender position 9 outside \[1, 6\]$"):
-        statevec.dicke_sweep(config, fields, [(1, 2), (1, 9), (5, 5)])
+        statevec.dicke_sweep([config], fields, [(1, 2), (1, 9), (5, 5)])
     with pytest.raises(ValueError, match=r"^m=4 exceeds floor\(\(n\+1\)/2\)=3 for n=6$"):
-        statevec.dicke_sweep(config, FieldVector((0.1, 0.2, 0.3, 0.4), 1.0), [(1, 2, 3, 4)])
+        statevec.dicke_sweep([config], FieldVector((0.1, 0.2, 0.3, 0.4), 1.0), [(1, 2, 3, 4)])
     with pytest.raises(ValueError, match="^no sender subsets$"):
-        statevec.dicke_sweep(config, fields, [])
+        statevec.dicke_sweep([config], fields, [])
 
 
 @pytest.mark.parametrize("n", [6, 14, 25, 40, 1000])
