@@ -221,6 +221,7 @@ def _cmd_verify(args) -> int:
                 }
             if trial == trials - 1:
                 reports.append(tracelessness_to_dict(report))
+        del report  # its rows (16 MB at n = 1000) must not outlive the trial into the next sweep
     passed = worst_tv <= EXACT_TV_TOL and worst_err <= cross_tol
     doc = {
         "command": "verify",

@@ -295,14 +295,12 @@ class ThetaModel:
         self.labels = config.labels()
         q = config.q
         self._terms = [(row[i], sign == PLUS, q[i]) for i, sign in outcomes]
-        # per label: its amplitude's place in [gamma+ of each row, gamma- of each row],
-        # 2q, whether it is a '-' label, and its coefficient on each theta_j
-        # (gamma+ = 1 - v reads theta1 by -(1 - B) and theta2 by -B, gamma- theta1 by D)
-        self._gather = np.array([r if plus else len(self._rows) + r for r, plus, _ in self._terms])
-        self._two_q = np.array([2.0 * qx for _, _, qx in self._terms])
-        self._minus = np.array([not plus for _, plus, _ in self._terms], dtype=int)
-        self._reads = np.array([(-self._coef[r][0], -self._coef[r][1]) if plus else (self._coef[r][2], 0.0)
-                                for r, plus, _ in self._terms])[:, :self.m_est]
+        # per label: 2q, whether it is a '-' label, and its coefficient on each
+        # theta_j (gamma+ = 1 - v reads theta1 by -(1 - B) and theta2 by -B,
+        # gamma- theta1 by D)
+        self._chain = [(r, plus, 2.0 * qx, ((-self._coef[r][0], -self._coef[r][1]) if plus
+                                            else (self._coef[r][2], 0.0))[:self.m_est])
+                       for r, plus, qx in self._terms]
         self._residual_terms = [(r, q[i], config.c_plus[i], config.c_minus[i])
                                 for r, i in enumerate(self._rows) if q[i]]
 
@@ -348,8 +346,9 @@ class ThetaModel:
         return np.stack(np.broadcast_arrays(*rows))
 
     def point_probs(self, theta: Sequence[float]) -> list:
-        """The probabilities at one phase vector of floats, as a list in labels order."""
-        return self._assemble(*self._amplitudes(theta, math.sin))
+        """The probabilities at one phase vector of floats, as a list of floats
+        in labels order."""
+        return [float(p) for p in self._assemble(*self._amplitudes(theta, math.sin))]
 
     def label_rows(self, theta: Sequence[np.ndarray]) -> list:
         """Probabilities for every label over the grid the theta components
@@ -370,49 +369,53 @@ class ThetaModel:
         a '-' label reads theta1 alone, through D.  So every '-' label and
         (0,+) (B_0 = 0) are free of theta2, and the central '-' label of even
         n (D = 0) is free of theta1."""
-        return np.flatnonzero(self._reads[:, j] == 0.0).tolist()
+        return [x for x, (_, _, _, reads) in enumerate(self._chain) if reads[j] == 0.0]
 
-    def dprobs(self, theta: Sequence[float]) -> np.ndarray:
+    def dprobs(self, theta: Sequence[float]) -> list:
         """Analytic derivatives dP/dtheta_j at one phase vector of floats,
-        shape (labels, m_est): the first-order half of :meth:`derivatives`,
+        a float list per label: the first-order half of :meth:`derivatives`,
         which the estimator's scoring steps use."""
         return self.derivatives(theta)[0]
 
     def derivatives(self, theta: Sequence[float], second: bool = False):
-        """dP/dtheta_j, shape (labels, m_est), and d2P/dtheta_i dtheta_j, shape
-        (labels, m_est, m_est), or None unless ``second``, at one phase vector
-        of floats, as :meth:`point_probs` takes it.
+        """dP/dtheta_j, a list of m_est floats per label, and d2P/dtheta_i
+        dtheta_j, an m_est x m_est nested list per label, or None unless
+        ``second``, at one phase vector of floats, as :meth:`point_probs`
+        takes it; labels in labels order.
 
         The chain rule of the form: a label's amplitude reads theta_j through
-        its coefficient (``_reads``) times vers(theta_j/2) ('+') or
+        its coefficient (``_chain``) times vers(theta_j/2) ('+') or
         sin(theta1/2) ('-'), whose derivatives are sin(theta_j/2)/2 and
         cos(theta_j/2)/4, or cos(theta1/2)/2 and -sin(theta1/2)/4; no
         amplitude mixes two components.  P = q*gam^2 gives dP_j = 2q*gam*dgam_j
         and d2P_ij = 2q*(dgam_i*dgam_j + gam*d2gam_ij), and the residual's
-        derivatives are minus the sum of the active ones.
+        derivatives are minus the sum of the active ones, added in labels order.
         """
         v, gamma_m = self._amplitudes(theta, math.sin)
-        gam = np.array([1.0 - x for x in v] + gamma_m)[self._gather]
         sines = [math.sin(t / 2) for t in theta]
         cosines = [math.cos(t / 2) for t in theta]
         m = len(theta)
-        # by sign ('+' row 0, '-' row 1), the slope and curvature of what each label reads
-        dgam = self._reads * np.array([[s / 2 for s in sines], [cosines[0] / 2] * m])[self._minus]
-        scale = self._two_q * gam
-        dp = _with_residual(scale[:, None] * dgam)
+        # by sign ('+', '-'), the slope and curvature of what each label reads
+        slopes = ([s / 2 for s in sines], [cosines[0] / 2] * m)
+        curves = ([c / 4 for c in cosines], [-sines[0] / 4] * m)
+        dp, d2p = [], []
+        for r, plus, two_q, reads in self._chain:
+            gam = 1.0 - v[r] if plus else gamma_m[r]
+            dgam = [a * s for a, s in zip(reads, slopes[not plus])]
+            scale = two_q * gam
+            dp.append([scale * d for d in dgam])
+            if second:
+                # dgam_i * dgam_j before the scale, so that d2P is exactly symmetric
+                rows = [[two_q * (di * dj) for dj in dgam] for di in dgam]
+                for j, (a, k) in enumerate(zip(reads, curves[not plus])):
+                    rows[j][j] += scale * a * k
+                d2p.append(rows)
+        dp.append([-functools.reduce(operator.add, column) for column in zip(*dp)])
         if not second:
             return dp, None
-        curvature = np.array([[c / 4 for c in cosines], [-sines[0] / 4] * m])[self._minus]
-        # dgam_i * dgam_j before the scale, so that d2P is exactly symmetric
-        d2p = self._two_q[:, None, None] * (dgam[:, :, None] * dgam[:, None, :])
-        diagonal = np.arange(m)
-        d2p[:, diagonal, diagonal] += scale[:, None] * self._reads * curvature
-        return dp, _with_residual(d2p)
-
-
-def _with_residual(active: np.ndarray) -> np.ndarray:
-    """The active labels' derivatives and, last, the residual's: minus their sum."""
-    return np.concatenate([active, -active.sum(axis=0, keepdims=True)])
+        d2p.append([[-functools.reduce(operator.add, entry) for entry in zip(*rows)]
+                    for rows in zip(*d2p)])
+        return dp, d2p
 
 
 def _string_amplitudes(n: int, fields: FieldVector, rows: Sequence[int]) -> tuple[list, list]:

@@ -8,7 +8,9 @@ even in each phase, so signs are unrecoverable and nonnegative phases lose
 nothing), then refined per point by projected, damped Fisher scoring on the
 kernel's analytic derivatives, which also give the observed information; the
 Fisher matrix at the estimate takes the probabilities and derivatives the
-refinement ends on.
+refinement ends on.  The refinement's algebra is 1x1 or 2x2 and runs in
+closed form on Python floats (the :mod:`anonsense.fisher` helpers): no
+LAPACK routine runs on the way from counts to an estimate.
 
 The grid start is one loop over theta1 rows (:func:`_grid_start`), each
 product a set of rows over the whole theta2 axis, evaluated by one
@@ -37,7 +39,8 @@ from typing import Optional
 import numpy as np
 
 from .engine import NORM_ATOL, ProtocolConfig
-from .fisher import ZERO_PROB, PhaseParameters, ThetaModel, _fisher_matrix
+from .fisher import (ZERO_PROB, PhaseParameters, ThetaModel, _fisher_matrix, _inverse,
+                     _solve, _symmetric_eigen)
 
 GRID_POINTS = 181
 REFINE_TOL = 1e-6
@@ -56,6 +59,8 @@ class OutcomeCounts:
     estimator reads it; a boolean, NaN, infinity, larger number or
     non-number is an error naming its label, as
     :func:`anonsense.configio.load_counts` reports it for a counts file.
+    The estimator reads the total N as a float too, so it must not exceed
+    the largest float either.
     """
 
     counts: dict[str, int]
@@ -66,6 +71,9 @@ class OutcomeCounts:
                     or not 0 <= c <= sys.float_info.max or c != int(c)):
                 raise ValueError(f"count for {label!r} must be a nonnegative integer "
                                  f"that a float can hold, got {c!r}")
+        if self.N > sys.float_info.max:
+            raise ValueError(f"the counts must total at most the largest float, "
+                             f"{sys.float_info.max!r}; these total more")
 
     @property
     def N(self) -> int:
@@ -143,7 +151,7 @@ def mle_estimate(counts: OutcomeCounts, config: ProtocolConfig) -> EstimateRepor
     theta, ll_hat, p_hat, info, eigvals, dp, d2p = _refine(model, observed, counts.N, theta,
                                                            _AXIS[1] - _AXIS[0])
     theta_hat = PhaseParameters(tuple(theta))
-    se = _observed_se(info, eigvals, theta, flags)
+    se = _observed_se(info, eigvals, theta, counts.N, flags)
     crb_se: Optional[tuple[float, ...]] = None
     try:
         res = _fisher_matrix(model.labels, counts.N, p_hat, dp, d2p)
@@ -190,7 +198,7 @@ def field_flags(omegas: tuple[float, ...]) -> list[str]:
 
 def _grid_log_likelihood(model: ThetaModel, observed, axes) -> np.ndarray:
     """Log-likelihood over the grid the theta ``axes`` span; -inf where an
-    observed P is 0.
+    observed P is 0, or where the value is below the most negative float.
 
     ``observed`` is :func:`_observed`'s (label index, count) list.  Every
     probability is q*gamma^2 or a sum of q*max(rest, 0), never negative, so
@@ -201,7 +209,7 @@ def _grid_log_likelihood(model: ThetaModel, observed, axes) -> np.ndarray:
     """
     p = model.label_rows(axes)
     ll = np.zeros(np.broadcast(*axes).shape)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         for x, c in observed:
             ll += np.multiply(np.log(p[x], out=p[x]), c, out=p[x])
     return ll
@@ -223,7 +231,7 @@ def _row_bounds(model: ThetaModel, observed, axis) -> Optional[np.ndarray]:
     rest = np.array([c for x, c in observed if x not in in_free])
     p = model.label_rows([axis[:, None], np.zeros((1, 1))])
     bound = np.zeros(len(axis))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         for x, c in exact:
             bound += c * np.log(p[x][:, 0])
         if rest.size:
@@ -287,36 +295,41 @@ def _argmax_start(ll: np.ndarray, axes) -> Optional[tuple[list, list[str]]]:
 def _refine(model: ThetaModel, observed, N: int, theta, spacing: float):
     """Projected, damped Fisher scoring (Levenberg-Marquardt) from the grid
     argmax; returns theta, its log-likelihood, its probabilities, the observed
-    information, its ascending eigenvalues (None where it is not finite), and
-    the first and second derivatives it is formed from.
+    information per observation, its ascending eigenvalues (None where it is
+    not finite), and the first and second derivatives it is formed from.
 
-    A step solves (J + lam*diag J) d = score, J being N times the expected
-    information, on the components with J_jj > 0 (a flat axis stays put) that
-    no score holds against the edge 0 or pi; clipped to [0, pi]^m, it is
-    accepted only if the log-likelihood does not drop, else lam grows tenfold.
-    Scoring stops when a step moves less than ``REFINE_TOL``.  A stop where
-    the observed information has a negative eigenvalue is a saddle (theta2 = 0
-    always is a stationary point): one grid spacing along that eigenvector is
-    tried either way, and scoring resumes there if the log-likelihood rises.
+    A step solves (J + lam*diag J) d = score, J being the expected
+    information and score the log-likelihood's gradient, both per
+    observation (the counts enter as frequencies c/N: the step is that of N*J
+    and the gradient, and no count the estimator admits overflows them), on
+    the components with J_jj > 0 (a flat axis stays put) that no score holds
+    against the edge 0 or pi; clipped to [0, pi]^m, it is accepted only if
+    the log-likelihood does not drop, else lam grows tenfold.  Scoring stops
+    when a step moves less than ``REFINE_TOL``.  A stop where the observed
+    information has a negative eigenvalue is a saddle (theta2 = 0 always is
+    a stationary point): one grid spacing along that eigenvector is tried
+    either way, and scoring resumes there if the log-likelihood rises.  The
+    solve and the eigenpair are the 1x1 or 2x2 closed forms of
+    :mod:`anonsense.fisher`.
     """
     ll, theta, p = _scored(model, observed, theta)
+    freq = [(x, c / N) for x, c in observed]
+    m = len(theta)
     score, lam = None, DAMPING
-    c = np.array([count for _, count in observed])
-    # every label observed: the slice of all rows, a view, not a copy
-    seen = slice(None) if len(c) == len(model.labels) else np.array([x for x, _ in observed])
     while True:
         if score is None:  # once per accepted theta; a rejected step keeps them
-            pa, dp = np.asarray(p), model.dprobs(theta)
-            live = _rows(pa >= ZERO_PROB)
-            score = (c / pa[seen]) @ dp[seen]
-            J = N * (dp[live].T / pa[live]) @ dp[live]
-        free = [j for j, t in enumerate(theta) if J[j, j] > 0.0 and not (
+            dp = model.dprobs(theta)
+            score = [sum(f / p[x] * dp[x][j] for x, f in freq) for j in range(m)]
+            live = [(px, d) for px, d in zip(p, dp) if px >= ZERO_PROB]
+            J = [[sum(d[i] * d[j] / px for px, d in live) for j in range(m)] for i in range(m)]
+        free = [j for j, t in enumerate(theta) if J[j][j] > 0.0 and not (
             (t <= 0.0 and score[j] < 0.0) or (t >= math.pi and score[j] > 0.0))]
         moved = 0.0
         if free:
-            at = slice(None) if len(free) == len(theta) else free  # every component: views of J
-            block, step = J[at][:, at], np.zeros(len(theta))
-            step[at] = np.linalg.solve(block + np.diag(lam * block.diagonal()), score[at])
+            block = [[J[i][j] + lam * J[i][j] if i == j else J[i][j] for j in free] for i in free]
+            step = [0.0] * m
+            for j, d in zip(free, _solve(block, [score[j] for j in free])):
+                step[j] = d
             ll_probe, probe, p_probe = _scored(model, observed, _project(theta, step))
             moved = max(abs(a - b) for a, b in zip(probe, theta))
             if ll_probe >= ll:
@@ -327,13 +340,13 @@ def _refine(model: ThetaModel, observed, N: int, theta, spacing: float):
         if moved >= REFINE_TOL:
             continue
         dp, d2p = model.derivatives(theta, second=True)
-        info = _observed_information(seen, c, p, dp, d2p)
-        if not np.isfinite(info).all():
+        info = _observed_information(freq, p, dp, d2p)
+        if not all(math.isfinite(v) for row in info for v in row):
             return theta, ll, p, info, None, dp, d2p
-        eigvals, eigvecs = np.linalg.eigh(info)
+        eigvals, eigvec = _symmetric_eigen(info)
         if eigvals[0] >= 0.0:
             return theta, ll, p, info, eigvals, dp, d2p
-        probes = [_project(theta, sign * spacing * eigvecs[:, 0]) for sign in (1.0, -1.0)]
+        probes = [_project(theta, [sign * spacing * v for v in eigvec]) for sign in (1.0, -1.0)]
         ll_probe, probe, p_probe = max((_scored(model, observed, point) for point in probes),
                                        key=lambda scored: scored[:2])
         if not ll_probe > ll:
@@ -341,30 +354,32 @@ def _refine(model: ThetaModel, observed, N: int, theta, spacing: float):
         ll, theta, p, score = ll_probe, probe, p_probe, None
 
 
-def _rows(mask: np.ndarray):
-    """``mask`` as an index: the slice of all rows (a view, not a copy) where it holds every row."""
-    return slice(None) if mask.all() else mask
-
-
 def _project(theta, step) -> list:
     return [min(max(t + d, 0.0), math.pi) for t, d in zip(theta, step)]
 
 
-def _observed_information(seen, c, p, dp, d2p) -> np.ndarray:
-    """Negative Hessian of the log-likelihood, sum_x c*(dp dp^T/p^2 - d2p/p),
-    over the observed rows ``seen`` with counts ``c``, from the probabilities
-    ``p`` at one phase vector and the kernel's analytic derivatives there."""
-    p, dp, d2p = np.asarray(p)[seen], dp[seen], d2p[seen]
-    with np.errstate(all="ignore"):  # a non-finite result is flagged by _observed_se
-        # the product np.tensordot(c / p, d2p, axes=1) makes, without its set-up
-        return (dp.T * (c / p ** 2)) @ dp - np.dot(
-            (c / p).reshape(1, -1), d2p.reshape(len(c), -1)).reshape(d2p.shape[1:])
+def _observed_information(freq, p, dp, d2p) -> list[list[float]]:
+    """Negative Hessian of the log-likelihood per observation,
+    sum_x f*(dp dp^T/p^2 - d2p/p), over the observed labels' (label index,
+    frequency c/N) pairs ``freq``, from the probabilities ``p`` at one phase
+    vector and the kernel's analytic derivatives there; N times it is the
+    observed information.  Each term divides by p twice, never by p^2, which
+    underflows to 0 where p is below 1e-154."""
+    m = len(dp[0])
+    info = [[0.0] * m for _ in range(m)]
+    for x, f in freq:
+        slope, curve = f / p[x] / p[x], f / p[x]
+        for i in range(m):
+            for j in range(m):
+                info[i][j] += slope * dp[x][i] * dp[x][j] - curve * d2p[x][i][j]
+    return info
 
 
-def _observed_se(info: np.ndarray, eigvals: Optional[np.ndarray], theta,
+def _observed_se(info, eigvals: Optional[list[float]], theta, N: int,
                  flags: list[str]) -> tuple[float, ...]:
-    """Standard errors from the observed information at the estimate, given its
-    ascending eigenvalues, or None where it is not finite (:func:`_refine`).
+    """Standard errors from the observed information per observation at the
+    estimate, given its ascending eigenvalues, or None where it is not finite
+    (:func:`_refine`), and the total count ``N``.
 
     A component within ``REFINE_TOL`` of the domain edge 0 or pi is flagged:
     there the likelihood folds back on itself, and near the corner (pi, pi)
@@ -382,7 +397,8 @@ def _observed_se(info: np.ndarray, eigvals: Optional[np.ndarray], theta,
         flags.append("observed information not positive definite at the estimate")
         return tuple(math.nan for _ in range(m))
     try:
-        return tuple(math.sqrt(v) for v in np.linalg.inv(info).diagonal())
-    except np.linalg.LinAlgError:
+        inverse = _inverse(info)
+        return tuple(math.sqrt(inverse[j][j] / N) for j in range(m))
+    except (ZeroDivisionError, ValueError):  # a determinant or a diagonal the rounding left <= 0
         flags.append("observed information inversion failed")
         return tuple(math.nan for _ in range(m))

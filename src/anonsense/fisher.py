@@ -9,6 +9,12 @@ through three numbers per measured weight index, 1 - B_i, B_i and D_i, so
 the work of likelihood scans and Fisher matrices follows the number of
 measured indices, not the participant count.  The variance bound below
 depends on the design through B_a = dilution(n, a) alone.
+
+The phase vector has one or two components, so every matrix the Fisher
+matrix and the estimator form is 1x1 or 2x2: its rank test, eigenvalues,
+null vector, inverse and the estimator's step solve are closed forms on
+float lists (:func:`_symmetric_eigen`, :func:`_rank_at_most_one`,
+:func:`_inverse`, :func:`_solve`), and no LAPACK routine runs.
 """
 
 from __future__ import annotations
@@ -118,36 +124,98 @@ def fisher_matrix(
 def _fisher_matrix(labels, N: int, p, dp, d2p) -> FisherResult:
     """:func:`fisher_matrix` for the outcome ``labels`` from the probabilities
     ``p`` at one phase vector and the derivatives ``dp`` and ``d2p`` there, as
-    :meth:`ThetaModel.point_probs` and :meth:`ThetaModel.derivatives` give them."""
-    m = dp.shape[1]
-    J = np.zeros((m, m))
+    :meth:`ThetaModel.point_probs` and :meth:`ThetaModel.derivatives` give them.
+
+    The summands are added label by label, in labels order, each
+    dp_i*dp_j/p or 2*d2p exactly symmetric; the rank test, the eigenvalue
+    check, the null vector and the inverse are the closed forms below.
+    """
+    m = len(dp[0])
+    J = [[0.0] * m for _ in range(m)]
     for x, label in enumerate(labels):
         if p[x] < ZERO_PROB:
-            if np.max(np.abs(dp[x])) >= ZERO_DERIV:
+            slope = max(abs(d) for d in dp[x])
+            if slope >= ZERO_DERIV:
                 raise SingularTermError(
                     f"outcome {label!r} has probability {p[x]:.3e} but derivative "
-                    f"{np.max(np.abs(dp[x])):.3e}; information diverges"
+                    f"{slope:.3e}; information diverges"
                 )
-            if np.linalg.matrix_rank(d2p[x], tol=RANK_RTOL * np.abs(d2p[x]).max()) <= 1:
-                J += 2.0 * d2p[x]
+            if _rank_at_most_one(d2p[x]):
+                for i in range(m):
+                    for j in range(m):
+                        J[i][j] += 2.0 * d2p[x][i][j]
             continue
-        J += dp[x][:, None] * dp[x] / p[x]
-    J = 0.5 * (J + J.T)
-    eigvals, eigvecs = np.linalg.eigh(J)
-    if eigvals[-1] <= 0.0 or eigvals[0] <= 0.0 or eigvals[-1] > COND_LIMIT * eigvals[0]:
+        for i in range(m):
+            for j in range(m):
+                J[i][j] += dp[x][i] * dp[x][j] / p[x]
+    eigvals, null_vector = _symmetric_eigen(J)
+    if not (eigvals[0] > 0.0 and eigvals[-1] <= COND_LIMIT * eigvals[0]):
         raise UnidentifiableDirectionError(
             f"Fisher matrix singular (eigenvalues {eigvals}); the parameter "
             f"combination along the null vector is unidentifiable",
-            null_vector=eigvecs[:, 0],
+            null_vector=np.array(null_vector),
         )
-    J_inv = np.linalg.inv(J)
-    assert np.abs(J @ J_inv - np.eye(m)).max() < 1e-8
+    J_inv = _inverse(J)
+    residual = max(abs(sum(J[i][k] * J_inv[k][j] for k in range(m)) - (i == j))
+                   for i in range(m) for j in range(m))
+    assert residual < 1e-8
     return FisherResult(
-        J=J,
-        J_inv=J_inv,
-        crb_diag=tuple(float(v) / N for v in J_inv.diagonal()),
+        J=np.array(J),
+        J_inv=np.array(J_inv),
+        crb_diag=tuple(J_inv[j][j] / N for j in range(m)),
         N=N,
     )
+
+
+# Closed forms of the 1x1 and 2x2 algebra the estimator and the Fisher matrix
+# need (the phase vector has one or two components), on nested lists of floats.
+
+def _symmetric_eigen(M) -> tuple[list[float], list[float]]:
+    """The ascending eigenvalues of the symmetric matrix ``M`` and a unit
+    eigenvector of the smallest.
+
+    For [[a, b], [b, d]], with h = (a - d)/2 and r = hypot(h, b), they are
+    (a + d)/2 -+ r; the eigenvector of the smaller is (-b, h + r) for h >= 0
+    and (r - h, -b) for h < 0, the form without cancellation, and (1, 0)
+    where M is a multiple of the identity.
+    """
+    if len(M) == 1:
+        return [M[0][0]], [1.0]
+    (a, b), (_, d) = M
+    h = a / 2 - d / 2
+    mean, r = a / 2 + d / 2, math.hypot(h, b)
+    vector = (-b, h + r) if h >= 0.0 else (r - h, -b)
+    norm = math.hypot(*vector)
+    return [mean - r, mean + r], [v / norm for v in vector] if norm else [1.0, 0.0]
+
+
+def _rank_at_most_one(M) -> bool:
+    """Whether the symmetric matrix ``M`` has numerical rank <= 1: every
+    singular value but the largest within ``RANK_RTOL`` times its largest
+    entry.  A symmetric matrix's singular values are its absolute eigenvalues."""
+    tol = RANK_RTOL * max(abs(v) for row in M for v in row)
+    return all(abs(v) <= tol for v in sorted(_symmetric_eigen(M)[0], key=abs)[:-1])
+
+
+def _inverse(M) -> list[list[float]]:
+    """The inverse of the 1x1 or 2x2 matrix ``M``: the adjugate over the
+    determinant; ZeroDivisionError where the determinant is 0."""
+    if len(M) == 1:
+        return [[1.0 / M[0][0]]]
+    (a, b), (c, d) = M
+    det = a * d - b * c
+    return [[d / det, -b / det], [-c / det, a / det]]
+
+
+def _solve(M, y) -> list[float]:
+    """x with ``M`` x = ``y`` for a symmetric positive definite 1x1 or 2x2
+    ``M``: the LDL^T factors, l = b/a and the pivot d - l*b, without pivoting."""
+    if len(M) == 1:
+        return [y[0] / M[0][0]]
+    (a, b), (_, d) = M
+    ratio = b / a
+    x2 = (y[1] - ratio * y[0]) / (d - ratio * b)
+    return [(y[0] - b * x2) / a, x2]
 
 
 def closed_form_j22(n: int, a: int, q0: float, theta: tuple[float, float]) -> float:

@@ -11,9 +11,12 @@ subsets on a set of basis states).  It is capped as the dense vectors are
 
 It also keeps the Dicke-mean fold as it ran before it stopped at the largest
 measured index (:func:`uncapped_fold_means`), the two-sender MLE start as it
-was formed on the whole grid (:func:`full_grid_start`), and the two-sender
+was formed on the whole grid (:func:`full_grid_start`), the two-sender
 likelihood's global maximum found without that grid
-(:func:`global_max_log_likelihood`).
+(:func:`global_max_log_likelihood`), and the small algebra of the estimator
+and the Fisher matrix as numpy.linalg (LAPACK) formed it: the damped step
+solve, the eigenpair, the inverse and the rank test (:func:`linalg_step`,
+:func:`linalg_eigen`, :func:`linalg_inverse`, :func:`linalg_rank_at_most_one`).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from numpy.polynomial import polynomial as poly
 from anonsense import estimation, statevec
 from anonsense.combinatorics import PLUS, FieldVector
 from anonsense.engine import OutcomeDistribution, ProtocolConfig
+from anonsense.fisher import RANK_RTOL
 from anonsense.statevec import SenderAssignment, _check_limit, _with_residual
 
 _PHASE_BLOCK_ENTRIES = 1 << 15  # bound on the phases of one block of subset rows (one row at least)
@@ -258,3 +262,28 @@ def global_max_log_likelihood(counts: dict, config: ProtocolConfig, points: int 
     peaks = [k for k in range(points) if scan[k] >= max(scan[max(k - 1, 0):k + 2])]
     (ll, y2), theta1 = max(refined(axis[max(k - 1, 0)], axis[min(k + 1, points - 1)]) for k in peaks)
     return ll, (theta1, 2.0 * math.acos(y2))
+
+
+def linalg_step(block, score, lam: float) -> np.ndarray:
+    """The damped scoring step d of (block + lam*diag(block)) d = score, by
+    numpy.linalg.solve (LAPACK's LU with partial pivoting)."""
+    block = np.array(block, dtype=float)
+    return np.linalg.solve(block + np.diag(lam * block.diagonal()), np.array(score, dtype=float))
+
+
+def linalg_eigen(M) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending eigenvalues of the symmetric ``M`` and the eigenvector of
+    the smallest, by numpy.linalg.eigh."""
+    values, vectors = np.linalg.eigh(np.array(M, dtype=float))
+    return values, vectors[:, 0]
+
+
+def linalg_inverse(M) -> np.ndarray:
+    return np.linalg.inv(np.array(M, dtype=float))
+
+
+def linalg_rank_at_most_one(M) -> bool:
+    """numpy.linalg.matrix_rank (singular values by SVD) at the Fisher
+    matrix's tolerance, RANK_RTOL times the largest entry, is at most 1."""
+    M = np.array(M, dtype=float)
+    return int(np.linalg.matrix_rank(M, tol=RANK_RTOL * np.abs(M).max())) <= 1

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 import weakref
 from pathlib import Path
 
@@ -188,6 +189,23 @@ def test_verify_frees_each_means_pass_before_the_next(tmp_path, monkeypatch):
     assert len(passes) == 3
 
 
+def test_verify_frees_each_trials_reports_before_the_next_sweep(tmp_path, monkeypatch):
+    # a report holds its design's rows (16 MB at n = 1000): one still bound
+    # while the next trial's sweep forms would raise the peak by that much
+    reports = []
+    real_designs = cli.verify_designs
+
+    def designs_spy(*args):
+        assert [ref() for ref in reports] == [None] * len(reports)
+        out = real_designs(*args)
+        reports.extend(weakref.ref(report) for report in out)
+        return out
+
+    monkeypatch.setattr(cli, "verify_designs", designs_spy)
+    assert run_cli(["verify", "--n", "8", "--trials", "3", "--out", str(tmp_path / "v.json")]) == 0
+    assert len(reports) == 6
+
+
 def test_verify_lists_the_sender_subsets_once_per_run(tmp_path, monkeypatch):
     # both designs of every trial read the one list the run builds: at
     # n = 1000 each listing is 499 500 tuples
@@ -278,6 +296,43 @@ def test_counts_errors_report_their_path(tmp_path, capsys, counts, err):
     bad.write_text(json.dumps({"counts": counts}))
     assert run_cli(["estimate", "--counts", str(bad), "--config", str(DATA / "run_m1.json")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {err}")
+
+
+def test_counts_over_the_largest_float_are_a_counts_error(tmp_path, capsys):
+    # a total of the largest float plus one: the estimator reads N as a
+    # float, and two counts of the largest float raised OverflowError in the
+    # grid's margin (exit 1); both are $.counts errors, with no warning
+    over = tmp_path / "over.json"
+    over.write_text(json.dumps({"counts": {"0+": int(sys.float_info.max), "f": int(sys.float_info.max)}}))
+    for counts in (DATA / "counts_over_float_max_m1.json", over):
+        assert run_cli(["estimate", "--counts", str(counts), "--config", str(DATA / "run_m1.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: $.counts: the counts must total at most the largest float, "
+            f"{sys.float_info.max!r}; these total more\n")
+
+
+def test_counts_up_to_the_largest_float_estimate_near_their_phase(tmp_path):
+    # a total of exactly the largest float, all but one count on (0,+): the
+    # score and the information are formed per observation, so nothing
+    # overflows, and scoring leaves the grid point pi/180 for theta near 0
+    # (the counts' own maximum is 2*asin(sqrt(1/N)) ~ 1.5e-154)
+    out = tmp_path / "est.json"
+    assert run_cli(["estimate", "--counts", str(DATA / "counts_float_max_m1.json"),
+                    "--config", str(DATA / "run_m1.json"), "--out", str(out)]) == 0
+    report = json.loads(read(out))
+    assert 0.0 <= report["theta_hat"][0] < 1e-6
+    assert math.isfinite(report["log_likelihood"]) and report["log_likelihood"] < 0.0
+    assert 0.0 < report["se_estimate"][0] < 1e-150
+    assert report["flags"] == ["theta_1 within 1e-06 of the domain edge 0 or pi: the "
+                               "observed-information standard errors are unreliable"]
+    # and 10^300 on each label lands on pi/2, as it did before
+    even = tmp_path / "even.json"
+    even.write_text(json.dumps({"counts": {"0+": 10**300, "f": 10**300}}))
+    assert run_cli(["estimate", "--counts", str(even), "--config", str(DATA / "run_m1.json"),
+                    "--out", str(out)]) == 0
+    report = json.loads(read(out))
+    assert report["theta_hat"] == [math.pi / 2] and report["flags"] == []
+    assert report["se_estimate"] == pytest.approx([1 / math.sqrt(2e300)], rel=1e-12)
 
 
 def test_zero_total_counts_rejected(tmp_path):

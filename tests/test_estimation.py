@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import types
 from pathlib import Path
 
@@ -18,7 +19,13 @@ from anonsense.estimation import (
     mle_estimate,
     recover_omegas,
 )
-from anonsense.fisher import PhaseParameters, ThetaModel, closed_form_j22
+from anonsense.fisher import (
+    PhaseParameters,
+    ThetaModel,
+    UnidentifiableDirectionError,
+    closed_form_j22,
+    fisher_matrix,
+)
 from anonsense.sampling import draw_counts, philox
 from test_fisher import all_switches_config
 
@@ -49,6 +56,16 @@ def test_outcome_counts_reject_every_non_count_by_label(bad):
     # configio.load_counts
     with pytest.raises(ValueError, match="count for 'f' must be a nonnegative integer"):
         OutcomeCounts({"0+": 3, "f": bad})
+
+
+def test_outcome_counts_total_at_most_the_largest_float():
+    # the estimator reads the total N as a float, as it reads each count
+    big = int(sys.float_info.max)
+    assert OutcomeCounts({"0+": big - 1, "f": 1}).N == big
+    assert OutcomeCounts({"0+": 10**300, "f": 10**300}).N == 2 * 10**300
+    for counts in ({"0+": big, "f": 1}, {"0+": big, "f": big}):
+        with pytest.raises(ValueError, match="the counts must total at most the largest float"):
+            OutcomeCounts(counts)
 
 
 def test_log_likelihood_trivial_cases():
@@ -445,9 +462,10 @@ def test_observed_information_matches_difference_stencil(rng):
             tally = rng.integers(1, 1000, len(model.labels)) * (np.array(model.point_probs(theta)) > 0)
             observed = estimation._observed(OutcomeCounts(dict(zip(model.labels, tally.tolist()))),
                                             model)
-            seen, c = (np.array(column) for column in zip(*observed))
-            info = estimation._observed_information(seen, c, model.point_probs(theta),
-                                                   *model.derivatives(theta, second=True))
+            N = sum(c for _, c in observed)
+            freq = [(x, c / N) for x, c in observed]
+            info = N * np.array(estimation._observed_information(
+                freq, model.point_probs(theta), *model.derivatives(theta, second=True)))
             ref = stencil_information(model, observed, theta)
             assert np.max(np.abs(info - ref)) <= 1e-5 * np.max(np.abs(ref))
 
@@ -588,3 +606,42 @@ def test_estimator_variance_tracks_crb_small():
     var = float(np.var(estimates, ddof=1))
     crb = closed_form_j22(n, a, q0, truth) / N
     assert 0.3 * crb <= var <= 5.0 * crb
+
+
+def test_simulate_and_estimate_run_no_lapack_routine(tmp_path, monkeypatch, capsys):
+    # the estimator's and the Fisher matrix's 1x1 and 2x2 algebra is closed
+    # form: with numpy.linalg's solve, eigh, inv, matrix_rank and svd made to
+    # raise, the goldens come out byte for byte, the misfit, flat and
+    # degenerate counts (every count on 'f' or '0-': the -inf, edge and 0/0
+    # branches) estimate, and fisher_matrix takes every branch
+    from anonsense import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("solve", "eigh", "inv", "matrix_rank", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    goldens = Path(__file__).parent / "goldens"
+    out = tmp_path / "out.json"
+    assert cli.main(["simulate", "--config", str(DATA / "run_n5.json"), "--out", str(out)]) == 0
+    assert out.read_text() == (goldens / "transcript_n5.json").read_text()
+    assert cli.main(["estimate", "--counts", str(DATA / "counts_m1.json"),
+                     "--config", str(DATA / "run_m1.json"), "--out", str(out)]) == 0
+    assert out.read_text() == (goldens / "estimate_m1.json").read_text()
+    runs = [("counts_misfit_m2.json", "run_n7.json"), ("counts_flat_m2.json", "run_n5.json"),
+            ("counts_float_max_m1.json", "run_m1.json")]
+    for label, run in (("f", "run_m1.json"), ("f", "run_n5.json"), ("0-", "run_n5.json")):
+        degenerate = tmp_path / f"{label}_{run}"
+        degenerate.write_text(json.dumps({"counts": {label: 1000}}))
+        runs.append((degenerate, run))
+    for counts, run in runs:
+        assert cli.main(["estimate", "--counts", str(DATA / counts),
+                         "--config", str(DATA / run), "--out", str(out)]) == 0
+        assert all(math.isfinite(t) for t in json.loads(out.read_text())["theta_hat"])
+    capsys.readouterr()
+    two = ProtocolConfig.for_two_senders(12, a=6, q0=0.33)
+    assert fisher_matrix(two, PhaseParameters((1.2, 0.7)), N=100).crb_diag[1] > 0.0
+    assert fisher_matrix(two, PhaseParameters((math.pi, math.pi))).J.shape == (2, 2)  # 0/0 summands
+    assert fisher_matrix(ProtocolConfig.for_single_sender(5), PhaseParameters((math.pi,))).J[0, 0] == 1.0
+    with pytest.raises(UnidentifiableDirectionError):
+        fisher_matrix(two, PhaseParameters((1.2, 0.0)))

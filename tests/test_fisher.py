@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference
 from anonsense.cli import FIG_FLAGS, _axes, main
 from anonsense.combinatorics import MINUS, PLUS, FieldVector, g_coefficients
 from anonsense.configio import scan_rows_to_csv
@@ -13,12 +14,19 @@ from anonsense.engine import ProtocolConfig, gamma, max_senders, outcome_distrib
 from anonsense import estimation, scancsv
 from anonsense.estimation import OutcomeCounts, _grid_log_likelihood, mle_estimate
 from anonsense.fisher import (
+    COND_LIMIT,
+    RANK_RTOL,
     DivergenceError,
     PhaseParameters,
     ScanGrid,
     SingularTermError,
     ThetaModel,
     UnidentifiableDirectionError,
+    _fisher_matrix,
+    _inverse,
+    _rank_at_most_one,
+    _solve,
+    _symmetric_eigen,
     closed_form_j22,
     dilution,
     fisher_matrix,
@@ -370,10 +378,9 @@ def test_point_derivatives_match_the_broadcasting_ones(rng):
         edges = [(0.0,), (math.pi,)] if m == 1 else [
             (0.0, 0.0), (0.0, math.pi), (math.pi, 0.0), (math.pi, math.pi), (0.0, 1.3), (2.1, math.pi)]
         for theta in edges + [tuple(row) for row in rng.uniform(0.0, math.pi, (8, m)).tolist()]:
-            dp, d2p = model.derivatives(theta, second=True)
+            dp, d2p = (np.array(d) for d in model.derivatives(theta, second=True))
             ref_dp, ref_d2p = seed_derivatives(model, theta, second=True)
             assert dp.shape == ref_dp.shape and d2p.shape == ref_d2p.shape
-            assert dp.flags.c_contiguous and d2p.flags.c_contiguous
             assert np.abs(dp - ref_dp).max() <= 1e-14 and np.abs(d2p - ref_d2p).max() <= 1e-14
             assert bits(model.dprobs(theta)) == bits(dp)
             arrays += 3
@@ -559,7 +566,7 @@ def test_derivatives_match_finite_differences(rng):
     step = 1e-6
     for _ in range(100):
         theta = rng.uniform(0.3, 2.9, 2)
-        dp = model.dprobs(tuple(theta))
+        dp = np.array(model.dprobs(tuple(theta)))
         for j in range(2):
             hi, lo = theta.copy(), theta.copy()
             hi[j] += step
@@ -586,14 +593,14 @@ def test_second_derivatives_match_differences_of_dprobs(rng):
         model = ThetaModel(config)
         for _ in range(20):
             theta = rng.uniform(0.05, math.pi - 0.05, config.m_est)
-            dp, d2p = model.derivatives(tuple(theta), second=True)
+            dp, d2p = (np.array(d) for d in model.derivatives(tuple(theta), second=True))
             assert np.array_equal(dp, model.dprobs(tuple(theta)))
             assert np.array_equal(d2p, np.swapaxes(d2p, 1, 2))
             for j in range(config.m_est):
                 hi, lo = theta.copy(), theta.copy()
                 hi[j] += step
                 lo[j] -= step
-                fd = (model.dprobs(tuple(hi)) - model.dprobs(tuple(lo))) / (2 * step)
+                fd = (np.array(model.dprobs(tuple(hi))) - np.array(model.dprobs(tuple(lo)))) / (2 * step)
                 denom = np.maximum(np.abs(fd), 1e-3)
                 assert np.max(np.abs(d2p[:, :, j] - fd) / denom) <= 1e-6
     # without second, no second derivatives are formed
@@ -1002,3 +1009,136 @@ def test_non_finite_phases_are_rejected_by_axis(bad):
             limit_j22(0.33, theta)
         with pytest.raises(ValueError, match=message):
             scan_j22([5, math.inf], [0.33], [2.0, theta[0]], [0.0, theta[1]])
+
+
+# -- the closed-form 1x1 and 2x2 algebra against numpy.linalg (tests/reference.py)
+
+EPS = np.finfo(float).eps
+
+
+def symmetric(rng, eigvals) -> list[list[float]]:
+    """A symmetric 2x2 matrix with the eigenvalues ``eigvals`` in a random
+    orthonormal basis, as the nested float lists the closed forms take; its
+    off-diagonal entries are one float, so it is exactly symmetric."""
+    angle = rng.uniform(0.0, math.pi)
+    V = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    M = (V * np.asarray(eigvals, dtype=float)) @ V.T
+    return [[float(M[0, 0]), float(M[0, 1])], [float(M[0, 1]), float(M[1, 1])]]
+
+
+def spectra(rng):
+    """Seeded eigenvalue pairs: positive definite up to a condition number of
+    1e14, indefinite (the refinement's saddle) and negative definite, both
+    sides of COND_LIMIT, and every scale from 1e-150 to 1e150."""
+    out = []
+    for _ in range(200):
+        scale = 10.0 ** rng.uniform(-150, 150)
+        top = scale * rng.uniform(0.5, 2.0)
+        out.append((top / 10.0 ** rng.uniform(0, 14), top))           # positive definite
+        out.append((-top * rng.uniform(1e-6, 2.0), top))               # indefinite
+        out.append((-top, -top / 10.0 ** rng.uniform(0, 6)))           # negative definite
+        out.append((top / (COND_LIMIT * rng.choice([0.95, 1.05])), top))  # about COND_LIMIT
+    return out
+
+
+def test_closed_form_eigenpair_matches_eigh(rng):
+    # eigenvalues within a few ulps of the largest; the smallest's eigenvector
+    # up to sign, within the same error over the eigenvalue gap
+    cases = [symmetric(rng, pair) for pair in spectra(rng)]
+    cases += [[[2.0, 0.0], [0.0, 2.0]], [[0.0, 0.0], [0.0, 0.0]], [[3.0, 0.0], [0.0, -1.0]],
+              [[-1.0, 0.0], [0.0, 3.0]], [[1.0, 1.0], [1.0, 1.0]], [[0.0, 1e-300], [1e-300, 0.0]]]
+    for M in cases:
+        values, vector = _symmetric_eigen(M)
+        ref_values, ref_vector = reference.linalg_eigen(M)
+        size = np.abs(ref_values).max()
+        assert np.abs(np.array(values) - ref_values).max() <= 8 * EPS * size
+        assert math.hypot(*vector) == pytest.approx(1.0, abs=4 * EPS)
+        gap = ref_values[1] - ref_values[0]
+        if gap > 0.0:
+            miss = min(np.abs(np.array(vector) - ref_vector).max(),
+                       np.abs(np.array(vector) + ref_vector).max())
+            assert miss <= 16 * EPS * size / gap
+    for a in (3.5, -2.0, 0.0):  # 1x1
+        assert _symmetric_eigen([[a]]) == ([a], [1.0])
+
+
+def test_closed_form_solve_matches_lapack(rng):
+    # the damped step on positive definite blocks, the only ones scoring
+    # solves, within a few ulps times the damped block's condition number
+    for low, top in spectra(rng):
+        if low <= 0.0:
+            continue
+        M, score = symmetric(rng, (low, top)), rng.normal(size=2).tolist()
+        for lam in (1e-3, 1.0, 1e3):
+            damped = [[M[i][j] + lam * M[i][j] if i == j else M[i][j] for j in range(2)]
+                      for i in range(2)]
+            ref = reference.linalg_step(M, score, lam)
+            cond = np.linalg.cond(np.array(damped))
+            assert np.abs(np.array(_solve(damped, score)) - ref).max() <= (
+                16 * EPS * cond * np.abs(ref).max())
+    for a, y in ((2.0, 3.0), (1e-200, 1e-100), (7.0, -1.0)):
+        assert _solve([[a + 1e-3 * a]], [y]) == pytest.approx(
+            reference.linalg_step([[a]], [y], 1e-3).tolist(), rel=2 * EPS)
+
+
+def test_closed_form_inverse_matches_lapack(rng):
+    for low, top in spectra(rng):
+        M = symmetric(rng, (low, top))
+        ref = reference.linalg_inverse(M)
+        cond = np.linalg.cond(np.array(M))
+        assert np.abs(np.array(_inverse(M)) - ref).max() <= 16 * EPS * cond * np.abs(ref).max()
+    assert _inverse([[4.0]]) == [[0.25]]
+    with pytest.raises(ZeroDivisionError):
+        _inverse([[1.0, 2.0], [2.0, 4.0]])
+
+
+def test_closed_form_rank_test_matches_matrix_rank(rng):
+    # rank-1 Hessians +-g g^T, and rank-2 ones whose smaller singular value is
+    # 0.1 to 10 times the tolerance RANK_RTOL * (largest entry), never within
+    # a factor 2 of it, where the rounding of either form could tip the test
+    cases = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]]
+    for _ in range(300):
+        g = rng.normal(size=2) * 10.0 ** rng.uniform(-100, 100)
+        sign = rng.choice([-1.0, 1.0])
+        cases.append([[sign * g[0] * g[0], sign * g[0] * g[1]], [sign * g[0] * g[1], sign * g[1] * g[1]]])
+        top = 10.0 ** rng.uniform(-100, 100) * rng.choice([-1.0, 1.0])
+        for factor in (0.1, 0.5, 2.0, 10.0):
+            M = symmetric(rng, (top, rng.choice([-1.0, 1.0]) * factor * RANK_RTOL * abs(top)))
+            # the tolerance is on the largest entry, not the largest eigenvalue
+            ratio = min(abs(v) for v in reference.linalg_eigen(M)[0]) / (
+                RANK_RTOL * np.abs(np.array(M)).max())
+            if not 0.5 <= ratio <= 2.0:
+                cases.append(M)
+    decisions = [_rank_at_most_one(M) for M in cases]
+    assert decisions == [reference.linalg_rank_at_most_one(M) for M in cases]
+    assert True in decisions and False in decisions
+    assert _rank_at_most_one([[-3.0]]) and _rank_at_most_one([[0.0]])
+
+
+def test_fisher_eigen_check_matches_eigh_about_cond_limit(rng):
+    # J = sum of two rank-1 summands dp dp^T (p = 1) with a condition number
+    # 5% either side of COND_LIMIT, or singular: the closed-form check raises
+    # where eigh's eigenvalues say it must, with eigh's null vector up to sign.
+    # A J that passes has its eigenvectors on the axes, as the model's J has
+    # them nearly so where theta2 -> 0: rotated, its J @ J_inv misses the
+    # identity by about eps * COND_LIMIT, beyond the inverse check's 1e-8,
+    # in the closed form and numpy.linalg.inv alike
+    for factor in [0.95, 1.05] * 20 + [math.inf] * 4:
+        top = 10.0 ** rng.uniform(-3, 3)
+        low = top / (COND_LIMIT * factor)
+        angle = rng.uniform(0.0, math.pi) if factor > 1.0 else rng.choice([0.0, math.pi / 2])
+        v1, v2 = (math.cos(angle), math.sin(angle)), (-math.sin(angle), math.cos(angle))
+        dp = [[math.sqrt(low) * x for x in v1], [math.sqrt(top) * x for x in v2]]
+        J = np.outer(dp[0], dp[0]) + np.outer(dp[1], dp[1])
+        values, null = reference.linalg_eigen(J)
+        singular = values[0] <= 0.0 or values[1] > COND_LIMIT * values[0]
+        assert singular == (factor > 1.0)
+        if singular:
+            with pytest.raises(UnidentifiableDirectionError) as err:
+                _fisher_matrix(["a", "b"], 1, [1.0, 1.0], dp, None)
+            assert min(np.abs(err.value.null_vector - null).max(),
+                       np.abs(err.value.null_vector + null).max()) <= 1e-6
+        else:
+            res = _fisher_matrix(["a", "b"], 1, [1.0, 1.0], dp, None)
+            ref_inv = reference.linalg_inverse(res.J)
+            assert np.abs(res.J_inv - ref_inv).max() <= 1e-3 * np.abs(ref_inv).max()
