@@ -9,7 +9,7 @@ import pytest
 
 import reference
 from anonsense.combinatorics import FieldVector
-from anonsense import estimation
+from anonsense import cli, estimation
 from anonsense.configio import load_counts, parse_run_config
 from anonsense.engine import ProtocolConfig, outcome_distribution
 from anonsense.estimation import (
@@ -608,14 +608,12 @@ def test_estimator_variance_tracks_crb_small():
     assert 0.3 * crb <= var <= 5.0 * crb
 
 
-def test_simulate_and_estimate_run_no_lapack_routine(tmp_path, monkeypatch, capsys):
+def test_simulate_and_estimate_run_no_lapack_routine(tmp_path, monkeypatch):
     # the estimator's and the Fisher matrix's 1x1 and 2x2 algebra is closed
     # form: with numpy.linalg's solve, eigh, inv, matrix_rank and svd made to
     # raise, the goldens come out byte for byte, the misfit, flat and
     # degenerate counts (every count on 'f' or '0-': the -inf, edge and 0/0
     # branches) estimate, and fisher_matrix takes every branch
-    from anonsense import cli
-
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.linalg called")
 
@@ -628,17 +626,16 @@ def test_simulate_and_estimate_run_no_lapack_routine(tmp_path, monkeypatch, caps
     assert cli.main(["estimate", "--counts", str(DATA / "counts_m1.json"),
                      "--config", str(DATA / "run_m1.json"), "--out", str(out)]) == 0
     assert out.read_text() == (goldens / "estimate_m1.json").read_text()
-    runs = [("counts_misfit_m2.json", "run_n7.json"), ("counts_flat_m2.json", "run_n5.json"),
-            ("counts_float_max_m1.json", "run_m1.json")]
+    runs = [(DATA / "counts_misfit_m2.json", "run_n7.json"), (DATA / "counts_flat_m2.json", "run_n5.json"),
+            (DATA / "counts_float_max_m1.json", "run_m1.json")]
     for label, run in (("f", "run_m1.json"), ("f", "run_n5.json"), ("0-", "run_n5.json")):
         degenerate = tmp_path / f"{label}_{run}"
         degenerate.write_text(json.dumps({"counts": {label: 1000}}))
         runs.append((degenerate, run))
     for counts, run in runs:
-        assert cli.main(["estimate", "--counts", str(DATA / counts),
+        assert cli.main(["estimate", "--counts", str(counts),
                          "--config", str(DATA / run), "--out", str(out)]) == 0
         assert all(math.isfinite(t) for t in json.loads(out.read_text())["theta_hat"])
-    capsys.readouterr()
     two = ProtocolConfig.for_two_senders(12, a=6, q0=0.33)
     assert fisher_matrix(two, PhaseParameters((1.2, 0.7)), N=100).crb_diag[1] > 0.0
     assert fisher_matrix(two, PhaseParameters((math.pi, math.pi))).J.shape == (2, 2)  # 0/0 summands
