@@ -3,9 +3,9 @@
 Every closed-form amplitude of the multi-sender interference is a sum over
 the senders' bit strings, and each sum reads only the strings' phases:
 :func:`string_phases` forms them all in one pass and fixes the package's bit
-convention.  :func:`h_coefficient` and :func:`g_coefficients` sum them as
-the paper writes h_l and g_l.  Everything here is a pure function of its
-inputs.
+convention.  :func:`g_coefficients` sums each weight's group once, as the
+paper writes h_l, and pairs h_l with its conjugate as it writes g_l.
+Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -75,26 +75,16 @@ def string_phases(fields: FieldVector) -> list[list[float]]:
     return groups
 
 
-def h_coefficient(fields: FieldVector, l: int) -> complex:
-    """Sum of exp(-i*theta/2) over the phases of all weight-l strings, 0 <= l <= m.
-
-    Internal intermediate of :func:`g_coefficients`, exposed so its conjugation
-    symmetry h(l)* == h(m-l) can be checked directly.
-    """
-    if not 0 <= l <= fields.m:
-        raise ValueError(f"weight l={l} outside [0, {fields.m}]")
-    return sum(cmath.exp(-0.5j * p) for p in string_phases(fields)[l])
-
-
 def g_coefficients(fields: FieldVector, sign: str) -> tuple[complex, ...]:
-    """Coefficients g[l], l = 0..m: h[l] + h[l]* (sign '+') or h[l] - h[l]* (sign '-').
+    """Coefficients g[l], l = 0..m: h[l] + h[l]* (sign '+') or h[l] - h[l]* (sign '-'),
+    where h[l] sums exp(-i*theta/2) over the phases theta of the weight-l strings.
 
     Invariants: ``g[m-l] == conj(g[l])``; every entry is real for sign '+'
     and purely imaginary for sign '-'; for even m the central '-' entry is 0.
     """
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
-    hs = [h_coefficient(fields, l) for l in range(fields.m + 1)]
+    hs = [sum(cmath.exp(-0.5j * p) for p in group) for group in string_phases(fields)]
     if sign == PLUS:
         return tuple(h + h.conjugate() for h in hs)
     return tuple(h - h.conjugate() for h in hs)

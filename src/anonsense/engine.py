@@ -144,12 +144,6 @@ class OutcomeDistribution:
     def labels(self) -> list[str]:
         return list(self.probs)
 
-    def tv_distance(self, other: "OutcomeDistribution") -> float:
-        """Total-variation distance; label sets must agree."""
-        if set(self.probs) != set(other.probs):
-            raise ValueError("label sets differ")
-        return 0.5 * sum(abs(self.probs[k] - other.probs[k]) for k in self.probs)
-
 
 def check_normalized(probs: np.ndarray):
     """Raise ValueError unless each row of ``probs`` (distributions x labels)

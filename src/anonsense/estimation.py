@@ -30,6 +30,7 @@ goes on to every row.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -143,6 +144,13 @@ def mle_estimate(counts: OutcomeCounts, config: ProtocolConfig) -> EstimateRepor
     observed = _observed(counts, model)
     start = _grid_start(model, observed, _AXIS, counts.N)
     if start is None:
+        # a cell where every observed P is above 0 has a finite log-likelihood
+        # at a count of 1 per label: the counts fit, and only their size overflowed
+        p = model.label_rows(np.meshgrid(*[_AXIS] * model.m_est, indexing="ij", sparse=True))
+        if functools.reduce(np.logical_and, [p[x] > 0.0 for x, _ in observed]).any():
+            raise ValueError("log-likelihood is below the most negative float over the whole "
+                             "domain; the counts are consistent with the configuration but "
+                             "too many to score")
         raise ValueError("likelihood is -inf over the whole domain; counts are "
                          "inconsistent with the configuration")
     theta, flags = start

@@ -158,7 +158,12 @@ def _fisher_matrix(labels, N: int, p, dp, d2p) -> FisherResult:
     J_inv = _inverse(J)
     residual = max(abs(sum(J[i][k] * J_inv[k][j] for k in range(m)) - (i == j))
                    for i in range(m) for j in range(m))
-    assert residual < 1e-8
+    # the adjugate inverse misses the identity by about eps * cond (at most
+    # 0.46 of it on rotated J up to COND_LIMIT); a wrong inverse by far more
+    bound = 8 * math.ulp(1.0) * (eigvals[-1] / eigvals[0])
+    if not residual <= bound:
+        raise ArithmeticError(f"Fisher matrix inverse misses the identity by {residual:.3e}, "
+                              f"above 8 eps times its condition number ({bound:.3e})")
     return FisherResult(
         J=np.array(J),
         J_inv=np.array(J_inv),

@@ -8,12 +8,13 @@ construction it has no field that could store sender positions.
 
 The verifier checks the anonymity claim: from the own positions of each sender
 subset it is given (every one, for :func:`verify_tracelessness`) it computes the
-outcome distribution, and reports the largest pairwise total-variation distance.
+outcome distribution, as one row of probabilities per subset, and reports the
+largest pairwise total-variation distance of the rows (:func:`_max_pairwise_tv`,
+the package's one TV).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -21,12 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .combinatorics import FieldVector
-from .engine import (
-    OutcomeDistribution,
-    ProtocolConfig,
-    check_normalized,
-    check_senders,
-)
+from .engine import ProtocolConfig, check_normalized, check_senders
 from .estimation import EstimateReport, OutcomeCounts, mle_estimate
 from .sampling import MAX_ROUNDS, draw_counts, philox
 from .statevec import (
@@ -61,8 +57,9 @@ class TracelessnessReport:
     """Outcome of comparing outcome distributions across sender subsets.
 
     ``probs`` holds one row per subset, in the order they were swept, and one
-    column per label; a subset's :class:`OutcomeDistribution` is built only
-    when it is read.  Neither is serialized.
+    column per label, in ``labels`` order; neither is serialized.  Row k is
+    the k-th subset's distribution, as
+    ``engine.OutcomeDistribution.from_row(labels, probs[k])`` builds it.
     """
 
     n: int
@@ -75,15 +72,6 @@ class TracelessnessReport:
     verdict: bool
     labels: list[str] = field(compare=False, repr=False)
     probs: np.ndarray = field(compare=False, repr=False)
-
-    def distribution(self, k: int) -> OutcomeDistribution:
-        """The distribution of the k-th subset swept."""
-        return OutcomeDistribution.from_row(self.labels, self.probs[k])
-
-    @functools.cached_property
-    def distributions(self) -> list[OutcomeDistribution]:
-        """Every subset's distribution, in the order the subsets were swept."""
-        return [self.distribution(k) for k in range(self.n_subsets)]
 
 
 def run_protocol(

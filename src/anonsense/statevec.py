@@ -71,10 +71,6 @@ class SenderAssignment:
             raise ValueError(f"{self.fields.m} field amplitudes for {m} sender positions")
         check_senders(self.n, m)
 
-    @property
-    def m(self) -> int:
-        return len(self.sender_positions)
-
     def check_n(self, config: ProtocolConfig):
         """Raise ValueError unless ``config`` is for this assignment's participant count."""
         if config.n != self.n:

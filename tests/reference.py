@@ -17,10 +17,17 @@ likelihood's global maximum found without that grid
 and the Fisher matrix as numpy.linalg (LAPACK) formed it: the damped step
 solve, the eigenpair, the inverse and the rank test (:func:`linalg_step`,
 :func:`linalg_eigen`, :func:`linalg_inverse`, :func:`linalg_rank_at_most_one`).
+
+Last, it holds two sums the package forms only inside a larger one: the
+total-variation distance of one pair of distributions (:func:`tv_distance`;
+the package takes the largest over all pairs of sweep rows at once), and one
+weight's string sum h_l (:func:`h_coefficient`; the package sums every weight
+in :func:`anonsense.combinatorics.g_coefficients`).
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
@@ -28,7 +35,7 @@ import numpy as np
 from numpy.polynomial import polynomial as poly
 
 from anonsense import estimation, statevec
-from anonsense.combinatorics import PLUS, FieldVector
+from anonsense.combinatorics import PLUS, FieldVector, string_phases
 from anonsense.engine import OutcomeDistribution, ProtocolConfig
 from anonsense.fisher import RANK_RTOL
 from anonsense.statevec import SenderAssignment, _check_limit, _with_residual
@@ -287,3 +294,18 @@ def linalg_rank_at_most_one(M) -> bool:
     matrix's tolerance, RANK_RTOL times the largest entry, is at most 1."""
     M = np.array(M, dtype=float)
     return int(np.linalg.matrix_rank(M, tol=RANK_RTOL * np.abs(M).max())) <= 1
+
+
+def tv_distance(one: OutcomeDistribution, other: OutcomeDistribution) -> float:
+    """Total-variation distance of two distributions, label by label; their
+    label sets must agree."""
+    if set(one.probs) != set(other.probs):
+        raise ValueError("label sets differ")
+    return 0.5 * sum(abs(one.probs[k] - other.probs[k]) for k in one.probs)
+
+
+def h_coefficient(fields: FieldVector, l: int) -> complex:
+    """Sum of exp(-i*theta/2) over the phases of all weight-l strings, 0 <= l <= m."""
+    if not 0 <= l <= fields.m:
+        raise ValueError(f"weight l={l} outside [0, {fields.m}]")
+    return sum(cmath.exp(-0.5j * p) for p in string_phases(fields)[l])

@@ -191,14 +191,17 @@ def test_verify_frees_each_means_pass_before_the_next(tmp_path, monkeypatch):
 
 def test_verify_frees_each_trials_reports_before_the_next_sweep(tmp_path, monkeypatch):
     # a report holds its design's rows (16 MB at n = 1000): one still bound
-    # while the next trial's sweep forms would raise the peak by that much
-    reports = []
+    # while the next trial's sweep forms would raise the peak by that much,
+    # and so would a view of its rows that the cross-check left bound
+    reports, rows = [], []
     real_designs = cli.verify_designs
 
     def designs_spy(*args):
         assert [ref() for ref in reports] == [None] * len(reports)
+        assert [ref() is None for ref in rows] == [True] * len(rows)
         out = real_designs(*args)
         reports.extend(weakref.ref(report) for report in out)
+        rows.extend(weakref.ref(report.probs) for report in out)
         return out
 
     monkeypatch.setattr(cli, "verify_designs", designs_spy)
@@ -333,6 +336,26 @@ def test_counts_up_to_the_largest_float_estimate_near_their_phase(tmp_path):
     report = json.loads(read(out))
     assert report["theta_hat"] == [math.pi / 2] and report["flags"] == []
     assert report["se_estimate"] == pytest.approx([1 / math.sqrt(2e300)], rel=1e-12)
+
+
+def test_counts_too_many_to_score_are_not_called_inconsistent(tmp_path, capsys):
+    # a third of the largest float on each of (0,+), (0,-) and 'f' fits the
+    # n = 5 design, but the log-likelihood is below the most negative float
+    # on the whole grid; it was reported as counts inconsistent with the design
+    assert run_cli(["estimate", "--counts", str(DATA / "counts_float_max_thirds_m2.json"),
+                    "--config", str(DATA / "run_n5.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: log-likelihood is below the most negative float over the whole domain; the "
+        "counts are consistent with the configuration but too many to score\n")
+    # (3,-) at n = 6 and a = 3 has D_3 = 0, so P(3,-) = 0 at every phase
+    config, counts = tmp_path / "run.json", tmp_path / "counts.json"
+    config.write_text(json.dumps({"protocol": {"n": 6, "m_est": 2, "a": 3, "q0": 0.33,
+                                               "c": {"3-": 1}}}))
+    counts.write_text(json.dumps({"counts": {"3-": 5}}))
+    assert run_cli(["estimate", "--counts", str(counts), "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "error: likelihood is -inf over the whole domain; counts are inconsistent with "
+        "the configuration\n")
 
 
 def test_zero_total_counts_rejected(tmp_path):
@@ -550,6 +573,32 @@ def test_verify_cross_check_still_fails_a_planted_disagreement(capsys, monkeypat
 
     monkeypatch.setattr(cli, "outcome_distribution", planted)
     assert run_cli(["verify", "--n", "30", "--trials", "2", "--t", "1"]) == 2
+    assert capsys.readouterr().err.endswith("-> FAIL\n")
+
+
+def test_verify_cross_check_reads_every_subsets_row(tmp_path, capsys, monkeypatch):
+    # 1e-6 of one subset's row moved from 'f' to the first label after the
+    # sweep took its TV: only the closed-form cross-check sees it, and it
+    # names that subset.  With seed 0 the one-subset-per-design check drew
+    # (2, 6) and (3, 4), and passed
+    planted = (5, 7)
+    real_designs = cli.verify_designs
+
+    def designs_spy(configs, fields, subsets):
+        out = real_designs(configs, fields, subsets)
+        k = subsets.index(planted)
+        for report in out:
+            report.probs[k, 0] += 1e-6
+            report.probs[k, -1] -= 1e-6
+        return out
+
+    monkeypatch.setattr(cli, "verify_designs", designs_spy)
+    out = tmp_path / "verify.json"
+    assert run_cli(["verify", "--n", "8", "--trials", "1", "--seed", "0", "--out", str(out)]) == 2
+    doc = json.loads(read(out))
+    assert doc["verdict"] == "fail" and doc["max_tv_distance"] == 0.0
+    assert doc["failing_case"]["subset"] == list(planted)
+    assert doc["max_oracle_analytic_error"] == pytest.approx(1e-6, rel=1e-6)
     assert capsys.readouterr().err.endswith("-> FAIL\n")
 
 

@@ -8,9 +8,9 @@ from anonsense.combinatorics import (
     PLUS,
     FieldVector,
     g_coefficients,
-    h_coefficient,
     string_phases,
 )
+from reference import h_coefficient
 
 
 # with omegas (1, 2, 4, 8) and t = 1, string x has phase 15 - 2x: bit j of x,

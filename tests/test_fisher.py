@@ -11,12 +11,13 @@ from anonsense.cli import FIG_FLAGS, _axes, main
 from anonsense.combinatorics import MINUS, PLUS, FieldVector, g_coefficients
 from anonsense.configio import scan_rows_to_csv
 from anonsense.engine import ProtocolConfig, gamma, max_senders, outcome_distribution, weight_row
-from anonsense import estimation, scancsv
+from anonsense import estimation, fisher, scancsv
 from anonsense.estimation import OutcomeCounts, _grid_log_likelihood, mle_estimate
 from anonsense.fisher import (
     COND_LIMIT,
     RANK_RTOL,
     DivergenceError,
+    FisherResult,
     PhaseParameters,
     ScanGrid,
     SingularTermError,
@@ -991,6 +992,10 @@ def test_omega_crb_transform():
     expect = np.array([[1, 1], [1, -1]]) / 4.0 @ (res.J_inv / 1000) @ (np.array([[1, 1], [1, -1]]) / 4.0).T
     assert var[0] == pytest.approx(expect[0, 0], rel=1e-12)
     assert var[1] == pytest.approx(expect[1, 1], rel=1e-12)
+    # one sender: omega = theta / t, so Var(omega) = J_inv / (N t^2)
+    res = fisher_matrix(ProtocolConfig.for_single_sender(10), PhaseParameters((1.3,)), N=1000)
+    (var,) = omega_crb_diag(res, t=2.0)
+    assert var == pytest.approx(res.J_inv[0, 0] / (1000 * 2.0 ** 2), rel=1e-12)
 
 
 def test_fisher_requires_matching_m_est():
@@ -1120,9 +1125,8 @@ def test_fisher_eigen_check_matches_eigh_about_cond_limit(rng):
     # 5% either side of COND_LIMIT, or singular: the closed-form check raises
     # where eigh's eigenvalues say it must, with eigh's null vector up to sign.
     # A J that passes has its eigenvectors on the axes, as the model's J has
-    # them nearly so where theta2 -> 0: rotated, its J @ J_inv misses the
-    # identity by about eps * COND_LIMIT, beyond the inverse check's 1e-8,
-    # in the closed form and numpy.linalg.inv alike
+    # them nearly so where theta2 -> 0; rotated ones pass in
+    # test_fisher_matrix_inverts_a_rotated_j_up_to_cond_limit
     for factor in [0.95, 1.05] * 20 + [math.inf] * 4:
         top = 10.0 ** rng.uniform(-3, 3)
         low = top / (COND_LIMIT * factor)
@@ -1142,3 +1146,38 @@ def test_fisher_eigen_check_matches_eigh_about_cond_limit(rng):
             res = _fisher_matrix(["a", "b"], 1, [1.0, 1.0], dp, None)
             ref_inv = reference.linalg_inverse(res.J)
             assert np.abs(res.J_inv - ref_inv).max() <= 1e-3 * np.abs(ref_inv).max()
+
+
+@pytest.mark.parametrize("cond", [1e10, 1e11, 0.95 * COND_LIMIT])
+def test_fisher_matrix_inverts_a_rotated_j_up_to_cond_limit(rng, cond):
+    # J = R diag(1, 1/cond) R^T as a sum of dp dp^T / p with p = 1: its
+    # adjugate inverse misses the identity by about eps * cond, and a fixed
+    # bound of 1e-8 on that raised AssertionError for most rotations
+    for _ in range(200):
+        angle = rng.uniform(0.0, math.pi)
+        c, s, small = math.cos(angle), math.sin(angle), math.sqrt(1.0 / cond)
+        res = _fisher_matrix(["a", "b"], 1, [1.0, 1.0], [[c, s], [-s * small, c * small]], None)
+        assert isinstance(res, FisherResult)
+        assert all(v > 0.0 for v in res.crb_diag)
+
+
+def test_a_wrong_fisher_inverse_is_an_arithmetic_error(monkeypatch):
+    # an inverse with one entry off by 1e-6 of itself fails the residual check,
+    # under python -O too, as an ArithmeticError that mle_estimate flags
+    config = ProtocolConfig.for_two_senders(5, a=2, q0=0.33)
+    counts = OutcomeCounts({"0+": 400, "0-": 150, "2+": 300, "f": 150})
+    assert mle_estimate(counts, config).crb_se is not None
+    real = fisher._inverse
+
+    def shifted(M):
+        inv = real(M)
+        inv[0][0] *= 1.0 + 1e-6
+        return inv
+
+    monkeypatch.setattr(fisher, "_inverse", shifted)
+    for design, theta in ((ProtocolConfig.for_single_sender(6), (1.2,)), (config, (2.0, 0.5))):
+        with pytest.raises(ArithmeticError, match="misses the identity"):
+            fisher_matrix(design, PhaseParameters(theta))
+    report = mle_estimate(counts, config)
+    assert report.crb_se is None
+    assert "expected information singular at the estimate" in report.flags

@@ -148,6 +148,11 @@ def cli_configs(n):
     return [ProtocolConfig.for_single_sender(n), ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33)]
 
 
+def row_distributions(report):
+    """Each swept subset's distribution, built from its row of the report."""
+    return [OutcomeDistribution.from_row(report.labels, row) for row in report.probs]
+
+
 def dense_distributions(config, fields, subsets):
     """The dense sweep's per-subset distributions, in ``subsets`` order."""
     labels, probs = reference._DenseBasis(config).mixtures(fields, np.array(subsets))
@@ -282,7 +287,7 @@ def test_dicke_sweep_equals_dense_oracle(rng):
                 report = verify_tracelessness(config, fields)
                 assert report.verdict
                 dense = dense_distributions(config, fields, sender_subsets(n, m))
-                for dist, exact in zip(report.distributions, dense, strict=True):
+                for dist, exact in zip(row_distributions(report), dense, strict=True):
                     assert list(dist.probs) == list(exact.probs)
                     for label, p in exact.probs.items():
                         assert abs(dist.probs[label] - p) <= 1e-12
@@ -594,7 +599,7 @@ def test_dicke_sweep_single_sender_at_large_n():
     assert report.verdict
     assert report.n_subsets == n
     closed = outcome_distribution(config, fields)
-    for dist in report.distributions:
+    for dist in row_distributions(report):
         for label, p in closed.probs.items():
             assert abs(dist.probs[label] - p) <= 1e-12
 
@@ -612,7 +617,7 @@ def test_sweep_rejects_bad_inputs():
 def loop_max_tv(dists):
     max_tv = 0.0
     for d1, d2 in itertools.combinations(dists, 2):
-        max_tv = max(max_tv, d1.tv_distance(d2))
+        max_tv = max(max_tv, reference.tv_distance(d1, d2))
     return max_tv
 
 
@@ -642,17 +647,17 @@ def test_max_pairwise_tv_equals_pairwise_loop(rng, monkeypatch, max_labels):
     assert loop_max_tv(dists) > 0.0
     assert abs(protocol._max_pairwise_tv(probs) - loop_max_tv(dists)) <= SWEEP_ATOL
     report = verify_tracelessness(config, fields)
-    assert abs(report.max_tv_distance - loop_max_tv(report.distributions)) <= SWEEP_ATOL
+    assert abs(report.max_tv_distance - loop_max_tv(row_distributions(report))) <= SWEEP_ATOL
 
 
 def test_max_pairwise_tv_edge_cases():
     assert protocol._max_pairwise_tv(np.array([[0.25, 0.75]])) == 0.0
     assert protocol._max_pairwise_tv(np.array([[0.25, 0.75], [0.75, 0.25]])) == 0.5
-    # the distributions a report hands out compare only on one label set
+    # the pairwise reference compares distributions only on one label set
     one = OutcomeDistribution(probs={"0+": 0.25, "f": 0.75})
     other = OutcomeDistribution(probs={"0-": 0.25, "f": 0.75})
     with pytest.raises(ValueError, match="label sets differ"):
-        one.tv_distance(other)
+        reference.tv_distance(one, other)
 
 
 def test_tracelessness_with_more_senders_than_designed(rng):
@@ -719,8 +724,9 @@ def test_negative_control_equals_per_subset_loop(rng, block_entries):
             report = negative_control(n, fields)
             loops = [loop_control(n, subset, fields) for subset in subsets]
             blocked = blocked_control(n, subsets, fields, block_entries)
-            assert len(report.distributions) == len(loops) == len(blocked)
-            for dist, loop, block in zip(report.distributions, loops, blocked):
+            dists = row_distributions(report)
+            assert len(dists) == len(loops) == len(blocked)
+            for dist, loop, block in zip(dists, loops, blocked):
                 assert list(dist.probs) == list(loop) == list(block)
                 for label, p in loop.items():
                     assert abs(dist.probs[label] - p) <= 1e-15

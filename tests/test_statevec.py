@@ -19,7 +19,7 @@ from anonsense.statevec import (
     oracle_distribution,
     phi_state,
 )
-from reference import _sender_phases
+from reference import _sender_phases, h_coefficient, tv_distance
 
 
 def bitflip_all(state, n):
@@ -199,8 +199,6 @@ def test_unitary_is_diagonal_and_norm_preserving(rng):
 def test_dicke_diagonal_elements_decompose_over_h(rng):
     # <D_k|U|D_k> = sum_l C(n-m, k-l) h(l) / C(n, k): the identity behind
     # every closed-form amplitude, checked against dense inner products
-    from anonsense.combinatorics import h_coefficient
-
     for n in (4, 6, 7):
         for m in (1, 2, 3):
             if m > (n + 1) // 2:
@@ -275,7 +273,7 @@ def test_oracle_permutation_symmetry(rng):
         # swapped positions carry swapped amplitudes: same multiset
         flipped = FieldVector(omegas=(1.9, 0.8), t=1.0) if positions == (5, 2) else fields
         other = oracle_distribution(SenderAssignment(6, positions, flipped), config)
-        assert base.tv_distance(other) <= 1e-12
+        assert tv_distance(base, other) <= 1e-12
 
 
 def test_oracle_limit_guard():
