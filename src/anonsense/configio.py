@@ -307,8 +307,8 @@ def scan_rows_to_csv(grid: ScanGrid) -> Iterator[bytes]:
     The writer is imported on its first use, so the verbs that never write a
     scan do not compile it.  That matters only to perfbench's ``peak_rss_mb``,
     whose children compile the package from source where
-    PYTHONDONTWRITEBYTECODE is set; once that metric leaves the compile out
-    (ROADMAP item 1b), this import belongs at the top of the module.
+    PYTHONDONTWRITEBYTECODE is set; once that metric leaves the compile out,
+    this import belongs at the top of the module.
     """
     from .scancsv import scan_csv
 

@@ -357,14 +357,6 @@ class ThetaModel:
         """
         return self._assemble(*self._amplitudes(theta, np.sin))
 
-    def labels_free_of(self, j: int) -> list[int]:
-        """Indices of the measured labels whose probability does not depend on
-        theta_j.  A '+' label reads theta1 through 1 - B and theta2 through B;
-        a '-' label reads theta1 alone, through D.  So every '-' label and
-        (0,+) (B_0 = 0) are free of theta2, and the central '-' label of even
-        n (D = 0) is free of theta1."""
-        return [x for x, (_, _, _, reads) in enumerate(self._chain) if reads[j] == 0.0]
-
     def dprobs(self, theta: Sequence[float]) -> list:
         """Analytic derivatives dP/dtheta_j at one phase vector of floats,
         a float list per label: the first-order half of :meth:`derivatives`,

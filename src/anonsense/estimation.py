@@ -2,30 +2,26 @@
 
 The likelihood is multinomial over the closed-form outcome model; every step
 reads the counts in one form, a (label index, count) pair per observed label
-in labels order (:func:`_observed`).  Its maximizer is located on a coarse
-grid over [0, pi]^m, the protocol's operating regime (the distribution is
-even in each phase, so signs are unrecoverable and nonnegative phases lose
-nothing), then refined per point by projected, damped Fisher scoring on the
-kernel's analytic derivatives, which also give the observed information; the
-Fisher matrix at the estimate takes the probabilities and derivatives the
-refinement ends on.  The refinement's algebra is 1x1 or 2x2 and runs in
-closed form on Python floats (the :mod:`anonsense.fisher` helpers): no
-LAPACK routine runs on the way from counts to an estimate.
+in labels order (:func:`_observed`).  Its maximizer over [0, pi]^m, the
+protocol's operating regime (the distribution is even in each phase, so signs
+are unrecoverable and nonnegative phases lose nothing), is refined from a
+start by projected, damped Fisher scoring on the kernel's analytic
+derivatives, which also give the observed information; the Fisher matrix at
+the estimate takes the probabilities and derivatives the refinement ends on.
+The refinement's algebra is 1x1 or 2x2 and runs in closed form on Python
+floats (the :mod:`anonsense.fisher` helpers): no LAPACK routine runs on the
+way from counts to an estimate.
 
-The grid start is one loop over theta1 rows (:func:`_grid_start`), each
-product a set of rows over the whole theta2 axis, evaluated by one
-:meth:`ThetaModel.label_rows` call.  For two senders the labels A whose
-probability is free of theta2 (every '-' label, and (0,+) since B_0 = 0)
-bound each row: the others share the mass S = 1 - sum_A p, so by Gibbs'
-inequality a row's log-likelihood is at most
-sum_A c log p + sum_B c log(c S / C_B).  Rows go in descending bound order
-until the next bound falls below the best value less a margin of
-1e-6 * (N + 1), which covers the rounding of bound and value; without a
-bound every row goes, in axis order.  The kernel forms every cell
-elementwise, so a row keeps its bits in any product, and the argmax over
-the rows evaluated, in ascending theta1 order, is the whole grid's.  Their
-spread can certify only that no axis is flat; where it cannot, the loop
-goes on to every row.
+On the paper's two designs the start is the maximum itself
+(:func:`_design_start`).  With c_j = cos(theta_j/2), index 0 reads
+P(0,+) = q_0*c1^2 and P(0,-) = q_0*(1 - c1^2) and leaves no residual, so
+'f' comes from the second index a alone: P(a,+) = q_a*y and
+P(f) = q_a*(1 - y), y = [(1 - B_a)*c1 + B_a*c2]^2.  Given the split of the
+counts between the indices, the likelihood is two binomials, in x = c1^2 and
+in y, maximized at the observed shares.  One sender is the first binomial
+alone.  Every other config starts at the argmax of a coarse grid
+(:func:`_grid_start`), in blocks of theta1 rows over the whole theta2 axis,
+each evaluated by one :meth:`ThetaModel.label_rows` call.
 """
 
 from __future__ import annotations
@@ -39,7 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import NORM_ATOL, ProtocolConfig
+from .combinatorics import MINUS, PLUS
+from .engine import ProtocolConfig, dilution
 from .fisher import (ZERO_PROB, PhaseParameters, ThetaModel, _fisher_matrix, _inverse,
                      _solve, _symmetric_eigen)
 
@@ -47,7 +44,6 @@ GRID_POINTS = 181
 REFINE_TOL = 1e-6
 DAMPING = 1e-3
 _GRID_BLOCK_POINTS = 4096  # bound on the grid points of one probability evaluation
-_BOUND_MARGIN = 1e-6  # per observation: the rounding of a row bound and of a grid value
 _AXIS = np.linspace(0.0, math.pi, GRID_POINTS)  # the grid's axis on every component
 _AXIS.flags.writeable = False
 
@@ -134,15 +130,16 @@ def _scored(model: ThetaModel, observed, theta) -> tuple:
 def mle_estimate(counts: OutcomeCounts, config: ProtocolConfig) -> EstimateReport:
     """Maximize the likelihood over [0, pi]^m_est and package the estimate.
 
-    Deterministic: the coarse grid scans axes in fixed order and ties break
-    toward the lexicographically smallest phase vector; the refinement
-    (:func:`_refine`) starts at that grid point.
+    Deterministic: the refinement (:func:`_refine`) starts at the maximum on
+    the paper's designs (:func:`_design_start`), and elsewhere at the
+    argmax of a coarse grid, whose ties break toward the lexicographically
+    smallest phase vector (:func:`_grid_start`).
     """
     if counts.N < 1:
         raise ValueError("estimation requires at least one observed outcome")
     model = ThetaModel(config)
     observed = _observed(counts, model)
-    start = _grid_start(model, observed, _AXIS, counts.N)
+    start = _design_start(model, observed) or _grid_start(model, observed, _AXIS)
     if start is None:
         # a cell where every observed P is above 0 has a finite log-likelihood
         # at a count of 1 per label: the counts fit, and only their size overflowed
@@ -223,86 +220,66 @@ def _grid_log_likelihood(model: ThetaModel, observed, axes) -> np.ndarray:
     return ll
 
 
-def _row_bounds(model: ThetaModel, observed, axis) -> Optional[np.ndarray]:
-    """An upper bound on each theta1 row's log-likelihood over theta2, or None
-    where no observed label's probability is free of theta2.
+def _design_start(model: ThetaModel, observed) -> Optional[tuple[list, list[str]]]:
+    """The likelihood's maximum on the paper's designs, as :func:`_grid_start`
+    gives a start.  None on any other config, where one binomial below has no
+    count (theta2 is then not identified), where index a has no weight, or
+    where the log-likelihood there is not finite: the grid then starts.
 
-    The labels A free of theta2 give their terms exactly; the other observed
-    labels B share the mass S = 1 - sum_A p + NORM_ATOL at most, and by
-    Gibbs' inequality sum_B c log p <= sum_B c log(c S / C_B), C_B = sum_B c.
+    One sender measures (0,+) alone, two senders (0,+), (0,-) and (a,+).  In
+    labels order the first two labels' shares give x = c1^2, and for two
+    senders the last two give y; c1 = sqrt(x) and
+    c2 = (sqrt(y) - (1 - B_a)*c1)/B_a, clipped to [0, 1]: from a clipped
+    start the refinement finds the maximum on that face.
     """
-    free = model.labels_free_of(1)
-    in_free = set(free)
-    exact = [(x, c) for x, c in observed if x in in_free]
-    if not exact:
+    config = model.config
+    two = config.m_est == 2
+    if config.outcomes != (((0, PLUS), (0, MINUS), (config.a, PLUS)) if two else ((0, PLUS),)):
         return None
-    rest = np.array([c for x, c in observed if x not in in_free])
-    p = model.label_rows([axis[:, None], np.zeros((1, 1))])
-    bound = np.zeros(len(axis))
-    with np.errstate(divide="ignore", over="ignore"):
-        for x, c in exact:
-            bound += c * np.log(p[x][:, 0])
-        if rest.size:
-            mass = 1.0 - sum(p[x][:, 0] for x in free) + NORM_ATOL
-            bound += rest @ np.log(rest / rest.sum()) + rest.sum() * np.log(mass)
-    return bound
+    count = [0.0] * len(model.labels)
+    for x, c in observed:
+        count[x] = c
+    # with no weight on a, 'f' is left only the rounding of index 0's residual
+    if not (count[0] + count[1] and count[-2] + count[-1]) or two and not config.q[config.a]:
+        return None
+    cosines = [math.sqrt(count[0] / (count[0] + count[1]))]
+    if two:
+        b = dilution(config.n, config.a)
+        c2 = (math.sqrt(count[2] / (count[2] + count[3])) - (1.0 - b) * cosines[0]) / b
+        cosines.append(min(max(c2, 0.0), 1.0))
+    theta = [2.0 * math.acos(c) for c in cosines]
+    return (theta, []) if math.isfinite(_scored(model, observed, theta)[0]) else None
 
 
-def _grid_start(model: ThetaModel, observed, axis, N: int) -> Optional[tuple[list, list[str]]]:
+def _grid_start(model: ThetaModel, observed, axis) -> Optional[tuple[list, list[str]]]:
     """The start of the refinement on the grid ``axis``^m: the row-major
     argmax of the log-likelihood (the smallest theta1, then theta2, wins
     ties) and a flag per axis along which its finite values spread less than
     1e-9; None if no value is finite.
 
-    Each product is a set of theta1 rows over the whole theta2 axis, of
-    ``_GRID_BLOCK_POINTS`` points at most (one row at least), and no row is
-    evaluated twice.  With :func:`_row_bounds`, rows go in descending bound
-    order, each product taking at most twice the rows done so far (two
-    first), until the next bound is below the best value less
-    ``_BOUND_MARGIN * (N + 1)``; without, every row goes in axis order.  The
-    rows evaluated certify only a start without flags (their spread is a
-    lower bound of the grid's); else the loop goes on to every row.
+    The grid goes in products of theta1 rows over the whole theta2 axis, in
+    axis order, each of ``_GRID_BLOCK_POINTS`` points at most (one row at
+    least).
     """
     m = model.m_est
-    cap = max(1, _GRID_BLOCK_POINTS // len(axis) ** (m - 1))
-    bound = _row_bounds(model, observed, axis) if m == 2 else None
-    order = np.arange(len(axis)) if bound is None else np.argsort(-bound, kind="stable")
+    rows = max(1, _GRID_BLOCK_POINTS // len(axis) ** (m - 1))
     ll = np.empty((len(axis),) * m)
-    floor, done = -math.inf, 0
-    while done < len(order):
-        if bound is not None and bound[order[done]] < floor:  # no row left can hold the maximum
-            seen = np.sort(order[:done])
-            start = _argmax_start(ll[seen], [axis[seen], axis])
-            if not start[1]:
-                return start
-            bound = None  # flags the rows evaluated cannot certify: every row goes
-        take = min(cap, len(order) - done if bound is None else min(
-            2 * done or 2, int(np.count_nonzero(bound[order[done:]] >= floor))))
-        rows = order[done:done + take]
-        product = _grid_log_likelihood(
-            model, observed, np.meshgrid(axis[rows], *[axis] * (m - 1), indexing="ij", sparse=True))
-        ll[rows] = product
-        floor = max(floor, float(product.max()) - _BOUND_MARGIN * (N + 1))
-        done += take
-    return _argmax_start(ll, [axis] * m)
-
-
-def _argmax_start(ll: np.ndarray, axes) -> Optional[tuple[list, list[str]]]:
-    """:func:`_grid_start` from the grid values ``ll`` over ``axes``, the
-    theta1 rows in ascending order; None if no value is finite."""
+    for lo in range(0, len(axis), rows):
+        ll[lo:lo + rows] = _grid_log_likelihood(model, observed, np.meshgrid(
+            axis[lo:lo + rows], *[axis] * (m - 1), indexing="ij", sparse=True))
     finite = np.isfinite(ll)
     if not finite.any():
         return None
-    theta = [axis[i] for axis, i in zip(axes, np.unravel_index(int(ll.argmax()), ll.shape))]
+    theta = [axis[i] for i in np.unravel_index(int(ll.argmax()), ll.shape)]
     # -inf cells take the smallest finite value, so they add no spread
     spread = ll if finite.all() else np.where(finite, ll, np.min(ll[finite]))
-    return theta, [f"flat likelihood along theta_{j + 1}" for j in range(ll.ndim)
+    return theta, [f"flat likelihood along theta_{j + 1}" for j in range(m)
                    if np.ptp(spread, axis=j).max() < 1e-9]
 
 
 def _refine(model: ThetaModel, observed, N: int, theta, spacing: float):
-    """Projected, damped Fisher scoring (Levenberg-Marquardt) from the grid
-    argmax; returns theta, its log-likelihood, its probabilities, the observed
+    """Projected, damped Fisher scoring (Levenberg-Marquardt) from the
+    start; returns theta, its log-likelihood, its probabilities, the observed
     information per observation, its ascending eigenvalues (None where it is
     not finite), and the first and second derivatives it is formed from.
 

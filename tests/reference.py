@@ -10,9 +10,9 @@ subsets on a set of basis states).  It is capped as the dense vectors are
 (:data:`anonsense.statevec.DENSE_LIMIT`).
 
 It also keeps the Dicke-mean fold as it ran before it stopped at the largest
-measured index (:func:`uncapped_fold_means`), the two-sender MLE start as it
-was formed on the whole grid (:func:`full_grid_start`), the two-sender
-likelihood's global maximum found without that grid
+measured index (:func:`uncapped_fold_means`), the two-sender MLE grid start
+formed on the whole grid at once (:func:`full_grid_start`), the two-sender
+likelihood's global maximum found without a grid or a closed-form start
 (:func:`global_max_log_likelihood`), and the small algebra of the estimator
 and the Fisher matrix as numpy.linalg (LAPACK) formed it: the damped step
 solve, the eigenpair, the inverse and the rank test (:func:`linalg_step`,
@@ -185,12 +185,13 @@ def uncapped_fold_means(folded_phases: np.ndarray, top: int) -> np.ndarray:
     return means
 
 
-def full_grid_start(model, observed, axis, N):
-    """The start of :func:`anonsense.estimation.mle_estimate` for two senders
-    from the log-likelihood at all 181^2 grid points: the row-major argmax,
-    and a flag per axis along which the finite values (-inf cells taking the
-    smallest of them) spread less than 1e-9.  Takes and returns what
-    ``estimation._grid_start`` does, and raises where no value is finite."""
+def full_grid_start(model, observed, axis):
+    """The grid start of :func:`anonsense.estimation.mle_estimate` for two
+    senders from the log-likelihood at all 181^2 grid points at once: the
+    row-major argmax, and a flag per axis along which the finite values (-inf
+    cells taking the smallest of them) spread less than 1e-9.  Takes and
+    returns what ``estimation._grid_start`` does, and raises where no value
+    is finite."""
     ll = estimation._grid_log_likelihood(model, observed,
                                          np.meshgrid(axis, axis, indexing="ij", sparse=True))
     finite = np.isfinite(ll)

@@ -358,6 +358,20 @@ def test_counts_too_many_to_score_are_not_called_inconsistent(tmp_path, capsys):
         "the configuration\n")
 
 
+@pytest.mark.parametrize("counts", [{"2+": 1, "f": 4}, {"0+": 3, "0-": 2, "2+": 1, "f": 4}])
+def test_design_counts_no_phase_gives_are_inconsistent(tmp_path, capsys, counts):
+    # the n = 5 design with all weight on index 0: (2,+) has probability 0 at
+    # every phase, so counts on it and 'f' exit 2 as inconsistent, on the
+    # grid path that the closed form leaves them to
+    config, data = tmp_path / "run.json", tmp_path / "counts.json"
+    config.write_text(json.dumps({"protocol": {"n": 5, "m_est": 2, "a": 2, "q": [1.0, 0, 0]}}))
+    data.write_text(json.dumps({"counts": counts}))
+    assert run_cli(["estimate", "--counts", str(data), "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "error: likelihood is -inf over the whole domain; counts are inconsistent with "
+        "the configuration\n")
+
+
 def test_zero_total_counts_rejected(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text('{"counts": {}}')

@@ -1,7 +1,8 @@
+import dataclasses
 import json
 import math
+import re
 import sys
-import types
 from pathlib import Path
 
 import numpy as np
@@ -124,10 +125,10 @@ def test_mle_builds_one_model(monkeypatch):
 
 
 def test_refinement_runs_on_float_points(monkeypatch):
-    # probs (array set-up) never runs: the grid walks its axes block by block
-    # and the Fisher matrix takes the probabilities the refinement holds; the
-    # scoring iterations evaluate a few float points, far fewer than the
-    # hundreds a derivative-free line search needs
+    # probs (array set-up) never runs: the design's start is its closed form,
+    # so no grid is evaluated, and the Fisher matrix takes the probabilities
+    # the refinement holds; the scoring iterations evaluate a few float
+    # points, far fewer than the hundreds a derivative-free line search needs
     probs_shapes, points, grid_shapes = [], [], []
     probs, point_probs, grid = ThetaModel.probs, ThetaModel.point_probs, estimation._grid_log_likelihood
 
@@ -149,20 +150,25 @@ def test_refinement_runs_on_float_points(monkeypatch):
     monkeypatch.setattr(ThetaModel, "point_probs", counting_point_probs)
     monkeypatch.setattr(estimation, "_grid_log_likelihood", counting_grid)
     report = mle_estimate(counts, config)
-    # the grid evaluates the two best-bounded theta1 rows alone: the next
-    # bound is below their maximum
-    assert grid_shapes == [(2, 181)]
+    assert grid_shapes == []
     assert probs_shapes == []
     assert len(points) <= 50
     assert report.converged
     assert report.crb_se is not None
 
 
+def grid_path_estimate(counts, config, monkeypatch):
+    """mle_estimate with the start taken from the grid, on a design too."""
+    with monkeypatch.context() as patch:
+        patch.setattr(estimation, "_design_start", lambda model, observed: None)
+        return mle_estimate(counts, config)
+
+
 def full_grid_estimate(counts, config, monkeypatch):
-    """mle_estimate with the start formed on the whole grid, as the reference does."""
+    """mle_estimate with the start formed on the whole grid at once, as the reference does."""
     with monkeypatch.context() as patch:
         patch.setattr(estimation, "_grid_start", reference.full_grid_start)
-        return mle_estimate(counts, config)
+        return grid_path_estimate(counts, config, patch)
 
 
 def estimate_or_error(estimate, counts, config, *args):
@@ -188,123 +194,157 @@ DESIGN_CONFIGS = [ProtocolConfig.for_two_senders(n, a=a, q0=q0)
                   for q0 in (0.05, 0.33, 0.9)]
 
 
+SINGLE_SENDER_DESIGNS = [ProtocolConfig.for_single_sender(n) for n in (1, 2, 5, 6, 101)]
+
+
+def count_sets(config):
+    """Counts drawn from seeded fields at N = 1 to 10^5, and all counts on
+    'f', on (0,+) and (0,-), or on one label."""
+    labels = config.labels()
+    truth = philox(config.n, len(labels)).uniform(0.05, 1.5, config.m_est).tolist()
+    dist = outcome_distribution(config, FieldVector(tuple(truth), config.t))
+    for N in (1, 7, 50, 1000, 100_000):
+        yield draw_counts(dist, N, philox(N, config.n))
+        yield {"f": N}
+        if N in (7, 100_000):
+            if config.m_est == 2:
+                yield {"0+": N // 3, "0-": N - N // 3}
+            yield from ({label: N} for label in labels[:-1])
+
+
 @pytest.mark.parametrize("config", DESIGN_CONFIGS + EXPLICIT_CONFIGS,
                          ids=[f"n{c.n}-a{c.a}-q0={c.q[0]}" for c in DESIGN_CONFIGS]
                          + [f"explicit{k}" for k in range(len(EXPLICIT_CONFIGS))])
 def test_bounded_start_gives_the_full_grid_estimate(config, monkeypatch):
-    # the start from the theta1 rows that can hold the grid maximum leaves
-    # every report byte for byte as the whole grid's start does: drawn counts
-    # at every N, and all counts on 'f', on (0,+) and (0,-), or on one label;
-    # and no theta1 row is evaluated twice, also where the loop goes on past
-    # its stop to every row
+    # the grid start, in products of theta1 rows bounded in size, leaves every
+    # report byte for byte as the start from the whole grid at once does, on
+    # a design's grid path too; no theta1 row is evaluated twice
     evaluated, grid = [], estimation._grid_log_likelihood
 
     def recording_grid(model, observed, axes):
         evaluated.extend(axes[0].ravel().tolist())
         return grid(model, observed, axes)
 
-    labels = config.labels()
-    truth = philox(config.n, len(labels)).uniform(0.05, 1.5, 2).tolist()
-    dist = outcome_distribution(config, FieldVector(tuple(truth), config.t))
-    for N in (1, 7, 50, 1000, 100_000):
-        cases = [draw_counts(dist, N, philox(N, config.n)), {"f": N}]
-        if N in (7, 100_000):
-            cases.append({"0+": N // 3, "0-": N - N // 3})
-            cases += [{label: N} for label in labels[:-1]]
-        for tally in cases:
-            counts = OutcomeCounts(tally)
-            evaluated.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(estimation, "_grid_log_likelihood", recording_grid)
-                ours = estimate_or_error(mle_estimate, counts, config)
-            assert len(set(evaluated)) == len(evaluated)
-            assert ours == estimate_or_error(full_grid_estimate, counts, config, monkeypatch)
+    for tally in count_sets(config):
+        counts = OutcomeCounts(tally)
+        evaluated.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(estimation, "_grid_log_likelihood", recording_grid)
+            ours = estimate_or_error(grid_path_estimate, counts, config, patch)
+        assert len(set(evaluated)) == len(evaluated)
+        assert ours == estimate_or_error(full_grid_estimate, counts, config, monkeypatch)
 
 
-def test_row_bounds_hold_every_rows_maximum(rng):
-    # Gibbs' inequality with NORM_ATOL on the mass of the labels that depend
-    # on theta2: no theta1 row of the exact grid exceeds its bound
-    axis = np.linspace(0.0, math.pi, estimation.GRID_POINTS)
-    grid = np.meshgrid(axis, axis, indexing="ij", sparse=True)
-    for _ in range(40):
-        n = int(rng.integers(5, 41))
-        a = int(rng.integers(2, n // 2 + 1))
-        on = rng.random(n // 2 + 1) < 0.5
-        on[[0, a]] = rng.random(2) < 0.8
-        if not on.any():
-            on[a] = True
-        c_plus = (on & (rng.random(len(on)) < 0.7)).astype(int)
-        c_minus = (on & ~c_plus.astype(bool)) | (on & (rng.random(len(on)) < 0.5))
-        q = rng.random(len(on)) * on * (rng.random(len(on)) < 0.9)
-        if not q.any():
-            q[np.flatnonzero(on)[0]] = 1.0
-        config = ProtocolConfig(n=n, m_est=2, t=1.0, q=tuple(q / q.sum()), c_plus=tuple(c_plus),
-                                c_minus=tuple(c_minus.astype(int)), a=a)
-        model = ThetaModel(config)
-        for N in (1, 40, 100_000):
-            if rng.random() < 0.5:
-                p = np.clip(model.point_probs(rng.uniform(0.0, math.pi, 2).tolist()), 0.0, None)
-                tally = rng.multinomial(N, p / p.sum())
-            else:
-                tally = rng.integers(0, N + 1, len(model.labels)) * (rng.random(len(model.labels)) < 0.6)
-            observed = [(x, float(c)) for x, c in enumerate(tally) if c > 0]
-            bound = estimation._row_bounds(model, observed, axis)
-            if bound is None:
-                assert not set(model.labels_free_of(1)) & {x for x, _ in observed}
-                continue
-            ll = estimation._grid_log_likelihood(model, observed, grid)
-            assert np.all(ll.max(axis=1) <= bound)
+def without_digits(flags):
+    return [re.sub(r"-?[0-9][0-9.e+-]*", "#", flag) for flag in flags]
 
 
-def test_bounded_start_evaluates_a_few_rows(monkeypatch):
-    # theta1 rows of the grid evaluated, counted per grid log-likelihood
-    # over the 181-point theta2 axis: at most 4 of 181 for counts drawn at
-    # N = 10^5; counts that leave theta2 flat go on from the two rows the
-    # stop leaves to the 179 others, 22 at a time, each row once
-    rows, grid = [], estimation._grid_log_likelihood
+@pytest.mark.parametrize("config", DESIGN_CONFIGS + SINGLE_SENDER_DESIGNS + EXPLICIT_CONFIGS,
+                         ids=[f"n{c.n}-a{c.a}-q0={c.q[0]}" for c in DESIGN_CONFIGS]
+                         + [f"n{c.n}-one-sender" for c in SINGLE_SENDER_DESIGNS]
+                         + [f"explicit{k}" for k in range(len(EXPLICIT_CONFIGS))])
+def test_design_start_keeps_the_grid_path_estimate(config, monkeypatch):
+    # on the paper's designs the refinement starts at the closed-form
+    # maximum; against the grid path's estimate the flags differ at most in
+    # their digits, convergence and errors are the same, the log-likelihood
+    # is never lower by more than 1e-12 * max(|ll|, 1) (5.6e-15 seen) and
+    # theta by at most 1e-5 (1.2e-6 seen); on any other config the closed
+    # form does not run, and the estimate is the grid path's
+    for tally in count_sets(config):
+        counts = OutcomeCounts(tally)
+        ours = estimate_or_error(mle_estimate, counts, config)
+        if config in EXPLICIT_CONFIGS:
+            assert ours == estimate_or_error(grid_path_estimate, counts, config, monkeypatch)
+            continue
+        try:
+            grid = grid_path_estimate(counts, config, monkeypatch)
+        except ValueError as err:
+            assert ours == f"ValueError: {err}"
+            continue
+        report = mle_estimate(counts, config)
+        assert without_digits(report.flags) == without_digits(grid.flags)
+        assert report.converged == grid.converged
+        assert report.log_likelihood >= grid.log_likelihood - 1e-12 * max(abs(grid.log_likelihood), 1.0)
+        assert report.theta_hat.theta == pytest.approx(grid.theta_hat.theta, abs=1e-5)
+
+
+def test_design_without_weight_on_a_takes_the_grid_path(monkeypatch):
+    # with q_a = 0 the counts on 'f' meet only the rounding of index 0's
+    # residual (about 1e-17), not a binomial in y: the estimate is the grid
+    # path's, byte for byte, flat theta2 flag and all
+    config = ProtocolConfig(n=5, m_est=2, t=1.0, q=(1.0, 0.0, 0.0), c_plus=(1, 0, 1),
+                            c_minus=(1, 0, 0), a=2)
+    for tally in ({"0+": 3, "0-": 2, "f": 1}, {"f": 5}, {"0+": 3, "0-": 2, "2+": 1, "f": 4}):
+        counts = OutcomeCounts(tally)
+        assert estimate_or_error(mle_estimate, counts, config) == estimate_or_error(
+            grid_path_estimate, counts, config, monkeypatch)
+    report = mle_estimate(OutcomeCounts({"0+": 3, "0-": 2, "f": 1}), config)
+    assert "flat likelihood along theta_2" in report.flags and not report.converged
+
+
+def test_general_config_run_estimates_from_the_grid(tmp_path, monkeypatch):
+    # the CI's general config (weights on i = 0, 2 and 5, (2,-) on) has no
+    # closed form: estimate starts from the grid's argmax, formed in 9
+    # products of theta1 rows, and reaches the likelihood's global maximum
+    products, grid = [], estimation._grid_log_likelihood
 
     def counting_grid(model, observed, axes):
-        assert axes[1].size == estimation.GRID_POINTS
-        rows.append(axes[0].size)
+        products.append(axes[0].size)
         return grid(model, observed, axes)
 
     monkeypatch.setattr(estimation, "_grid_log_likelihood", counting_grid)
-    config = ProtocolConfig.for_two_senders(7, a=3, q0=0.33)
-    dist = outcome_distribution(config, FieldVector((0.75, 1.25), 1.0))
-    for seed in range(5):
-        rows.clear()
-        mle_estimate(OutcomeCounts(draw_counts(dist, 100_000, philox(7, seed))), config)
-        assert 2 <= sum(rows) <= 4
-    rows.clear()
-    mle_estimate(OutcomeCounts({"0+": 400, "0-": 600}), ProtocolConfig.for_two_senders(6, a=3, q0=0.4))
-    assert rows == [2] + [22] * 8 + [3]  # two rows certify no start: theta2 is flat
-    assert sum(rows) == estimation.GRID_POINTS
+    out = tmp_path / "estimate.json"
+    assert cli.main(["estimate", "--counts", str(DATA / "counts_general_m2.json"),
+                     "--config", str(DATA / "run_n10_general.json"), "--out", str(out)]) == 0
+    assert products == [22] * 8 + [5]
+    report = json.loads(out.read_text())
+    assert report["converged"] and report["flags"] == []
+    config = parse_run_config(json.loads((DATA / "run_n10_general.json").read_text()),
+                              require_scenario=False)["config"]
+    counts = load_counts(json.loads((DATA / "counts_general_m2.json").read_text())).counts
+    ll, _ = reference.global_max_log_likelihood(counts, config)
+    assert abs(report["log_likelihood"] - ll) <= 1e-9 * abs(ll)
 
 
-def test_bounded_start_breaks_ties_toward_the_smallest_theta1(monkeypatch):
-    # theta1 rows 40 and 100 share the maximum; row 100 has the larger bound
-    # and is evaluated first, yet the start is row 40's, as on the whole grid
-    axis = np.linspace(0.0, math.pi, estimation.GRID_POINTS)
-    rows = np.arange(len(axis))
-    grid = -10.0 * np.minimum(abs(rows - 40), abs(rows - 100))[:, None] - np.outer(rows > 40, rows)
-    bound = grid.max(axis=1) + 0.5 * (rows == 100)
-    evaluated = []
+def test_design_start_reaches_the_maximum_at_equal_fields_and_on_the_faces():
+    # the closed form clips c2 = cos(theta2/2) to [0, 1], and the refinement
+    # finds the maximum on that face: 36 count sets of N = 5, 10 and 40
+    # drawn at n = 5, 10 and 40 at equal fields (theta2 = 1e-9), near them
+    # (theta2 = 0.1) and near the corner (pi, pi) reach the likelihood's
+    # global maximum, found without the grid; most of them end on an edge
+    on_edge, total = 0, 0
+    for n in (5, 10, 40):
+        config = ProtocolConfig.for_two_senders(n, a=n // 2, q0=0.33)
+        for theta in ((1.0, 1e-9), (2.0, 0.1), (math.pi - 0.05, math.pi - 0.05)):
+            fields = FieldVector(((theta[0] - theta[1]) / 2, (theta[0] + theta[1]) / 2), 1.0)
+            dist = outcome_distribution(config, fields)
+            for N in (5, 10, 40):
+                for k in range(2 if N == 40 else 1):
+                    counts = draw_counts(dist, N, philox(n, N, k))
+                    ll, _ = reference.global_max_log_likelihood(counts, config)
+                    report = mle_estimate(OutcomeCounts(counts), config)
+                    assert report.log_likelihood >= ll - 1e-12 * max(abs(ll), 1.0)
+                    on_edge += bool({0.0, math.pi} & set(report.theta_hat.theta))
+                    total += 1
+    assert total == 36 and on_edge > total // 2
 
-    def fake_grid(model, observed, axes):
-        evaluated.append(np.searchsorted(axis, axes[0].ravel()).tolist())
-        return grid[evaluated[-1]]
 
-    monkeypatch.setattr(estimation, "_row_bounds", lambda model, observed, axis: bound)
-    monkeypatch.setattr(estimation, "_grid_log_likelihood", fake_grid)
-    two_senders = types.SimpleNamespace(m_est=2)
-    assert estimation._grid_start(two_senders, [], axis, 1) == ([axis[40], 0.0], [])
-    assert evaluated == [[100, 40]]
-    assert np.argmax(grid) == 40 * len(axis)  # the whole grid's row-major argmax
+def with_idle_projector(config, i):
+    """``config`` with the (i,+) projector also on, at an index i of zero
+    weight: its label has probability 0 at every phase, so the likelihood of
+    counts without it is the config's, but the outcome set is not a design's,
+    and the estimate starts from the grid."""
+    c_plus = list(config.c_plus)
+    c_plus[i] = 1
+    return dataclasses.replace(config, c_plus=tuple(c_plus))
 
 
 def test_refinement_evaluates_each_theta_once(monkeypatch):
     # one point_probs call per phase vector the refinement visits: the
-    # log-likelihood, the score and the observed information share it
+    # log-likelihood, the score and the observed information share it.  The
+    # designs' misfit (n = 7) and theta2-flat (n = 6) counts take 19 and 30
+    # theta from the grid; counts drawn from philox(seed) fields, as below,
+    # on two explicit configs take 10 (seed 2) and 6 (seed 6)
     points = []
     point_probs = ThetaModel.point_probs
 
@@ -313,14 +353,22 @@ def test_refinement_evaluates_each_theta_once(monkeypatch):
         return point_probs(self, theta)
 
     monkeypatch.setattr(ThetaModel, "point_probs", counting_point_probs)
-    cases = [(ProtocolConfig.for_two_senders(7, a=3, q0=0.33),
+    cases = [(with_idle_projector(ProtocolConfig.for_two_senders(7, a=3, q0=0.33), 1),
               {"0+": 400, "0-": 150, "3+": 300, "f": 150}),
-             (ProtocolConfig.for_two_senders(6, a=3, q0=0.33), {"0+": 700, "0-": 300})]
+             (with_idle_projector(ProtocolConfig.for_two_senders(6, a=3, q0=0.33), 1),
+              {"0+": 700, "0-": 300})]
+    for config, seed in ((EXPLICIT_CONFIGS[2], 2), (EXPLICIT_CONFIGS[1], 6)):
+        draws = philox(seed)
+        fields = FieldVector(tuple(sorted(draws.uniform(0.05, 1.5, 2))), 1.0)
+        N = int(10 ** draws.uniform(2, 5))
+        cases.append((config, draw_counts(outcome_distribution(config, fields), N, draws)))
+    visited = []
     for config, counts in cases:
         points.clear()
         mle_estimate(OutcomeCounts(counts), config)
-        assert len(points) > 2
+        visited.append(len(points))
         assert len(points) == len(set(points))
+    assert visited == [19, 30, 10, 6]
 
 
 def test_estimate_reaches_the_global_maximum():
@@ -408,15 +456,33 @@ def test_mle_converges_where_coordinate_search_zigzagged():
 
 def test_mle_escapes_the_theta2_saddle():
     # the grid argmax lies on theta2 = 0, where the evenness in theta2 makes
-    # the score vanish: scoring alone stops there, 0.26 nats below the
-    # maximum; the observed information's negative eigenvalue leads off it
-    config = ProtocolConfig.for_two_senders(14, a=2, q0=0.33)
+    # the score vanish: scoring alone stops there, below the maximum; the
+    # observed information's negative eigenvalue leads off it.  The n = 14
+    # counts stopped 0.26 nats below on the design's grid path; the design
+    # now starts at its maximum, and the grid path runs with an idle
+    # projector.  The all-switches n = 12 counts, drawn at
+    # theta = (2.145, 0.401) from philox(29) (theta1, theta2 and log10 N
+    # uniform on [1.5, 3], [0, 0.5] and [4, 5]), stop 0.0133 nats below
+    design = ProtocolConfig.for_two_senders(14, a=2, q0=0.33)
     counts = OutcomeCounts({"0+": 3428, "0-": 46500, "2+": 10358, "f": 39714})
-    report = mle_estimate(counts, config)
-    assert report.theta_hat.theta[1] > 0.2
-    assert report.log_likelihood >= -113420.98176207577  # coordinate search's value
-    assert report.converged
-    assert report.flags == ()
+    twelve = OutcomeCounts({"0+": 385, "0-": 1402, "1+": 540, "1-": 1025, "2+": 734, "2-": 613,
+                            "3+": 827, "3-": 322, "4+": 913, "4-": 172, "5+": 1011, "5-": 32,
+                            "6+": 1013, "f": 3552})
+    # the least theta2 and log-likelihood of the estimate: the n = 14 value
+    # is coordinate search's, the n = 12 one 0.01 above scoring's stop
+    cases = [(design, counts, 0.2, -113420.98176207577),
+             (with_idle_projector(design, 1), counts, 0.2, -113420.98176207577),
+             (all_switches_config(12, 2), twelve, 0.1, -28941.31358739869 + 0.01)]
+    for config, tally, least_theta2, least_ll in cases:
+        report = mle_estimate(tally, config)
+        if config is not design:
+            model = ThetaModel(config)
+            start = estimation._grid_start(model, estimation._observed(tally, model), estimation._AXIS)
+            assert start[0][1] == 0.0
+        assert report.theta_hat.theta[1] > least_theta2
+        assert report.log_likelihood >= least_ll
+        assert report.converged
+        assert report.flags == ()
 
 
 def stencil_information(model, observed, theta, step=1e-4):

@@ -209,7 +209,8 @@ def test_labels_free_of_read_the_form(config, rng):
     # reads theta2 through B = 2i(n - i)/(n(n - 1)), which is 0 at i = 0: the
     # labels free of theta2 are every '-' label and (0,+), and the only label
     # free of theta1 is the central '-' label of even n, whose D is 0.  Moving
-    # theta_j leaves exactly those labels' probabilities as they were
+    # theta_j leaves exactly those labels' probabilities as they were (the
+    # paper's two-sender design's closed-form estimate rests on the first)
     model = ThetaModel(config)
     labels = model.labels[:-1]
     central = f"{config.n // 2}-"
@@ -217,7 +218,6 @@ def test_labels_free_of_read_the_form(config, rng):
     if config.m_est == 2:
         free[1] = [label for label in labels if label.endswith(MINUS) or label == f"0{PLUS}"]
     for j, expect in free.items():
-        assert [labels[x] for x in model.labels_free_of(j)] == expect
         for theta in rng.uniform(0.1, 3.0, (5, config.m_est)).tolist():
             moved = list(theta)
             moved[j] = theta[j] / 2
@@ -469,12 +469,11 @@ def test_blocked_grid_keeps_the_single_block_bits(config, monkeypatch):
         assert bits(ll) == bits(whole_ll[rows])
         return ll
 
-    monkeypatch.setattr(estimation, "_row_bounds", lambda model, observed, axis: None)
     monkeypatch.setattr(estimation, "_grid_log_likelihood", checked_grid)
     for cap in (22, 7, 2, 1):
         products.clear()
         monkeypatch.setattr(estimation, "_GRID_BLOCK_POINTS", cap * whole[0].size // 181)
-        start = estimation._grid_start(model, observed, axis, 1)
+        start = estimation._grid_start(model, observed, axis)
         assert products == [cap] * (181 // cap) + ([181 % cap] if 181 % cap else [])
         if not np.isfinite(whole_ll).any():  # a label observed that no phase can give
             assert start is None
