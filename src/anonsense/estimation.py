@@ -139,21 +139,24 @@ def mle_estimate(counts: OutcomeCounts, config: ProtocolConfig) -> EstimateRepor
         raise ValueError("estimation requires at least one observed outcome")
     model = ThetaModel(config)
     observed = _observed(counts, model)
-    start = _design_start(model, observed) or _grid_start(model, observed, _AXIS)
+    start, flags = _design_start(model, observed), []
     if start is None:
-        # a cell where every observed P is above 0 has a finite log-likelihood
-        # at a count of 1 per label: the counts fit, and only their size overflowed
-        p = model.label_rows(np.meshgrid(*[_AXIS] * model.m_est, indexing="ij", sparse=True))
-        if functools.reduce(np.logical_and, [p[x] > 0.0 for x, _ in observed]).any():
-            raise ValueError("log-likelihood is below the most negative float over the whole "
-                             "domain; the counts are consistent with the configuration but "
-                             "too many to score")
-        raise ValueError("likelihood is -inf over the whole domain; counts are "
-                         "inconsistent with the configuration")
-    theta, flags = start
+        grid = _grid_start(model, observed, _AXIS)
+        if grid is None:
+            # a cell where every observed P is above 0 has a finite log-likelihood
+            # at a count of 1 per label: the counts fit, and only their size overflowed
+            p = model.label_rows(np.meshgrid(*[_AXIS] * model.m_est, indexing="ij", sparse=True))
+            if functools.reduce(np.logical_and, [p[x] > 0.0 for x, _ in observed]).any():
+                raise ValueError("log-likelihood is below the most negative float over the "
+                                 "whole domain; the counts are consistent with the "
+                                 "configuration but too many to score")
+            raise ValueError("likelihood is -inf over the whole domain; counts are "
+                             "inconsistent with the configuration")
+        theta, flags = grid
+        start = _scored(model, observed, theta)
     converged = not flags
 
-    theta, ll_hat, p_hat, info, eigvals, dp, d2p = _refine(model, observed, counts.N, theta,
+    theta, ll_hat, p_hat, info, eigvals, dp, d2p = _refine(model, observed, counts.N, start,
                                                            _AXIS[1] - _AXIS[0])
     theta_hat = PhaseParameters(tuple(theta))
     se = _observed_se(info, eigvals, theta, counts.N, flags)
@@ -220,11 +223,12 @@ def _grid_log_likelihood(model: ThetaModel, observed, axes) -> np.ndarray:
     return ll
 
 
-def _design_start(model: ThetaModel, observed) -> Optional[tuple[list, list[str]]]:
-    """The likelihood's maximum on the paper's designs, as :func:`_grid_start`
-    gives a start.  None on any other config, where one binomial below has no
-    count (theta2 is then not identified), where index a has no weight, or
-    where the log-likelihood there is not finite: the grid then starts.
+def _design_start(model: ThetaModel, observed) -> Optional[tuple]:
+    """The likelihood's maximum on the paper's designs, scored
+    (:func:`_scored`) as the refinement takes its start.  None on any other
+    config, where one binomial below has no count (theta2 is then not
+    identified), where index a has no weight, or where the log-likelihood
+    there is not finite: the grid then starts.
 
     One sender measures (0,+) alone, two senders (0,+), (0,-) and (a,+).  In
     labels order the first two labels' shares give x = c1^2, and for two
@@ -239,7 +243,9 @@ def _design_start(model: ThetaModel, observed) -> Optional[tuple[list, list[str]
     count = [0.0] * len(model.labels)
     for x, c in observed:
         count[x] = c
-    # with no weight on a, 'f' is left only the rounding of index 0's residual
+    # index 0's 'f' residual is rounding (about 1e-17: ThetaModel._assemble
+    # does not cancel it exactly), so with no weight on a, 'f' is no binomial
+    # in y and only the grid's flat-theta2 test reads these counts right
     if not (count[0] + count[1] and count[-2] + count[-1]) or two and not config.q[config.a]:
         return None
     cosines = [math.sqrt(count[0] / (count[0] + count[1]))]
@@ -247,8 +253,8 @@ def _design_start(model: ThetaModel, observed) -> Optional[tuple[list, list[str]
         b = dilution(config.n, config.a)
         c2 = (math.sqrt(count[2] / (count[2] + count[3])) - (1.0 - b) * cosines[0]) / b
         cosines.append(min(max(c2, 0.0), 1.0))
-    theta = [2.0 * math.acos(c) for c in cosines]
-    return (theta, []) if math.isfinite(_scored(model, observed, theta)[0]) else None
+    start = _scored(model, observed, [2.0 * math.acos(c) for c in cosines])
+    return start if math.isfinite(start[0]) else None
 
 
 def _grid_start(model: ThetaModel, observed, axis) -> Optional[tuple[list, list[str]]]:
@@ -277,11 +283,12 @@ def _grid_start(model: ThetaModel, observed, axis) -> Optional[tuple[list, list[
                    if np.ptp(spread, axis=j).max() < 1e-9]
 
 
-def _refine(model: ThetaModel, observed, N: int, theta, spacing: float):
+def _refine(model: ThetaModel, observed, N: int, start, spacing: float):
     """Projected, damped Fisher scoring (Levenberg-Marquardt) from the
-    start; returns theta, its log-likelihood, its probabilities, the observed
-    information per observation, its ascending eigenvalues (None where it is
-    not finite), and the first and second derivatives it is formed from.
+    ``start`` that :func:`_scored` gives; returns theta, its log-likelihood,
+    its probabilities, the observed information per observation, its
+    ascending eigenvalues (None where it is not finite), and the first and
+    second derivatives it is formed from.
 
     A step solves (J + lam*diag J) d = score, J being the expected
     information and score the log-likelihood's gradient, both per
@@ -297,10 +304,10 @@ def _refine(model: ThetaModel, observed, N: int, theta, spacing: float):
     solve and the eigenpair are the 1x1 or 2x2 closed forms of
     :mod:`anonsense.fisher`.
     """
-    ll, theta, p = _scored(model, observed, theta)
+    ll, theta, p = start
     freq = [(x, c / N) for x, c in observed]
     m = len(theta)
-    score, lam = None, DAMPING
+    score, lam, tried = None, DAMPING, None
     while True:
         if score is None:  # once per accepted theta; a rejected step keeps them
             dp = model.dprobs(theta)
@@ -315,8 +322,12 @@ def _refine(model: ThetaModel, observed, N: int, theta, spacing: float):
             step = [0.0] * m
             for j, d in zip(free, _solve(block, [score[j] for j in free])):
                 step[j] = d
-            ll_probe, probe, p_probe = _scored(model, observed, _project(theta, step))
+            probe = _project(theta, step)
             moved = max(abs(a - b) for a, b in zip(probe, theta))
+        if moved > 0.0:  # a zero step stays at theta, which is scored
+            if tried is None or probe != tried[1]:  # a damped step may clip to the last probe
+                tried = _scored(model, observed, probe)
+            ll_probe, probe, p_probe = tried
             if ll_probe >= ll:
                 ll, theta, p, score = ll_probe, probe, p_probe, None
                 lam = max(lam / 10.0, DAMPING)
@@ -332,11 +343,12 @@ def _refine(model: ThetaModel, observed, N: int, theta, spacing: float):
         if eigvals[0] >= 0.0:
             return theta, ll, p, info, eigvals, dp, d2p
         probes = [_project(theta, [sign * spacing * v for v in eigvec]) for sign in (1.0, -1.0)]
-        ll_probe, probe, p_probe = max((_scored(model, observed, point) for point in probes),
-                                       key=lambda scored: scored[:2])
-        if not ll_probe > ll:
+        # a probe clipped back onto theta is not scored again
+        best = max((_scored(model, observed, point) for point in probes if point != theta),
+                   key=lambda scored: scored[:2], default=None)
+        if best is None or not best[0] > ll:
             return theta, ll, p, info, eigvals, dp, d2p
-        ll, theta, p, score = ll_probe, probe, p_probe, None
+        (ll, theta, p), score = best, None
 
 
 def _project(theta, step) -> list:

@@ -239,23 +239,18 @@ def without_digits(flags):
     return [re.sub(r"-?[0-9][0-9.e+-]*", "#", flag) for flag in flags]
 
 
-@pytest.mark.parametrize("config", DESIGN_CONFIGS + SINGLE_SENDER_DESIGNS + EXPLICIT_CONFIGS,
+@pytest.mark.parametrize("config", DESIGN_CONFIGS + SINGLE_SENDER_DESIGNS,
                          ids=[f"n{c.n}-a{c.a}-q0={c.q[0]}" for c in DESIGN_CONFIGS]
-                         + [f"n{c.n}-one-sender" for c in SINGLE_SENDER_DESIGNS]
-                         + [f"explicit{k}" for k in range(len(EXPLICIT_CONFIGS))])
+                         + [f"n{c.n}-one-sender" for c in SINGLE_SENDER_DESIGNS])
 def test_design_start_keeps_the_grid_path_estimate(config, monkeypatch):
     # on the paper's designs the refinement starts at the closed-form
     # maximum; against the grid path's estimate the flags differ at most in
     # their digits, convergence and errors are the same, the log-likelihood
     # is never lower by more than 1e-12 * max(|ll|, 1) (5.6e-15 seen) and
-    # theta by at most 1e-5 (1.2e-6 seen); on any other config the closed
-    # form does not run, and the estimate is the grid path's
+    # theta by at most 1e-5 (1.2e-6 seen)
     for tally in count_sets(config):
         counts = OutcomeCounts(tally)
         ours = estimate_or_error(mle_estimate, counts, config)
-        if config in EXPLICIT_CONFIGS:
-            assert ours == estimate_or_error(grid_path_estimate, counts, config, monkeypatch)
-            continue
         try:
             grid = grid_path_estimate(counts, config, monkeypatch)
         except ValueError as err:
@@ -266,6 +261,18 @@ def test_design_start_keeps_the_grid_path_estimate(config, monkeypatch):
         assert report.converged == grid.converged
         assert report.log_likelihood >= grid.log_likelihood - 1e-12 * max(abs(grid.log_likelihood), 1.0)
         assert report.theta_hat.theta == pytest.approx(grid.theta_hat.theta, abs=1e-5)
+
+
+def test_design_start_leaves_other_configs_to_the_grid():
+    # the closed form is keyed on the outcome set: with any other projector
+    # on, whatever the counts, the start is the grid's
+    idle = with_idle_projector(ProtocolConfig.for_two_senders(7, a=3, q0=0.33), 1)
+    for config in EXPLICIT_CONFIGS + [idle]:
+        model = ThetaModel(config)
+        for tally in count_sets(config):
+            if set(tally) <= set(model.labels):
+                observed = estimation._observed(OutcomeCounts(tally), model)
+                assert estimation._design_start(model, observed) is None
 
 
 def test_design_without_weight_on_a_takes_the_grid_path(monkeypatch):
@@ -340,11 +347,12 @@ def with_idle_projector(config, i):
 
 
 def test_refinement_evaluates_each_theta_once(monkeypatch):
-    # one point_probs call per phase vector the refinement visits: the
-    # log-likelihood, the score and the observed information share it.  The
-    # designs' misfit (n = 7) and theta2-flat (n = 6) counts take 19 and 30
-    # theta from the grid; counts drawn from philox(seed) fields, as below,
-    # on two explicit configs take 10 (seed 2) and 6 (seed 6)
+    # one point_probs call per phase vector the estimate visits: the
+    # log-likelihood, the score and the observed information share it, and
+    # the refinement takes the closed-form start as scored.  The designs'
+    # misfit (n = 7) counts start at their maximum; their theta2-flat (n = 6)
+    # counts, and both with an idle projector, start from the grid; counts
+    # drawn from philox(seed) fields, as below, on two explicit configs too
     points = []
     point_probs = ThetaModel.point_probs
 
@@ -353,10 +361,11 @@ def test_refinement_evaluates_each_theta_once(monkeypatch):
         return point_probs(self, theta)
 
     monkeypatch.setattr(ThetaModel, "point_probs", counting_point_probs)
-    cases = [(with_idle_projector(ProtocolConfig.for_two_senders(7, a=3, q0=0.33), 1),
-              {"0+": 400, "0-": 150, "3+": 300, "f": 150}),
-             (with_idle_projector(ProtocolConfig.for_two_senders(6, a=3, q0=0.33), 1),
-              {"0+": 700, "0-": 300})]
+    cases = []
+    for design, tally in ((ProtocolConfig.for_two_senders(7, a=3, q0=0.33),
+                           {"0+": 400, "0-": 150, "3+": 300, "f": 150}),
+                          (ProtocolConfig.for_two_senders(6, a=3, q0=0.33), {"0+": 700, "0-": 300})):
+        cases += [(design, tally), (with_idle_projector(design, 1), tally)]
     for config, seed in ((EXPLICIT_CONFIGS[2], 2), (EXPLICIT_CONFIGS[1], 6)):
         draws = philox(seed)
         fields = FieldVector(tuple(sorted(draws.uniform(0.05, 1.5, 2))), 1.0)
@@ -368,7 +377,7 @@ def test_refinement_evaluates_each_theta_once(monkeypatch):
         mle_estimate(OutcomeCounts(counts), config)
         visited.append(len(points))
         assert len(points) == len(set(points))
-    assert visited == [19, 30, 10, 6]
+    assert visited == [1, 19, 30, 30, 10, 6]
 
 
 def test_estimate_reaches_the_global_maximum():
@@ -458,11 +467,11 @@ def test_mle_escapes_the_theta2_saddle():
     # the grid argmax lies on theta2 = 0, where the evenness in theta2 makes
     # the score vanish: scoring alone stops there, below the maximum; the
     # observed information's negative eigenvalue leads off it.  The n = 14
-    # counts stopped 0.26 nats below on the design's grid path; the design
-    # now starts at its maximum, and the grid path runs with an idle
-    # projector.  The all-switches n = 12 counts, drawn at
-    # theta = (2.145, 0.401) from philox(29) (theta1, theta2 and log10 N
-    # uniform on [1.5, 3], [0, 0.5] and [4, 5]), stop 0.0133 nats below
+    # counts reach their maximum on the design and, with an idle projector,
+    # from the grid's start on theta2 = 0, as do the all-switches n = 12
+    # counts, drawn at theta = (2.145, 0.401) from philox(29) (theta1, theta2
+    # and log10 N uniform on [1.5, 3], [0, 0.5] and [4, 5]), where scoring
+    # alone stops 0.0133 nats below
     design = ProtocolConfig.for_two_senders(14, a=2, q0=0.33)
     counts = OutcomeCounts({"0+": 3428, "0-": 46500, "2+": 10358, "f": 39714})
     twelve = OutcomeCounts({"0+": 385, "0-": 1402, "1+": 540, "1-": 1025, "2+": 734, "2-": 613,
