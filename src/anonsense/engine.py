@@ -287,16 +287,16 @@ class ThetaModel:
                        dilution(n, i) if self.m_est == 2 else 0.0, (n - 2 * i) / n)
                       for i in self._rows]
         self.labels = config.labels()
-        q = config.q
-        self._terms = [(row[i], sign == PLUS, q[i]) for i, sign in outcomes]
-        # per label: 2q, whether it is a '-' label, and its coefficient on each
-        # theta_j (gamma+ = 1 - v reads theta1 by -(1 - B) and theta2 by -B,
-        # gamma- theta1 by D)
-        self._chain = [(r, plus, 2.0 * qx, ((-self._coef[r][0], -self._coef[r][1]) if plus
-                                            else (self._coef[r][2], 0.0))[:self.m_est])
-                       for r, plus, qx in self._terms]
-        self._residual_terms = [(r, q[i], config.c_plus[i], config.c_minus[i])
-                                for r, i in enumerate(self._rows) if q[i]]
+        q, c_plus, c_minus = config.q, config.c_plus, config.c_minus
+        # per label: its row, whether it is '+', q and its coefficient on each theta_j
+        # (gamma+ = 1 - v reads theta1 by -(1 - B) and theta2 by -B, gamma- theta1 by D)
+        reads = [((-a, -b), (d, 0.0)) for a, b, d in self._coef]
+        self._chain = [(row[i], sign == PLUS, q[i], reads[row[i]][sign == MINUS][:self.m_est])
+                       for i, sign in outcomes]
+        # index 0's two projectors span its space {|0...0>, |1...1>}: no residual
+        self._residual_terms = [(r, q[i], c_plus[i], c_minus[i])
+                                for r, i in enumerate(self._rows)
+                                if q[i] and not (i == 0 and c_plus[i] and c_minus[i])]
 
     def _amplitudes(self, theta, sin) -> tuple[list, list]:
         """v and gamma- of each row at theta, with ``sin`` = math.sin on one
@@ -318,7 +318,7 @@ class ThetaModel:
         The residual is assembled per weight index from stable complements.
         """
         rows = []
-        for r, plus, q in self._terms:
+        for r, plus, q, _ in self._chain:
             gam = (1.0 - v[r]) if plus else gamma_m[r]
             rows.append(q * gam ** 2)
         residual = 0.0
@@ -330,7 +330,8 @@ class ThetaModel:
             else:
                 rest = (1.0 - gamma_m[r]) * (1.0 + gamma_m[r])
             residual = residual + q * np.maximum(rest, 0.0)
-        rows.append(residual)
+        # with no residual, 'f' is 0 on the theta1 axis, as gamma- spans it
+        rows.append(residual if self._residual_terms else np.zeros_like(gamma_m[0]))
         return rows
 
     def probs(self, theta: Sequence) -> np.ndarray:
@@ -385,14 +386,14 @@ class ThetaModel:
         slopes = ([s / 2 for s in sines], [cosines[0] / 2] * m)
         curves = ([c / 4 for c in cosines], [-sines[0] / 4] * m)
         dp, d2p = [], []
-        for r, plus, two_q, reads in self._chain:
+        for r, plus, q, reads in self._chain:
             gam = 1.0 - v[r] if plus else gamma_m[r]
             dgam = [a * s for a, s in zip(reads, slopes[not plus])]
-            scale = two_q * gam
+            scale = 2.0 * q * gam
             dp.append([scale * d for d in dgam])
             if second:
                 # dgam_i * dgam_j before the scale, so that d2P is exactly symmetric
-                rows = [[two_q * (di * dj) for dj in dgam] for di in dgam]
+                rows = [[2.0 * q * (di * dj) for dj in dgam] for di in dgam]
                 for j, (a, k) in enumerate(zip(reads, curves[not plus])):
                     rows[j][j] += scale * a * k
                 d2p.append(rows)

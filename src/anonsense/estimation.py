@@ -14,19 +14,19 @@ way from counts to an estimate.
 
 On the paper's two designs the start is the maximum itself
 (:func:`_design_start`).  With c_j = cos(theta_j/2), index 0 reads
-P(0,+) = q_0*c1^2 and P(0,-) = q_0*(1 - c1^2) and leaves no residual, so
-'f' comes from the second index a alone: P(a,+) = q_a*y and
-P(f) = q_a*(1 - y), y = [(1 - B_a)*c1 + B_a*c2]^2.  Given the split of the
-counts between the indices, the likelihood is two binomials, in x = c1^2 and
-in y, maximized at the observed shares.  One sender is the first binomial
-alone.  Every other config starts at the argmax of a coarse grid
-(:func:`_grid_start`), in blocks of theta1 rows over the whole theta2 axis,
-each evaluated by one :meth:`ThetaModel.label_rows` call.
+P(0,+) = q_0*c1^2 and P(0,-) = q_0*(1 - c1^2) and leaves no residual (the
+kernel forms none), so 'f' comes from the second index a alone:
+P(a,+) = q_a*y and P(f) = q_a*(1 - y), y = [(1 - B_a)*c1 + B_a*c2]^2.
+Given the split of the counts between the indices, the likelihood is two
+binomials, in x = c1^2 and in y, maximized at the observed shares.  One
+sender is the first binomial alone.  Every other config starts at the argmax
+of a coarse grid (:func:`_grid_start`), in blocks of theta1 rows over the
+whole theta2 axis, each evaluated by one :meth:`ThetaModel.label_rows` call;
+counts that score -inf on all of it are diagnosed on the same blocks.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import sys
@@ -145,8 +145,7 @@ def mle_estimate(counts: OutcomeCounts, config: ProtocolConfig) -> EstimateRepor
         if grid is None:
             # a cell where every observed P is above 0 has a finite log-likelihood
             # at a count of 1 per label: the counts fit, and only their size overflowed
-            p = model.label_rows(np.meshgrid(*[_AXIS] * model.m_est, indexing="ij", sparse=True))
-            if functools.reduce(np.logical_and, [p[x] > 0.0 for x, _ in observed]).any():
+            if _grid_start(model, [(x, 1.0) for x, _ in observed], _AXIS) is not None:
                 raise ValueError("log-likelihood is below the most negative float over the "
                                  "whole domain; the counts are consistent with the "
                                  "configuration but too many to score")
@@ -227,8 +226,10 @@ def _design_start(model: ThetaModel, observed) -> Optional[tuple]:
     """The likelihood's maximum on the paper's designs, scored
     (:func:`_scored`) as the refinement takes its start.  None on any other
     config, where one binomial below has no count (theta2 is then not
-    identified), where index a has no weight, or where the log-likelihood
-    there is not finite: the grid then starts.
+    identified), or where the log-likelihood there is not finite: the grid
+    then starts.  The designs are told by the outcome set alone, whatever
+    their weights: with no weight on a, a count on (a,+) or 'f' meets a
+    probability of exactly 0, and the grid finds the counts inconsistent.
 
     One sender measures (0,+) alone, two senders (0,+), (0,-) and (a,+).  In
     labels order the first two labels' shares give x = c1^2, and for two
@@ -243,10 +244,7 @@ def _design_start(model: ThetaModel, observed) -> Optional[tuple]:
     count = [0.0] * len(model.labels)
     for x, c in observed:
         count[x] = c
-    # index 0's 'f' residual is rounding (about 1e-17: ThetaModel._assemble
-    # does not cancel it exactly), so with no weight on a, 'f' is no binomial
-    # in y and only the grid's flat-theta2 test reads these counts right
-    if not (count[0] + count[1] and count[-2] + count[-1]) or two and not config.q[config.a]:
+    if not (count[0] + count[1] and count[-2] + count[-1]):
         return None
     cosines = [math.sqrt(count[0] / (count[0] + count[1]))]
     if two:

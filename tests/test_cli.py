@@ -358,15 +358,27 @@ def test_counts_too_many_to_score_are_not_called_inconsistent(tmp_path, capsys):
         "the configuration\n")
 
 
-@pytest.mark.parametrize("counts", [{"2+": 1, "f": 4}, {"0+": 3, "0-": 2, "2+": 1, "f": 4}])
-def test_design_counts_no_phase_gives_are_inconsistent(tmp_path, capsys, counts):
-    # the n = 5 design with all weight on index 0: (2,+) has probability 0 at
-    # every phase, so counts on it and 'f' exit 2 as inconsistent, on the
-    # grid path that the closed form leaves them to
-    config, data = tmp_path / "run.json", tmp_path / "counts.json"
-    config.write_text(json.dumps({"protocol": {"n": 5, "m_est": 2, "a": 2, "q": [1.0, 0, 0]}}))
-    data.write_text(json.dumps({"counts": counts}))
-    assert run_cli(["estimate", "--counts", str(data), "--config", str(config)]) == 2
+def data_json(name):
+    return json.loads((DATA / name).read_text())
+
+
+DESIGN_ON_INDEX_0 = {"protocol": {"n": 5, "m_est": 2, "a": 2, "q": [1.0, 0, 0]}}
+
+
+@pytest.mark.parametrize("config, counts", [
+    (DESIGN_ON_INDEX_0, {"counts": {"2+": 1, "f": 4}}),
+    (DESIGN_ON_INDEX_0, {"counts": {"0+": 3, "0-": 2, "2+": 1, "f": 4}}),
+    (DESIGN_ON_INDEX_0, {"counts": {"0+": 30, "0-": 20, "f": 1}}),
+    (data_json("run_m1_0minus.json"), data_json("counts_f_m1_0minus.json")),
+], ids=["counts0", "counts1", "counts2", "counts3"])
+def test_design_counts_no_phase_gives_are_inconsistent(tmp_path, capsys, config, counts):
+    # on the n = 5 design with all weight on index 0, (2,+) and 'f' have
+    # probability 0 at every phase, and so does 'f' on one sender with (0,-)
+    # on: a count on either exits 2 as inconsistent
+    paths = [tmp_path / "run.json", tmp_path / "counts.json"]
+    for path, doc in zip(paths, (config, counts)):
+        path.write_text(json.dumps(doc))
+    assert run_cli(["estimate", "--counts", str(paths[1]), "--config", str(paths[0])]) == 2
     assert capsys.readouterr().err == (
         "error: likelihood is -inf over the whole domain; counts are inconsistent with "
         "the configuration\n")

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -218,20 +219,24 @@ def count_sets(config):
 def test_bounded_start_gives_the_full_grid_estimate(config, monkeypatch):
     # the grid start, in products of theta1 rows bounded in size, leaves every
     # report byte for byte as the start from the whole grid at once does, on
-    # a design's grid path too; no theta1 row is evaluated twice
-    evaluated, grid = [], estimation._grid_log_likelihood
+    # a design's grid path too; a pass over the grid, keyed by the observed
+    # list object it scores, evaluates each theta1 row once, in axis order, and
+    # so does the second pass that tells an error's cause (a count of 1 per label)
+    passes, grid = {}, estimation._grid_log_likelihood
 
     def recording_grid(model, observed, axes):
-        evaluated.extend(axes[0].ravel().tolist())
+        passes.setdefault(id(observed), []).extend(axes[0].ravel().tolist())
         return grid(model, observed, axes)
 
     for tally in count_sets(config):
         counts = OutcomeCounts(tally)
-        evaluated.clear()
+        passes.clear()
         with monkeypatch.context() as patch:
             patch.setattr(estimation, "_grid_log_likelihood", recording_grid)
             ours = estimate_or_error(grid_path_estimate, counts, config, patch)
-        assert len(set(evaluated)) == len(evaluated)
+        assert all(rows == estimation._AXIS.tolist() for rows in passes.values())
+        # an error comes before the grid (a label the config lacks) or after both passes
+        assert len(passes) in ((0, 2) if ours.startswith("ValueError") else (1,))
         assert ours == estimate_or_error(full_grid_estimate, counts, config, monkeypatch)
 
 
@@ -275,18 +280,30 @@ def test_design_start_leaves_other_configs_to_the_grid():
                 assert estimation._design_start(model, observed) is None
 
 
-def test_design_without_weight_on_a_takes_the_grid_path(monkeypatch):
-    # with q_a = 0 the counts on 'f' meet only the rounding of index 0's
-    # residual (about 1e-17), not a binomial in y: the estimate is the grid
-    # path's, byte for byte, flat theta2 flag and all
-    config = ProtocolConfig(n=5, m_est=2, t=1.0, q=(1.0, 0.0, 0.0), c_plus=(1, 0, 1),
-                            c_minus=(1, 0, 0), a=2)
-    for tally in ({"0+": 3, "0-": 2, "f": 1}, {"f": 5}, {"0+": 3, "0-": 2, "2+": 1, "f": 4}):
-        counts = OutcomeCounts(tally)
-        assert estimate_or_error(mle_estimate, counts, config) == estimate_or_error(
-            grid_path_estimate, counts, config, monkeypatch)
-    report = mle_estimate(OutcomeCounts({"0+": 3, "0-": 2, "f": 1}), config)
-    assert "flat likelihood along theta_2" in report.flags and not report.converged
+# configs on which 'f' is impossible: index 0's projectors (0,+) and (0,-)
+# span its space and leave no residual, and no other index has weight
+F_FREE_CONFIGS = [
+    ProtocolConfig.for_two_senders(5, a=2, q0=1.0),
+    ProtocolConfig(n=5, m_est=1, t=1.0, q=(1.0, 0.0, 0.0), c_plus=(1, 0, 0), c_minus=(1, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("config", F_FREE_CONFIGS, ids=["design-q_a=0", "one-sender-0-on"])
+def test_f_count_on_an_f_free_config_is_inconsistent(config):
+    # P(f) is exactly 0 at every phase, on the point and the grid path, so a
+    # count on 'f' is inconsistent with the configuration
+    model = ThetaModel(config)
+    axis = np.linspace(0.0, math.pi, 181)
+    grid = np.meshgrid(*[axis] * config.m_est, indexing="ij", sparse=True)
+    assert not model.probs(grid)[-1].any()
+    for theta in itertools.product(axis.tolist(), repeat=config.m_est):
+        assert model.point_probs(theta)[-1] == 0.0
+    for tally in ({"0+": 30, "0-": 20, "f": 1}, {"0+": 3, "f": 1}, {"f": 5}):
+        with pytest.raises(ValueError, match="counts are inconsistent with the configuration"):
+            mle_estimate(OutcomeCounts(tally), config)
+    # without the count on 'f', theta1 is the binomial's in (0,+) and (0,-)
+    report = mle_estimate(OutcomeCounts({"0+": 30, "0-": 20}), config)
+    assert report.theta_hat.theta[0] == pytest.approx(binomial_mle(30, 50), abs=1e-9)
 
 
 def test_general_config_run_estimates_from_the_grid(tmp_path, monkeypatch):

@@ -327,7 +327,7 @@ def seed_derivatives(model, theta, second=False):
     half_sine, cosine = np.sin(half_angle) / 2, np.cos(half_angle)
     u = [sum(2 * np.sin(theta[j] / 4) ** 2 for _, j in row) for row in table]
     s = [sum(-2 * np.sin(sign * theta[j] / 2) for sign, j in row) for row in table]
-    active = model._terms
+    active = [(r, plus, q) for r, plus, q, _ in model._chain]
 
     def contract(w, stack):
         return [sum(w[r, l] * stack[l] for l in range(len(stack))) for r in range(len(w))]
@@ -490,13 +490,21 @@ def test_one_estimate_holds_a_bounded_grid_in_memory():
     assert len(config.labels()) == 43
     dist = outcome_distribution(config, FieldVector((0.4, 1.1), 1.0))
     counts = OutcomeCounts(draw_counts(dist, 100_000, philox(3)))
-    tracemalloc.start()
-    try:
-        mle_estimate(counts, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 2 ** 20
+    # a count on the central (20,-), whose D = 0, is inconsistent, and telling
+    # so stays under the same bound
+    central = OutcomeCounts({**counts.counts, "20-": 1})
+    for tally, error in ((counts, None), (central, "counts are inconsistent")):
+        tracemalloc.start()
+        try:
+            if error is None:
+                mle_estimate(tally, config)
+            else:
+                with pytest.raises(ValueError, match=error):
+                    mle_estimate(tally, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
 
 
 def test_grid_log_likelihood_is_minus_inf_where_an_observed_label_has_zero_probability():
