@@ -97,6 +97,14 @@ class ProtocolConfig:
         """Outcome labels in canonical order: the measured outcomes, then 'f' (a copy)."""
         return list(self._labels)
 
+    @functools.cached_property
+    def residual_indices(self) -> tuple[int, ...]:
+        """The weighted indices whose initial state can give 'f': all but index 0 with
+        (0,+) and (0,-) on, which span its space {|0...0>, |1...1>}."""
+        spans_zero = self.c_plus[0] and self.c_minus[0]
+        weighted = itertools.compress(range(self.kmax + 1), self.q)
+        return tuple(i for i in weighted if i or not spans_zero)
+
     @classmethod
     def for_single_sender(cls, n: int, t: float = 1.0) -> "ProtocolConfig":
         """Design for one sender: all weight on i=0, only the (0,+) projector active."""
@@ -293,10 +301,8 @@ class ThetaModel:
         reads = [((-a, -b), (d, 0.0)) for a, b, d in self._coef]
         self._chain = [(row[i], sign == PLUS, q[i], reads[row[i]][sign == MINUS][:self.m_est])
                        for i, sign in outcomes]
-        # index 0's two projectors span its space {|0...0>, |1...1>}: no residual
-        self._residual_terms = [(r, q[i], c_plus[i], c_minus[i])
-                                for r, i in enumerate(self._rows)
-                                if q[i] and not (i == 0 and c_plus[i] and c_minus[i])]
+        self._residual_terms = [(row[i], q[i], c_plus[i], c_minus[i])
+                                for i in config.residual_indices]
 
     def _amplitudes(self, theta, sin) -> tuple[list, list]:
         """v and gamma- of each row at theta, with ``sin`` = math.sin on one

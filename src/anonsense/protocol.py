@@ -91,14 +91,11 @@ def run_protocol(
         raise ValueError(f"rounds must be in [1, {MAX_ROUNDS}], got {rounds}")
     assign.check_n(config)
     rng = philox(seed)
-    conditionals = conditional_distributions(assign, config)
-    weights = [config.q[i] for i in sorted(conditionals)]
+    conditionals = conditional_distributions(assign, config)  # by ascending initial state
+    weights = [config.q[i] for i in conditionals]
     per_state = rng.multinomial(rounds, np.array(weights) / sum(weights))
-    counts: dict[str, int] = {}
-    for idx, i in enumerate(sorted(conditionals)):
-        drawn = draw_counts(conditionals[i], int(per_state[idx]), rng)
-        for label, c in drawn.items():
-            counts[label] = counts.get(label, 0) + c
+    drawn = [draw_counts(dist, int(k), rng) for dist, k in zip(conditionals.values(), per_state)]
+    counts = {label: sum(d[label] for d in drawn) for label in config.labels()}
     broadcast = mle_estimate(OutcomeCounts(counts), config)
     return Transcript(config=config, rounds=rounds, counts=counts, broadcast=broadcast, seed=seed)
 

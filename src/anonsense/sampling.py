@@ -22,11 +22,15 @@ def philox(seed: int, *stream: int) -> np.random.Generator:
 
 
 def draw_counts(dist: OutcomeDistribution, rounds: int, rng: np.random.Generator) -> dict[str, int]:
-    """One multinomial draw of ``rounds`` outcomes from a distribution."""
+    """One multinomial draw of ``rounds`` outcomes from a distribution; no label of p = 0 draws."""
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
     labels = dist.labels()
     p = np.clip(np.array([dist.probs[k] for k in labels]), 0.0, None)
     p = p / p.sum()
     draws = rng.multinomial(rounds, p)
+    # numpy hands the last label the rounding remainder of its running probability
+    if p[-1] == 0 and draws[-1]:
+        draws[np.flatnonzero(p)[-1]] += draws[-1]
+        draws[-1] = 0
     return {label: int(c) for label, c in zip(labels, draws)}

@@ -169,13 +169,14 @@ def conditional_distributions(
     which round-by-round simulation samples.  U is diagonal, so
     <phi_{i,s}|U|phi_{i',+}> = delta_{ii'} (A_i + s*A_{n-i})/2 (:func:`dicke_means`
     of the one sender subset): state i' reaches the outcomes with i = i' only,
-    and 'f' takes the rest.
+    and 'f' takes the rest (exactly 0 for a state outside ``config.residual_indices``).
     """
     assign.check_n(config)
     index, labels = np.array([i for i, _ in config.outcomes]), config.labels()
     means = dicke_means(config.n, assign.fields, [assign.sender_positions], index)
     initial = np.flatnonzero(config.q)  # the weights are nonnegative
     rows = _with_residual(np.where(index == initial[:, None], _outcome_probs(config, means)[0], 0.0))
+    rows[~np.isin(initial, config.residual_indices), -1] = 0.0
     return {ip: OutcomeDistribution.from_row(labels, row) for ip, row in zip(initial.tolist(), rows)}
 
 

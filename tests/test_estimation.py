@@ -28,7 +28,9 @@ from anonsense.fisher import (
     closed_form_j22,
     fisher_matrix,
 )
+from anonsense.protocol import run_protocol
 from anonsense.sampling import draw_counts, philox
+from anonsense.statevec import SenderAssignment, conditional_distributions
 from test_fisher import all_switches_config
 
 DATA = Path(__file__).parent / "data"
@@ -304,6 +306,32 @@ def test_f_count_on_an_f_free_config_is_inconsistent(config):
     # without the count on 'f', theta1 is the binomial's in (0,+) and (0,-)
     report = mle_estimate(OutcomeCounts({"0+": 30, "0-": 20}), config)
     assert report.theta_hat.theta[0] == pytest.approx(binomial_mle(30, 50), abs=1e-9)
+
+
+F_FREE_ASSIGNMENTS = [SenderAssignment(5, (1, 2), FieldVector((1.1, 1.25), 1.0)),
+                      SenderAssignment(5, (3,), FieldVector((0.3,), 1.0))]
+
+
+@pytest.mark.parametrize("config", F_FREE_CONFIGS, ids=["design-q_a=0", "one-sender-0-on"])
+def test_f_free_conditionals_give_f_exactly_zero(config):
+    # the simulator reads the kernel's rule: initial state 0 with (0,+) and
+    # (0,-) on gives 'f' exactly 0, not 1 minus its labels' sum (up to 3.3e-16)
+    rng = np.random.default_rng(4242)
+    for _ in range(2000):
+        positions = tuple(sorted(rng.choice(np.arange(1, 6), config.m_est, replace=False).tolist()))
+        fields = FieldVector(tuple(rng.uniform(0.05, 3.0, config.m_est).tolist()), 1.0)
+        conditionals = conditional_distributions(SenderAssignment(5, positions, fields), config)
+        assert conditionals[0].probs["f"] == 0.0
+
+
+@pytest.mark.parametrize("config, assign", zip(F_FREE_CONFIGS, F_FREE_ASSIGNMENTS),
+                         ids=["design-q_a=0", "one-sender-0-on"])
+def test_f_free_run_draws_no_f_count(config, assign):
+    # 2^62 rounds, where 'f' rounded up to a few ulp would draw counts that
+    # the estimate refuses as inconsistent
+    transcript = run_protocol(assign, config, rounds=2**62, seed=1)
+    assert transcript.counts["f"] == 0
+    assert sum(transcript.counts.values()) == 2**62
 
 
 def test_general_config_run_estimates_from_the_grid(tmp_path, monkeypatch):

@@ -187,6 +187,21 @@ def test_theta_model_keeps_only_switched_rows():
     assert weight_row(1001, model.m_est, 500)[1] == math.comb(999, 499) / math.comb(1001, 500)
 
 
+@pytest.mark.parametrize("config, expected", [
+    (ProtocolConfig.for_two_senders(5, a=2, q0=0.33), (2,)),
+    (ProtocolConfig.for_two_senders(5, a=2, q0=1.0), ()),
+    (ProtocolConfig.for_single_sender(5), (0,)),
+    (ProtocolConfig(n=5, m_est=1, t=1.0, q=(1.0, 0.0, 0.0), c_plus=(1, 0, 0), c_minus=(1, 0, 0)), ()),
+    (all_switches_config(9, 2), (1, 2, 3, 4)),
+], ids=["design", "design-q_a=0", "one-sender", "one-sender-0-on", "all-switches"])
+def test_residual_indices_are_the_kernels_residual_rows(config, expected):
+    # every weighted index leaves a residual but index 0 with (0,+) and (0,-)
+    # both on, and the kernel assembles 'f' from exactly those indices
+    assert config.residual_indices == expected
+    model = ThetaModel(config)
+    assert [model._rows[r] for r, *_ in model._residual_terms] == list(expected)
+
+
 def test_theta_model_broadcasts():
     config = ProtocolConfig.for_two_senders(7, a=3, q0=0.3)
     model = ThetaModel(config)

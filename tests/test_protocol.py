@@ -682,6 +682,26 @@ def test_sampling_matches_analytic_frequencies():
         assert abs(counts[label] - p * N) <= 5 * sigma + 1
 
 
+def test_a_zero_probability_label_draws_nothing():
+    # numpy's multinomial gives its last label the rounding remainder of its
+    # running probability: 68 to 93 counts on this row's 'f' at 2^62 rounds,
+    # which the sampler moves to the last label with p > 0
+    dist = OutcomeDistribution({"0+": 0.9776682445628029, "0-": 0.02233175543719699, "f": 0.0})
+    for seed in range(5):
+        counts = draw_counts(dist, 2**62, philox(seed))
+        assert counts["f"] == 0
+        assert sum(counts.values()) == 2**62
+    # state a's row, whose zero labels come first, keeps numpy's draws bit for bit
+    config = ProtocolConfig.for_two_senders(5, a=2, q0=0.33)
+    dist = statevec.conditional_distributions(
+        SenderAssignment(5, (1, 2), FieldVector((1.1, 1.25), 1.0)), config)[2]
+    p = np.array(list(dist.probs.values()))
+    assert p[:2].tolist() == [0.0, 0.0] and p[-1] > 0
+    for seed in range(5):
+        drawn = philox(seed).multinomial(2**62, p / p.sum())
+        assert draw_counts(dist, 2**62, philox(seed)) == dict(zip(dist.probs, drawn.tolist()))
+
+
 def test_negative_control_detects_leak():
     report = negative_control(4, FieldVector((math.pi / 2,), 1.0))
     assert report.max_tv_distance > 0.01
