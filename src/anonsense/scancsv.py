@@ -115,16 +115,6 @@ _POW10 = np.array([float(10 ** p) for p in range(21)])
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
-_INT_POW10 = np.array([10 ** p for p in range(17)], dtype=np.int64)
-# a formatted value is 11 groups of four bytes: a byte for the sign and the
-# first of the 17 digits of the integer part (group 0), its other 16 digits
-# (1-4), the point (5) and the 20 digits of the fraction (6-10)
-_GROUPS = 11
-
-
-def _byte_rows(rows) -> np.ndarray:
-    """Rows of four bytes as one uint32 each."""
-    return np.asarray(rows, dtype=np.uint8).view(np.uint32).ravel()
 
 
 def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -134,15 +124,13 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     trailing = np.zeros(10000, dtype=np.uint8)
     for step in (10, 100, 1000, 10000):
         trailing[::step] += 1
-    return _byte_rows(groups.reshape(-1, 4) + ord("0")), trailing
+    return (groups.reshape(-1, 4) + ord("0")).view(np.uint32).ravel(), trailing
 
 
 _DIGIT_GROUPS, _TRAILING_ZEROS = _digit_tables()
-# _KEEP_AFTER[16 + c] keeps the bytes of a group after its first c (every byte
-# for c <= 0, none for c >= 4), and _KEEP_BEFORE[c] those before its last c
-_KEEP_AFTER = _byte_rows([[0] * c + [255] * (4 - c) for c in np.clip(range(-16, 20), 0, 4)])
-_KEEP_BEFORE = _byte_rows([[255] * (4 - c) + [0] * c for c in range(5)])
-_POINT = _byte_rows([ord("."), 0, 0, 0])[0]
+# _KEEP_BEFORE[c] keeps the bytes of a group before its last c
+_KEEP_BEFORE = np.array([[255] * (4 - c) + [0] * c for c in range(5)],
+                        dtype=np.uint8).view(np.uint32).ravel()
 
 
 def _scaled_digits(x: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -197,14 +185,12 @@ def _fixed_digits(ax: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _format_values(x: np.ndarray) -> np.ndarray:
-    """``format(v, '.17g')`` of each float of ``x``, one row of 44 NUL-padded bytes each.
+    """``format(v, '.17g')`` of each float of ``x``, one row of 24 NUL-padded bytes each.
 
-    Values in fixed notation are written from the 17 digits of
-    :func:`_fixed_digits`, the integer part right-aligned and the fraction
-    left-aligned; leading zeros of the integer part, trailing zeros of the
-    fraction and a point with no fraction are NULs.  Zero, values in
-    scientific notation and non-finite values are formatted by ``format``
-    into their own rows.
+    Values in fixed notation are laid out from their 17 digits and exponent
+    (:func:`_fixed_digits`) by :func:`_lay_out`, after a sign byte.  Zero,
+    values in scientific notation and non-finite values are formatted by
+    ``format`` into their own rows; 24 bytes hold any float's text.
     """
     ax = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -214,43 +200,56 @@ def _format_values(x: np.ndarray) -> np.ndarray:
         ax, e = np.where(finite, ax, 1.0), np.where(finite, e, 0.0)
     digits, e, kernel = _fixed_digits(ax, e.astype(np.intp))
     kernel &= finite
-    # D = q * 10^s + r splits off the integer part, or below 1 the first 16
-    # digits of the fraction
-    whole = e >= 0
-    s = np.where(whole, 16 - e, -e)
-    q = digits // _INT_POW10[s]
-    r = digits - q * _INT_POW10[s]
-    del digits, s
-    out = np.empty((_GROUPS, len(x)), dtype=np.uint32)  # one group at a time
-    # the integer part's max(e, 0) + 1 digits end at byte 19, so group k
-    # starts with 19 - max(e, 0) - 4k NULs
-    integer = np.where(whole, q, 0)
-    lead = 35 - np.maximum(e, 0)  # 16 + 19 - max(e, 0)
-    first = integer // 10 ** 16
-    for k, index in enumerate([first, *_split4(integer - first * 10 ** 16, 4)]):
-        np.bitwise_and(_DIGIT_GROUPS.take(index), _KEEP_AFTER.take(lead - 4 * k), out=out[k])
-    del integer, lead, first, index
-    # the fraction's 16 high digits and 4 low ones; from the last group on, a
-    # group before only zero groups drops its trailing zeros
-    high = np.where(whole, r * _INT_POW10[np.maximum(e, 0)], q)
-    low = np.where(whole, 0, r) * _INT_POW10[np.minimum(4 + e, 4)]
-    del q, r
-    after = np.ones(len(x), dtype=bool)  # whether every later fraction group is zero
-    for k, index in zip(range(10, 5, -1), [low, *reversed(_split4(high, 4))]):
-        zeros = _TRAILING_ZEROS.take(index)
+    del ax
+    # the rows sorted by exponent (a radix sort on int8), so that each
+    # exponent's rows are one slice
+    order = np.argsort(e.astype(np.int8), kind="stable")
+    digits, e = digits[order], e[order]
+    # D's ASCII, "000" and its first digit then four groups, with its
+    # trailing zeros as NULs: a group drops its own when every later one is zero
+    groups = _split4(digits, 5)
+    del digits
+    text = np.empty((len(x), len(groups)), dtype=np.uint32)
+    after = np.ones(len(x), dtype=bool)  # whether every later group is zero
+    for k in reversed(range(len(groups))):
+        zeros = _TRAILING_ZEROS.take(groups[k])
         zeros *= after
-        np.bitwise_and(_DIGIT_GROUPS.take(index), _KEEP_BEFORE.take(zeros), out=out[k])
-        after &= index == 0
-    del high, low, index, zeros
-    np.multiply(~after, _POINT, out=out[5])
-    out = np.ascontiguousarray(out.T).view(np.uint8)
-    out[:, 0] = (x < 0) * ord("-")  # one of group 0's three leading NULs
+        np.bitwise_and(_DIGIT_GROUPS.take(groups[k]), _KEEP_BEFORE.take(zeros), out=text[:, k])
+        after &= groups[k] == 0
+    del groups, after, zeros
+    text = text.view(np.uint8)  # digit i of D at byte 3 + i
+    laid = np.zeros((len(x), 24), dtype=np.uint8)
+    bounds = np.searchsorted(e, np.arange(-4, 18))
+    for k, lo, hi in zip(range(-4, 17), bounds[:-1], bounds[1:]):
+        if hi > lo:
+            _lay_out(laid[lo:hi], text[lo:hi], k)
+    del text
+    out = np.empty_like(laid)
+    out[order] = laid
+    del laid
+    out[:, 0] = (x < 0) * ord("-")
     fallback = np.flatnonzero(~kernel)
-    if fallback.size:  # 44 bytes hold any float's text
+    if fallback.size:
         texts = np.array([format(v, ".17g") for v in x[fallback].tolist()], dtype=bytes)
         out[fallback] = 0
         out[fallback, :texts.itemsize] = texts.view(np.uint8).reshape(len(fallback), -1)
     return out
+
+
+def _lay_out(rows: np.ndarray, digits: np.ndarray, e: int) -> None:
+    """Write into ``rows``, after their sign byte, the 17 digits D of ``digits``
+    (digit i at byte 3 + i, trailing zeros NULs) at exponent ``e``: for e >= 0
+    the first e + 1 digits, a NUL among them written as 0, the point and the
+    rest; for e < 0 ``0.``, -e - 1 zeros and D.  A point with no digit after
+    it is a NUL."""
+    if e < 0:
+        rows[:, 1:2 - e] = np.frombuffer(b"0.000"[:1 - e], dtype=np.uint8)
+        rows[:, 2 - e:19 - e] = digits[:, 3:]
+        return
+    np.maximum(digits[:, 3:e + 4], ord("0"), out=rows[:, 1:e + 2])
+    if e < 16:
+        rows[:, e + 2] = np.where(digits[:, e + 4], ord("."), 0)
+        rows[:, e + 3:19] = digits[:, e + 4:]
 
 
 def _split4(number: np.ndarray, count: int) -> list[np.ndarray]:

@@ -71,6 +71,23 @@ def first_18_digits(x: float) -> Fraction:
     return abs(Fraction(x)) * Fraction(10) ** (17 - math.floor(math.log10(abs(x))))
 
 
+def trailing_zero_values(rng) -> list[float]:
+    """For each exponent e of fixed notation and each z = 0..16, a double whose
+    17 digits D end in exactly z zeros: D = M * 10^z for M of 17 - z digits, the
+    last not 0, drawn until the double nearest D * 10^(e - 16) prints as D."""
+    values = []
+    for e in range(-4, 17):
+        for z in range(17):
+            while True:
+                m = int(rng.integers(10 ** (16 - z), 10 ** (17 - z)))
+                x = float(f"{m}e{e - 16 + z}")
+                digits = str(m * 10 ** z)
+                if m % 10 and format(x, ".16e") == f"{digits[0]}.{digits[1:]}e{e:+03d}":
+                    values.append(x)
+                    break
+    return values
+
+
 def test_edge_values_format_as_cpython(rng):
     powers = [float(f"1e{k}") for k in range(-5, 18)]
     neighbours = [float(np.nextafter(p, d)) for p in powers for d in (0.0, math.inf)]
@@ -88,7 +105,11 @@ def test_edge_values_format_as_cpython(rng):
     # the 17th digit is even on some and odd on others, so ties round both ways
     assert {d.numerator // 10 % 2 for d in digits} == {0, 1}
     smallest = 5e-324
-    edges = [*powers, *neighbours, *below, *ties,
+    # the longest texts: 24 bytes, the formatter's row
+    longest = [-2.2250738585072014e-308, -5e-324, -1.7976931348623157e+308,
+               -1.2345678901234567e-300]
+    assert {len(format(x, ".17g")) for x in longest} == {24}
+    edges = [*powers, *neighbours, *below, *ties, *longest, *trailing_zero_values(rng),
              9.9999999999999995e-05, 99999999999999984.0, 1e-4, 1e16, 1e17,
              2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 0.1, 0.5, 1.0, 2.0,
              0.0, -0.0, smallest, -smallest, sys.float_info.min, sys.float_info.min - smallest,
