@@ -356,8 +356,8 @@ def _check_seed(seed: int):
 
 def _load_json(path: Path) -> dict:
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise RunConfigError(f"{path}: {exc}") from None
     try:
         return json.loads(text)

@@ -155,8 +155,7 @@ def mle_estimate(counts: OutcomeCounts, config: ProtocolConfig) -> EstimateRepor
         start = _scored(model, observed, theta)
     converged = not flags
 
-    theta, ll_hat, p_hat, info, eigvals, dp, d2p = _refine(model, observed, counts.N, start,
-                                                           _AXIS[1] - _AXIS[0])
+    theta, ll_hat, p_hat, info, eigvals, dp, d2p = _refine(model, observed, counts.N, start)
     theta_hat = PhaseParameters(tuple(theta))
     se = _observed_se(info, eigvals, theta, counts.N, flags)
     crb_se: Optional[tuple[float, ...]] = None
@@ -281,7 +280,7 @@ def _grid_start(model: ThetaModel, observed, axis) -> Optional[tuple[list, list[
                    if np.ptp(spread, axis=j).max() < 1e-9]
 
 
-def _refine(model: ThetaModel, observed, N: int, start, spacing: float):
+def _refine(model: ThetaModel, observed, N: int, start):
     """Projected, damped Fisher scoring (Levenberg-Marquardt) from the
     ``start`` that :func:`_scored` gives; returns theta, its log-likelihood,
     its probabilities, the observed information per observation, its
@@ -340,6 +339,7 @@ def _refine(model: ThetaModel, observed, N: int, start, spacing: float):
         eigvals, eigvec = _symmetric_eigen(info)
         if eigvals[0] >= 0.0:
             return theta, ll, p, info, eigvals, dp, d2p
+        spacing = _AXIS[1] - _AXIS[0]
         probes = [_project(theta, [sign * spacing * v for v in eigvec]) for sign in (1.0, -1.0)]
         # a probe clipped back onto theta is not scored again
         best = max((_scored(model, observed, point) for point in probes if point != theta),

@@ -212,42 +212,40 @@ def dicke_means(n: int, fields: FieldVector, subsets, indices) -> np.ndarray:
     bit-0 and bit-1 phases, from the subset's own positions; the swapped mean,
     A_{n-i} of the product, swaps a and b.  The c participants the phase seam
     lists (:func:`_participant_phases`; an honest subset's m senders) fold in
-    alone, in position order, into their means P_0..P_c (:func:`_fold_means`).
-    The n - c it does not list have phases exactly 1, factors 1 + z, which spread
-    them: A_i = sum_l C(c, l)*C(n-c, i-l)/C(n, i) * P_l, with the kernel's exact
-    weights (:func:`~anonsense.engine.weight_row`).  A_i reads P_l for l <= i
-    only, so the fold stops at the largest index.
+    alone, in position order, into their means P_0..P_c (:func:`_fold_means`);
+    swapping a and b reverses a product's coefficients, so the swapped means are
+    P_c..P_0, the same fold read backwards.  The n - c participants it does not
+    list have phases exactly 1, factors 1 + z, which spread both halves alike:
+    A_i = sum_l C(c, l)*C(n-c, i-l)/C(n, i) * P_l, with the kernel's exact
+    weights (:func:`~anonsense.engine.weight_row`), over l <= i only.
     """
     _, phases = _participant_phases(n, fields, subsets)
     if not len(indices) or min(indices) < 0 or max(indices) > n:
         raise ValueError(f"Dicke indices {list(indices)} are not one or more in [0, {n}]")
     c = phases.shape[1]
-    top = min(c, max(indices))
-    own = _fold_means(phases.transpose(1, 0, 2), top)
+    own = _fold_means(phases.transpose(1, 0, 2)).T  # l x rows
     row = {i: weight_row(n, c, i, hypergeometric=True) for i in set(indices)}
-    weights = np.array([row[i] for i in indices]).T[:top + 1]  # l x columns; 0 for l > i
+    weights = np.array([row[i] for i in indices]).T[:max(indices) + 1]  # l x columns; 0 for l > i
     # summed over l elementwise, not by BLAS, so each column's bits are its own
-    return sum(own[:, :, l:l + 1] * weight for l, weight in enumerate(weights))
+    return sum(own[[l, c - l], :, None] * weight for l, weight in enumerate(weights))
 
 
-def _fold_means(folded_phases: np.ndarray, top: int) -> np.ndarray:
-    """The means B_0..B_top (2 x rows x top + 1, top <= c) of the c participants of
-    ``folded_phases`` (each a 2 x rows array of bit-0 and bit-1 phases), B_l <-
-    ((j-l)*a_j*B_l + l*b_j*B_{l-1})/j for j = 1..c, on means, so nothing under- or
-    overflows.  B_l reads no higher mean, so each has the bits of the fold to c."""
+def _fold_means(folded_phases: np.ndarray) -> np.ndarray:
+    """The means B_0..B_c (rows x c + 1) of prod_j (a_j + b_j z) over the c
+    participants of ``folded_phases`` (each a 2 x rows array of bit-0 and bit-1
+    phases a_j and b_j), B_l <- ((j-l)*a_j*B_l + l*b_j*B_{l-1})/j for j = 1..c, on
+    means, so nothing under- or overflows.  Each complex product takes its factor
+    first through a named operand, which numpy does not reuse in place, so a
+    row's bits do not depend on how many rows share the fold."""
     c = len(folded_phases)
-    l = np.arange(top + 1)
-    means = np.zeros((2, folded_phases.shape[2], top + 1), dtype=complex)
-    # participant 1 leaves B = (a_1, b_1, 0, ...) exactly
-    means[:, :, :2] = np.stack([folded_phases[0], folded_phases[0, ::-1]], axis=-1)[:, :, :top + 1]
-    stay = folded_phases[1:, :, :, None]  # a participant's factor of B_l, direct and swapped
+    l = np.arange(c + 1)
+    means = np.zeros((folded_phases.shape[2], c + 1), dtype=complex)
+    means[:, :2] = folded_phases[0].T  # participant 1 leaves B = (a_1, b_1, 0, ...) exactly
     j = np.arange(2, c + 1)[:, None]
-    shift = stay[:, ::-1]  # and of B_{l-1}
-    for phase, weight, shift_phase, shift_weight in zip(stay, (j - l) / j, shift, l[1:] / j):
-        # each factor stays a temporary: numpy multiplies a large one in place with the
-        # operands swapped, and a complex product may round apart in the two orders
-        nxt = means * (phase * weight)
-        nxt[:, :, 1:] += means[:, :, :-1] * (shift_phase * shift_weight)
+    for (a, b), stay, shift in zip(folded_phases[1:, :, :, None], (j - l) / j, l[1:] / j):
+        keep, carry = a * stay, b * shift  # a participant's factors of B_l and of B_{l-1}
+        nxt = keep * means
+        nxt[:, 1:] += carry * means[:, :-1]
         means = nxt
     return means
 

@@ -9,8 +9,9 @@ goes through one phase seam, :func:`_subset_phases` (U for a block of sender
 subsets on a set of basis states).  It is capped as the dense vectors are
 (:data:`anonsense.statevec.DENSE_LIMIT`).
 
-It also keeps the Dicke-mean fold as it ran before it stopped at the largest
-measured index (:func:`uncapped_fold_means`), the two-sender MLE grid start
+It also keeps the Dicke-mean fold as it ran before the swapped means were read
+as the direct ones reversed, two products folded apart
+(:func:`two_product_fold_means`), the two-sender MLE grid start
 formed on the whole grid at once (:func:`full_grid_start`), the two-sender
 likelihood's global maximum found without a grid or a closed-form start
 (:func:`global_max_log_likelihood`), and the small algebra of the estimator
@@ -168,19 +169,22 @@ def conditional_distributions(
     return _DenseBasis(config).conditionals(assign)
 
 
-def uncapped_fold_means(folded_phases: np.ndarray, top: int) -> np.ndarray:
-    """:func:`anonsense.statevec._fold_means` folding every mean B_0..B_c, whatever
-    ``top``: B_l <- ((j-l)*a_j*B_l + l*b_j*B_{l-1})/j for j = 1..c."""
+def two_product_fold_means(folded_phases: np.ndarray) -> np.ndarray:
+    """The fold of :func:`anonsense.statevec._fold_means` run twice, on the direct
+    product prod_j (a_j + b_j z) and on the swapped one prod_j (b_j + a_j z), in
+    its operand order: the means B_0..B_c of each (2 x rows x c + 1), B_l <-
+    ((j-l)*a_j*B_l + l*b_j*B_{l-1})/j for j = 1..c."""
     c = len(folded_phases)
     l = np.arange(c + 1)
     means = np.zeros((2, folded_phases.shape[2], c + 1), dtype=complex)
-    means[:, :, :2] = np.stack([folded_phases[0], folded_phases[0, ::-1]], axis=-1) if c else 1
-    stay = folded_phases[1:, :, :, None]
+    means[:, :, :2] = np.stack([folded_phases[0], folded_phases[0, ::-1]], axis=-1)
+    stay = folded_phases[1:, :, :, None]  # a participant's factor of B_l, direct and swapped
     j = np.arange(2, c + 1)[:, None]
-    shift = stay[:, ::-1]
+    shift = stay[:, ::-1]  # and of B_{l-1}
     for phase, weight, shift_phase, shift_weight in zip(stay, (j - l) / j, shift, l[1:] / j):
-        nxt = means * (phase * weight)
-        nxt[:, :, 1:] += means[:, :, :-1] * (shift_phase * shift_weight)
+        keep, carry = phase * weight, shift_phase * shift_weight
+        nxt = keep * means
+        nxt[:, :, 1:] += carry * means[:, :, :-1]
         means = nxt
     return means
 

@@ -278,6 +278,17 @@ def test_malformed_counts_reports_location(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
+@pytest.mark.parametrize("which", ["--counts", "--config"])
+def test_a_file_not_in_utf8_is_named(tmp_path, capsys, which):
+    # the decode error escaped with no path, so nothing said which file was bad
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"counts": {"0+": 5}}\xff')
+    files = {"--counts": str(DATA / "counts_m1.json"), "--config": str(DATA / "run_m1.json"),
+             which: str(bad)}
+    assert run_cli(["estimate", *[arg for pair in files.items() for arg in pair]]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
 @pytest.mark.parametrize("value", [True, 2.7, "3"])
 def test_counts_must_be_json_integers(tmp_path, capsys, value):
     # int() read true as 1 and truncated 2.7 to 2

@@ -425,26 +425,48 @@ def test_dicke_sweep_matches_the_reference_under_a_leaky_seam(rng, monkeypatch, 
     assert (statevec.dicke_means(n, fields, subsets, range(n // 2 + 1)) != listed).any()
 
 
+def assert_fold_reverses_for_the_swapped_product(folded_phases):
+    own = statevec._fold_means(folded_phases)
+    direct, swapped = reference.two_product_fold_means(folded_phases)
+    assert np.array_equal(own.view(np.uint64), direct.view(np.uint64))
+    assert np.array_equal(own[:, ::-1].copy().view(np.uint64), swapped.view(np.uint64))
+
+
+@pytest.mark.parametrize("rows", [3, 20_000])
+def test_fold_means_of_the_swapped_product_are_the_direct_ones_reversed(rng, rows):
+    # swapping a and b reverses a product's coefficients, for any a and b, so
+    # the one fold read backwards has the bits of the swapped product's own
+    # fold; 20 000 rows pass numpy's 256 KiB threshold for reusing temporaries
+    # in place at every c >= 1
+    for c in range(1, 13):
+        folded = rng.normal(size=(c, 2, rows)) + 1j * rng.normal(size=(c, 2, rows))
+        assert (folded[:, 1] != folded[:, 0].conj()).all()
+        assert_fold_reverses_for_the_swapped_product(folded)
+
+
 @pytest.mark.parametrize("n", [40, 100])
 @pytest.mark.parametrize("leak", [nudge_one_free_participant, distinct_phases])
-def test_dicke_means_fold_stops_at_the_largest_index_with_the_same_bits(rng, monkeypatch, n, leak):
-    # A_i reads the folded means P_l for l <= i only, so the fold stops at the
-    # largest index, half of c = n where every participant carries a phase
+def test_fold_means_reverse_for_the_swapped_product_under_a_leaky_seam(rng, monkeypatch, n, leak):
+    # every participant folds in, c = n, across all C(n, 2) rows
     fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, 2))), t=1.0)
-    subsets = sender_subsets(n, 2)
-    indices = [0, n // 2]  # the two-sender design's measured indices
     leak_into_phases(monkeypatch, leak(n))
-    capped = statevec.dicke_means(n, fields, subsets, indices)
-    monkeypatch.setattr(statevec, "_fold_means", reference.uncapped_fold_means)
-    uncapped = statevec.dicke_means(n, fields, subsets, indices)
-    assert np.array_equal(capped.view(np.uint64), uncapped.view(np.uint64))
+    _, phases = statevec._participant_phases(n, fields, sender_subsets(n, 2))
+    assert phases.shape[1] == n
+    assert_fold_reverses_for_the_swapped_product(phases.transpose(1, 0, 2))
 
 
-@pytest.mark.parametrize("n", [14, 60, 100])
-def test_a_subsets_row_has_the_same_bits_alone_as_among_all(rng, n):
-    # the sweep's bits hang on its expression form: at n = 100 its arrays pass
-    # numpy's 256 KiB threshold for reusing temporaries in place
-    fields = FieldVector(tuple(sorted(rng.uniform(0.1, 3.0, 2))), t=1.0)
+@pytest.mark.parametrize("n, omegas", [
+    pytest.param(14, None, id="14"),
+    pytest.param(60, None, id="60"),
+    pytest.param(100, None, id="100"),
+    # rows that differed alone and among all when the fold's operand order
+    # followed numpy's reuse of temporaries of 256 KiB or more
+    pytest.param(100, (1.5842827116307445, 2.8563447193452123), id="100-pinned"),
+])
+def test_a_subsets_row_has_the_same_bits_alone_as_among_all(rng, n, omegas):
+    # a row's bits must not hang on how many rows share the sweep: at n = 100
+    # its arrays pass numpy's 256 KiB threshold for reusing temporaries in place
+    fields = FieldVector(omegas or tuple(sorted(rng.uniform(0.1, 3.0, 2))), t=1.0)
     subsets = sender_subsets(n, 2)
     drawn = range(len(subsets)) if n <= 14 else rng.choice(len(subsets), 40, replace=False)
     for config in cli_configs(n):
