@@ -12,17 +12,17 @@ The refinement's algebra is 1x1 or 2x2 and runs in closed form on Python
 floats (the :mod:`anonsense.fisher` helpers): no LAPACK routine runs on the
 way from counts to an estimate.
 
-On the paper's two designs the start is the maximum itself
-(:func:`_design_start`).  With c_j = cos(theta_j/2), index 0 reads
-P(0,+) = q_0*c1^2 and P(0,-) = q_0*(1 - c1^2) and leaves no residual (the
-kernel forms none), so 'f' comes from the second index a alone:
-P(a,+) = q_a*y and P(f) = q_a*(1 - y), y = [(1 - B_a)*c1 + B_a*c2]^2.
-Given the split of the counts between the indices, the likelihood is two
-binomials, in x = c1^2 and in y, maximized at the observed shares.  One
-sender is the first binomial alone.  Every other config starts at the argmax
-of a coarse grid (:func:`_grid_start`), in blocks of theta1 rows over the
-whole theta2 axis, each evaluated by one :meth:`ThetaModel.label_rows` call;
-counts that score -inf on all of it are diagnosed on the same blocks.
+For one sender and on the paper's two-sender design the start is the maximum
+itself (:func:`_design_start`).  One sender's score is 0 at the positive root
+of a quadratic in tan^2(theta/2) (:func:`_one_sender_root`).  On the design,
+with c_j = cos(theta_j/2), P(0,+) = q_0*c1^2, P(0,-) = q_0*(1 - c1^2),
+P(a,+) = q_a*y and P(f) = q_a*(1 - y), y = [(1 - B_a)*c1 + B_a*c2]^2: given
+the split of the counts between the indices, the likelihood is two binomials,
+in x = c1^2 and in y, maximized at the observed shares.  Every other config
+(and one sender where no observed label moves with theta) starts at the
+argmax of a coarse grid (:func:`_grid_start`), in blocks of theta1 rows over
+the whole theta2 axis, each evaluated by one :meth:`ThetaModel.label_rows`
+call; counts that score -inf on all of it are diagnosed on the same blocks.
 """
 
 from __future__ import annotations
@@ -130,9 +130,9 @@ def _scored(model: ThetaModel, observed, theta) -> tuple:
 def mle_estimate(counts: OutcomeCounts, config: ProtocolConfig) -> EstimateReport:
     """Maximize the likelihood over [0, pi]^m_est and package the estimate.
 
-    Deterministic: the refinement (:func:`_refine`) starts at the maximum on
-    the paper's designs (:func:`_design_start`), and elsewhere at the
-    argmax of a coarse grid, whose ties break toward the lexicographically
+    Deterministic: the refinement (:func:`_refine`) starts at the maximum for
+    one sender and on the two-sender design (:func:`_design_start`), else at
+    the argmax of a coarse grid, whose ties break toward the lexicographically
     smallest phase vector (:func:`_grid_start`).
     """
     if counts.N < 1:
@@ -222,36 +222,59 @@ def _grid_log_likelihood(model: ThetaModel, observed, axes) -> np.ndarray:
 
 
 def _design_start(model: ThetaModel, observed) -> Optional[tuple]:
-    """The likelihood's maximum on the paper's designs, scored
-    (:func:`_scored`) as the refinement takes its start.  None on any other
-    config, where one binomial below has no count (theta2 is then not
-    identified), or where the log-likelihood there is not finite: the grid
-    then starts.  The designs are told by the outcome set alone, whatever
-    their weights: with no weight on a, a count on (a,+) or 'f' meets a
-    probability of exactly 0, and the grid finds the counts inconsistent.
-
-    One sender measures (0,+) alone, two senders (0,+), (0,-) and (a,+).  In
-    labels order the first two labels' shares give x = c1^2, and for two
-    senders the last two give y; c1 = sqrt(x) and
+    """The likelihood's maximum for one sender (:func:`_one_sender_root`) and
+    on the two-sender design, scored (:func:`_scored`) as the refinement
+    takes its start; None where no observed label moves with theta (one
+    sender), on any other two-sender config, where one binomial below has no
+    count (theta2 is then not identified), or where the log-likelihood there
+    is not finite: the grid then starts.  The design is told by its outcome set
+    alone: with no weight on a, a count on (a,+) or 'f' meets a probability
+    of 0, and the grid finds the counts inconsistent.  The shares of its
+    first two labels give x = c1^2, of the last two y; c1 = sqrt(x) and
     c2 = (sqrt(y) - (1 - B_a)*c1)/B_a, clipped to [0, 1]: from a clipped
-    start the refinement finds the maximum on that face.
-    """
+    start the refinement finds the maximum on that face."""
     config = model.config
-    two = config.m_est == 2
-    if config.outcomes != (((0, PLUS), (0, MINUS), (config.a, PLUS)) if two else ((0, PLUS),)):
+    if config.m_est == 1:
+        u = _one_sender_root(model, observed)
+        start = None if u is None else _scored(model, observed, [2.0 * math.atan(math.sqrt(u))])
+        return start if start and math.isfinite(start[0]) else None
+    if config.outcomes != ((0, PLUS), (0, MINUS), (config.a, PLUS)):
         return None
     count = [0.0] * len(model.labels)
     for x, c in observed:
         count[x] = c
     if not (count[0] + count[1] and count[-2] + count[-1]):
         return None
-    cosines = [math.sqrt(count[0] / (count[0] + count[1]))]
-    if two:
-        b = dilution(config.n, config.a)
-        c2 = (math.sqrt(count[2] / (count[2] + count[3])) - (1.0 - b) * cosines[0]) / b
-        cosines.append(min(max(c2, 0.0), 1.0))
-    start = _scored(model, observed, [2.0 * math.acos(c) for c in cosines])
+    c1 = math.sqrt(count[0] / (count[0] + count[1]))
+    b = dilution(config.n, config.a)
+    c2 = (math.sqrt(count[2] / (count[2] + count[3])) - (1.0 - b) * c1) / b
+    start = _scored(model, observed, [2.0 * math.acos(c) for c in (c1, min(max(c2, 0.0), 1.0))])
     return start if math.isfinite(start[0]) else None
+
+
+def _one_sender_root(model: ThetaModel, observed) -> Optional[float]:
+    """u = tan^2(theta/2) at the one-sender maximum; None where no observed
+    label moves with theta.  Each label is lo*(1 - x) + hi*x in
+    x = cos^2(theta/2), its ends the kernel's at x = 0 and 1: lo = 0 on '+',
+    hi = 0 on '-'.  With the counts A on lo = 0, B on hi = 0 and F on an 'f'
+    of ends l, h > 0 (else l = h = 1), the score is 0 at the one positive
+    root of A*l*u^2 + b*u - B*h, b = h*(A + F) - l*(B + F): scaled to
+    integers, taken without cancellation and rounded once, or inf past 2^1023
+    (theta rounds to pi far below) or where A*l = 0 and b <= 0."""
+    zero = [0.0] * len(model._coef)
+    ends = list(zip(model._assemble([1.0] * len(zero), [d for *_, d in model._coef]),
+                    model._assemble(zero, zero)))
+    moving = [(ends[x], int(c)) for x, c in observed if ends[x][0] != ends[x][1]]
+    if not moving:
+        return None
+    A = sum(c for (lo, _), c in moving if lo == 0.0)
+    B = sum(c for (_, hi), c in moving if hi == 0.0)
+    F, l, h = next(((c, lo, hi) for (lo, hi), c in moving if lo and hi), (0, 1, 1))
+    (ln, ld), (hn, hd) = l.as_integer_ratio(), h.as_integer_ratio()
+    a, b, c = A * ln * hd, (A + F) * hn * ld - (B + F) * ln * hd, B * hn * ld
+    root = math.isqrt(b * b + 4 * a * c << 256)  # 2^128 times the discriminant's root
+    num, den = (2 * c << 128, (b << 128) + root) if b > 0 else (root - (b << 128), 2 * a << 128)
+    return num / den if num < den << 1023 else math.inf
 
 
 def _grid_start(model: ThetaModel, observed, axis) -> Optional[tuple[list, list[str]]]:
@@ -363,10 +386,12 @@ def _observed_information(freq, p, dp, d2p) -> list[list[float]]:
     m = len(dp[0])
     info = [[0.0] * m for _ in range(m)]
     for x, f in freq:
-        slope, curve = f / p[x] / p[x], f / p[x]
+        slope, curve, first = f / p[x] / p[x], f / p[x], dp[x]
+        if not math.isfinite(slope):  # p near the smallest float: dp/p first
+            slope, first = curve, [d / p[x] for d in dp[x]]
         for i in range(m):
             for j in range(m):
-                info[i][j] += slope * dp[x][i] * dp[x][j] - curve * d2p[x][i][j]
+                info[i][j] += slope * first[i] * dp[x][j] - curve * d2p[x][i][j]
     return info
 
 

@@ -327,9 +327,10 @@ def test_counts_over_the_largest_float_are_a_counts_error(tmp_path, capsys):
 
 def test_counts_up_to_the_largest_float_estimate_near_their_phase(tmp_path):
     # a total of exactly the largest float, all but one count on (0,+): the
-    # score and the information are formed per observation, so nothing
-    # overflows, and scoring leaves the grid point pi/180 for theta near 0
-    # (the counts' own maximum is 2*asin(sqrt(1/N)) ~ 1.5e-154)
+    # start is the counts' own maximum, 2*atan(sqrt(1/(N - 1))) ~ 1.5e-154,
+    # where P(f) ~ 5.6e-309; the score and the information are formed per
+    # observation, with dp divided by p first where f/p/p overflows, so
+    # nothing overflows
     out = tmp_path / "est.json"
     assert run_cli(["estimate", "--counts", str(DATA / "counts_float_max_m1.json"),
                     "--config", str(DATA / "run_m1.json"), "--out", str(out)]) == 0

@@ -4,13 +4,14 @@ import json
 import math
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reference
-from anonsense.combinatorics import FieldVector
+from anonsense.combinatorics import PLUS, FieldVector
 from anonsense import cli, estimation
 from anonsense.configio import load_counts, parse_run_config
 from anonsense.engine import ProtocolConfig, outcome_distribution
@@ -271,8 +272,8 @@ def test_design_start_keeps_the_grid_path_estimate(config, monkeypatch):
 
 
 def test_design_start_leaves_other_configs_to_the_grid():
-    # the closed form is keyed on the outcome set: with any other projector
-    # on, whatever the counts, the start is the grid's
+    # for two senders the closed form is keyed on the outcome set: with any
+    # other projector on, whatever the counts, the start is the grid's
     idle = with_idle_projector(ProtocolConfig.for_two_senders(7, a=3, q0=0.33), 1)
     for config in EXPLICIT_CONFIGS + [idle]:
         model = ThetaModel(config)
@@ -356,6 +357,166 @@ def test_general_config_run_estimates_from_the_grid(tmp_path, monkeypatch):
     counts = load_counts(json.loads((DATA / "counts_general_m2.json").read_text())).counts
     ll, _ = reference.global_max_log_likelihood(counts, config)
     assert abs(report["log_likelihood"] - ll) <= 1e-9 * abs(ll)
+
+
+# one sender beyond the design: index 0's projectors spanning its space, every
+# projector on, and weights on i = 0, 2 and 4 with (2,+), (2,-) and (4,-) on,
+# where 'f' has both ends above 0; and (2,-) alone at n = 4, where D_2 = 0, so
+# (2,-) is 0 and 'f' is 1 at every phase
+MIXED_ONE_SENDER = ProtocolConfig(n=9, m_est=1, t=1.0, q=(0.5, 0.0, 0.3, 0.0, 0.2),
+                                  c_plus=(1, 0, 1, 0, 0), c_minus=(0, 0, 1, 0, 1))
+FLAT_ONE_SENDER = ProtocolConfig(n=4, m_est=1, t=1.0, q=(0.0, 0.0, 1.0),
+                                 c_plus=(0, 0, 0), c_minus=(0, 0, 1))
+ONE_SENDER_CONFIGS = SINGLE_SENDER_DESIGNS + [F_FREE_CONFIGS[1], all_switches_config(12, 1),
+                                              MIXED_ONE_SENDER]
+ONE_SENDER_IDS = [f"design-n{c.n}" for c in SINGLE_SENDER_DESIGNS] + [
+    "0-on", "all-switches-n12", "mixed-n9"]
+
+
+def label_ends(model):
+    """Each label's probability at x = cos^2(theta/2) = 0 and at x = 1, as the
+    kernel assembles it from the amplitudes there: v = 1 and gamma- = D, and
+    v = 0 and gamma- = 0."""
+    rows = len(model._coef)
+    return list(zip(model._assemble([1.0] * rows, [d for _, _, d in model._coef]),
+                    model._assemble([0.0] * rows, [0.0] * rows)))
+
+
+@pytest.mark.parametrize("config", ONE_SENDER_CONFIGS + [FLAT_ONE_SENDER]
+                         + [all_switches_config(n, 1) for n in range(1, 41)],
+                         ids=ONE_SENDER_IDS + ["flat-n4"]
+                         + [f"all-switches-n{n}" for n in range(1, 41)])
+def test_one_sender_labels_vanish_at_the_end_of_their_sign(config):
+    # every '+' label is exactly 0.0 at x = 0 and every '-' label at x = 1,
+    # so only 'f' can have both ends above 0; the x = 1 ends are the kernel's
+    # probabilities at theta = 0
+    model = ThetaModel(config)
+    ends = label_ends(model)
+    for (_, sign), (lo, hi) in zip(config.outcomes, ends):
+        assert (lo if sign == PLUS else hi) == 0.0
+    assert [float(hi) for _, hi in ends] == model.point_probs([0.0])
+
+
+def exact_score(model, tally, u):
+    """The one-sender log-likelihood's slope in x = cos^2(theta/2) at
+    x = 1/(1 + u), u = tan^2(theta/2), in exact rationals: each label is
+    lo*(1 - x) + hi*x between the kernel's ends (:func:`label_ends`)."""
+    x = 1 / (1 + Fraction(u))
+    score = Fraction(0)
+    for label, (lo, hi) in zip(model.labels, label_ends(model)):
+        lo, hi = Fraction(float(lo)), Fraction(float(hi))
+        if tally.get(label, 0) and lo != hi:
+            score += tally[label] * (hi - lo) / (lo * (1 - x) + hi * x)
+    return score
+
+
+@pytest.mark.parametrize("config", ONE_SENDER_CONFIGS, ids=ONE_SENDER_IDS)
+def test_one_sender_root_is_the_maximum_to_the_float(config):
+    # the likelihood is concave in x, so its maximum is where the slope in x
+    # changes sign: between the float neighbours of the computed u, or at
+    # u = 0 (x = 1) or u = inf (x = 0) where the slope keeps one sign; on
+    # count_sets and on 20 more draws at fields from philox(n, k), N = 10 to 10^5
+    model = ThetaModel(config)
+    ends = dict(zip(model.labels, label_ends(model)))
+    tallies = list(count_sets(config))
+    for k in range(20):
+        draws = philox(config.n, k)
+        dist = outcome_distribution(config, FieldVector((draws.uniform(0.05, 3.0),), config.t))
+        tallies.append(draw_counts(dist, 10 ** (1 + k % 5), draws))
+    roots = 0
+    for tally in tallies:
+        observed = estimation._observed(OutcomeCounts(tally), model)
+        u = estimation._one_sender_root(model, observed)
+        if u is None:  # no observed label moves with theta
+            assert all(ends[label][0] == ends[label][1] for label, c in tally.items() if c)
+        elif u == 0.0:
+            assert exact_score(model, tally, math.nextafter(0.0, 1.0)) >= 0
+        elif u == math.inf:
+            assert exact_score(model, tally, sys.float_info.max) <= 0
+        else:
+            assert exact_score(model, tally, math.nextafter(u, 0.0)) <= 0
+            assert exact_score(model, tally, math.nextafter(u, math.inf)) >= 0
+            roots += 1
+    assert roots >= 15
+
+
+@pytest.mark.parametrize("config", ONE_SENDER_CONFIGS + [FLAT_ONE_SENDER],
+                         ids=ONE_SENDER_IDS + ["flat-n4"])
+def test_one_sender_estimates_without_the_grid(config, monkeypatch):
+    # every count set whose likelihood is finite and moves with theta starts
+    # at the quadratic's root: no grid pass, at most 2 distinct theta (the
+    # root and one refinement probe), and a log-likelihood not below the grid
+    # path's by more than 1e-12 * max(|ll|, 1), the bound set before the run
+    # (7.2e-16 seen); flat and -inf counts give the grid path's report or
+    # error, byte for byte
+    grids, points = [], set()
+    grid, point_probs = estimation._grid_log_likelihood, ThetaModel.point_probs
+
+    def counting_grid(model, observed, axes):
+        grids.append(len(axes[0]))
+        return grid(model, observed, axes)
+
+    def counting_point_probs(self, theta):
+        points.add(tuple(theta))
+        return point_probs(self, theta)
+
+    started = 0
+    for tally in count_sets(config):
+        counts = OutcomeCounts(tally)
+        reference_report = estimate_or_error(grid_path_estimate, counts, config, monkeypatch)
+        grids.clear()
+        points.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(estimation, "_grid_log_likelihood", counting_grid)
+            patch.setattr(ThetaModel, "point_probs", counting_point_probs)
+            ours = estimate_or_error(mle_estimate, counts, config)
+        if ours.startswith("ValueError") or "flat likelihood" in ours:
+            assert ours == reference_report
+            continue
+        assert grids == [] and len(points) <= 2
+        ll = mle_estimate(counts, config).log_likelihood
+        reference_ll = grid_path_estimate(counts, config, monkeypatch).log_likelihood
+        assert ll >= reference_ll - 1e-12 * max(abs(reference_ll), 1.0)
+        started += 1
+    assert (started == 0) == (config is FLAT_ONE_SENDER)
+
+
+def test_general_one_sender_run_estimates_without_the_grid(tmp_path, monkeypatch):
+    # the CI's mixed one-sender config ('f' with both ends above 0) starts at
+    # the quadratic's root, which no refinement step improves
+    grids, grid = [], estimation._grid_log_likelihood
+
+    def counting_grid(model, observed, axes):
+        grids.append(len(axes[0]))
+        return grid(model, observed, axes)
+
+    monkeypatch.setattr(estimation, "_grid_log_likelihood", counting_grid)
+    out = tmp_path / "estimate.json"
+    assert cli.main(["estimate", "--counts", str(DATA / "counts_m1_general.json"),
+                     "--config", str(DATA / "run_m1_general.json"), "--out", str(out)]) == 0
+    assert grids == []
+    report = json.loads(out.read_text())
+    assert report["converged"] and report["flags"] == []
+    config = parse_run_config(json.loads((DATA / "run_m1_general.json").read_text()),
+                              require_scenario=False)["config"]
+    assert config == MIXED_ONE_SENDER
+    tally = load_counts(json.loads((DATA / "counts_m1_general.json").read_text())).counts
+    u = math.tan(report["theta_hat"][0] / 2) ** 2
+    assert exact_score(ThetaModel(config), tally, u * (1 - 1e-12)) <= 0
+    assert exact_score(ThetaModel(config), tally, u * (1 + 1e-12)) >= 0
+
+
+def test_float_max_counts_reach_their_maximum():
+    # all but one of the largest float's worth of counts on (0,+): the
+    # maximum is at u = 1/(N - 1), theta = 1.4917e-154, where the kernel's
+    # P(0,+) rounds to 1 and the log-likelihood is log P(f) = -709.78; the
+    # grid and refinement stopped at theta = 5.4e-7 with -1.31e295
+    config = ProtocolConfig.for_single_sender(5)
+    counts = load_counts(json.loads((DATA / "counts_float_max_m1.json").read_text()))
+    report = mle_estimate(counts, config)
+    assert report.theta_hat.theta[0] == pytest.approx(2 / math.sqrt(counts.N), rel=1e-12)
+    assert report.log_likelihood == pytest.approx(-709.7827128933840, rel=1e-12)
+    assert 0.0 < report.se_estimate[0] < math.inf
 
 
 def test_design_start_reaches_the_maximum_at_equal_fields_and_on_the_faces():
